@@ -77,9 +77,10 @@ def _jsonable(value):
     return value
 
 
-def _build_patch_from_args(args) -> patches.SurfacePatch:
-    spec = _load_json(args.spec)
-    if args.grid_refine != 1:
+def _refined_spec(path: str, refine: int) -> dict:
+    """Surface spec read from ``path`` with every axis count times ``refine``."""
+    spec = _load_json(path)
+    if refine != 1:
         if "samples" in spec:
             raise UsageError("sampled data has a fixed grid; cannot refine it")
         if "grid" not in spec:
@@ -95,7 +96,12 @@ def _build_patch_from_args(args) -> patches.SurfacePatch:
         for key, val in spec["grid"].items():
             if key != "periodic":
                 lo, hi, count = val
-                spec["grid"][key] = [lo, hi, int(count) * args.grid_refine]
+                spec["grid"][key] = [lo, hi, int(count) * refine]
+    return spec
+
+
+def _build_patch_from_args(args) -> patches.SurfacePatch:
+    spec = _refined_spec(args.spec, args.grid_refine)
     return patches.build_patch(spec, fd_order=args.fd_order)
 
 
@@ -158,7 +164,7 @@ def cmd_group_decompose(args) -> int:
 
 def _analysis_payload(patch, fld, residuals) -> dict:
     axes = patch.axes
-    mask = fd.valid_mask(fld.g)
+    mask = fd.valid_mask(patch.ngrid, fld.g)
     margins = fd.interior_margins(mask)
     payload = {
         "space": patch.space,
@@ -276,7 +282,7 @@ def cmd_surface_volume(args) -> int:
 
 def cmd_surface_compare(args) -> int:
     p1 = _build_patch_from_args(args)
-    spec2 = _load_json(args.spec2)
+    spec2 = _refined_spec(args.spec2, args.grid_refine)
     p2 = patches.build_patch(spec2, fd_order=args.fd_order)
     if p1.space != "r3":
         p1 = spaceforms.embed_patch(p1)

@@ -15,7 +15,6 @@ gradient of a (*G, k) field is (*G, m, k) with m directions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import InsufficientInteriorError, UsageError
 
@@ -85,6 +84,30 @@ def gradient(f: np.ndarray, ngrid: int, hs, periodic, order: int = 4) -> np.ndar
     return np.stack(parts, axis=ngrid)
 
 
+# Pointwise contractions are staged as batched matrix products over the
+# trailing axes: a multi-operand einsum loops over every index combination
+# per grid point, which is what dominates for three or more parameter axes.
+
+def gram(u: np.ndarray, v: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """Form-weighted Gram matrices sum_i u_ai v_bi form_i of two stacks of
+    vectors (..., m, d); output (..., m, m)."""
+    return (u * form) @ np.swapaxes(v, -1, -2)
+
+
+def contract_last(T: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_i T_{...i} w_i over the last axis, for T (*G, *K, d) and w (*G, d)."""
+    lead = w.shape[:-1]
+    comp = T.shape[len(lead):-1]
+    prod = T.reshape(lead + (-1, w.shape[-1])) @ w[..., None]
+    return prod.reshape(lead + comp)
+
+
+def metric_pairing(P: np.ndarray, Q: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """Full contraction g^ac g^bd P_ab Q_cd of two covariant 2-tensor fields."""
+    raised = ginv @ Q @ np.swapaxes(ginv, -1, -2)
+    return np.einsum("...ab,...ab->...", P, raised)
+
+
 def require_interior(counts, periodic, order: int, levels: int) -> None:
     """Fail early when a cascade of ``levels`` derivatives eats the grid."""
     margin = RADIUS[order] * levels
@@ -96,23 +119,24 @@ def require_interior(counts, periodic, order: int, levels: int) -> None:
             )
 
 
-def valid_mask(*fields) -> np.ndarray:
+def valid_mask(ngrid: int, *fields) -> np.ndarray:
     """Grid mask of points where every given field is finite.
 
-    Component axes (anything beyond the common grid shape) are reduced
-    with 'all finite'.
+    The leading ``ngrid`` axes of each field are grid axes; its component
+    axes are reduced with 'all finite'.
     """
-    ngrid = min(f.ndim for f in fields)
     shapes = {f.shape[:ngrid] for f in fields}
     if len(shapes) != 1:
         raise UsageError("fields do not share a grid shape")
     mask = np.ones(next(iter(shapes)), dtype=bool)
     for f in fields:
-        finite = np.isfinite(f)
-        while finite.ndim > ngrid:
-            finite = finite.all(axis=-1)
-        mask &= finite
+        mask &= np.isfinite(f).reshape(mask.shape + (-1,)).all(axis=-1)
     return mask
+
+
+def component_max_abs(f: np.ndarray, ngrid: int) -> np.ndarray:
+    """Grid field of the largest |component| of f (NaN where any is NaN)."""
+    return np.abs(f).reshape(f.shape[:ngrid] + (-1,)).max(axis=-1)
 
 
 def nanmax_abs(field: np.ndarray) -> float:
@@ -190,7 +214,7 @@ def selfadjoint_eigvals(endo: np.ndarray, metric: np.ndarray) -> np.ndarray:
     metric, so the result is real and sorted.
     """
     L = grid_cholesky(metric)
-    sym = np.einsum("...ab,...bc->...ac", metric, endo)
+    sym = metric @ endo
     bad = ~np.isfinite(sym).all(axis=(-2, -1)) | ~np.isfinite(L).all(axis=(-2, -1))
     eye = np.eye(metric.shape[-1])
     Lw = np.where(bad[..., None, None], eye, L)
@@ -216,32 +240,49 @@ def christoffel(g: np.ndarray, ngrid: int, hs, periodic, order: int = 4,
     )
     # dg[a,c,b] term: derivative axis moved to slot 'a'; using g symmetry the
     # second term is dg with derivative axis in slot 'b'.
-    return np.einsum("...ec,...cab->...eab", ginv, low)
+    m = g.shape[-1]
+    lead = g.shape[:-2]
+    return (ginv @ low.reshape(lead + (m, m * m))).reshape(lead + (m, m, m))
 
 
 def cov_d_covector(C: np.ndarray, Gamma: np.ndarray, ngrid: int, hs, periodic,
                    order: int = 4) -> np.ndarray:
     """nabla_c C_a for a covector field C (*G, m); output (*G, c, a)."""
     dC = gradient(C, ngrid, hs, periodic, order)
-    return dC - np.einsum("...eca,...e->...ca", Gamma, C)
+    m = C.shape[-1]
+    lead = C.shape[:-1]
+    corr = C[..., None, :] @ Gamma.reshape(lead + (m, m * m))   # Gamma^e_ca C_e
+    return dC - corr.reshape(lead + (m, m))
 
 
 def cov_d_tensor2(T: np.ndarray, Gamma: np.ndarray, ngrid: int, hs, periodic,
                   order: int = 4) -> np.ndarray:
     """nabla_c T_ab for a covariant 2-tensor (*G, m, m); output (*G, c, a, b)."""
     dT = gradient(T, ngrid, hs, periodic, order)
-    corr_a = np.einsum("...eca,...eb->...cab", Gamma, T)
-    corr_b = np.einsum("...ecb,...ae->...cab", Gamma, T)
-    return dT - corr_a - corr_b
+    m = T.shape[-1]
+    lead = T.shape[:-2]
+    G2 = Gamma.reshape(lead + (m, m * m))                       # [e, (c x)]
+    corr_a = (np.swapaxes(G2, -1, -2) @ T).reshape(lead + (m, m, m))  # Gamma^e_ca T_eb
+    corr_b = (T @ G2).reshape(lead + (m, m, m))                 # [a, c, b]: T_ae Gamma^e_cb
+    return dT - corr_a - np.swapaxes(corr_b, -3, -2)
 
 
 def cov_d_tensor3(U: np.ndarray, Gamma: np.ndarray, ngrid: int, hs, periodic,
                   order: int = 4) -> np.ndarray:
     """nabla_d U_cab for a covariant 3-tensor (*G, m, m, m); output (*G, d, c, a, b)."""
     dU = gradient(U, ngrid, hs, periodic, order)
-    corr_c = np.einsum("...edc,...eab->...dcab", Gamma, U)
-    corr_a = np.einsum("...eda,...ceb->...dcab", Gamma, U)
-    corr_b = np.einsum("...edb,...cae->...dcab", Gamma, U)
+    m = U.shape[-1]
+    lead = U.shape[:-3]
+    G2 = Gamma.reshape(lead + (m, m * m))                       # [e, (d x)]
+    G2t = np.swapaxes(G2, -1, -2)                               # [(d x), e]
+    cube = lead + (m,) * 4
+    # Gamma^e_dc U_eab
+    corr_c = (G2t @ U.reshape(lead + (m, m * m))).reshape(cube)
+    # Gamma^e_da U_ceb, formed as [d, a, c, b]
+    Ue = np.swapaxes(U, -3, -2).reshape(lead + (m, m * m))      # [e, (c b)]
+    corr_a = np.swapaxes((G2t @ Ue).reshape(cube), -3, -2)
+    # U_cae Gamma^e_db, formed as [c, a, d, b]
+    corr_b = np.moveaxis((U.reshape(lead + (m * m, m)) @ G2).reshape(cube), -2, -4)
     return dU - corr_c - corr_a - corr_b
 
 
@@ -255,7 +296,7 @@ def laplace_beltrami(f: np.ndarray, ngrid: int, ginv: np.ndarray, sqrt_det: np.n
     comp_shape = f.shape[ngrid:]
     fw = f.reshape(grid_shape + (-1,))             # (*G, K)
     df = gradient(fw, ngrid, hs, periodic, order)  # (*G, b, K)
-    flux = np.einsum("...ab,...bk->...ak", ginv, df)
+    flux = ginv @ df
     weighted = sqrt_det[..., None, None] * flux
     div = sum(
         diff(np.take(weighted, a, axis=ngrid), a, hs[a], periodic[a], order)
@@ -274,26 +315,55 @@ def riemann_tensor(g: np.ndarray, Gamma: np.ndarray, ngrid: int, hs, periodic,
     Ric_{ac} = g^{bd} R_{abcd}.
     """
     dG = gradient(Gamma, ngrid, hs, periodic, order)  # (*G, deriv, e, i, j)
+    m = g.shape[-1]
+    lead = g.shape[:-2]
+    # GG[d, x, y, z] = Gamma^d_{xe} Gamma^e_{yz} holds both quadratic terms of
     # R^d_{cab} = d_a Gamma^d_{bc} - d_b Gamma^d_{ac} + Gamma^d_{ae} Gamma^e_{bc} - Gamma^d_{be} Gamma^e_{ac}
+    GG = Gamma.reshape(lead + (m * m, m)) @ Gamma.reshape(lead + (m, m * m))
+    GG = GG.reshape(lead + (m,) * 4)
     up = (
         np.einsum("...adbc->...dcab", dG)
         - np.einsum("...bdac->...dcab", dG)
-        + np.einsum("...dae,...ebc->...dcab", Gamma, Gamma)
-        - np.einsum("...dbe,...eac->...dcab", Gamma, Gamma)
+        + np.einsum("...dabc->...dcab", GG)
+        - np.einsum("...dbac->...dcab", GG)
     )
     # Lower the free slot; swapping the last pair afterwards lands in the
     # positive-sphere arrangement stated above.
-    low = np.einsum("...de,...ecab->...abdc", g, up)
-    return low
+    low = (g @ up.reshape(lead + (m, m ** 3))).reshape(lead + (m,) * 4)
+    return np.einsum("...dcab->...abdc", low)
 
 
 def ricci_tensor(riem: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Ricci contraction R_{ac} = g^{bd} R_{abcd} (positive for spheres)."""
-    return np.einsum("...bd,...abcd->...ac", ginv, riem)
+    m = ginv.shape[-1]
+    lead = ginv.shape[:-2]
+    pairs = np.swapaxes(riem, -3, -2).reshape(lead + (m * m, m * m))   # [(a c), (b d)]
+    return (pairs @ ginv.reshape(lead + (m * m, 1))).reshape(lead + (m, m))
 
 
 def scalar_curvature(ricci: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     return np.einsum("...ac,...ac->...", ginv, ricci)
+
+
+def simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Composite Simpson rule over the last axis of ``y`` (samples ``h`` apart,
+    at least three of them).
+
+    An even sample count takes Simpson over all but the last interval and
+    closes that one with Cartwright's three-point correction, term for term
+    as ``scipy.integrate.simpson`` does since scipy 1.11.
+    """
+    n = y.shape[-1]
+    stop = n - 2 if n % 2 else n - 3
+    out = np.sum(y[..., 0:stop:2] + 4.0 * y[..., 1:stop + 1:2] + y[..., 2:stop + 2:2],
+                 axis=-1)
+    out *= h / 3.0
+    if n % 2 == 0:
+        alpha = (2 * h ** 2 + 3 * h * h) / (6 * (h + h))
+        beta = (h ** 2 + 3.0 * h * h) / (6 * h)
+        eta = h ** 3 / (6 * h * (h + h))
+        out += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
+    return out
 
 
 def integrate(field: np.ndarray, hs, periodic) -> float:
@@ -306,5 +376,5 @@ def integrate(field: np.ndarray, hs, periodic) -> float:
         if periodic[axis]:
             work = work.sum(axis=axis) * hs[axis]
         else:
-            work = simpson(work, dx=hs[axis], axis=axis)
+            work = simpson(work, hs[axis])
     return float(work)

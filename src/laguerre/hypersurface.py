@@ -62,25 +62,20 @@ class LaguerreFrame:
         """Max-abs defects of all the null-frame pairings."""
         inner = lorentz.inner
         m = self.EY.shape[-2]
-        gram = np.einsum(
-            "...ai,...bi,i->...ab", self.EY, self.EY,
-            lorentz.signature(self.Y.shape[-1] - 3),
-        )
+        sig = lorentz.signature(self.Y.shape[-1] - 3)
+        gram = fd.gram(self.EY, self.EY, sig)
         eye = np.eye(m)
         res = {
             "Y_null": fd.nanmax_abs(inner(self.Y, self.Y)),
             "N_null": fd.nanmax_abs(inner(self.N, self.N)),
             "YN_pairing": fd.nanmax_abs(inner(self.Y, self.N) + 1.0),
             "EY_orthonormal": fd.nanmax_abs(gram - eye),
-            "Y_EY": fd.nanmax_abs(np.einsum("...i,...ai,i->...a", self.Y, self.EY,
-                                            lorentz.signature(self.Y.shape[-1] - 3))),
-            "N_EY": fd.nanmax_abs(np.einsum("...i,...ai,i->...a", self.N, self.EY,
-                                            lorentz.signature(self.Y.shape[-1] - 3))),
+            "Y_EY": fd.nanmax_abs(fd.contract_last(self.EY, self.Y * sig)),
+            "N_EY": fd.nanmax_abs(fd.contract_last(self.EY, self.N * sig)),
             "eta_null": fd.nanmax_abs(inner(self.eta, self.eta)),
             "eta_wp_pairing": fd.nanmax_abs(inner(self.eta, self.wp) + 1.0),
             "eta_Y": fd.nanmax_abs(inner(self.eta, self.Y)),
-            "eta_EY": fd.nanmax_abs(np.einsum("...i,...ai,i->...a", self.eta, self.EY,
-                                              lorentz.signature(self.Y.shape[-1] - 3))),
+            "eta_EY": fd.nanmax_abs(fd.contract_last(self.EY, self.eta * sig)),
             "Y_wp": fd.nanmax_abs(inner(self.Y, self.wp)),
             "N_eta": fd.nanmax_abs(inner(self.N, self.eta)),
             "N_wp": fd.nanmax_abs(inner(self.N, self.wp)),
@@ -123,7 +118,7 @@ class InvariantField:
 
     @property
     def frame(self) -> LaguerreFrame:
-        EY = np.einsum("...ia,...aj->...ij", self.vielbein, self.dY)
+        EY = self.vielbein @ self.dY
         return LaguerreFrame(
             Y=self.lift.Y, N=self.N, EY=EY, eta=self.lift.eta,
             wp=lorentz.wp(self.patch.n),
@@ -159,7 +154,7 @@ def laguerre_lift(patch: SurfacePatch, shape: ShapeData | None = None) -> Laguer
 def laguerre_metric(Y: np.ndarray, axes: patches.GridAxes, order: int = 4) -> np.ndarray:
     """Metric components <d_a Y, d_b Y> in parameter coordinates."""
     dY = fd.gradient(Y, axes.ndim, axes.spacings, axes.periodic, order)
-    return np.einsum("...ai,...bi,i->...ab", dY, dY, lorentz.signature(Y.shape[-1] - 3))
+    return fd.gram(dY, dY, lorentz.signature(Y.shape[-1] - 3))
 
 
 def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
@@ -176,7 +171,7 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
     sig = lorentz.signature(patch.n)
 
     dY = fd.gradient(lift.Y, m, hs, per, order)
-    g = np.einsum("...ai,...bi,i->...ab", dY, dY, sig)
+    g = fd.gram(dY, dY, sig)
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
     g_low = np.nanmin(fd.grid_eigvalsh(g))
     if np.isfinite(g_low) and g_low <= 0:
@@ -194,19 +189,20 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
     dN = fd.gradient(N, m, hs, per, order)
     deta = fd.gradient(lift.eta, m, hs, per, order)
 
-    B = np.einsum("...ai,...bi,i->...ab", deta, dY, sig)
-    B = 0.5 * (B + np.swapaxes(B, -1, -2))
-    L = np.einsum("...ai,...bi,i->...ab", dN, dY, sig)
+    B_raw = fd.gram(deta, dY, sig)
+    B = 0.5 * (B_raw + np.swapaxes(B_raw, -1, -2))
+    L = fd.gram(dN, dY, sig)
     L = 0.5 * (L + np.swapaxes(L, -1, -2))
-    C = -np.einsum("...ai,...i,i->...a", dN, lift.eta, sig)
+    C = -fd.contract_last(dN, lift.eta * sig)
 
     # Orthonormal frame by Gram-Schmidt on the coordinate directions, i.e.
     # the inverse Cholesky factor of g.
     chol = fd.grid_cholesky(g)
     vielbein = fd.grid_inv(chol)
-    B_frame = np.einsum("...ia,...ab,...jb->...ij", vielbein, B, vielbein)
-    L_frame = np.einsum("...ia,...ab,...jb->...ij", vielbein, L, vielbein)
-    C_frame = np.einsum("...ia,...a->...i", vielbein, C)
+    vielbein_t = np.swapaxes(vielbein, -1, -2)
+    B_frame = vielbein @ B @ vielbein_t
+    L_frame = vielbein @ L @ vielbein_t
+    C_frame = fd.contract_last(vielbein, C)
     B_eigs = fd.grid_eigvalsh(B_frame)[..., ::-1]
 
     Sinv = fd.grid_inv(shape.S)
@@ -218,7 +214,7 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
     ricci = fd.ricci_tensor(riem, ginv)
     scalar = fd.scalar_curvature(ricci, ginv)
 
-    III = np.einsum("...ai,...bi,i->...ab", patch.dxi, patch.dxi, patch.form)
+    III = fd.gram(patch.dxi, patch.dxi, patch.form)
     g_exact = (shape.rho ** 2)[..., None, None] * III
 
     fld = InvariantField(
@@ -230,11 +226,8 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
         B_eigs=B_eigs, S_op=S_op, S_eigs=S_eigs,
         riemann=riem, ricci=ricci, scalar=scalar, g_exact=g_exact,
     )
-    fld.diagnostics["raw_B_asymmetry"] = fd.nanmax_abs(
-        np.einsum("...ai,...bi,i->...ab", deta, dY, sig)
-        - np.einsum("...bi,...ai,i->...ab", deta, dY, sig)
-    )
-    C_dual = np.einsum("...ai,...i,i->...a", deta, N, sig)
+    fld.diagnostics["raw_B_asymmetry"] = fd.nanmax_abs(B_raw - np.swapaxes(B_raw, -1, -2))
+    C_dual = fd.contract_last(deta, N * sig)
     fld.diagnostics["C_dual_defect"] = fd.nanmax_abs(C - C_dual)
     fld.diagnostics["g_vs_rho2_III"] = fd.nanmax_abs(g - g_exact)
     return fld
@@ -245,6 +238,19 @@ def frame_and_tensors(patch: SurfacePatch, shape: ShapeData | None = None,
     """Moving frame plus invariant tensors, in one call."""
     fld = analyze(patch, order=order)
     return fld.frame, fld
+
+
+def gauss_rhs(L: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Right-hand side L_bc g_ad + L_ad g_bc - L_ac g_bd - L_bd g_ac of the
+    Gauss equation, slots (a, b, c, d)."""
+    # Every term is a slot permutation of one outer product Lg_abcd = L_ab g_cd.
+    Lg = L[..., :, :, None, None] * g[..., None, None, :, :]
+    return (
+        np.einsum("...bcad->...abcd", Lg)
+        + np.einsum("...adbc->...abcd", Lg)
+        - np.einsum("...acbd->...abcd", Lg)
+        - np.einsum("...bdac->...abcd", Lg)
+    )
 
 
 def structural_residual_fields(fld: InvariantField) -> dict:
@@ -268,15 +274,11 @@ def structural_residual_fields(fld: InvariantField) -> dict:
     DC = fd.cov_d_covector(fld.C, fld.Gamma, m, hs, per, order)
 
     def flat(resid):
-        out = np.abs(resid)
-        while out.ndim > m:
-            out = out.max(axis=-1)
-        return out
+        return fd.component_max_abs(resid, m)
 
     res = {}
     res["l_codazzi"] = flat(DL - np.swapaxes(DL, -3, -1))
-    Bup = np.einsum("...ac,...ce->...ae", fld.B, ginv)
-    BL = np.einsum("...ae,...eb->...ab", Bup, fld.L)
+    BL = fld.B @ ginv @ fld.L
     res["c_exchange"] = flat(
         np.swapaxes(DC, -1, -2) - DC - (BL - np.swapaxes(BL, -1, -2))
     )
@@ -286,17 +288,11 @@ def structural_residual_fields(fld: InvariantField) -> dict:
     )
     res["b_codazzi"] = flat(DB - np.einsum("...cab->...bac", DB) - codazzi_rhs)
 
-    gauss_rhs = (
-        np.einsum("...bc,...ad->...abcd", fld.L, g)
-        + np.einsum("...ad,...bc->...abcd", fld.L, g)
-        - np.einsum("...ac,...bd->...abcd", fld.L, g)
-        - np.einsum("...bd,...ac->...abcd", fld.L, g)
-    )
-    res["gauss"] = flat(fld.riemann - gauss_rhs)
+    res["gauss"] = flat(fld.riemann - gauss_rhs(fld.L, g))
 
     trB = np.einsum("...ab,...ab->...", ginv, fld.B)
     res["b_trace"] = flat(trB)
-    B2 = np.einsum("...ab,...cd,...ac,...bd->...", fld.B, fld.B, ginv, ginv)
+    B2 = fd.metric_pairing(fld.B, fld.B, ginv)
     res["b_sqnorm"] = flat(B2 - 1.0)
     trL = np.einsum("...ab,...ab->...", ginv, fld.L)
     res["l_trace_vs_lap"] = flat(trL + fld.lap_norm / (2.0 * (n - 1)))

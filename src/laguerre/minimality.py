@@ -58,6 +58,19 @@ class MinimalityReport:
         }
 
 
+def double_divergence(DDB: np.ndarray, ginv: np.ndarray) -> np.ndarray:
+    """B_{ab,ab} = g^ca g^db DDB_dcab from DDB_dcab = nabla_d nabla_c B_ab.
+
+    Contraction pattern: inner derivative with the first tensor slot, outer
+    derivative with the second.  The inner pair (c, a) goes first, leaving
+    T_db = g^ca DDB_dcab.
+    """
+    m = ginv.shape[-1]
+    lead = ginv.shape[:-2]
+    T = ginv.reshape(lead + (1, 1, m * m)) @ DDB.reshape(lead + (m, m * m, m))
+    return np.einsum("...db,...db->...", ginv, T[..., 0, :])
+
+
 def el_residual(fld: InvariantField):
     """Pointwise residuals of both forms of the criticality equation.
 
@@ -74,10 +87,8 @@ def el_residual(fld: InvariantField):
 
     DB = fd.cov_d_tensor2(fld.B, fld.Gamma, m, hs, per, order)
     DDB = fd.cov_d_tensor3(DB, fld.Gamma, m, hs, per, order)
-    # Contraction pattern of B_{ab,ab}: inner derivative with the first
-    # tensor slot, outer derivative with the second.
-    sum_div2 = np.einsum("...ca,...db,...dcab->...", ginv, ginv, DDB)
-    LB = np.einsum("...ab,...cd,...ac,...bd->...", fld.L, fld.B, ginv, ginv)
+    sum_div2 = double_divergence(DDB, ginv)
+    LB = fd.metric_pairing(fld.L, fld.B, ginv)
     sum_form = sum_div2 - LB
 
     DC = fd.cov_d_covector(fld.C, fld.Gamma, m, hs, per, order)
@@ -94,7 +105,7 @@ def third_form_laplacian_r(patch: SurfacePatch, shape: ShapeData | None = None,
         raise UsageError("the third-form Laplacian criterion is stated for surfaces")
     if shape is None:
         shape = patches.shape_data(patch)
-    III = np.einsum("...ai,...bi,i->...ab", patch.dxi, patch.dxi, patch.form)
+    III = fd.gram(patch.dxi, patch.dxi, patch.form)
     IIIinv = fd.grid_inv(III)
     det = fd.grid_det(III)
     sqrt_det = np.sqrt(np.where(np.isfinite(det) & (det > 0), det, np.nan))
@@ -120,15 +131,15 @@ def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
 
     wp_comp = -inner(lap_eta, fld.lift.eta)
     sig = lorentz.signature(n)
-    tangent = np.einsum("...i,...ai,i->...a", lap_eta, fld.dY, sig)
+    tangent = fd.contract_last(fld.dY, lap_eta * sig)
     # Convert <lap eta, d_a Y> to frame components through the vielbein.
-    tangent_frame = np.einsum("...ia,...a->...i", fld.vielbein, tangent)
+    tangent_frame = fd.contract_last(fld.vielbein, tangent)
     C_frame = fld.C_frame
     y_comp = -inner(lap_eta, fld.N)
 
     DC = fd.cov_d_covector(fld.C, fld.Gamma, m, hs, per, fld.order)
     divC = np.einsum("...ab,...ab->...", fld.ginv, DC)
-    LB = np.einsum("...ab,...cd,...ac,...bd->...", fld.L, fld.B, fld.ginv, fld.ginv)
+    LB = fd.metric_pairing(fld.L, fld.B, fld.ginv)
     wp_vec = lorentz.wp(n)
 
     return {
@@ -188,7 +199,7 @@ def minimality_report(patch: SurfacePatch, shape: ShapeData | None = None,
         DC = fd.cov_d_covector(fld.C, fld.Gamma, patch.axes.ndim,
                                patch.axes.spacings, patch.axes.periodic, fld.order)
         divC = np.einsum("...ab,...ab->...", fld.ginv, DC)
-        LB = np.einsum("...ab,...cd,...ac,...bd->...", fld.L, fld.B, fld.ginv, fld.ginv)
+        LB = fd.metric_pairing(fld.L, fld.B, fld.ginv)
         bridge_rhs = rho3 * (-divC + LB)
         scale = max(fd.nanmax_abs(lap), fd.nanmax_abs(bridge_rhs), 1e-12)
         crosscheck = fd.nanmax_abs(lap - bridge_rhs) / scale

@@ -172,11 +172,11 @@ class ShapeData:
 
 
 def first_fundamental(patch: SurfacePatch) -> np.ndarray:
-    return np.einsum("...ai,...bi,i->...ab", patch.dx, patch.dx, patch.form)
+    return fd.gram(patch.dx, patch.dx, patch.form)
 
 
 def second_fundamental(patch: SurfacePatch) -> np.ndarray:
-    return np.einsum("...abi,...i,i->...ab", patch.d2x, patch.xi, patch.form)
+    return fd.contract_last(patch.d2x, patch.xi * patch.form)
 
 
 def shape_operator(patch: SurfacePatch):
@@ -288,28 +288,28 @@ def _xi_jets_from_shape(x, dx, d2x, d3x, xi, form):
     """First and second derivatives of the unit normal, pointwise exact.
 
     Uses d(xi) = -dx o S with S = I^{-1} II and differentiates S through
-    the third-order jets of x.  Valid in every geometry because only the
-    ambient form enters.
+    the third-order jets of x:  dS = I^{-1} (dII - dI S).  Valid in every
+    geometry because only the ambient form enters.
     """
-    I = np.einsum("...ai,...bi,i->...ab", dx, dx, form)
-    II = np.einsum("...abi,...i,i->...ab", d2x, xi, form)
+    m, d = dx.shape[-2:]
+    lead = dx.shape[:-2]
+    dxf = dx * form
+    I = dxf @ np.swapaxes(dx, -1, -2)
+    II = fd.contract_last(d2x, xi * form)
     Iinv = np.linalg.inv(I)
-    S = np.einsum("...ga,...ab->...gb", Iinv, II)
-    dxi = -np.einsum("...gb,...gi->...bi", S, dx)
+    S = Iinv @ II
+    dxi = -(np.swapaxes(S, -1, -2) @ dx)
 
-    dI = (
-        np.einsum("...dai,...bi,i->...dab", d2x, dx, form)
-        + np.einsum("...ai,...dbi,i->...dab", dx, d2x, form)
-    )
-    dII = (
-        np.einsum("...dabi,...i,i->...dab", d3x, xi, form)
-        + np.einsum("...abi,...di,i->...dab", d2x, dxi, form)
-    )
-    dS = np.einsum("...ga,...dab->...dgb", Iinv, dII) - np.einsum(
-        "...ge,...def,...fa,...ab->...dgb", Iinv, dI, Iinv, II
-    )
-    d2xi = -np.einsum("...dgb,...gi->...dbi", dS, dx) - np.einsum(
-        "...gb,...dgi->...dbi", S, d2x
+    # Rows (d, a) of the second jets against the (weighted) first jets.
+    d2x_rows = d2x.reshape(lead + (m * m, d))
+    P = (d2x_rows @ np.swapaxes(dxf, -1, -2)).reshape(lead + (m, m, m))
+    dI = P + np.swapaxes(P, -1, -2)
+    Q = (d2x_rows @ np.swapaxes(dxi * form, -1, -2)).reshape(lead + (m, m, m))
+    dII = fd.contract_last(d3x, xi * form) + np.moveaxis(Q, -1, -3)
+    dIS = (dI.reshape(lead + (m * m, m)) @ S).reshape(lead + (m, m, m))
+    dS = Iinv[..., None, :, :] @ (dII - dIS)
+    d2xi = -(np.swapaxes(dS, -1, -2) @ dx[..., None, :, :]) - (
+        np.swapaxes(S, -1, -2)[..., None, :, :] @ d2x
     )
     return dxi, d2xi
 
@@ -682,7 +682,7 @@ def _validate_patch(patch: SurfacePatch) -> None:
     if worst > tol:
         raise DegenerateSurfaceError(f"normal is not normalized at grid index {idx}")
 
-    legendre = np.abs(np.einsum("...ai,...i,i->...a", patch.dx, patch.xi, patch.form))
+    legendre = np.abs(fd.contract_last(patch.dx, patch.xi * patch.form))
     worst, idx = _worst(legendre, patch.ngrid)
     if worst > tol:
         raise DegenerateSurfaceError(f"contact condition dx . xi = 0 fails at grid index {idx}")
@@ -782,7 +782,7 @@ def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
 
 def _validate_samples_patch(patch: SurfacePatch) -> None:
     """Like _validate_patch, restricted to the FD-valid interior."""
-    mask = fd.valid_mask(patch.dx)
+    mask = fd.valid_mask(patch.ngrid, patch.dx)
     if not mask.any():
         raise UsageError("grid too small for finite-difference jets")
     scale = max(1.0, float(np.abs(patch.x).max()))
@@ -795,7 +795,7 @@ def _validate_samples_patch(patch: SurfacePatch) -> None:
         idx = tuple(int(i) for i in np.unravel_index(np.argmax(defect), defect.shape))
         raise DegenerateSurfaceError(f"sampled normal is not normalized at grid index {idx}")
 
-    legendre = np.abs(np.einsum("...ai,...i,i->...a", patch.dx, patch.xi, patch.form))
+    legendre = np.abs(fd.contract_last(patch.dx, patch.xi * patch.form))
     worst = fd.nanmax_abs(legendre)
     if worst > tol:
         raise DegenerateSurfaceError(

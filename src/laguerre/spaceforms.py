@@ -467,8 +467,8 @@ def transfer_check(native: SurfacePatch, embedded: SurfacePatch | None = None) -
     Y_defect = fd.nanmax_abs(Y_e - sign * Y_n)
     eta_defect = fd.nanmax_abs(eta_e - eta_n)
 
-    III_n = np.einsum("...ai,...bi,i->...ab", native.dxi, native.dxi, native.form)
-    III_e = np.einsum("...ai,...bi,i->...ab", embedded.dxi, embedded.dxi, embedded.form)
+    III_n = fd.gram(native.dxi, native.dxi, native.form)
+    III_e = fd.gram(embedded.dxi, embedded.dxi, embedded.form)
     g_n = (shape_n.rho ** 2)[..., None, None] * III_n
     g_e = (shape_e.rho ** 2)[..., None, None] * III_e
     g_defect = fd.nanmax_abs(g_e - g_n)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import laguerre
 from laguerre import cli, group
 
 
@@ -148,6 +152,39 @@ def test_surface_compare_with_transform(torus_spec_file, tmp_path, capsys):
     out = read_out(capsys)
     assert out["max_g_deviation"] < 1e-6
     assert out["max_s_eig_deviation"] < 1e-6
+
+
+def test_surface_compare_grid_refine_refines_both_specs(tmp_path, capsys):
+    spec = write(tmp_path, "t.json", {
+        "builtin": "torus", "params": {"R": 2, "a": 1},
+        "grid": {"u": [-np.pi / 3, np.pi / 3, 33], "v": [0, 2 * np.pi, 32],
+                 "periodic": ["v"]},
+    })
+    assert run(["surface", "compare", "--spec", spec, "--spec2", spec,
+                "--grid-refine", "2"]) == 0
+    out = read_out(capsys)
+    assert out["max_g_deviation"] == 0.0
+
+
+def test_interior_margin_matches_nan_layout(torus_spec_file, torus_field, capsys):
+    assert run(["surface", "analyze", "--spec", torus_spec_file]) == 0
+    out = read_out(capsys)
+    # g is built from first differences of Y: NaN on the first and last two
+    # u-rows of the 4th-order stencil, finite everywhere along periodic v.
+    finite = np.isfinite(torus_field.g).all(axis=(-2, -1))
+    u_rows = np.nonzero(finite.any(axis=1))[0]
+    assert out["interior_margin"] == {"u": int(u_rows[0]), "v": 0}
+    assert out["interior_margin"]["u"] == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(laguerre.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import laguerre.cli, sys; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_degenerate_surface_exits_4(tmp_path, capsys):

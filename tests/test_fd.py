@@ -153,6 +153,25 @@ def test_integrate_simpson_and_periodic():
         fd.integrate(f2, (hu, hv), (False, True))
 
 
+@pytest.mark.parametrize("count", [33, 66, 195])
+def test_simpson_matches_scipy(count):
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    t = np.linspace(0.0, 1.3, count)
+    h = t[1] - t[0]
+    rows = np.stack([np.exp(t) * np.sin(5 * t), np.cos(3 * t) ** 2, t ** 3 - t])
+    ours = fd.simpson(rows, h)
+    ref = scipy_integrate.simpson(rows, dx=h, axis=-1)
+    assert np.all(np.abs(ours - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_valid_mask_takes_grid_rank():
+    g = np.ones((8, 6, 2, 2))
+    g[:2, :, 0, 0] = np.nan
+    mask = fd.valid_mask(2, g)
+    assert mask.shape == (8, 6)
+    assert fd.interior_margins(mask) == (2, 0)
+
+
 def test_interior_margins():
     mask = np.ones((10, 8), dtype=bool)
     mask[:3] = False
