@@ -16,17 +16,17 @@ from .group import (BlockData, Factorization, LaguerreTransform, act_on_contact,
                     generator, hyperbolic, isometry, parabolic, random_transform,
                     to_blocks)
 from .hypersurface import (InvariantField, LaguerreFrame, LaguerreLift, analyze,
-                           compare_invariants, frame_and_tensors, laguerre_lift,
-                           laguerre_metric, laguerre_volume, structural_residuals,
-                           transform_patch, volume_via_curvature_quotient)
+                           compare_invariants, laguerre_lift, laguerre_metric,
+                           laguerre_volume, structural_residuals, transform_patch,
+                           volume_via_curvature_quotient)
 from .lorentz import causal_type, inner, is_laguerre_matrix, signature_matrix, wp
 from .minimality import (MinimalityReport, el_residual, minimality_report,
                          third_form_laplacian_r)
 from .patches import GridAxes, ShapeData, SurfacePatch, build_patch, shape_data
 from .spaceforms import (ContactElementR30, ContactElementR31, CSphere, HSphere,
                          PlaneR30, PlaneR31, embed_patch, embed_sigma, embed_tau,
-                         proposition_pairings, spaceform_shape_data,
-                         spaceform_sphere_coord, transfer_check)
+                         proposition_pairings, spaceform_sphere_coord,
+                         transfer_check)
 from .spheres import (ContactElement, LieLine, Plane, PointAtInfinity,
                       ProjectivePoint, Sphere, classify_coord, contact_from_line,
                       lie_line, oriented_contact, sphere_coord,

@@ -52,7 +52,8 @@ def _load_json(path: str):
 
 
 def _emit(obj: dict, out_path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=True)
+    """Write ``obj`` as standard JSON; arrays become lists, NaN and inf null."""
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
     if out_path:
         tmp = out_path + ".tmp"
         with open(tmp, "w") as fh:
@@ -119,7 +120,7 @@ def cmd_spheres_contact(args) -> int:
     out = {
         "contact": bool(contact),
         "F": F,
-        "coords": [_jsonable(ga.vec), _jsonable(gb.vec)],
+        "coords": [ga.vec, gb.vec],
         "inner": float(lorentz.inner(ga.vec, gb.vec)),
         "seed": args.seed,
     }
@@ -132,11 +133,10 @@ def cmd_group_compose(args) -> int:
     T = group.compose_script(script, n=args.n)
     blocks = group.to_blocks(T)
     out = {
-        "matrix": _jsonable(T.matrix),
+        "matrix": T.matrix,
         "blocks": {
-            "A": _jsonable(blocks.A), "u": _jsonable(blocks.u),
-            "v": _jsonable(blocks.v), "w": blocks.w,
-            "a": _jsonable(blocks.a), "rho": blocks.rho,
+            "A": blocks.A, "u": blocks.u, "v": blocks.v, "w": blocks.w,
+            "a": blocks.a, "rho": blocks.rho,
         },
         "seed": args.seed,
     }
@@ -153,8 +153,8 @@ def cmd_group_decompose(args) -> int:
         "epsilon": fact.epsilon,
         "t": fact.t,
         "s": fact.s,
-        "sigma1": {"A": _jsonable(fact.A1), "a": _jsonable(fact.a1)},
-        "sigma2": {"A": _jsonable(fact.A2), "a": _jsonable(fact.a2)},
+        "sigma1": {"A": fact.A1, "a": fact.a1},
+        "sigma2": {"A": fact.A2, "a": fact.a2},
         "reconstruction_error": err,
         "seed": args.seed,
     }
@@ -184,22 +184,20 @@ def _analysis_payload(patch, fld, residuals) -> dict:
             "rho_max": float(np.nanmax(fld.shape.rho)),
         },
         "s_eigenvalues": {
-            "min": _jsonable(np.nanmin(fld.S_eigs, axis=tuple(range(axes.ndim)))),
-            "max": _jsonable(np.nanmax(fld.S_eigs, axis=tuple(range(axes.ndim)))),
+            "min": np.nanmin(fld.S_eigs, axis=tuple(range(axes.ndim))),
+            "max": np.nanmax(fld.S_eigs, axis=tuple(range(axes.ndim))),
         },
         "b_eigenvalues": {
-            "min": _jsonable(np.nanmin(fld.B_eigs, axis=tuple(range(axes.ndim)))),
-            "max": _jsonable(np.nanmax(fld.B_eigs, axis=tuple(range(axes.ndim)))),
+            "min": np.nanmin(fld.B_eigs, axis=tuple(range(axes.ndim))),
+            "max": np.nanmax(fld.B_eigs, axis=tuple(range(axes.ndim))),
         },
-        "residuals": {k: _jsonable(v) for k, v in sorted(residuals.items())},
-        "diagnostics": {k: _jsonable(v) for k, v in sorted(fld.diagnostics.items())},
+        "residuals": residuals,
+        "diagnostics": fld.diagnostics,
     }
     try:
-        payload["volume"] = hypersurface.laguerre_volume(patch, fld.shape)
+        payload["volume"] = hypersurface.laguerre_volume(patch)
         if patch.n == 3:
-            payload["volume_curvature_form"] = hypersurface.volume_via_curvature_quotient(
-                patch, fld.shape
-            )
+            payload["volume_curvature_form"] = hypersurface.volume_via_curvature_quotient(patch)
     except UsageError:
         # Finite-difference jets leave boundary margins without data, so a
         # full-region quadrature is undefined for sampled patches.
@@ -254,12 +252,12 @@ def cmd_surface_minimality(args) -> int:
     if patch.space != "r3":
         patch = spaceforms.embed_patch(patch)
     fld = hypersurface.analyze(patch, order=args.fd_order)
-    rep = minimality.minimality_report(patch, fld=fld, threshold=args.threshold)
+    rep = minimality.minimality_report(fld, threshold=args.threshold)
     payload = rep.to_json()
     payload["seed"] = args.seed
     if args.strict and not rep.consistent:
         raise ToleranceBreachError("strict mode: the two minimality criteria disagree")
-    _emit(_jsonable(payload), args.out)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -267,10 +265,9 @@ def cmd_surface_volume(args) -> int:
     patch = _build_patch_from_args(args)
     if patch.space != "r3":
         patch = spaceforms.embed_patch(patch)
-    shape = patches.shape_data(patch)
-    payload = {"volume": hypersurface.laguerre_volume(patch, shape), "seed": args.seed}
+    payload = {"volume": hypersurface.laguerre_volume(patch), "seed": args.seed}
     if patch.n == 3:
-        payload["volume_curvature_form"] = hypersurface.volume_via_curvature_quotient(patch, shape)
+        payload["volume_curvature_form"] = hypersurface.volume_via_curvature_quotient(patch)
         rel = abs(payload["volume"] - payload["volume_curvature_form"]) / max(
             abs(payload["volume"]), 1e-300)
         payload["forms_relative_gap"] = rel
@@ -297,7 +294,7 @@ def cmd_surface_compare(args) -> int:
     payload["seed"] = args.seed
     if args.strict:
         _strict_gate(payload, args.tol if args.tol is not None else 1e-6)
-    _emit(_jsonable(payload), args.out)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -309,11 +306,11 @@ def cmd_surface_embed(args) -> int:
     transfer = spaceforms.transfer_check(native, embedded)
     fld = hypersurface.analyze(embedded, order=args.fd_order)
     residuals = hypersurface.structural_residuals(fld)
-    rep = minimality.minimality_report(embedded, fld=fld, threshold=args.threshold)
+    rep = minimality.minimality_report(fld, threshold=args.threshold)
     payload = {
-        "transfer": {k: _jsonable(v) for k, v in sorted(transfer.items())},
+        "transfer": transfer,
         "analysis": _analysis_payload(embedded, fld, residuals),
-        "minimality": _jsonable(rep.to_json()),
+        "minimality": rep.to_json(),
         "seed": args.seed,
     }
     if args.strict:

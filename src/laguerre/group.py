@@ -31,7 +31,7 @@ import numpy as np
 
 from . import lorentz
 from .errors import InvalidElementError, UsageError
-from .spheres import ContactElement, ProjectivePoint
+from .spheres import ContactElement, ProjectivePoint, point_sphere_vector
 
 BLOCK_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-10
@@ -266,13 +266,10 @@ def _pencil_images(T, x, xi, dx, dxi, d2x, d2xi):
     """Images under T of the pencil generators gamma1, gamma2 and, when the
     jets are supplied, of their first and second parameter derivatives."""
     M = T.matrix
-    xx = np.sum(x * x, axis=-1)
     xdotxi = np.sum(x * xi, axis=-1)
-    g1 = np.concatenate(
-        [0.5 * (1.0 + xx)[..., None], 0.5 * (1.0 - xx)[..., None], x,
-         np.zeros_like(xx)[..., None]], axis=-1)
+    g1 = point_sphere_vector(x)
     g2 = np.concatenate(
-        [xdotxi[..., None], -xdotxi[..., None], xi, np.ones_like(xx)[..., None]], axis=-1)
+        [xdotxi[..., None], -xdotxi[..., None], xi, np.ones_like(xdotxi)[..., None]], axis=-1)
     h1 = g1 @ M
     h2 = g2 @ M
     if dx is None:

@@ -24,6 +24,7 @@ non-periodic axes and reductions are NaN-aware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from . import fd, lorentz, patches
 from .errors import DegenerateSurfaceError, UsageError
 from .group import LaguerreTransform, _pencil_images
 from .patches import ShapeData, SurfacePatch
+from .spheres import point_sphere_vector
 
 # Cascade depth of the deepest residual (divergence of C), used for the
 # up-front interior check: Y -> g -> Gamma/lap -> N -> C -> div C.
@@ -124,30 +126,44 @@ class InvariantField:
             wp=lorentz.wp(self.patch.n),
         )
 
+    def cov_d(self, kernel, T: np.ndarray) -> np.ndarray:
+        """Covariant derivative of T by ``kernel`` (an ``fd.cov_d_*``) on this grid."""
+        axes = self.patch.axes
+        return kernel(T, self.Gamma, axes.ndim, axes.spacings, axes.periodic, self.order)
 
-def point_sphere_field(x: np.ndarray) -> np.ndarray:
-    """Point-sphere coordinates over a grid of base points."""
-    xx = np.sum(x * x, axis=-1)
-    zeros = np.zeros_like(xx)
-    return np.concatenate(
-        [0.5 * (1.0 + xx)[..., None], 0.5 * (1.0 - xx)[..., None], x, zeros[..., None]],
-        axis=-1,
-    )
+    @cached_property
+    def DB(self) -> np.ndarray:
+        """nabla_c B_ab, slots (c, a, b)."""
+        return self.cov_d(fd.cov_d_tensor2, self.B)
+
+    @cached_property
+    def DC(self) -> np.ndarray:
+        """nabla_c C_a, slots (c, a)."""
+        return self.cov_d(fd.cov_d_covector, self.C)
+
+    @cached_property
+    def divC(self) -> np.ndarray:
+        """div C = g^ca nabla_c C_a."""
+        return np.einsum("...ab,...ab->...", self.ginv, self.DC)
+
+    @cached_property
+    def LB(self) -> np.ndarray:
+        """<L, B> = g^ac g^bd L_ab B_cd."""
+        return fd.metric_pairing(self.L, self.B, self.ginv)
 
 
-def laguerre_lift(patch: SurfacePatch, shape: ShapeData | None = None) -> LaguerreLift:
+def laguerre_lift(patch: SurfacePatch) -> LaguerreLift:
     """Light-cone position Y and mean-curvature-sphere coordinate eta."""
     if patch.space != "r3":
         raise UsageError("the Euclidean lift needs an r3 patch; embed space forms first")
-    if shape is None:
-        shape = patches.shape_data(patch)
+    shape = patch.shape
     xdotxi = np.sum(patch.x * patch.xi, axis=-1)
     ones = np.ones_like(xdotxi)
     y = np.concatenate(
         [xdotxi[..., None], -xdotxi[..., None], patch.xi, ones[..., None]], axis=-1
     )
     Y = shape.rho[..., None] * y
-    eta = point_sphere_field(patch.x) + shape.r[..., None] * y
+    eta = point_sphere_vector(patch.x) + shape.r[..., None] * y
     return LaguerreLift(y=y, Y=Y, eta=eta, rho=shape.rho, r=shape.r)
 
 
@@ -166,8 +182,8 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
     hs, per = axes.spacings, axes.periodic
     fd.require_interior(axes.counts, per, order, MAX_CASCADE_LEVELS)
 
-    shape = patches.shape_data(patch)
-    lift = laguerre_lift(patch, shape)
+    shape = patch.shape
+    lift = laguerre_lift(patch)
     sig = lorentz.signature(patch.n)
 
     dY = fd.gradient(lift.Y, m, hs, per, order)
@@ -233,13 +249,6 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
     return fld
 
 
-def frame_and_tensors(patch: SurfacePatch, shape: ShapeData | None = None,
-                      order: int = 4):
-    """Moving frame plus invariant tensors, in one call."""
-    fld = analyze(patch, order=order)
-    return fld.frame, fld
-
-
 def gauss_rhs(L: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Right-hand side L_bc g_ad + L_ad g_bc - L_ac g_bd - L_bd g_ac of the
     Gauss equation, slots (a, b, c, d)."""
@@ -262,16 +271,12 @@ def structural_residual_fields(fld: InvariantField) -> dict:
     Component axes of each residual are flattened so every entry of the
     dict is a grid scalar field (absolute value already applied).
     """
-    axes = fld.patch.axes
-    m = axes.ndim
-    hs, per = axes.spacings, axes.periodic
-    order = fld.order
+    m = fld.patch.axes.ndim
     g, ginv = fld.g, fld.ginv
     n = fld.patch.n
 
-    DL = fd.cov_d_tensor2(fld.L, fld.Gamma, m, hs, per, order)
-    DB = fd.cov_d_tensor2(fld.B, fld.Gamma, m, hs, per, order)
-    DC = fd.cov_d_covector(fld.C, fld.Gamma, m, hs, per, order)
+    DL = fld.cov_d(fd.cov_d_tensor2, fld.L)
+    DB, DC = fld.DB, fld.DC
 
     def flat(resid):
         return fd.component_max_abs(resid, m)
@@ -313,26 +318,23 @@ def structural_residuals(fld: InvariantField) -> dict:
     return res
 
 
-def laguerre_volume(patch: SurfacePatch, shape: ShapeData | None = None) -> float:
+def laguerre_volume(patch: SurfacePatch) -> float:
     """Total volume of the invariant metric, integrated over the patch.
 
     The integrand rho^{n-1} / (r_1 ... r_{n-1}) times the Euclidean area
     element is pointwise exact; the quadrature is the only approximation.
     """
-    if shape is None:
-        shape = patches.shape_data(patch)
+    shape = patch.shape
     dM = np.sqrt(fd.grid_det(shape.I))
     integrand = shape.rho ** (patch.n - 1) / np.prod(shape.radii, axis=-1) * dM
     return fd.integrate(integrand, patch.axes.spacings, patch.axes.periodic)
 
 
-def volume_via_curvature_quotient(patch: SurfacePatch,
-                                  shape: ShapeData | None = None) -> float:
+def volume_via_curvature_quotient(patch: SurfacePatch) -> float:
     """Surface-case (n = 3) volume through 2 * (H^2 - K) / K."""
     if patch.n != 3:
         raise UsageError("the mean/Gauss curvature form of the volume is for surfaces")
-    if shape is None:
-        shape = patches.shape_data(patch)
+    shape = patch.shape
     k1, k2 = shape.k[..., 0], shape.k[..., 1]
     H = 0.5 * (k1 + k2)
     K = k1 * k2
@@ -374,15 +376,7 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
         - q[..., None, None, None] * d2Bm
     )
 
-    inv_b = 1.0 / b
-    xi = Bm * inv_b[..., None]
-    dxi = (dBm - xi[..., None, :] * db[..., :, None]) * inv_b[..., None, None]
-    d2xi = (
-        d2Bm
-        - dxi[..., None, :, :] * db[..., :, None, None]
-        - dxi[..., :, None, :] * db[..., None, :, None]
-        - xi[..., None, None, :] * d2b[..., :, :, None]
-    ) * inv_b[..., None, None, None]
+    xi, dxi, d2xi = _vector_quotient_jets(Bm, dBm, d2Bm, b, db, d2b)
 
     new = SurfacePatch(
         space="r3", n=patch.n, axes=patch.axes,
@@ -390,7 +384,6 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
         metadata={**patch.metadata, "jets": "chain", "transformed": True},
     )
     patches._validate_patch(new)
-    patches.shape_data(new)
     return new
 
 
@@ -405,6 +398,19 @@ def _scalar_quotient_jets(a, da, d2a, b, db, d2b):
         - q[..., None, None] * d2b
     ) / b[..., None, None]
     return q, dq, d2q
+
+
+def _vector_quotient_jets(v, dv, d2v, b, db, d2b):
+    """Jets of the vector field w = v / b from the jets of v and b."""
+    w = v / b[..., None]
+    dw = (dv - w[..., None, :] * db[..., :, None]) / b[..., None, None]
+    d2w = (
+        d2v
+        - dw[..., None, :, :] * db[..., :, None, None]
+        - dw[..., :, None, :] * db[..., None, :, None]
+        - w[..., None, None, :] * d2b[..., :, :, None]
+    ) / b[..., None, None, None]
+    return w, dw, d2w
 
 
 def compare_invariants(f1: InvariantField, f2: InvariantField) -> dict:

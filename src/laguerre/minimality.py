@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fd, lorentz, patches
+from . import fd, lorentz
 from .errors import UsageError
 from .hypersurface import InvariantField
-from .patches import ShapeData, SurfacePatch
+from .patches import SurfacePatch
 
 
 @dataclass(eq=False)
@@ -37,7 +37,6 @@ class MinimalityReport:
     max_el_scaled: float             # rho^3-scaled divergence form (verdict input)
     el_forms_discrepancy: float
     max_laplacian_r: float | None    # n = 3 only
-    max_laplacian_r_scaled: float | None
     crosscheck: float | None         # bridge identity defect, relative
     lap_verdict: str | None
     consistent: bool
@@ -78,39 +77,24 @@ def el_residual(fld: InvariantField):
     div C - <L, B>/(n - 2).  The first equals (n - 2) times the second up
     to discretization error.
     """
-    axes = fld.patch.axes
-    m = axes.ndim
-    hs, per = axes.spacings, axes.periodic
-    order = fld.order
-    ginv = fld.ginv
-    n = fld.patch.n
-
-    DB = fd.cov_d_tensor2(fld.B, fld.Gamma, m, hs, per, order)
-    DDB = fd.cov_d_tensor3(DB, fld.Gamma, m, hs, per, order)
-    sum_div2 = double_divergence(DDB, ginv)
-    LB = fd.metric_pairing(fld.L, fld.B, ginv)
-    sum_form = sum_div2 - LB
-
-    DC = fd.cov_d_covector(fld.C, fld.Gamma, m, hs, per, order)
-    divC = np.einsum("...ab,...ab->...", ginv, DC)
-    div_form = divC - LB / (n - 2)
+    DDB = fld.cov_d(fd.cov_d_tensor3, fld.DB)
+    sum_form = double_divergence(DDB, fld.ginv) - fld.LB
+    div_form = fld.divC - fld.LB / (fld.patch.n - 2)
     return sum_form, div_form
 
 
-def third_form_laplacian_r(patch: SurfacePatch, shape: ShapeData | None = None,
+def third_form_laplacian_r(patch: SurfacePatch, r: np.ndarray,
                            order: int = 4) -> np.ndarray:
-    """Laplace-Beltrami of the third fundamental form applied to the mean
-    curvature radius field (surfaces only)."""
+    """Laplace-Beltrami of the third fundamental form applied to a grid
+    field ``r``, the mean curvature radius in the criterion (surfaces only)."""
     if patch.n != 3:
         raise UsageError("the third-form Laplacian criterion is stated for surfaces")
-    if shape is None:
-        shape = patches.shape_data(patch)
     III = fd.gram(patch.dxi, patch.dxi, patch.form)
     IIIinv = fd.grid_inv(III)
     det = fd.grid_det(III)
     sqrt_det = np.sqrt(np.where(np.isfinite(det) & (det > 0), det, np.nan))
     m = patch.axes.ndim
-    return fd.laplace_beltrami(shape.r, m, IIIinv, sqrt_det,
+    return fd.laplace_beltrami(r, m, IIIinv, sqrt_det,
                                patch.axes.spacings, patch.axes.periodic, order)
 
 
@@ -136,16 +120,12 @@ def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
     tangent_frame = fd.contract_last(fld.vielbein, tangent)
     C_frame = fld.C_frame
     y_comp = -inner(lap_eta, fld.N)
-
-    DC = fd.cov_d_covector(fld.C, fld.Gamma, m, hs, per, fld.order)
-    divC = np.einsum("...ab,...ab->...", fld.ginv, DC)
-    LB = fd.metric_pairing(fld.L, fld.B, fld.ginv)
     wp_vec = lorentz.wp(n)
 
     return {
         "wp_component_minus_1": fd.nanmax_abs(wp_comp - 1.0),
         "tangent_vs_C": fd.nanmax_abs(tangent_frame - (n - 3) * C_frame),
-        "y_component_vs_el": fd.nanmax_abs(y_comp - (-divC + LB)),
+        "y_component_vs_el": fd.nanmax_abs(y_comp - (-fld.divC + fld.LB)),
         "eta_component": fd.nanmax_abs(inner(lap_eta, wp_vec)),
         "n_component": fd.nanmax_abs(inner(lap_eta, fld.lift.Y)),
     }
@@ -162,21 +142,14 @@ def default_threshold(fld: InvariantField) -> float:
     return 1e-3 * float(max(rho3, 1e-12))
 
 
-def minimality_report(patch: SurfacePatch, shape: ShapeData | None = None,
-                      fld: InvariantField | None = None,
+def minimality_report(fld: InvariantField,
                       threshold: float | None = None) -> MinimalityReport:
-    """Assemble the verdict and all cross-checks for one patch."""
-    from .hypersurface import analyze
-
-    if fld is None:
-        fld = analyze(patch)
-    if shape is None:
-        shape = fld.shape
+    """Assemble the verdict and all cross-checks for one analyzed patch."""
     if threshold is None:
         threshold = default_threshold(fld)
 
     sum_form, div_form = el_residual(fld)
-    n = patch.n
+    n = fld.patch.n
     max_sum = fd.nanmax_abs(sum_form)
     max_div = fd.nanmax_abs(div_form)
     discrepancy = fd.nanmax_abs(sum_form - (n - 2) * div_form)
@@ -188,19 +161,13 @@ def minimality_report(patch: SurfacePatch, shape: ShapeData | None = None,
     verdict = "minimal" if scaled_el <= threshold else "non-minimal"
 
     lap_r = None
-    lap_scaled = None
     lap_verdict = None
     crosscheck = None
     if n == 3:
-        lap = third_form_laplacian_r(patch, shape, fld.order)
+        lap = third_form_laplacian_r(fld.patch, fld.shape.r, fld.order)
         lap_r = fd.nanmax_abs(lap)
-        lap_scaled = fd.nanmax_abs(lap / rho3)
         lap_verdict = "minimal" if lap_r <= threshold else "non-minimal"
-        DC = fd.cov_d_covector(fld.C, fld.Gamma, patch.axes.ndim,
-                               patch.axes.spacings, patch.axes.periodic, fld.order)
-        divC = np.einsum("...ab,...ab->...", fld.ginv, DC)
-        LB = fd.metric_pairing(fld.L, fld.B, fld.ginv)
-        bridge_rhs = rho3 * (-divC + LB)
+        bridge_rhs = rho3 * (-fld.divC + fld.LB)
         scale = max(fd.nanmax_abs(lap), fd.nanmax_abs(bridge_rhs), 1e-12)
         crosscheck = fd.nanmax_abs(lap - bridge_rhs) / scale
 
@@ -214,7 +181,6 @@ def minimality_report(patch: SurfacePatch, shape: ShapeData | None = None,
         max_el_scaled=scaled_el,
         el_forms_discrepancy=discrepancy,
         max_laplacian_r=lap_r,
-        max_laplacian_r_scaled=lap_scaled,
         crosscheck=crosscheck,
         lap_verdict=lap_verdict,
         consistent=consistent,

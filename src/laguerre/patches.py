@@ -24,6 +24,7 @@ the build with the offending grid index; they are never smoothed over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -143,6 +144,11 @@ class SurfacePatch:
         mins = self.x.reshape(-1, self.ambient_dim).min(axis=0)
         maxs = self.x.reshape(-1, self.ambient_dim).max(axis=0)
         return float(np.linalg.norm(maxs - mins))
+
+    @cached_property
+    def shape(self) -> ShapeData:
+        """Curvature data of the patch, computed (and screened) on first read."""
+        return shape_data(self)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +324,11 @@ def _xi_jets_from_shape(x, dx, d2x, d3x, xi, form):
 # Builtin surfaces (analytic x-jets to third order)
 # ---------------------------------------------------------------------------
 
+def _vec(*comps):
+    """Stack scalar grid fields (broadcast together) into a vector field."""
+    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+
+
 def _torus_jets(params, U, V):
     R = float(params.get("R", 2.0))
     a = float(params.get("a", 1.0))
@@ -325,20 +336,17 @@ def _torus_jets(params, U, V):
     w = R + a * cu
     zeros = np.zeros_like(U)
 
-    def vec(*comps):
-        return np.stack(np.broadcast_arrays(*comps), axis=-1)
-
-    x = vec(w * cv, w * sv, a * su)
-    xu = vec(-a * su * cv, -a * su * sv, a * cu)
-    xv = vec(-w * sv, w * cv, zeros)
-    xuu = vec(-a * cu * cv, -a * cu * sv, -a * su)
-    xuv = vec(a * su * sv, -a * su * cv, zeros)
-    xvv = vec(-w * cv, -w * sv, zeros)
-    xuuu = vec(a * su * cv, a * su * sv, -a * cu)
-    xuuv = vec(a * cu * sv, -a * cu * cv, zeros)
-    xuvv = vec(a * su * cv, a * su * sv, zeros)
-    xvvv = vec(w * sv, -w * cv, zeros)
-    xi = vec(cu * cv, cu * sv, su)
+    x = _vec(w * cv, w * sv, a * su)
+    xu = _vec(-a * su * cv, -a * su * sv, a * cu)
+    xv = _vec(-w * sv, w * cv, zeros)
+    xuu = _vec(-a * cu * cv, -a * cu * sv, -a * su)
+    xuv = _vec(a * su * sv, -a * su * cv, zeros)
+    xvv = _vec(-w * cv, -w * sv, zeros)
+    xuuu = _vec(a * su * cv, a * su * sv, -a * cu)
+    xuuv = _vec(a * cu * sv, -a * cu * cv, zeros)
+    xuvv = _vec(a * su * cv, a * su * sv, zeros)
+    xvvv = _vec(w * sv, -w * cv, zeros)
+    xi = _vec(cu * cv, cu * sv, su)
 
     dx = np.stack([xu, xv], axis=-2)
     d2x = np.stack(
@@ -355,19 +363,16 @@ def _sphere_jets(params, U, V):
     cu, su, cv, sv = np.cos(U), np.sin(U), np.cos(V), np.sin(V)
     zeros = np.zeros_like(U)
 
-    def vec(*comps):
-        return np.stack(np.broadcast_arrays(*comps), axis=-1)
-
-    xi = vec(cu * cv, cu * sv, su)
-    xiu = vec(-su * cv, -su * sv, cu)
-    xiv = vec(-cu * sv, cu * cv, zeros)
+    xi = _vec(cu * cv, cu * sv, su)
+    xiu = _vec(-su * cv, -su * sv, cu)
+    xiv = _vec(-cu * sv, cu * cv, zeros)
     xiuu = -xi
-    xiuv = vec(su * sv, -su * cv, zeros)
-    xivv = vec(-cu * cv, -cu * sv, zeros)
+    xiuv = _vec(su * sv, -su * cv, zeros)
+    xivv = _vec(-cu * cv, -cu * sv, zeros)
     xiuuu = -xiu
     xiuuv = -xiv
-    xiuvv = vec(su * cv, su * sv, zeros)
-    xivvv = vec(cu * sv, -cu * cv, zeros)
+    xiuvv = _vec(su * cv, su * sv, zeros)
+    xivvv = _vec(cu * sv, -cu * cv, zeros)
 
     x = R * xi
     dx = R * np.stack([xiu, xiv], axis=-2)
@@ -386,21 +391,18 @@ def _cylinder_jets(params, U, V):
     zeros = np.zeros_like(U)
     ones = np.ones_like(U)
 
-    def vec(*comps):
-        return np.stack(np.broadcast_arrays(*comps), axis=-1)
-
-    x = vec(R * cv, R * sv, U)
-    xu = vec(zeros, zeros, ones)
-    xv = vec(-R * sv, R * cv, zeros)
-    xvv = vec(-R * cv, -R * sv, zeros)
+    x = _vec(R * cv, R * sv, U)
+    xu = _vec(zeros, zeros, ones)
+    xv = _vec(-R * sv, R * cv, zeros)
+    xvv = _vec(-R * cv, -R * sv, zeros)
     zero3 = np.zeros_like(x)
     dx = np.stack([xu, xv], axis=-2)
     d2x = np.stack(
         [np.stack([zero3, zero3], axis=-2), np.stack([zero3, xvv], axis=-2)], axis=-3
     )
-    d3x = _third_from_table({(1, 1, 1): vec(R * sv, -R * cv, zeros)}, 2,
+    d3x = _third_from_table({(1, 1, 1): _vec(R * sv, -R * cv, zeros)}, 2,
                             zero=np.zeros_like(x))
-    xi = vec(cv, sv, zeros)
+    xi = _vec(cv, sv, zeros)
     return x, dx, d2x, d3x, xi
 
 
@@ -455,20 +457,17 @@ def _torus4_jets(params, U, T, P):
     cp, sp = np.cos(P), np.sin(P)
     zeros = np.zeros_like(U)
 
-    def nv(*comps):
-        return np.stack(np.broadcast_arrays(*comps), axis=-1)
-
     # Unit 2-sphere direction and its jets in (theta, phi).
-    n = nv(st * cp, st * sp, ct)
-    nt = nv(ct * cp, ct * sp, -st)
-    npp = nv(-st * sp, st * cp, zeros)
+    n = _vec(st * cp, st * sp, ct)
+    nt = _vec(ct * cp, ct * sp, -st)
+    npp = _vec(-st * sp, st * cp, zeros)
     ntt = -n
-    ntp = nv(-ct * sp, ct * cp, zeros)
-    npp2 = nv(-st * cp, -st * sp, zeros)
+    ntp = _vec(-ct * sp, ct * cp, zeros)
+    npp2 = _vec(-st * cp, -st * sp, zeros)
     nttt = -nt
     nttp = -npp
-    ntpp = nv(-ct * cp, -ct * sp, zeros)
-    nppp = nv(st * sp, -st * cp, zeros)
+    ntpp = _vec(-ct * cp, -ct * sp, zeros)
+    nppp = _vec(st * sp, -st * cp, zeros)
 
     w = R + a * cu
 
@@ -523,19 +522,16 @@ def _catenoid_r31_jets(params, U, V):
     t2 = -u * (1.0 + u * u) ** -1.5
     t3 = (2.0 * u * u - 1.0) * (1.0 + u * u) ** -2.5
 
-    def vec(*comps):
-        return np.stack(np.broadcast_arrays(*comps), axis=-1)
-
-    x = vec(u * cv, u * sv, np.arcsinh(u))
-    xu = vec(cv, sv, t1)
-    xv = vec(-u * sv, u * cv, zeros)
-    xuu = vec(zeros, zeros, t2)
-    xuv = vec(-sv, cv, zeros)
-    xvv = vec(-u * cv, -u * sv, zeros)
-    xuuu = vec(zeros, zeros, t3)
+    x = _vec(u * cv, u * sv, np.arcsinh(u))
+    xu = _vec(cv, sv, t1)
+    xv = _vec(-u * sv, u * cv, zeros)
+    xuu = _vec(zeros, zeros, t2)
+    xuv = _vec(-sv, cv, zeros)
+    xvv = _vec(-u * cv, -u * sv, zeros)
+    xuuu = _vec(zeros, zeros, t3)
     xuuv = np.zeros_like(x)
-    xuvv = vec(-cv, -sv, zeros)
-    xvvv = vec(u * sv, -u * cv, zeros)
+    xuvv = _vec(-cv, -sv, zeros)
+    xvvv = _vec(u * sv, -u * cv, zeros)
 
     dx = np.stack([xu, xv], axis=-2)
     d2x = np.stack(
@@ -544,7 +540,7 @@ def _catenoid_r31_jets(params, U, V):
     d3x = _third_from_table({
         (0, 0, 0): xuuu, (0, 0, 1): xuuv, (0, 1, 1): xuvv, (1, 1, 1): xvvv,
     }, 2)
-    xi = vec(cv / u, sv / u, np.sqrt(1.0 + u * u) / u)
+    xi = _vec(cv / u, sv / u, np.sqrt(1.0 + u * u) / u)
     return x, dx, d2x, d3x, xi
 
 
@@ -555,14 +551,11 @@ def _saddle_r30_jets(params, U, V):
     zeros = np.zeros_like(U)
     ones = np.ones_like(U)
 
-    def vec(*comps):
-        return np.stack(np.broadcast_arrays(*comps), axis=-1)
-
     t = c * U * V
-    x = vec(t, U, V, t)
-    xu = vec(c * V, ones, zeros, c * V)
-    xv = vec(c * U, zeros, ones, c * U)
-    xuv = vec(c * ones, zeros, zeros, c * ones)
+    x = _vec(t, U, V, t)
+    xu = _vec(c * V, ones, zeros, c * V)
+    xv = _vec(c * U, zeros, ones, c * U)
+    xuv = _vec(c * ones, zeros, zeros, c * ones)
     zero4 = np.zeros_like(x)
 
     dx = np.stack([xu, xv], axis=-2)
@@ -572,7 +565,7 @@ def _saddle_r30_jets(params, U, V):
     d3x = np.zeros(x.shape[:-1] + (2, 2, 2, 4))
 
     half = 0.5 * (1.0 - c * c * (U * U + V * V))
-    xi = vec(half, -c * V, -c * U, half - 1.0)
+    xi = _vec(half, -c * V, -c * U, half - 1.0)
     return x, dx, d2x, d3x, xi
 
 
@@ -656,8 +649,10 @@ def _worst(defect: np.ndarray, ngrid: int):
 def _validate_patch(patch: SurfacePatch) -> None:
     """Normal normalization, contact condition, immersion and curvature checks.
 
-    Patches whose jets came from finite differences carry NaN boundary
-    margins; every check here skips those and uses a looser tolerance.
+    The curvature checks are those of ``shape_data``, run by the first read
+    of ``patch.shape``.  Patches whose jets came from finite differences
+    carry NaN boundary margins; every check here skips those and uses a
+    looser tolerance.
     """
     scale = max(1.0, float(np.abs(patch.x).max()))
     analytic = patch.metadata.get("jets") != "fd"
@@ -694,6 +689,7 @@ def _validate_patch(patch: SurfacePatch) -> None:
         raise DegenerateSurfaceError(
             f"not an immersion (metric degenerates) at grid index {tuple(int(i) for i in idx)}"
         )
+    patch.shape  # first read runs the curvature screening of shape_data
 
 
 def build_patch(spec: dict, scheme: str = "analytic", fd_order: int = 4) -> SurfacePatch:
@@ -738,13 +734,12 @@ def build_patch(spec: dict, scheme: str = "analytic", fd_order: int = 4) -> Surf
         )
         _validate_patch(patch)
         if entry.get("zero_mean_curvature"):
-            _, _, S = shape_operator(patch)
+            S = patch.shape.S
             mean_k = np.trace(S, axis1=-2, axis2=-1) / S.shape[-1]
             if np.abs(mean_k).max() > 1e-8:
                 raise DegenerateSurfaceError(
                     "mean curvature oracle failed: builtin advertised as minimal is not"
                 )
-        shape_data(patch)  # degeneracy screening happens here
         return patch
 
     if "samples" in spec:

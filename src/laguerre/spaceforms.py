@@ -34,8 +34,8 @@ import numpy as np
 
 from . import fd, lorentz, patches
 from .errors import EmbeddingDomainError, UsageError
-from .hypersurface import laguerre_lift, point_sphere_field
-from .patches import ShapeData, SurfacePatch, ambient_form_diag, nu_vector
+from .hypersurface import _scalar_quotient_jets, _vector_quotient_jets, laguerre_lift
+from .patches import SurfacePatch, ambient_form_diag, nu_vector
 from .spheres import (ContactElement, Plane, ProjectivePoint, Sphere,
                       _as_float_vector)
 
@@ -288,31 +288,7 @@ def _reciprocal_jets(b, db, d2b):
     return r, dr, d2r
 
 
-def _quotient_scalar(a, da, d2a, b, db, d2b):
-    q = a / b
-    dq = (da - q[..., None] * db) / b[..., None]
-    d2q = (
-        d2a
-        - dq[..., :, None] * db[..., None, :]
-        - dq[..., None, :] * db[..., :, None]
-        - q[..., None, None] * d2b
-    ) / b[..., None, None]
-    return q, dq, d2q
-
-
-def _quotient_vector(v, dv, d2v, b, db, d2b):
-    w = v / b[..., None]
-    dw = (dv - w[..., None, :] * db[..., :, None]) / b[..., None, None]
-    d2w = (
-        d2v
-        - dw[..., None, :, :] * db[..., :, None, None]
-        - dw[..., :, None, :] * db[..., None, :, None]
-        - w[..., None, None, :] * d2b[..., :, :, None]
-    ) / b[..., None, None, None]
-    return w, dw, d2w
-
-
-def embed_patch(patch: SurfacePatch, order_unused: int = 4) -> SurfacePatch:
+def embed_patch(patch: SurfacePatch) -> SurfacePatch:
     """Push a Lorentzian or degenerate patch into the Euclidean bundle.
 
     Jets of the image are exact (chain rule on the rational embedding
@@ -337,7 +313,7 @@ def embed_patch(patch: SurfacePatch, order_unused: int = 4) -> SurfacePatch:
             "the embedding is undefined there"
         )
 
-    q, dq, d2q = _quotient_scalar(x1, dx1, d2x1, xi1, dxi1, d2xi1)
+    q, dq, d2q = _scalar_quotient_jets(x1, dx1, d2x1, xi1, dxi1, d2xi1)
     first = -q
     dfirst = -dq
     d2first = -d2q
@@ -357,7 +333,7 @@ def embed_patch(patch: SurfacePatch, order_unused: int = 4) -> SurfacePatch:
     inv, dinv, d2inv = _reciprocal_jets(xi1, dxi1, d2xi1)
     if degenerate:
         inv = 1.0 + inv
-    w, dw, d2w = _quotient_vector(xi0, dxi0, d2xi0, xi1, dxi1, d2xi1)
+    w, dw, d2w = _vector_quotient_jets(xi0, dxi0, d2xi0, xi1, dxi1, d2xi1)
     xi = np.concatenate([inv[..., None], w], axis=-1)
     dxi = np.concatenate([dinv[..., None], dw], axis=-1)
     d2xi = np.concatenate([d2inv[..., None], d2w], axis=-1)
@@ -369,13 +345,7 @@ def embed_patch(patch: SurfacePatch, order_unused: int = 4) -> SurfacePatch:
                   "embedded_from": patch.space},
     )
     patches._validate_patch(new)
-    patches.shape_data(new)
     return new
-
-
-# The shape machinery is geometry-agnostic; re-export under the name used
-# for the space-form side of the pipeline.
-spaceform_shape_data = patches.shape_data
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +371,10 @@ def distinguished_vector(space: str, n: int) -> np.ndarray:
     return c
 
 
-def native_lift(patch: SurfacePatch, shape: ShapeData | None = None):
+def native_lift(patch: SurfacePatch):
     """(Y, eta) fields of a patch in its own space form's layout."""
-    if shape is None:
-        shape = patches.shape_data(patch)
     if patch.space == "r3":
-        lift = laguerre_lift(patch, shape)
+        lift = laguerre_lift(patch)
         return lift.Y, lift.eta
     xdotxi = patch.dot(patch.x, patch.xi)
     xx = patch.dot(patch.x, patch.x)
@@ -420,20 +388,18 @@ def native_lift(patch: SurfacePatch, shape: ShapeData | None = None):
         y = np.concatenate([xdotxi[..., None], -xdotxi[..., None], patch.xi], axis=-1)
         base = np.concatenate([0.5 * (1.0 + xx)[..., None], 0.5 * (1.0 - xx)[..., None],
                                patch.x], axis=-1)
-    Y = shape.rho[..., None] * y
-    eta = base + shape.r[..., None] * y
+    Y = patch.shape.rho[..., None] * y
+    eta = base + patch.shape.r[..., None] * y
     return Y, eta
 
 
-def proposition_pairings(patch: SurfacePatch, shape: ShapeData | None = None) -> dict:
+def proposition_pairings(patch: SurfacePatch) -> dict:
     """Defects of <Y, c> = rho and <eta, c> = r in the patch's space form."""
-    if shape is None:
-        shape = patches.shape_data(patch)
-    Y, eta = native_lift(patch, shape)
+    Y, eta = native_lift(patch)
     c = distinguished_vector(patch.space, patch.n)
     return {
-        "Y_pairing": fd.nanmax_abs(lorentz.inner(Y, c) - shape.rho),
-        "eta_pairing": fd.nanmax_abs(lorentz.inner(eta, c) - shape.r),
+        "Y_pairing": fd.nanmax_abs(lorentz.inner(Y, c) - patch.shape.rho),
+        "eta_pairing": fd.nanmax_abs(lorentz.inner(eta, c) - patch.shape.r),
     }
 
 
@@ -450,8 +416,7 @@ def transfer_check(native: SurfacePatch, embedded: SurfacePatch | None = None) -
     if embedded is None:
         embedded = embed_patch(native)
 
-    shape_n = patches.shape_data(native)
-    shape_e = patches.shape_data(embedded)
+    shape_n, shape_e = native.shape, embedded.shape
     xi1 = native.xi[..., -1]
     x1 = native.x[..., -1]
 
@@ -461,8 +426,8 @@ def transfer_check(native: SurfacePatch, embedded: SurfacePatch | None = None) -
 
     rho_defect = fd.nanmax_abs(shape_e.rho - np.abs(xi1) * shape_n.rho)
 
-    Y_n, eta_n = native_lift(native, shape_n)
-    Y_e, eta_e = native_lift(embedded, shape_e)
+    Y_n, eta_n = native_lift(native)
+    Y_e, eta_e = native_lift(embedded)
     sign = np.sign(xi1)[..., None]
     Y_defect = fd.nanmax_abs(Y_e - sign * Y_n)
     eta_defect = fd.nanmax_abs(eta_e - eta_n)
@@ -480,8 +445,8 @@ def transfer_check(native: SurfacePatch, embedded: SurfacePatch | None = None) -
         "eta_transfer": eta_defect,
         "g_transfer": g_defect,
     }
-    for key, val in proposition_pairings(native, shape_n).items():
+    for key, val in proposition_pairings(native).items():
         report[f"native_{key}"] = val
-    for key, val in proposition_pairings(embedded, shape_e).items():
+    for key, val in proposition_pairings(embedded).items():
         report[f"euclidean_{key}"] = val
     return report

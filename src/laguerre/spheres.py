@@ -194,10 +194,13 @@ def sphere_coord(s: SphereElement) -> ProjectivePoint:
 
 
 def point_sphere_vector(x: np.ndarray) -> np.ndarray:
-    """Coordinate of the point sphere S(x, 0), normalized to pair -1 with wp."""
+    """Coordinate of the point sphere S(x, 0), normalized to pair -1 with wp.
+
+    Broadcasts over leading axes: a grid of points gives a grid of coordinates.
+    """
     x = np.asarray(x, dtype=float)
-    xx = float(np.dot(x, x))
-    return np.concatenate([[0.5 * (1.0 + xx), 0.5 * (1.0 - xx)], x, [0.0]])
+    xx = np.sum(x * x, axis=-1)[..., None]
+    return np.concatenate([0.5 * (1.0 + xx), 0.5 * (1.0 - xx), x, np.zeros_like(xx)], axis=-1)
 
 
 def classify_coord(

@@ -22,7 +22,7 @@ def torus_patch():
 
 @pytest.fixture(scope="session")
 def torus_shape(torus_patch):
-    return patches.shape_data(torus_patch)
+    return torus_patch.shape
 
 
 @pytest.fixture(scope="session")
@@ -36,8 +36,8 @@ def torus_residuals(torus_field):
 
 
 @pytest.fixture(scope="session")
-def torus_report(torus_patch, torus_field):
-    return minimality.minimality_report(torus_patch, fld=torus_field)
+def torus_report(torus_field):
+    return minimality.minimality_report(torus_field)
 
 
 @pytest.fixture(scope="session")

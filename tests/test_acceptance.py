@@ -57,10 +57,10 @@ def test_criterion_01_shape_operator_spectrum(torus):
 
 def test_criterion_02_volume_oracle(torus):
     p, fld = torus
-    vol = hypersurface.laguerre_volume(p, fld.shape)
+    vol = hypersurface.laguerre_volume(p)
     exact = 2 * np.pi * R_TORUS ** 2 * np.log(2 + np.sqrt(3))
     rel = abs(vol - exact) / exact
-    alt = hypersurface.volume_via_curvature_quotient(p, fld.shape)
+    alt = hypersurface.volume_via_curvature_quotient(p)
     gap = abs(vol - alt) / abs(vol)
     criterion(2, f"invariant volume equals 2 pi R^2 ln(2+sqrt3) ~ {exact:.4f}",
               [("relative_error", rel, 1e-4), ("curvature_form_gap", gap, 1e-6)])
@@ -162,10 +162,10 @@ def test_criterion_07_minimality_transfer(torus):
     cat = patches.build_patch({"builtin": "maximal_catenoid_r31"})
     emb = spaceforms.embed_patch(cat)
     fld = hypersurface.analyze(emb)
-    rep = minimality.minimality_report(emb, fld=fld)
+    rep = minimality.minimality_report(fld)
     p, fld_t = torus
-    rep_t = minimality.minimality_report(p, fld=fld_t)
-    lap_t = minimality.third_form_laplacian_r(p, fld_t.shape)
+    rep_t = minimality.minimality_report(fld_t)
+    lap_t = minimality.third_form_laplacian_r(p, fld_t.shape.r)
     at_zero = abs(lap_t[32, 0] + 1.0)  # u = 0 sits on the 65-point axis
     criterion(7, "maximal catenoid embeds to a critical patch; torus does not",
               [("catenoid_laplacian_r", rep.max_laplacian_r, 1e-6),
@@ -177,7 +177,7 @@ def test_criterion_07_minimality_transfer(torus):
 
 def test_criterion_08_bridge_identity(torus):
     p, fld = torus
-    rep = minimality.minimality_report(p, fld=fld)
+    rep = minimality.minimality_report(fld)
     criterion(8, "third-form Laplacian of r equals rho^3 (-div C + <L,B>)",
               [("relative_defect", rep.crosscheck, 1e-3)])
 

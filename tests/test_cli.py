@@ -1,13 +1,16 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import laguerre
-from laguerre import cli, group
+from laguerre import cli, fd, group, patches
 
 
 def run(args):
@@ -222,3 +225,59 @@ def test_grid_refine_flag(tmp_path, capsys):
     assert run(["surface", "volume", "--spec", bare, "--grid-refine", "2"]) == 0
     out = read_out(capsys)
     assert out["volume"] == pytest.approx(33.0988, abs=1e-3)
+
+
+def test_emit_writes_standard_json(capsys):
+    cli._emit({"x": float("nan"), "a": np.array([1.0, np.inf]), "v": np.float64(2.5)}, None)
+    text = capsys.readouterr().out
+    assert "NaN" not in text and "Infinity" not in text
+    assert json.loads(text) == {"a": [1.0, None], "v": 2.5, "x": None}
+
+
+def counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call in the returned list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("command, shape_calls, cov_d_calls", [
+    ("analyze", 1, 1), ("minimality", 1, 1), ("volume", 1, 0), ("embed", 2, 1),
+    ("compare", 3, 0),
+])
+def test_derived_fields_computed_once(command, shape_calls, cov_d_calls, torus_spec_file,
+                                      tmp_path, monkeypatch, capsys):
+    # One shape_data per patch (compare: two built, one transformed; embed:
+    # native and image) and one nabla C per analyzed patch, however many
+    # consumers read them.
+    shapes = counted(monkeypatch, patches, "shape_data")
+    cov_ds = counted(monkeypatch, fd, "cov_d_covector")
+    argv = ["surface", command, "--spec", torus_spec_file]
+    if command == "embed":
+        argv[-1] = write(tmp_path, "cat.json", {"space": "r31", "builtin": "maximal_catenoid_r31"})
+    if command == "compare":
+        T = group.random_transform(np.random.default_rng(9), 3, factors=4,
+                                   translation_scale=0.3, flow_scale=0.2)
+        script = write(tmp_path, "t.json", [{"kind": "matrix", "rows": T.matrix.tolist()}])
+        argv += ["--spec2", torus_spec_file, "--transform", script]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert (len(shapes), len(cov_ds)) == (shape_calls, cov_d_calls)
+
+
+def test_tracer_layers_resolve():
+    # The benchmark tracer wraps these names from outside the package; a
+    # rename would silently drop the layer from its per-layer metrics.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, names in tracer.LAYERS.items() for name in names
+               if not callable(getattr(importlib.import_module(f"laguerre.{module}"), name, None))]
+    assert missing == []

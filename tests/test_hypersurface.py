@@ -225,23 +225,23 @@ def test_curvature_quotient_invariant_in_higher_dim():
 
 # --- volume -------------------------------------------------------------------
 
-def test_volume_closed_form(torus_patch, torus_shape):
-    vol = hypersurface.laguerre_volume(torus_patch, torus_shape)
+def test_volume_closed_form(torus_patch):
+    vol = hypersurface.laguerre_volume(torus_patch)
     exact = 2 * np.pi * 4.0 * np.log(2 + np.sqrt(3))
     assert vol == pytest.approx(exact, rel=1e-4)
 
 
-def test_volume_two_forms_agree(torus_patch, torus_shape):
-    v1 = hypersurface.laguerre_volume(torus_patch, torus_shape)
-    v2 = hypersurface.volume_via_curvature_quotient(torus_patch, torus_shape)
+def test_volume_two_forms_agree(torus_patch):
+    v1 = hypersurface.laguerre_volume(torus_patch)
+    v2 = hypersurface.volume_via_curvature_quotient(torus_patch)
     assert v1 == pytest.approx(v2, rel=1e-6)
 
 
-def test_volume_invariant_under_group(torus_patch, torus_shape):
+def test_volume_invariant_under_group(torus_patch):
     T = seeded_transform(11)
     moved = hypersurface.transform_patch(T, torus_patch)
-    v1 = hypersurface.laguerre_volume(torus_patch, torus_shape)
-    v2 = hypersurface.laguerre_volume(moved, patches.shape_data(moved))
+    v1 = hypersurface.laguerre_volume(torus_patch)
+    v2 = hypersurface.laguerre_volume(moved)
     assert v2 == pytest.approx(v1, rel=1e-4)
 
 
@@ -275,7 +275,8 @@ def test_higher_dim_l_recovered_from_curvature():
 
 
 def test_frame_and_tensors_entry_point(torus_patch):
-    frame, fld = hypersurface.frame_and_tensors(torus_patch)
+    fld = hypersurface.analyze(torus_patch)
+    frame = fld.frame
     assert frame.EY.shape == fld.dY.shape
     assert fld.residuals == {}
 

@@ -22,7 +22,7 @@ def test_torus_el_residual_closed_form(torus_field):
 
 
 def test_torus_laplacian_r_closed_form(torus_patch, torus_shape):
-    lap = minimality.third_form_laplacian_r(torus_patch, torus_shape)
+    lap = minimality.third_form_laplacian_r(torus_patch, torus_shape.r)
     assert lap[32, 0] == pytest.approx(-1.0, abs=1e-4)
     U = torus_patch.axes.meshgrid()[0]
     closed = -np.cos(U) ** -3  # -(R/2) sec^3 u with R = 2
@@ -36,17 +36,12 @@ def test_torus_laplacian_r_closed_form(torus_patch, torus_shape):
 def test_laplacian_requires_surface_case():
     p = patches.build_patch({"builtin": "torus4"})
     with pytest.raises(UsageError):
-        minimality.third_form_laplacian_r(p)
+        minimality.third_form_laplacian_r(p, p.shape.r)
 
 
 def test_laplacian_annihilates_constants(torus_patch, torus_shape):
-    lap1 = minimality.third_form_laplacian_r(torus_patch, torus_shape)
-    shifted = patches.ShapeData(
-        k=torus_shape.k, radii=torus_shape.radii,
-        r=torus_shape.r + 17.5, rho=torus_shape.rho, dirs=torus_shape.dirs,
-        S=torus_shape.S, I=torus_shape.I, II=torus_shape.II,
-    )
-    lap2 = minimality.third_form_laplacian_r(torus_patch, shifted)
+    lap1 = minimality.third_form_laplacian_r(torus_patch, torus_shape.r)
+    lap2 = minimality.third_form_laplacian_r(torus_patch, torus_shape.r + 17.5)
     assert fd.nanmax_abs(lap1 - lap2) < 1e-10
 
 
@@ -66,7 +61,7 @@ def test_eta_laplacian_expansion(torus_report):
 
 def test_embedded_catenoid_is_minimal(embedded_catenoid):
     fld = hypersurface.analyze(embedded_catenoid)
-    rep = minimality.minimality_report(embedded_catenoid, fld=fld)
+    rep = minimality.minimality_report(fld)
     assert rep.verdict == "minimal"
     assert rep.lap_verdict == "minimal"
     assert rep.consistent
@@ -74,8 +69,8 @@ def test_embedded_catenoid_is_minimal(embedded_catenoid):
     assert rep.max_el_div_form < 1e-4
 
 
-def test_verdict_threshold_override(torus_patch, torus_field):
-    rep = minimality.minimality_report(torus_patch, fld=torus_field, threshold=1e9)
+def test_verdict_threshold_override(torus_field):
+    rep = minimality.minimality_report(torus_field, threshold=1e9)
     assert rep.verdict == "minimal"  # absurd threshold flips the verdict
     assert rep.threshold == 1e9
 
@@ -95,8 +90,8 @@ def test_minimality_verdict_invariant_under_group(torus_patch, torus_field):
     T = group.random_transform(rng, 3, factors=4, translation_scale=0.3, flow_scale=0.2)
     moved = hypersurface.transform_patch(T, torus_patch)
     fld2 = hypersurface.analyze(moved)
-    rep1 = minimality.minimality_report(torus_patch, fld=torus_field)
-    rep2 = minimality.minimality_report(moved, fld=fld2)
+    rep1 = minimality.minimality_report(torus_field)
+    rep2 = minimality.minimality_report(fld2)
     assert rep1.verdict == rep2.verdict == "non-minimal"
     s1, d1 = minimality.el_residual(torus_field)
     s2, d2 = minimality.el_residual(fld2)

@@ -135,7 +135,7 @@ def test_embeddings_preserve_oriented_contact():
 
 
 def test_catenoid_shape_data(catenoid_patch):
-    sd = spaceforms.spaceform_shape_data(catenoid_patch)
+    sd = catenoid_patch.shape
     U = catenoid_patch.axes.meshgrid()[0]
     assert fd.nanmax_abs(sd.r) < 1e-12
     assert fd.nanmax_abs(sd.rho - np.sqrt(2) * U * U) < 1e-10
@@ -173,7 +173,7 @@ def test_embedded_saddle_is_minimal(saddle_patch):
 
     emb = spaceforms.embed_patch(saddle_patch)
     fld = hypersurface.analyze(emb)
-    rep = minimality.minimality_report(emb, fld=fld)
+    rep = minimality.minimality_report(fld)
     assert rep.verdict == "minimal" and rep.consistent
 
 
