@@ -178,10 +178,10 @@ def _analysis_payload(patch, fld, residuals) -> dict:
         },
         "interior_margin": {nm: mg for nm, mg in zip(axes.names, margins)},
         "shape": {
-            "k_min": float(np.nanmin(fld.shape.k)),
-            "k_max": float(np.nanmax(fld.shape.k)),
-            "rho_min": float(np.nanmin(fld.shape.rho)),
-            "rho_max": float(np.nanmax(fld.shape.rho)),
+            "k_min": float(np.nanmin(fld.patch.shape.k)),
+            "k_max": float(np.nanmax(fld.patch.shape.k)),
+            "rho_min": float(np.nanmin(fld.patch.shape.rho)),
+            "rho_max": float(np.nanmax(fld.patch.shape.rho)),
         },
         "s_eigenvalues": {
             "min": np.nanmin(fld.S_eigs, axis=tuple(range(axes.ndim))),
@@ -213,9 +213,9 @@ def _write_csv(path: str, patch, fld) -> None:
     for i in range(patch.ambient_dim):
         cols.append((f"x{i + 1}", patch.x[..., i]))
     for i in range(m):
-        cols.append((f"k{i + 1}", fld.shape.k[..., i]))
-    cols.append(("r", fld.shape.r))
-    cols.append(("rho", fld.shape.rho))
+        cols.append((f"k{i + 1}", fld.patch.shape.k[..., i]))
+    cols.append(("r", fld.patch.shape.r))
+    cols.append(("rho", fld.patch.shape.rho))
     for i in range(m):
         cols.append((f"s_eig{i + 1}", fld.S_eigs[..., i]))
     header = ",".join(name for name, _ in cols)

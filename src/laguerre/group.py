@@ -31,7 +31,8 @@ import numpy as np
 
 from . import lorentz
 from .errors import InvalidElementError, UsageError
-from .spheres import ContactElement, ProjectivePoint, point_sphere_vector
+from .spheres import (ContactElement, ProjectivePoint, contact_from_pencil,
+                      contact_pencil)
 
 BLOCK_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-10
@@ -248,68 +249,20 @@ def map_contact_grid(T: LaguerreTransform, x: np.ndarray, xi: np.ndarray):
     """Vectorized contact action on arrays of base points and unit normals.
 
     x and xi have the base dimension in the trailing axis; any leading grid
-    shape is allowed.  Returns the transformed (x, xi) arrays.
+    shape is allowed.  Maps the pencil through T and reads the transformed
+    (x, xi) arrays off the image.
     """
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    h1, h2 = _pencil_images(T, x, xi, None, None, None, None)[:2]
-    b = h2[..., -1]
-    if np.any(np.abs(b) <= 1e-12 * np.abs(h2).max(axis=-1)):
+    h1, h2 = (g @ T.matrix for g in contact_pencil(x, xi))
+    if np.any(np.abs(h2[..., -1]) <= 1e-12 * np.abs(h2).max(axis=-1)):
         raise InvalidElementError("image pencil has no usable hyperplane member")
-    q = h1[..., -1] / b
-    new_x = h1[..., 2:-1] - q[..., None] * h2[..., 2:-1]
-    new_xi = h2[..., 2:-1] / b[..., None]
-    return new_x, new_xi
-
-
-def _pencil_images(T, x, xi, dx, dxi, d2x, d2xi):
-    """Images under T of the pencil generators gamma1, gamma2 and, when the
-    jets are supplied, of their first and second parameter derivatives."""
-    M = T.matrix
-    xdotxi = np.sum(x * xi, axis=-1)
-    g1 = point_sphere_vector(x)
-    g2 = np.concatenate(
-        [xdotxi[..., None], -xdotxi[..., None], xi, np.ones_like(xdotxi)[..., None]], axis=-1)
-    h1 = g1 @ M
-    h2 = g2 @ M
-    if dx is None:
-        return h1, h2, None, None, None, None
-
-    # First derivatives: d(gamma1) = (x.dx, -x.dx, dx, 0) and similarly for
-    # gamma2 with the product rule on x.xi.
-    xdx = np.einsum("...i,...ai->...a", x, dx)
-    dxdotxi = np.einsum("...ai,...i->...a", dx, xi) + np.einsum("...i,...ai->...a", x, dxi)
-    zeros1 = np.zeros_like(xdx)
-    dg1 = np.concatenate([xdx[..., None], -xdx[..., None], dx, zeros1[..., None]], axis=-1)
-    dg2 = np.concatenate([dxdotxi[..., None], -dxdotxi[..., None], dxi, zeros1[..., None]], axis=-1)
-    dh1 = dg1 @ M
-    dh2 = dg2 @ M
-
-    dxdx = np.einsum("...ai,...bi->...ab", dx, dx)
-    xd2x = np.einsum("...i,...abi->...ab", x, d2x)
-    d2xx = dxdx + xd2x
-    d2xdotxi = (
-        np.einsum("...abi,...i->...ab", d2x, xi)
-        + np.einsum("...ai,...bi->...ab", dx, dxi)
-        + np.einsum("...bi,...ai->...ab", dx, dxi)
-        + np.einsum("...i,...abi->...ab", x, d2xi)
-    )
-    zeros2 = np.zeros_like(d2xx)
-    d2g1 = np.concatenate(
-        [d2xx[..., None], -d2xx[..., None], d2x, zeros2[..., None]], axis=-1)
-    d2g2 = np.concatenate(
-        [d2xdotxi[..., None], -d2xdotxi[..., None], d2xi, zeros2[..., None]], axis=-1)
-    d2h1 = d2g1 @ M
-    d2h2 = d2g2 @ M
-    return h1, h2, dh1, dh2, d2h1, d2h2
+    return contact_from_pencil(h1[..., 2:], h2[..., 2:])
 
 
 def act_on_contact(T: LaguerreTransform, c: ContactElement) -> ContactElement:
     """Image of a contact element under the group action.
 
-    Maps the pencil generators through T and re-extracts the point sphere
-    (vanishing last coordinate) and the hyperplane (zero pairing with wp)
-    of the image line.
+    Maps the pencil generators through T and reads the element off the
+    image line (``spheres.contact_from_pencil``).
     """
     if c.n != T.n:
         raise UsageError("transform and contact element have different base dimensions")

@@ -30,9 +30,9 @@ import numpy as np
 
 from . import fd, lorentz, patches
 from .errors import DegenerateSurfaceError, UsageError
-from .group import LaguerreTransform, _pencil_images
-from .patches import ShapeData, SurfacePatch
-from .spheres import point_sphere_vector
+from .group import LaguerreTransform
+from .patches import SurfacePatch
+from .spheres import contact_pencil, coord_tail
 
 # Cascade depth of the deepest residual (divergence of C), used for the
 # up-front interior check: Y -> g -> Gamma/lap -> N -> C -> div C.
@@ -90,7 +90,6 @@ class InvariantField:
     """Everything the pipeline computes on one patch."""
 
     patch: SurfacePatch
-    shape: ShapeData
     lift: LaguerreLift
     order: int
     g: np.ndarray
@@ -153,17 +152,13 @@ class InvariantField:
 
 
 def laguerre_lift(patch: SurfacePatch) -> LaguerreLift:
-    """Light-cone position Y and mean-curvature-sphere coordinate eta."""
-    if patch.space != "r3":
-        raise UsageError("the Euclidean lift needs an r3 patch; embed space forms first")
+    """Light-cone position Y = rho gamma2 and mean-curvature-sphere
+    coordinate eta = gamma1 + r gamma2, built from the zeroth-order pencil
+    (gamma1, gamma2) in the layout of the patch's own space form."""
     shape = patch.shape
-    xdotxi = np.sum(patch.x * patch.xi, axis=-1)
-    ones = np.ones_like(xdotxi)
-    y = np.concatenate(
-        [xdotxi[..., None], -xdotxi[..., None], patch.xi, ones[..., None]], axis=-1
-    )
+    g1, y = contact_pencil(patch.x, patch.xi, patch.form, patch.space)
     Y = shape.rho[..., None] * y
-    eta = point_sphere_vector(patch.x) + shape.r[..., None] * y
+    eta = g1 + shape.r[..., None] * y
     return LaguerreLift(y=y, Y=Y, eta=eta, rho=shape.rho, r=shape.r)
 
 
@@ -230,11 +225,10 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
     ricci = fd.ricci_tensor(riem, ginv)
     scalar = fd.scalar_curvature(ricci, ginv)
 
-    III = fd.gram(patch.dxi, patch.dxi, patch.form)
-    g_exact = (shape.rho ** 2)[..., None, None] * III
+    g_exact = (shape.rho ** 2)[..., None, None] * patch.third_form
 
     fld = InvariantField(
-        patch=patch, shape=shape, lift=lift, order=order,
+        patch=patch, lift=lift, order=order,
         g=g, ginv=ginv, sqrt_det=sqrt_det, Gamma=Gamma,
         dY=dY, lapY=lapY, lap_norm=lap_norm, N=N,
         B=B, L=L, C=C,
@@ -346,61 +340,79 @@ def volume_via_curvature_quotient(patch: SurfacePatch) -> float:
 def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
     """Image of a patch under a group element, with exact jets.
 
-    The contact action is rational in the pencil images, so the jets of
-    the new immersion and normal follow from the chain rule; no accuracy
-    is lost relative to the source patch.
+    The pencil jets of the patch are mapped through T and the image patch
+    is read off them (``patch_from_pencil``), so no accuracy is lost
+    relative to the source patch.
     """
     if patch.space != "r3":
         raise UsageError("only Euclidean patches transform under the group")
     if T.n != patch.n:
         raise UsageError("transform and patch have different base dimensions")
-    h1, h2, dh1, dh2, d2h1, d2h2 = _pencil_images(
-        T, patch.x, patch.xi, patch.dx, patch.dxi, patch.d2x, patch.d2xi
-    )
-    a, da, d2a = h1[..., -1], dh1[..., :, -1], d2h1[..., :, :, -1]
-    b, db, d2b = h2[..., -1], dh2[..., :, -1], d2h2[..., :, :, -1]
-    if np.min(np.abs(b)) <= 1e-12 * np.abs(h2).max():
+    h1, h2 = ([j @ T.matrix for j in member] for member in pencil_jets(patch))
+    if np.min(np.abs(h2[0][..., -1])) <= 1e-12 * np.abs(h2[0]).max():
         raise UsageError("transformed pencil degenerates on this patch")
+    return patch_from_pencil(patch, [j[..., 2:] for j in h1], [j[..., 2:] for j in h2],
+                             jets="chain", transformed=True)
 
-    q, dq, d2q = _scalar_quotient_jets(a, da, d2a, b, db, d2b)
-    Am, dAm, d2Am = h1[..., 2:-1], dh1[..., :, 2:-1], d2h1[..., :, :, 2:-1]
-    Bm, dBm, d2Bm = h2[..., 2:-1], dh2[..., :, 2:-1], d2h2[..., :, :, 2:-1]
 
-    x = Am - q[..., None] * Bm
-    dx = dAm - dq[..., None] * Bm[..., None, :] - q[..., None, None] * dBm
+def pencil_jets(patch: SurfacePatch):
+    """Jets (value, first and second parameter derivatives) of the pencil
+    members gamma1 and gamma2 along a patch, in the layout of its space."""
+    x, dx, d2x = patch.x, patch.dx, patch.d2x
+    xi, dxi, d2xi = patch.xi, patch.dxi, patch.d2xi
+    w = patch.form
+    xw, xiw, dxw = x * w, xi * w, dx * w
+    # d(<x,x>/2) = <x,dx> and d<x,xi> = <dx,xi> + <x,dxi>, then once more.
+    xdx = np.einsum("...i,...ai->...a", xw, dx)
+    d2xx = np.einsum("...ai,...bi->...ab", dxw, dx) + np.einsum("...i,...abi->...ab", xw, d2x)
+    dxxi = np.einsum("...ai,...i->...a", dx, xiw) + np.einsum("...i,...ai->...a", xw, dxi)
+    P = np.einsum("...ai,...bi->...ab", dxw, dxi)
+    d2xxi = (np.einsum("...abi,...i->...ab", d2x, xiw) + P + np.swapaxes(P, -1, -2)
+             + np.einsum("...i,...abi->...ab", xw, d2xi))
+
+    def member(s, v):
+        # The radius entry is constant along the patch, so its jets vanish.
+        return np.concatenate([s[..., None], -s[..., None], coord_tail(v, 0.0, patch.space)],
+                              axis=-1)
+
+    g1, g2 = contact_pencil(x, xi, w, patch.space)
+    return ((g1, member(xdx, dx), member(d2xx, d2x)),
+            (g2, member(dxxi, dxi), member(d2xxi, d2xi)))
+
+
+def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
+    """Euclidean patch read off a pencil along ``patch``, with exact jets.
+
+    h1 and h2 are the jets (value, first, second derivatives) of entries 2:
+    of the point-sphere and hyperplane members.  With (A, a) and (B, b) the
+    middle block and the last entry, xi = B / b and x = A - (a/b) B, as in
+    ``spheres.contact_from_pencil``; the caller guards b against zero.
+    """
+    (A, dA, d2A), (B, dB, d2B) = ([j[..., :-1] for j in h] for h in (h1, h2))
+    a, da, d2a = (j[..., -1:] for j in h1)
+    b, db, d2b = (j[..., -1] for j in h2)
+    xi, dxi, d2xi = _quotient_jets(B, dB, d2B, b, db, d2b)
+    # q = a / b is the same quotient on a single component.
+    q, dq, d2q = (j[..., 0] for j in _quotient_jets(a, da, d2a, b, db, d2b))
+    x = A - q[..., None] * B
+    dx = dA - dq[..., None] * B[..., None, :] - q[..., None, None] * dB
     d2x = (
-        d2Am
-        - d2q[..., None] * Bm[..., None, None, :]
-        - dq[..., :, None, None] * dBm[..., None, :, :]
-        - dq[..., None, :, None] * dBm[..., :, None, :]
-        - q[..., None, None, None] * d2Bm
+        d2A
+        - d2q[..., None] * B[..., None, None, :]
+        - dq[..., :, None, None] * dB[..., None, :, :]
+        - dq[..., None, :, None] * dB[..., :, None, :]
+        - q[..., None, None, None] * d2B
     )
-
-    xi, dxi, d2xi = _vector_quotient_jets(Bm, dBm, d2Bm, b, db, d2b)
-
     new = SurfacePatch(
         space="r3", n=patch.n, axes=patch.axes,
         x=x, dx=dx, d2x=d2x, xi=xi, dxi=dxi, d2xi=d2xi,
-        metadata={**patch.metadata, "jets": "chain", "transformed": True},
+        metadata={**patch.metadata, **metadata},
     )
     patches._validate_patch(new)
     return new
 
 
-def _scalar_quotient_jets(a, da, d2a, b, db, d2b):
-    """Jets of q = a / b from the jets of a and b."""
-    q = a / b
-    dq = (da - q[..., None] * db) / b[..., None]
-    d2q = (
-        d2a
-        - dq[..., :, None] * db[..., None, :]
-        - dq[..., None, :] * db[..., :, None]
-        - q[..., None, None] * d2b
-    ) / b[..., None, None]
-    return q, dq, d2q
-
-
-def _vector_quotient_jets(v, dv, d2v, b, db, d2b):
+def _quotient_jets(v, dv, d2v, b, db, d2b):
     """Jets of the vector field w = v / b from the jets of v and b."""
     w = v / b[..., None]
     dw = (dv - w[..., None, :] * db[..., :, None]) / b[..., None, None]

@@ -89,9 +89,8 @@ def third_form_laplacian_r(patch: SurfacePatch, r: np.ndarray,
     field ``r``, the mean curvature radius in the criterion (surfaces only)."""
     if patch.n != 3:
         raise UsageError("the third-form Laplacian criterion is stated for surfaces")
-    III = fd.gram(patch.dxi, patch.dxi, patch.form)
-    IIIinv = fd.grid_inv(III)
-    det = fd.grid_det(III)
+    IIIinv = fd.grid_inv(patch.third_form)
+    det = fd.grid_det(patch.third_form)
     sqrt_det = np.sqrt(np.where(np.isfinite(det) & (det > 0), det, np.nan))
     m = patch.axes.ndim
     return fd.laplace_beltrami(r, m, IIIinv, sqrt_det,
@@ -164,7 +163,7 @@ def minimality_report(fld: InvariantField,
     lap_verdict = None
     crosscheck = None
     if n == 3:
-        lap = third_form_laplacian_r(fld.patch, fld.shape.r, fld.order)
+        lap = third_form_laplacian_r(fld.patch, fld.lift.r, fld.order)
         lap_r = fd.nanmax_abs(lap)
         lap_verdict = "minimal" if lap_r <= threshold else "non-minimal"
         bridge_rhs = rho3 * (-fld.divC + fld.LB)

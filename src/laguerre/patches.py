@@ -150,6 +150,11 @@ class SurfacePatch:
         """Curvature data of the patch, computed (and screened) on first read."""
         return shape_data(self)
 
+    @cached_property
+    def third_form(self) -> np.ndarray:
+        """Third fundamental form III = <dxi, dxi>, computed on first read."""
+        return fd.gram(self.dxi, self.dxi, self.form)
+
 
 # ---------------------------------------------------------------------------
 # Shape data

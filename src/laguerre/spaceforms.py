@@ -14,16 +14,22 @@ on two siblings:
   C(p).
 
 Both carry light-cone coordinates on the same quadric, with layouts that
-differ from the Euclidean one only in where the radius-like slot sits;
-as raw (n+3)-tuples the coordinates literally coincide with those of the
-image spheres, which is what makes the embeddings below work.
+differ from the Euclidean one only in where the radius entry sits: last
+in R^n, third in R^n_1 and nowhere in R^n_0.  The pencil of a contact
+element is the point sphere gamma1 = ((1 + <x,x>)/2, (1 - <x,x>)/2, x) and
+the tangent hyperplane gamma2 = (<x,xi>, -<x,xi>, xi), radius entry 0 and
+1, in every layout.  As raw (n+3)-tuples these native coordinates
+literally coincide with those of the image spheres, so the embeddings
+sigma (Lorentzian) and tau (degenerate) into the Euclidean bundle are the
+Euclidean read-off of the native pencil (``spheres.contact_from_pencil``).
+Only entries 2: enter it -- (0, x) and (1, xi) in R^n_1, x and xi in
+R^n_0 -- so patches push forward with exact jets through the same
+read-off as the group action (``hypersurface.patch_from_pencil``).
 
-The embeddings sigma (Lorentzian) and tau (degenerate) into the Euclidean
-bundle are rational in (x, xi), so patches push forward with exact jets
-by the chain rule, and every invariant of the image can be compared
-against its native counterpart: radii map by r' = r xi_last + x_last, the
-trace-free size by rho' = |xi_last| rho, the cone lifts by Y' = sign(xi_last) Y
-and eta' = eta, hence the invariant metric is preserved.
+Every invariant of the image can be compared against its native
+counterpart: radii map by r' = r xi_last + x_last, the trace-free size by
+rho' = |xi_last| rho, the cone lifts by Y' = sign(xi_last) Y and
+eta' = eta, hence the invariant metric is preserved.
 """
 
 from __future__ import annotations
@@ -32,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fd, lorentz, patches
+from . import fd, lorentz
 from .errors import EmbeddingDomainError, UsageError
-from .hypersurface import _scalar_quotient_jets, _vector_quotient_jets, laguerre_lift
+from .hypersurface import laguerre_lift, patch_from_pencil
 from .patches import SurfacePatch, ambient_form_diag, nu_vector
-from .spheres import (ContactElement, Plane, ProjectivePoint, Sphere,
-                      _as_float_vector)
+from .spheres import (ContactElement, Plane, ProjectivePoint, Sphere, _as_float_vector,
+                      contact_from_pencil, coord_tail)
 
 UNIT_TOL = 1e-10
 
@@ -206,47 +212,38 @@ def spaceform_sphere_coord(s: SpaceFormSphere) -> ProjectivePoint:
 # Embeddings on contact elements
 # ---------------------------------------------------------------------------
 
+def _embed_element(c, space: str) -> ContactElement:
+    if abs(c.xi[-1]) < 1e-12:
+        raise EmbeddingDomainError("xi has vanishing last component; outside the embedding domain")
+    x, xi = contact_from_pencil(coord_tail(c.x, 0.0, space), coord_tail(c.xi, 1.0, space))
+    return ContactElement(x=x, xi=xi / np.linalg.norm(xi))
+
+
 def embed_sigma(c: ContactElementR31) -> ContactElement:
     """Embedding of the Lorentzian bundle into the Euclidean one.
 
-    With the splits x = (x0, x1), xi = (xi0, xi1) against the last
-    (time-like) axis:
+    The read-off of the pencil entries 2: (0, x) and (1, xi); with the
+    splits x = (x0, x1), xi = (xi0, xi1) against the last (time-like) axis
 
         x' = (-x1/xi1, x0 - (x1/xi1) xi0),  xi' = (1/xi1, xi0/xi1);
 
     xi' is automatically a Euclidean unit vector because xi1^2 = 1 + |xi0|^2.
     """
-    xi1 = c.xi[-1]
-    if abs(xi1) < 1e-12:
-        raise EmbeddingDomainError("xi has vanishing last component; outside the embedding domain")
-    x0, x1 = c.x[:-1], c.x[-1]
-    xi0 = c.xi[:-1]
-    q = x1 / xi1
-    new_x = np.concatenate([[-q], x0 - q * xi0])
-    new_xi = np.concatenate([[1.0 / xi1], xi0 / xi1])
-    return ContactElement(x=new_x, xi=new_xi / np.linalg.norm(new_xi))
+    return _embed_element(c, "r31")
 
 
 def embed_tau(c: ContactElementR30) -> ContactElement:
     """Embedding of the degenerate bundle into the Euclidean one.
 
-    With x = (x1, x0, x1) and xi = (xi1 + 1, xi0, xi1) against the
-    first/last split of R^{n+1}_1:
+    The read-off of the pencil entries 2: x and xi; with x = (x1, x0, x1)
+    and xi = (xi1 + 1, xi0, xi1) against the first/last split of R^{n+1}_1
 
         x' = (-x1/xi1, x0 - (x1/xi1) xi0),  xi' = (1 + 1/xi1, xi0/xi1);
 
     here xi1 = -(1 + |xi0|^2)/2 is forced by the normalization, so the
     embedding domain excludes nothing.
     """
-    xi1 = c.xi[-1]
-    if abs(xi1) < 1e-12:
-        raise EmbeddingDomainError("xi has vanishing last component; outside the embedding domain")
-    x0, x1 = c.x[1:-1], c.x[-1]
-    xi0 = c.xi[1:-1]
-    q = x1 / xi1
-    new_x = np.concatenate([[-q], x0 - q * xi0])
-    new_xi = np.concatenate([[1.0 + 1.0 / xi1], xi0 / xi1])
-    return ContactElement(x=new_x, xi=new_xi / np.linalg.norm(new_xi))
+    return _embed_element(c, "r30")
 
 
 def sigma_sphere_image(s: HSphere | PlaneR31):
@@ -277,79 +274,34 @@ def tau_sphere_image(s: CSphere | PlaneR30):
 
 
 # ---------------------------------------------------------------------------
-# Embeddings on patches (chain-rule jets)
+# Embeddings on patches (exact jets)
 # ---------------------------------------------------------------------------
-
-def _reciprocal_jets(b, db, d2b):
-    r = 1.0 / b
-    dr = -db * (r * r)[..., None]
-    d2r = (-d2b + 2.0 * db[..., :, None] * db[..., None, :] * r[..., None, None]) \
-        * (r * r)[..., None, None]
-    return r, dr, d2r
-
 
 def embed_patch(patch: SurfacePatch) -> SurfacePatch:
     """Push a Lorentzian or degenerate patch into the Euclidean bundle.
 
-    Jets of the image are exact (chain rule on the rational embedding
-    formulas); the image is validated like any other patch.
+    The image is read off the jets of the native pencil's entries 2:,
+    (0, x) and (1, xi) in R^n_1 and x and xi in R^n_0; the jets are exact
+    and the image is validated like any other patch.
     """
     if patch.space == "r3":
         return patch
     if patch.space not in ("r31", "r30"):
         raise UsageError(f"unknown space {patch.space!r}")
-
-    degenerate = patch.space == "r30"
-    lo = 1 if degenerate else 0  # slice where the spatial block starts
-
-    x1, dx1, d2x1 = patch.x[..., -1], patch.dx[..., :, -1], patch.d2x[..., :, :, -1]
-    xi1, dxi1, d2xi1 = patch.xi[..., -1], patch.dxi[..., :, -1], patch.d2xi[..., :, :, -1]
-    x0, dx0, d2x0 = patch.x[..., lo:-1], patch.dx[..., :, lo:-1], patch.d2x[..., :, :, lo:-1]
-    xi0, dxi0, d2xi0 = patch.xi[..., lo:-1], patch.dxi[..., :, lo:-1], patch.d2xi[..., :, :, lo:-1]
-
-    if np.min(np.abs(xi1)) < 1e-12 * max(1.0, float(np.abs(patch.xi).max())):
+    if np.min(np.abs(patch.xi[..., -1])) < 1e-12 * max(1.0, float(np.abs(patch.xi).max())):
         raise EmbeddingDomainError(
             "normal has a vanishing last component inside the patch; "
             "the embedding is undefined there"
         )
-
-    q, dq, d2q = _scalar_quotient_jets(x1, dx1, d2x1, xi1, dxi1, d2xi1)
-    first = -q
-    dfirst = -dq
-    d2first = -d2q
-    rest = x0 - q[..., None] * xi0
-    drest = dx0 - dq[..., None] * xi0[..., None, :] - q[..., None, None] * dxi0
-    d2rest = (
-        d2x0
-        - d2q[..., None] * xi0[..., None, None, :]
-        - dq[..., :, None, None] * dxi0[..., None, :, :]
-        - dq[..., None, :, None] * dxi0[..., :, None, :]
-        - q[..., None, None, None] * d2xi0
-    )
-    x = np.concatenate([first[..., None], rest], axis=-1)
-    dx = np.concatenate([dfirst[..., None], drest], axis=-1)
-    d2x = np.concatenate([d2first[..., None], d2rest], axis=-1)
-
-    inv, dinv, d2inv = _reciprocal_jets(xi1, dxi1, d2xi1)
-    if degenerate:
-        inv = 1.0 + inv
-    w, dw, d2w = _vector_quotient_jets(xi0, dxi0, d2xi0, xi1, dxi1, d2xi1)
-    xi = np.concatenate([inv[..., None], w], axis=-1)
-    dxi = np.concatenate([dinv[..., None], dw], axis=-1)
-    d2xi = np.concatenate([d2inv[..., None], d2w], axis=-1)
-
-    new = SurfacePatch(
-        space="r3", n=patch.n, axes=patch.axes,
-        x=x, dx=dx, d2x=d2x, xi=xi, dxi=dxi, d2xi=d2xi,
-        metadata={**patch.metadata, "jets": patch.metadata.get("jets", "analytic"),
-                  "embedded_from": patch.space},
-    )
-    patches._validate_patch(new)
-    return new
+    sp = patch.space
+    h1 = [coord_tail(j, 0.0, sp) for j in (patch.x, patch.dx, patch.d2x)]
+    h2 = [coord_tail(j, c, sp) for j, c in ((patch.xi, 1.0), (patch.dxi, 0.0), (patch.d2xi, 0.0))]
+    return patch_from_pencil(patch, h1, h2, jets=patch.metadata.get("jets", "analytic"),
+                             embedded_from=sp)
 
 
 # ---------------------------------------------------------------------------
-# Native cone lifts and the distinguished vectors
+# Distinguished vectors and the invariant transfer
 # ---------------------------------------------------------------------------
 
 def distinguished_vector(space: str, n: int) -> np.ndarray:
@@ -371,39 +323,17 @@ def distinguished_vector(space: str, n: int) -> np.ndarray:
     return c
 
 
-def native_lift(patch: SurfacePatch):
-    """(Y, eta) fields of a patch in its own space form's layout."""
-    if patch.space == "r3":
-        lift = laguerre_lift(patch)
-        return lift.Y, lift.eta
-    xdotxi = patch.dot(patch.x, patch.xi)
-    xx = patch.dot(patch.x, patch.x)
-    if patch.space == "r31":
-        ones = np.ones_like(xdotxi)
-        y = np.concatenate([xdotxi[..., None], -xdotxi[..., None],
-                            ones[..., None], patch.xi], axis=-1)
-        base = np.concatenate([0.5 * (1.0 + xx)[..., None], 0.5 * (1.0 - xx)[..., None],
-                               np.zeros_like(xx)[..., None], patch.x], axis=-1)
-    else:  # r30
-        y = np.concatenate([xdotxi[..., None], -xdotxi[..., None], patch.xi], axis=-1)
-        base = np.concatenate([0.5 * (1.0 + xx)[..., None], 0.5 * (1.0 - xx)[..., None],
-                               patch.x], axis=-1)
-    Y = patch.shape.rho[..., None] * y
-    eta = base + patch.shape.r[..., None] * y
-    return Y, eta
-
-
 def proposition_pairings(patch: SurfacePatch) -> dict:
     """Defects of <Y, c> = rho and <eta, c> = r in the patch's space form."""
-    Y, eta = native_lift(patch)
+    lift = laguerre_lift(patch)
     c = distinguished_vector(patch.space, patch.n)
     return {
-        "Y_pairing": fd.nanmax_abs(lorentz.inner(Y, c) - patch.shape.rho),
-        "eta_pairing": fd.nanmax_abs(lorentz.inner(eta, c) - patch.shape.r),
+        "Y_pairing": fd.nanmax_abs(lorentz.inner(lift.Y, c) - lift.rho),
+        "eta_pairing": fd.nanmax_abs(lorentz.inner(lift.eta, c) - lift.r),
     }
 
 
-def transfer_check(native: SurfacePatch, embedded: SurfacePatch | None = None) -> dict:
+def transfer_check(native: SurfacePatch, embedded: SurfacePatch) -> dict:
     """Numerical verification of the invariant transfer under the embedding.
 
     Checks, over the grid: the affine radius map, the scaling of rho, the
@@ -413,8 +343,6 @@ def transfer_check(native: SurfacePatch, embedded: SurfacePatch | None = None) -
     """
     if native.space not in ("r31", "r30"):
         raise UsageError("transfer checks start from a Lorentzian or degenerate patch")
-    if embedded is None:
-        embedded = embed_patch(native)
 
     shape_n, shape_e = native.shape, embedded.shape
     xi1 = native.xi[..., -1]
@@ -426,16 +354,13 @@ def transfer_check(native: SurfacePatch, embedded: SurfacePatch | None = None) -
 
     rho_defect = fd.nanmax_abs(shape_e.rho - np.abs(xi1) * shape_n.rho)
 
-    Y_n, eta_n = native_lift(native)
-    Y_e, eta_e = native_lift(embedded)
+    lift_n, lift_e = laguerre_lift(native), laguerre_lift(embedded)
     sign = np.sign(xi1)[..., None]
-    Y_defect = fd.nanmax_abs(Y_e - sign * Y_n)
-    eta_defect = fd.nanmax_abs(eta_e - eta_n)
+    Y_defect = fd.nanmax_abs(lift_e.Y - sign * lift_n.Y)
+    eta_defect = fd.nanmax_abs(lift_e.eta - lift_n.eta)
 
-    III_n = fd.gram(native.dxi, native.dxi, native.form)
-    III_e = fd.gram(embedded.dxi, embedded.dxi, embedded.form)
-    g_n = (shape_n.rho ** 2)[..., None, None] * III_n
-    g_e = (shape_e.rho ** 2)[..., None, None] * III_e
+    g_n = (shape_n.rho ** 2)[..., None, None] * native.third_form
+    g_e = (shape_e.rho ** 2)[..., None, None] * embedded.third_form
     g_defect = fd.nanmax_abs(g_e - g_n)
 
     report = {

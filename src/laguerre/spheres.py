@@ -17,6 +17,12 @@ oriented contact exactly when their coordinates are orthogonal.  A contact
 element (x, xi) corresponds to the projective line spanned by its point
 sphere and its hyperplane; spheres of the pencil through (x, xi) are the
 combinations gamma1 + mu * gamma2, which carry signed radius -mu.
+
+The pencil is written the same way in the Lorentzian and degenerate space
+forms (see ``spaceforms``); only the place of the radius entry changes.
+Every map of contact elements -- the group action and the space-form
+embeddings alike -- is a linear image of the pencil followed by one
+read-off of the Euclidean element, ``contact_from_pencil``.
 """
 
 from __future__ import annotations
@@ -193,14 +199,49 @@ def sphere_coord(s: SphereElement) -> ProjectivePoint:
     return ProjectivePoint(sphere_coord_vector(s))
 
 
-def point_sphere_vector(x: np.ndarray) -> np.ndarray:
-    """Coordinate of the point sphere S(x, 0), normalized to pair -1 with wp.
+def coord_tail(v: np.ndarray, c: float, space: str = "r3") -> np.ndarray:
+    """Entries 2: of a light-cone coordinate: the block v together with the
+    radius entry c, which comes last in R^n ("r3"), first in R^n_1 ("r31")
+    and not at all in R^n_0 ("r30").  Broadcasts over leading axes."""
+    if space == "r30":
+        return v
+    col = np.full(v.shape[:-1] + (1,), c)
+    return np.concatenate([v, col] if space == "r3" else [col, v], axis=-1)
 
-    Broadcasts over leading axes: a grid of points gives a grid of coordinates.
+
+def point_sphere_vector(x: np.ndarray, form=1.0, space: str = "r3") -> np.ndarray:
+    """Coordinate ((1 + <x,x>)/2, (1 - <x,x>)/2, x) of the point sphere at x,
+    radius entry 0, normalized to pair -1 with wp.
+
+    ``form`` is the signature diagonal of the space ``space`` (see
+    ``coord_tail``).  Broadcasts over leading axes: a grid of points gives a
+    grid of coordinates.
     """
     x = np.asarray(x, dtype=float)
-    xx = np.sum(x * x, axis=-1)[..., None]
-    return np.concatenate([0.5 * (1.0 + xx), 0.5 * (1.0 - xx), x, np.zeros_like(xx)], axis=-1)
+    xx = np.sum(form * x * x, axis=-1)[..., None]
+    return np.concatenate([0.5 * (1.0 + xx), 0.5 * (1.0 - xx), coord_tail(x, 0.0, space)],
+                          axis=-1)
+
+
+def contact_pencil(x: np.ndarray, xi: np.ndarray, form=1.0, space: str = "r3"):
+    """The pencil (gamma1, gamma2) of contact elements (x, xi): the point
+    sphere and the tangent hyperplane (<x,xi>, -<x,xi>, xi), radius entry 1,
+    in the layout of ``space``.  Broadcasts over leading axes."""
+    xi = np.asarray(xi, dtype=float)
+    xxi = np.sum(form * np.asarray(x, dtype=float) * xi, axis=-1)[..., None]
+    gamma2 = np.concatenate([xxi, -xxi, coord_tail(xi, 1.0, space)], axis=-1)
+    return point_sphere_vector(x, form, space), gamma2
+
+
+def contact_from_pencil(h1: np.ndarray, h2: np.ndarray):
+    """Euclidean contact elements read off entries 2: of a point-sphere
+    member h1 and a hyperplane member h2 of a pencil (any layout).
+
+    With (A, a) and (B, b) the middle block and the last entry of h1 and h2,
+    x = A - (a/b) B and xi = B / b.  The caller guards b against zero.
+    """
+    b = h2[..., -1:]
+    return h1[..., :-1] - (h1[..., -1:] / b) * h2[..., :-1], h2[..., :-1] / b
 
 
 def classify_coord(
@@ -263,9 +304,7 @@ def tangential_invariant(a: SphereElement, b: SphereElement) -> float:
 
 def lie_line(c: ContactElement) -> LieLine:
     """Projective line of the sphere pencil through a contact element."""
-    g1 = point_sphere_vector(c.x)
-    lam = float(np.dot(c.x, c.xi))
-    g2 = np.concatenate([[lam, -lam], c.xi, [1.0]])
+    g1, g2 = contact_pencil(c.x, c.xi)
     return LieLine(ProjectivePoint(g1), ProjectivePoint(g2))
 
 

@@ -165,7 +165,7 @@ def test_criterion_07_minimality_transfer(torus):
     rep = minimality.minimality_report(fld)
     p, fld_t = torus
     rep_t = minimality.minimality_report(fld_t)
-    lap_t = minimality.third_form_laplacian_r(p, fld_t.shape.r)
+    lap_t = minimality.third_form_laplacian_r(p, fld_t.patch.shape.r)
     at_zero = abs(lap_t[32, 0] + 1.0)  # u = 0 sits on the 65-point axis
     criterion(7, "maximal catenoid embeds to a critical patch; torus does not",
               [("catenoid_laplacian_r", rep.max_laplacian_r, 1e-6),

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from laguerre import fd, group, hypersurface, lorentz, patches, spheres
+from laguerre import fd, group, hypersurface, lorentz, patches, spaceforms, spheres
 
 # A patch away from the secant blow-up, fine enough for the 1e-6 pointwise
 # agreements between the finite-difference metric and its exact form.
@@ -44,7 +46,7 @@ def test_lift_invariants_everywhere(torus_field):
 def test_mean_curvature_sphere(torus_patch, torus_field):
     # [eta] classifies to the sphere centered at x + r xi; its signed radius
     # is -r (the pencil member through (x, xi) with that center)
-    sd = torus_field.shape
+    sd = torus_field.patch.shape
     for iu, iv in [(32, 0), (10, 17), (50, 40)]:
         el = spheres.classify_coord(spheres.ProjectivePoint(torus_field.lift.eta[iu, iv]))
         x = torus_patch.x[iu, iv]
@@ -95,13 +97,13 @@ def test_shape_operator_spectrum(torus_field):
 
 
 def test_s_eigs_match_radii_formula(torus_field):
-    sd = torus_field.shape
+    sd = torus_field.patch.shape
     expect = np.sort((sd.radii - sd.r[..., None]) / sd.rho[..., None], axis=-1)[..., ::-1]
     assert fd.nanmax_abs(torus_field.S_eigs - expect) < 1e-10
 
 
 def test_b_eigs_match_radii_formula(torus_field):
-    sd = torus_field.shape
+    sd = torus_field.patch.shape
     expect = np.sort((sd.radii - sd.r[..., None]) / sd.rho[..., None], axis=-1)[..., ::-1]
     assert fd.nanmax_abs(torus_field.B_eigs - expect) < 1e-6
 
@@ -161,7 +163,7 @@ def test_residual_convergence_under_refinement():
 def test_b_diagonal_in_principal_gauge(torus_field):
     # in the eigenbasis of the shape operator the second fundamental form
     # of the lift is diagonal with entries (r_i - r)/rho; compare spectra
-    sd = torus_field.shape
+    sd = torus_field.patch.shape
     diag = (sd.radii - sd.r[..., None]) / sd.rho[..., None]
     got = np.sort(torus_field.B_eigs, axis=-1)
     want = np.sort(diag, axis=-1)
@@ -199,6 +201,35 @@ def test_transform_patch_consistency_with_contact_action(torus_patch):
     img = group.act_on_contact(T, c)
     assert np.abs(moved.x[iu, iv] - img.x).max() < 1e-10
     assert np.abs(moved.xi[iu, iv] - img.xi).max() < 1e-10
+
+
+# --- exact jets of mapped patches ---------------------------------------------
+
+# Exact jets agree with their 4th-order differences to ~1e-4 of the jet's max
+# or better; a wrong jet misses by O(1).
+JET_REL = 1e-3
+
+
+def assert_jets_exact(patch):
+    """4th-order differences of x, dx, xi and dxi match the stored dx, d2x,
+    dxi and d2xi on the valid interior, relative to each jet's max."""
+    axes = patch.axes
+    for field, jet in (("x", "dx"), ("dx", "d2x"), ("xi", "dxi"), ("dxi", "d2xi")):
+        exact = getattr(patch, jet)
+        diff = fd.gradient(getattr(patch, field), axes.ndim, axes.spacings, axes.periodic, 4)
+        assert fd.nanmax_abs(diff - exact) <= JET_REL * fd.nanmax_abs(exact), jet
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_transformed_jets_match_finite_differences(torus_patch, seed):
+    T = seeded_transform(seed, translation_scale=0.3, flow_scale=0.2)
+    assert_jets_exact(hypersurface.transform_patch(T, torus_patch))
+
+
+@pytest.mark.parametrize("native", ["catenoid_patch", "saddle_patch"])
+def test_embedded_jets_match_finite_differences(native, request):
+    assert_jets_exact(spaceforms.embed_patch(request.getfixturevalue(native)))
 
 
 def test_curvature_quotient_invariant_in_higher_dim():

@@ -183,4 +183,4 @@ def test_embed_patch_identity_on_euclidean(torus_patch):
 
 def test_transfer_check_needs_space_form(torus_patch):
     with pytest.raises(UsageError):
-        spaceforms.transfer_check(torus_patch)
+        spaceforms.transfer_check(torus_patch, torus_patch)
