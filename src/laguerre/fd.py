@@ -156,55 +156,120 @@ def interior_margins(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(margins)
 
 
+# Per-point blocks of size m <= 3 (m = n - 1 parameter axes) are inverted,
+# factored and reduced by elementwise closed forms over the whole grid:
+# numpy's batched LAPACK wrappers make one LAPACK call per block, which is
+# what dominates on three-axis grids.  Larger blocks take the LAPACK path.
+# Spectra stay on LAPACK (eigh, eigvalsh): closed-form 3x3 eigensolvers lose
+# relative accuracy near repeated eigenvalues.
+CLOSED_FORM_MAX = 3
+
+
 def _masked_batched(op, mat: np.ndarray, fill: np.ndarray) -> np.ndarray:
     """Apply a batched matrix op, routing NaN blocks around it."""
     bad = ~np.isfinite(mat).all(axis=(-2, -1))
     if not bad.any():
         return op(mat)
-    work = np.where(bad[..., None, None], fill, mat)
-    out = op(work)
-    out = np.asarray(out, dtype=float)
-    if out.ndim == bad.ndim:  # scalar per matrix (det, ...)
-        return np.where(bad, np.nan, out)
-    return np.where(bad[..., None, None], np.nan, out)
+    out = np.asarray(op(np.where(bad[..., None, None], fill, mat)), dtype=float)
+    # One scalar (det), vector (eigenvalues) or matrix per block.
+    return np.where(bad.reshape(bad.shape + (1,) * (out.ndim - bad.ndim)), np.nan, out)
+
+
+def _cofactor(a: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Signed cofactor of entry (i, j) of each block (m <= 3)."""
+    m = a.shape[-1]
+    if m == 1:
+        return np.ones(a.shape[:-2])
+    if m == 2:
+        return (-1) ** (i + j) * a[..., 1 - i, 1 - j]
+    # Cyclic index shifts carry the sign in a 3x3 block.
+    i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return a[..., i1, j1] * a[..., i2, j2] - a[..., i1, j2] * a[..., i2, j1]
+
+
+def _small_det(a: np.ndarray) -> np.ndarray:
+    """Determinants by cofactor expansion along the first row."""
+    return sum(a[..., 0, j] * _cofactor(a, 0, j) for j in range(a.shape[-1]))
+
+
+def _small_inv(a: np.ndarray) -> np.ndarray:
+    """Inverses as adjugate over determinant."""
+    m = a.shape[-1]
+    adj = np.empty(a.shape)
+    for i, j in np.ndindex(m, m):
+        adj[..., j, i] = _cofactor(a, i, j)
+    det = sum(a[..., 0, j] * adj[..., j, 0] for j in range(m))
+    if (det == 0).any():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return adj / det[..., None, None]
+
+
+def _small_cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of each block, column by column."""
+    m = a.shape[-1]
+    L = np.zeros(a.shape)
+    for j in range(m):
+        pivot = a[..., j, j] - sum(L[..., j, k] * L[..., j, k] for k in range(j))
+        if not (pivot > 0).all():
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        L[..., j, j] = np.sqrt(pivot)
+        for i in range(j + 1, m):
+            dot = sum(L[..., i, k] * L[..., j, k] for k in range(j))
+            L[..., i, j] = (a[..., i, j] - dot) / L[..., j, j]
+    return L
+
+
+def _batched(closed, lapack, mat: np.ndarray) -> np.ndarray:
+    m = mat.shape[-1]
+    return _masked_batched(closed if m <= CLOSED_FORM_MAX else lapack, mat, np.eye(m))
 
 
 def grid_inv(mat: np.ndarray) -> np.ndarray:
     """Batched matrix inverse that passes NaN blocks through."""
-    eye = np.eye(mat.shape[-1])
-    return _masked_batched(np.linalg.inv, mat, eye)
+    return _batched(_small_inv, np.linalg.inv, mat)
 
 
 def grid_det(mat: np.ndarray) -> np.ndarray:
-    eye = np.eye(mat.shape[-1])
-    return _masked_batched(np.linalg.det, mat, eye)
+    return _batched(_small_det, np.linalg.det, mat)
 
 
 def grid_cholesky(mat: np.ndarray) -> np.ndarray:
-    eye = np.eye(mat.shape[-1])
-    return _masked_batched(np.linalg.cholesky, mat, eye)
-
-
-def grid_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Batched linear solve A X = B that passes NaN blocks through."""
-    bad = ~(np.isfinite(A).all(axis=(-2, -1)) & np.isfinite(B).all(axis=(-2, -1)))
-    if not bad.any():
-        return np.linalg.solve(A, B)
-    eye = np.eye(A.shape[-1])
-    Aw = np.where(bad[..., None, None], eye, A)
-    Bw = np.where(bad[..., None, None], np.zeros_like(eye), B)
-    out = np.linalg.solve(Aw, Bw)
-    return np.where(bad[..., None, None], np.nan, out)
+    """Lower Cholesky factors; LinAlgError when a finite block is not
+    positive definite."""
+    return _batched(_small_cholesky, np.linalg.cholesky, mat)
 
 
 def grid_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(mat).all(axis=(-2, -1))
-    if not bad.any():
-        return np.linalg.eigvalsh(mat)
-    eye = np.eye(mat.shape[-1])
-    work = np.where(bad[..., None, None], eye, mat)
-    out = np.linalg.eigvalsh(work)
-    return np.where(bad[..., None], np.nan, out)
+    return _masked_batched(np.linalg.eigvalsh, mat, np.eye(mat.shape[-1]))
+
+
+def nonpositive_index(mat: np.ndarray):
+    """Grid index of the finite block with the lowest eigenvalue when some
+    finite block of a symmetric field is not positive definite; None when
+    every one is.
+
+    Sylvester's criterion (every leading minor > 0) screens the grid;
+    eigvalsh runs only when it fails, to confirm and locate.
+    """
+    if not any((grid_det(mat[..., :k, :k]) <= 0).any()
+               for k in range(1, mat.shape[-1] + 1)):
+        return None
+    eig = grid_eigvalsh(mat)
+    low = np.nanmin(eig)
+    if not (np.isfinite(low) and low <= 0):
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.nanargmin(eig[..., 0]), eig.shape[:-1]))
+
+
+def cholesky_reduce(Q: np.ndarray, metric: np.ndarray):
+    """(Linv, Linv Q Linv^T) with L the Cholesky factor of ``metric``.
+
+    The symmetric reduction has the eigenvalues of Q v = k metric v; its
+    eigenvectors w give the metric-orthonormal solutions v = Linv^T w.
+    """
+    Linv = grid_inv(grid_cholesky(metric))
+    sym = Linv @ Q @ np.swapaxes(Linv, -1, -2)
+    return Linv, 0.5 * (sym + np.swapaxes(sym, -1, -2))
 
 
 def selfadjoint_eigvals(endo: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -213,18 +278,7 @@ def selfadjoint_eigvals(endo: np.ndarray, metric: np.ndarray) -> np.ndarray:
     Reduces the generalized problem through the Cholesky factor of the
     metric, so the result is real and sorted.
     """
-    L = grid_cholesky(metric)
-    sym = metric @ endo
-    bad = ~np.isfinite(sym).all(axis=(-2, -1)) | ~np.isfinite(L).all(axis=(-2, -1))
-    eye = np.eye(metric.shape[-1])
-    Lw = np.where(bad[..., None, None], eye, L)
-    symw = np.where(bad[..., None, None], eye, sym)
-    half = np.linalg.solve(Lw, symw)
-    # full = L^{-1} sym L^{-T}; solve acts on the left, so transpose twice.
-    full = np.linalg.solve(Lw, np.swapaxes(half, -1, -2))
-    full = 0.5 * (full + np.swapaxes(full, -1, -2))
-    vals = np.linalg.eigvalsh(full)
-    return np.where(bad[..., None], np.nan, vals)
+    return grid_eigvalsh(cholesky_reduce(metric @ endo, metric)[1])
 
 
 def christoffel(g: np.ndarray, ngrid: int, hs, periodic, order: int = 4,

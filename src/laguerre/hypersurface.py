@@ -184,8 +184,7 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
     dY = fd.gradient(lift.Y, m, hs, per, order)
     g = fd.gram(dY, dY, sig)
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    g_low = np.nanmin(fd.grid_eigvalsh(g))
-    if np.isfinite(g_low) and g_low <= 0:
+    if fd.nonpositive_index(g) is not None:
         raise DegenerateSurfaceError("invariant metric is not positive definite on the grid")
     ginv = fd.grid_inv(g)
     det = fd.grid_det(g)
@@ -208,11 +207,8 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
 
     # Orthonormal frame by Gram-Schmidt on the coordinate directions, i.e.
     # the inverse Cholesky factor of g.
-    chol = fd.grid_cholesky(g)
-    vielbein = fd.grid_inv(chol)
-    vielbein_t = np.swapaxes(vielbein, -1, -2)
-    B_frame = vielbein @ B @ vielbein_t
-    L_frame = vielbein @ L @ vielbein_t
+    vielbein, B_frame = fd.cholesky_reduce(B, g)
+    L_frame = vielbein @ L @ np.swapaxes(vielbein, -1, -2)
     C_frame = fd.contract_last(vielbein, C)
     B_eigs = fd.grid_eigvalsh(B_frame)[..., ::-1]
 

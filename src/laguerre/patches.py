@@ -194,7 +194,7 @@ def shape_operator(patch: SurfacePatch):
     """(I, II, S) with S = I^{-1} II, the operator in d(xi) = -dx o S."""
     I = first_fundamental(patch)
     II = second_fundamental(patch)
-    S = fd.grid_solve(I, II)
+    S = fd.grid_inv(I) @ II
     return I, II, S
 
 
@@ -211,18 +211,13 @@ def shape_data(patch: SurfacePatch) -> ShapeData:
 
     # Generalized symmetric eigenproblem II v = k I v through the Cholesky
     # factor of I, so the directions come out I-orthonormal.
-    L = fd.grid_cholesky(I)
-    half = fd.grid_solve(L, II)
-    sym = fd.grid_solve(L, np.swapaxes(half, -1, -2))
-    sym = 0.5 * (sym + np.swapaxes(sym, -1, -2))
+    Linv, sym = fd.cholesky_reduce(II, I)
     bad = ~np.isfinite(sym).all(axis=(-2, -1))
     symw = np.where(bad[..., None, None], np.eye(sym.shape[-1]), sym)
     vals, vecs = np.linalg.eigh(symw)
     vals = np.where(bad[..., None], np.nan, vals[..., ::-1])
-    vecs = vecs[..., ::-1]
     # Undo the Cholesky change of basis; rows of ``dirs`` are directions.
-    Lw = np.where(bad[..., None, None], np.eye(sym.shape[-1]), L)
-    dirs = np.swapaxes(np.linalg.solve(np.swapaxes(Lw, -1, -2), vecs), -1, -2)
+    dirs = np.swapaxes(vecs[..., ::-1], -1, -2) @ Linv
     dirs = np.where(bad[..., None, None], np.nan, dirs)
 
     diam = patch.diameter
@@ -307,7 +302,7 @@ def _xi_jets_from_shape(x, dx, d2x, d3x, xi, form):
     dxf = dx * form
     I = dxf @ np.swapaxes(dx, -1, -2)
     II = fd.contract_last(d2x, xi * form)
-    Iinv = np.linalg.inv(I)
+    Iinv = fd.grid_inv(I)
     S = Iinv @ II
     dxi = -(np.swapaxes(S, -1, -2) @ dx)
 
@@ -405,8 +400,7 @@ def _cylinder_jets(params, U, V):
     d2x = np.stack(
         [np.stack([zero3, zero3], axis=-2), np.stack([zero3, xvv], axis=-2)], axis=-3
     )
-    d3x = _third_from_table({(1, 1, 1): _vec(R * sv, -R * cv, zeros)}, 2,
-                            zero=np.zeros_like(x))
+    d3x = _third_from_table({(1, 1, 1): _vec(R * sv, -R * cv, zeros)}, 2)
     xi = _vec(cv, sv, zeros)
     return x, dx, d2x, d3x, xi
 
@@ -574,17 +568,15 @@ def _saddle_r30_jets(params, U, V):
     return x, dx, d2x, d3x, xi
 
 
-def _third_from_table(table, m, zero=None):
-    """Assemble the symmetric third-jet array from its distinct entries."""
+def _third_from_table(table, m):
+    """Assemble the symmetric third-jet array from its distinct entries,
+    keyed by sorted index triples; absent entries are zero."""
+    slot = {tuple(sorted(key)): e + 1 for e, key in enumerate(table)}   # 0: zero entry
+    index = np.array([[[slot.get(tuple(sorted((i, j, k))), 0) for k in range(m)]
+                       for j in range(m)] for i in range(m)])
     sample = next(iter(table.values()))
-    if zero is None:
-        zero = np.zeros_like(sample)
-    shape = sample.shape[:-1] + (m, m, m, sample.shape[-1])
-    out = np.zeros(shape)
-    for (i, j, k), val in table.items():
-        for perm in {(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)}:
-            out[(..., *perm, slice(None))] = val
-    return out
+    entries = np.stack([np.zeros_like(sample), *table.values()], axis=-2)
+    return np.take(entries, index, axis=-2)
 
 
 BUILTINS = {
@@ -687,13 +679,9 @@ def _validate_patch(patch: SurfacePatch) -> None:
     if worst > tol:
         raise DegenerateSurfaceError(f"contact condition dx . xi = 0 fails at grid index {idx}")
 
-    eig = fd.grid_eigvalsh(first_fundamental(patch))
-    low = np.nanmin(eig)
-    if np.isfinite(low) and low <= 0:
-        idx = np.unravel_index(np.nanargmin(eig[..., 0]), eig.shape[:-1])
-        raise DegenerateSurfaceError(
-            f"not an immersion (metric degenerates) at grid index {tuple(int(i) for i in idx)}"
-        )
+    idx = fd.nonpositive_index(first_fundamental(patch))
+    if idx is not None:
+        raise DegenerateSurfaceError(f"not an immersion (metric degenerates) at grid index {idx}")
     patch.shape  # first read runs the curvature screening of shape_data
 
 
@@ -802,8 +790,8 @@ def _validate_samples_patch(patch: SurfacePatch) -> None:
             f"contact condition dx . xi = 0 fails on the sampled interior (max {worst:.3e})"
         )
 
-    I = first_fundamental(patch)
-    eig = fd.grid_eigvalsh(I)
-    low = np.nanmin(eig)
-    if np.isfinite(low) and low <= 0:
-        raise DegenerateSurfaceError("sampled patch is not an immersion on the interior")
+    idx = fd.nonpositive_index(first_fundamental(patch))
+    if idx is not None:
+        raise DegenerateSurfaceError(
+            f"sampled patch is not an immersion on the interior at grid index {idx}"
+        )

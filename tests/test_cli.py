@@ -271,6 +271,29 @@ def test_derived_fields_computed_once(command, shape_calls, cov_d_calls, torus_s
     assert (len(shapes), len(cov_ds)) == (shape_calls, cov_d_calls)
 
 
+LAPACK = ("inv", "solve", "det", "cholesky", "eigvalsh", "eigh")
+
+
+@pytest.mark.parametrize("surface", ["torus", "torus4"])
+@pytest.mark.parametrize("command, eigh_calls, eigvalsh_calls", [
+    ("analyze", 1, 2), ("minimality", 1, 2), ("volume", 1, 0),
+])
+def test_small_blocks_stay_off_lapack(surface, command, eigh_calls, eigvalsh_calls,
+                                      torus_spec_file, tmp_path, monkeypatch, capsys):
+    # Inverses, determinants and Cholesky factors of the 2x2/3x3 blocks are
+    # closed forms; only the reported spectra reach LAPACK: the principal
+    # curvatures (one eigh per patch) and B_eigs/S_eigs (per analysis).
+    calls = {name: counted(monkeypatch, np.linalg, name) for name in LAPACK}
+    spec = torus_spec_file
+    if surface == "torus4":
+        spec = write(tmp_path, "torus4.json", {"builtin": "torus4"})
+    assert run(["surface", command, "--spec", spec]) == 0
+    capsys.readouterr()
+    assert {name: len(c) for name, c in calls.items()} == {
+        "inv": 0, "solve": 0, "det": 0, "cholesky": 0,
+        "eigvalsh": eigvalsh_calls, "eigh": eigh_calls}
+
+
 def test_tracer_layers_resolve():
     # The benchmark tracer wraps these names from outside the package; a
     # rename would silently drop the layer from its per-layer metrics.

@@ -1,5 +1,9 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from laguerre import fd
 from laguerre.errors import InsufficientInteriorError, UsageError
@@ -53,15 +57,16 @@ def test_require_interior():
         fd.require_interior((10, 64), (False, True), 4, 4)
 
 
-def test_masked_linear_algebra():
+@pytest.mark.parametrize("m", [2, 3, 4])  # m = 4 takes the LAPACK path
+def test_masked_linear_algebra(m):
     rng = np.random.default_rng(0)
-    M = rng.standard_normal((5, 5, 3, 3))
-    M = M @ np.swapaxes(M, -1, -2) + 3 * np.eye(3)
+    M = rng.standard_normal((5, 5, m, m))
+    M = M @ np.swapaxes(M, -1, -2) + 3 * np.eye(m)
     M[0, 0] = np.nan
     inv = fd.grid_inv(M)
     assert np.isnan(inv[0, 0]).all()
     prod = np.einsum("...ab,...bc->...ac", M[1:], inv[1:])
-    assert np.abs(prod - np.eye(3)).max() < 1e-10
+    assert np.abs(prod - np.eye(m)).max() < 1e-10
     ch = fd.grid_cholesky(M)
     assert np.isnan(ch[0, 0]).all()
     rebuilt = np.einsum("...ab,...cb->...ac", ch[1:], ch[1:])
@@ -70,6 +75,73 @@ def test_masked_linear_algebra():
     assert np.isnan(det[0, 0]) and np.isfinite(det[1:]).all()
     vals = fd.grid_eigvalsh(M)
     assert np.isnan(vals[0, 0]).all() and (vals[1:] > 0).all()
+
+
+# The arrays come from a drawn seed, so shrinking cannot simplify a failing
+# example; it is skipped to keep a failure fast to report.
+PROPERTY = settings(max_examples=30, derandomize=True, deadline=None,
+                    phases=(Phase.explicit, Phase.reuse, Phase.generate))
+
+
+@st.composite
+def blocks(draw):
+    """(rng, m, grid shape) for small grids of m x m blocks, m <= 3."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    shape = tuple(draw(st.integers(2, 5)) for _ in range(draw(st.integers(1, 3))))
+    return np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), m, shape
+
+
+def spd_blocks(rng, m, shape, signs=None):
+    """Symmetric blocks Q diag(lam) Q^T with |lam| in [0.5, 2]; ``signs``
+    (+1/-1, shape + (m,)) sets the sign of each eigenvalue."""
+    Q, _ = np.linalg.qr(rng.standard_normal(shape + (m, m)))
+    lam = rng.uniform(0.5, 2.0, shape + (m,)) * (1 if signs is None else signs)
+    return (Q * lam[..., None, :]) @ np.swapaxes(Q, -1, -2)
+
+
+def assert_rel(got, ref, rel=1e-12):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+@PROPERTY
+@given(blocks())
+def test_closed_forms_match_lapack(case):
+    rng, m, shape = case
+    general = rng.standard_normal(shape + (m, m)) + 2.0 * np.eye(m)
+    assert_rel(fd.grid_inv(general), np.linalg.inv(general))
+    assert_rel(fd.grid_det(general), np.linalg.det(general))
+    spd = spd_blocks(rng, m, shape)
+    assert_rel(fd.grid_cholesky(spd), np.linalg.cholesky(spd))
+
+
+@PROPERTY
+@given(blocks())
+def test_leading_minor_screen_matches_eigvalsh(case):
+    rng, m, shape = case
+    signs = np.where(rng.random(shape + (m,)) < 0.1, -1.0, 1.0)
+    mat = spd_blocks(rng, m, shape, signs)
+    eig = np.linalg.eigvalsh(mat)
+    idx = fd.nonpositive_index(mat)
+    if eig.min() > 0:
+        assert idx is None
+    else:
+        assert idx == np.unravel_index(np.argmin(eig[..., 0]), shape)
+    with pytest.raises(np.linalg.LinAlgError) if eig.min() <= 0 else nullcontext():
+        fd.grid_cholesky(mat)
+
+
+@PROPERTY
+@given(blocks(), st.data())
+def test_nan_entry_blanks_its_block(case, data):
+    rng, m, shape = case
+    mat = spd_blocks(rng, m, shape)
+    at = tuple(data.draw(st.integers(0, n - 1)) for n in shape + (m, m))
+    mat[at] = np.nan
+    block, rest = at[:-2], np.ones(shape, bool)
+    rest[block] = False
+    for out in (fd.grid_inv(mat), fd.grid_det(mat), fd.grid_cholesky(mat)):
+        assert np.isnan(out[block]).all() and np.isfinite(out[rest]).all()
 
 
 def test_selfadjoint_eigvals():

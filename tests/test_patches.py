@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,27 @@ def test_spacelike_plane_in_r31_is_flat():
     p = patches.build_patch(spec)
     with pytest.raises(DegenerateSurfaceError, match="curvature"):
         patches.shape_data(p)
+
+
+def test_validate_patch_names_degenerate_index(torus_patch):
+    dx = torus_patch.dx.copy()
+    dx[10, 20] = 0.0
+    with pytest.raises(DegenerateSurfaceError,
+                       match=r"not an immersion .* at grid index \(10, 20\)"):
+        patches._validate_patch(dataclasses.replace(torus_patch, dx=dx))
+
+
+def test_validate_samples_names_collapsed_row():
+    # Unit sphere sampled across its north pole: the row u = pi/2 collapses
+    # to one point, so d/dv vanishes there and the metric degenerates.
+    nu, nv = 25, 32
+    u = np.linspace(np.pi / 2 - 0.6, np.pi / 2 + 0.6, nu)
+    v = np.arange(nv) * 2 * np.pi / nv
+    U, V = np.meshgrid(u, v, indexing="ij")
+    pts = np.stack([np.cos(U) * np.cos(V), np.cos(U) * np.sin(V), np.sin(U)], axis=-1)
+    pts[12] = [0.0, 0.0, 1.0]
+    spec = {"samples": {"points": pts.tolist(), "normals": pts.tolist()},
+            "grid": {"u": [u[0], u[-1], nu], "v": [0, 2 * np.pi, nv], "periodic": ["v"]}}
+    with pytest.raises(DegenerateSurfaceError,
+                       match=r"sampled patch is not an immersion .* at grid index \(12, 0\)"):
+        patches.build_patch(spec)
