@@ -243,16 +243,23 @@ def grid_eigvalsh(mat: np.ndarray) -> np.ndarray:
     return _masked_batched(np.linalg.eigvalsh, mat, np.eye(mat.shape[-1]))
 
 
-def nonpositive_index(mat: np.ndarray):
+def leading_minors(mat: np.ndarray) -> list:
+    """Determinants of the leading k x k blocks, k = 1..m; the last is det(mat)."""
+    return [grid_det(mat[..., :k, :k]) for k in range(1, mat.shape[-1] + 1)]
+
+
+def nonpositive_index(mat: np.ndarray, minors: list | None = None):
     """Grid index of the finite block with the lowest eigenvalue when some
     finite block of a symmetric field is not positive definite; None when
     every one is.
 
-    Sylvester's criterion (every leading minor > 0) screens the grid;
-    eigvalsh runs only when it fails, to confirm and locate.
+    Sylvester's criterion (every leading minor > 0, from ``minors`` when the
+    caller has them) screens the grid; eigvalsh runs only when it fails, to
+    confirm and locate.
     """
-    if not any((grid_det(mat[..., :k, :k]) <= 0).any()
-               for k in range(1, mat.shape[-1] + 1)):
+    if minors is None:
+        minors = leading_minors(mat)
+    if not any((minor <= 0).any() for minor in minors):
         return None
     eig = grid_eigvalsh(mat)
     low = np.nanmin(eig)
@@ -261,24 +268,33 @@ def nonpositive_index(mat: np.ndarray):
     return tuple(int(i) for i in np.unravel_index(np.nanargmin(eig[..., 0]), eig.shape[:-1]))
 
 
-def cholesky_reduce(Q: np.ndarray, metric: np.ndarray):
-    """(Linv, Linv Q Linv^T) with L the Cholesky factor of ``metric``.
+def inverse_cholesky(metric: np.ndarray) -> np.ndarray:
+    """Linv = L^{-1} with L the lower Cholesky factor of ``metric``: its rows
+    are a metric-orthonormal basis (Gram-Schmidt on the coordinate basis)."""
+    return grid_inv(grid_cholesky(metric))
 
-    The symmetric reduction has the eigenvalues of Q v = k metric v; its
-    eigenvectors w give the metric-orthonormal solutions v = Linv^T w.
+
+def cholesky_reduce(Q: np.ndarray, Linv: np.ndarray) -> np.ndarray:
+    """Symmetrized Linv Q Linv^T for Linv = ``inverse_cholesky(metric)``.
+
+    The reduction has the eigenvalues of Q v = k metric v; its eigenvectors
+    w give the metric-orthonormal solutions v = Linv^T w.
     """
-    Linv = grid_inv(grid_cholesky(metric))
     sym = Linv @ Q @ np.swapaxes(Linv, -1, -2)
-    return Linv, 0.5 * (sym + np.swapaxes(sym, -1, -2))
+    return 0.5 * (sym + np.swapaxes(sym, -1, -2))
 
 
-def selfadjoint_eigvals(endo: np.ndarray, metric: np.ndarray) -> np.ndarray:
+def selfadjoint_eigvals(endo: np.ndarray, metric: np.ndarray,
+                        Linv: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues (ascending) of an endomorphism self-adjoint for ``metric``.
 
-    Reduces the generalized problem through the Cholesky factor of the
-    metric, so the result is real and sorted.
+    Reduces the generalized problem through the inverse Cholesky factor of
+    the metric (``Linv``, when the caller has it), so the result is real
+    and sorted.
     """
-    return grid_eigvalsh(cholesky_reduce(metric @ endo, metric)[1])
+    if Linv is None:
+        Linv = inverse_cholesky(metric)
+    return grid_eigvalsh(cholesky_reduce(metric @ endo, Linv))
 
 
 def christoffel(g: np.ndarray, ngrid: int, hs, periodic, order: int = 4,

@@ -19,6 +19,15 @@ together with the shape operator rho^{-1}(S^{-1} - r id).  Everything
 built from derivatives of grid fields uses cascaded central differences;
 the valid interior shrinks by the stencil radius per cascade level on
 non-periodic axes and reductions are NaN-aware.
+
+``analyze`` computes a core up front: the lift (cached on the patch), g,
+its inverse and volume element, Gamma, dY, Delta Y, N, B, L and C, and it
+screens g for positive definiteness, so every command fails at the same
+point with the same error.  Everything else on ``InvariantField`` -- the
+frame reductions, the B and shape-operator spectra, the curvature
+tensors, the exact metric, the diagnostics and the covariant derivatives
+of B and C -- is computed on first read and cached, so a command pays
+only for the fields it reports.
 """
 
 from __future__ import annotations
@@ -31,23 +40,12 @@ import numpy as np
 from . import fd, lorentz, patches
 from .errors import DegenerateSurfaceError, UsageError
 from .group import LaguerreTransform
-from .patches import SurfacePatch
+from .patches import LaguerreLift, SurfacePatch
 from .spheres import contact_pencil, coord_tail
 
 # Cascade depth of the deepest residual (divergence of C), used for the
 # up-front interior check: Y -> g -> Gamma/lap -> N -> C -> div C.
 MAX_CASCADE_LEVELS = 4
-
-
-@dataclass(eq=False)
-class LaguerreLift:
-    """Pointwise-exact cone fields of a patch."""
-
-    y: np.ndarray
-    Y: np.ndarray
-    eta: np.ndarray
-    rho: np.ndarray
-    r: np.ndarray
 
 
 @dataclass(eq=False)
@@ -87,10 +85,15 @@ class LaguerreFrame:
 
 @dataclass(eq=False)
 class InvariantField:
-    """Everything the pipeline computes on one patch."""
+    """The invariant fields of one patch.
+
+    The dataclass fields are the core that ``analyze`` computes up front,
+    together with the positive-definiteness screen of g; every other field
+    is a cached property computed on first read, so a command pays only
+    for what it reads.
+    """
 
     patch: SurfacePatch
-    lift: LaguerreLift
     order: int
     g: np.ndarray
     ginv: np.ndarray
@@ -100,22 +103,16 @@ class InvariantField:
     lapY: np.ndarray
     lap_norm: np.ndarray          # <Delta Y, Delta Y>
     N: np.ndarray
+    deta: np.ndarray
+    B_raw: np.ndarray             # <d_a eta, d_b Y> before symmetrization
     B: np.ndarray                 # coordinate components
     L: np.ndarray
     C: np.ndarray
-    vielbein: np.ndarray          # rows of E_i in the coordinate basis
-    B_frame: np.ndarray
-    L_frame: np.ndarray
-    C_frame: np.ndarray
-    B_eigs: np.ndarray            # descending
-    S_op: np.ndarray
-    S_eigs: np.ndarray            # descending
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: np.ndarray
-    g_exact: np.ndarray           # rho^2 * <dxi, dxi>, pointwise exact
     residuals: dict = dataclass_field(default_factory=dict)
-    diagnostics: dict = dataclass_field(default_factory=dict)
+
+    @property
+    def lift(self) -> LaguerreLift:
+        return self.patch.lift
 
     @property
     def frame(self) -> LaguerreFrame:
@@ -129,6 +126,73 @@ class InvariantField:
         """Covariant derivative of T by ``kernel`` (an ``fd.cov_d_*``) on this grid."""
         axes = self.patch.axes
         return kernel(T, self.Gamma, axes.ndim, axes.spacings, axes.periodic, self.order)
+
+    @cached_property
+    def vielbein(self) -> np.ndarray:
+        """Rows of the orthonormal frame E_i in the coordinate basis: Gram-Schmidt
+        on the coordinate directions, i.e. the inverse Cholesky factor of g."""
+        return fd.inverse_cholesky(self.g)
+
+    @cached_property
+    def B_frame(self) -> np.ndarray:
+        return fd.cholesky_reduce(self.B, self.vielbein)
+
+    @cached_property
+    def L_frame(self) -> np.ndarray:
+        return self.vielbein @ self.L @ np.swapaxes(self.vielbein, -1, -2)
+
+    @cached_property
+    def C_frame(self) -> np.ndarray:
+        return fd.contract_last(self.vielbein, self.C)
+
+    @cached_property
+    def B_eigs(self) -> np.ndarray:
+        """Eigenvalues of B in the orthonormal frame, descending."""
+        return fd.grid_eigvalsh(self.B_frame)[..., ::-1]
+
+    @cached_property
+    def S_op(self) -> np.ndarray:
+        """The invariant shape operator rho^{-1} (S^{-1} - r id)."""
+        shape = self.patch.shape
+        Sinv = fd.grid_inv(self.patch.S)
+        eye = np.eye(self.patch.ngrid)
+        return (Sinv - shape.r[..., None, None] * eye) / shape.rho[..., None, None]
+
+    @cached_property
+    def S_eigs(self) -> np.ndarray:
+        """Eigenvalues of S_op (self-adjoint for I), descending."""
+        patch = self.patch
+        return fd.selfadjoint_eigvals(self.S_op, patch.I, patch.Linv)[..., ::-1]
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        axes = self.patch.axes
+        return fd.riemann_tensor(self.g, self.Gamma, axes.ndim, axes.spacings,
+                                 axes.periodic, self.order)
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        return fd.ricci_tensor(self.riemann, self.ginv)
+
+    @cached_property
+    def scalar(self) -> np.ndarray:
+        return fd.scalar_curvature(self.ricci, self.ginv)
+
+    @cached_property
+    def g_exact(self) -> np.ndarray:
+        """rho^2 <dxi, dxi>, the metric pointwise exact."""
+        return (self.patch.shape.rho ** 2)[..., None, None] * self.patch.third_form
+
+    @cached_property
+    def diagnostics(self) -> dict:
+        """Defects of three identities the construction satisfies exactly."""
+        sig = lorentz.signature(self.patch.n)
+        C_dual = fd.contract_last(self.deta, self.N * sig)
+        return {
+            "raw_B_asymmetry": fd.nanmax_abs(self.B_raw - np.swapaxes(self.B_raw, -1, -2)),
+            "C_dual_defect": fd.nanmax_abs(self.C - C_dual),
+            "g_vs_rho2_III": fd.nanmax_abs(self.g - self.g_exact),
+        }
 
     @cached_property
     def DB(self) -> np.ndarray:
@@ -151,17 +215,6 @@ class InvariantField:
         return fd.metric_pairing(self.L, self.B, self.ginv)
 
 
-def laguerre_lift(patch: SurfacePatch) -> LaguerreLift:
-    """Light-cone position Y = rho gamma2 and mean-curvature-sphere
-    coordinate eta = gamma1 + r gamma2, built from the zeroth-order pencil
-    (gamma1, gamma2) in the layout of the patch's own space form."""
-    shape = patch.shape
-    g1, y = contact_pencil(patch.x, patch.xi, patch.form, patch.space)
-    Y = shape.rho[..., None] * y
-    eta = g1 + shape.r[..., None] * y
-    return LaguerreLift(y=y, Y=Y, eta=eta, rho=shape.rho, r=shape.r)
-
-
 def laguerre_metric(Y: np.ndarray, axes: patches.GridAxes, order: int = 4) -> np.ndarray:
     """Metric components <d_a Y, d_b Y> in parameter coordinates."""
     dY = fd.gradient(Y, axes.ndim, axes.spacings, axes.periodic, order)
@@ -169,7 +222,7 @@ def laguerre_metric(Y: np.ndarray, axes: patches.GridAxes, order: int = 4) -> np
 
 
 def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
-    """Run the full invariant pipeline on one patch."""
+    """Compute the core invariant fields of one patch; the rest follow on read."""
     if patch.space != "r3":
         raise UsageError("analyze needs an r3 patch; embed space forms first")
     axes = patch.axes
@@ -177,17 +230,17 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
     hs, per = axes.spacings, axes.periodic
     fd.require_interior(axes.counts, per, order, MAX_CASCADE_LEVELS)
 
-    shape = patch.shape
-    lift = laguerre_lift(patch)
+    lift = patch.lift
     sig = lorentz.signature(patch.n)
 
     dY = fd.gradient(lift.Y, m, hs, per, order)
     g = fd.gram(dY, dY, sig)
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    if fd.nonpositive_index(g) is not None:
+    minors = fd.leading_minors(g)
+    if fd.nonpositive_index(g, minors) is not None:
         raise DegenerateSurfaceError("invariant metric is not positive definite on the grid")
     ginv = fd.grid_inv(g)
-    det = fd.grid_det(g)
+    det = minors[-1]
     sqrt_det = np.sqrt(np.where(np.isfinite(det) & (det > 0), det, np.nan))
     Gamma = fd.christoffel(g, m, hs, per, order, ginv=ginv)
 
@@ -205,38 +258,12 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
     L = 0.5 * (L + np.swapaxes(L, -1, -2))
     C = -fd.contract_last(dN, lift.eta * sig)
 
-    # Orthonormal frame by Gram-Schmidt on the coordinate directions, i.e.
-    # the inverse Cholesky factor of g.
-    vielbein, B_frame = fd.cholesky_reduce(B, g)
-    L_frame = vielbein @ L @ np.swapaxes(vielbein, -1, -2)
-    C_frame = fd.contract_last(vielbein, C)
-    B_eigs = fd.grid_eigvalsh(B_frame)[..., ::-1]
-
-    Sinv = fd.grid_inv(shape.S)
-    eye = np.eye(m)
-    S_op = (Sinv - shape.r[..., None, None] * eye) / shape.rho[..., None, None]
-    S_eigs = fd.selfadjoint_eigvals(S_op, shape.I)[..., ::-1]
-
-    riem = fd.riemann_tensor(g, Gamma, m, hs, per, order)
-    ricci = fd.ricci_tensor(riem, ginv)
-    scalar = fd.scalar_curvature(ricci, ginv)
-
-    g_exact = (shape.rho ** 2)[..., None, None] * patch.third_form
-
-    fld = InvariantField(
-        patch=patch, lift=lift, order=order,
+    return InvariantField(
+        patch=patch, order=order,
         g=g, ginv=ginv, sqrt_det=sqrt_det, Gamma=Gamma,
-        dY=dY, lapY=lapY, lap_norm=lap_norm, N=N,
-        B=B, L=L, C=C,
-        vielbein=vielbein, B_frame=B_frame, L_frame=L_frame, C_frame=C_frame,
-        B_eigs=B_eigs, S_op=S_op, S_eigs=S_eigs,
-        riemann=riem, ricci=ricci, scalar=scalar, g_exact=g_exact,
+        dY=dY, lapY=lapY, lap_norm=lap_norm, N=N, deta=deta,
+        B_raw=B_raw, B=B, L=L, C=C,
     )
-    fld.diagnostics["raw_B_asymmetry"] = fd.nanmax_abs(B_raw - np.swapaxes(B_raw, -1, -2))
-    C_dual = fd.contract_last(deta, N * sig)
-    fld.diagnostics["C_dual_defect"] = fd.nanmax_abs(C - C_dual)
-    fld.diagnostics["g_vs_rho2_III"] = fd.nanmax_abs(g - g_exact)
-    return fld
 
 
 def gauss_rhs(L: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -315,7 +342,7 @@ def laguerre_volume(patch: SurfacePatch) -> float:
     element is pointwise exact; the quadrature is the only approximation.
     """
     shape = patch.shape
-    dM = np.sqrt(fd.grid_det(shape.I))
+    dM = np.sqrt(fd.grid_det(patch.I))
     integrand = shape.rho ** (patch.n - 1) / np.prod(shape.radii, axis=-1) * dM
     return fd.integrate(integrand, patch.axes.spacings, patch.axes.periodic)
 
@@ -328,7 +355,7 @@ def volume_via_curvature_quotient(patch: SurfacePatch) -> float:
     k1, k2 = shape.k[..., 0], shape.k[..., 1]
     H = 0.5 * (k1 + k2)
     K = k1 * k2
-    dM = np.sqrt(fd.grid_det(shape.I))
+    dM = np.sqrt(fd.grid_det(patch.I))
     integrand = 2.0 * (H * H - K) / K * dM
     return fd.integrate(integrand, patch.axes.spacings, patch.axes.periodic)
 
@@ -400,8 +427,8 @@ def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
         - q[..., None, None, None] * d2B
     )
     new = SurfacePatch(
-        space="r3", n=patch.n, axes=patch.axes,
-        x=x, dx=dx, d2x=d2x, xi=xi, dxi=dxi, d2xi=d2xi,
+        space="r3", n=patch.n, axes=patch.axes, x=x, dx=dx, d2x=d2x, xi=xi,
+        normal_jets=patches.given_normal_jets(dxi, d2xi),
         metadata={**patch.metadata, **metadata},
     )
     patches._validate_patch(new)

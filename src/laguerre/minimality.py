@@ -11,9 +11,11 @@ fundamental form applied to the mean curvature radius, and the bridge
 
     Delta_{III} r = rho^3 * (-div C + <L, B>)
 
-ties the two computations together end to end; its defect is reported as
-a cross-check because it exercises Y, N, eta, B, L, C and both discrete
-Laplacians at once.
+ties the two computations together end to end; its relative defect is
+reported as a cross-check because it exercises Y, N, eta, B, L, C and both
+discrete Laplacians at once.  When both sides are below the verdict
+threshold, both criteria read zero and the quotient would be rounding
+noise over rounding noise, so the cross-check is null.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class MinimalityReport:
     max_el_scaled: float             # rho^3-scaled divergence form (verdict input)
     el_forms_discrepancy: float
     max_laplacian_r: float | None    # n = 3 only
-    crosscheck: float | None         # bridge identity defect, relative
+    crosscheck: float | None         # bridge identity defect, relative; None below threshold
     lap_verdict: str | None
     consistent: bool
     diagnostics: dict
@@ -167,8 +169,9 @@ def minimality_report(fld: InvariantField,
         lap_r = fd.nanmax_abs(lap)
         lap_verdict = "minimal" if lap_r <= threshold else "non-minimal"
         bridge_rhs = rho3 * (-fld.divC + fld.LB)
-        scale = max(fd.nanmax_abs(lap), fd.nanmax_abs(bridge_rhs), 1e-12)
-        crosscheck = fd.nanmax_abs(lap - bridge_rhs) / scale
+        scale = max(fd.nanmax_abs(lap), fd.nanmax_abs(bridge_rhs))
+        if scale > max(threshold, 1e-12):
+            crosscheck = fd.nanmax_abs(lap - bridge_rhs) / scale
 
     diagnostics = eta_laplacian_diagnostics(fld)
     consistent = lap_verdict is None or lap_verdict == verdict

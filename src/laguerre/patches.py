@@ -16,6 +16,15 @@ d(xi) = -dx o S and its derivative), so no hand-differentiated normals
 are needed anywhere.  Sampled ("samples") patches fall back to central
 finite differences for every jet.
 
+What a patch computes is pulled by what reads it.  The build computes x,
+dx, d2x and xi and screens the patch, which reads I, II, I^{-1}, S, the
+inverse Cholesky factor of I and the curvature data; each of those is a
+cached value on the patch, formed once however many consumers read it.
+The normal jets, the third fundamental form and the cone lift are formed
+on first read, and a builtin's third x-jets only when d2xi is read (by a
+group action or a space-form embedding); the volume and an analysis never
+read them.
+
 Degeneracy policy: umbilic points, vanishing principal curvatures,
 curvature-label crossings and non-immersion points inside the grid abort
 the build with the offending grid index; they are never smoothed over.
@@ -25,11 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import fd
 from .errors import DegenerateSurfaceError, UsageError
+from .spheres import contact_pencil
 
 UMBILIC_TOL_FACTOR = 1e-8        # times patch diameter
 CURVATURE_ZERO_FACTOR = 1e-10    # divided by patch diameter
@@ -110,6 +121,13 @@ class SurfacePatch:
 
     Grid axes lead every array; ambient components trail.  ``dx`` has shape
     (*G, m, d), ``d2x`` (*G, m, m, d) and likewise for the normal.
+
+    The immersion jets and the normal are stored; every other field is a
+    value computed on first read and then cached: the normal jets ``dxi``
+    and ``d2xi`` (from ``normal_jets``, see ``given_normal_jets`` and
+    ``shape_normal_jets``), the fundamental forms ``I``/``II``, ``Iinv``,
+    the shape operator ``S``, the inverse Cholesky factor ``Linv`` of I,
+    the curvature data ``shape``, ``third_form`` and the cone ``lift``.
     """
 
     space: str
@@ -119,8 +137,7 @@ class SurfacePatch:
     dx: np.ndarray
     d2x: np.ndarray
     xi: np.ndarray
-    dxi: np.ndarray
-    d2xi: np.ndarray
+    normal_jets: Callable = field(repr=False)   # (patch, order) -> d^order xi
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -146,18 +163,67 @@ class SurfacePatch:
         return float(np.linalg.norm(maxs - mins))
 
     @cached_property
+    def dxi(self) -> np.ndarray:
+        return self.normal_jets(self, 1)
+
+    @cached_property
+    def d2xi(self) -> np.ndarray:
+        return self.normal_jets(self, 2)
+
+    @cached_property
+    def I(self) -> np.ndarray:
+        return first_fundamental(self)
+
+    @cached_property
+    def II(self) -> np.ndarray:
+        return second_fundamental(self)
+
+    @cached_property
+    def Iinv(self) -> np.ndarray:
+        return fd.grid_inv(self.I)
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        """Shape operator S = I^{-1} II, the operator in d(xi) = -dx o S."""
+        return self.Iinv @ self.II
+
+    @cached_property
+    def Linv(self) -> np.ndarray:
+        return fd.inverse_cholesky(self.I)
+
+    @cached_property
     def shape(self) -> ShapeData:
         """Curvature data of the patch, computed (and screened) on first read."""
         return shape_data(self)
 
     @cached_property
     def third_form(self) -> np.ndarray:
-        """Third fundamental form III = <dxi, dxi>, computed on first read."""
+        """Third fundamental form III = <dxi, dxi>."""
         return fd.gram(self.dxi, self.dxi, self.form)
+
+    @cached_property
+    def lift(self) -> LaguerreLift:
+        return laguerre_lift(self)
+
+
+def given_normal_jets(dxi: np.ndarray, d2xi: np.ndarray) -> Callable:
+    """Normal-jets source of a patch whose normal jets are handed in."""
+    return lambda patch, order: (dxi, d2xi)[order - 1]
+
+
+def shape_normal_jets(third: Callable) -> Callable:
+    """Normal-jets source of a patch with exact x-jets: d(xi) = -dx o S, and
+    ``_d2xi_from_shape`` with the third x-jets ``third()``, which are built
+    only when d2xi is read."""
+    def jets(patch, order):
+        if order == 1:
+            return -(np.swapaxes(patch.S, -1, -2) @ patch.dx)
+        return _d2xi_from_shape(patch, third())
+    return jets
 
 
 # ---------------------------------------------------------------------------
-# Shape data
+# Shape data and the cone lift
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -166,10 +232,9 @@ class ShapeData:
 
     ``k`` holds the principal curvatures sorted descending, ``radii`` their
     reciprocals in the same order, ``r`` the mean curvature radius, ``rho``
-    the size sqrt(sum (r_i - r)^2) of the trace-free radius part, ``dirs``
-    the matching principal directions as rows of parameter components
-    (orthonormal for the first fundamental form), ``S`` the shape operator
-    S^a_b and ``I``/``II`` the fundamental forms.
+    the size sqrt(sum (r_i - r)^2) of the trace-free radius part and
+    ``dirs`` the matching principal directions as rows of parameter
+    components (orthonormal for the first fundamental form).
     """
 
     k: np.ndarray
@@ -177,9 +242,17 @@ class ShapeData:
     r: np.ndarray
     rho: np.ndarray
     dirs: np.ndarray
-    S: np.ndarray
-    I: np.ndarray
-    II: np.ndarray
+
+
+@dataclass(eq=False)
+class LaguerreLift:
+    """Pointwise-exact cone fields of a patch."""
+
+    y: np.ndarray
+    Y: np.ndarray
+    eta: np.ndarray
+    rho: np.ndarray
+    r: np.ndarray
 
 
 def first_fundamental(patch: SurfacePatch) -> np.ndarray:
@@ -188,14 +261,6 @@ def first_fundamental(patch: SurfacePatch) -> np.ndarray:
 
 def second_fundamental(patch: SurfacePatch) -> np.ndarray:
     return fd.contract_last(patch.d2x, patch.xi * patch.form)
-
-
-def shape_operator(patch: SurfacePatch):
-    """(I, II, S) with S = I^{-1} II, the operator in d(xi) = -dx o S."""
-    I = first_fundamental(patch)
-    II = second_fundamental(patch)
-    S = fd.grid_inv(I) @ II
-    return I, II, S
 
 
 def shape_data(patch: SurfacePatch) -> ShapeData:
@@ -207,17 +272,15 @@ def shape_data(patch: SurfacePatch) -> ShapeData:
     finite-difference jets carry NaN boundary layers, which simply stay
     NaN here and are skipped by the checks.
     """
-    I, II, S = shape_operator(patch)
-
     # Generalized symmetric eigenproblem II v = k I v through the Cholesky
     # factor of I, so the directions come out I-orthonormal.
-    Linv, sym = fd.cholesky_reduce(II, I)
+    sym = fd.cholesky_reduce(patch.II, patch.Linv)
     bad = ~np.isfinite(sym).all(axis=(-2, -1))
     symw = np.where(bad[..., None, None], np.eye(sym.shape[-1]), sym)
     vals, vecs = np.linalg.eigh(symw)
     vals = np.where(bad[..., None], np.nan, vals[..., ::-1])
     # Undo the Cholesky change of basis; rows of ``dirs`` are directions.
-    dirs = np.swapaxes(vecs[..., ::-1], -1, -2) @ Linv
+    dirs = np.swapaxes(vecs[..., ::-1], -1, -2) @ patch.Linv
     dirs = np.where(bad[..., None, None], np.nan, dirs)
 
     diam = patch.diameter
@@ -239,7 +302,18 @@ def shape_data(patch: SurfacePatch) -> ShapeData:
         raise DegenerateSurfaceError(f"umbilic point at grid index {idx}")
 
     _check_crossings(vals, patch.ngrid)
-    return ShapeData(k=vals, radii=radii, r=r, rho=rho, dirs=dirs, S=S, I=I, II=II)
+    return ShapeData(k=vals, radii=radii, r=r, rho=rho, dirs=dirs)
+
+
+def laguerre_lift(patch: SurfacePatch) -> LaguerreLift:
+    """Light-cone position Y = rho gamma2 and mean-curvature-sphere
+    coordinate eta = gamma1 + r gamma2, built from the zeroth-order pencil
+    (gamma1, gamma2) in the layout of the patch's own space form."""
+    shape = patch.shape
+    g1, y = contact_pencil(patch.x, patch.xi, patch.form, patch.space)
+    Y = shape.rho[..., None] * y
+    eta = g1 + shape.r[..., None] * y
+    return LaguerreLift(y=y, Y=Y, eta=eta, rho=shape.rho, r=shape.r)
 
 
 def _check_crossings(vals: np.ndarray, ngrid: int) -> None:
@@ -290,34 +364,28 @@ def _check_crossings(vals: np.ndarray, ngrid: int) -> None:
 # Exact normal jets through the shape operator
 # ---------------------------------------------------------------------------
 
-def _xi_jets_from_shape(x, dx, d2x, d3x, xi, form):
-    """First and second derivatives of the unit normal, pointwise exact.
+def _d2xi_from_shape(patch: SurfacePatch, d3x: np.ndarray) -> np.ndarray:
+    """Second derivatives of the unit normal, pointwise exact.
 
-    Uses d(xi) = -dx o S with S = I^{-1} II and differentiates S through
-    the third-order jets of x:  dS = I^{-1} (dII - dI S).  Valid in every
-    geometry because only the ambient form enters.
+    Differentiates d(xi) = -dx o S through the third-order jets of x:
+    dS = I^{-1} (dII - dI S).  Valid in every geometry because only the
+    ambient form enters.
     """
+    dx, d2x, xi, form, S = patch.dx, patch.d2x, patch.xi, patch.form, patch.S
     m, d = dx.shape[-2:]
     lead = dx.shape[:-2]
-    dxf = dx * form
-    I = dxf @ np.swapaxes(dx, -1, -2)
-    II = fd.contract_last(d2x, xi * form)
-    Iinv = fd.grid_inv(I)
-    S = Iinv @ II
-    dxi = -(np.swapaxes(S, -1, -2) @ dx)
 
     # Rows (d, a) of the second jets against the (weighted) first jets.
     d2x_rows = d2x.reshape(lead + (m * m, d))
-    P = (d2x_rows @ np.swapaxes(dxf, -1, -2)).reshape(lead + (m, m, m))
+    P = (d2x_rows @ np.swapaxes(dx * form, -1, -2)).reshape(lead + (m, m, m))
     dI = P + np.swapaxes(P, -1, -2)
-    Q = (d2x_rows @ np.swapaxes(dxi * form, -1, -2)).reshape(lead + (m, m, m))
+    Q = (d2x_rows @ np.swapaxes(patch.dxi * form, -1, -2)).reshape(lead + (m, m, m))
     dII = fd.contract_last(d3x, xi * form) + np.moveaxis(Q, -1, -3)
     dIS = (dI.reshape(lead + (m * m, m)) @ S).reshape(lead + (m, m, m))
-    dS = Iinv[..., None, :, :] @ (dII - dIS)
-    d2xi = -(np.swapaxes(dS, -1, -2) @ dx[..., None, :, :]) - (
+    dS = patch.Iinv[..., None, :, :] @ (dII - dIS)
+    return -(np.swapaxes(dS, -1, -2) @ dx[..., None, :, :]) - (
         np.swapaxes(S, -1, -2)[..., None, :, :] @ d2x
     )
-    return dxi, d2xi
 
 
 # ---------------------------------------------------------------------------
@@ -342,20 +410,21 @@ def _torus_jets(params, U, V):
     xuu = _vec(-a * cu * cv, -a * cu * sv, -a * su)
     xuv = _vec(a * su * sv, -a * su * cv, zeros)
     xvv = _vec(-w * cv, -w * sv, zeros)
-    xuuu = _vec(a * su * cv, a * su * sv, -a * cu)
-    xuuv = _vec(a * cu * sv, -a * cu * cv, zeros)
-    xuvv = _vec(a * su * cv, a * su * sv, zeros)
-    xvvv = _vec(w * sv, -w * cv, zeros)
     xi = _vec(cu * cv, cu * sv, su)
 
     dx = np.stack([xu, xv], axis=-2)
     d2x = np.stack(
         [np.stack([xuu, xuv], axis=-2), np.stack([xuv, xvv], axis=-2)], axis=-3
     )
-    d3x = _third_from_table({
-        (0, 0, 0): xuuu, (0, 0, 1): xuuv, (0, 1, 1): xuvv, (1, 1, 1): xvvv,
-    }, 2)
-    return x, dx, d2x, d3x, xi
+
+    def third():
+        return _third_from_table({
+            (0, 0, 0): _vec(a * su * cv, a * su * sv, -a * cu),
+            (0, 0, 1): _vec(a * cu * sv, -a * cu * cv, zeros),
+            (0, 1, 1): _vec(a * su * cv, a * su * sv, zeros),
+            (1, 1, 1): _vec(w * sv, -w * cv, zeros),
+        }, 2)
+    return x, dx, d2x, xi, third
 
 
 def _sphere_jets(params, U, V):
@@ -369,20 +438,20 @@ def _sphere_jets(params, U, V):
     xiuu = -xi
     xiuv = _vec(su * sv, -su * cv, zeros)
     xivv = _vec(-cu * cv, -cu * sv, zeros)
-    xiuuu = -xiu
-    xiuuv = -xiv
-    xiuvv = _vec(su * cv, su * sv, zeros)
-    xivvv = _vec(cu * sv, -cu * cv, zeros)
 
     x = R * xi
     dx = R * np.stack([xiu, xiv], axis=-2)
     d2x = R * np.stack(
         [np.stack([xiuu, xiuv], axis=-2), np.stack([xiuv, xivv], axis=-2)], axis=-3
     )
-    d3x = R * _third_from_table({
-        (0, 0, 0): xiuuu, (0, 0, 1): xiuuv, (0, 1, 1): xiuvv, (1, 1, 1): xivvv,
-    }, 2)
-    return x, dx, d2x, d3x, xi
+
+    def third():
+        return R * _third_from_table({
+            (0, 0, 0): -xiu, (0, 0, 1): -xiv,
+            (0, 1, 1): _vec(su * cv, su * sv, zeros),
+            (1, 1, 1): _vec(cu * sv, -cu * cv, zeros),
+        }, 2)
+    return x, dx, d2x, xi, third
 
 
 def _cylinder_jets(params, U, V):
@@ -400,9 +469,8 @@ def _cylinder_jets(params, U, V):
     d2x = np.stack(
         [np.stack([zero3, zero3], axis=-2), np.stack([zero3, xvv], axis=-2)], axis=-3
     )
-    d3x = _third_from_table({(1, 1, 1): _vec(R * sv, -R * cv, zeros)}, 2)
     xi = _vec(cv, sv, zeros)
-    return x, dx, d2x, d3x, xi
+    return x, dx, d2x, xi, lambda: _third_from_table({(1, 1, 1): _vec(R * sv, -R * cv, zeros)}, 2)
 
 
 def _graph_jets(params, *coords):
@@ -419,7 +487,6 @@ def _graph_jets(params, *coords):
     f = sum(quad[i] * grids[i] ** 2 + cubic[i] * grids[i] ** 3 for i in range(m))
     f1 = [2 * quad[i] * grids[i] + 3 * cubic[i] * grids[i] ** 2 for i in range(m)]
     f2 = [2 * quad[i] + 6 * cubic[i] * grids[i] for i in range(m)]
-    f3 = [6 * cubic[i] * np.ones(shape) for i in range(m)]
 
     d = m + 1
     x = np.zeros(shape + (d,))
@@ -432,10 +499,14 @@ def _graph_jets(params, *coords):
         dx[..., i, i] = 1.0
         dx[..., i, -1] = f1[i]
     d2x = np.zeros(shape + (m, m, d))
-    d3x = np.zeros(shape + (m, m, m, d))
     for i in range(m):
         d2x[..., i, i, -1] = f2[i]
-        d3x[..., i, i, i, -1] = f3[i]
+
+    def third():
+        d3x = np.zeros(shape + (m, m, m, d))
+        for i in range(m):
+            d3x[..., i, i, i, -1] = 6 * cubic[i] * np.ones(shape)
+        return d3x
 
     grad2 = sum(g * g for g in f1)
     s = np.sqrt(1.0 + grad2)
@@ -443,7 +514,7 @@ def _graph_jets(params, *coords):
     for i in range(m):
         xi[..., i] = -f1[i] / s
     xi[..., -1] = 1.0 / s
-    return x, dx, d2x, d3x, xi
+    return x, dx, d2x, xi, third
 
 
 def _torus4_jets(params, U, T, P):
@@ -463,10 +534,6 @@ def _torus4_jets(params, U, T, P):
     ntt = -n
     ntp = _vec(-ct * sp, ct * cp, zeros)
     npp2 = _vec(-st * cp, -st * sp, zeros)
-    nttt = -nt
-    nttp = -npp
-    ntpp = _vec(-ct * cp, -ct * sp, zeros)
-    nppp = _vec(st * sp, -st * cp, zeros)
 
     w = R + a * cu
 
@@ -487,28 +554,23 @@ def _torus4_jets(params, U, T, P):
     xtt = emb(w, ntt, zeros)
     xtp = emb(w, ntp, zeros)
     xpp = emb(w, npp2, zeros)
-    xuuu = emb(a * su * np.ones_like(w), n, -a * cu)
-    xuut = emb(-a * cu * np.ones_like(w), nt, zeros)
-    xuup = emb(-a * cu * np.ones_like(w), npp, zeros)
-    xutt = emb(-a * su * np.ones_like(w), ntt, zeros)
-    xutp = emb(-a * su * np.ones_like(w), ntp, zeros)
-    xupp = emb(-a * su * np.ones_like(w), npp2, zeros)
-    xttt = emb(w, nttt, zeros)
-    xttp = emb(w, nttp, zeros)
-    xtpp = emb(w, ntpp, zeros)
-    xppp = emb(w, nppp, zeros)
 
     dx = np.stack([xu, xt, xp], axis=-2)
     rows = [[xuu, xut, xup], [xut, xtt, xtp], [xup, xtp, xpp]]
     d2x = np.stack([np.stack(r, axis=-2) for r in rows], axis=-3)
-    d3x = _third_from_table({
-        (0, 0, 0): xuuu, (0, 0, 1): xuut, (0, 0, 2): xuup,
-        (0, 1, 1): xutt, (0, 1, 2): xutp, (0, 2, 2): xupp,
-        (1, 1, 1): xttt, (1, 1, 2): xttp, (1, 2, 2): xtpp,
-        (2, 2, 2): xppp,
-    }, 3)
     xi = emb(cu * np.ones_like(w), n, su)
-    return x, dx, d2x, d3x, xi
+
+    def third():
+        su_w, cu_w = a * su * np.ones_like(w), a * cu * np.ones_like(w)
+        return _third_from_table({
+            (0, 0, 0): emb(su_w, n, -a * cu), (0, 0, 1): emb(-cu_w, nt, zeros),
+            (0, 0, 2): emb(-cu_w, npp, zeros), (0, 1, 1): emb(-su_w, ntt, zeros),
+            (0, 1, 2): emb(-su_w, ntp, zeros), (0, 2, 2): emb(-su_w, npp2, zeros),
+            (1, 1, 1): emb(w, -nt, zeros), (1, 1, 2): emb(w, -npp, zeros),
+            (1, 2, 2): emb(w, _vec(-ct * cp, -ct * sp, zeros), zeros),
+            (2, 2, 2): emb(w, _vec(st * sp, -st * cp, zeros), zeros),
+        }, 3)
+    return x, dx, d2x, xi, third
 
 
 def _catenoid_r31_jets(params, U, V):
@@ -519,7 +581,6 @@ def _catenoid_r31_jets(params, U, V):
     zeros = np.zeros_like(U)
     t1 = (1.0 + u * u) ** -0.5
     t2 = -u * (1.0 + u * u) ** -1.5
-    t3 = (2.0 * u * u - 1.0) * (1.0 + u * u) ** -2.5
 
     x = _vec(u * cv, u * sv, np.arcsinh(u))
     xu = _vec(cv, sv, t1)
@@ -527,20 +588,20 @@ def _catenoid_r31_jets(params, U, V):
     xuu = _vec(zeros, zeros, t2)
     xuv = _vec(-sv, cv, zeros)
     xvv = _vec(-u * cv, -u * sv, zeros)
-    xuuu = _vec(zeros, zeros, t3)
-    xuuv = np.zeros_like(x)
-    xuvv = _vec(-cv, -sv, zeros)
-    xvvv = _vec(u * sv, -u * cv, zeros)
 
     dx = np.stack([xu, xv], axis=-2)
     d2x = np.stack(
         [np.stack([xuu, xuv], axis=-2), np.stack([xuv, xvv], axis=-2)], axis=-3
     )
-    d3x = _third_from_table({
-        (0, 0, 0): xuuu, (0, 0, 1): xuuv, (0, 1, 1): xuvv, (1, 1, 1): xvvv,
-    }, 2)
     xi = _vec(cv / u, sv / u, np.sqrt(1.0 + u * u) / u)
-    return x, dx, d2x, d3x, xi
+
+    def third():
+        t3 = (2.0 * u * u - 1.0) * (1.0 + u * u) ** -2.5
+        return _third_from_table({
+            (0, 0, 0): _vec(zeros, zeros, t3), (0, 0, 1): np.zeros_like(x),
+            (0, 1, 1): _vec(-cv, -sv, zeros), (1, 1, 1): _vec(u * sv, -u * cv, zeros),
+        }, 2)
+    return x, dx, d2x, xi, third
 
 
 def _saddle_r30_jets(params, U, V):
@@ -561,11 +622,9 @@ def _saddle_r30_jets(params, U, V):
     d2x = np.stack(
         [np.stack([zero4, xuv], axis=-2), np.stack([xuv, zero4], axis=-2)], axis=-3
     )
-    d3x = np.zeros(x.shape[:-1] + (2, 2, 2, 4))
-
     half = 0.5 * (1.0 - c * c * (U * U + V * V))
     xi = _vec(half, -c * V, -c * U, half - 1.0)
-    return x, dx, d2x, d3x, xi
+    return x, dx, d2x, xi, lambda: np.zeros(x.shape[:-1] + (2, 2, 2, 4))
 
 
 def _third_from_table(table, m):
@@ -679,7 +738,7 @@ def _validate_patch(patch: SurfacePatch) -> None:
     if worst > tol:
         raise DegenerateSurfaceError(f"contact condition dx . xi = 0 fails at grid index {idx}")
 
-    idx = fd.nonpositive_index(first_fundamental(patch))
+    idx = fd.nonpositive_index(patch.I)
     if idx is not None:
         raise DegenerateSurfaceError(f"not an immersion (metric degenerates) at grid index {idx}")
     patch.shape  # first read runs the curvature screening of shape_data
@@ -706,7 +765,7 @@ def build_patch(spec: dict, scheme: str = "analytic", fd_order: int = 4) -> Surf
             raise UsageError(f"builtin {name!r} needs {entry['naxes']} parameter axes")
         grids = [g for g in axes.meshgrid()]
         params = spec.get("params", {})
-        x, dx, d2x, d3x, xi = entry["jets"](params, *grids)
+        x, dx, d2x, xi, third = entry["jets"](params, *grids)
 
         orientation = spec.get("normal", "outward")
         if orientation not in ("outward", "inward"):
@@ -716,18 +775,16 @@ def build_patch(spec: dict, scheme: str = "analytic", fd_order: int = 4) -> Surf
                 raise UsageError("the degenerate-space normal is unique; it cannot be flipped")
             xi = -xi
 
-        form = ambient_form_diag(space, x.shape[-1] if space != "r30" else x.shape[-1] - 1)
-        dxi, d2xi = _xi_jets_from_shape(x, dx, d2x, d3x, xi, form)
         n = x.shape[-1] if space != "r30" else x.shape[-1] - 1
         patch = SurfacePatch(
-            space=space, n=n, axes=axes, x=x, dx=dx, d2x=d2x,
-            xi=xi, dxi=dxi, d2xi=d2xi,
+            space=space, n=n, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
+            normal_jets=shape_normal_jets(third),
             metadata={"builtin": name, "params": dict(params), "jets": "analytic",
                       "normal": orientation},
         )
         _validate_patch(patch)
         if entry.get("zero_mean_curvature"):
-            S = patch.shape.S
+            S = patch.S
             mean_k = np.trace(S, axis1=-2, axis2=-1) / S.shape[-1]
             if np.abs(mean_k).max() > 1e-8:
                 raise DegenerateSurfaceError(
@@ -761,7 +818,8 @@ def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
                      for a in range(m)], axis=m)
     n = x.shape[-1] if space != "r30" else x.shape[-1] - 1
     patch = SurfacePatch(
-        space=space, n=n, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi, dxi=dxi, d2xi=d2xi,
+        space=space, n=n, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
+        normal_jets=given_normal_jets(dxi, d2xi),
         metadata={"builtin": "samples", "jets": "fd", "normal": "as-given"},
     )
     _validate_samples_patch(patch)
@@ -790,7 +848,7 @@ def _validate_samples_patch(patch: SurfacePatch) -> None:
             f"contact condition dx . xi = 0 fails on the sampled interior (max {worst:.3e})"
         )
 
-    idx = fd.nonpositive_index(first_fundamental(patch))
+    idx = fd.nonpositive_index(patch.I)
     if idx is not None:
         raise DegenerateSurfaceError(
             f"sampled patch is not an immersion on the interior at grid index {idx}"

@@ -40,9 +40,9 @@ import numpy as np
 
 from . import fd, lorentz
 from .errors import EmbeddingDomainError, UsageError
-from .hypersurface import laguerre_lift, patch_from_pencil
+from .hypersurface import patch_from_pencil
 from .patches import SurfacePatch, ambient_form_diag, nu_vector
-from .spheres import (ContactElement, Plane, ProjectivePoint, Sphere, _as_float_vector,
+from .spheres import (ContactElement, ProjectivePoint, _as_float_vector, classify_coord,
                       contact_from_pencil, coord_tail)
 
 UNIT_TOL = 1e-10
@@ -246,31 +246,22 @@ def embed_tau(c: ContactElementR30) -> ContactElement:
     return _embed_element(c, "r30")
 
 
+# The native coordinates of spheres and planes literally coincide with those
+# of their images, so each image is the Euclidean read-off of the raw
+# space-form coordinate.
+
 def sigma_sphere_image(s: HSphere | PlaneR31):
     """Euclidean element with the same quadric coordinate as a Lorentzian one."""
-    if isinstance(s, HSphere):
-        p0, p1 = s.center[:-1], s.center[-1]
-        return Sphere(center=np.concatenate([[-s.radius], p0]), radius=-p1)
-    if isinstance(s, PlaneR31):
-        xi1 = s.normal[-1]
-        if abs(xi1) < 1e-12:
-            raise EmbeddingDomainError("plane normal outside the embedding domain")
-        new_xi = np.concatenate([[1.0 / xi1], s.normal[:-1] / xi1])
-        return Plane(normal=new_xi / np.linalg.norm(new_xi), offset=s.offset / xi1)
-    raise UsageError("sigma maps Lorentzian elements")
+    if not isinstance(s, (HSphere, PlaneR31)):
+        raise UsageError("sigma maps Lorentzian elements")
+    return classify_coord(spaceform_sphere_coord(s))
 
 
 def tau_sphere_image(s: CSphere | PlaneR30):
     """Euclidean element with the same quadric coordinate as a degenerate one."""
-    if isinstance(s, CSphere):
-        r = s.radius
-        p0, p1 = s.p[1:-1], s.p[-1]
-        return Sphere(center=np.concatenate([[p1 - r], p0]), radius=-p1)
-    if isinstance(s, PlaneR30):
-        xi1 = s.normal[-1]
-        new_xi = np.concatenate([[1.0 + 1.0 / xi1], s.normal[1:-1] / xi1])
-        return Plane(normal=new_xi / np.linalg.norm(new_xi), offset=s.offset / xi1)
-    raise UsageError("tau maps degenerate-space elements")
+    if not isinstance(s, (CSphere, PlaneR30)):
+        raise UsageError("tau maps degenerate-space elements")
+    return classify_coord(spaceform_sphere_coord(s))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +316,7 @@ def distinguished_vector(space: str, n: int) -> np.ndarray:
 
 def proposition_pairings(patch: SurfacePatch) -> dict:
     """Defects of <Y, c> = rho and <eta, c> = r in the patch's space form."""
-    lift = laguerre_lift(patch)
+    lift = patch.lift
     c = distinguished_vector(patch.space, patch.n)
     return {
         "Y_pairing": fd.nanmax_abs(lorentz.inner(lift.Y, c) - lift.rho),
@@ -354,7 +345,7 @@ def transfer_check(native: SurfacePatch, embedded: SurfacePatch) -> dict:
 
     rho_defect = fd.nanmax_abs(shape_e.rho - np.abs(xi1) * shape_n.rho)
 
-    lift_n, lift_e = laguerre_lift(native), laguerre_lift(embedded)
+    lift_n, lift_e = native.lift, embedded.lift
     sign = np.sign(xi1)[..., None]
     Y_defect = fd.nanmax_abs(lift_e.Y - sign * lift_n.Y)
     eta_defect = fd.nanmax_abs(lift_e.eta - lift_n.eta)

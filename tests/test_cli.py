@@ -247,6 +247,31 @@ def counted(monkeypatch, module, name):
     return calls
 
 
+# Calls a command makes to functions whose results are read on demand: the
+# I Gram and the cone lift once per patch that needs them, the curvature
+# tensor and the spectra only for the commands that report them, and the
+# second normal jets only where a group action or an embedding reads them.
+LAZY = {"first_fundamental": patches, "laguerre_lift": patches, "_d2xi_from_shape": patches,
+        "riemann_tensor": fd, "grid_eigvalsh": fd, "selfadjoint_eigvals": fd}
+LAZY_CALLS = {
+    "analyze": (1, 1, 0, 1, 2, 1),
+    "minimality": (1, 1, 0, 0, 0, 0),
+    "volume": (1, 0, 0, 0, 0, 0),
+    "embed": (2, 2, 1, 1, 2, 1),
+    "compare": (3, 2, 1, 0, 4, 2),
+}
+
+
+def count_lazy(monkeypatch):
+    return {name: counted(monkeypatch, module, name) for name, module in LAZY.items()}
+
+
+def lazy_counts(calls, command):
+    """(got, expected) call counts, by function name."""
+    return ({name: len(c) for name, c in calls.items()},
+            dict(zip(LAZY, LAZY_CALLS[command])))
+
+
 @pytest.mark.parametrize("command, shape_calls, cov_d_calls", [
     ("analyze", 1, 1), ("minimality", 1, 1), ("volume", 1, 0), ("embed", 2, 1),
     ("compare", 3, 0),
@@ -258,6 +283,7 @@ def test_derived_fields_computed_once(command, shape_calls, cov_d_calls, torus_s
     # consumers read them.
     shapes = counted(monkeypatch, patches, "shape_data")
     cov_ds = counted(monkeypatch, fd, "cov_d_covector")
+    lazy = count_lazy(monkeypatch)
     argv = ["surface", command, "--spec", torus_spec_file]
     if command == "embed":
         argv[-1] = write(tmp_path, "cat.json", {"space": "r31", "builtin": "maximal_catenoid_r31"})
@@ -269,6 +295,20 @@ def test_derived_fields_computed_once(command, shape_calls, cov_d_calls, torus_s
     assert run(argv) == 0
     capsys.readouterr()
     assert (len(shapes), len(cov_ds)) == (shape_calls, cov_d_calls)
+    got, expected = lazy_counts(lazy, command)
+    assert got == expected
+
+
+@pytest.mark.parametrize("command", ["analyze", "minimality", "volume"])
+def test_torus4_commands_compute_only_what_they_read(command, tmp_path, monkeypatch, capsys):
+    # On n = 4 the second normal jets, the curvature tensor and the spectra
+    # are the largest fields nothing but some commands read.
+    lazy = count_lazy(monkeypatch)
+    spec = write(tmp_path, "torus4.json", {"builtin": "torus4"})
+    assert run(["surface", command, "--spec", spec]) == 0
+    capsys.readouterr()
+    got, expected = lazy_counts(lazy, command)
+    assert got == expected
 
 
 LAPACK = ("inv", "solve", "det", "cholesky", "eigvalsh", "eigh")
@@ -276,13 +316,14 @@ LAPACK = ("inv", "solve", "det", "cholesky", "eigvalsh", "eigh")
 
 @pytest.mark.parametrize("surface", ["torus", "torus4"])
 @pytest.mark.parametrize("command, eigh_calls, eigvalsh_calls", [
-    ("analyze", 1, 2), ("minimality", 1, 2), ("volume", 1, 0),
+    ("analyze", 1, 2), ("minimality", 1, 0), ("volume", 1, 0),
 ])
 def test_small_blocks_stay_off_lapack(surface, command, eigh_calls, eigvalsh_calls,
                                       torus_spec_file, tmp_path, monkeypatch, capsys):
     # Inverses, determinants and Cholesky factors of the 2x2/3x3 blocks are
     # closed forms; only the reported spectra reach LAPACK: the principal
-    # curvatures (one eigh per patch) and B_eigs/S_eigs (per analysis).
+    # curvatures (one eigh per patch) and B_eigs/S_eigs (per analysis that
+    # reports them; minimality reads neither).
     calls = {name: counted(monkeypatch, np.linalg, name) for name in LAPACK}
     spec = torus_spec_file
     if surface == "torus4":

@@ -110,13 +110,15 @@ def riemann_literal(g, Gamma, ngrid, hs, periodic):
 @PROPERTY
 @given(grids())
 def test_xi_jets_from_shape(case):
-    rng, m, N, shape, _, space = case
+    rng, m, N, shape, periodic, space = case
     x, dx, d2x, d3x, xi = jets(rng, m, N, shape)
     form = patches.ambient_form_diag(space, N)
-    got = patches._xi_jets_from_shape(x, dx, d2x, d3x, xi, form)
+    axes = patches.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic)
+    patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
+                                 normal_jets=patches.shape_normal_jets(lambda: d3x))
     ref = xi_jets_literal(x, dx, d2x, d3x, xi, form)
-    assert_close(got[0], ref[0])
-    assert_close(got[1], ref[1])
+    assert_close(patch.dxi, ref[0])
+    assert_close(patch.d2xi, ref[1])
 
 
 @PROPERTY
@@ -125,8 +127,8 @@ def test_fundamental_forms(case):
     rng, m, N, shape, periodic, space = case
     x, dx, d2x, d3x, xi = jets(rng, m, N, shape)
     axes = patches.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic)
-    patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, d2x=d2x,
-                                 xi=xi, dxi=dx, d2xi=d2x)
+    patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
+                                 normal_jets=patches.given_normal_jets(dx, d2x))
     form = patches.ambient_form_diag(space, N)
     assert_close(patches.first_fundamental(patch),
                  np.einsum("...ai,...bi,i->...ab", dx, dx, form))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,3 +323,46 @@ def test_compare_requires_matching_grids(torus_field):
     fld2 = hypersurface.analyze(p2)
     with pytest.raises(Exception, match="grid"):
         hypersurface.compare_invariants(torus_field, fld2)
+
+
+# --- fields computed on first read ------------------------------------------
+
+SMALL_TORUS4 = {"builtin": "torus4", "grid": {
+    "u": [-np.pi / 3, np.pi / 3, 21], "v": [np.pi / 4, 3 * np.pi / 4, 21],
+    "w": [0.0, 2 * np.pi, 12], "periodic": ["w"]}}
+# Values the build does not read, on the patch and on the analyzed field.
+PATCH_ON_READ = ("dxi", "d2xi", "third_form", "lift")
+FIELD_ON_READ = ("vielbein", "B_frame", "L_frame", "C_frame", "B_eigs", "S_op", "S_eigs",
+                 "riemann", "ricci", "scalar", "g_exact", "diagnostics", "DB", "DC", "divC",
+                 "LB")
+
+
+def read_all(names):
+    """Copies of every on-read value of a fresh torus4 patch and its field,
+    each taken when it is read in the order ``names``; the field is analyzed
+    when a name first needs it."""
+    patch = patches.build_patch(SMALL_TORUS4)
+    fld, values = None, {}
+    for name in names:
+        if name in FIELD_ON_READ and fld is None:
+            fld = hypersurface.analyze(patch)
+        values[name] = copy.deepcopy(getattr(fld if name in FIELD_ON_READ else patch, name))
+    return values
+
+
+def as_arrays(value):
+    if isinstance(value, dict):
+        return [np.asarray(value[k]) for k in sorted(value)]
+    if isinstance(value, patches.LaguerreLift):
+        return [value.y, value.Y, value.eta, value.rho, value.r]
+    return [value]
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(st.permutations(PATCH_ON_READ + FIELD_ON_READ))
+def test_on_read_fields_independent_of_read_order(order):
+    ref = read_all(PATCH_ON_READ + FIELD_ON_READ)
+    got = read_all(order)
+    for name, value in ref.items():
+        for a, b in zip(as_arrays(got[name]), as_arrays(value)):
+            assert np.array_equal(a, b, equal_nan=True), name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laguerre import fd, hypersurface, minimality, patches
+from laguerre import fd, hypersurface, minimality, patches, spaceforms
 from laguerre.errors import UsageError
 
 
@@ -96,3 +96,16 @@ def test_minimality_verdict_invariant_under_group(torus_patch, torus_field):
     s1, d1 = minimality.el_residual(torus_field)
     s2, d2 = minimality.el_residual(fld2)
     assert fd.nanmax_abs(d1 - d2) < 1e-6
+
+
+@pytest.mark.parametrize("native", ["catenoid_patch", "saddle_patch"])
+def test_bridge_crosscheck_is_null_when_both_sides_read_zero(native, request):
+    # On a minimal surface both sides of the bridge identity are below the
+    # verdict threshold, so their quotient would be noise over noise.
+    emb = spaceforms.embed_patch(request.getfixturevalue(native))
+    rep = minimality.minimality_report(hypersurface.analyze(emb))
+    assert rep.verdict == rep.lap_verdict == "minimal"
+    assert rep.max_laplacian_r <= rep.threshold
+    assert rep.max_el_scaled <= rep.threshold
+    assert rep.crosscheck is None
+    assert rep.to_json()["crosscheck_lap_r"] is None

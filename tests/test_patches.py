@@ -33,7 +33,7 @@ def test_torus_closed_form_shape(torus_patch, torus_shape):
 
 def test_structure_relation_dxi(torus_patch, torus_shape):
     # e_i(xi) = -k_i e_i(x): equivalently d(xi) + S-contracted dx vanishes
-    lhs = torus_patch.dxi + np.einsum("...gb,...gi->...bi", torus_shape.S, torus_patch.dx)
+    lhs = torus_patch.dxi + np.einsum("...gb,...gi->...bi", torus_patch.S, torus_patch.dx)
     assert np.abs(lhs).max() < 1e-12
     # and the analytic normal jets agree with finite differences of xi
     hs, per = torus_patch.axes.spacings, torus_patch.axes.periodic
@@ -41,8 +41,8 @@ def test_structure_relation_dxi(torus_patch, torus_shape):
     assert fd.nanmax_abs(torus_patch.dxi - dxi_fd) < 1e-4
 
 
-def test_principal_directions_orthonormal(torus_shape):
-    gram = np.einsum("...ia,...ab,...jb->...ij", torus_shape.dirs, torus_shape.I,
+def test_principal_directions_orthonormal(torus_patch, torus_shape):
+    gram = np.einsum("...ia,...ab,...jb->...ij", torus_shape.dirs, torus_patch.I,
                      torus_shape.dirs)
     assert np.abs(gram - np.eye(2)).max() < 1e-8
 
@@ -118,7 +118,7 @@ def test_bad_specs():
 
 
 def test_catenoid_zero_mean_curvature_oracle(catenoid_patch):
-    _, _, S = patches.shape_operator(catenoid_patch)
+    S = catenoid_patch.S
     mean_k = np.trace(S, axis1=-2, axis2=-1) / 2.0
     assert np.abs(mean_k).max() < 1e-12
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laguerre import fd, hypersurface, lorentz, patches, spaceforms, spheres
 from laguerre.errors import EmbeddingDomainError, UsageError
@@ -114,6 +116,60 @@ def test_tau_sphere_map_matches_coordinates():
         assert spaceforms.spaceform_sphere_coord(CSphere(p)).same_point(
             spheres.sphere_coord(img), tol=1e-9
         )
+
+
+def sigma_image_literal(s):
+    """The closed forms of the Lorentzian sphere images."""
+    if isinstance(s, HSphere):
+        return spheres.Sphere(np.concatenate([[-s.radius], s.center[:-1]]), -s.center[-1])
+    xi1 = s.normal[-1]
+    xi = np.concatenate([[1.0 / xi1], s.normal[:-1] / xi1])
+    return spheres.Plane(xi / np.linalg.norm(xi), s.offset / xi1)
+
+
+def tau_image_literal(s):
+    """The closed forms of the degenerate-space sphere images."""
+    if isinstance(s, CSphere):
+        p0, p1 = s.p[1:-1], s.p[-1]
+        return spheres.Sphere(np.concatenate([[p1 - s.radius], p0]), -p1)
+    xi1 = s.normal[-1]
+    xi = np.concatenate([[1.0 + 1.0 / xi1], s.normal[1:-1] / xi1])
+    return spheres.Plane(xi / np.linalg.norm(xi), s.offset / xi1)
+
+
+coords = st.floats(-4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def spaceform_elements(draw):
+    kind = draw(st.sampled_from(["hsphere", "plane_r31", "csphere", "plane_r30"]))
+    v = np.array(draw(st.lists(coords, min_size=4, max_size=4)))
+    if kind == "hsphere":
+        return HSphere(v[:3], v[3])
+    if kind == "csphere":
+        return CSphere(v)
+    xi0 = 0.5 * v[:2]
+    if kind == "plane_r31":
+        sign = 1.0 if v[2] >= 0 else -1.0
+        return PlaneR31(np.concatenate([xi0, [sign * np.sqrt(1 + xi0 @ xi0)]]), v[3])
+    xi1 = -(1 + xi0 @ xi0) / 2
+    return PlaneR30(np.concatenate([[xi1 + 1], xi0, [xi1]]), v[3])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(spaceform_elements())
+def test_sphere_images_match_closed_forms(s):
+    if isinstance(s, (HSphere, PlaneR31)):
+        got, ref = spaceforms.sigma_sphere_image(s), sigma_image_literal(s)
+    else:
+        got, ref = spaceforms.tau_sphere_image(s), tau_image_literal(s)
+    assert type(got) is type(ref)
+    if isinstance(ref, spheres.Sphere):
+        pairs = [(got.center, ref.center), (got.radius, ref.radius)]
+    else:
+        pairs = [(got.normal, ref.normal), (got.offset, ref.offset)]
+    for a, b in pairs:
+        assert np.abs(np.asarray(a) - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
 
 
 def test_embeddings_preserve_oriented_contact():
