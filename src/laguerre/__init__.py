@@ -15,14 +15,15 @@ from .group import (BlockData, Factorization, LaguerreTransform, act_on_contact,
                     act_on_coord, compose_script, decompose, from_blocks,
                     generator, hyperbolic, isometry, parabolic, random_transform,
                     to_blocks)
+from .fd import GridAxes
 from .hypersurface import (InvariantField, LaguerreFrame, analyze, compare_invariants,
-                           laguerre_metric, laguerre_volume, structural_residuals,
-                           transform_patch, volume_via_curvature_quotient)
+                           laguerre_volume, structural_residuals, transform_patch,
+                           volume_via_curvature_quotient)
 from .lorentz import causal_type, inner, is_laguerre_matrix, signature_matrix, wp
 from .minimality import (MinimalityReport, el_residual, minimality_report,
                          third_form_laplacian_r)
-from .patches import (GridAxes, LaguerreLift, ShapeData, SurfacePatch, build_patch,
-                      laguerre_lift, shape_data)
+from .patches import (LaguerreLift, ShapeData, SurfacePatch, build_patch, laguerre_lift,
+                      shape_data)
 from .spaceforms import (ContactElementR30, ContactElementR31, CSphere, HSphere,
                          PlaneR30, PlaneR31, embed_patch, embed_sigma, embed_tau,
                          proposition_pairings, spaceform_sphere_coord,

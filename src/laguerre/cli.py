@@ -101,9 +101,20 @@ def _refined_spec(path: str, refine: int) -> dict:
     return spec
 
 
-def _build_patch_from_args(args) -> patches.SurfacePatch:
-    spec = _refined_spec(args.spec, args.grid_refine)
+def _build_patch_from_args(args, path: str) -> patches.SurfacePatch:
+    """Patch of the spec at ``path``; its grid carries the stencil order."""
+    spec = _refined_spec(path, args.grid_refine)
     return patches.build_patch(spec, fd_order=args.fd_order)
+
+
+def _euclidean_patch(args, path: str) -> patches.SurfacePatch:
+    """Patch of the spec at ``path`` in R^n: space-form patches are embedded.
+
+    Euclidean patches skip ``embed_patch``, an identity on them, so layer
+    traces count only real embeddings.
+    """
+    patch = _build_patch_from_args(args, path)
+    return patch if patch.space == "r3" else spaceforms.embed_patch(patch)
 
 
 def cmd_spheres_contact(args) -> int:
@@ -232,10 +243,8 @@ def _strict_gate(residuals: dict, tol: float) -> None:
 
 
 def cmd_surface_analyze(args) -> int:
-    patch = _build_patch_from_args(args)
-    if patch.space != "r3":
-        patch = spaceforms.embed_patch(patch)
-    fld = hypersurface.analyze(patch, order=args.fd_order)
+    patch = _euclidean_patch(args, args.spec)
+    fld = hypersurface.analyze(patch)
     residuals = hypersurface.structural_residuals(fld)
     payload = _analysis_payload(patch, fld, residuals)
     payload["seed"] = args.seed
@@ -248,10 +257,7 @@ def cmd_surface_analyze(args) -> int:
 
 
 def cmd_surface_minimality(args) -> int:
-    patch = _build_patch_from_args(args)
-    if patch.space != "r3":
-        patch = spaceforms.embed_patch(patch)
-    fld = hypersurface.analyze(patch, order=args.fd_order)
+    fld = hypersurface.analyze(_euclidean_patch(args, args.spec))
     rep = minimality.minimality_report(fld, threshold=args.threshold)
     payload = rep.to_json()
     payload["seed"] = args.seed
@@ -262,9 +268,7 @@ def cmd_surface_minimality(args) -> int:
 
 
 def cmd_surface_volume(args) -> int:
-    patch = _build_patch_from_args(args)
-    if patch.space != "r3":
-        patch = spaceforms.embed_patch(patch)
+    patch = _euclidean_patch(args, args.spec)
     payload = {"volume": hypersurface.laguerre_volume(patch), "seed": args.seed}
     if patch.n == 3:
         payload["volume_curvature_form"] = hypersurface.volume_via_curvature_quotient(patch)
@@ -278,18 +282,13 @@ def cmd_surface_volume(args) -> int:
 
 
 def cmd_surface_compare(args) -> int:
-    p1 = _build_patch_from_args(args)
-    spec2 = _refined_spec(args.spec2, args.grid_refine)
-    p2 = patches.build_patch(spec2, fd_order=args.fd_order)
-    if p1.space != "r3":
-        p1 = spaceforms.embed_patch(p1)
-    if p2.space != "r3":
-        p2 = spaceforms.embed_patch(p2)
+    p1 = _euclidean_patch(args, args.spec)
+    p2 = _euclidean_patch(args, args.spec2)
     if args.transform:
         T = group.compose_script(_load_json(args.transform))
         p2 = hypersurface.transform_patch(T, p2)
-    f1 = hypersurface.analyze(p1, order=args.fd_order)
-    f2 = hypersurface.analyze(p2, order=args.fd_order)
+    f1 = hypersurface.analyze(p1)
+    f2 = hypersurface.analyze(p2)
     payload = hypersurface.compare_invariants(f1, f2)
     payload["seed"] = args.seed
     if args.strict:
@@ -299,12 +298,12 @@ def cmd_surface_compare(args) -> int:
 
 
 def cmd_surface_embed(args) -> int:
-    native = _build_patch_from_args(args)
+    native = _build_patch_from_args(args, args.spec)
     if native.space == "r3":
         raise UsageError("embed expects a space tag 'r31' or 'r30' in the spec")
     embedded = spaceforms.embed_patch(native)
     transfer = spaceforms.transfer_check(native, embedded)
-    fld = hypersurface.analyze(embedded, order=args.fd_order)
+    fld = hypersurface.analyze(embedded)
     residuals = hypersurface.structural_residuals(fld)
     rep = minimality.minimality_report(fld, threshold=args.threshold)
     payload = {
@@ -329,13 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write JSON here instead of stdout")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 5 when a checked quantity exceeds the tolerance")
-        p.add_argument("--fd-order", type=int, choices=(2, 4), default=4)
-        p.add_argument("--grid-refine", type=int, default=1,
-                       help="multiply every axis count by this factor")
 
     sp = sub.add_parser("spheres", help="oriented contact of two elements")
     spsub = sp.add_subparsers(dest="subcommand", required=True)
@@ -343,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--a", required=True)
     pc.add_argument("--b", required=True)
     common(pc)
+    pc.add_argument("--tol", type=float, default=None, help="tolerance override")
     pc.set_defaults(func=cmd_spheres_contact)
 
     gp = sub.add_parser("group", help="compose or factor transforms")
@@ -381,6 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threshold", type=float, default=None,
                            help="minimality verdict threshold")
         common(p)
+        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--strict", action="store_true",
+                       help="exit 5 when a checked quantity exceeds the tolerance")
+        p.add_argument("--fd-order", type=int, choices=(2, 4), default=4,
+                       help="order of the central-difference stencil of the grid")
+        p.add_argument("--grid-refine", type=int, default=1,
+                       help="multiply every axis count by this factor")
         p.set_defaults(func=func)
     return parser
 

@@ -1,18 +1,22 @@
 """Finite differences and tensor calculus on rectangular parameter grids.
 
-Fields are numpy arrays whose leading ``ngrid`` axes are grid axes and
-whose remaining axes are component axes.  Derivatives use central stencils
-only (2nd or 4th order).  Periodic axes wrap; on non-periodic axes the
-stencil radius is unavailable near the boundary and those layers are set
-to NaN.  NaN propagates through every later pointwise or stencil
-operation, so the valid interior shrinks automatically with each cascaded
-derivative and reductions must be NaN-aware.
+A ``GridAxes`` describes the grid and carries its stencil: the order (2 or
+4) of the central differences every grid-level kernel here takes, fixed
+when the grid is built.  Fields are numpy arrays whose leading axes are
+the grid axes and whose remaining axes are component axes.  Periodic
+axes wrap; on non-periodic axes the stencil radius is unavailable near
+the boundary and those layers are set to NaN.  NaN propagates through
+every later pointwise or stencil operation, so the valid interior shrinks
+by the stencil radius with each cascaded derivative and reductions must
+be NaN-aware.
 
 Derivative outputs insert the direction axis right after the grid axes:
 gradient of a (*G, k) field is (*G, m, k) with m directions.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,17 +26,53 @@ from .errors import InsufficientInteriorError, UsageError
 RADIUS = {2: 1, 4: 2}
 
 
-def spacing(lo: float, hi: float, count: int, periodic: bool) -> float:
-    """Grid step; periodic axes exclude the right endpoint."""
-    if count < 4:
-        raise UsageError("need at least 4 points per axis")
-    return (hi - lo) / (count if periodic else count - 1)
+@dataclass(frozen=True)
+class GridAxes:
+    """Rectangular parameter grid: names, ranges, counts, periodicity and
+    the order of its central-difference stencil."""
 
+    names: tuple
+    los: tuple
+    his: tuple
+    counts: tuple
+    periodic: tuple
+    order: int
 
-def axis_coords(lo: float, hi: float, count: int, periodic: bool) -> np.ndarray:
-    if periodic:
-        return lo + (hi - lo) * np.arange(count) / count
-    return np.linspace(lo, hi, count)
+    def __post_init__(self):
+        m = len(self.names)
+        if not (len(self.los) == len(self.his) == len(self.counts) == len(self.periodic) == m):
+            raise UsageError("inconsistent grid axis description")
+        for count in self.counts:
+            if count < 6:
+                raise UsageError("need at least 6 samples per axis")
+        if self.order not in RADIUS:
+            raise UsageError(f"unsupported stencil order {self.order}")
+
+    @property
+    def ndim(self) -> int:
+        return len(self.names)
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(self.counts)
+
+    @property
+    def spacings(self) -> tuple:
+        """Grid steps; periodic axes exclude the right endpoint."""
+        return tuple(
+            (hi - lo) / (c if p else c - 1)
+            for lo, hi, c, p in zip(self.los, self.his, self.counts, self.periodic)
+        )
+
+    def coords(self):
+        """1-d coordinate arrays, one per axis."""
+        return [
+            lo + (hi - lo) * np.arange(c) / c if p else np.linspace(lo, hi, c)
+            for lo, hi, c, p in zip(self.los, self.his, self.counts, self.periodic)
+        ]
+
+    def meshgrid(self):
+        return np.meshgrid(*self.coords(), indexing="ij")
 
 
 def _shift(f: np.ndarray, offset: int, axis: int, periodic: bool) -> np.ndarray:
@@ -54,8 +94,8 @@ def _shift(f: np.ndarray, offset: int, axis: int, periodic: bool) -> np.ndarray:
     return out
 
 
-def diff(f: np.ndarray, axis: int, h: float, periodic: bool, order: int = 4) -> np.ndarray:
-    """First derivative along one grid axis (central stencil)."""
+def diff(f: np.ndarray, axis: int, h: float, periodic: bool, order: int) -> np.ndarray:
+    """First derivative along one grid axis (central stencil of ``order``)."""
     if order not in RADIUS:
         raise UsageError(f"unsupported stencil order {order}")
     s = lambda k: _shift(f, k, axis, periodic)
@@ -64,24 +104,15 @@ def diff(f: np.ndarray, axis: int, h: float, periodic: bool, order: int = 4) -> 
     return (s(-2) - 8.0 * s(-1) + 8.0 * s(1) - s(2)) / (12.0 * h)
 
 
-def diff2(f: np.ndarray, axis: int, h: float, periodic: bool, order: int = 4) -> np.ndarray:
-    """Pure second derivative along one grid axis (central stencil)."""
-    if order not in RADIUS:
-        raise UsageError(f"unsupported stencil order {order}")
-    s = lambda k: _shift(f, k, axis, periodic)
-    if order == 2:
-        return (s(1) - 2.0 * f + s(-1)) / (h * h)
-    return (-s(-2) + 16.0 * s(-1) - 30.0 * f + 16.0 * s(1) - s(2)) / (12.0 * h * h)
-
-
-def gradient(f: np.ndarray, ngrid: int, hs, periodic, order: int = 4) -> np.ndarray:
+def gradient(f: np.ndarray, grid: GridAxes) -> np.ndarray:
     """Stack of first derivatives along every grid axis.
 
     Output shape (*G, m, *C): the new direction axis sits at position
-    ``ngrid``.
+    ``grid.ndim``.
     """
-    parts = [diff(f, axis, hs[axis], periodic[axis], order) for axis in range(ngrid)]
-    return np.stack(parts, axis=ngrid)
+    parts = [diff(f, axis, h, per, grid.order)
+             for axis, (h, per) in enumerate(zip(grid.spacings, grid.periodic))]
+    return np.stack(parts, axis=grid.ndim)
 
 
 # Pointwise contractions are staged as batched matrix products over the
@@ -108,10 +139,10 @@ def metric_pairing(P: np.ndarray, Q: np.ndarray, ginv: np.ndarray) -> np.ndarray
     return np.einsum("...ab,...ab->...", P, raised)
 
 
-def require_interior(counts, periodic, order: int, levels: int) -> None:
+def require_interior(grid: GridAxes, levels: int) -> None:
     """Fail early when a cascade of ``levels`` derivatives eats the grid."""
-    margin = RADIUS[order] * levels
-    for count, per in zip(counts, periodic):
+    margin = RADIUS[grid.order] * levels
+    for count, per in zip(grid.counts, grid.periodic):
         if not per and count <= 2 * margin + 2:
             raise InsufficientInteriorError(
                 f"axis with {count} points cannot support {levels} cascaded "
@@ -297,12 +328,11 @@ def selfadjoint_eigvals(endo: np.ndarray, metric: np.ndarray,
     return grid_eigvalsh(cholesky_reduce(metric @ endo, Linv))
 
 
-def christoffel(g: np.ndarray, ngrid: int, hs, periodic, order: int = 4,
-                ginv: np.ndarray | None = None) -> np.ndarray:
-    """Christoffel symbols Gamma^c_{ab} of a metric field g (*G, m, m)."""
-    if ginv is None:
-        ginv = grid_inv(g)
-    dg = gradient(g, ngrid, hs, periodic, order)  # (*G, d, a, b)
+def christoffel(g: np.ndarray, grid: GridAxes, ginv: np.ndarray) -> np.ndarray:
+    """Christoffel symbols Gamma^c_{ab} of a metric field g (*G, m, m) with
+    inverse ``ginv``."""
+    ngrid = grid.ndim
+    dg = gradient(g, grid)  # (*G, d, a, b)
     low = 0.5 * (
         np.moveaxis(dg, ngrid, ngrid + 1)          # [c, a, b] <- dg[a, c, b]
         + np.moveaxis(dg, ngrid, ngrid + 2)        # [c, a, b] <- dg[b, c, a] (with symmetry of g)
@@ -315,20 +345,18 @@ def christoffel(g: np.ndarray, ngrid: int, hs, periodic, order: int = 4,
     return (ginv @ low.reshape(lead + (m, m * m))).reshape(lead + (m, m, m))
 
 
-def cov_d_covector(C: np.ndarray, Gamma: np.ndarray, ngrid: int, hs, periodic,
-                   order: int = 4) -> np.ndarray:
+def cov_d_covector(C: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
     """nabla_c C_a for a covector field C (*G, m); output (*G, c, a)."""
-    dC = gradient(C, ngrid, hs, periodic, order)
+    dC = gradient(C, grid)
     m = C.shape[-1]
     lead = C.shape[:-1]
     corr = C[..., None, :] @ Gamma.reshape(lead + (m, m * m))   # Gamma^e_ca C_e
     return dC - corr.reshape(lead + (m, m))
 
 
-def cov_d_tensor2(T: np.ndarray, Gamma: np.ndarray, ngrid: int, hs, periodic,
-                  order: int = 4) -> np.ndarray:
+def cov_d_tensor2(T: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
     """nabla_c T_ab for a covariant 2-tensor (*G, m, m); output (*G, c, a, b)."""
-    dT = gradient(T, ngrid, hs, periodic, order)
+    dT = gradient(T, grid)
     m = T.shape[-1]
     lead = T.shape[:-2]
     G2 = Gamma.reshape(lead + (m, m * m))                       # [e, (c x)]
@@ -337,10 +365,9 @@ def cov_d_tensor2(T: np.ndarray, Gamma: np.ndarray, ngrid: int, hs, periodic,
     return dT - corr_a - np.swapaxes(corr_b, -3, -2)
 
 
-def cov_d_tensor3(U: np.ndarray, Gamma: np.ndarray, ngrid: int, hs, periodic,
-                  order: int = 4) -> np.ndarray:
+def cov_d_tensor3(U: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
     """nabla_d U_cab for a covariant 3-tensor (*G, m, m, m); output (*G, d, c, a, b)."""
-    dU = gradient(U, ngrid, hs, periodic, order)
+    dU = gradient(U, grid)
     m = U.shape[-1]
     lead = U.shape[:-3]
     G2 = Gamma.reshape(lead + (m, m * m))                       # [e, (d x)]
@@ -356,35 +383,35 @@ def cov_d_tensor3(U: np.ndarray, Gamma: np.ndarray, ngrid: int, hs, periodic,
     return dU - corr_c - corr_a - corr_b
 
 
-def laplace_beltrami(f: np.ndarray, ngrid: int, ginv: np.ndarray, sqrt_det: np.ndarray,
-                     hs, periodic, order: int = 4) -> np.ndarray:
+def laplace_beltrami(f: np.ndarray, ginv: np.ndarray, sqrt_det: np.ndarray,
+                     grid: GridAxes) -> np.ndarray:
     """Laplace-Beltrami operator (1/sqrt g) d_a(sqrt g g^{ab} d_b f).
 
     f may carry component axes; ginv is (*G, m, m) and sqrt_det (*G).
     """
+    ngrid = grid.ndim
     grid_shape = f.shape[:ngrid]
     comp_shape = f.shape[ngrid:]
     fw = f.reshape(grid_shape + (-1,))             # (*G, K)
-    df = gradient(fw, ngrid, hs, periodic, order)  # (*G, b, K)
+    df = gradient(fw, grid)                        # (*G, b, K)
     flux = ginv @ df
     weighted = sqrt_det[..., None, None] * flux
     div = sum(
-        diff(np.take(weighted, a, axis=ngrid), a, hs[a], periodic[a], order)
-        for a in range(ngrid)
+        diff(np.take(weighted, a, axis=ngrid), a, h, per, grid.order)
+        for a, (h, per) in enumerate(zip(grid.spacings, grid.periodic))
     )
     out = div / sqrt_det[..., None]
     return out.reshape(grid_shape + comp_shape)
 
 
-def riemann_tensor(g: np.ndarray, Gamma: np.ndarray, ngrid: int, hs, periodic,
-                   order: int = 4) -> np.ndarray:
+def riemann_tensor(g: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
     """Lowered curvature tensor of a metric field.
 
     Sign and slot convention: the round sphere comes out positive through
     both K = R_{abab} / (g_aa g_bb - g_ab^2) and the Ricci contraction
     Ric_{ac} = g^{bd} R_{abcd}.
     """
-    dG = gradient(Gamma, ngrid, hs, periodic, order)  # (*G, deriv, e, i, j)
+    dG = gradient(Gamma, grid)  # (*G, deriv, e, i, j)
     m = g.shape[-1]
     lead = g.shape[:-2]
     # GG[d, x, y, z] = Gamma^d_{xe} Gamma^e_{yz} holds both quadratic terms of
@@ -436,12 +463,13 @@ def simpson(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def integrate(field: np.ndarray, hs, periodic) -> float:
+def integrate(field: np.ndarray, grid: GridAxes) -> float:
     """Integral of a grid scalar: rectangle rule on periodic axes (which is
     spectrally accurate there), composite Simpson on bounded axes."""
     work = np.asarray(field, dtype=float)
     if np.isnan(work).any():
         raise UsageError("quadrature over a field with invalid (NaN) entries")
+    hs, periodic = grid.spacings, grid.periodic
     for axis in reversed(range(work.ndim)):
         if periodic[axis]:
             work = work.sum(axis=axis) * hs[axis]

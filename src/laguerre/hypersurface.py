@@ -16,9 +16,10 @@ Gram-Schmidt on the coordinate derivatives, and the tensor fields
     B_ab = <d_a eta, d_b Y>,  L_ab = <d_a N, d_b Y>,  C_a = -<d_a N, eta>,
 
 together with the shape operator rho^{-1}(S^{-1} - r id).  Everything
-built from derivatives of grid fields uses cascaded central differences;
-the valid interior shrinks by the stencil radius per cascade level on
-non-periodic axes and reductions are NaN-aware.
+built from derivatives of grid fields uses cascaded central differences
+of the order the patch grid carries; the valid interior shrinks by the
+stencil radius per cascade level on non-periodic axes and reductions are
+NaN-aware.
 
 ``analyze`` computes a core up front: the lift (cached on the patch), g,
 its inverse and volume element, Gamma, dY, Delta Y, N, B, L and C, and it
@@ -94,7 +95,6 @@ class InvariantField:
     """
 
     patch: SurfacePatch
-    order: int
     g: np.ndarray
     ginv: np.ndarray
     sqrt_det: np.ndarray
@@ -121,11 +121,6 @@ class InvariantField:
             Y=self.lift.Y, N=self.N, EY=EY, eta=self.lift.eta,
             wp=lorentz.wp(self.patch.n),
         )
-
-    def cov_d(self, kernel, T: np.ndarray) -> np.ndarray:
-        """Covariant derivative of T by ``kernel`` (an ``fd.cov_d_*``) on this grid."""
-        axes = self.patch.axes
-        return kernel(T, self.Gamma, axes.ndim, axes.spacings, axes.periodic, self.order)
 
     @cached_property
     def vielbein(self) -> np.ndarray:
@@ -166,9 +161,7 @@ class InvariantField:
 
     @cached_property
     def riemann(self) -> np.ndarray:
-        axes = self.patch.axes
-        return fd.riemann_tensor(self.g, self.Gamma, axes.ndim, axes.spacings,
-                                 axes.periodic, self.order)
+        return fd.riemann_tensor(self.g, self.Gamma, self.patch.axes)
 
     @cached_property
     def ricci(self) -> np.ndarray:
@@ -197,12 +190,12 @@ class InvariantField:
     @cached_property
     def DB(self) -> np.ndarray:
         """nabla_c B_ab, slots (c, a, b)."""
-        return self.cov_d(fd.cov_d_tensor2, self.B)
+        return fd.cov_d_tensor2(self.B, self.Gamma, self.patch.axes)
 
     @cached_property
     def DC(self) -> np.ndarray:
         """nabla_c C_a, slots (c, a)."""
-        return self.cov_d(fd.cov_d_covector, self.C)
+        return fd.cov_d_covector(self.C, self.Gamma, self.patch.axes)
 
     @cached_property
     def divC(self) -> np.ndarray:
@@ -215,25 +208,18 @@ class InvariantField:
         return fd.metric_pairing(self.L, self.B, self.ginv)
 
 
-def laguerre_metric(Y: np.ndarray, axes: patches.GridAxes, order: int = 4) -> np.ndarray:
-    """Metric components <d_a Y, d_b Y> in parameter coordinates."""
-    dY = fd.gradient(Y, axes.ndim, axes.spacings, axes.periodic, order)
-    return fd.gram(dY, dY, lorentz.signature(Y.shape[-1] - 3))
-
-
-def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
-    """Compute the core invariant fields of one patch; the rest follow on read."""
+def analyze(patch: SurfacePatch) -> InvariantField:
+    """Compute the core invariant fields of one patch, with the stencil of
+    its grid; the rest follow on read."""
     if patch.space != "r3":
         raise UsageError("analyze needs an r3 patch; embed space forms first")
     axes = patch.axes
-    m = axes.ndim
-    hs, per = axes.spacings, axes.periodic
-    fd.require_interior(axes.counts, per, order, MAX_CASCADE_LEVELS)
+    fd.require_interior(axes, MAX_CASCADE_LEVELS)
 
     lift = patch.lift
     sig = lorentz.signature(patch.n)
 
-    dY = fd.gradient(lift.Y, m, hs, per, order)
+    dY = fd.gradient(lift.Y, axes)
     g = fd.gram(dY, dY, sig)
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
     minors = fd.leading_minors(g)
@@ -242,15 +228,15 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
     ginv = fd.grid_inv(g)
     det = minors[-1]
     sqrt_det = np.sqrt(np.where(np.isfinite(det) & (det > 0), det, np.nan))
-    Gamma = fd.christoffel(g, m, hs, per, order, ginv=ginv)
+    Gamma = fd.christoffel(g, axes, ginv)
 
-    lapY = fd.laplace_beltrami(lift.Y, m, ginv, sqrt_det, hs, per, order)
+    lapY = fd.laplace_beltrami(lift.Y, ginv, sqrt_det, axes)
     lap_norm = lorentz.inner(lapY, lapY)
     nm1 = patch.n - 1
     N = lapY / nm1 + (lap_norm / (2.0 * nm1 * nm1))[..., None] * lift.Y
 
-    dN = fd.gradient(N, m, hs, per, order)
-    deta = fd.gradient(lift.eta, m, hs, per, order)
+    dN = fd.gradient(N, axes)
+    deta = fd.gradient(lift.eta, axes)
 
     B_raw = fd.gram(deta, dY, sig)
     B = 0.5 * (B_raw + np.swapaxes(B_raw, -1, -2))
@@ -259,8 +245,7 @@ def analyze(patch: SurfacePatch, order: int = 4) -> InvariantField:
     C = -fd.contract_last(dN, lift.eta * sig)
 
     return InvariantField(
-        patch=patch, order=order,
-        g=g, ginv=ginv, sqrt_det=sqrt_det, Gamma=Gamma,
+        patch=patch, g=g, ginv=ginv, sqrt_det=sqrt_det, Gamma=Gamma,
         dY=dY, lapY=lapY, lap_norm=lap_norm, N=N, deta=deta,
         B_raw=B_raw, B=B, L=L, C=C,
     )
@@ -292,7 +277,7 @@ def structural_residual_fields(fld: InvariantField) -> dict:
     g, ginv = fld.g, fld.ginv
     n = fld.patch.n
 
-    DL = fld.cov_d(fd.cov_d_tensor2, fld.L)
+    DL = fd.cov_d_tensor2(fld.L, fld.Gamma, fld.patch.axes)
     DB, DC = fld.DB, fld.DC
 
     def flat(resid):
@@ -344,7 +329,7 @@ def laguerre_volume(patch: SurfacePatch) -> float:
     shape = patch.shape
     dM = np.sqrt(fd.grid_det(patch.I))
     integrand = shape.rho ** (patch.n - 1) / np.prod(shape.radii, axis=-1) * dM
-    return fd.integrate(integrand, patch.axes.spacings, patch.axes.periodic)
+    return fd.integrate(integrand, patch.axes)
 
 
 def volume_via_curvature_quotient(patch: SurfacePatch) -> float:
@@ -357,7 +342,7 @@ def volume_via_curvature_quotient(patch: SurfacePatch) -> float:
     K = k1 * k2
     dM = np.sqrt(fd.grid_det(patch.I))
     integrand = 2.0 * (H * H - K) / K * dM
-    return fd.integrate(integrand, patch.axes.spacings, patch.axes.periodic)
+    return fd.integrate(integrand, patch.axes)
 
 
 def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:

@@ -79,14 +79,13 @@ def el_residual(fld: InvariantField):
     div C - <L, B>/(n - 2).  The first equals (n - 2) times the second up
     to discretization error.
     """
-    DDB = fld.cov_d(fd.cov_d_tensor3, fld.DB)
+    DDB = fd.cov_d_tensor3(fld.DB, fld.Gamma, fld.patch.axes)
     sum_form = double_divergence(DDB, fld.ginv) - fld.LB
     div_form = fld.divC - fld.LB / (fld.patch.n - 2)
     return sum_form, div_form
 
 
-def third_form_laplacian_r(patch: SurfacePatch, r: np.ndarray,
-                           order: int = 4) -> np.ndarray:
+def third_form_laplacian_r(patch: SurfacePatch, r: np.ndarray) -> np.ndarray:
     """Laplace-Beltrami of the third fundamental form applied to a grid
     field ``r``, the mean curvature radius in the criterion (surfaces only)."""
     if patch.n != 3:
@@ -94,9 +93,7 @@ def third_form_laplacian_r(patch: SurfacePatch, r: np.ndarray,
     IIIinv = fd.grid_inv(patch.third_form)
     det = fd.grid_det(patch.third_form)
     sqrt_det = np.sqrt(np.where(np.isfinite(det) & (det > 0), det, np.nan))
-    m = patch.axes.ndim
-    return fd.laplace_beltrami(r, m, IIIinv, sqrt_det,
-                               patch.axes.spacings, patch.axes.periodic, order)
+    return fd.laplace_beltrami(r, IIIinv, sqrt_det, patch.axes)
 
 
 def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
@@ -106,11 +103,7 @@ def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
     equal to 1, tangent components (n - 3) C_i and a Y component equal to
     -div C + <L, B>; each defect is a free end-to-end consistency check.
     """
-    axes = fld.patch.axes
-    m = axes.ndim
-    hs, per = axes.spacings, axes.periodic
-    lap_eta = fd.laplace_beltrami(fld.lift.eta, m, fld.ginv, fld.sqrt_det,
-                                  hs, per, fld.order)
+    lap_eta = fd.laplace_beltrami(fld.lift.eta, fld.ginv, fld.sqrt_det, fld.patch.axes)
     n = fld.patch.n
     inner = lorentz.inner
 
@@ -165,7 +158,7 @@ def minimality_report(fld: InvariantField,
     lap_verdict = None
     crosscheck = None
     if n == 3:
-        lap = third_form_laplacian_r(fld.patch, fld.lift.r, fld.order)
+        lap = third_form_laplacian_r(fld.patch, fld.lift.r)
         lap_r = fd.nanmax_abs(lap)
         lap_verdict = "minimal" if lap_r <= threshold else "non-minimal"
         bridge_rhs = rho3 * (-fld.divC + fld.LB)

@@ -14,7 +14,9 @@ Builtin surfaces supply x-jets to third order analytically; the normal
 jets are then produced exactly through the shape operator (the relation
 d(xi) = -dx o S and its derivative), so no hand-differentiated normals
 are needed anywhere.  Sampled ("samples") patches fall back to central
-finite differences for every jet.
+finite differences for every jet.  The grid of a patch (``fd.GridAxes``)
+carries the stencil order given to ``build_patch``; every patch mapped
+from it keeps that grid, so the order reaches every later derivative.
 
 What a patch computes is pulled by what reads it.  The build computes x,
 dx, d2x and xi and screens the patch, which reads I, II, I^{-1}, S, the
@@ -46,50 +48,6 @@ UMBILIC_TOL_FACTOR = 1e-8        # times patch diameter
 CURVATURE_ZERO_FACTOR = 1e-10    # divided by patch diameter
 CROSSING_SPIKE_FACTOR = 20.0     # kink spike over the smooth second-difference level
 CROSSING_GAP_FRACTION = 0.5      # of the median gap: "locally collapsed"
-
-
-@dataclass(frozen=True)
-class GridAxes:
-    """Rectangular parameter grid: names, ranges, counts, periodicity."""
-
-    names: tuple
-    los: tuple
-    his: tuple
-    counts: tuple
-    periodic: tuple
-
-    def __post_init__(self):
-        m = len(self.names)
-        if not (len(self.los) == len(self.his) == len(self.counts) == len(self.periodic) == m):
-            raise UsageError("inconsistent grid axis description")
-        for count in self.counts:
-            if count < 6:
-                raise UsageError("need at least 6 samples per axis")
-
-    @property
-    def ndim(self) -> int:
-        return len(self.names)
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(self.counts)
-
-    @property
-    def spacings(self) -> tuple:
-        return tuple(
-            fd.spacing(lo, hi, c, p)
-            for lo, hi, c, p in zip(self.los, self.his, self.counts, self.periodic)
-        )
-
-    def coords(self):
-        """1-d coordinate arrays, one per axis."""
-        return [
-            fd.axis_coords(lo, hi, c, p)
-            for lo, hi, c, p in zip(self.los, self.his, self.counts, self.periodic)
-        ]
-
-    def meshgrid(self):
-        return np.meshgrid(*self.coords(), indexing="ij")
 
 
 def ambient_form_diag(space: str, n: int) -> np.ndarray:
@@ -132,7 +90,7 @@ class SurfacePatch:
 
     space: str
     n: int
-    axes: GridAxes
+    axes: fd.GridAxes
     x: np.ndarray
     dx: np.ndarray
     d2x: np.ndarray
@@ -670,12 +628,12 @@ BUILTINS = {
 # Build
 # ---------------------------------------------------------------------------
 
-def _parse_axes(grid_spec: dict, default: dict) -> GridAxes:
+def _parse_axes(grid_spec: dict, default: dict, order: int) -> fd.GridAxes:
     src = default if grid_spec is None else grid_spec
     if grid_spec is None:
         names = tuple(default.keys())
         los, his, counts, periodic = zip(*(default[k] for k in names))
-        return GridAxes(names, los, his, counts, periodic)
+        return fd.GridAxes(names, los, his, counts, periodic, order)
     periodic_names = set(src.get("periodic", []))
     names, los, his, counts, per = [], [], [], [], []
     for key, val in src.items():
@@ -690,7 +648,7 @@ def _parse_axes(grid_spec: dict, default: dict) -> GridAxes:
         his.append(float(hi))
         counts.append(int(count))
         per.append(key in periodic_names)
-    return GridAxes(tuple(names), tuple(los), tuple(his), tuple(counts), tuple(per))
+    return fd.GridAxes(tuple(names), tuple(los), tuple(his), tuple(counts), tuple(per), order)
 
 
 def _worst(defect: np.ndarray, ngrid: int):
@@ -700,6 +658,17 @@ def _worst(defect: np.ndarray, ngrid: int):
     flatmax = np.nanmax(defect)
     idx = np.unravel_index(np.nanargmax(defect), defect.shape)[:ngrid]
     return float(flatmax), tuple(int(i) for i in idx)
+
+
+def _check_degenerate_hyperplane(patch: SurfacePatch, scale: float) -> None:
+    """An r30 patch lies in the hyperplane <x, nu> = 0 with <xi, nu> = 1."""
+    nu = nu_vector(patch.n)
+    worst, idx = _worst(np.abs(patch.dot(patch.xi, nu) - 1.0), patch.ngrid)
+    if worst > 1e-9:
+        raise DegenerateSurfaceError(f"normal pairing with nu differs from 1 at {idx}")
+    worst, _ = _worst(np.abs(patch.dot(patch.x, nu)), patch.ngrid)
+    if worst > 1e-9 * scale:
+        raise DegenerateSurfaceError("points leave the degenerate hyperplane")
 
 
 def _validate_patch(patch: SurfacePatch) -> None:
@@ -721,14 +690,7 @@ def _validate_patch(patch: SurfacePatch) -> None:
         unit_defect = np.abs(xi2 + 1.0)
     else:
         unit_defect = np.abs(xi2)
-        nu = nu_vector(patch.n)
-        worst, idx = _worst(np.abs(np.sum(patch.form * patch.xi * nu, axis=-1) - 1.0),
-                            patch.ngrid)
-        if worst > 1e-9:
-            raise DegenerateSurfaceError(f"normal pairing with nu differs from 1 at {idx}")
-        worst, _ = _worst(np.abs(np.sum(patch.form * patch.x * nu, axis=-1)), patch.ngrid)
-        if worst > 1e-9 * scale:
-            raise DegenerateSurfaceError("points leave the degenerate hyperplane")
+        _check_degenerate_hyperplane(patch, scale)
     worst, idx = _worst(unit_defect, patch.ngrid)
     if worst > tol:
         raise DegenerateSurfaceError(f"normal is not normalized at grid index {idx}")
@@ -744,13 +706,15 @@ def _validate_patch(patch: SurfacePatch) -> None:
     patch.shape  # first read runs the curvature screening of shape_data
 
 
-def build_patch(spec: dict, scheme: str = "analytic", fd_order: int = 4) -> SurfacePatch:
+def build_patch(spec: dict, fd_order: int = 4) -> SurfacePatch:
     """Build a validated SurfacePatch from a surface spec dictionary.
 
     Builtin specs: {"builtin": name, "params": {...}, "grid": {...},
     "normal": "outward"|"inward", "space": ...}.  Sample specs carry
     {"samples": {"points": ..., "normals": ...}, "grid": {...}} and get
-    finite-difference jets of order ``fd_order``.
+    finite-difference jets.  ``fd_order`` is the stencil order of the
+    patch's grid, used for those jets and for every derivative taken on
+    the patch or its images later.
     """
     if "builtin" in spec:
         name = spec["builtin"]
@@ -760,7 +724,7 @@ def build_patch(spec: dict, scheme: str = "analytic", fd_order: int = 4) -> Surf
         space = spec.get("space", entry["space"])
         if space != entry["space"]:
             raise UsageError(f"builtin {name!r} lives in space {entry['space']!r}")
-        axes = _parse_axes(spec.get("grid"), entry["default_grid"])
+        axes = _parse_axes(spec.get("grid"), entry["default_grid"], fd_order)
         if entry["naxes"] is not None and axes.ndim != entry["naxes"]:
             raise UsageError(f"builtin {name!r} needs {entry['naxes']} parameter axes")
         grids = [g for g in axes.meshgrid()]
@@ -799,7 +763,7 @@ def build_patch(spec: dict, scheme: str = "analytic", fd_order: int = 4) -> Surf
 
 def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
     samples = spec["samples"]
-    axes = _parse_axes(spec.get("grid"), None)
+    axes = _parse_axes(spec.get("grid"), None, fd_order)
     try:
         x = np.asarray(samples["points"], dtype=float)
         xi = np.asarray(samples["normals"], dtype=float)
@@ -808,14 +772,11 @@ def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
     space = spec.get("space", "r3")
     if x.shape[:-1] != axes.shape or xi.shape != x.shape:
         raise UsageError("sample arrays do not match the grid shape")
-    hs, per = axes.spacings, axes.periodic
     m = axes.ndim
-    dx = fd.gradient(x, m, hs, per, fd_order)
-    d2x = np.stack([fd.gradient(np.take(dx, a, axis=m), m, hs, per, fd_order)
-                    for a in range(m)], axis=m)
-    dxi = fd.gradient(xi, m, hs, per, fd_order)
-    d2xi = np.stack([fd.gradient(np.take(dxi, a, axis=m), m, hs, per, fd_order)
-                     for a in range(m)], axis=m)
+    dx = fd.gradient(x, axes)
+    d2x = np.stack([fd.gradient(np.take(dx, a, axis=m), axes) for a in range(m)], axis=m)
+    dxi = fd.gradient(xi, axes)
+    d2xi = np.stack([fd.gradient(np.take(dxi, a, axis=m), axes) for a in range(m)], axis=m)
     n = x.shape[-1] if space != "r30" else x.shape[-1] - 1
     patch = SurfacePatch(
         space=space, n=n, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
@@ -833,6 +794,8 @@ def _validate_samples_patch(patch: SurfacePatch) -> None:
         raise UsageError("grid too small for finite-difference jets")
     scale = max(1.0, float(np.abs(patch.x).max()))
     tol = 1e-4 * scale
+    if patch.space == "r30":
+        _check_degenerate_hyperplane(patch, scale)
 
     xi2 = patch.dot(patch.xi, patch.xi)
     target = {"r3": 1.0, "r31": -1.0, "r30": 0.0}[patch.space]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from laguerre import hypersurface, minimality, patches, spaceforms
+from laguerre import fd, hypersurface, minimality, patches, spaceforms
 
 TORUS_SPEC = {
     "builtin": "torus",
@@ -13,6 +13,13 @@ TORUS_SPEC = {
     },
     "normal": "outward",
 }
+
+
+def spaced_grid(shape, hs, periodic):
+    """4th-order grid of the given shape whose axes start at 0 with steps ``hs``."""
+    his = tuple(h * (c if p else c - 1) for h, c, p in zip(hs, shape, periodic))
+    return fd.GridAxes(tuple("uvw"[:len(shape)]), (0.0,) * len(shape), his, tuple(shape),
+                       tuple(periodic), order=4)
 
 
 @pytest.fixture(scope="session")

@@ -180,6 +180,42 @@ def test_interior_margin_matches_nan_layout(torus_spec_file, torus_field, capsys
     assert out["interior_margin"]["u"] == 2
 
 
+def test_fd_order_sets_interior_margin(torus_spec_file, capsys):
+    # The 2nd-order stencil has radius 1, so g loses one u-row per side.
+    assert run(["surface", "analyze", "--spec", torus_spec_file, "--fd-order", "2"]) == 0
+    assert read_out(capsys)["interior_margin"] == {"u": 1, "v": 0}
+
+
+SURFACE_FLAGS = [["--strict"], ["--fd-order", "2"], ["--grid-refine", "2"]]
+UNREAD_FLAGS = (
+    [["spheres", "contact", "--a", "a.json", "--b", "b.json", *flag] for flag in SURFACE_FLAGS]
+    + [["group", sub, "--transform", "t.json", *flag] for sub in ("compose", "decompose")
+       for flag in SURFACE_FLAGS + [["--tol", "1e-3"]]]
+)
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=" ".join)
+def test_commands_reject_flags_they_ignore(argv, capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect, code", [(None, 0), ("shift", 4), ("scale", 4)])
+def test_sampled_r30_patch_stays_in_the_degenerate_hyperplane(defect, code, tmp_path, capsys):
+    grid = {"u": [0.3, 1.2, 25], "v": [0.3, 1.2, 25]}
+    saddle = patches.build_patch({"builtin": "saddle_r30", "grid": grid})
+    x, xi = saddle.x.copy(), saddle.xi.copy()
+    if defect == "shift":
+        x[..., 0] += 0.25      # <x, nu> = 0.25
+    elif defect == "scale":
+        xi *= 2.0              # <xi, nu> = 2, still null
+    spec = write(tmp_path, "s.json", {"samples": {"points": x.tolist(), "normals": xi.tolist()},
+                                      "grid": grid, "space": "r30"})
+    assert run(["surface", "embed", "--spec", spec]) == code
+    capsys.readouterr()
+
+
 def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(laguerre.__file__))

@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from conftest import spaced_grid
 from laguerre import fd, hypersurface, minimality, patches
 
 REL = 1e-12
@@ -86,14 +87,15 @@ def xi_jets_literal(x, dx, d2x, d3x, xi, form):
     return dxi, d2xi
 
 
-def christoffel_literal(g, ginv, ngrid, hs, periodic):
-    dg = fd.gradient(g, ngrid, hs, periodic)
+def christoffel_literal(g, ginv, grid):
+    ngrid = grid.ndim
+    dg = fd.gradient(g, grid)
     low = 0.5 * (np.moveaxis(dg, ngrid, ngrid + 1) + np.moveaxis(dg, ngrid, ngrid + 2) - dg)
     return np.einsum("...ec,...cab->...eab", ginv, low)
 
 
-def riemann_literal(g, Gamma, ngrid, hs, periodic):
-    dG = fd.gradient(Gamma, ngrid, hs, periodic)
+def riemann_literal(g, Gamma, grid):
+    dG = fd.gradient(Gamma, grid)
     up = (
         np.einsum("...adbc->...dcab", dG)
         - np.einsum("...bdac->...dcab", dG)
@@ -113,7 +115,7 @@ def test_xi_jets_from_shape(case):
     rng, m, N, shape, periodic, space = case
     x, dx, d2x, d3x, xi = jets(rng, m, N, shape)
     form = patches.ambient_form_diag(space, N)
-    axes = patches.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic)
+    axes = fd.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic, order=4)
     patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
                                  normal_jets=patches.shape_normal_jets(lambda: d3x))
     ref = xi_jets_literal(x, dx, d2x, d3x, xi, form)
@@ -126,7 +128,7 @@ def test_xi_jets_from_shape(case):
 def test_fundamental_forms(case):
     rng, m, N, shape, periodic, space = case
     x, dx, d2x, d3x, xi = jets(rng, m, N, shape)
-    axes = patches.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic)
+    axes = fd.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic, order=4)
     patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
                                  normal_jets=patches.given_normal_jets(dx, d2x))
     form = patches.ambient_form_diag(space, N)
@@ -184,44 +186,45 @@ def test_gauss_rhs_and_double_divergence(case):
 @given(grids())
 def test_fd_contractions(case):
     rng, m, _, shape, periodic, _ = case
-    hs = tuple(0.1 + 0.05 * i for i in range(m))
+    grid = spaced_grid(shape, tuple(0.1 + 0.05 * i for i in range(m)), periodic)
     g = metric_field(rng, m, shape)
     ginv = fd.grid_inv(g)
 
-    Gamma = fd.christoffel(g, m, hs, periodic, ginv=ginv)
-    assert_close(Gamma, christoffel_literal(g, ginv, m, hs, periodic))
+    Gamma = fd.christoffel(g, grid, ginv)
+    assert_close(Gamma, christoffel_literal(g, ginv, grid))
 
     C = rng.standard_normal(shape + (m,))
-    assert_close(fd.cov_d_covector(C, Gamma, m, hs, periodic),
-                 fd.gradient(C, m, hs, periodic) - np.einsum("...eca,...e->...ca", Gamma, C))
+    assert_close(fd.cov_d_covector(C, Gamma, grid),
+                 fd.gradient(C, grid) - np.einsum("...eca,...e->...ca", Gamma, C))
 
     T = rng.standard_normal(shape + (m, m))
     assert_close(
-        fd.cov_d_tensor2(T, Gamma, m, hs, periodic),
-        fd.gradient(T, m, hs, periodic)
+        fd.cov_d_tensor2(T, Gamma, grid),
+        fd.gradient(T, grid)
         - np.einsum("...eca,...eb->...cab", Gamma, T)
         - np.einsum("...ecb,...ae->...cab", Gamma, T),
     )
 
     U = rng.standard_normal(shape + (m, m, m))
     assert_close(
-        fd.cov_d_tensor3(U, Gamma, m, hs, periodic),
-        fd.gradient(U, m, hs, periodic)
+        fd.cov_d_tensor3(U, Gamma, grid),
+        fd.gradient(U, grid)
         - np.einsum("...edc,...eab->...dcab", Gamma, U)
         - np.einsum("...eda,...ceb->...dcab", Gamma, U)
         - np.einsum("...edb,...cae->...dcab", Gamma, U),
     )
 
-    riem = fd.riemann_tensor(g, Gamma, m, hs, periodic)
-    assert_close(riem, riemann_literal(g, Gamma, m, hs, periodic))
+    riem = fd.riemann_tensor(g, Gamma, grid)
+    assert_close(riem, riemann_literal(g, Gamma, grid))
     assert_close(fd.ricci_tensor(riem, ginv), np.einsum("...bd,...abcd->...ac", ginv, riem))
 
     f = rng.standard_normal(shape + (2,))
     sqrt_det = np.sqrt(np.linalg.det(g))
-    df = fd.gradient(f, m, hs, periodic)
+    df = fd.gradient(f, grid)
     flux = sqrt_det[..., None, None] * np.einsum("...ab,...bk->...ak", ginv, df)
-    div = sum(fd.diff(np.take(flux, a, axis=m), a, hs[a], periodic[a]) for a in range(m))
-    assert_close(fd.laplace_beltrami(f, m, ginv, sqrt_det, hs, periodic),
+    div = sum(fd.diff(np.take(flux, a, axis=m), a, grid.spacings[a], periodic[a], grid.order)
+              for a in range(m))
+    assert_close(fd.laplace_beltrami(f, ginv, sqrt_det, grid),
                  div / sqrt_det[..., None])
 
     sym = rng.standard_normal(shape + (m, m))

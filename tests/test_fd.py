@@ -5,6 +5,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from conftest import spaced_grid
 from laguerre import fd
 from laguerre.errors import InsufficientInteriorError, UsageError
 
@@ -41,20 +42,24 @@ def test_diff_nan_margins():
     d = fd.diff(f, 0, 1.0, periodic=False, order=4)
     assert np.isnan(d[:2]).all() and np.isnan(d[-2:]).all()
     assert np.allclose(d[2:-2], 1.0)
-    d2 = fd.diff2(f ** 2 / 2, 0, 1.0, periodic=False, order=4)
-    assert np.allclose(d2[2:-2], 1.0)
 
 
 def test_gradient_shape_and_axis_position():
     f = np.zeros((8, 10, 3))
-    g = fd.gradient(f, 2, (0.1, 0.1), (True, True), 4)
+    g = fd.gradient(f, spaced_grid((8, 10), (0.1, 0.1), (True, True)))
     assert g.shape == (8, 10, 2, 3)
 
 
+def test_grid_axes_rejects_unsupported_order():
+    fd.GridAxes(("u",), (0.0,), (1.0,), (8,), (False,), order=2)
+    with pytest.raises(UsageError):
+        fd.GridAxes(("u",), (0.0,), (1.0,), (8,), (False,), order=3)
+
+
 def test_require_interior():
-    fd.require_interior((65, 64), (False, True), 4, 4)
+    fd.require_interior(spaced_grid((65, 64), (0.1, 0.1), (False, True)), 4)
     with pytest.raises(InsufficientInteriorError):
-        fd.require_interior((10, 64), (False, True), 4, 4)
+        fd.require_interior(spaced_grid((10, 64), (0.1, 0.1), (False, True)), 4)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])  # m = 4 takes the LAPACK path
@@ -170,9 +175,9 @@ def test_christoffel_and_laplacian_on_round_sphere():
     g[..., 1, 1] = np.sin(U) ** 2
     ginv = fd.grid_inv(g)
     sqrt_det = np.sqrt(fd.grid_det(g))
-    hs, per = (hu, hv), (False, True)
+    grid = spaced_grid((nu, nv), (hu, hv), (False, True))
 
-    Gamma = fd.christoffel(g, 2, hs, per, 4, ginv=ginv)
+    Gamma = fd.christoffel(g, grid, ginv)
     # closed forms: Gamma^u_{vv} = -sin u cos u, Gamma^v_{uv} = cot u
     mask = np.isfinite(Gamma).all(axis=(-3, -2, -1))
     exp_uvv = -np.sin(U) * np.cos(U)
@@ -182,11 +187,11 @@ def test_christoffel_and_laplacian_on_round_sphere():
 
     # cos(u) is an eigenfunction: Delta cos u = -2 cos u
     f = np.cos(U)
-    lap = fd.laplace_beltrami(f, 2, ginv, sqrt_det, hs, per, 4)
+    lap = fd.laplace_beltrami(f, ginv, sqrt_det, grid)
     assert fd.nanmax_abs(lap + 2 * np.cos(U)) < 1e-6
 
     # curvature: positive on the sphere, sectional = scalar / 2 = 1
-    riem = fd.riemann_tensor(g, Gamma, 2, hs, per, 4)
+    riem = fd.riemann_tensor(g, Gamma, grid)
     ricci = fd.ricci_tensor(riem, ginv)
     scal = fd.scalar_curvature(ricci, ginv)
     assert abs(np.nanmedian(scal) - 2.0) < 1e-5
@@ -204,8 +209,9 @@ def test_covariant_derivative_of_metric_vanishes():
     g[..., 0, 0] = 1.0 + 0.3 * np.sin(U)
     g[..., 1, 1] = np.exp(0.5 * U)
     ginv = fd.grid_inv(g)
-    Gamma = fd.christoffel(g, 2, (hu, hv), (False, True), 4, ginv=ginv)
-    Dg = fd.cov_d_tensor2(g, Gamma, 2, (hu, hv), (False, True), 4)
+    grid = spaced_grid((nu, nv), (hu, hv), (False, True))
+    Gamma = fd.christoffel(g, grid, ginv)
+    Dg = fd.cov_d_tensor2(g, Gamma, grid)
     assert fd.nanmax_abs(Dg) < 1e-9
 
 
@@ -216,13 +222,14 @@ def test_integrate_simpson_and_periodic():
     hv = 2 * np.pi / nv
     U, V = np.meshgrid(u, np.arange(nv) * hv, indexing="ij")
     f = np.exp(U) * (1 + 0.5 * np.cos(V))
-    val = fd.integrate(f, (hu, hv), (False, True))
+    grid = spaced_grid((nu, nv), (hu, hv), (False, True))
+    val = fd.integrate(f, grid)
     exact = (np.e - 1) * 2 * np.pi
     assert val == pytest.approx(exact, rel=1e-8)
     with pytest.raises(UsageError):
         f2 = f.copy()
         f2[0, 0] = np.nan
-        fd.integrate(f2, (hu, hv), (False, True))
+        fd.integrate(f2, grid)
 
 
 @pytest.mark.parametrize("count", [33, 66, 195])

@@ -77,11 +77,6 @@ def test_metric_matches_exact_form_at_fine_resolution():
     assert fld.diagnostics["g_vs_rho2_III"] < 1e-6
 
 
-def test_laguerre_metric_op(torus_patch, torus_field):
-    g = hypersurface.laguerre_metric(torus_field.lift.Y, torus_patch.axes)
-    assert fd.nanmax_abs(g - torus_field.g) < 1e-12
-
-
 def test_metric_is_flat_for_torus(torus_field):
     # Gauss curvature of g vanishes identically
     K = torus_field.riemann[..., 0, 1, 0, 1] / (
@@ -215,11 +210,18 @@ JET_REL = 1e-3
 def assert_jets_exact(patch):
     """4th-order differences of x, dx, xi and dxi match the stored dx, d2x,
     dxi and d2xi on the valid interior, relative to each jet's max."""
-    axes = patch.axes
     for field, jet in (("x", "dx"), ("dx", "d2x"), ("xi", "dxi"), ("dxi", "d2xi")):
         exact = getattr(patch, jet)
-        diff = fd.gradient(getattr(patch, field), axes.ndim, axes.spacings, axes.periodic, 4)
+        diff = fd.gradient(getattr(patch, field), patch.axes)
         assert fd.nanmax_abs(diff - exact) <= JET_REL * fd.nanmax_abs(exact), jet
+
+
+def test_mapped_patches_keep_the_stencil_order():
+    torus = patches.build_patch({"builtin": "torus"}, fd_order=2)
+    native = patches.build_patch({"builtin": "maximal_catenoid_r31"}, fd_order=2)
+    assert (torus.axes.order, native.axes.order) == (2, 2)
+    assert hypersurface.transform_patch(seeded_transform(1), torus).axes.order == 2
+    assert spaceforms.embed_patch(native).axes.order == 2
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
