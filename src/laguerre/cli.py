@@ -78,33 +78,10 @@ def _jsonable(value):
     return value
 
 
-def _refined_spec(path: str, refine: int) -> dict:
-    """Surface spec read from ``path`` with every axis count times ``refine``."""
-    spec = _load_json(path)
-    if refine != 1:
-        if "samples" in spec:
-            raise UsageError("sampled data has a fixed grid; cannot refine it")
-        if "grid" not in spec:
-            entry = patches.BUILTINS.get(spec.get("builtin", ""))
-            if entry is None:
-                raise UsageError(f"unknown builtin surface {spec.get('builtin')!r}")
-            spec["grid"] = {
-                name: list(val[:3]) for name, val in entry["default_grid"].items()
-            }
-            spec["grid"]["periodic"] = [
-                name for name, val in entry["default_grid"].items() if val[3]
-            ]
-        for key, val in spec["grid"].items():
-            if key != "periodic":
-                lo, hi, count = val
-                spec["grid"][key] = [lo, hi, int(count) * refine]
-    return spec
-
-
 def _build_patch_from_args(args, path: str) -> patches.SurfacePatch:
-    """Patch of the spec at ``path``; its grid carries the stencil order."""
-    spec = _refined_spec(path, args.grid_refine)
-    return patches.build_patch(spec, fd_order=args.fd_order)
+    """Patch of the spec at ``path``; its grid carries the stencil order and
+    the refinement factor."""
+    return patches.build_patch(_load_json(path), args.fd_order, args.grid_refine)
 
 
 def _euclidean_patch(args, path: str) -> patches.SurfacePatch:

@@ -385,36 +385,27 @@ def compose_script(script, n: int | None = None) -> LaguerreTransform:
     if not isinstance(script, list) or not script:
         raise UsageError("transform script must be a nonempty list of factors")
 
-    if n is None:
-        for item in script:
-            kind = item.get("kind")
-            if kind == "isometry":
-                n = len(item["a"])
-            elif kind == "matrix":
-                n = len(item["rows"]) - 3
-            if n is not None:
-                break
-    if n is None:
-        raise UsageError("cannot infer the base dimension; add an explicit \"n\"")
-
     result: LaguerreTransform | None = None
-    for item in script:
-        try:
+    try:
+        if n is None:
+            for item in script:
+                if item.get("kind") == "isometry":
+                    n = len(item["a"])
+                elif item.get("kind") == "matrix":
+                    n = len(item["rows"]) - 3
+                if n is not None:
+                    break
+        if n is None:
+            raise UsageError("cannot infer the base dimension; add an explicit \"n\"")
+        for item in script:
             kind = item["kind"]
-            if kind == "isometry":
-                factor = isometry(np.asarray(item["A"], dtype=float),
-                                  np.asarray(item["a"], dtype=float))
-            elif kind == "parabolic":
-                factor = parabolic(item["t"], n)
-            elif kind == "hyperbolic":
-                factor = hyperbolic(item["t"], n)
-            elif kind == "matrix":
+            if kind == "matrix":
                 factor = LaguerreTransform(np.asarray(item["rows"], dtype=float))
             else:
-                raise UsageError(f"unknown factor kind {kind!r}")
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"malformed factor in transform script: {exc}") from exc
-        result = factor if result is None else result.then(factor)
+                factor = generator(kind, n, **{k: v for k, v in item.items() if k != "kind"})
+            result = factor if result is None else result.then(factor)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise UsageError(f"malformed factor in transform script: {exc}") from exc
     return result
 
 

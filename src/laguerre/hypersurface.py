@@ -411,13 +411,9 @@ def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
         - dq[..., None, :, None] * dB[..., :, None, :]
         - q[..., None, None, None] * d2B
     )
-    new = SurfacePatch(
-        space="r3", n=patch.n, axes=patch.axes, x=x, dx=dx, d2x=d2x, xi=xi,
-        normal_jets=patches.given_normal_jets(dxi, d2xi),
-        metadata={**patch.metadata, **metadata},
-    )
-    patches._validate_patch(new)
-    return new
+    return patches.make_patch("r3", patch.axes, x, dx, d2x, xi,
+                              patches.given_normal_jets(dxi, d2xi),
+                              {**patch.metadata, **metadata})
 
 
 def _quotient_jets(v, dv, d2v, b, db, d2b):

@@ -27,9 +27,14 @@ on first read, and a builtin's third x-jets only when d2xi is read (by a
 group action or a space-form embedding); the volume and an analysis never
 read them.
 
-Degeneracy policy: umbilic points, vanishing principal curvatures,
-curvature-label crossings and non-immersion points inside the grid abort
-the build with the offending grid index; they are never smoothed over.
+Degeneracy policy: every patch -- builtin, sampled, group image or
+space-form embedding -- is made by ``make_patch`` and passes one screen
+(``_validate_patch``): normal normalization, contact condition, immersion,
+and the umbilic, vanishing-curvature and curvature-label-crossing checks of
+``shape_data``.  A failure inside the grid aborts the build with the
+offending grid index; nothing is smoothed over.  The normalization and
+contact tolerances follow the jets provenance in ``metadata["jets"]``
+(``SCREEN_TOL``).  Sampled input must be finite.
 """
 
 from __future__ import annotations
@@ -598,28 +603,26 @@ def _third_from_table(table, m):
 
 BUILTINS = {
     "torus": dict(space="r3", jets=_torus_jets, naxes=2,
-                  default_grid=dict(u=(-np.pi / 3, np.pi / 3, 65, False),
-                                    v=(0.0, 2 * np.pi, 64, True))),
+                  default_grid={"u": [-np.pi / 3, np.pi / 3, 65], "v": [0.0, 2 * np.pi, 64],
+                                "periodic": ["v"]}),
     "sphere": dict(space="r3", jets=_sphere_jets, naxes=2,
-                   default_grid=dict(u=(-1.0, 1.0, 33, False),
-                                     v=(0.0, 2 * np.pi, 32, True))),
+                   default_grid={"u": [-1.0, 1.0, 33], "v": [0.0, 2 * np.pi, 32],
+                                 "periodic": ["v"]}),
     "cylinder": dict(space="r3", jets=_cylinder_jets, naxes=2,
-                     default_grid=dict(u=(-1.0, 1.0, 33, False),
-                                       v=(0.0, 2 * np.pi, 32, True))),
+                     default_grid={"u": [-1.0, 1.0, 33], "v": [0.0, 2 * np.pi, 32],
+                                   "periodic": ["v"]}),
     "translational_graph": dict(space="r3", jets=_graph_jets, naxes=None,
-                                default_grid=dict(u=(-0.3, 0.3, 33, False),
-                                                  v=(-0.3, 0.3, 33, False))),
+                                default_grid={"u": [-0.3, 0.3, 33], "v": [-0.3, 0.3, 33]}),
     "torus4": dict(space="r3", jets=_torus4_jets, naxes=3,
-                   default_grid=dict(u=(-np.pi / 3, np.pi / 3, 33, False),
-                                     v=(np.pi / 4, 3 * np.pi / 4, 25, False),
-                                     w=(0.0, 2 * np.pi, 24, True))),
+                   default_grid={"u": [-np.pi / 3, np.pi / 3, 33],
+                                 "v": [np.pi / 4, 3 * np.pi / 4, 25],
+                                 "w": [0.0, 2 * np.pi, 24], "periodic": ["w"]}),
     "maximal_catenoid_r31": dict(space="r31", jets=_catenoid_r31_jets, naxes=2,
-                                 default_grid=dict(u=(0.5, 2.0, 65, False),
-                                                   v=(0.0, 2 * np.pi, 64, True)),
+                                 default_grid={"u": [0.5, 2.0, 65], "v": [0.0, 2 * np.pi, 64],
+                                               "periodic": ["v"]},
                                  zero_mean_curvature=True),
     "saddle_r30": dict(space="r30", jets=_saddle_r30_jets, naxes=2,
-                       default_grid=dict(u=(0.3, 1.2, 49, False),
-                                         v=(0.3, 1.2, 49, False)),
+                       default_grid={"u": [0.3, 1.2, 49], "v": [0.3, 1.2, 49]},
                        zero_mean_curvature=True),
 }
 
@@ -628,27 +631,38 @@ BUILTINS = {
 # Build
 # ---------------------------------------------------------------------------
 
-def _parse_axes(grid_spec: dict, default: dict, order: int) -> fd.GridAxes:
-    src = default if grid_spec is None else grid_spec
-    if grid_spec is None:
-        names = tuple(default.keys())
-        los, his, counts, periodic = zip(*(default[k] for k in names))
-        return fd.GridAxes(names, los, his, counts, periodic, order)
-    periodic_names = set(src.get("periodic", []))
-    names, los, his, counts, per = [], [], [], [], []
-    for key, val in src.items():
+def _parse_axes(grid_spec, order: int, refine: int = 1) -> fd.GridAxes:
+    """Grid of a spec {"u": [lo, hi, count], ..., "periodic": [...]}; every
+    axis count is multiplied by ``refine``."""
+    if not isinstance(grid_spec, dict):
+        raise UsageError("grid must be an object of axes [lo, hi, count]")
+    periodic = grid_spec.get("periodic", [])
+    if not isinstance(periodic, list):
+        raise UsageError("grid 'periodic' must be a list of axis names")
+    names, los, his, counts = [], [], [], []
+    for key, val in grid_spec.items():
         if key == "periodic":
             continue
         try:
             lo, hi, count = val
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"axis {key!r} must be [lo, hi, count]") from exc
+            lo, hi, n = float(lo), float(hi), int(count)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"axis {key!r} must be a numeric [lo, hi, count]") from exc
+        if n != count or not np.isfinite([lo, hi]).all():
+            raise UsageError(f"axis {key!r} needs finite ends and an integer sample count")
         names.append(key)
-        los.append(float(lo))
-        his.append(float(hi))
-        counts.append(int(count))
-        per.append(key in periodic_names)
-    return fd.GridAxes(tuple(names), tuple(los), tuple(his), tuple(counts), tuple(per), order)
+        los.append(lo)
+        his.append(hi)
+        counts.append(n * refine)
+    return fd.GridAxes(tuple(names), tuple(los), tuple(his), tuple(counts),
+                       tuple(key in periodic for key in names), order)
+
+
+# Screen tolerances (normal normalization, contact condition), times the
+# patch scale, for exact jets and for finite-difference jets (provenance
+# ``metadata["jets"] == "fd"``): those hold the contact condition only to
+# truncation error, while their normals are still given pointwise.
+SCREEN_TOL = {"exact": (1e-9, 1e-9), "fd": (1e-8, 1e-4)}
 
 
 def _worst(defect: np.ndarray, ngrid: int):
@@ -660,44 +674,38 @@ def _worst(defect: np.ndarray, ngrid: int):
     return float(flatmax), tuple(int(i) for i in idx)
 
 
-def _check_degenerate_hyperplane(patch: SurfacePatch, scale: float) -> None:
-    """An r30 patch lies in the hyperplane <x, nu> = 0 with <xi, nu> = 1."""
-    nu = nu_vector(patch.n)
-    worst, idx = _worst(np.abs(patch.dot(patch.xi, nu) - 1.0), patch.ngrid)
-    if worst > 1e-9:
-        raise DegenerateSurfaceError(f"normal pairing with nu differs from 1 at {idx}")
-    worst, _ = _worst(np.abs(patch.dot(patch.x, nu)), patch.ngrid)
-    if worst > 1e-9 * scale:
-        raise DegenerateSurfaceError("points leave the degenerate hyperplane")
-
-
 def _validate_patch(patch: SurfacePatch) -> None:
-    """Normal normalization, contact condition, immersion and curvature checks.
+    """The screen every patch passes: normal normalization, contact
+    condition, immersion, and the curvature checks of ``shape_data`` (run by
+    the first read of ``patch.shape``).  Each failure names a grid index.
 
-    The curvature checks are those of ``shape_data``, run by the first read
-    of ``patch.shape``.  Patches whose jets came from finite differences
-    carry NaN boundary margins; every check here skips those and uses a
-    looser tolerance.
+    Tolerances follow the jets provenance (``SCREEN_TOL``).  Finite-difference
+    jets carry NaN boundary margins, which every check skips.
     """
+    fd_jets = patch.metadata.get("jets") == "fd"
+    if fd_jets and not fd.valid_mask(patch.ngrid, patch.dx).any():
+        raise UsageError("grid too small for finite-difference jets")
     scale = max(1.0, float(np.abs(patch.x).max()))
-    analytic = patch.metadata.get("jets") != "fd"
-    tol = 1e-9 * scale if analytic else 1e-4 * scale
+    unit_tol, contact_tol = SCREEN_TOL["fd" if fd_jets else "exact"]
 
-    xi2 = patch.dot(patch.xi, patch.xi)
-    if patch.space == "r3":
-        unit_defect = np.abs(xi2 - 1.0)
-    elif patch.space == "r31":
-        unit_defect = np.abs(xi2 + 1.0)
-    else:
-        unit_defect = np.abs(xi2)
-        _check_degenerate_hyperplane(patch, scale)
-    worst, idx = _worst(unit_defect, patch.ngrid)
-    if worst > tol:
+    if patch.space == "r30":
+        # The patch lies in the hyperplane <x, nu> = 0 with <xi, nu> = 1.
+        nu = nu_vector(patch.n)
+        worst, idx = _worst(np.abs(patch.dot(patch.xi, nu) - 1.0), patch.ngrid)
+        if worst > 1e-9:
+            raise DegenerateSurfaceError(f"normal pairing with nu is not 1 at grid index {idx}")
+        worst, idx = _worst(np.abs(patch.dot(patch.x, nu)), patch.ngrid)
+        if worst > 1e-9 * scale:
+            raise DegenerateSurfaceError(f"points leave the hyperplane at grid index {idx}")
+    xi2 = patch.dot(patch.xi, patch.xi)   # raises UsageError on an unknown space tag
+    worst, idx = _worst(np.abs(xi2 - {"r3": 1.0, "r31": -1.0, "r30": 0.0}[patch.space]),
+                        patch.ngrid)
+    if worst > unit_tol * scale:
         raise DegenerateSurfaceError(f"normal is not normalized at grid index {idx}")
 
     legendre = np.abs(fd.contract_last(patch.dx, patch.xi * patch.form))
     worst, idx = _worst(legendre, patch.ngrid)
-    if worst > tol:
+    if worst > contact_tol * scale:
         raise DegenerateSurfaceError(f"contact condition dx . xi = 0 fails at grid index {idx}")
 
     idx = fd.nonpositive_index(patch.I)
@@ -706,113 +714,96 @@ def _validate_patch(patch: SurfacePatch) -> None:
     patch.shape  # first read runs the curvature screening of shape_data
 
 
-def build_patch(spec: dict, fd_order: int = 4) -> SurfacePatch:
-    """Build a validated SurfacePatch from a surface spec dictionary.
+def make_patch(space: str, axes: fd.GridAxes, x: np.ndarray, dx: np.ndarray, d2x: np.ndarray,
+               xi: np.ndarray, normal_jets: Callable, metadata: dict) -> SurfacePatch:
+    """The one constructor of patches: derives n from the space, builds the
+    patch and screens it (``_validate_patch``)."""
+    n = x.shape[-1] - 1 if space == "r30" else x.shape[-1]
+    patch = SurfacePatch(space=space, n=n, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
+                         normal_jets=normal_jets, metadata=metadata)
+    _validate_patch(patch)
+    return patch
+
+
+def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
+    """Build a screened SurfacePatch from a surface spec dictionary.
 
     Builtin specs: {"builtin": name, "params": {...}, "grid": {...},
-    "normal": "outward"|"inward", "space": ...}.  Sample specs carry
-    {"samples": {"points": ..., "normals": ...}, "grid": {...}} and get
-    finite-difference jets.  ``fd_order`` is the stencil order of the
+    "normal": "outward"|"inward", "space": ...}; without "grid" the
+    builtin's default grid is used.  Sample specs carry {"samples":
+    {"points": ..., "normals": ...}, "grid": {...}} with finite values and
+    get finite-difference jets.  ``fd_order`` is the stencil order of the
     patch's grid, used for those jets and for every derivative taken on
-    the patch or its images later.
+    the patch or its images later; ``refine`` multiplies every axis count
+    of a builtin's grid (a sampled grid is fixed).  Every patch passes the
+    screen of ``_validate_patch`` before it is returned.
     """
-    if "builtin" in spec:
-        name = spec["builtin"]
-        if name not in BUILTINS:
-            raise UsageError(f"unknown builtin surface {name!r}")
-        entry = BUILTINS[name]
-        space = spec.get("space", entry["space"])
-        if space != entry["space"]:
-            raise UsageError(f"builtin {name!r} lives in space {entry['space']!r}")
-        axes = _parse_axes(spec.get("grid"), entry["default_grid"], fd_order)
-        if entry["naxes"] is not None and axes.ndim != entry["naxes"]:
-            raise UsageError(f"builtin {name!r} needs {entry['naxes']} parameter axes")
-        grids = [g for g in axes.meshgrid()]
-        params = spec.get("params", {})
-        x, dx, d2x, xi, third = entry["jets"](params, *grids)
-
-        orientation = spec.get("normal", "outward")
-        if orientation not in ("outward", "inward"):
-            raise UsageError("normal orientation must be 'outward' or 'inward'")
-        if orientation == "inward":
-            if space == "r30":
-                raise UsageError("the degenerate-space normal is unique; it cannot be flipped")
-            xi = -xi
-
-        n = x.shape[-1] if space != "r30" else x.shape[-1] - 1
-        patch = SurfacePatch(
-            space=space, n=n, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
-            normal_jets=shape_normal_jets(third),
-            metadata={"builtin": name, "params": dict(params), "jets": "analytic",
-                      "normal": orientation},
-        )
-        _validate_patch(patch)
-        if entry.get("zero_mean_curvature"):
-            S = patch.S
-            mean_k = np.trace(S, axis1=-2, axis2=-1) / S.shape[-1]
-            if np.abs(mean_k).max() > 1e-8:
-                raise DegenerateSurfaceError(
-                    "mean curvature oracle failed: builtin advertised as minimal is not"
-                )
-        return patch
-
-    if "samples" in spec:
+    if not isinstance(spec, dict):
+        raise UsageError("surface spec must be an object")
+    if "builtin" not in spec:
+        if "samples" not in spec:
+            raise UsageError("surface spec needs either 'builtin' or 'samples'")
+        if refine != 1:
+            raise UsageError("sampled data has a fixed grid; cannot refine it")
         return _build_from_samples(spec, fd_order)
-    raise UsageError("surface spec needs either 'builtin' or 'samples'")
+    name = spec["builtin"]
+    if name not in BUILTINS:
+        raise UsageError(f"unknown builtin surface {name!r}")
+    entry = BUILTINS[name]
+    space = spec.get("space", entry["space"])
+    if space != entry["space"]:
+        raise UsageError(f"builtin {name!r} lives in space {entry['space']!r}")
+    grid = spec.get("grid")
+    axes = _parse_axes(entry["default_grid"] if grid is None else grid, fd_order, refine)
+    if entry["naxes"] is not None and axes.ndim != entry["naxes"]:
+        raise UsageError(f"builtin {name!r} needs {entry['naxes']} parameter axes")
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise UsageError("builtin 'params' must be an object")
+    x, dx, d2x, xi, third = entry["jets"](params, *axes.meshgrid())
+
+    orientation = spec.get("normal", "outward")
+    if orientation not in ("outward", "inward"):
+        raise UsageError("normal orientation must be 'outward' or 'inward'")
+    if orientation == "inward":
+        if space == "r30":
+            raise UsageError("the degenerate-space normal is unique; it cannot be flipped")
+        xi = -xi
+
+    patch = make_patch(space, axes, x, dx, d2x, xi, shape_normal_jets(third),
+                       {"builtin": name, "params": dict(params), "jets": "analytic",
+                        "normal": orientation})
+    if entry.get("zero_mean_curvature"):
+        S = patch.S
+        mean_k = np.abs(np.trace(S, axis1=-2, axis2=-1) / S.shape[-1])
+        worst, idx = _worst(mean_k, patch.ngrid)
+        if worst > 1e-8:
+            raise DegenerateSurfaceError(
+                "mean curvature oracle failed: builtin advertised as minimal is not "
+                f"(grid index {idx})"
+            )
+    return patch
 
 
 def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
     samples = spec["samples"]
-    axes = _parse_axes(spec.get("grid"), None, fd_order)
+    axes = _parse_axes(spec.get("grid"), fd_order)
     try:
         x = np.asarray(samples["points"], dtype=float)
         xi = np.asarray(samples["normals"], dtype=float)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed samples: {exc}") from exc
-    space = spec.get("space", "r3")
     if x.shape[:-1] != axes.shape or xi.shape != x.shape:
         raise UsageError("sample arrays do not match the grid shape")
+    bad = ~(np.isfinite(x) & np.isfinite(xi)).all(axis=-1)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise UsageError(f"sampled points or normals are not finite at grid index {idx}")
     m = axes.ndim
     dx = fd.gradient(x, axes)
     d2x = np.stack([fd.gradient(np.take(dx, a, axis=m), axes) for a in range(m)], axis=m)
     dxi = fd.gradient(xi, axes)
     d2xi = np.stack([fd.gradient(np.take(dxi, a, axis=m), axes) for a in range(m)], axis=m)
-    n = x.shape[-1] if space != "r30" else x.shape[-1] - 1
-    patch = SurfacePatch(
-        space=space, n=n, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
-        normal_jets=given_normal_jets(dxi, d2xi),
-        metadata={"builtin": "samples", "jets": "fd", "normal": "as-given"},
-    )
-    _validate_samples_patch(patch)
-    return patch
-
-
-def _validate_samples_patch(patch: SurfacePatch) -> None:
-    """Like _validate_patch, restricted to the FD-valid interior."""
-    mask = fd.valid_mask(patch.ngrid, patch.dx)
-    if not mask.any():
-        raise UsageError("grid too small for finite-difference jets")
-    scale = max(1.0, float(np.abs(patch.x).max()))
-    tol = 1e-4 * scale
-    if patch.space == "r30":
-        _check_degenerate_hyperplane(patch, scale)
-
-    xi2 = patch.dot(patch.xi, patch.xi)
-    target = {"r3": 1.0, "r31": -1.0, "r30": 0.0}[patch.space]
-    defect = np.abs(xi2 - target)
-    if defect.max() > 1e-8 * scale:
-        idx = tuple(int(i) for i in np.unravel_index(np.argmax(defect), defect.shape))
-        raise DegenerateSurfaceError(f"sampled normal is not normalized at grid index {idx}")
-
-    legendre = np.abs(fd.contract_last(patch.dx, patch.xi * patch.form))
-    worst = fd.nanmax_abs(legendre)
-    if worst > tol:
-        raise DegenerateSurfaceError(
-            f"contact condition dx . xi = 0 fails on the sampled interior (max {worst:.3e})"
-        )
-
-    idx = fd.nonpositive_index(patch.I)
-    if idx is not None:
-        raise DegenerateSurfaceError(
-            f"sampled patch is not an immersion on the interior at grid index {idx}"
-        )
+    return make_patch(spec.get("space", "r3"), axes, x, dx, d2x, xi,
+                      given_normal_jets(dxi, d2xi),
+                      {"builtin": "samples", "jets": "fd", "normal": "as-given"})

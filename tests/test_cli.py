@@ -213,7 +213,45 @@ def test_sampled_r30_patch_stays_in_the_degenerate_hyperplane(defect, code, tmp_
     spec = write(tmp_path, "s.json", {"samples": {"points": x.tolist(), "normals": xi.tolist()},
                                       "grid": grid, "space": "r30"})
     assert run(["surface", "embed", "--spec", spec]) == code
-    capsys.readouterr()
+    assert ("at grid index (" in capsys.readouterr().err) == (defect is not None)
+
+
+@pytest.mark.parametrize("command", ["analyze", "minimality", "volume"])
+def test_sampled_nan_exits_2_naming_the_index(command, tmp_path, capsys):
+    grid = {"u": [-1.0, 1.0, 25], "v": [0.0, 2 * np.pi, 24], "periodic": ["v"]}
+    torus = patches.build_patch({"builtin": "torus", "grid": grid})
+    points = torus.x.tolist()
+    points[10][5][0] = float("nan")
+    spec = write(tmp_path, "s.json", {"samples": {"points": points,
+                                                  "normals": torus.xi.tolist()},
+                                      "grid": grid})
+    assert run(["surface", command, "--spec", spec]) == 2
+    assert "(10, 5)" in capsys.readouterr().err
+
+
+TORUS_GRID = {"u": [-1.0, 1.0, 33], "v": [0.0, 6.283, 32], "periodic": ["v"]}
+MALFORMED_SPECS = {
+    "grid-not-object": {"builtin": "torus", "grid": [[-1.0, 1.0, 33], [0.0, 6.283, 32]]},
+    "periodic-not-list": {"builtin": "torus", "grid": {**TORUS_GRID, "periodic": 5}},
+    "axis-not-numeric": {"builtin": "torus", "grid": {**TORUS_GRID, "u": [-1.0, "one", 33]}},
+    "axis-short": {"builtin": "torus", "grid": {**TORUS_GRID, "u": [-1.0, 1.0]}},
+    "axis-not-list": {"builtin": "torus", "grid": {**TORUS_GRID, "u": 33}},
+    "count-not-integer": {"builtin": "torus", "grid": {**TORUS_GRID, "u": [-1.0, 1.0, 32.5]}},
+    "count-not-number": {"builtin": "torus", "grid": {**TORUS_GRID, "u": [-1.0, 1.0, "many"]}},
+    "params-not-object": {"builtin": "torus", "params": [2.0, 1.0]},
+    "spec-not-object": [{"builtin": "torus"}],
+    "samples-unknown-space": {"space": "r7", "grid": {"u": [0, 1, 8], "v": [0, 1, 8]},
+                              "samples": {"points": np.ones((8, 8, 3)).tolist(),
+                                          "normals": np.ones((8, 8, 3)).tolist()}},
+}
+
+
+@pytest.mark.parametrize("refine", [[], ["--grid-refine", "2"]], ids=["", "refine2"])
+@pytest.mark.parametrize("name", MALFORMED_SPECS)
+def test_malformed_spec_exits_2(name, refine, tmp_path, capsys):
+    spec = write(tmp_path, "s.json", MALFORMED_SPECS[name])
+    assert run(["surface", "analyze", "--spec", spec, *refine]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -381,3 +419,8 @@ def test_tracer_layers_resolve():
     missing = [f"{module}.{name}" for module, names in tracer.LAYERS.items() for name in names
                if not callable(getattr(importlib.import_module(f"laguerre.{module}"), name, None))]
     assert missing == []
+    # Spans the tracer folds, counts per patch or reads as residual passes
+    # exist only if their function is wrapped.
+    wrapped = {f"{module}.{name}" for module, names in tracer.LAYERS.items() for name in names}
+    named = set(tracer.STEMS) | set(tracer.PATCH_MAKERS) | set(tracer.RESIDUAL_PASSES)
+    assert named - wrapped == set()

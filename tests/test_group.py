@@ -293,6 +293,15 @@ def test_compose_script():
         group.compose_script([{"kind": "parabolic", "t": 1.0}])  # n unknown
 
 
+@pytest.mark.parametrize("script, n", [
+    ([5], None), ([{"kind": "isometry"}], None), ([{"kind": "isometry", "a": 2.0}], None),
+    ([{"kind": "parabolic"}], 3), ([{"kind": "elliptic", "t": 1.0}], 3), (["parabolic"], 3),
+])
+def test_compose_script_rejects_malformed_factors(script, n):
+    with pytest.raises(UsageError):
+        group.compose_script(script, n=n)
+
+
 def test_transform_constructor_rejects_bad_matrix():
     with pytest.raises(InvalidElementError):
         group.LaguerreTransform(np.diag([1.0, 1, 1, 1, 1, 2]))

@@ -144,9 +144,8 @@ def test_spacelike_plane_in_r31_is_flat():
     spec = {"space": "r31",
             "samples": {"points": pts.tolist(), "normals": nrm.tolist()},
             "grid": {"u": [-1, 1, n], "v": [-1, 1, n]}}
-    p = patches.build_patch(spec)
     with pytest.raises(DegenerateSurfaceError, match="curvature"):
-        patches.shape_data(p)
+        patches.build_patch(spec)
 
 
 def test_validate_patch_names_degenerate_index(torus_patch):
@@ -169,5 +168,69 @@ def test_validate_samples_names_collapsed_row():
     spec = {"samples": {"points": pts.tolist(), "normals": pts.tolist()},
             "grid": {"u": [u[0], u[-1], nu], "v": [0, 2 * np.pi, nv], "periodic": ["v"]}}
     with pytest.raises(DegenerateSurfaceError,
-                       match=r"sampled patch is not an immersion .* at grid index \(12, 0\)"):
+                       match=r"not an immersion .* at grid index \(12, 0\)"):
         patches.build_patch(spec)
+
+
+def sampled_torus(nu=25, nv=24):
+    """Spec of the outward torus sampled on a nu x nv grid, and the builtin
+    patch it samples."""
+    grid = {"u": [-1.0, 1.0, nu], "v": [0.0, 2 * np.pi, nv], "periodic": ["v"]}
+    p = patches.build_patch({"builtin": "torus", "grid": grid})
+    return {"samples": {"points": p.x.tolist(), "normals": p.xi.tolist()}, "grid": grid}, p
+
+
+def test_sampled_contact_error_names_grid_index():
+    spec, p = sampled_torus()
+    # Tilt the normal at (10, 5) towards dx/du, keeping it a unit vector.
+    t = p.dx[10, 5, 0] / np.linalg.norm(p.dx[10, 5, 0])
+    spec["samples"]["normals"][10][5] = (np.cos(0.1) * p.xi[10, 5] + np.sin(0.1) * t).tolist()
+    with pytest.raises(DegenerateSurfaceError,
+                       match=r"contact condition .* at grid index \(10, 5\)"):
+        patches.build_patch(spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["points", "normals"])
+def test_sampled_input_must_be_finite(field, bad):
+    spec, _ = sampled_torus()
+    spec["samples"][field][10][5][0] = bad
+    with pytest.raises(UsageError, match=r"not finite at grid index \(10, 5\)"):
+        patches.build_patch(spec)
+
+
+# (unit-square defect, patch is accepted) per jets provenance: the torus has
+# scale 3, so the normal screen allows 3e-9 for exact jets and 3e-8 for fd.
+@pytest.mark.parametrize("jets, defect, accepted", [
+    ("analytic", 1e-9, True), ("analytic", 1e-8, False), ("chain", 1e-8, False),
+    ("fd", 1e-8, True), ("fd", 1e-6, False),
+])
+def test_screen_tolerance_follows_jets_provenance(torus_patch, jets, defect, accepted):
+    p = torus_patch
+    xi = p.xi * np.sqrt(1.0 + defect)
+    args = ("r3", p.axes, p.x, p.dx, p.d2x, xi, patches.given_normal_jets(p.dxi, p.d2xi),
+            {"jets": jets})
+    if accepted:
+        assert patches.make_patch(*args).n == 3
+    else:
+        with pytest.raises(DegenerateSurfaceError, match=r"not normalized at grid index"):
+            patches.make_patch(*args)
+
+
+def test_refine_multiplies_the_parsed_counts():
+    assert patches.build_patch({"builtin": "torus"}, refine=2).axes.counts == (130, 128)
+    grid = {"u": [-0.3, 0.3, 17], "v": [-0.3, 0.3, 9]}
+    p = patches.build_patch({"builtin": "translational_graph", "grid": grid}, refine=3)
+    assert p.axes.counts == (51, 27)
+    with pytest.raises(UsageError, match="fixed grid"):
+        patches.build_patch(sampled_torus()[0], refine=2)
+
+
+def test_minimal_oracle_names_grid_index(monkeypatch):
+    # The torus advertised as minimal: |H| peaks on the outer equator u = 0
+    # (row 32), equal along it up to rounding.
+    entry = {**patches.BUILTINS["torus"], "zero_mean_curvature": True}
+    monkeypatch.setitem(patches.BUILTINS, "minimal_torus", entry)
+    with pytest.raises(DegenerateSurfaceError,
+                       match=r"mean curvature oracle .* \(grid index \(32, \d+\)\)"):
+        patches.build_patch({"builtin": "minimal_torus"})
