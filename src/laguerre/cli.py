@@ -97,8 +97,7 @@ def _euclidean_patch(args, path: str) -> patches.SurfacePatch:
 def cmd_spheres_contact(args) -> int:
     a = spheres.element_from_json(_load_json(args.a))
     b = spheres.element_from_json(_load_json(args.b))
-    tol = args.tol if args.tol is not None else 1e-9
-    contact = spheres.oriented_contact(a, b, tol=tol)
+    contact = spheres.oriented_contact(a, b, tol=args.tol)
     F = None
     if isinstance(a, spheres.Sphere) and isinstance(b, spheres.Sphere):
         F = spheres.tangential_invariant(a, b)
@@ -228,7 +227,7 @@ def cmd_surface_analyze(args) -> int:
     if args.csv:
         _write_csv(args.csv, patch, fld)
     if args.strict:
-        _strict_gate(residuals, args.tol if args.tol is not None else 1e-3)
+        _strict_gate(residuals, args.tol)
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -252,7 +251,7 @@ def cmd_surface_volume(args) -> int:
         rel = abs(payload["volume"] - payload["volume_curvature_form"]) / max(
             abs(payload["volume"]), 1e-300)
         payload["forms_relative_gap"] = rel
-        if args.strict and rel > (args.tol if args.tol is not None else 1e-6):
+        if args.strict and rel > args.tol:
             raise ToleranceBreachError("strict mode: volume forms disagree")
     _emit(payload, args.out)
     return EXIT_OK
@@ -269,7 +268,7 @@ def cmd_surface_compare(args) -> int:
     payload = hypersurface.compare_invariants(f1, f2)
     payload["seed"] = args.seed
     if args.strict:
-        _strict_gate(payload, args.tol if args.tol is not None else 1e-6)
+        _strict_gate(payload, args.tol)
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -290,7 +289,7 @@ def cmd_surface_embed(args) -> int:
         "seed": args.seed,
     }
     if args.strict:
-        _strict_gate(transfer, args.tol if args.tol is not None else 1e-6)
+        _strict_gate(transfer, args.tol)
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--a", required=True)
     pc.add_argument("--b", required=True)
     common(pc)
-    pc.add_argument("--tol", type=float, default=None, help="tolerance override")
+    pc.add_argument("--tol", type=float, default=1e-9, help="contact tolerance")
     pc.set_defaults(func=cmd_spheres_contact)
 
     gp = sub.add_parser("group", help="compose or factor transforms")
@@ -333,12 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     su = sub.add_parser("surface", help="invariant analysis of surface patches")
     susub = su.add_subparsers(dest="subcommand", required=True)
-    for name, func, extra in [
-        ("analyze", cmd_surface_analyze, ("csv",)),
-        ("minimality", cmd_surface_minimality, ("threshold",)),
-        ("volume", cmd_surface_volume, ()),
-        ("compare", cmd_surface_compare, ("spec2", "transform")),
-        ("embed", cmd_surface_embed, ("threshold",)),
+    # The last entry is the default --tol of the command's --strict check;
+    # minimality's --strict checks only that its two criteria agree.
+    for name, func, extra, tol in [
+        ("analyze", cmd_surface_analyze, ("csv",), 1e-3),
+        ("minimality", cmd_surface_minimality, ("threshold",), None),
+        ("volume", cmd_surface_volume, (), 1e-6),
+        ("compare", cmd_surface_compare, ("spec2", "transform"), 1e-6),
+        ("embed", cmd_surface_embed, ("threshold",), 1e-6),
     ]:
         p = susub.add_parser(name)
         p.add_argument("--spec", required=True)
@@ -352,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threshold", type=float, default=None,
                            help="minimality verdict threshold")
         common(p)
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol,
+                           help="tolerance of the --strict check (default %(default)g)")
         p.add_argument("--strict", action="store_true",
                        help="exit 5 when a checked quantity exceeds the tolerance")
         p.add_argument("--fd-order", type=int, choices=(2, 4), default=4,

@@ -3,15 +3,17 @@
 A ``GridAxes`` describes the grid and carries its stencil: the order (2 or
 4) of the central differences every grid-level kernel here takes, fixed
 when the grid is built.  Fields are numpy arrays whose leading axes are
-the grid axes and whose remaining axes are component axes.  Periodic
-axes wrap; on non-periodic axes the stencil radius is unavailable near
-the boundary and those layers are set to NaN.  NaN propagates through
-every later pointwise or stencil operation, so the valid interior shrinks
-by the stencil radius with each cascaded derivative and reductions must
-be NaN-aware.
+the grid axes and whose remaining axes are component axes.  The stencil
+pads an axis once by its radius: periodic axes wrap, non-periodic axes
+pad with NaN, so the layers near their boundary are NaN.  NaN propagates
+through every later pointwise or stencil operation, so the valid interior
+shrinks by the stencil radius with each cascaded derivative and reductions
+must be NaN-aware.
 
 Derivative outputs insert the direction axis right after the grid axes:
-gradient of a (*G, k) field is (*G, m, k) with m directions.
+``gradient`` writes each direction of a (*G, k) field into its slot of one
+(*G, m, k) array, and one covariant-derivative rule (``cov_d``) serves
+every tensor rank.
 """
 
 from __future__ import annotations
@@ -75,44 +77,49 @@ class GridAxes:
         return np.meshgrid(*self.coords(), indexing="ij")
 
 
-def _shift(f: np.ndarray, offset: int, axis: int, periodic: bool) -> np.ndarray:
-    """f sampled at index + offset; NaN where that falls off a hard edge."""
-    if periodic:
-        return np.roll(f, -offset, axis=axis)
-    out = np.full_like(f, np.nan)
-    src = [slice(None)] * f.ndim
-    dst = [slice(None)] * f.ndim
-    if offset > 0:
-        src[axis] = slice(offset, None)
-        dst[axis] = slice(None, -offset)
-    elif offset < 0:
-        src[axis] = slice(None, offset)
-        dst[axis] = slice(-offset, None)
-    else:
-        return f.copy()
-    out[tuple(dst)] = f[tuple(src)]
-    return out
+def _central(f: np.ndarray, axis: int, h: float, periodic: bool, order: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Central first difference along ``axis``, written into ``out`` when given.
+
+    The axis is padded once by the stencil radius -- wrapped on a periodic
+    axis, NaN on a bounded one -- and the stencil combines shifted slices of
+    the padded array.  Only its last operation writes ``out``, which may be
+    a strided slot, where every operation would run several times slower.
+    """
+    r = RADIUS[order]
+    width = [(r, r) if i == axis else (0, 0) for i in range(f.ndim)]
+    padded = (np.pad(f, width, mode="wrap") if periodic
+              else np.pad(f, width, constant_values=np.nan))
+    count = f.shape[axis]
+    lead = (slice(None),) * axis
+    s = lambda k: padded[lead + (slice(r + k, r + k + count),)]
+    if order == 2:
+        return np.divide(s(1) - s(-1), 2.0 * h, out=out)
+    d = s(-2) - 8.0 * s(-1)
+    d += 8.0 * s(1)
+    d -= s(2)
+    return np.divide(d, 12.0 * h, out=out)
 
 
 def diff(f: np.ndarray, axis: int, h: float, periodic: bool, order: int) -> np.ndarray:
     """First derivative along one grid axis (central stencil of ``order``)."""
     if order not in RADIUS:
         raise UsageError(f"unsupported stencil order {order}")
-    s = lambda k: _shift(f, k, axis, periodic)
-    if order == 2:
-        return (s(1) - s(-1)) / (2.0 * h)
-    return (s(-2) - 8.0 * s(-1) + 8.0 * s(1) - s(2)) / (12.0 * h)
+    return _central(f, axis, h, periodic, order)
 
 
 def gradient(f: np.ndarray, grid: GridAxes) -> np.ndarray:
-    """Stack of first derivatives along every grid axis.
+    """First derivatives along every grid axis, each written into its slot
+    of one output.
 
     Output shape (*G, m, *C): the new direction axis sits at position
     ``grid.ndim``.
     """
-    parts = [diff(f, axis, h, per, grid.order)
-             for axis, (h, per) in enumerate(zip(grid.spacings, grid.periodic))]
-    return np.stack(parts, axis=grid.ndim)
+    ngrid = grid.ndim
+    out = np.empty(f.shape[:ngrid] + (ngrid,) + f.shape[ngrid:])
+    for axis, (h, per) in enumerate(zip(grid.spacings, grid.periodic)):
+        _central(f, axis, h, per, grid.order, out=out[(slice(None),) * ngrid + (axis,)])
+    return out
 
 
 # Pointwise contractions are staged as batched matrix products over the
@@ -345,42 +352,29 @@ def christoffel(g: np.ndarray, grid: GridAxes, ginv: np.ndarray) -> np.ndarray:
     return (ginv @ low.reshape(lead + (m, m * m))).reshape(lead + (m, m, m))
 
 
-def cov_d_covector(C: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
-    """nabla_c C_a for a covector field C (*G, m); output (*G, c, a)."""
-    dC = gradient(C, grid)
-    m = C.shape[-1]
-    lead = C.shape[:-1]
-    corr = C[..., None, :] @ Gamma.reshape(lead + (m, m * m))   # Gamma^e_ca C_e
-    return dC - corr.reshape(lead + (m, m))
+def cov_d(T: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
+    """nabla_c T_{a_1 ... a_k} of a covariant k-tensor field T (*G, m, ..., m),
+    k >= 1; output (*G, c, a_1, ..., a_k).
 
-
-def cov_d_tensor2(T: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
-    """nabla_c T_ab for a covariant 2-tensor (*G, m, m); output (*G, c, a, b)."""
-    dT = gradient(T, grid)
+    The one rule for every rank: the gradient minus, for each slot a_i in
+    slot order, Gamma^e_{c a_i} T_{.. e ..}, formed as one batched product
+    of Gamma [(c a_i), e] with T, its slot i moved to the front.
+    """
+    ngrid = grid.ndim
     m = T.shape[-1]
-    lead = T.shape[:-2]
-    G2 = Gamma.reshape(lead + (m, m * m))                       # [e, (c x)]
-    corr_a = (np.swapaxes(G2, -1, -2) @ T).reshape(lead + (m, m, m))  # Gamma^e_ca T_eb
-    corr_b = (T @ G2).reshape(lead + (m, m, m))                 # [a, c, b]: T_ae Gamma^e_cb
-    return dT - corr_a - np.swapaxes(corr_b, -3, -2)
+    lead = T.shape[:ngrid]
+    rank = T.ndim - ngrid
+    Gt = np.swapaxes(Gamma.reshape(lead + (m, m * m)), -1, -2)   # [(c a), e]
+    out = gradient(T, grid)
+    for i in range(rank):
+        Te = np.moveaxis(T, ngrid + i, ngrid).reshape(lead + (m, -1))
+        corr = (Gt @ Te).reshape(lead + (m,) * (rank + 1))      # [c, a_i, other slots]
+        out -= np.moveaxis(corr, ngrid + 1, ngrid + 1 + i)
+    return out
 
 
-def cov_d_tensor3(U: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
-    """nabla_d U_cab for a covariant 3-tensor (*G, m, m, m); output (*G, d, c, a, b)."""
-    dU = gradient(U, grid)
-    m = U.shape[-1]
-    lead = U.shape[:-3]
-    G2 = Gamma.reshape(lead + (m, m * m))                       # [e, (d x)]
-    G2t = np.swapaxes(G2, -1, -2)                               # [(d x), e]
-    cube = lead + (m,) * 4
-    # Gamma^e_dc U_eab
-    corr_c = (G2t @ U.reshape(lead + (m, m * m))).reshape(cube)
-    # Gamma^e_da U_ceb, formed as [d, a, c, b]
-    Ue = np.swapaxes(U, -3, -2).reshape(lead + (m, m * m))      # [e, (c b)]
-    corr_a = np.swapaxes((G2t @ Ue).reshape(cube), -3, -2)
-    # U_cae Gamma^e_db, formed as [c, a, d, b]
-    corr_b = np.moveaxis((U.reshape(lead + (m * m, m)) @ G2).reshape(cube), -2, -4)
-    return dU - corr_c - corr_a - corr_b
+# The rank-named entry points the call sites (and the layer tracer) use.
+cov_d_covector = cov_d_tensor2 = cov_d_tensor3 = cov_d
 
 
 def laplace_beltrami(f: np.ndarray, ginv: np.ndarray, sqrt_det: np.ndarray,
@@ -390,18 +384,11 @@ def laplace_beltrami(f: np.ndarray, ginv: np.ndarray, sqrt_det: np.ndarray,
     f may carry component axes; ginv is (*G, m, m) and sqrt_det (*G).
     """
     ngrid = grid.ndim
-    grid_shape = f.shape[:ngrid]
-    comp_shape = f.shape[ngrid:]
-    fw = f.reshape(grid_shape + (-1,))             # (*G, K)
-    df = gradient(fw, grid)                        # (*G, b, K)
-    flux = ginv @ df
-    weighted = sqrt_det[..., None, None] * flux
-    div = sum(
-        diff(np.take(weighted, a, axis=ngrid), a, h, per, grid.order)
-        for a, (h, per) in enumerate(zip(grid.spacings, grid.periodic))
-    )
-    out = div / sqrt_det[..., None]
-    return out.reshape(grid_shape + comp_shape)
+    df = gradient(f.reshape(f.shape[:ngrid] + (-1,)), grid)        # (*G, b, K)
+    weighted = sqrt_det[..., None, None] * (ginv @ df)              # (*G, a, K)
+    div = sum(_central(weighted[(slice(None),) * ngrid + (a,)], a, h, per, grid.order)
+              for a, (h, per) in enumerate(zip(grid.spacings, grid.periodic)))
+    return (div / sqrt_det[..., None]).reshape(f.shape)
 
 
 def riemann_tensor(g: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:

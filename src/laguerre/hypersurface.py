@@ -33,7 +33,7 @@ only for the fields it reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -108,7 +108,6 @@ class InvariantField:
     B: np.ndarray                 # coordinate components
     L: np.ndarray
     C: np.ndarray
-    residuals: dict = dataclass_field(default_factory=dict)
 
     @property
     def lift(self) -> LaguerreLift:
@@ -316,7 +315,6 @@ def structural_residuals(fld: InvariantField) -> dict:
     """Max-abs residuals of the structure identities plus frame pairings."""
     res = {k: fd.nanmax_abs(v) for k, v in structural_residual_fields(fld).items()}
     res.update({f"frame_{k}": v for k, v in fld.frame.pairing_residuals().items()})
-    fld.residuals.update(res)
     return res
 
 
@@ -359,8 +357,24 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
     h1, h2 = ([j @ T.matrix for j in member] for member in pencil_jets(patch))
     if np.min(np.abs(h2[0][..., -1])) <= 1e-12 * np.abs(h2[0]).max():
         raise UsageError("transformed pencil degenerates on this patch")
-    return patch_from_pencil(patch, [j[..., 2:] for j in h1], [j[..., 2:] for j in h2],
-                             jets="chain", transformed=True)
+    try:
+        return patch_from_pencil(patch, [j[..., 2:] for j in h1], [j[..., 2:] for j in h2],
+                                 jets="chain", transformed=True)
+    except DegenerateSurfaceError as exc:
+        # Curvature sphere i goes to (gamma1 + r_i gamma2) T, whose last entry
+        # is the image radius r'_i = a + r_i b.  One that takes both signs on
+        # the grid passes through zero between neighbouring grid points.
+        radii = (h1[0][..., -1:] + patch.shape.radii * h2[0][..., -1:]).reshape(-1, patch.n - 1)
+        signs = np.sign(radii)
+        flips = signs.min(axis=0) != signs.max(axis=0)
+        if not flips.any():
+            raise
+        point, i = np.unravel_index(np.argmin(np.where(flips, np.abs(radii), np.inf)), radii.shape)
+        idx = tuple(int(j) for j in np.unravel_index(point, patch.axes.shape))
+        raise DegenerateSurfaceError(
+            f"principal radius {i + 1} of the image passes through zero (|r'| = "
+            f"{abs(radii[point, i]):.1e} at grid index {idx}): the image is a front "
+            "with a cusp, not an immersed patch") from exc
 
 
 def pencil_jets(patch: SurfacePatch):

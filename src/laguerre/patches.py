@@ -10,13 +10,16 @@ and second derivatives of xi.  Patches live in one of three geometries:
            coordinate equal to the last; the normal is the null vector
            field normalized against nu = (1, 0, ..., 0, 1).
 
-Builtin surfaces supply x-jets to third order analytically; the normal
-jets are then produced exactly through the shape operator (the relation
-d(xi) = -dx o S and its derivative), so no hand-differentiated normals
-are needed anywhere.  Sampled ("samples") patches fall back to central
-finite differences for every jet.  The grid of a patch (``fd.GridAxes``)
-carries the stencil order given to ``build_patch``; every patch mapped
-from it keeps that grid, so the order reaches every later derivative.
+Builtin surfaces supply the distinct partial derivatives of x to third
+order analytically, as tables that one assembler (``_symmetric_jet``)
+turns into symmetric derivative arrays; the normal jets are then produced
+exactly through the shape operator (the relation d(xi) = -dx o S and its
+derivative), so no hand-differentiated normals are needed anywhere.
+Sampled ("samples") patches fall back to central finite differences for
+every jet, the second jets being one gradient of the first.  The grid of
+a patch (``fd.GridAxes``) carries the stencil order given to
+``build_patch``; every patch mapped from it keeps that grid, so the order
+reaches every later derivative.
 
 What a patch computes is pulled by what reads it.  The build computes x,
 dx, d2x and xi and screens the patch, which reads I, II, I^{-1}, S, the
@@ -354,6 +357,10 @@ def _d2xi_from_shape(patch: SurfacePatch, d3x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Builtin surfaces (analytic x-jets to third order)
 # ---------------------------------------------------------------------------
+# Each builtin returns x, xi and the distinct partial derivatives of x as
+# tables keyed by sorted index tuples (absent keys are zero): the first- and
+# second-order tables and a callable giving the third-order table, which is
+# built only when the third jets are read (``_symmetric_jet`` assembles them).
 
 def _vec(*comps):
     """Stack scalar grid fields (broadcast together) into a vector field."""
@@ -368,26 +375,19 @@ def _torus_jets(params, U, V):
     zeros = np.zeros_like(U)
 
     x = _vec(w * cv, w * sv, a * su)
-    xu = _vec(-a * su * cv, -a * su * sv, a * cu)
-    xv = _vec(-w * sv, w * cv, zeros)
-    xuu = _vec(-a * cu * cv, -a * cu * sv, -a * su)
-    xuv = _vec(a * su * sv, -a * su * cv, zeros)
-    xvv = _vec(-w * cv, -w * sv, zeros)
     xi = _vec(cu * cv, cu * sv, su)
-
-    dx = np.stack([xu, xv], axis=-2)
-    d2x = np.stack(
-        [np.stack([xuu, xuv], axis=-2), np.stack([xuv, xvv], axis=-2)], axis=-3
-    )
-
-    def third():
-        return _third_from_table({
-            (0, 0, 0): _vec(a * su * cv, a * su * sv, -a * cu),
-            (0, 0, 1): _vec(a * cu * sv, -a * cu * cv, zeros),
-            (0, 1, 1): _vec(a * su * cv, a * su * sv, zeros),
-            (1, 1, 1): _vec(w * sv, -w * cv, zeros),
-        }, 2)
-    return x, dx, d2x, xi, third
+    first = {(0,): _vec(-a * su * cv, -a * su * sv, a * cu), (1,): _vec(-w * sv, w * cv, zeros)}
+    second = {
+        (0, 0): _vec(-a * cu * cv, -a * cu * sv, -a * su),
+        (0, 1): _vec(a * su * sv, -a * su * cv, zeros),
+        (1, 1): _vec(-w * cv, -w * sv, zeros),
+    }
+    return x, xi, first, second, lambda: {
+        (0, 0, 0): _vec(a * su * cv, a * su * sv, -a * cu),
+        (0, 0, 1): _vec(a * cu * sv, -a * cu * cv, zeros),
+        (0, 1, 1): _vec(a * su * cv, a * su * sv, zeros),
+        (1, 1, 1): _vec(w * sv, -w * cv, zeros),
+    }
 
 
 def _sphere_jets(params, U, V):
@@ -398,42 +398,26 @@ def _sphere_jets(params, U, V):
     xi = _vec(cu * cv, cu * sv, su)
     xiu = _vec(-su * cv, -su * sv, cu)
     xiv = _vec(-cu * sv, cu * cv, zeros)
-    xiuu = -xi
-    xiuv = _vec(su * sv, -su * cv, zeros)
-    xivv = _vec(-cu * cv, -cu * sv, zeros)
-
-    x = R * xi
-    dx = R * np.stack([xiu, xiv], axis=-2)
-    d2x = R * np.stack(
-        [np.stack([xiuu, xiuv], axis=-2), np.stack([xiuv, xivv], axis=-2)], axis=-3
-    )
-
-    def third():
-        return R * _third_from_table({
-            (0, 0, 0): -xiu, (0, 0, 1): -xiv,
-            (0, 1, 1): _vec(su * cv, su * sv, zeros),
-            (1, 1, 1): _vec(cu * sv, -cu * cv, zeros),
-        }, 2)
-    return x, dx, d2x, xi, third
+    first = {(0,): R * xiu, (1,): R * xiv}
+    second = {(0, 0): R * -xi, (0, 1): R * _vec(su * sv, -su * cv, zeros),
+              (1, 1): R * _vec(-cu * cv, -cu * sv, zeros)}
+    return R * xi, xi, first, second, lambda: {
+        (0, 0, 0): R * -xiu, (0, 0, 1): R * -xiv,
+        (0, 1, 1): R * _vec(su * cv, su * sv, zeros),
+        (1, 1, 1): R * _vec(cu * sv, -cu * cv, zeros),
+    }
 
 
 def _cylinder_jets(params, U, V):
     R = float(params.get("R", 1.0))
     cv, sv = np.cos(V), np.sin(V)
     zeros = np.zeros_like(U)
-    ones = np.ones_like(U)
 
     x = _vec(R * cv, R * sv, U)
-    xu = _vec(zeros, zeros, ones)
-    xv = _vec(-R * sv, R * cv, zeros)
-    xvv = _vec(-R * cv, -R * sv, zeros)
-    zero3 = np.zeros_like(x)
-    dx = np.stack([xu, xv], axis=-2)
-    d2x = np.stack(
-        [np.stack([zero3, zero3], axis=-2), np.stack([zero3, xvv], axis=-2)], axis=-3
-    )
     xi = _vec(cv, sv, zeros)
-    return x, dx, d2x, xi, lambda: _third_from_table({(1, 1, 1): _vec(R * sv, -R * cv, zeros)}, 2)
+    first = {(0,): _vec(zeros, zeros, np.ones_like(U)), (1,): _vec(-R * sv, R * cv, zeros)}
+    second = {(1, 1): _vec(-R * cv, -R * sv, zeros)}
+    return x, xi, first, second, lambda: {(1, 1, 1): _vec(R * sv, -R * cv, zeros)}
 
 
 def _graph_jets(params, *coords):
@@ -446,38 +430,21 @@ def _graph_jets(params, *coords):
         raise UsageError("graph coefficients must match the number of axes")
     shape = np.broadcast_shapes(*(c.shape for c in coords))
     grids = [np.broadcast_to(c, shape) for c in coords]
+    zeros, ones = np.zeros(shape), np.ones(shape)
+
+    def along(i, head, last):
+        """The vector (0, ..., head at i, ..., 0, last)."""
+        return _vec(*(head if j == i else zeros for j in range(m)), last)
 
     f = sum(quad[i] * grids[i] ** 2 + cubic[i] * grids[i] ** 3 for i in range(m))
     f1 = [2 * quad[i] * grids[i] + 3 * cubic[i] * grids[i] ** 2 for i in range(m)]
-    f2 = [2 * quad[i] + 6 * cubic[i] * grids[i] for i in range(m)]
-
-    d = m + 1
-    x = np.zeros(shape + (d,))
-    for i in range(m):
-        x[..., i] = grids[i]
-    x[..., -1] = f
-
-    dx = np.zeros(shape + (m, d))
-    for i in range(m):
-        dx[..., i, i] = 1.0
-        dx[..., i, -1] = f1[i]
-    d2x = np.zeros(shape + (m, m, d))
-    for i in range(m):
-        d2x[..., i, i, -1] = f2[i]
-
-    def third():
-        d3x = np.zeros(shape + (m, m, m, d))
-        for i in range(m):
-            d3x[..., i, i, i, -1] = 6 * cubic[i] * np.ones(shape)
-        return d3x
-
-    grad2 = sum(g * g for g in f1)
-    s = np.sqrt(1.0 + grad2)
-    xi = np.zeros(shape + (d,))
-    for i in range(m):
-        xi[..., i] = -f1[i] / s
-    xi[..., -1] = 1.0 / s
-    return x, dx, d2x, xi, third
+    s = np.sqrt(1.0 + sum(g * g for g in f1))
+    x = _vec(*grids, f)
+    xi = _vec(*(-g / s for g in f1), 1.0 / s)
+    first = {(i,): along(i, ones, f1[i]) for i in range(m)}
+    second = {(i, i): along(i, zeros, 2 * quad[i] + 6 * cubic[i] * grids[i]) for i in range(m)}
+    return x, xi, first, second, lambda: {(i, i, i): along(i, zeros, 6 * cubic[i] * ones)
+                                          for i in range(m)}
 
 
 def _torus4_jets(params, U, T, P):
@@ -490,114 +457,79 @@ def _torus4_jets(params, U, T, P):
     cp, sp = np.cos(P), np.sin(P)
     zeros = np.zeros_like(U)
 
-    # Unit 2-sphere direction and its jets in (theta, phi).
-    n = _vec(st * cp, st * sp, ct)
-    nt = _vec(ct * cp, ct * sp, -st)
-    npp = _vec(-st * sp, st * cp, zeros)
-    ntt = -n
-    ntp = _vec(-ct * sp, ct * cp, zeros)
-    npp2 = _vec(-st * cp, -st * sp, zeros)
-
+    # Unit 2-sphere direction and its jets in (theta, phi), as components.
+    n = (st * cp, st * sp, ct)
+    nt = (ct * cp, ct * sp, -st)
+    npp = (-st * sp, st * cp, zeros)
+    ntp = (-ct * sp, ct * cp, zeros)
+    npp2 = (-st * cp, -st * sp, zeros)
+    neg = lambda v: tuple(-c for c in v)
     w = R + a * cu
 
     def emb(scal, vec3, last):
         """(scal * vec3, last) as a 4-vector field."""
-        out = np.zeros(np.broadcast_shapes(scal.shape, vec3.shape[:-1], last.shape) + (4,))
-        out[..., :3] = scal[..., None] * vec3
-        out[..., 3] = last
-        return out
+        return _vec(*(scal * c for c in vec3), last)
 
     x = emb(w, n, a * su)
-    xu = emb(-a * su * np.ones_like(w), n, a * cu)
-    xt = emb(w, nt, zeros)
-    xp = emb(w, npp, zeros)
-    xuu = emb(-a * cu * np.ones_like(w), n, -a * su)
-    xut = emb(-a * su * np.ones_like(w), nt, zeros)
-    xup = emb(-a * su * np.ones_like(w), npp, zeros)
-    xtt = emb(w, ntt, zeros)
-    xtp = emb(w, ntp, zeros)
-    xpp = emb(w, npp2, zeros)
-
-    dx = np.stack([xu, xt, xp], axis=-2)
-    rows = [[xuu, xut, xup], [xut, xtt, xtp], [xup, xtp, xpp]]
-    d2x = np.stack([np.stack(r, axis=-2) for r in rows], axis=-3)
-    xi = emb(cu * np.ones_like(w), n, su)
-
-    def third():
-        su_w, cu_w = a * su * np.ones_like(w), a * cu * np.ones_like(w)
-        return _third_from_table({
-            (0, 0, 0): emb(su_w, n, -a * cu), (0, 0, 1): emb(-cu_w, nt, zeros),
-            (0, 0, 2): emb(-cu_w, npp, zeros), (0, 1, 1): emb(-su_w, ntt, zeros),
-            (0, 1, 2): emb(-su_w, ntp, zeros), (0, 2, 2): emb(-su_w, npp2, zeros),
-            (1, 1, 1): emb(w, -nt, zeros), (1, 1, 2): emb(w, -npp, zeros),
-            (1, 2, 2): emb(w, _vec(-ct * cp, -ct * sp, zeros), zeros),
-            (2, 2, 2): emb(w, _vec(st * sp, -st * cp, zeros), zeros),
-        }, 3)
-    return x, dx, d2x, xi, third
+    xi = emb(cu, n, su)
+    first = {(0,): emb(-a * su, n, a * cu), (1,): emb(w, nt, zeros), (2,): emb(w, npp, zeros)}
+    second = {
+        (0, 0): emb(-a * cu, n, -a * su), (0, 1): emb(-a * su, nt, zeros),
+        (0, 2): emb(-a * su, npp, zeros), (1, 1): emb(w, neg(n), zeros),
+        (1, 2): emb(w, ntp, zeros), (2, 2): emb(w, npp2, zeros),
+    }
+    return x, xi, first, second, lambda: {
+        (0, 0, 0): emb(a * su, n, -a * cu), (0, 0, 1): emb(-a * cu, nt, zeros),
+        (0, 0, 2): emb(-a * cu, npp, zeros), (0, 1, 1): emb(-a * su, neg(n), zeros),
+        (0, 1, 2): emb(-a * su, ntp, zeros), (0, 2, 2): emb(-a * su, npp2, zeros),
+        (1, 1, 1): emb(w, neg(nt), zeros), (1, 1, 2): emb(w, neg(npp), zeros),
+        (1, 2, 2): emb(w, (-ct * cp, -ct * sp, zeros), zeros),
+        (2, 2, 2): emb(w, (st * sp, -st * cp, zeros), zeros),
+    }
 
 
-def _catenoid_r31_jets(params, U, V):
+def _catenoid_r31_jets(params, u, V):
     """Rotational maximal (zero mean curvature) surface in R^3_1:
     x = (u cos v, u sin v, arcsinh u), future-pointing time-like normal."""
     cv, sv = np.cos(V), np.sin(V)
-    u = U
-    zeros = np.zeros_like(U)
-    t1 = (1.0 + u * u) ** -0.5
-    t2 = -u * (1.0 + u * u) ** -1.5
+    zeros = np.zeros_like(u)
 
     x = _vec(u * cv, u * sv, np.arcsinh(u))
-    xu = _vec(cv, sv, t1)
-    xv = _vec(-u * sv, u * cv, zeros)
-    xuu = _vec(zeros, zeros, t2)
-    xuv = _vec(-sv, cv, zeros)
-    xvv = _vec(-u * cv, -u * sv, zeros)
-
-    dx = np.stack([xu, xv], axis=-2)
-    d2x = np.stack(
-        [np.stack([xuu, xuv], axis=-2), np.stack([xuv, xvv], axis=-2)], axis=-3
-    )
     xi = _vec(cv / u, sv / u, np.sqrt(1.0 + u * u) / u)
-
-    def third():
-        t3 = (2.0 * u * u - 1.0) * (1.0 + u * u) ** -2.5
-        return _third_from_table({
-            (0, 0, 0): _vec(zeros, zeros, t3), (0, 0, 1): np.zeros_like(x),
-            (0, 1, 1): _vec(-cv, -sv, zeros), (1, 1, 1): _vec(u * sv, -u * cv, zeros),
-        }, 2)
-    return x, dx, d2x, xi, third
+    first = {(0,): _vec(cv, sv, (1.0 + u * u) ** -0.5), (1,): _vec(-u * sv, u * cv, zeros)}
+    second = {(0, 0): _vec(zeros, zeros, -u * (1.0 + u * u) ** -1.5),
+              (0, 1): _vec(-sv, cv, zeros), (1, 1): _vec(-u * cv, -u * sv, zeros)}
+    return x, xi, first, second, lambda: {
+        (0, 0, 0): _vec(zeros, zeros, (2.0 * u * u - 1.0) * (1.0 + u * u) ** -2.5),
+        (0, 1, 1): _vec(-cv, -sv, zeros), (1, 1, 1): _vec(u * sv, -u * cv, zeros),
+    }
 
 
 def _saddle_r30_jets(params, U, V):
     """Spacelike graph t = c u v inside the degenerate hyperplane of R^4_1,
     written as x = (t, u, v, t); normal fixed by the null-frame conditions."""
     c = float(params.get("c", 1.0))
-    zeros = np.zeros_like(U)
-    ones = np.ones_like(U)
+    zeros, ones = np.zeros_like(U), np.ones_like(U)
 
     t = c * U * V
     x = _vec(t, U, V, t)
-    xu = _vec(c * V, ones, zeros, c * V)
-    xv = _vec(c * U, zeros, ones, c * U)
-    xuv = _vec(c * ones, zeros, zeros, c * ones)
-    zero4 = np.zeros_like(x)
-
-    dx = np.stack([xu, xv], axis=-2)
-    d2x = np.stack(
-        [np.stack([zero4, xuv], axis=-2), np.stack([xuv, zero4], axis=-2)], axis=-3
-    )
     half = 0.5 * (1.0 - c * c * (U * U + V * V))
     xi = _vec(half, -c * V, -c * U, half - 1.0)
-    return x, dx, d2x, xi, lambda: np.zeros(x.shape[:-1] + (2, 2, 2, 4))
+    first = {(0,): _vec(c * V, ones, zeros, c * V), (1,): _vec(c * U, zeros, ones, c * U)}
+    second = {(0, 1): _vec(c * ones, zeros, zeros, c * ones)}
+    return x, xi, first, second, lambda: {}
 
 
-def _third_from_table(table, m):
-    """Assemble the symmetric third-jet array from its distinct entries,
-    keyed by sorted index triples; absent entries are zero."""
-    slot = {tuple(sorted(key)): e + 1 for e, key in enumerate(table)}   # 0: zero entry
-    index = np.array([[[slot.get(tuple(sorted((i, j, k))), 0) for k in range(m)]
-                       for j in range(m)] for i in range(m)])
-    sample = next(iter(table.values()))
-    entries = np.stack([np.zeros_like(sample), *table.values()], axis=-2)
+def _symmetric_jet(table: dict, x: np.ndarray, order: int) -> np.ndarray:
+    """Symmetric derivative array (*G, m, ..., m, d) of x (*G, d) with
+    ``order`` direction axes, assembled from its distinct entries ``table``
+    (keyed by sorted index tuples; absent entries are zero) in one gather:
+    slot (a, b, ...) holds the entry of the sorted key of (a, b, ...)."""
+    m = x.ndim - 1
+    slot = {tuple(sorted(key)): e + 1 for e, key in enumerate(table)}   # 0: the zero entry
+    index = np.reshape([slot.get(tuple(sorted(idx)), 0) for idx in np.ndindex((m,) * order)],
+                       (m,) * order)
+    entries = np.stack(np.broadcast_arrays(np.zeros_like(x), *table.values()), axis=-2)
     return np.take(entries, index, axis=-2)
 
 
@@ -760,7 +692,7 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
     params = spec.get("params", {})
     if not isinstance(params, dict):
         raise UsageError("builtin 'params' must be an object")
-    x, dx, d2x, xi, third = entry["jets"](params, *axes.meshgrid())
+    x, xi, first, second, third = entry["jets"](params, *axes.meshgrid())
 
     orientation = spec.get("normal", "outward")
     if orientation not in ("outward", "inward"):
@@ -770,7 +702,8 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
             raise UsageError("the degenerate-space normal is unique; it cannot be flipped")
         xi = -xi
 
-    patch = make_patch(space, axes, x, dx, d2x, xi, shape_normal_jets(third),
+    patch = make_patch(space, axes, x, _symmetric_jet(first, x, 1), _symmetric_jet(second, x, 2),
+                       xi, shape_normal_jets(lambda: _symmetric_jet(third(), x, 3)),
                        {"builtin": name, "params": dict(params), "jets": "analytic",
                         "normal": orientation})
     if entry.get("zero_mean_curvature"):
@@ -799,11 +732,11 @@ def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise UsageError(f"sampled points or normals are not finite at grid index {idx}")
+    # Second jets are one gradient of the first; swapping the two direction
+    # axes puts d_b d_a in slot (a, b), the layout of the builtin jets.
     m = axes.ndim
-    dx = fd.gradient(x, axes)
-    d2x = np.stack([fd.gradient(np.take(dx, a, axis=m), axes) for a in range(m)], axis=m)
-    dxi = fd.gradient(xi, axes)
-    d2xi = np.stack([fd.gradient(np.take(dxi, a, axis=m), axes) for a in range(m)], axis=m)
+    dx, dxi = fd.gradient(x, axes), fd.gradient(xi, axes)
+    d2x, d2xi = (np.swapaxes(fd.gradient(jet, axes), m, m + 1) for jet in (dx, dxi))
     return make_patch(spec.get("space", "r3"), axes, x, dx, d2x, xi,
                       given_normal_jets(dxi, d2xi),
                       {"builtin": "samples", "jets": "fd", "normal": "as-given"})

@@ -191,6 +191,7 @@ UNREAD_FLAGS = (
     [["spheres", "contact", "--a", "a.json", "--b", "b.json", *flag] for flag in SURFACE_FLAGS]
     + [["group", sub, "--transform", "t.json", *flag] for sub in ("compose", "decompose")
        for flag in SURFACE_FLAGS + [["--tol", "1e-3"]]]
+    + [["surface", "minimality", "--spec", "s.json", "--tol", "1e-3"]]
 )
 
 
@@ -274,6 +275,17 @@ def test_strict_mode_exits_5(torus_spec_file, capsys):
     assert run(["surface", "analyze", "--spec", torus_spec_file,
                 "--strict", "--tol", "1e-12"]) == 5
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, tol", [
+    (["spheres", "contact", "--a", "a.json", "--b", "b.json"], 1e-9),
+    (["surface", "analyze", "--spec", "s.json"], 1e-3),
+    (["surface", "volume", "--spec", "s.json"], 1e-6),
+    (["surface", "compare", "--spec", "s.json", "--spec2", "s.json"], 1e-6),
+    (["surface", "embed", "--spec", "s.json"], 1e-6),
+])
+def test_tol_default_per_command(argv, tol):
+    assert cli.build_parser().parse_args(argv).tol == tol
 
 
 def test_deterministic_output(torus_spec_file, capsys, tmp_path):

@@ -50,6 +50,21 @@ def test_gradient_shape_and_axis_position():
     assert g.shape == (8, 10, 2, 3)
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(counts=st.lists(st.integers(6, 9), min_size=1, max_size=3),
+       periodic=st.lists(st.booleans(), min_size=3, max_size=3),
+       ncomp=st.integers(0, 2), order=st.sampled_from([2, 4]), seed=st.integers(0, 2 ** 32 - 1))
+def test_gradient_is_diff_per_axis(counts, periodic, ncomp, order, seed):
+    """The in-place gradient equals fd.diff stacked per axis, bit for bit."""
+    m = len(counts)
+    grid = fd.GridAxes(tuple("uvw"[:m]), (0.0,) * m, tuple(0.5 + i for i in range(m)),
+                       tuple(counts), tuple(periodic[:m]), order)
+    f = np.random.default_rng(seed).standard_normal(tuple(counts) + (2,) * ncomp)
+    parts = [fd.diff(f, a, h, per, order)
+             for a, (h, per) in enumerate(zip(grid.spacings, grid.periodic))]
+    assert np.array_equal(fd.gradient(f, grid), np.stack(parts, axis=m), equal_nan=True)
+
+
 def test_grid_axes_rejects_unsupported_order():
     fd.GridAxes(("u",), (0.0,), (1.0,), (8,), (False,), order=2)
     with pytest.raises(UsageError):

@@ -1,4 +1,7 @@
 import copy
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from laguerre import fd, group, hypersurface, lorentz, patches, spaceforms, spheres
+from laguerre.errors import DegenerateSurfaceError
 
 # A patch away from the secant blow-up, fine enough for the 1e-6 pointwise
 # agreements between the finite-difference metric and its exact form.
@@ -271,6 +275,57 @@ def test_embedded_jets_match_finite_differences(native, request):
     assert_jets_exact(spaceforms.embed_patch(request.getfixturevalue(native)))
 
 
+BUILTIN_SPECS = {
+    "torus": {"builtin": "torus"},
+    "torus inward": {"builtin": "torus", "normal": "inward"},
+    "torus4": {"builtin": "torus4"},
+    "graph 2 axes": {"builtin": "translational_graph",
+                     "params": {"quad": [1.0, 0.5], "cubic": [0.3, 0.2]}},
+    "graph 3 axes": {"builtin": "translational_graph",
+                     "params": {"quad": [1.0, 0.7, 0.4], "cubic": [0.1, 0.2, -0.1]},
+                     "grid": {"u": [-0.25, 0.25, 17], "v": [-0.25, 0.25, 17],
+                              "w": [-0.25, 0.25, 17]}},
+    "catenoid": {"builtin": "maximal_catenoid_r31"},
+    "saddle": {"builtin": "saddle_r30"},
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPECS)
+def test_builtin_jet_tables_match_finite_differences(name):
+    # d2xi reads the third-order table, so every table of the builtin is checked.
+    assert_jets_exact(patches.build_patch(BUILTIN_SPECS[name]))
+
+
+def test_transform_through_a_cusp_names_the_radius():
+    # Radius 3 of this torus4 image passes through zero between grid points
+    # (|r'| down to 1.1e-4), so the image is a front, not a patch.
+    torus4 = patches.build_patch({"builtin": "torus4", "params": {"R": 1.5, "a": 0.5625}})
+    T = group.random_transform(np.random.default_rng(1888728893), 4, factors=4,
+                               translation_scale=0.3, flow_scale=0.2)
+    with pytest.raises(DegenerateSurfaceError, match="radius 3 of the image passes through zero"
+                                                     r".*grid index \(0, 9, 12\).*cusp"):
+        hypersurface.transform_patch(T, torus4)
+
+
+def test_radius_sign_change_alone_is_not_rejected(torus_patch, monkeypatch):
+    # Draw 46 of the benchmark's compare transforms: an image radius changes
+    # sign between grid points, yet the image passes the screen and analyze.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    rng = np.random.default_rng(12345)
+    for _ in range(47):
+        script = workloads.transform_script(rng)
+    T = group.compose_script(script)
+    # Image radius i is the last entry of (gamma1 + r_i gamma2) T.
+    g1, g2 = (member[0] @ T.matrix for member in hypersurface.pencil_jets(torus_patch))
+    radii = g1[..., -1] + torus_patch.shape.radii[..., 1] * g2[..., -1]
+    assert radii.min() < 0 < radii.max()
+    hypersurface.analyze(hypersurface.transform_patch(T, torus_patch))
+
+
 def test_curvature_quotient_invariant_in_higher_dim():
     p = patches.build_patch({
         "builtin": "translational_graph",
@@ -348,7 +403,6 @@ def test_frame_and_tensors_entry_point(torus_patch):
     fld = hypersurface.analyze(torus_patch)
     frame = fld.frame
     assert frame.EY.shape == fld.dY.shape
-    assert fld.residuals == {}
 
 
 def test_compare_requires_matching_grids(torus_field):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -234,3 +235,18 @@ def test_minimal_oracle_names_grid_index(monkeypatch):
     with pytest.raises(DegenerateSurfaceError,
                        match=r"mean curvature oracle .* \(grid index \(32, \d+\)\)"):
         patches.build_patch({"builtin": "minimal_torus"})
+
+
+@pytest.mark.parametrize("m, order", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_symmetric_jet_fills_every_permutation(m, order):
+    rng = np.random.default_rng(10 * m + order)
+    x = rng.standard_normal((4,) * m + (3,))
+    keys = list(itertools.combinations_with_replacement(range(m), order))
+    table = {key: rng.standard_normal(x.shape) for key in keys[::2]}   # every other key absent
+    jet = patches._symmetric_jet(table, x, order)
+    assert jet.shape == x.shape[:-1] + (m,) * order + (3,)
+    grid = (slice(None),) * m
+    for idx in itertools.product(range(m), repeat=order):
+        key = tuple(sorted(idx))
+        expected = table[key] if key in table else np.zeros(x.shape)
+        assert np.array_equal(jet[grid + idx], expected), idx

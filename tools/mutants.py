@@ -1,0 +1,100 @@
+"""Mutation runner: how many deliberate faults do the tests catch?
+
+    python tools/mutants.py            # every mutant
+    python tools/mutants.py cov_d      # mutants whose name contains "cov_d"
+
+Each mutant is one text edit of one source file plus the test files that
+should catch it.  For each, the runner copies the repository (without
+``.git``) to a temporary directory, applies the edit there, runs the named
+tests with pytest and counts the mutant as caught when they fail.  It
+prints one line per mutant and caught/total per mutated module, and exits
+1 when a mutant survives.
+
+The list leaves out equivalent mutants, edits that change values only by
+rounding (for example, transposing the direction axes of the sampled second
+jets, which are symmetric up to rounding): no test can catch them.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (name, file, old text, new text, test files)
+MUTANTS = [
+    ("torus4 second table: (0, 1) entry swapped with (0, 2)", "src/laguerre/patches.py",
+     "(0, 1): emb(-a * su, nt, zeros),\n        (0, 2): emb(-a * su, npp, zeros),",
+     "(0, 1): emb(-a * su, npp, zeros),\n        (0, 2): emb(-a * su, nt, zeros),",
+     ["tests/test_hypersurface.py"]),
+    ("catenoid third table: key (0, 1, 1) -> (0, 0, 1)", "src/laguerre/patches.py",
+     "(0, 1, 1): _vec(-cv, -sv, zeros)", "(0, 0, 1): _vec(-cv, -sv, zeros)",
+     ["tests/test_hypersurface.py"]),
+    ("graph third table: 6 cubic -> 3 cubic", "src/laguerre/patches.py",
+     "along(i, zeros, 6 * cubic[i] * ones)", "along(i, zeros, 3 * cubic[i] * ones)",
+     ["tests/test_hypersurface.py"]),
+    ("symmetric jet: unsorted key lookup", "src/laguerre/patches.py",
+     "slot.get(tuple(sorted(idx)), 0)", "slot.get(tuple(idx), 0)",
+     ["tests/test_patches.py"]),
+    ("order-4 stencil: coefficient 8 -> 7", "src/laguerre/fd.py",
+     "d += 8.0 * s(1)", "d += 7.0 * s(1)",
+     ["tests/test_fd.py"]),
+    ("padded stencil: periodic axes padded by edge values", "src/laguerre/fd.py",
+     'np.pad(f, width, mode="wrap")', 'np.pad(f, width, mode="edge")',
+     ["tests/test_fd.py"]),
+    ("cov_d: last slot correction dropped", "src/laguerre/fd.py",
+     "for i in range(rank):", "for i in range(rank - 1):",
+     ["tests/test_contractions.py"]),
+    ("cusp message: image radius a - r b", "src/laguerre/hypersurface.py",
+     "h1[0][..., -1:] + patch.shape.radii", "h1[0][..., -1:] - patch.shape.radii",
+     ["tests/test_hypersurface.py"]),
+    ("analyze --tol default 1e-3 -> 1e-4", "src/laguerre/cli.py",
+     '("analyze", cmd_surface_analyze, ("csv",), 1e-3)',
+     '("analyze", cmd_surface_analyze, ("csv",), 1e-4)',
+     ["tests/test_cli.py"]),
+]
+
+
+def tests_fail(tests: list, edit: tuple | None = None) -> bool:
+    """Whether the named tests fail on a copy of the repository, with the
+    edit (file, old text, new text) applied when one is given."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "tools"))
+        if edit is not None:
+            file, old, new = edit
+            source = (copy / file).read_text()
+            if source.count(old) != 1:
+                raise SystemExit(f"{file}: mutant text must occur exactly once: {old!r}")
+            (copy / file).write_text(source.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               *tests], cwd=copy, env=env, capture_output=True, text=True)
+    return proc.returncode != 0
+
+
+def main(argv: list) -> int:
+    chosen = [m for m in MUTANTS if not argv or any(a in m[0] for a in argv)]
+    if tests_fail(sorted({t for m in chosen for t in m[4]})):
+        raise SystemExit("the named tests fail on the unmutated tree")
+    caught, total = Counter(), Counter()
+    for name, file, old, new, tests in chosen:
+        hit = tests_fail(tests, (file, old, new))
+        caught[file] += hit
+        total[file] += 1
+        print(f"{'caught  ' if hit else 'SURVIVED'} {file}: {name}", flush=True)
+    for file in total:
+        print(f"{file}: {caught[file]}/{total[file]} caught")
+    print(f"all: {sum(caught.values())}/{sum(total.values())} caught")
+    return 0 if caught == total else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
