@@ -286,6 +286,12 @@ def leading_minors(mat: np.ndarray) -> list:
     return [grid_det(mat[..., :k, :k]) for k in range(1, mat.shape[-1] + 1)]
 
 
+def sqrt_det(det: np.ndarray) -> np.ndarray:
+    """Square root of a grid of determinants, NaN where one is not finite
+    and positive (the volume density sqrt(det g) of a metric field)."""
+    return np.sqrt(np.where(np.isfinite(det) & (det > 0), det, np.nan))
+
+
 def nonpositive_index(mat: np.ndarray, minors: list | None = None):
     """Grid index of the finite block with the lowest eigenvalue when some
     finite block of a symmetric field is not positive definite; None when

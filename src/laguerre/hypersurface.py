@@ -225,8 +225,7 @@ def analyze(patch: SurfacePatch) -> InvariantField:
     if fd.nonpositive_index(g, minors) is not None:
         raise DegenerateSurfaceError("invariant metric is not positive definite on the grid")
     ginv = fd.grid_inv(g)
-    det = minors[-1]
-    sqrt_det = np.sqrt(np.where(np.isfinite(det) & (det > 0), det, np.nan))
+    sqrt_det = fd.sqrt_det(minors[-1])
     Gamma = fd.christoffel(g, axes, ginv)
 
     lapY = fd.laplace_beltrami(lift.Y, ginv, sqrt_det, axes)

@@ -14,9 +14,15 @@ Conventions:
   group is wp = (1, -1, 0, ..., 0).
 * Tolerances are relative to a natural scale (Euclidean norm of the vector,
   max-norm of the matrix); the package-wide default is 1e-9.
+* The per-dimension constants ``signature(n)``, ``signature_matrix(n)``,
+  ``wp(n)`` and ``unit_wp(n)`` are built once per n and shared by every
+  caller, so they are read-only: a caller that needs to write copies first.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,27 +33,41 @@ DEFAULT_TOL = 1e-9
 MIN_BASE_DIM = 3
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
 def signature(n: int) -> np.ndarray:
-    """Diagonal of the inner product on R^{n+3}_2 as a vector."""
+    """Diagonal of the inner product on R^{n+3}_2 as a vector (read-only)."""
     if n < MIN_BASE_DIM:
         raise UsageError(f"base dimension must be >= {MIN_BASE_DIM}, got {n}")
     sig = np.ones(n + 3)
     sig[0] = -1.0
     sig[-1] = -1.0
-    return sig
+    return _read_only(sig)
 
 
+@lru_cache(maxsize=None)
 def signature_matrix(n: int) -> np.ndarray:
-    """The Gram matrix diag(-1, +1, ..., +1, -1) of size n + 3."""
-    return np.diag(signature(n))
+    """The Gram matrix diag(-1, +1, ..., +1, -1) of size n + 3 (read-only)."""
+    return _read_only(np.diag(signature(n)))
 
 
+@lru_cache(maxsize=None)
 def wp(n: int) -> np.ndarray:
-    """The distinguished light-like row vector (1, -1, 0, ..., 0)."""
+    """The distinguished light-like row vector (1, -1, 0, ..., 0) (read-only)."""
     v = np.zeros(n + 3)
     v[0] = 1.0
     v[1] = -1.0
-    return v
+    return _read_only(v)
+
+
+@lru_cache(maxsize=None)
+def unit_wp(n: int) -> np.ndarray:
+    """wp(n) scaled to unit Euclidean norm (read-only)."""
+    return _read_only(wp(n) / np.linalg.norm(wp(n)))
 
 
 def base_dim(vec_or_mat: np.ndarray) -> int:
@@ -97,18 +117,27 @@ def is_laguerre_matrix(T: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
     Both conditions are checked entrywise against ``tol`` times a scale
     derived from the matrix: sphere coordinates grow quadratically in the
-    center, so absolute tolerances would be useless.
+    center, so absolute tolerances would be useless.  A matrix with a
+    non-finite entry, or one so large that the square of its max-norm
+    overflows, cannot be checked and is rejected.
     """
     T = np.asarray(T, dtype=float)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise UsageError(f"expected a square matrix, got shape {T.shape}")
     n = base_dim(T)
+    big = float(np.abs(T).max())  # NaN when T holds one
+    if not math.isfinite(big):
+        return False
+    try:  # a float ** raises OverflowError where * would quietly give inf
+        scale = max(1.0, big ** 2)
+    except OverflowError:
+        return False
     G = signature_matrix(n)
-    scale = max(1.0, float(np.abs(T).max()) ** 2)
-    if not np.all(np.isfinite(T)):
+    gram = T.dot(G).dot(T.T)  # T G T^T; ndarray.dot skips the dispatch cost of @
+    gram -= G
+    if np.abs(gram, out=gram).max() > tol * scale:
         return False
-    gram_defect = np.abs(T @ G @ T.T - G).max()
-    if gram_defect > tol * scale:
-        return False
-    wp_defect = np.abs(wp(n) @ T - wp(n)).max()
-    return bool(wp_defect <= tol * max(1.0, float(np.abs(T).max())))
+    # wp T is T_0 - T_1, rounded once, as the product wp @ T rounds it; the
+    # row is finite here, so Python's max over it equals numpy's, and is cheaper
+    wp_defect = max(map(abs, (T[0] - T[1] - wp(n)).tolist()))
+    return wp_defect <= tol * max(1.0, big)

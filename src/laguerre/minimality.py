@@ -91,8 +91,7 @@ def third_form_laplacian_r(patch: SurfacePatch, r: np.ndarray) -> np.ndarray:
     if patch.n != 3:
         raise UsageError("the third-form Laplacian criterion is stated for surfaces")
     IIIinv = fd.grid_inv(patch.third_form)
-    det = fd.grid_det(patch.third_form)
-    sqrt_det = np.sqrt(np.where(np.isfinite(det) & (det > 0), det, np.nan))
+    sqrt_det = fd.sqrt_det(fd.grid_det(patch.third_form))
     return fd.laplace_beltrami(r, IIIinv, sqrt_det, patch.axes)
 
 

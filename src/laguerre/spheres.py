@@ -265,7 +265,7 @@ def classify_coord(
     w = lorentz.wp(n)
     # Projective test against the improper point: kill the component along
     # it and see what is left (robust against pivot ties in normalization).
-    unit = w / np.linalg.norm(w)
+    unit = lorentz.unit_wp(n)
     residue = rep - np.dot(rep, unit) * unit
     if np.abs(residue).max() <= max(tol, 1e-12) * max(1.0, float(np.abs(rep).max())):
         return PointAtInfinity()

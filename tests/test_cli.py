@@ -114,6 +114,16 @@ def test_group_invalid_element_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_transform_too_large_to_check_exits_3(torus_spec_file, tmp_path, capsys):
+    # a translation of 1e80 puts ~1e160 in the matrix, whose square overflows
+    script = write(tmp_path, "t.json", [
+        {"kind": "isometry", "A": np.eye(3).tolist(), "a": [1e80, 0, 0]},
+    ])
+    assert run(["surface", "compare", "--spec", torus_spec_file,
+                "--spec2", torus_spec_file, "--transform", script]) == 3
+    assert "does not preserve the inner product" in capsys.readouterr().err
+
+
 def test_surface_analyze(torus_spec_file, capsys, tmp_path):
     csv_path = str(tmp_path / "fields.csv")
     assert run(["surface", "analyze", "--spec", torus_spec_file, "--csv", csv_path]) == 0

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laguerre import group, lorentz
-from laguerre.errors import UsageError
+from laguerre.errors import InvalidElementError, UsageError
 
 
 def test_wp_is_lightlike():
@@ -83,3 +85,94 @@ def test_group_elements_preserve_inner_and_cone():
         L = np.array([0.0, 1, 0, 0, 0, -1])
         img = L @ T
         assert abs(lorentz.inner(img, img)) <= 1e-10 * np.dot(img, img)
+
+
+def test_matrices_that_move_wp_are_rejected():
+    # both preserve the inner product; -I sends wp to -wp, the boost in the
+    # (x_1, x_2) plane scales it by e^t
+    assert not lorentz.is_laguerre_matrix(-np.eye(6))
+    boost = np.eye(6)
+    boost[:2, :2] = [[np.cosh(0.5), np.sinh(0.5)], [np.sinh(0.5), np.cosh(0.5)]]
+    assert np.abs(boost @ lorentz.signature_matrix(3) @ boost.T - lorentz.signature_matrix(3)).max() < 1e-15
+    assert not lorentz.is_laguerre_matrix(boost)
+
+
+def test_overflowing_scale_is_rejected():
+    # max|T|^2 overflows a double: the check cannot be made, so T is rejected
+    assert not lorentz.is_laguerre_matrix(1e155 * np.eye(6))
+    with pytest.raises(InvalidElementError):
+        group.isometry(np.eye(3), [1e80, 0.0, 0.0])
+
+
+def test_constants_are_shared_and_read_only():
+    for const in (lorentz.signature(3), lorentz.signature_matrix(4), lorentz.wp(3),
+                  lorentz.unit_wp(4)):
+        with pytest.raises(ValueError):
+            const[0] = 0.0
+    assert lorentz.wp(3) is lorentz.wp(3)
+    assert np.array_equal(lorentz.signature(3), [-1.0, 1, 1, 1, 1, -1])
+    assert np.array_equal(lorentz.unit_wp(3), lorentz.wp(3) / np.sqrt(2.0))
+    for _ in range(2):  # a failed call is not cached
+        with pytest.raises(UsageError):
+            lorentz.signature(2)
+
+
+def reference_is_laguerre_matrix(T, tol=lorentz.DEFAULT_TOL):
+    """The membership test written plainly, the reference for the fused one:
+    fresh constants on every call, two scans of |T|, wp T as a product."""
+    T = np.asarray(T, dtype=float)
+    n = T.shape[-1] - 3
+    G = np.diag(np.r_[-1.0, np.ones(n + 1), -1.0])
+    wp = np.r_[1.0, -1.0, np.zeros(n + 1)]
+    scale = max(1.0, float(np.abs(T).max()) ** 2)
+    if not np.all(np.isfinite(T)):
+        return False
+    gram_defect = np.abs(T @ G @ T.T - G).max()
+    if gram_defect > tol * scale:
+        return False
+    wp_defect = np.abs(wp @ T - wp).max()
+    return bool(wp_defect <= tol * max(1.0, float(np.abs(T).max())))
+
+
+def drawn_matrix(seed, n, factors):
+    rng = np.random.default_rng(seed)
+    T = group.random_transform(rng, n, factors=factors, translation_scale=3.0).matrix
+    return T, rng
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]), factors=st.integers(1, 6),
+       log_eps=st.floats(-12.0, -6.0), spot=st.booleans())
+def test_laguerre_check_decides_as_reference(seed, n, factors, log_eps, spot):
+    """Same decision as the reference on group elements and on elements
+    perturbed by eps E (E dense, or one entry) across the tolerance."""
+    T, rng = drawn_matrix(seed, n, factors)
+    assert lorentz.is_laguerre_matrix(T) and reference_is_laguerre_matrix(T)
+    E = rng.standard_normal(T.shape)
+    if spot:
+        E *= np.outer(np.eye(n + 3)[rng.integers(n + 3)], np.eye(n + 3)[rng.integers(n + 3)])
+    P = T + 10.0 ** log_eps * E
+    assert lorentz.is_laguerre_matrix(P) == reference_is_laguerre_matrix(P)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), count=st.integers(1, 3))
+def test_non_finite_entries_are_rejected_as_by_reference(seed, n, bad, count):
+    T, rng = drawn_matrix(seed, n, 4)
+    for _ in range(count):
+        T[tuple(rng.integers(n + 3, size=2))] = bad
+    assert not lorentz.is_laguerre_matrix(T) and not reference_is_laguerre_matrix(T)
+
+
+def test_perturbations_straddle_the_tolerance():
+    """The eps sweep of the property above crosses the accept/reject edge."""
+    for n in (3, 4):
+        T, rng = drawn_matrix(n, n, 5)
+        E = rng.standard_normal(T.shape)
+        decisions = []
+        for eps in np.logspace(-12, -6, 25):
+            P = T + eps * E
+            decisions.append(lorentz.is_laguerre_matrix(P))
+            assert decisions[-1] == reference_is_laguerre_matrix(P)
+        assert decisions[0] and not decisions[-1]

@@ -54,6 +54,18 @@ MUTANTS = [
     ("cusp message: image radius a - r b", "src/laguerre/hypersurface.py",
      "h1[0][..., -1:] + patch.shape.radii", "h1[0][..., -1:] - patch.shape.radii",
      ["tests/test_hypersurface.py"]),
+    ("membership: wp-row check dropped", "src/laguerre/lorentz.py",
+     "return wp_defect <= tol * max(1.0, big)", "return True",
+     ["tests/test_lorentz.py"]),
+    ("membership: Gram scale max|T| instead of max|T|^2", "src/laguerre/lorentz.py",
+     "scale = max(1.0, big ** 2)", "scale = max(1.0, big)",
+     ["tests/test_lorentz.py"]),
+    ("membership: non-finite entries not rejected", "src/laguerre/lorentz.py",
+     "if not math.isfinite(big):\n        return False", "if False:\n        return False",
+     ["tests/test_lorentz.py"]),
+    ("cached unit wp: wp / 2 instead of wp / |wp|", "src/laguerre/lorentz.py",
+     "wp(n) / np.linalg.norm(wp(n))", "wp(n) / 2.0",
+     ["tests/test_spheres.py"]),
     ("analyze --tol default 1e-3 -> 1e-4", "src/laguerre/cli.py",
      '("analyze", cmd_surface_analyze, ("csv",), 1e-3)',
      '("analyze", cmd_surface_analyze, ("csv",), 1e-4)',
