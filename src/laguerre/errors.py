@@ -31,7 +31,9 @@ class DegenerateSurfaceError(LaguerreError):
 
 
 class EmbeddingDomainError(LaguerreError):
-    """A space-form contact element outside the domain of the embedding."""
+    """A pencil with no Euclidean contact element to read off: a space-form
+    element outside the domain of its embedding, or a group image whose
+    hyperplane member has a vanishing last entry."""
 
 
 class InsufficientInteriorError(LaguerreError):

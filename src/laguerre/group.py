@@ -40,12 +40,13 @@ RECONSTRUCTION_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class LaguerreTransform:
-    """A validated group element, immutable after construction."""
+    """A validated group element, immutable after construction: it keeps a
+    read-only copy of the matrix it is given."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
+        M = np.array(self.matrix, dtype=float)
         if not lorentz.is_laguerre_matrix(M, tol=BLOCK_TOL):
             raise InvalidElementError(
                 "matrix does not preserve the inner product and fix wp"
@@ -54,6 +55,7 @@ class LaguerreTransform:
         v = M[-1, 2:-1]
         if abs(w * w - 1.0 - float(np.dot(v, v))) > BLOCK_TOL * max(1.0, w * w):
             raise InvalidElementError("lower-right block violates w^2 = 1 + |v|^2")
+        M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
 
     @property
@@ -64,11 +66,11 @@ class LaguerreTransform:
         """Composite that applies self first, then other (row action)."""
         return LaguerreTransform(self.matrix @ other.matrix)
 
-    def __matmul__(self, other: "LaguerreTransform") -> "LaguerreTransform":
-        return self.then(other)
-
     def inverse(self) -> "LaguerreTransform":
-        return LaguerreTransform(np.linalg.inv(self.matrix))
+        """The group inverse G T^T G (T G T^T = G and G G = 1), formed by sign
+        flips of T^T without rounding."""
+        sig = lorentz.signature(self.n)
+        return LaguerreTransform(sig[:, None] * self.matrix.T * sig)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,29 +247,18 @@ def act_on_coord(T: LaguerreTransform, gamma: ProjectivePoint) -> ProjectivePoin
     return ProjectivePoint(gamma.vec @ T.matrix)
 
 
-def map_contact_grid(T: LaguerreTransform, x: np.ndarray, xi: np.ndarray):
-    """Vectorized contact action on arrays of base points and unit normals.
-
-    x and xi have the base dimension in the trailing axis; any leading grid
-    shape is allowed.  Maps the pencil through T and reads the transformed
-    (x, xi) arrays off the image.
-    """
-    h1, h2 = (g @ T.matrix for g in contact_pencil(x, xi))
-    if np.any(np.abs(h2[..., -1]) <= 1e-12 * np.abs(h2).max(axis=-1)):
-        raise InvalidElementError("image pencil has no usable hyperplane member")
-    return contact_from_pencil(h1[..., 2:], h2[..., 2:])
-
-
 def act_on_contact(T: LaguerreTransform, c: ContactElement) -> ContactElement:
     """Image of a contact element under the group action.
 
     Maps the pencil generators through T and reads the element off the
-    image line (``spheres.contact_from_pencil``).
+    image line (``spheres.contact_from_pencil``, which raises
+    EmbeddingDomainError when the image line has no Euclidean element).
     """
     if c.n != T.n:
         raise UsageError("transform and contact element have different base dimensions")
-    new_x, new_xi = map_contact_grid(T, c.x, c.xi)
-    return ContactElement(x=new_x, xi=new_xi)
+    h1, h2 = (g @ T.matrix for g in contact_pencil(c.x, c.xi))
+    x, xi = contact_from_pencil(h1[2:], h2[2:])
+    return ContactElement(x=x, xi=xi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,7 +42,7 @@ from . import fd, lorentz, patches
 from .errors import DegenerateSurfaceError, UsageError
 from .group import LaguerreTransform
 from .patches import LaguerreLift, SurfacePatch
-from .spheres import contact_pencil, coord_tail
+from .spheres import contact_from_pencil, contact_pencil, coord_tail, plane_point
 
 # Cascade depth of the deepest residual (divergence of C), used for the
 # up-front interior check: Y -> g -> Gamma/lap -> N -> C -> div C.
@@ -347,18 +347,17 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
 
     The pencil jets of the patch are mapped through T and the image patch
     is read off them (``patch_from_pencil``), so no accuracy is lost
-    relative to the source patch.
+    relative to the source patch.  The image keeps the source's jets
+    provenance, and with it the source's screen tolerances.
     """
     if patch.space != "r3":
         raise UsageError("only Euclidean patches transform under the group")
     if T.n != patch.n:
         raise UsageError("transform and patch have different base dimensions")
     h1, h2 = ([j @ T.matrix for j in member] for member in pencil_jets(patch))
-    if np.min(np.abs(h2[0][..., -1])) <= 1e-12 * np.abs(h2[0]).max():
-        raise UsageError("transformed pencil degenerates on this patch")
     try:
         return patch_from_pencil(patch, [j[..., 2:] for j in h1], [j[..., 2:] for j in h2],
-                                 jets="chain", transformed=True)
+                                 transformed=True)
     except DegenerateSurfaceError as exc:
         # Curvature sphere i goes to (gamma1 + r_i gamma2) T, whose last entry
         # is the image radius r'_i = a + r_i b.  One that takes both signs on
@@ -393,10 +392,9 @@ def pencil_jets(patch: SurfacePatch):
 
     def member(s, v):
         # The radius entry is constant along the patch, so its jets vanish.
-        return np.concatenate([s[..., None], -s[..., None], coord_tail(v, 0.0, patch.space)],
-                              axis=-1)
+        return plane_point(s, coord_tail(v, 0.0, patch.space))
 
-    g1, g2 = contact_pencil(x, xi, w, patch.space)
+    g1, g2 = contact_pencil(x, xi, patch.space)
     return ((g1, member(xdx, dx), member(d2xx, d2x)),
             (g2, member(dxxi, dxi), member(d2xxi, d2xi)))
 
@@ -405,17 +403,19 @@ def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
     """Euclidean patch read off a pencil along ``patch``, with exact jets.
 
     h1 and h2 are the jets (value, first, second derivatives) of entries 2:
-    of the point-sphere and hyperplane members.  With (A, a) and (B, b) the
-    middle block and the last entry, xi = B / b and x = A - (a/b) B, as in
-    ``spheres.contact_from_pencil``; the caller guards b against zero.
+    of the point-sphere and hyperplane members.  x and xi come from
+    ``spheres.contact_from_pencil``, which guards the read-off; with (A, a)
+    and (B, b) the middle block and the last entry, x = A - (a/b) B and
+    xi = B / b carry their derivatives as quotient jets.
     """
-    (A, dA, d2A), (B, dB, d2B) = ([j[..., :-1] for j in h] for h in (h1, h2))
-    a, da, d2a = (j[..., -1:] for j in h1)
+    x, xi = contact_from_pencil(h1[0], h2[0])
+    (dA, d2A), (B, dB, d2B) = ([j[..., :-1] for j in h] for h in (h1[1:], h2))
+    da, d2a = (j[..., -1:] for j in h1[1:])
     b, db, d2b = (j[..., -1] for j in h2)
-    xi, dxi, d2xi = _quotient_jets(B, dB, d2B, b, db, d2b)
+    dxi, d2xi = _quotient_jets(xi, dB, d2B, b, db, d2b)
     # q = a / b is the same quotient on a single component.
-    q, dq, d2q = (j[..., 0] for j in _quotient_jets(a, da, d2a, b, db, d2b))
-    x = A - q[..., None] * B
+    q = h1[0][..., -1] / b
+    dq, d2q = (j[..., 0] for j in _quotient_jets(q[..., None], da, d2a, b, db, d2b))
     dx = dA - dq[..., None] * B[..., None, :] - q[..., None, None] * dB
     d2x = (
         d2A
@@ -429,9 +429,8 @@ def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
                               {**patch.metadata, **metadata})
 
 
-def _quotient_jets(v, dv, d2v, b, db, d2b):
-    """Jets of the vector field w = v / b from the jets of v and b."""
-    w = v / b[..., None]
+def _quotient_jets(w, dv, d2v, b, db, d2b):
+    """First and second jets of the vector field w = v / b, given w."""
     dw = (dv - w[..., None, :] * db[..., :, None]) / b[..., None, None]
     d2w = (
         d2v
@@ -439,7 +438,7 @@ def _quotient_jets(v, dv, d2v, b, db, d2b):
         - dw[..., :, None, :] * db[..., None, :, None]
         - w[..., None, None, :] * d2b[..., :, :, None]
     ) / b[..., None, None, None]
-    return w, dw, d2w
+    return dw, d2w
 
 
 def compare_invariants(f1: InvariantField, f2: InvariantField) -> dict:

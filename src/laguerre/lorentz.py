@@ -14,6 +14,8 @@ Conventions:
   group is wp = (1, -1, 0, ..., 0).
 * Tolerances are relative to a natural scale (Euclidean norm of the vector,
   max-norm of the matrix); the package-wide default is 1e-9.
+* ``inner_1`` is the product (+, ..., +, -) of R^k_1, which the space
+  forms and the entries 2: of a light-cone coordinate share.
 * The per-dimension constants ``signature(n)``, ``signature_matrix(n)``,
   ``wp(n)`` and ``unit_wp(n)`` are built once per n and shared by every
   caller, so they are read-only: a caller that needs to write copies first.
@@ -92,6 +94,16 @@ def inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray | float:
     sig = signature(X.shape[-1] - 3)
     out = np.sum(sig * X * Y, axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+def inner_1(v: np.ndarray, w: np.ndarray):
+    """Product of signature (+, ..., +, -) over the trailing axis: the form of
+    R^n_1 and R^{n+1}_1, and of entries 2: of a light-cone coordinate in
+    every space-form layout.  A sequential reduce, not a BLAS dot, so a grid
+    point and the same point alone round alike.  Broadcasts over leading axes.
+    """
+    p = v * w
+    return np.add.reduce(p[..., :-1], axis=-1) - p[..., -1]
 
 
 def causal_type(X: np.ndarray, tol: float = 1e-12) -> str:

@@ -276,7 +276,7 @@ def laguerre_lift(patch: SurfacePatch) -> LaguerreLift:
     coordinate eta = gamma1 + r gamma2, built from the zeroth-order pencil
     (gamma1, gamma2) in the layout of the patch's own space form."""
     shape = patch.shape
-    g1, y = contact_pencil(patch.x, patch.xi, patch.form, patch.space)
+    g1, y = contact_pencil(patch.x, patch.xi, patch.space)
     Y = shape.rho[..., None] * y
     eta = g1 + shape.r[..., None] * y
     return LaguerreLift(y=y, Y=Y, eta=eta, rho=shape.rho, r=shape.r)

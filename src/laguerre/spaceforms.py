@@ -14,17 +14,21 @@ on two siblings:
   C(p).
 
 Both carry light-cone coordinates on the same quadric, with layouts that
-differ from the Euclidean one only in where the radius entry sits: last
-in R^n, third in R^n_1 and nowhere in R^n_0.  The pencil of a contact
-element is the point sphere gamma1 = ((1 + <x,x>)/2, (1 - <x,x>)/2, x) and
-the tangent hyperplane gamma2 = (<x,xi>, -<x,xi>, xi), radius entry 0 and
-1, in every layout.  As raw (n+3)-tuples these native coordinates
-literally coincide with those of the image spheres, so the embeddings
-sigma (Lorentzian) and tau (degenerate) into the Euclidean bundle are the
-Euclidean read-off of the native pencil (``spheres.contact_from_pencil``).
-Only entries 2: enter it -- (0, x) and (1, xi) in R^n_1, x and xi in
-R^n_0 -- so patches push forward with exact jets through the same
-read-off as the group action (``hypersurface.patch_from_pencil``).
+differ from the Euclidean one only in where the radius entry sits in the
+tail (``spheres.coord_tail``): last in R^n, first in R^n_1 and nowhere in
+R^n_0.  The tail has signature (+, ..., +, -) in every layout, so the
+kernels ``spheres.sphere_point`` and ``plane_point`` give every coordinate:
+H(p, r) has tail (-r, p) and q = r^2 + <p, p>_1, C(p) has tail p and
+q = <p, p>, and the planes have tails (1, xi) and xi.  The pencil of a
+contact element is the point sphere of x and the tangent hyperplane of xi
+in every layout.  As raw (n+3)-tuples these native coordinates literally
+coincide with those of the image spheres, so the embeddings sigma
+(Lorentzian) and tau (degenerate) into the Euclidean bundle are the
+Euclidean read-off of the native pencil (``spheres.contact_from_pencil``),
+which also rejects elements outside their domain.  Only entries 2: enter
+it -- (0, x) and (1, xi) in R^n_1, x and xi in R^n_0 -- so patches push
+forward with exact jets through the same read-off as the group action
+(``hypersurface.patch_from_pencil``).
 
 Every invariant of the image can be compared against its native
 counterpart: radii map by r' = r xi_last + x_last, the trace-free size by
@@ -39,17 +43,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fd, lorentz
-from .errors import EmbeddingDomainError, UsageError
+from .errors import UsageError
 from .hypersurface import patch_from_pencil
-from .patches import SurfacePatch, ambient_form_diag, nu_vector
+from .patches import SurfacePatch, nu_vector
 from .spheres import (ContactElement, ProjectivePoint, _as_float_vector, classify_coord,
-                      contact_from_pencil, coord_tail)
+                      contact_from_pencil, coord_tail, plane_point, sphere_point)
 
 UNIT_TOL = 1e-10
-
-
-def _form_dot(v, w, form):
-    return np.sum(form * v * w, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,8 +64,7 @@ class ContactElementR31:
         object.__setattr__(self, "xi", _as_float_vector(self.xi, "xi"))
         if self.x.shape != self.xi.shape:
             raise UsageError("x and xi must share a dimension")
-        form = ambient_form_diag("r31", self.n)
-        if abs(_form_dot(self.xi, self.xi, form) + 1.0) > UNIT_TOL:
+        if abs(lorentz.inner_1(self.xi, self.xi) + 1.0) > UNIT_TOL:
             raise UsageError("xi must be unit time-like, <xi, xi> = -1")
 
     @property
@@ -90,13 +89,12 @@ class ContactElementR30:
         if self.x.shape != self.xi.shape:
             raise UsageError("x and xi must share a dimension")
         n = self.n
-        form = ambient_form_diag("r30", n)
         nu = nu_vector(n)
-        if abs(_form_dot(self.x, nu, form)) > UNIT_TOL * max(1.0, np.abs(self.x).max()):
+        if abs(lorentz.inner_1(self.x, nu)) > UNIT_TOL * max(1.0, np.abs(self.x).max()):
             raise UsageError("x must lie on the degenerate hyperplane <x, nu> = 0")
-        if abs(_form_dot(self.xi, self.xi, form)) > UNIT_TOL:
+        if abs(lorentz.inner_1(self.xi, self.xi)) > UNIT_TOL:
             raise UsageError("xi must be null")
-        if abs(_form_dot(self.xi, nu, form) - 1.0) > UNIT_TOL:
+        if abs(lorentz.inner_1(self.xi, nu) - 1.0) > UNIT_TOL:
             raise UsageError("xi must satisfy <xi, nu> = 1")
 
     @property
@@ -130,8 +128,7 @@ class PlaneR31:
     def __post_init__(self):
         object.__setattr__(self, "normal", _as_float_vector(self.normal, "normal"))
         object.__setattr__(self, "offset", float(self.offset))
-        form = ambient_form_diag("r31", self.n)
-        if abs(_form_dot(self.normal, self.normal, form) + 1.0) > UNIT_TOL:
+        if abs(lorentz.inner_1(self.normal, self.normal) + 1.0) > UNIT_TOL:
             raise UsageError("plane normal must satisfy <xi, xi> = -1")
 
     @property
@@ -154,8 +151,7 @@ class CSphere:
 
     @property
     def radius(self) -> float:
-        form = ambient_form_diag("r30", self.n)
-        return -float(_form_dot(self.p, nu_vector(self.n), form))
+        return -float(lorentz.inner_1(self.p, nu_vector(self.n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,10 +166,9 @@ class PlaneR30:
         object.__setattr__(self, "normal", _as_float_vector(self.normal, "normal"))
         object.__setattr__(self, "offset", float(self.offset))
         n = self.n
-        form = ambient_form_diag("r30", n)
-        if abs(_form_dot(self.normal, self.normal, form)) > UNIT_TOL:
+        if abs(lorentz.inner_1(self.normal, self.normal)) > UNIT_TOL:
             raise UsageError("degenerate-space plane normal must be null")
-        if abs(_form_dot(self.normal, nu_vector(n), form) - 1.0) > UNIT_TOL:
+        if abs(lorentz.inner_1(self.normal, nu_vector(n)) - 1.0) > UNIT_TOL:
             raise UsageError("degenerate-space plane normal must pair to 1 with nu")
 
     @property
@@ -187,24 +182,12 @@ SpaceFormSphere = HSphere | PlaneR31 | CSphere | PlaneR30
 def spaceform_sphere_coord(s: SpaceFormSphere) -> ProjectivePoint:
     """Light-cone coordinate of a space-form sphere or plane."""
     if isinstance(s, HSphere):
-        form = ambient_form_diag("r31", s.n)
-        pp = _form_dot(s.center, s.center, form)
-        r = s.radius
-        vec = np.concatenate(
-            [[0.5 * (1.0 + pp + r * r), 0.5 * (1.0 - pp - r * r), -r], s.center]
-        )
-        return ProjectivePoint(vec)
-    if isinstance(s, PlaneR31):
-        vec = np.concatenate([[s.offset, -s.offset, 1.0], s.normal])
-        return ProjectivePoint(vec)
+        return ProjectivePoint(sphere_point(coord_tail(s.center, -s.radius, "r31")))
     if isinstance(s, CSphere):
-        form = ambient_form_diag("r30", s.n)
-        pp = _form_dot(s.p, s.p, form)
-        vec = np.concatenate([[0.5 * (1.0 + pp), 0.5 * (1.0 - pp)], s.p])
-        return ProjectivePoint(vec)
-    if isinstance(s, PlaneR30):
-        vec = np.concatenate([[s.offset, -s.offset], s.normal])
-        return ProjectivePoint(vec)
+        return ProjectivePoint(sphere_point(s.p))
+    if isinstance(s, (PlaneR31, PlaneR30)):
+        space = "r31" if isinstance(s, PlaneR31) else "r30"
+        return ProjectivePoint(plane_point(s.offset, coord_tail(s.normal, 1.0, space)))
     raise UsageError(f"not a space-form sphere: {type(s).__name__}")
 
 
@@ -213,8 +196,6 @@ def spaceform_sphere_coord(s: SpaceFormSphere) -> ProjectivePoint:
 # ---------------------------------------------------------------------------
 
 def _embed_element(c, space: str) -> ContactElement:
-    if abs(c.xi[-1]) < 1e-12:
-        raise EmbeddingDomainError("xi has vanishing last component; outside the embedding domain")
     x, xi = contact_from_pencil(coord_tail(c.x, 0.0, space), coord_tail(c.xi, 1.0, space))
     return ContactElement(x=x, xi=xi / np.linalg.norm(xi))
 
@@ -273,22 +254,17 @@ def embed_patch(patch: SurfacePatch) -> SurfacePatch:
 
     The image is read off the jets of the native pencil's entries 2:,
     (0, x) and (1, xi) in R^n_1 and x and xi in R^n_0; the jets are exact
-    and the image is validated like any other patch.
+    and the image is validated like any other patch.  It keeps the source's
+    jets provenance.
     """
     if patch.space == "r3":
         return patch
     if patch.space not in ("r31", "r30"):
         raise UsageError(f"unknown space {patch.space!r}")
-    if np.min(np.abs(patch.xi[..., -1])) < 1e-12 * max(1.0, float(np.abs(patch.xi).max())):
-        raise EmbeddingDomainError(
-            "normal has a vanishing last component inside the patch; "
-            "the embedding is undefined there"
-        )
     sp = patch.space
     h1 = [coord_tail(j, 0.0, sp) for j in (patch.x, patch.dx, patch.d2x)]
     h2 = [coord_tail(j, c, sp) for j, c in ((patch.xi, 1.0), (patch.dxi, 0.0), (patch.d2xi, 0.0))]
-    return patch_from_pencil(patch, h1, h2, jets=patch.metadata.get("jets", "analytic"),
-                             embedded_from=sp)
+    return patch_from_pencil(patch, h1, h2, embedded_from=sp)
 
 
 # ---------------------------------------------------------------------------

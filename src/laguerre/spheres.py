@@ -6,7 +6,11 @@ x - p = r xi; the sign of r records the orientation of the unit normal
 hyperplane P(xi, lam) is the set of (x, xi) with x . xi = lam.
 
 Both kinds map to points of the projective quadric {<g, g> = 0} in
-RP^{n+2}:
+RP^{n+2}.  Entries 2: of a coordinate, its tail t (``coord_tail``), have
+the signature (+, ..., +, -) in every layout, so two kernels of the tail
+give every coordinate: ``sphere_point(t) = ((1 + q)/2, (1 - q)/2, t)`` with
+q = <t, t> (``lorentz.inner_1``), and ``plane_point(lam, t) = (lam, -lam, t)``.  In R^n the tails
+are (p, -r) and (xi, 1):
 
     S(p, r)    ->  ( (1 + |p|^2 - r^2)/2, (1 - |p|^2 + r^2)/2, p, -r )
     P(xi, lam) ->  ( lam, -lam, xi, 1 )
@@ -15,14 +19,15 @@ The map is a bijection onto the quadric minus the single point [wp], which
 plays the role of the point sphere at infinity.  Two elements are in
 oriented contact exactly when their coordinates are orthogonal.  A contact
 element (x, xi) corresponds to the projective line spanned by its point
-sphere and its hyperplane; spheres of the pencil through (x, xi) are the
-combinations gamma1 + mu * gamma2, which carry signed radius -mu.
+sphere (tail (x, 0)) and its hyperplane (tail (xi, 1), lam = <x, xi>);
+spheres of the pencil through (x, xi) are the combinations
+gamma1 + mu * gamma2, which carry signed radius -mu.
 
 The pencil is written the same way in the Lorentzian and degenerate space
 forms (see ``spaceforms``); only the place of the radius entry changes.
 Every map of contact elements -- the group action and the space-form
 embeddings alike -- is a linear image of the pencil followed by one
-read-off of the Euclidean element, ``contact_from_pencil``.
+guarded read-off of the Euclidean element, ``contact_from_pencil``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lorentz
-from .errors import InvalidCoordinateError, InvalidLineError, UsageError
+from .errors import (EmbeddingDomainError, InvalidCoordinateError, InvalidLineError,
+                     UsageError)
 
 UNIT_TOL = 1e-12
 
@@ -181,16 +187,48 @@ class LieLine:
             raise InvalidLineError("first generator must not pair to zero with wp (a sphere)")
 
 
+def coord_tail(v, c: float, space: str = "r3") -> np.ndarray:
+    """Entries 2: of a light-cone coordinate: the block v together with the
+    radius entry c, which comes last in R^n ("r3"), first in R^n_1 ("r31")
+    and not at all in R^n_0 ("r30").  Broadcasts over leading axes."""
+    v = np.asarray(v, dtype=float)
+    if space == "r30":
+        return v
+    out = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    if space == "r3":
+        out[..., :-1], out[..., -1] = v, c
+    else:
+        out[..., 0], out[..., 1:] = c, v
+    return out
+
+
+def _coord(first, second, tail: np.ndarray) -> np.ndarray:
+    out = np.empty(tail.shape[:-1] + (tail.shape[-1] + 2,))
+    out[..., 0], out[..., 1], out[..., 2:] = first, second, tail
+    return out
+
+
+def sphere_point(tail) -> np.ndarray:
+    """Coordinate ((1 + q)/2, (1 - q)/2, tail), q = <tail, tail>, of the sphere
+    with this tail (radius entry 0: the point sphere), pairing -1 with wp.
+    Broadcasts over leading axes."""
+    tail = np.asarray(tail, dtype=float)
+    q = lorentz.inner_1(tail, tail)
+    return _coord(0.5 * (1.0 + q), 0.5 * (1.0 - q), tail)
+
+
+def plane_point(lam, tail) -> np.ndarray:
+    """Coordinate (lam, -lam, tail) of the hyperplane with offset lam and this
+    tail.  Broadcasts over leading axes."""
+    return _coord(lam, -lam, np.asarray(tail, dtype=float))
+
+
 def sphere_coord_vector(s: SphereElement) -> np.ndarray:
     """Raw light-cone representative of an oriented sphere or hyperplane."""
     if isinstance(s, Sphere):
-        p, r = s.center, s.radius
-        pp = float(np.dot(p, p))
-        return np.concatenate(
-            [[0.5 * (1.0 + pp - r * r), 0.5 * (1.0 - pp + r * r)], p, [-r]]
-        )
+        return sphere_point(coord_tail(s.center, -s.radius))
     if isinstance(s, Plane):
-        return np.concatenate([[s.offset, -s.offset], s.normal, [1.0]])
+        return plane_point(s.offset, coord_tail(s.normal, 1.0))
     raise UsageError(f"not a sphere element: {type(s).__name__}")
 
 
@@ -199,38 +237,13 @@ def sphere_coord(s: SphereElement) -> ProjectivePoint:
     return ProjectivePoint(sphere_coord_vector(s))
 
 
-def coord_tail(v: np.ndarray, c: float, space: str = "r3") -> np.ndarray:
-    """Entries 2: of a light-cone coordinate: the block v together with the
-    radius entry c, which comes last in R^n ("r3"), first in R^n_1 ("r31")
-    and not at all in R^n_0 ("r30").  Broadcasts over leading axes."""
-    if space == "r30":
-        return v
-    col = np.full(v.shape[:-1] + (1,), c)
-    return np.concatenate([v, col] if space == "r3" else [col, v], axis=-1)
-
-
-def point_sphere_vector(x: np.ndarray, form=1.0, space: str = "r3") -> np.ndarray:
-    """Coordinate ((1 + <x,x>)/2, (1 - <x,x>)/2, x) of the point sphere at x,
-    radius entry 0, normalized to pair -1 with wp.
-
-    ``form`` is the signature diagonal of the space ``space`` (see
-    ``coord_tail``).  Broadcasts over leading axes: a grid of points gives a
-    grid of coordinates.
-    """
-    x = np.asarray(x, dtype=float)
-    xx = np.sum(form * x * x, axis=-1)[..., None]
-    return np.concatenate([0.5 * (1.0 + xx), 0.5 * (1.0 - xx), coord_tail(x, 0.0, space)],
-                          axis=-1)
-
-
-def contact_pencil(x: np.ndarray, xi: np.ndarray, form=1.0, space: str = "r3"):
-    """The pencil (gamma1, gamma2) of contact elements (x, xi): the point
-    sphere and the tangent hyperplane (<x,xi>, -<x,xi>, xi), radius entry 1,
-    in the layout of ``space``.  Broadcasts over leading axes."""
-    xi = np.asarray(xi, dtype=float)
-    xxi = np.sum(form * np.asarray(x, dtype=float) * xi, axis=-1)[..., None]
-    gamma2 = np.concatenate([xxi, -xxi, coord_tail(xi, 1.0, space)], axis=-1)
-    return point_sphere_vector(x, form, space), gamma2
+def contact_pencil(x: np.ndarray, xi: np.ndarray, space: str = "r3"):
+    """The pencil (gamma1, gamma2) of contact elements (x, xi) in the layout
+    of ``space``: the point sphere of x and the tangent hyperplane of xi,
+    whose lam = <x, xi> is the pairing of the two tails.  Broadcasts over
+    leading axes."""
+    t1, t2 = coord_tail(x, 0.0, space), coord_tail(xi, 1.0, space)
+    return sphere_point(t1), plane_point(lorentz.inner_1(t1, t2), t2)
 
 
 def contact_from_pencil(h1: np.ndarray, h2: np.ndarray):
@@ -238,9 +251,18 @@ def contact_from_pencil(h1: np.ndarray, h2: np.ndarray):
     member h1 and a hyperplane member h2 of a pencil (any layout).
 
     With (A, a) and (B, b) the middle block and the last entry of h1 and h2,
-    x = A - (a/b) B and xi = B / b.  The caller guards b against zero.
+    x = A - (a/b) B and xi = B / b.  Where |b| is at most 1e-12 times the
+    largest entry of h2 the pencil has no Euclidean element, and
+    EmbeddingDomainError names the first such grid index.
     """
     b = h2[..., -1:]
+    bad = np.abs(b[..., 0]) <= 1e-12 * np.abs(h2).max(axis=-1)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f" at grid index {idx}" if idx else ""
+        raise EmbeddingDomainError(
+            f"the pencil has no Euclidean element{where}: the last entry of its "
+            "hyperplane member vanishes against the others")
     return h1[..., :-1] - (h1[..., -1:] / b) * h2[..., :-1], h2[..., :-1] / b
 
 
@@ -254,13 +276,9 @@ def classify_coord(
     from (minus) the last entry.  [wp] itself returns PointAtInfinity and
     is never silently reported as a hyperplane.
     """
-    if isinstance(gamma, ProjectivePoint):
-        rep = gamma.vec
-    else:
-        rep = normalize_representative(np.asarray(gamma, dtype=float))
-        q = lorentz.inner(rep, rep)
-        if abs(q) > max(tol, 1e-10) * float(np.dot(rep, rep)):
-            raise InvalidCoordinateError("input is not a light-like coordinate")
+    if not isinstance(gamma, ProjectivePoint):
+        gamma = ProjectivePoint(gamma, tol=max(tol, 1e-10))
+    rep = gamma.vec
     n = rep.shape[0] - 3
     w = lorentz.wp(n)
     # Projective test against the improper point: kill the component along

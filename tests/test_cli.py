@@ -124,6 +124,33 @@ def test_transform_too_large_to_check_exits_3(torus_spec_file, tmp_path, capsys)
     assert "does not preserve the inner product" in capsys.readouterr().err
 
 
+def test_transform_without_euclidean_image_exits_4(torus_spec_file, tmp_path, capsys):
+    # a translation of 1e70 leaves rounding noise ~1e54 in the middle block of
+    # the image hyperplane member, against its last entry 1
+    script = write(tmp_path, "t.json", [
+        {"kind": "isometry", "A": np.eye(3).tolist(), "a": [1e70, 0, 0]},
+    ])
+    assert run(["surface", "compare", "--spec", torus_spec_file,
+                "--spec2", torus_spec_file, "--transform", script]) == 4
+    assert "no Euclidean element at grid index (" in capsys.readouterr().err
+
+
+def test_transformed_sampled_patch_keeps_its_screen(tmp_path, capsys):
+    # The image of sampled data inherits its finite-difference contact error,
+    # so it is screened at the tolerances of sampled data.
+    grid = {"u": [-0.3, 0.3, 25], "v": [-0.3, 0.3, 25]}
+    graph = patches.build_patch({"builtin": "translational_graph", "grid": grid,
+                                 "params": {"quad": [1.0, 0.5], "cubic": [0.3, 0.2]}})
+    spec = write(tmp_path, "s.json", {"samples": {"points": graph.x.tolist(),
+                                                  "normals": graph.xi.tolist()}, "grid": grid})
+    T = group.random_transform(np.random.default_rng(9), 3, factors=4,
+                               translation_scale=0.3, flow_scale=0.2)
+    script = write(tmp_path, "t.json", [{"kind": "matrix", "rows": T.matrix.tolist()}])
+    assert run(["surface", "compare", "--spec", spec, "--spec2", spec,
+                "--transform", script]) == 0
+    assert read_out(capsys)["max_g_deviation"] < 1e-3
+
+
 def test_surface_analyze(torus_spec_file, capsys, tmp_path):
     csv_path = str(tmp_path / "fields.csv")
     assert run(["surface", "analyze", "--spec", torus_spec_file, "--csv", csv_path]) == 0

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laguerre import group, lorentz, spheres
-from laguerre.errors import InvalidElementError, UsageError
+from laguerre.errors import EmbeddingDomainError, InvalidElementError, UsageError
 from laguerre.spheres import ContactElement, Plane, PointAtInfinity, Sphere
 
 
@@ -317,3 +319,33 @@ def test_decompose_and_blocks_in_higher_dimension(n):
         assert np.abs(f.reconstruct() - T.matrix).max() < 1e-10 * scale
         b = group.to_blocks(T)
         assert np.abs(group.from_blocks(b).matrix - T.matrix).max() < 1e-10 * scale
+
+
+def test_transform_keeps_a_read_only_copy():
+    M = np.eye(6)
+    T = group.LaguerreTransform(M)
+    M[0, 0] = 5.0
+    assert T.matrix[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        T.matrix[0, 0] = 5.0
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4, 5]), factors=st.integers(1, 6))
+def test_inverse_is_the_group_inverse(seed, n, factors):
+    """G T^T G agrees with the numerical inverse to rounding (which grows
+    like |T|^2, the condition number of a group element)."""
+    T = group.random_transform(np.random.default_rng(seed), n, factors=factors)
+    scale = max(1.0, float(np.abs(T.matrix).max())) ** 2
+    assert np.abs(T.inverse().matrix - np.linalg.inv(T.matrix)).max() <= 1e-12 * scale
+    assert np.abs(T.then(T.inverse()).matrix - np.eye(n + 3)).max() <= 1e-12 * scale
+
+
+def test_act_on_contact_without_euclidean_image():
+    # Translating by 1e70 puts 1e70 <x, xi> into the product of the hyperplane
+    # member with T; summed in blocks it leaves rounding noise ~1e54 in the
+    # middle block, against the last entry 1, so the image has no element.
+    T = group.isometry(np.eye(3), np.array([1e70, 0.0, 0.0]))
+    with pytest.raises(EmbeddingDomainError, match="no Euclidean element"):
+        group.act_on_contact(T, ContactElement(np.array([1.0, 2.0, 3.0]),
+                                               np.array([0.6, 0.0, 0.8])))

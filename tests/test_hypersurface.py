@@ -197,7 +197,7 @@ def test_invariants_preserved_under_group(torus_patch, torus_field):
 def image_radii(patch, T):
     """Principal radii of the image patch, exactly: T maps the curvature
     sphere gamma1 + r_i gamma2 to the sphere whose radius entry is r_i'."""
-    g1, g2 = spheres.contact_pencil(patch.x, patch.xi, patch.form, patch.space)
+    g1, g2 = spheres.contact_pencil(patch.x, patch.xi, patch.space)
     curvature_spheres = g1[..., None, :] + patch.shape.radii[..., None] * g2[..., None, :]
     return (curvature_spheres @ T.matrix)[..., -1]
 

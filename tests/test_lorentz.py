@@ -136,7 +136,8 @@ def reference_is_laguerre_matrix(T, tol=lorentz.DEFAULT_TOL):
 
 def drawn_matrix(seed, n, factors):
     rng = np.random.default_rng(seed)
-    T = group.random_transform(rng, n, factors=factors, translation_scale=3.0).matrix
+    # a writeable copy: the perturbation tests edit the matrix in place
+    T = group.random_transform(rng, n, factors=factors, translation_scale=3.0).matrix.copy()
     return T, rng
 
 

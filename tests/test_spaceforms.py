@@ -240,3 +240,104 @@ def test_embed_patch_identity_on_euclidean(torus_patch):
 def test_transfer_check_needs_space_form(torus_patch):
     with pytest.raises(UsageError):
         spaceforms.transfer_check(torus_patch, torus_patch)
+
+
+# --- one coordinate formula for the three layouts ----------------------------
+
+# The closed forms of the coordinates, written out per layout: the sphere
+# with center p and radius r (r = 0: the pencil's point sphere; C(p) has no
+# radius entry) and the hyperplane with normal xi and offset lam (lam = <x, xi>:
+# the pencil's tangent hyperplane).
+
+def closed_sphere(space, p, r):
+    if space == "r3":
+        pp = p @ p
+        return np.concatenate([[(1 + pp - r * r) / 2, (1 - pp + r * r) / 2], p, [-r]])
+    pp = p[:-1] @ p[:-1] - p[-1] * p[-1]
+    if space == "r31":
+        return np.concatenate([[(1 + pp + r * r) / 2, (1 - pp - r * r) / 2, -r], p])
+    return np.concatenate([[(1 + pp) / 2, (1 - pp) / 2], p])
+
+
+def closed_plane(space, xi, lam):
+    if space == "r3":
+        return np.concatenate([[lam, -lam], xi, [1.0]])
+    if space == "r31":
+        return np.concatenate([[lam, -lam, 1.0], xi])
+    return np.concatenate([[lam, -lam], xi])
+
+
+def unit_normal(rng, space, m):
+    """Unit (R^n), unit time-like (R^n_1) or null normal with <xi, nu> = 1 (R^n_0)."""
+    v = rng.standard_normal(m)
+    if space == "r3":
+        return v / np.linalg.norm(v)
+    if space == "r31":
+        v[-1] = np.sqrt(1.0 + v[:-1] @ v[:-1])
+        return v
+    s = v[1:-1] @ v[1:-1]
+    return np.concatenate([[(1 - s) / 2], v[1:-1], [-(1 + s) / 2]])
+
+
+def assert_same_light_like_point(got, ref, scale):
+    """got is light-like and, rescaled into the chart of ref, equals ref to
+    1e-15 of ``scale``, the size of the terms summed in ref."""
+    k = int(np.argmax(np.abs(ref)))
+    assert np.abs(got * (ref[k] / got[k]) - ref).max() <= 1e-15 * max(1.0, scale)
+    assert abs(lorentz.inner(got, got)) <= 1e-15 * (got @ got)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(space=st.sampled_from(["r3", "r31", "r30"]), kind=st.sampled_from(["sphere", "plane"]),
+       n=st.sampled_from([3, 4]), seed=st.integers(0, 2**32 - 1), log_size=st.floats(-2.0, 2.0))
+def test_coordinates_match_their_closed_forms(space, kind, n, seed, log_size):
+    """Elements and pencils of every layout against their closed forms."""
+    rng = np.random.default_rng(seed)
+    size = 10.0 ** log_size
+    m = n + 1 if space == "r30" else n
+    x = rng.standard_normal(m) * size
+    if space == "r30":
+        x[0] = x[-1]   # on the degenerate hyperplane <x, nu> = 0
+    xi = unit_normal(rng, space, m)
+    g1, g2 = spheres.contact_pencil(x, xi, space)
+    if kind == "sphere":
+        r = 0.0 if space == "r30" else rng.standard_normal() * size
+        element = (spheres.Sphere(x, r) if space == "r3" else
+                   HSphere(x, r) if space == "r31" else CSphere(x))
+        ref, scale = closed_sphere(space, x, r), x @ x + r * r
+        pencil_member = g1, closed_sphere(space, x, 0.0), x @ x
+    else:
+        lam = rng.standard_normal() * size
+        element = {"r3": spheres.Plane, "r31": PlaneR31, "r30": PlaneR30}[space](xi, lam)
+        ref, scale = closed_plane(space, xi, lam), xi @ xi + 1
+        pairing = x @ xi if space == "r3" else x[:-1] @ xi[:-1] - x[-1] * xi[-1]
+        pencil_member = (g2, closed_plane(space, xi, pairing),
+                         np.linalg.norm(x) * np.linalg.norm(xi))
+    coord = (spheres.sphere_coord(element) if space == "r3"
+             else spaceforms.spaceform_sphere_coord(element))
+    assert_same_light_like_point(coord.vec, ref, scale)
+    assert_same_light_like_point(*pencil_member)
+
+
+def parent_contact_pencil(x, xi, form, space):
+    """The pencil as written out per member before the shared tail kernels."""
+    def tail(v, c):
+        if space == "r30":
+            return v
+        col = np.full(v.shape[:-1] + (1,), c)
+        return np.concatenate([v, col] if space == "r3" else [col, v], axis=-1)
+
+    xx = np.sum(form * x * x, axis=-1)[..., None]
+    xxi = np.sum(form * x * xi, axis=-1)[..., None]
+    return (np.concatenate([0.5 * (1.0 + xx), 0.5 * (1.0 - xx), tail(x, 0.0)], axis=-1),
+            np.concatenate([xxi, -xxi, tail(xi, 1.0)], axis=-1))
+
+
+@pytest.mark.parametrize("builtin, space", [
+    ("torus", "r3"), ("torus4", "r3"), ("maximal_catenoid_r31", "r31"), ("saddle_r30", "r30"),
+])
+def test_pencil_is_bit_equal_to_the_member_formulas(builtin, space):
+    patch = patches.build_patch({"builtin": builtin, "space": space})
+    got = spheres.contact_pencil(patch.x, patch.xi, space)
+    for g, ref in zip(got, parent_contact_pencil(patch.x, patch.xi, patch.form, space)):
+        assert np.array_equal(g, ref)

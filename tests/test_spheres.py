@@ -141,7 +141,7 @@ def test_pencil_member_is_tangent_sphere():
         xi /= np.linalg.norm(xi)
         r = rng.standard_normal() * 2
         c = ContactElement(np.zeros(3), xi)
-        g1 = spheres.point_sphere_vector(c.x)
+        g1 = spheres.sphere_point(spheres.coord_tail(c.x, 0.0))
         lam = float(np.dot(c.x, xi))
         g2 = np.concatenate([[lam, -lam], xi, [1.0]])
         member = spheres.classify_coord(g1 + (-r) * g2)
@@ -169,7 +169,7 @@ def test_contact_from_line_reads_normal_from_plane_member():
     g2 = np.concatenate([[lam, -lam], xi, [1.0]])
     x = lam * xi  # a base point with x . xi = lam
     line = spheres.LieLine(
-        spheres.ProjectivePoint(spheres.point_sphere_vector(x)),
+        spheres.ProjectivePoint(spheres.sphere_point(spheres.coord_tail(x, 0.0))),
         spheres.ProjectivePoint(g2),
     )
     back = spheres.contact_from_line(line)

@@ -66,6 +66,18 @@ MUTANTS = [
     ("cached unit wp: wp / 2 instead of wp / |wp|", "src/laguerre/lorentz.py",
      "wp(n) / np.linalg.norm(wp(n))", "wp(n) / 2.0",
      ["tests/test_spheres.py"]),
+    ("sphere point: sign of q flipped", "src/laguerre/spheres.py",
+     "q = lorentz.inner_1(tail, tail)", "q = -lorentz.inner_1(tail, tail)",
+     ["tests/test_spheres.py"]),
+    ("plane point: (lam, lam) instead of (lam, -lam)", "src/laguerre/spheres.py",
+     "return _coord(lam, -lam,", "return _coord(lam, lam,",
+     ["tests/test_spheres.py"]),
+    ("read-off guard dropped", "src/laguerre/spheres.py",
+     "if bad.any():", "if False:",
+     ["tests/test_spaceforms.py", "tests/test_group.py"]),
+    ("hyperboloid: radius entry in the Euclidean slot", "src/laguerre/spaceforms.py",
+     'coord_tail(s.center, -s.radius, "r31")', 'coord_tail(s.center, -s.radius, "r3")',
+     ["tests/test_spaceforms.py"]),
     ("analyze --tol default 1e-3 -> 1e-4", "src/laguerre/cli.py",
      '("analyze", cmd_surface_analyze, ("csv",), 1e-3)',
      '("analyze", cmd_surface_analyze, ("csv",), 1e-4)',
