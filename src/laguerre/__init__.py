@@ -16,7 +16,7 @@ from .group import (BlockData, Factorization, LaguerreTransform, act_on_contact,
                     generator, hyperbolic, isometry, parabolic, random_transform,
                     to_blocks)
 from .fd import GridAxes
-from .hypersurface import (InvariantField, LaguerreFrame, analyze, compare_invariants,
+from .hypersurface import (InvariantField, analyze, compare_invariants,
                            laguerre_volume, structural_residuals, transform_patch,
                            volume_via_curvature_quotient)
 from .lorentz import causal_type, inner, is_laguerre_matrix, signature_matrix, wp

@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from . import fd, group, hypersurface, minimality, patches, spaceforms, spheres
+from . import fd, group, hypersurface, lorentz, minimality, patches, spaceforms, spheres
 from .errors import (DegenerateSurfaceError, EmbeddingDomainError,
                      InsufficientInteriorError, InvalidElementError,
                      LaguerreError, ToleranceBreachError, UsageError)
@@ -94,7 +94,7 @@ def _euclidean_patch(args, path: str) -> patches.SurfacePatch:
     return patch if patch.space == "r3" else spaceforms.embed_patch(patch)
 
 
-def cmd_spheres_contact(args) -> int:
+def cmd_spheres_contact(args) -> dict:
     a = spheres.element_from_json(_load_json(args.a))
     b = spheres.element_from_json(_load_json(args.b))
     contact = spheres.oriented_contact(a, b, tol=args.tol)
@@ -102,51 +102,40 @@ def cmd_spheres_contact(args) -> int:
     if isinstance(a, spheres.Sphere) and isinstance(b, spheres.Sphere):
         F = spheres.tangential_invariant(a, b)
     ga, gb = spheres.sphere_coord(a), spheres.sphere_coord(b)
-    from . import lorentz
-
-    out = {
+    return {
         "contact": bool(contact),
         "F": F,
         "coords": [ga.vec, gb.vec],
         "inner": float(lorentz.inner(ga.vec, gb.vec)),
-        "seed": args.seed,
     }
-    _emit(out, args.out)
-    return EXIT_OK
 
 
-def cmd_group_compose(args) -> int:
+def cmd_group_compose(args) -> dict:
     script = _load_json(args.transform)
     T = group.compose_script(script, n=args.n)
     blocks = group.to_blocks(T)
-    out = {
+    return {
         "matrix": T.matrix,
         "blocks": {
             "A": blocks.A, "u": blocks.u, "v": blocks.v, "w": blocks.w,
             "a": blocks.a, "rho": blocks.rho,
         },
-        "seed": args.seed,
     }
-    _emit(out, args.out)
-    return EXIT_OK
 
 
-def cmd_group_decompose(args) -> int:
+def cmd_group_decompose(args) -> dict:
     script = _load_json(args.transform)
     T = group.compose_script(script, n=args.n)
     fact = group.decompose(T)
     err = float(np.abs(fact.reconstruct() - T.matrix).max())
-    out = {
+    return {
         "epsilon": fact.epsilon,
         "t": fact.t,
         "s": fact.s,
         "sigma1": {"A": fact.A1, "a": fact.a1},
         "sigma2": {"A": fact.A2, "a": fact.a2},
         "reconstruction_error": err,
-        "seed": args.seed,
     }
-    _emit(out, args.out)
-    return EXIT_OK
 
 
 def _analysis_payload(patch, fld, residuals) -> dict:
@@ -218,34 +207,29 @@ def _strict_gate(residuals: dict, tol: float) -> None:
         raise ToleranceBreachError(f"strict mode: residuals above {tol:g}: {names}")
 
 
-def cmd_surface_analyze(args) -> int:
+def cmd_surface_analyze(args) -> dict:
     patch = _euclidean_patch(args, args.spec)
     fld = hypersurface.analyze(patch)
     residuals = hypersurface.structural_residuals(fld)
     payload = _analysis_payload(patch, fld, residuals)
-    payload["seed"] = args.seed
     if args.csv:
         _write_csv(args.csv, patch, fld)
     if args.strict:
         _strict_gate(residuals, args.tol)
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload
 
 
-def cmd_surface_minimality(args) -> int:
+def cmd_surface_minimality(args) -> dict:
     fld = hypersurface.analyze(_euclidean_patch(args, args.spec))
     rep = minimality.minimality_report(fld, threshold=args.threshold)
-    payload = rep.to_json()
-    payload["seed"] = args.seed
     if args.strict and not rep.consistent:
         raise ToleranceBreachError("strict mode: the two minimality criteria disagree")
-    _emit(payload, args.out)
-    return EXIT_OK
+    return rep.to_json()
 
 
-def cmd_surface_volume(args) -> int:
+def cmd_surface_volume(args) -> dict:
     patch = _euclidean_patch(args, args.spec)
-    payload = {"volume": hypersurface.laguerre_volume(patch), "seed": args.seed}
+    payload = {"volume": hypersurface.laguerre_volume(patch)}
     if patch.n == 3:
         payload["volume_curvature_form"] = hypersurface.volume_via_curvature_quotient(patch)
         rel = abs(payload["volume"] - payload["volume_curvature_form"]) / max(
@@ -253,11 +237,10 @@ def cmd_surface_volume(args) -> int:
         payload["forms_relative_gap"] = rel
         if args.strict and rel > args.tol:
             raise ToleranceBreachError("strict mode: volume forms disagree")
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload
 
 
-def cmd_surface_compare(args) -> int:
+def cmd_surface_compare(args) -> dict:
     p1 = _euclidean_patch(args, args.spec)
     p2 = _euclidean_patch(args, args.spec2)
     if args.transform:
@@ -266,14 +249,12 @@ def cmd_surface_compare(args) -> int:
     f1 = hypersurface.analyze(p1)
     f2 = hypersurface.analyze(p2)
     payload = hypersurface.compare_invariants(f1, f2)
-    payload["seed"] = args.seed
     if args.strict:
         _strict_gate(payload, args.tol)
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload
 
 
-def cmd_surface_embed(args) -> int:
+def cmd_surface_embed(args) -> dict:
     native = _build_patch_from_args(args, args.spec)
     if native.space == "r3":
         raise UsageError("embed expects a space tag 'r31' or 'r30' in the spec")
@@ -286,12 +267,10 @@ def cmd_surface_embed(args) -> int:
         "transfer": transfer,
         "analysis": _analysis_payload(embedded, fld, residuals),
         "minimality": rep.to_json(),
-        "seed": args.seed,
     }
     if args.strict:
         _strict_gate(transfer, args.tol)
-    _emit(payload, args.out)
-    return EXIT_OK
+    return payload
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,7 +350,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
     except ToleranceBreachError as exc:
         log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
@@ -385,6 +364,8 @@ def main(argv=None) -> int:
     except (UsageError, LaguerreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    _emit({**payload, "seed": args.seed}, args.out)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -21,14 +21,12 @@ of the order the patch grid carries; the valid interior shrinks by the
 stencil radius per cascade level on non-periodic axes and reductions are
 NaN-aware.
 
-``analyze`` computes a core up front: the lift (cached on the patch), g,
-its inverse and volume element, Gamma, dY, Delta Y, N, B, L and C, and it
-screens g for positive definiteness, so every command fails at the same
-point with the same error.  Everything else on ``InvariantField`` -- the
-frame reductions, the B and shape-operator spectra, the curvature
-tensors, the exact metric, the diagnostics and the covariant derivatives
-of B and C -- is computed on first read and cached, so a command pays
-only for the fields it reports.
+``analyze`` only guards: it checks the space, the grid's interior and the
+positive definiteness of g, so every command fails at the same point with
+the same error.  Every field of ``InvariantField`` -- g and its inverse,
+Gamma, N, the frame, B, L, C, the spectra, the curvature tensors and the
+covariant derivatives -- is computed on first read and cached, so a command
+pays only for the fields it reports.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import numpy as np
 from . import fd, lorentz, patches
 from .errors import DegenerateSurfaceError, UsageError
 from .group import LaguerreTransform
-from .patches import LaguerreLift, SurfacePatch
+from .patches import SurfacePatch
 from .spheres import contact_from_pencil, contact_pencil, coord_tail, plane_point
 
 # Cascade depth of the deepest residual (divergence of C), used for the
@@ -50,82 +48,93 @@ MAX_CASCADE_LEVELS = 4
 
 
 @dataclass(eq=False)
-class LaguerreFrame:
-    """Moving frame {Y, N, E_i(Y), eta, wp} along the patch."""
-
-    Y: np.ndarray
-    N: np.ndarray
-    EY: np.ndarray      # (*G, m, n+3), orthonormal for the ambient product
-    eta: np.ndarray
-    wp: np.ndarray
-
-    def pairing_residuals(self) -> dict:
-        """Max-abs defects of all the null-frame pairings."""
-        inner = lorentz.inner
-        m = self.EY.shape[-2]
-        sig = lorentz.signature(self.Y.shape[-1] - 3)
-        gram = fd.gram(self.EY, self.EY, sig)
-        eye = np.eye(m)
-        res = {
-            "Y_null": fd.nanmax_abs(inner(self.Y, self.Y)),
-            "N_null": fd.nanmax_abs(inner(self.N, self.N)),
-            "YN_pairing": fd.nanmax_abs(inner(self.Y, self.N) + 1.0),
-            "EY_orthonormal": fd.nanmax_abs(gram - eye),
-            "Y_EY": fd.nanmax_abs(fd.contract_last(self.EY, self.Y * sig)),
-            "N_EY": fd.nanmax_abs(fd.contract_last(self.EY, self.N * sig)),
-            "eta_null": fd.nanmax_abs(inner(self.eta, self.eta)),
-            "eta_wp_pairing": fd.nanmax_abs(inner(self.eta, self.wp) + 1.0),
-            "eta_Y": fd.nanmax_abs(inner(self.eta, self.Y)),
-            "eta_EY": fd.nanmax_abs(fd.contract_last(self.EY, self.eta * sig)),
-            "Y_wp": fd.nanmax_abs(inner(self.Y, self.wp)),
-            "N_eta": fd.nanmax_abs(inner(self.N, self.eta)),
-            "N_wp": fd.nanmax_abs(inner(self.N, self.wp)),
-        }
-        return res
-
-
-@dataclass(eq=False)
 class InvariantField:
     """The invariant fields of one patch.
 
-    The dataclass fields are the core that ``analyze`` computes up front,
-    together with the positive-definiteness screen of g; every other field
-    is a cached property computed on first read, so a command pays only
-    for what it reads.
+    The only stored field is the patch; every invariant is a cached
+    property computed on first read from the fields it needs, so a command
+    pays only for what it reads.
     """
 
     patch: SurfacePatch
-    g: np.ndarray
-    ginv: np.ndarray
-    sqrt_det: np.ndarray
-    Gamma: np.ndarray
-    dY: np.ndarray
-    lapY: np.ndarray
-    lap_norm: np.ndarray          # <Delta Y, Delta Y>
-    N: np.ndarray
-    deta: np.ndarray
-    B_raw: np.ndarray             # <d_a eta, d_b Y> before symmetrization
-    B: np.ndarray                 # coordinate components
-    L: np.ndarray
-    C: np.ndarray
 
-    @property
-    def lift(self) -> LaguerreLift:
-        return self.patch.lift
+    @cached_property
+    def dY(self) -> np.ndarray:
+        return fd.gradient(self.patch.lift.Y, self.patch.axes)
 
-    @property
-    def frame(self) -> LaguerreFrame:
-        EY = self.vielbein @ self.dY
-        return LaguerreFrame(
-            Y=self.lift.Y, N=self.N, EY=EY, eta=self.lift.eta,
-            wp=lorentz.wp(self.patch.n),
-        )
+    @cached_property
+    def g(self) -> np.ndarray:
+        g = fd.gram(self.dY, self.dY, lorentz.signature(self.patch.n))
+        return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+    @cached_property
+    def minors(self) -> list:
+        """Leading minors of g; the last is det g."""
+        return fd.leading_minors(self.g)
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        return fd.grid_inv(self.g)
+
+    @cached_property
+    def sqrt_det(self) -> np.ndarray:
+        return fd.sqrt_det(self.minors[-1])
+
+    @cached_property
+    def Gamma(self) -> np.ndarray:
+        return fd.christoffel(self.g, self.patch.axes, self.ginv)
+
+    @cached_property
+    def lapY(self) -> np.ndarray:
+        return fd.laplace_beltrami(self.patch.lift.Y, self.ginv, self.sqrt_det, self.patch.axes)
+
+    @cached_property
+    def lap_norm(self) -> np.ndarray:
+        """<Delta Y, Delta Y>."""
+        return lorentz.inner(self.lapY, self.lapY)
+
+    @cached_property
+    def N(self) -> np.ndarray:
+        """The null vector conjugate to Y: <N, N> = 0, <Y, N> = -1."""
+        nm1 = self.patch.n - 1
+        return self.lapY / nm1 + (self.lap_norm / (2.0 * nm1 * nm1))[..., None] * self.patch.lift.Y
+
+    @cached_property
+    def dN(self) -> np.ndarray:
+        return fd.gradient(self.N, self.patch.axes)
+
+    @cached_property
+    def deta(self) -> np.ndarray:
+        return fd.gradient(self.patch.lift.eta, self.patch.axes)
+
+    @cached_property
+    def B_raw(self) -> np.ndarray:
+        """<d_a eta, d_b Y> before symmetrization."""
+        return fd.gram(self.deta, self.dY, lorentz.signature(self.patch.n))
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        return 0.5 * (self.B_raw + np.swapaxes(self.B_raw, -1, -2))
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        L = fd.gram(self.dN, self.dY, lorentz.signature(self.patch.n))
+        return 0.5 * (L + np.swapaxes(L, -1, -2))
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        return -fd.contract_last(self.dN, self.patch.lift.eta * lorentz.signature(self.patch.n))
 
     @cached_property
     def vielbein(self) -> np.ndarray:
         """Rows of the orthonormal frame E_i in the coordinate basis: Gram-Schmidt
         on the coordinate directions, i.e. the inverse Cholesky factor of g."""
         return fd.inverse_cholesky(self.g)
+
+    @cached_property
+    def EY(self) -> np.ndarray:
+        """The frame E_i(Y), (*G, m, n+3), orthonormal for the ambient product."""
+        return self.vielbein @ self.dY
 
     @cached_property
     def B_frame(self) -> np.ndarray:
@@ -208,45 +217,19 @@ class InvariantField:
 
 
 def analyze(patch: SurfacePatch) -> InvariantField:
-    """Compute the core invariant fields of one patch, with the stencil of
-    its grid; the rest follow on read."""
+    """The invariant fields of one patch, with the stencil of its grid.
+
+    Every command fails here, at the same point with the same error: the
+    patch must be Euclidean, its grid must hold the deepest cascade, and g
+    must be positive definite.  The fields themselves follow on read.
+    """
     if patch.space != "r3":
         raise UsageError("analyze needs an r3 patch; embed space forms first")
-    axes = patch.axes
-    fd.require_interior(axes, MAX_CASCADE_LEVELS)
-
-    lift = patch.lift
-    sig = lorentz.signature(patch.n)
-
-    dY = fd.gradient(lift.Y, axes)
-    g = fd.gram(dY, dY, sig)
-    g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    minors = fd.leading_minors(g)
-    if fd.nonpositive_index(g, minors) is not None:
+    fd.require_interior(patch.axes, MAX_CASCADE_LEVELS)
+    fld = InvariantField(patch)
+    if fd.nonpositive_index(fld.g, fld.minors) is not None:
         raise DegenerateSurfaceError("invariant metric is not positive definite on the grid")
-    ginv = fd.grid_inv(g)
-    sqrt_det = fd.sqrt_det(minors[-1])
-    Gamma = fd.christoffel(g, axes, ginv)
-
-    lapY = fd.laplace_beltrami(lift.Y, ginv, sqrt_det, axes)
-    lap_norm = lorentz.inner(lapY, lapY)
-    nm1 = patch.n - 1
-    N = lapY / nm1 + (lap_norm / (2.0 * nm1 * nm1))[..., None] * lift.Y
-
-    dN = fd.gradient(N, axes)
-    deta = fd.gradient(lift.eta, axes)
-
-    B_raw = fd.gram(deta, dY, sig)
-    B = 0.5 * (B_raw + np.swapaxes(B_raw, -1, -2))
-    L = fd.gram(dN, dY, sig)
-    L = 0.5 * (L + np.swapaxes(L, -1, -2))
-    C = -fd.contract_last(dN, lift.eta * sig)
-
-    return InvariantField(
-        patch=patch, g=g, ginv=ginv, sqrt_det=sqrt_det, Gamma=Gamma,
-        dY=dY, lapY=lapY, lap_norm=lap_norm, N=N, deta=deta,
-        B_raw=B_raw, B=B, L=L, C=C,
-    )
+    return fld
 
 
 def gauss_rhs(L: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -310,10 +293,33 @@ def structural_residual_fields(fld: InvariantField) -> dict:
     return res
 
 
+def frame_residuals(fld: InvariantField) -> dict:
+    """Max-abs defects of the pairings of the frame {Y, N, E_i(Y), eta, wp}."""
+    inner = lorentz.inner
+    Y, eta, N, EY = fld.patch.lift.Y, fld.patch.lift.eta, fld.N, fld.EY
+    wp = lorentz.wp(fld.patch.n)
+    sig = lorentz.signature(fld.patch.n)
+    return {
+        "Y_null": fd.nanmax_abs(inner(Y, Y)),
+        "N_null": fd.nanmax_abs(inner(N, N)),
+        "YN_pairing": fd.nanmax_abs(inner(Y, N) + 1.0),
+        "EY_orthonormal": fd.nanmax_abs(fd.gram(EY, EY, sig) - np.eye(EY.shape[-2])),
+        "Y_EY": fd.nanmax_abs(fd.contract_last(EY, Y * sig)),
+        "N_EY": fd.nanmax_abs(fd.contract_last(EY, N * sig)),
+        "eta_null": fd.nanmax_abs(inner(eta, eta)),
+        "eta_wp_pairing": fd.nanmax_abs(inner(eta, wp) + 1.0),
+        "eta_Y": fd.nanmax_abs(inner(eta, Y)),
+        "eta_EY": fd.nanmax_abs(fd.contract_last(EY, eta * sig)),
+        "Y_wp": fd.nanmax_abs(inner(Y, wp)),
+        "N_eta": fd.nanmax_abs(inner(N, eta)),
+        "N_wp": fd.nanmax_abs(inner(N, wp)),
+    }
+
+
 def structural_residuals(fld: InvariantField) -> dict:
     """Max-abs residuals of the structure identities plus frame pairings."""
     res = {k: fd.nanmax_abs(v) for k, v in structural_residual_fields(fld).items()}
-    res.update({f"frame_{k}": v for k, v in fld.frame.pairing_residuals().items()})
+    res.update({f"frame_{k}": v for k, v in frame_residuals(fld).items()})
     return res
 
 
@@ -363,11 +369,13 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
         # is the image radius r'_i = a + r_i b.  One that takes both signs on
         # the grid passes through zero between neighbouring grid points.
         radii = (h1[0][..., -1:] + patch.shape.radii * h2[0][..., -1:]).reshape(-1, patch.n - 1)
+        # Sampled patches have no radii in their margins: the reductions skip NaN.
         signs = np.sign(radii)
-        flips = signs.min(axis=0) != signs.max(axis=0)
+        flips = np.nanmin(signs, axis=0) != np.nanmax(signs, axis=0)
         if not flips.any():
             raise
-        point, i = np.unravel_index(np.argmin(np.where(flips, np.abs(radii), np.inf)), radii.shape)
+        point, i = np.unravel_index(np.nanargmin(np.where(flips, np.abs(radii), np.inf)),
+                                    radii.shape)
         idx = tuple(int(j) for j in np.unravel_index(point, patch.axes.shape))
         raise DegenerateSurfaceError(
             f"principal radius {i + 1} of the image passes through zero (|r'| = "

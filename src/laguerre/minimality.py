@@ -102,11 +102,11 @@ def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
     equal to 1, tangent components (n - 3) C_i and a Y component equal to
     -div C + <L, B>; each defect is a free end-to-end consistency check.
     """
-    lap_eta = fd.laplace_beltrami(fld.lift.eta, fld.ginv, fld.sqrt_det, fld.patch.axes)
-    n = fld.patch.n
+    lift, n = fld.patch.lift, fld.patch.n
+    lap_eta = fd.laplace_beltrami(lift.eta, fld.ginv, fld.sqrt_det, fld.patch.axes)
     inner = lorentz.inner
 
-    wp_comp = -inner(lap_eta, fld.lift.eta)
+    wp_comp = -inner(lap_eta, lift.eta)
     sig = lorentz.signature(n)
     tangent = fd.contract_last(fld.dY, lap_eta * sig)
     # Convert <lap eta, d_a Y> to frame components through the vielbein.
@@ -120,7 +120,7 @@ def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
         "tangent_vs_C": fd.nanmax_abs(tangent_frame - (n - 3) * C_frame),
         "y_component_vs_el": fd.nanmax_abs(y_comp - (-fld.divC + fld.LB)),
         "eta_component": fd.nanmax_abs(inner(lap_eta, wp_vec)),
-        "n_component": fd.nanmax_abs(inner(lap_eta, fld.lift.Y)),
+        "n_component": fd.nanmax_abs(inner(lap_eta, lift.Y)),
     }
 
 
@@ -131,7 +131,7 @@ def default_threshold(fld: InvariantField) -> float:
     times the criticality residual, so rho^3 converts the dimensionless
     1e-3 into the residual's units.
     """
-    rho3 = np.nanmedian(fld.lift.rho ** 3)
+    rho3 = np.nanmedian(fld.patch.lift.rho ** 3)
     return 1e-3 * float(max(rho3, 1e-12))
 
 
@@ -149,7 +149,7 @@ def minimality_report(fld: InvariantField,
 
     # Verdict on the pointwise rho^3-scaled divergence form, whose units
     # match the threshold (and, for surfaces, the third-form Laplacian).
-    rho3 = fld.lift.rho ** 3
+    rho3 = fld.patch.lift.rho ** 3
     scaled_el = fd.nanmax_abs(rho3 * div_form)
     verdict = "minimal" if scaled_el <= threshold else "non-minimal"
 
@@ -157,7 +157,7 @@ def minimality_report(fld: InvariantField,
     lap_verdict = None
     crosscheck = None
     if n == 3:
-        lap = third_form_laplacian_r(fld.patch, fld.lift.r)
+        lap = third_form_laplacian_r(fld.patch, fld.patch.lift.r)
         lap_r = fd.nanmax_abs(lap)
         lap_verdict = "minimal" if lap_r <= threshold else "non-minimal"
         bridge_rhs = rho3 * (-fld.divC + fld.LB)

@@ -101,7 +101,7 @@ def test_criterion_04_structure_residuals(torus_fine):
               ("b_sqnorm", "b_trace", "l_trace_vs_lap", "b_codazzi",
                "gauss", "ricci_vs_l")]
     checks += [("b_divergence", res["b_divergence"], 1e-4)]
-    checks += [(f"frame_{k}", v, 1e-4) for k, v in fld.frame.pairing_residuals().items()]
+    checks += [(f"frame_{k}", v, 1e-4) for k, v in hypersurface.frame_residuals(fld).items()]
     checks += [("inverse_convergence_ratio", 8.0 / min(ratios), 1.0)]
     criterion(4, "structure identities < 1e-4; halving the step gains >= 8x", checks)
 

@@ -39,6 +39,21 @@ def test_flow_laws():
         assert np.abs(lhs - group.hyperbolic(s + t, 3).matrix).max() < 1e-12
 
 
+def test_script_applies_its_factors_left_to_right():
+    # A translation along the boost axis does not commute with the boost,
+    # so applying the script must equal applying its factors one by one.
+    shift = {"kind": "isometry", "A": np.eye(3).tolist(), "a": [0.0, 0.0, 1.0]}
+    boost = {"kind": "hyperbolic", "t": 0.7}
+    gamma = spheres.sphere_coord(Sphere(center=[0.3, -0.2, 0.5], radius=0.8))
+    one_by_one = gamma
+    for factor in (shift, boost):
+        one_by_one = group.act_on_coord(group.compose_script([factor], n=3), one_by_one)
+    whole = group.act_on_coord(group.compose_script([shift, boost], n=3), gamma)
+    assert np.abs(whole.vec - one_by_one.vec).max() < 1e-12
+    swapped = group.act_on_coord(group.compose_script([boost, shift], n=3), gamma)
+    assert np.abs(swapped.vec - one_by_one.vec).max() > 0.1
+
+
 def test_generators_fix_wp_exactly():
     rng = np.random.default_rng(4)
     w = lorentz.wp(3)

@@ -31,16 +31,16 @@ def seeded_transform(seed, **kw):
 
 def test_lift_hand_values(torus_field):
     iu, iv = 32, 0
-    Y = torus_field.lift.Y[iu, iv]
+    Y = torus_field.patch.lift.Y[iu, iv]
     assert np.abs(Y - np.sqrt(2) * np.array([3, -3, 1, 0, 0, 1])).max() < 1e-12
-    eta = torus_field.lift.eta[iu, iv]
+    eta = torus_field.patch.lift.eta[iu, iv]
     assert np.abs(eta - np.array([-1, 2, 1, 0, 0, -2])).max() < 1e-12
     assert lorentz.inner(eta, eta) == pytest.approx(0.0, abs=1e-12)
     assert lorentz.inner(eta, lorentz.wp(3)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_lift_invariants_everywhere(torus_field):
-    Y, eta = torus_field.lift.Y, torus_field.lift.eta
+    Y, eta = torus_field.patch.lift.Y, torus_field.patch.lift.eta
     w = lorentz.wp(3)
     assert fd.nanmax_abs(lorentz.inner(Y, Y)) < 1e-10
     assert fd.nanmax_abs(lorentz.inner(Y, w)) < 1e-12
@@ -54,7 +54,7 @@ def test_mean_curvature_sphere(torus_patch, torus_field):
     # is -r (the pencil member through (x, xi) with that center)
     sd = torus_field.patch.shape
     for iu, iv in [(32, 0), (10, 17), (50, 40)]:
-        el = spheres.classify_coord(spheres.ProjectivePoint(torus_field.lift.eta[iu, iv]))
+        el = spheres.classify_coord(spheres.ProjectivePoint(torus_field.patch.lift.eta[iu, iv]))
         x = torus_patch.x[iu, iv]
         xi = torus_patch.xi[iu, iv]
         r = sd.r[iu, iv]
@@ -123,7 +123,7 @@ def test_torus_l_and_lap_norm_vanish(torus_field):
 
 
 def test_frame_pairings_coarse(torus_field):
-    res = torus_field.frame.pairing_residuals()
+    res = hypersurface.frame_residuals(torus_field)
     for key, val in res.items():
         assert val < 1e-4, key
 
@@ -131,7 +131,7 @@ def test_frame_pairings_coarse(torus_field):
 def test_frame_pairings_fine():
     p = patches.build_patch(FINE_TORUS)
     fld = hypersurface.analyze(p)
-    for key, val in fld.frame.pairing_residuals().items():
+    for key, val in hypersurface.frame_residuals(fld).items():
         assert val < 1e-6, key
 
 
@@ -177,10 +177,10 @@ def test_lift_equivariance_under_group(torus_patch, torus_field):
     T = seeded_transform(101)
     moved = hypersurface.transform_patch(T, torus_patch)
     fld2 = hypersurface.analyze(moved)
-    Y_push = np.einsum("...i,ij->...j", torus_field.lift.Y, T.matrix)
-    eta_push = np.einsum("...i,ij->...j", torus_field.lift.eta, T.matrix)
-    assert fd.nanmax_abs(fld2.lift.Y - Y_push) < 1e-8
-    assert fd.nanmax_abs(fld2.lift.eta - eta_push) < 1e-8
+    Y_push = np.einsum("...i,ij->...j", torus_field.patch.lift.Y, T.matrix)
+    eta_push = np.einsum("...i,ij->...j", torus_field.patch.lift.eta, T.matrix)
+    assert fd.nanmax_abs(fld2.patch.lift.Y - Y_push) < 1e-8
+    assert fd.nanmax_abs(fld2.patch.lift.eta - eta_push) < 1e-8
 
 
 def test_invariants_preserved_under_group(torus_patch, torus_field):
@@ -202,22 +202,50 @@ def image_radii(patch, T):
     return (curvature_spheres @ T.matrix)[..., -1]
 
 
-# g and the operator S_op are group invariants: on every torus (R > a) and
-# 3-torus of the family they agree pointwise between a patch and its image,
-# up to rounding (measured: g to ~4e-14, S_op to ~5e-15 of their max).  The
-# family is the transforms whose image is immersed: a flow that takes a
-# principal radius through zero turns the image into a front with a cusp
-# (about 1 in 12 torus4 draws), so draws whose image radii come within 0.05
-# of zero are skipped.  Time budget: about 5 s of tier-1 time, at ~0.1 s per
-# torus example and ~0.5 s per torus4 example on one core.
-@pytest.mark.parametrize("builtin, examples", [("torus", 12), ("torus4", 6)])
-def test_invariants_preserved_over_parameter_families(builtin, examples):
-    n = 4 if builtin == "torus4" else 3
+def torus_family(builtin):
+    return st.builds(lambda R, ratio: {"builtin": builtin, "params": {"R": R, "a": ratio * R}},
+                     st.floats(1.5, 4.0), st.floats(0.2, 0.8))
+
+
+def graph_family(quad, cubic, grid=None):
+    """Translational graphs whose coefficients quad_i stay within 5% of
+    ``quad`` and |cubic_i| <= ``cubic``, small enough that the principal
+    curvatures stay apart on the grid."""
+    def spec(q, c):
+        return {"builtin": "translational_graph", "params": {"quad": list(q), "cubic": c},
+                **({"grid": grid} if grid else {})}
+    m = len(quad)
+    return st.builds(spec, st.tuples(*(st.floats(0.95 * q, 1.05 * q) for q in quad)),
+                     st.lists(st.floats(-cubic, cubic), min_size=m, max_size=m))
+
+
+# g and the operator S_op are group invariants: on every torus (R > a),
+# 3-torus and translational graph of the families they agree pointwise
+# between a patch and its image, up to rounding (measured: g to ~4e-14, S_op
+# to ~8e-15 of their max).  The family is the transforms whose image is
+# immersed: a flow that takes a principal radius through zero turns the
+# image into a front with a cusp (about 1 in 12 torus4 draws), so draws
+# whose image radii come within 0.05 of zero are skipped.  Time budget: about
+# 7 s of tier-1 time on one core: ~0.1 s per torus, ~0.5 s per torus4, ~0.03 s
+# per 2-axis graph and ~0.3 s per 3-axis graph example.
+FAMILIES = {  # name -> (n, strategy of specs)
+    "torus": (3, torus_family("torus")),
+    "torus4": (4, torus_family("torus4")),
+    "graph2": (3, graph_family([1.0, 0.5], 0.2)),
+    "graph3": (4, graph_family([1.0, 0.7, 0.4], 0.1, {axis: [-0.25, 0.25, 21] for axis in "uvw"})),
+}
+
+
+@pytest.mark.parametrize("family, examples", [
+    ("torus", 12), ("torus4", 6), ("graph2", 12), ("graph3", 6),
+])
+def test_invariants_preserved_over_parameter_families(family, examples):
+    n, specs = FAMILIES[family]
 
     @settings(max_examples=examples, derandomize=True, deadline=None)
-    @given(R=st.floats(1.5, 4.0), ratio=st.floats(0.2, 0.8), seed=st.integers(0, 2 ** 32 - 1))
-    def check(R, ratio, seed):
-        patch = patches.build_patch({"builtin": builtin, "params": {"R": R, "a": ratio * R}})
+    @given(spec=specs, seed=st.integers(0, 2 ** 32 - 1))
+    def check(spec, seed):
+        patch = patches.build_patch(spec)
         T = group.random_transform(np.random.default_rng(seed), n, factors=4,
                                    translation_scale=0.3, flow_scale=0.2)
         assume(np.abs(image_radii(patch, T)).min() > 0.05)
@@ -305,6 +333,22 @@ def test_transform_through_a_cusp_names_the_radius():
     with pytest.raises(DegenerateSurfaceError, match="radius 3 of the image passes through zero"
                                                      r".*grid index \(0, 9, 12\).*cusp"):
         hypersurface.transform_patch(T, torus4)
+
+
+def test_transform_of_a_sampled_patch_through_a_cusp_names_a_finite_radius():
+    # The same image from samples: its radii are NaN in the jet margins, and
+    # the diagnosis reads the worst finite radius, 1.1e-4 inside the margin.
+    builtin = patches.build_patch({"builtin": "torus4", "params": {"R": 1.5, "a": 0.5625}})
+    grid = {"u": [-np.pi / 3, np.pi / 3, 33], "v": [np.pi / 4, 3 * np.pi / 4, 25],
+            "w": [0.0, 2 * np.pi, 24], "periodic": ["w"]}
+    sampled = patches.build_patch({"samples": {"points": builtin.x, "normals": builtin.xi},
+                                   "grid": grid})
+    T = group.random_transform(np.random.default_rng(1888728893), 4, factors=4,
+                               translation_scale=0.3, flow_scale=0.2)
+    with pytest.raises(DegenerateSurfaceError, match=r"radius 3 of the image passes through zero"
+                                                     r" \(\|r'\| = 1\.1e-04 at grid index"
+                                                     r" \(19, 9, 12\)\).*cusp"):
+        hypersurface.transform_patch(T, sampled)
 
 
 def test_radius_sign_change_alone_is_not_rejected(torus_patch, monkeypatch):
@@ -401,8 +445,7 @@ def test_higher_dim_l_recovered_from_curvature():
 
 def test_frame_and_tensors_entry_point(torus_patch):
     fld = hypersurface.analyze(torus_patch)
-    frame = fld.frame
-    assert frame.EY.shape == fld.dY.shape
+    assert fld.EY.shape == fld.dY.shape
 
 
 def test_compare_requires_matching_grids(torus_field):
@@ -423,9 +466,10 @@ SMALL_TORUS4 = {"builtin": "torus4", "grid": {
     "w": [0.0, 2 * np.pi, 12], "periodic": ["w"]}}
 # Values the build does not read, on the patch and on the analyzed field.
 PATCH_ON_READ = ("dxi", "d2xi", "third_form", "lift")
-FIELD_ON_READ = ("vielbein", "B_frame", "L_frame", "C_frame", "B_eigs", "S_op", "S_eigs",
-                 "riemann", "ricci", "scalar", "g_exact", "diagnostics", "DB", "DC", "divC",
-                 "LB")
+FIELD_ON_READ = ("dY", "g", "minors", "ginv", "sqrt_det", "Gamma", "lapY", "lap_norm", "N",
+                 "dN", "deta", "B_raw", "B", "L", "C", "vielbein", "EY", "B_frame", "L_frame",
+                 "C_frame", "B_eigs", "S_op", "S_eigs", "riemann", "ricci", "scalar", "g_exact",
+                 "diagnostics", "DB", "DC", "divC", "LB")
 
 
 def read_all(names):

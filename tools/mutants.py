@@ -54,6 +54,29 @@ MUTANTS = [
     ("cusp message: image radius a - r b", "src/laguerre/hypersurface.py",
      "h1[0][..., -1:] + patch.shape.radii", "h1[0][..., -1:] - patch.shape.radii",
      ["tests/test_hypersurface.py"]),
+    ("conjugate null vector N: denominator 2 (n-1) instead of 2 (n-1)^2",
+     "src/laguerre/hypersurface.py",
+     "(2.0 * nm1 * nm1)", "(2.0 * nm1)",
+     ["tests/test_hypersurface.py"]),
+    ("criticality: div form divides <L, B> by n - 1", "src/laguerre/minimality.py",
+     "fld.LB / (fld.patch.n - 2)", "fld.LB / (fld.patch.n - 1)",
+     ["tests/test_minimality.py"]),
+    ("bridge identity: sign of div C flipped", "src/laguerre/minimality.py",
+     "rho3 * (-fld.divC + fld.LB)", "rho3 * (fld.divC + fld.LB)",
+     ["tests/test_minimality.py"]),
+    ("eta Laplacian: wp component sign flipped", "src/laguerre/minimality.py",
+     "wp_comp = -inner(lap_eta, lift.eta)", "wp_comp = inner(lap_eta, lift.eta)",
+     ["tests/test_minimality.py"]),
+    ("group inverse: one signature factor dropped", "src/laguerre/group.py",
+     "sig[:, None] * self.matrix.T * sig", "self.matrix.T * sig",
+     ["tests/test_group.py"]),
+    ("composition: operands swapped", "src/laguerre/group.py",
+     "LaguerreTransform(self.matrix @ other.matrix)",
+     "LaguerreTransform(other.matrix @ self.matrix)",
+     ["tests/test_group.py"]),
+    ("parallel flow: radius shift -t -> +t", "src/laguerre/group.py",
+     "    M[0, 0] = 1.0 - 0.5 * t * t", "    t = -t\n    M[0, 0] = 1.0 - 0.5 * t * t",
+     ["tests/test_group.py"]),
     ("membership: wp-row check dropped", "src/laguerre/lorentz.py",
      "return wp_defect <= tol * max(1.0, big)", "return True",
      ["tests/test_lorentz.py"]),
