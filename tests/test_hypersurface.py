@@ -336,8 +336,8 @@ def test_transform_through_a_cusp_names_the_radius():
 
 
 def test_transform_of_a_sampled_patch_through_a_cusp_names_a_finite_radius():
-    # The same image from samples: its radii are NaN in the jet margins, and
-    # the diagnosis reads the worst finite radius, 1.1e-4 inside the margin.
+    # The same image from samples: its radii are NaN in the jet margins, so
+    # the diagnosis must skip them and name the smallest finite radius.
     builtin = patches.build_patch({"builtin": "torus4", "params": {"R": 1.5, "a": 0.5625}})
     grid = {"u": [-np.pi / 3, np.pi / 3, 33], "v": [np.pi / 4, 3 * np.pi / 4, 25],
             "w": [0.0, 2 * np.pi, 24], "periodic": ["w"]}
