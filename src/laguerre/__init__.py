@@ -19,16 +19,14 @@ from .fd import GridAxes
 from .hypersurface import (InvariantField, analyze, compare_invariants,
                            laguerre_volume, structural_residuals, transform_patch,
                            volume_via_curvature_quotient)
-from .lorentz import causal_type, inner, is_laguerre_matrix, signature_matrix, wp
+from .lorentz import causal_type, inner, is_laguerre_matrix, nu, signature_matrix, wp
 from .minimality import (MinimalityReport, el_residual, minimality_report,
                          third_form_laplacian_r)
 from .patches import (LaguerreLift, ShapeData, SurfacePatch, build_patch, laguerre_lift,
                       shape_data)
-from .spaceforms import (ContactElementR30, ContactElementR31, CSphere, HSphere,
-                         PlaneR30, PlaneR31, embed_patch, embed_sigma, embed_tau,
-                         proposition_pairings, spaceform_sphere_coord,
+from .spaceforms import (embed_element, embed_patch, embed_sphere, proposition_pairings,
                          transfer_check)
-from .spheres import (ContactElement, LieLine, Plane, PointAtInfinity,
+from .spheres import (ContactElement, CSphere, LieLine, Plane, PointAtInfinity,
                       ProjectivePoint, Sphere, classify_coord, contact_from_line,
                       lie_line, oriented_contact, sphere_coord,
                       tangential_invariant)

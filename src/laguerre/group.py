@@ -32,7 +32,7 @@ import numpy as np
 from . import lorentz
 from .errors import InvalidElementError, UsageError
 from .spheres import (ContactElement, ProjectivePoint, contact_from_pencil,
-                      contact_pencil)
+                      contact_pencil, require_euclidean)
 
 BLOCK_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-10
@@ -254,6 +254,7 @@ def act_on_contact(T: LaguerreTransform, c: ContactElement) -> ContactElement:
     image line (``spheres.contact_from_pencil``, which raises
     EmbeddingDomainError when the image line has no Euclidean element).
     """
+    require_euclidean("the group action", c)
     if c.n != T.n:
         raise UsageError("transform and contact element have different base dimensions")
     h1, h2 = (g @ T.matrix for g in contact_pencil(c.x, c.xi))

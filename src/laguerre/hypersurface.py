@@ -100,10 +100,6 @@ class InvariantField:
         return self.lapY / nm1 + (self.lap_norm / (2.0 * nm1 * nm1))[..., None] * self.patch.lift.Y
 
     @cached_property
-    def dN(self) -> np.ndarray:
-        return fd.gradient(self.N, self.patch.axes)
-
-    @cached_property
     def deta(self) -> np.ndarray:
         return fd.gradient(self.patch.lift.eta, self.patch.axes)
 
@@ -117,13 +113,20 @@ class InvariantField:
         return 0.5 * (self.B_raw + np.swapaxes(self.B_raw, -1, -2))
 
     @cached_property
-    def L(self) -> np.ndarray:
-        L = fd.gram(self.dN, self.dY, lorentz.signature(self.patch.n))
-        return 0.5 * (L + np.swapaxes(L, -1, -2))
+    def _LC(self) -> tuple:
+        """(L, C) from one gradient of N, which is not kept once both are formed."""
+        sig = lorentz.signature(self.patch.n)
+        dN = fd.gradient(self.N, self.patch.axes)
+        L = fd.gram(dN, self.dY, sig)
+        return 0.5 * (L + np.swapaxes(L, -1, -2)), -fd.contract_last(dN, self.patch.lift.eta * sig)
 
-    @cached_property
+    @property
+    def L(self) -> np.ndarray:
+        return self._LC[0]
+
+    @property
     def C(self) -> np.ndarray:
-        return -fd.contract_last(self.dN, self.patch.lift.eta * lorentz.signature(self.patch.n))
+        return self._LC[1]
 
     @cached_property
     def vielbein(self) -> np.ndarray:
@@ -139,10 +142,6 @@ class InvariantField:
     @cached_property
     def B_frame(self) -> np.ndarray:
         return fd.cholesky_reduce(self.B, self.vielbein)
-
-    @cached_property
-    def L_frame(self) -> np.ndarray:
-        return self.vielbein @ self.L @ np.swapaxes(self.vielbein, -1, -2)
 
     @cached_property
     def C_frame(self) -> np.ndarray:
@@ -180,11 +179,6 @@ class InvariantField:
         return fd.scalar_curvature(self.ricci, self.ginv)
 
     @cached_property
-    def g_exact(self) -> np.ndarray:
-        """rho^2 <dxi, dxi>, the metric pointwise exact."""
-        return (self.patch.shape.rho ** 2)[..., None, None] * self.patch.third_form
-
-    @cached_property
     def diagnostics(self) -> dict:
         """Defects of three identities the construction satisfies exactly."""
         sig = lorentz.signature(self.patch.n)
@@ -192,7 +186,7 @@ class InvariantField:
         return {
             "raw_B_asymmetry": fd.nanmax_abs(self.B_raw - np.swapaxes(self.B_raw, -1, -2)),
             "C_dual_defect": fd.nanmax_abs(self.C - C_dual),
-            "g_vs_rho2_III": fd.nanmax_abs(self.g - self.g_exact),
+            "g_vs_rho2_III": fd.nanmax_abs(self.g - self.patch.g_exact),
         }
 
     @cached_property
@@ -330,8 +324,7 @@ def laguerre_volume(patch: SurfacePatch) -> float:
     element is pointwise exact; the quadrature is the only approximation.
     """
     shape = patch.shape
-    dM = np.sqrt(fd.grid_det(patch.I))
-    integrand = shape.rho ** (patch.n - 1) / np.prod(shape.radii, axis=-1) * dM
+    integrand = shape.rho ** (patch.n - 1) / np.prod(shape.radii, axis=-1) * patch.area_element
     return fd.integrate(integrand, patch.axes)
 
 
@@ -343,8 +336,7 @@ def volume_via_curvature_quotient(patch: SurfacePatch) -> float:
     k1, k2 = shape.k[..., 0], shape.k[..., 1]
     H = 0.5 * (k1 + k2)
     K = k1 * k2
-    dM = np.sqrt(fd.grid_det(patch.I))
-    integrand = 2.0 * (H * H - K) / K * dM
+    integrand = 2.0 * (H * H - K) / K * patch.area_element
     return fd.integrate(integrand, patch.axes)
 
 

@@ -17,8 +17,9 @@ Conventions:
 * ``inner_1`` is the product (+, ..., +, -) of R^k_1, which the space
   forms and the entries 2: of a light-cone coordinate share.
 * The per-dimension constants ``signature(n)``, ``signature_matrix(n)``,
-  ``wp(n)`` and ``unit_wp(n)`` are built once per n and shared by every
-  caller, so they are read-only: a caller that needs to write copies first.
+  ``wp(n)``, ``unit_wp(n)`` and ``nu(n)`` are built once per n and shared
+  by every caller, so they are read-only: a caller that needs to write
+  copies first.
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ def wp(n: int) -> np.ndarray:
 def unit_wp(n: int) -> np.ndarray:
     """wp(n) scaled to unit Euclidean norm (read-only)."""
     return _read_only(wp(n) / np.linalg.norm(wp(n)))
+
+
+@lru_cache(maxsize=None)
+def nu(n: int) -> np.ndarray:
+    """The null direction (1, 0, ..., 0, 1) of R^{n+1}_1 that cuts out the
+    degenerate space R^n_0 as <x, nu> = 0 (read-only)."""
+    v = np.zeros(n + 1)
+    v[0] = 1.0
+    v[-1] = 1.0
+    return _read_only(v)
 
 
 def base_dim(vec_or_mat: np.ndarray) -> int:

@@ -131,7 +131,7 @@ def default_threshold(fld: InvariantField) -> float:
     times the criticality residual, so rho^3 converts the dimensionless
     1e-3 into the residual's units.
     """
-    rho3 = np.nanmedian(fld.patch.lift.rho ** 3)
+    rho3 = np.nanmedian(fld.patch.shape.rho ** 3)
     return 1e-3 * float(max(rho3, 1e-12))
 
 
@@ -149,7 +149,7 @@ def minimality_report(fld: InvariantField,
 
     # Verdict on the pointwise rho^3-scaled divergence form, whose units
     # match the threshold (and, for surfaces, the third-form Laplacian).
-    rho3 = fld.patch.lift.rho ** 3
+    rho3 = fld.patch.shape.rho ** 3
     scaled_el = fd.nanmax_abs(rho3 * div_form)
     verdict = "minimal" if scaled_el <= threshold else "non-minimal"
 
@@ -157,7 +157,7 @@ def minimality_report(fld: InvariantField,
     lap_verdict = None
     crosscheck = None
     if n == 3:
-        lap = third_form_laplacian_r(fld.patch, fld.patch.lift.r)
+        lap = third_form_laplacian_r(fld.patch, fld.patch.shape.r)
         lap_r = fd.nanmax_abs(lap)
         lap_verdict = "minimal" if lap_r <= threshold else "non-minimal"
         bridge_rhs = rho3 * (-fld.divC + fld.LB)

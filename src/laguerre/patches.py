@@ -48,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import fd
+from . import fd, lorentz
 from .errors import DegenerateSurfaceError, UsageError
 from .spheres import contact_pencil
 
@@ -73,14 +73,6 @@ def ambient_form_diag(space: str, n: int) -> np.ndarray:
     raise UsageError(f"unknown space tag {space!r}")
 
 
-def nu_vector(n: int) -> np.ndarray:
-    """The null direction (1, 0, ..., 0, 1) of the degenerate hyperplane."""
-    v = np.zeros(n + 1)
-    v[0] = 1.0
-    v[-1] = 1.0
-    return v
-
-
 @dataclass(eq=False)
 class SurfacePatch:
     """Immutable sampled hypersurface with jets.
@@ -93,7 +85,9 @@ class SurfacePatch:
     and ``d2xi`` (from ``normal_jets``, see ``given_normal_jets`` and
     ``shape_normal_jets``), the fundamental forms ``I``/``II``, ``Iinv``,
     the shape operator ``S``, the inverse Cholesky factor ``Linv`` of I,
-    the curvature data ``shape``, ``third_form`` and the cone ``lift``.
+    the curvature data ``shape``, ``third_form``, the exact invariant metric
+    ``g_exact``, the Euclidean area element ``area_element`` and the cone
+    ``lift``.
     """
 
     space: str
@@ -168,6 +162,16 @@ class SurfacePatch:
         return fd.gram(self.dxi, self.dxi, self.form)
 
     @cached_property
+    def g_exact(self) -> np.ndarray:
+        """rho^2 III, the invariant metric pointwise exact."""
+        return (self.shape.rho ** 2)[..., None, None] * self.third_form
+
+    @cached_property
+    def area_element(self) -> np.ndarray:
+        """sqrt(det I), the Euclidean volume density in the parameters."""
+        return fd.sqrt_det(fd.grid_det(self.I))
+
+    @cached_property
     def lift(self) -> LaguerreLift:
         return laguerre_lift(self)
 
@@ -212,13 +216,10 @@ class ShapeData:
 
 @dataclass(eq=False)
 class LaguerreLift:
-    """Pointwise-exact cone fields of a patch."""
+    """Pointwise-exact cone fields of a patch; rho and r are ``patch.shape``'s."""
 
-    y: np.ndarray
     Y: np.ndarray
     eta: np.ndarray
-    rho: np.ndarray
-    r: np.ndarray
 
 
 def first_fundamental(patch: SurfacePatch) -> np.ndarray:
@@ -277,9 +278,7 @@ def laguerre_lift(patch: SurfacePatch) -> LaguerreLift:
     (gamma1, gamma2) in the layout of the patch's own space form."""
     shape = patch.shape
     g1, y = contact_pencil(patch.x, patch.xi, patch.space)
-    Y = shape.rho[..., None] * y
-    eta = g1 + shape.r[..., None] * y
-    return LaguerreLift(y=y, Y=Y, eta=eta, rho=shape.rho, r=shape.r)
+    return LaguerreLift(Y=shape.rho[..., None] * y, eta=g1 + shape.r[..., None] * y)
 
 
 def _check_crossings(vals: np.ndarray, ngrid: int) -> None:
@@ -622,7 +621,7 @@ def _validate_patch(patch: SurfacePatch) -> None:
 
     if patch.space == "r30":
         # The patch lies in the hyperplane <x, nu> = 0 with <xi, nu> = 1.
-        nu = nu_vector(patch.n)
+        nu = lorentz.nu(patch.n)
         worst, idx = _worst(np.abs(patch.dot(patch.xi, nu) - 1.0), patch.ngrid)
         if worst > 1e-9:
             raise DegenerateSurfaceError(f"normal pairing with nu is not 1 at grid index {idx}")

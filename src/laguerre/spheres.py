@@ -1,4 +1,5 @@
-"""Oriented spheres and hyperplanes in R^n and their light-cone coordinates.
+"""Oriented spheres, hyperplanes and contact elements of the three space
+forms, and their light-cone coordinates.
 
 An oriented sphere S(p, r) is the set of contact elements (x, xi) with
 x - p = r xi; the sign of r records the orientation of the unit normal
@@ -23,8 +24,18 @@ sphere (tail (x, 0)) and its hyperplane (tail (xi, 1), lam = <x, xi>);
 spheres of the pencil through (x, xi) are the combinations
 gamma1 + mu * gamma2, which carry signed radius -mu.
 
-The pencil is written the same way in the Lorentzian and degenerate space
-forms (see ``spaceforms``); only the place of the radius entry changes.
+Every element carries the tag ``space`` of its space form: "r3" for R^n
+(the default), "r31" for the Lorentzian R^n_1 and "r30" for the degenerate
+R^n_0 (see ``spaceforms``).  A sphere of R^n_1 is the hyperboloid H(p, r),
+``Sphere(p, r, "r31")``; one of R^n_0 is the paraboloid C(p), ``CSphere(p)``,
+whose radius p fixes.  Each space's normal condition is checked in one
+place (``_check_normal``) for hyperplanes and contact elements alike.  The
+coordinates and the pencil are written the same way in every space form;
+only the place of the radius entry changes, so ``sphere_coord`` serves
+every element.  What is defined for Euclidean elements only (the
+tangential invariant, the contact line, the group action and the JSON
+form) rejects the others by name (``require_euclidean``).
+
 Every map of contact elements -- the group action and the space-form
 embeddings alike -- is a linear image of the pencil followed by one
 guarded read-off of the Euclidean element, ``contact_from_pencil``.
@@ -40,7 +51,8 @@ from . import lorentz
 from .errors import (EmbeddingDomainError, InvalidCoordinateError, InvalidLineError,
                      UsageError)
 
-UNIT_TOL = 1e-12
+UNIT_TOL = 1e-12        # |xi| = 1 in R^n
+SPACEFORM_TOL = 1e-10   # the normal conditions of R^n_1 and R^n_0
 
 
 def _as_float_vector(v, name: str) -> np.ndarray:
@@ -52,18 +64,45 @@ def _as_float_vector(v, name: str) -> np.ndarray:
     return arr
 
 
+def _check_normal(xi: np.ndarray, space: str, name: str) -> None:
+    """The normal condition of each space form, shared by hyperplanes and
+    contact elements: |xi| = 1 in R^n, <xi, xi> = -1 in R^n_1, and a null xi
+    with <xi, nu> = 1 in R^n_0.  Raises UsageError on an unknown space tag."""
+    if space == "r3":
+        if abs(np.linalg.norm(xi) - 1.0) > UNIT_TOL:
+            raise UsageError(f"{name} must be a unit vector")
+    elif space == "r31":
+        if abs(lorentz.inner_1(xi, xi) + 1.0) > SPACEFORM_TOL:
+            raise UsageError(f"{name} must be unit time-like, <xi, xi> = -1")
+    elif space == "r30":
+        if abs(lorentz.inner_1(xi, xi)) > SPACEFORM_TOL:
+            raise UsageError(f"{name} must be null")
+        if abs(lorentz.inner_1(xi, lorentz.nu(xi.shape[0] - 1)) - 1.0) > SPACEFORM_TOL:
+            raise UsageError(f"{name} must satisfy <xi, nu> = 1")
+    else:
+        raise UsageError(f"unknown space tag {space!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class Sphere:
-    """Oriented sphere with center p in R^n and signed radius r (r = 0 allowed)."""
+    """Oriented sphere with center p and signed radius r (r = 0 allowed): a
+    round sphere of R^n (space "r3") or the hyperboloid H(p, r) of R^n_1
+    ("r31"; r = 0 is the time-like cone).  The spheres of R^n_0 have no free
+    radius and are ``CSphere``."""
 
     center: np.ndarray
     radius: float
+    space: str = "r3"
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_float_vector(self.center, "center"))
         object.__setattr__(self, "radius", float(self.radius))
         if not np.isfinite(self.radius):
             raise UsageError("radius must be finite")
+        if self.space not in ("r3", "r31"):
+            raise UsageError("a sphere of R^n_0 is a paraboloid with no free radius: "
+                             "use CSphere(p)" if self.space == "r30"
+                             else f"unknown space tag {self.space!r}")
 
     @property
     def n(self) -> int:
@@ -71,25 +110,47 @@ class Sphere:
 
 
 @dataclass(frozen=True, eq=False)
-class Plane:
-    """Oriented hyperplane x . normal = offset with unit normal.
+class CSphere:
+    """Oriented paraboloid C(p) of the degenerate space R^n_0, p in R^{n+1}_1:
+    the sphere kind of space "r30", whose radius -<p, nu> is fixed by p."""
 
-    A normal that is not unit length is rejected outright rather than
-    renormalized; silent fixes would hide caller bugs.
+    p: np.ndarray
+    space = "r30"   # a class constant, not a field
+
+    def __post_init__(self):
+        object.__setattr__(self, "p", _as_float_vector(self.p, "p"))
+
+    @property
+    def n(self) -> int:
+        return self.p.shape[0] - 1
+
+    @property
+    def radius(self) -> float:
+        return -float(lorentz.inner_1(self.p, lorentz.nu(self.n)))
+
+
+@dataclass(frozen=True, eq=False)
+class Plane:
+    """Oriented hyperplane x . normal = offset of R^n ("r3"), R^n_1 ("r31",
+    space-like with a unit time-like normal) or R^n_0 ("r30", a null normal
+    with <xi, nu> = 1), the product being that of the space.
+
+    A normal that violates its space's condition is rejected outright
+    rather than renormalized; silent fixes would hide caller bugs.
     """
 
     normal: np.ndarray
     offset: float
+    space: str = "r3"
 
     def __post_init__(self):
         object.__setattr__(self, "normal", _as_float_vector(self.normal, "normal"))
         object.__setattr__(self, "offset", float(self.offset))
-        if abs(np.linalg.norm(self.normal) - 1.0) > UNIT_TOL:
-            raise UsageError("plane normal must be a unit vector")
+        _check_normal(self.normal, self.space, "plane normal")
 
     @property
     def n(self) -> int:
-        return self.normal.shape[0]
+        return self.normal.shape[0] - (self.space == "r30")
 
 
 @dataclass(frozen=True)
@@ -97,27 +158,43 @@ class PointAtInfinity:
     """The point sphere at infinity, the one quadric point with no element."""
 
 
-SphereElement = Sphere | Plane
+SphereElement = Sphere | CSphere | Plane
 
 
 @dataclass(frozen=True, eq=False)
 class ContactElement:
-    """A point of the unit tangent bundle: base point x and unit vector xi."""
+    """A contact element (x, xi) of R^n ("r3": xi a unit vector), of the unit
+    time-like bundle of R^n_1 ("r31") or of the null-normal bundle of R^n_0
+    ("r30": x and xi in R^{n+1}_1, x on the hyperplane <x, nu> = 0 and xi the
+    null conormal with <xi, nu> = 1)."""
 
     x: np.ndarray
     xi: np.ndarray
+    space: str = "r3"
 
     def __post_init__(self):
         object.__setattr__(self, "x", _as_float_vector(self.x, "x"))
         object.__setattr__(self, "xi", _as_float_vector(self.xi, "xi"))
         if self.x.shape != self.xi.shape:
             raise UsageError("x and xi must have the same dimension")
-        if abs(np.linalg.norm(self.xi) - 1.0) > UNIT_TOL:
-            raise UsageError("xi must be a unit vector")
+        if self.space == "r30" and abs(lorentz.inner_1(self.x, lorentz.nu(self.n))) > (
+                SPACEFORM_TOL * max(1.0, np.abs(self.x).max())):
+            raise UsageError("x must lie on the degenerate hyperplane <x, nu> = 0")
+        _check_normal(self.xi, self.space, "xi")
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[0] - (self.space == "r30")
+
+
+def require_euclidean(what: str, *elements) -> None:
+    """UsageError naming the space of the first element not of R^n: ``what``
+    is defined for Euclidean elements only.  Objects without a space tag
+    pass, for the caller's type check."""
+    for e in elements:
+        space = getattr(e, "space", "r3")
+        if space != "r3":
+            raise UsageError(f"{what} is defined in R^n only, not for an element of {space}")
 
 
 def normalize_representative(vec: np.ndarray) -> np.ndarray:
@@ -224,16 +301,20 @@ def plane_point(lam, tail) -> np.ndarray:
 
 
 def sphere_coord_vector(s: SphereElement) -> np.ndarray:
-    """Raw light-cone representative of an oriented sphere or hyperplane."""
+    """Raw light-cone representative of an oriented sphere or hyperplane of
+    any space form, in the layout of its space."""
     if isinstance(s, Sphere):
-        return sphere_point(coord_tail(s.center, -s.radius))
+        return sphere_point(coord_tail(s.center, -s.radius, s.space))
     if isinstance(s, Plane):
-        return plane_point(s.offset, coord_tail(s.normal, 1.0))
+        return plane_point(s.offset, coord_tail(s.normal, 1.0, s.space))
+    if isinstance(s, CSphere):
+        return sphere_point(s.p)
     raise UsageError(f"not a sphere element: {type(s).__name__}")
 
 
 def sphere_coord(s: SphereElement) -> ProjectivePoint:
-    """Quadric coordinate of an oriented sphere or hyperplane."""
+    """Quadric coordinate of an oriented sphere or hyperplane of any space
+    form; the coordinates of all three lie on one quadric."""
     return ProjectivePoint(sphere_coord_vector(s))
 
 
@@ -313,6 +394,7 @@ def oriented_contact(a: SphereElement, b: SphereElement, tol: float = 1e-9) -> b
 def tangential_invariant(a: SphereElement, b: SphereElement) -> float:
     """Squared length of the common tangent segment of two spheres,
     |p* - p|^2 - (r* - r)^2.  Vanishes exactly at oriented contact."""
+    require_euclidean("the tangential invariant", a, b)
     if not isinstance(a, Sphere) or not isinstance(b, Sphere):
         raise UsageError("the tangential invariant is defined for spheres only")
     dp = b.center - a.center
@@ -322,6 +404,7 @@ def tangential_invariant(a: SphereElement, b: SphereElement) -> float:
 
 def lie_line(c: ContactElement) -> LieLine:
     """Projective line of the sphere pencil through a contact element."""
+    require_euclidean("the contact line", c)
     g1, g2 = contact_pencil(c.x, c.xi)
     return LieLine(ProjectivePoint(g1), ProjectivePoint(g2))
 
@@ -355,6 +438,7 @@ def contact_from_line(line: LieLine) -> ContactElement:
 
 
 def element_to_json(s: SphereElement) -> dict:
+    require_euclidean("the JSON form", s)
     if isinstance(s, Sphere):
         return {"kind": "sphere", "center": s.center.tolist(), "radius": s.radius}
     if isinstance(s, Plane):

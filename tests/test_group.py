@@ -364,3 +364,9 @@ def test_act_on_contact_without_euclidean_image():
     with pytest.raises(EmbeddingDomainError, match="no Euclidean element"):
         group.act_on_contact(T, ContactElement(np.array([1.0, 2.0, 3.0]),
                                                np.array([0.6, 0.0, 0.8])))
+
+
+def test_act_on_contact_names_a_space_form_element():
+    xi = np.array([0.3, -0.4, np.sqrt(1.25)])   # unit time-like
+    with pytest.raises(UsageError, match="not for an element of r31"):
+        group.act_on_contact(group.parabolic(0.5, 3), ContactElement(np.zeros(3), xi, "r31"))

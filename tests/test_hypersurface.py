@@ -465,10 +465,10 @@ SMALL_TORUS4 = {"builtin": "torus4", "grid": {
     "u": [-np.pi / 3, np.pi / 3, 21], "v": [np.pi / 4, 3 * np.pi / 4, 21],
     "w": [0.0, 2 * np.pi, 12], "periodic": ["w"]}}
 # Values the build does not read, on the patch and on the analyzed field.
-PATCH_ON_READ = ("dxi", "d2xi", "third_form", "lift")
+PATCH_ON_READ = ("dxi", "d2xi", "third_form", "g_exact", "area_element", "lift")
 FIELD_ON_READ = ("dY", "g", "minors", "ginv", "sqrt_det", "Gamma", "lapY", "lap_norm", "N",
-                 "dN", "deta", "B_raw", "B", "L", "C", "vielbein", "EY", "B_frame", "L_frame",
-                 "C_frame", "B_eigs", "S_op", "S_eigs", "riemann", "ricci", "scalar", "g_exact",
+                 "deta", "B_raw", "B", "L", "C", "vielbein", "EY", "B_frame",
+                 "C_frame", "B_eigs", "S_op", "S_eigs", "riemann", "ricci", "scalar",
                  "diagnostics", "DB", "DC", "divC", "LB")
 
 
@@ -489,7 +489,7 @@ def as_arrays(value):
     if isinstance(value, dict):
         return [np.asarray(value[k]) for k in sorted(value)]
     if isinstance(value, patches.LaguerreLift):
-        return [value.y, value.Y, value.eta, value.rho, value.r]
+        return [value.Y, value.eta]
     return [value]
 
 
@@ -501,3 +501,15 @@ def test_on_read_fields_independent_of_read_order(order):
     for name, value in ref.items():
         for a, b in zip(as_arrays(got[name]), as_arrays(value)):
             assert np.array_equal(a, b, equal_nan=True), name
+
+
+def test_L_and_C_keep_no_gradient_of_N():
+    # L and C are formed from one gradient of N, which is not kept: once both
+    # are read, no value cached on the field equals that gradient.
+    fld = hypersurface.analyze(patches.build_patch(SMALL_TORUS4))
+    fld.L, fld.C
+    dN = fd.gradient(fld.N, fld.patch.axes)
+    cached = [v for value in vars(fld).values()
+              for v in (value if isinstance(value, tuple) else (value,))]
+    assert not any(isinstance(v, np.ndarray) and v.shape == dN.shape
+                   and np.array_equal(v, dN, equal_nan=True) for v in cached)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from laguerre import fd, patches
+from laguerre import fd, lorentz, patches
 from laguerre.errors import DegenerateSurfaceError, UsageError
 
 TORUS = {"builtin": "torus", "params": {"R": 2.0, "a": 1.0}}
@@ -125,7 +125,7 @@ def test_catenoid_zero_mean_curvature_oracle(catenoid_patch):
 
 def test_saddle_constraints(saddle_patch):
     form = saddle_patch.form
-    nu = patches.nu_vector(3)
+    nu = lorentz.nu(3)
     x_on_plane = np.sum(form * saddle_patch.x * nu, axis=-1)
     assert np.abs(x_on_plane).max() < 1e-14
     xi_null = np.sum(form * saddle_patch.xi * saddle_patch.xi, axis=-1)

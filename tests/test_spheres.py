@@ -192,3 +192,63 @@ def test_element_json_roundtrip():
         assert type(back) is type(el)
     with pytest.raises(UsageError):
         spheres.element_from_json({"kind": "blob"})
+
+
+# --- one element type per kind for the three space forms ---------------------
+
+R31_NORMAL = np.array([0.3, -0.4, np.sqrt(1.25)])        # <xi, xi> = -1
+R30_NORMAL = np.array([0.375, 0.3, -0.4, -0.625])        # null, <xi, nu> = 1
+
+
+@pytest.mark.parametrize("call, space", [
+    (lambda: spheres.tangential_invariant(Sphere(np.zeros(3), 1.0),
+                                          Sphere(np.ones(3), 0.5, "r31")), "r31"),
+    (lambda: spheres.tangential_invariant(spheres.CSphere(np.zeros(4)),
+                                          Sphere(np.zeros(3), 1.0)), "r30"),
+    (lambda: spheres.lie_line(ContactElement(np.zeros(3), R31_NORMAL, "r31")), "r31"),
+    (lambda: spheres.lie_line(ContactElement(np.zeros(4), R30_NORMAL, "r30")), "r30"),
+    (lambda: spheres.element_to_json(Sphere(np.zeros(3), 1.0, "r31")), "r31"),
+    (lambda: spheres.element_to_json(Plane(R30_NORMAL, 1.0, "r30")), "r30"),
+    (lambda: spheres.element_to_json(spheres.CSphere(np.zeros(4))), "r30"),
+], ids=["tangential-r31", "tangential-r30", "lie-line-r31", "lie-line-r30", "json-r31-sphere",
+        "json-r30-plane", "json-r30-sphere"])
+def test_euclidean_only_operations_name_the_space(call, space):
+    with pytest.raises(UsageError, match=f"R\\^n only, not for an element of {space}"):
+        call()
+
+
+def test_element_space_tags_are_checked():
+    with pytest.raises(UsageError, match="CSphere"):
+        Sphere(np.zeros(4), 1.0, "r30")   # a paraboloid has no free radius
+    for make in (lambda: Sphere(np.zeros(3), 1.0, "r4"),
+                 lambda: Plane(np.array([0.0, 0, 1]), 1.0, "r4"),
+                 lambda: ContactElement(np.zeros(3), np.array([0.0, 0, 1]), "r4")):
+        with pytest.raises(UsageError, match="unknown space tag 'r4'"):
+            make()
+
+
+# Cases that test_plane_rejects_non_unit_normal and (in test_spaceforms)
+# test_contact_element_validation do not already cover.
+@pytest.mark.parametrize("make", [
+    lambda: Plane(np.array([1.0, 0, 0.0]), 1.0, "r31"),          # space-like
+    lambda: Plane(np.array([1.0, 0, 0, 1.0]), 1.0, "r30"),       # not null
+    lambda: Plane(2.0 * R30_NORMAL, 1.0, "r30"),                 # <xi, nu> = 2
+    lambda: ContactElement(np.zeros(3), R31_NORMAL),             # not unit in R^n
+    lambda: ContactElement(np.zeros(4), 2.0 * R30_NORMAL, "r30"),
+], ids=["plane-r31", "plane-r30-null", "plane-r30-nu", "contact-r3", "contact-r30-nu"])
+def test_normal_conditions_of_every_space(make):
+    with pytest.raises(UsageError):
+        make()
+
+
+def test_tangent_hyperboloids_are_in_oriented_contact():
+    # sphere_coord and oriented_contact take elements of every space form:
+    # H(x - r xi, r) touches the contact element (x, xi) of R^3_1 for every r.
+    x = np.array([0.5, 1.0, -0.2])
+    h1, h2 = (Sphere(x - r * R31_NORMAL, r, "r31") for r in (0.7, -1.3))
+    assert spheres.oriented_contact(h1, h2)
+    assert not spheres.oriented_contact(h1, Sphere(x - 0.7 * R31_NORMAL, 1.1, "r31"))
+    # The coordinates of all three space forms lie on one quadric: a
+    # hyperboloid touches the Euclidean image of its tangent hyperboloid.
+    image = spheres.classify_coord(spheres.sphere_coord(h2))
+    assert image.space == "r3" and spheres.oriented_contact(h1, image)

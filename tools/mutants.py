@@ -98,9 +98,19 @@ MUTANTS = [
     ("read-off guard dropped", "src/laguerre/spheres.py",
      "if bad.any():", "if False:",
      ["tests/test_spaceforms.py", "tests/test_group.py"]),
-    ("hyperboloid: radius entry in the Euclidean slot", "src/laguerre/spaceforms.py",
-     'coord_tail(s.center, -s.radius, "r31")', 'coord_tail(s.center, -s.radius, "r3")',
+    ("hyperboloid: radius entry in the Euclidean slot", "src/laguerre/spheres.py",
+     "coord_tail(s.center, -s.radius, s.space)", 'coord_tail(s.center, -s.radius, "r3")',
      ["tests/test_spaceforms.py"]),
+    ("normal check: r31 <xi, xi> = +1 instead of -1", "src/laguerre/spheres.py",
+     "abs(lorentz.inner_1(xi, xi) + 1.0)", "abs(lorentz.inner_1(xi, xi) - 1.0)",
+     ["tests/test_spheres.py", "tests/test_spaceforms.py"]),
+    ("normal check: r30 <xi, nu> = 1 dropped", "src/laguerre/spheres.py",
+     "if abs(lorentz.inner_1(xi, lorentz.nu(xi.shape[0] - 1)) - 1.0) > SPACEFORM_TOL:",
+     "if False:",
+     ["tests/test_spheres.py", "tests/test_spaceforms.py"]),
+    ("contact element: r30 <x, nu> = 0 dropped", "src/laguerre/spheres.py",
+     'if self.space == "r30" and abs(', "if False and abs(",
+     ["tests/test_spheres.py", "tests/test_spaceforms.py"]),
     ("analyze --tol default 1e-3 -> 1e-4", "src/laguerre/cli.py",
      '("analyze", cmd_surface_analyze, ("csv",), 1e-3)',
      '("analyze", cmd_surface_analyze, ("csv",), 1e-4)',
