@@ -17,6 +17,12 @@ Every group element whose lower-right entry is >= 1 factors as
 isometry * boost * parallel * isometry; ``decompose`` constructs such a
 factorization and ``Factorization.reconstruct`` plays it back.
 
+An element is validated (``lorentz.is_laguerre_matrix``) once, when a
+``LaguerreTransform`` is built for a caller.  Inside this module generators,
+peels and products are plain matrices from the ``_*_matrix`` builders, which
+check only their parameters; ``decompose`` and ``to_blocks`` compare them
+against an already validated matrix.
+
 The block form: with respect to the splitting 2 + n + 1 of the ambient
 coordinates, an element is determined by an O(n, 1) matrix [[A, u], [v, w]]
 together with a translation vector (a, rho) in R^{n+1}; the correspondence
@@ -25,7 +31,7 @@ is an isomorphism onto the affine Lorentz group of R^{n+1}_1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +42,13 @@ from .spheres import (ContactElement, ProjectivePoint, contact_from_pencil,
 
 BLOCK_TOL = 1e-9
 RECONSTRUCTION_TOL = 1e-10
+ORTHOGONAL_TOL = 1e-10
+
+
+def _read_only(x) -> np.ndarray:
+    x = np.array(x, dtype=float)
+    x.setflags(write=False)
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +59,7 @@ class LaguerreTransform:
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = np.array(self.matrix, dtype=float)
+        M = _read_only(self.matrix)
         if not lorentz.is_laguerre_matrix(M, tol=BLOCK_TOL):
             raise InvalidElementError(
                 "matrix does not preserve the inner product and fix wp"
@@ -55,7 +68,6 @@ class LaguerreTransform:
         v = M[-1, 2:-1]
         if abs(w * w - 1.0 - float(np.dot(v, v))) > BLOCK_TOL * max(1.0, w * w):
             raise InvalidElementError("lower-right block violates w^2 = 1 + |v|^2")
-        M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
 
     @property
@@ -118,14 +130,13 @@ class BlockData:
         return self.A.shape[0]
 
 
-def isometry(A: np.ndarray, a: np.ndarray) -> LaguerreTransform:
-    """Lift of the Euclidean isometry x -> x A + a (A orthogonal)."""
+def _isometry_matrix(A: np.ndarray, a: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     a = np.asarray(a, dtype=float).reshape(-1)
     n = a.shape[0]
     if A.shape != (n, n):
         raise UsageError("rotation block and translation have inconsistent sizes")
-    if np.abs(A @ A.T - np.eye(n)).max() > 1e-10:
+    if np.abs(A @ A.T - np.eye(n)).max() > ORTHOGONAL_TOL:
         raise UsageError("rotation block must be orthogonal")
     s = float(np.dot(a, a))
     M = np.zeros((n + 3, n + 3))
@@ -140,11 +151,10 @@ def isometry(A: np.ndarray, a: np.ndarray) -> LaguerreTransform:
     M[2:-1, 1] = -Aa
     M[2:-1, 2:-1] = A
     M[-1, -1] = 1.0
-    return LaguerreTransform(M)
+    return M
 
 
-def parabolic(t: float, n: int) -> LaguerreTransform:
-    """Parallel flow shifting every signed radius by t."""
+def _parabolic_matrix(t: float, n: int) -> np.ndarray:
     t = float(t)
     if not np.isfinite(t):
         raise UsageError("flow parameter must be finite")
@@ -157,11 +167,10 @@ def parabolic(t: float, n: int) -> LaguerreTransform:
     M[1, -1] = -t
     M[-1, 0] = t
     M[-1, 1] = -t
-    return LaguerreTransform(M)
+    return M
 
 
-def hyperbolic(t: float, n: int) -> LaguerreTransform:
-    """Boost flow in the plane of the last space axis and the radius slot."""
+def _hyperbolic_matrix(t: float, n: int) -> np.ndarray:
     t = float(t)
     if not np.isfinite(t):
         raise UsageError("flow parameter must be finite")
@@ -171,26 +180,36 @@ def hyperbolic(t: float, n: int) -> LaguerreTransform:
     M[-2, -1] = s
     M[-1, -2] = s
     M[-1, -1] = c
-    return LaguerreTransform(M)
+    return M
+
+
+def isometry(A: np.ndarray, a: np.ndarray) -> LaguerreTransform:
+    """Lift of the Euclidean isometry x -> x A + a (A orthogonal)."""
+    return LaguerreTransform(_isometry_matrix(A, a))
+
+
+def parabolic(t: float, n: int) -> LaguerreTransform:
+    """Parallel flow shifting every signed radius by t."""
+    return LaguerreTransform(_parabolic_matrix(t, n))
+
+
+def hyperbolic(t: float, n: int) -> LaguerreTransform:
+    """Boost flow in the plane of the last space axis and the radius slot."""
+    return LaguerreTransform(_hyperbolic_matrix(t, n))
 
 
 def generator(kind: str, n: int | None = None, **params) -> LaguerreTransform:
     """Dispatch on generator kind: 'isometry', 'parabolic' or 'hyperbolic'."""
     if kind == "isometry":
         return isometry(params["A"], params["a"])
-    if kind == "parabolic":
-        if n is None:
-            raise UsageError("parabolic generator needs the base dimension n")
-        return parabolic(params["t"], n)
-    if kind == "hyperbolic":
-        if n is None:
-            raise UsageError("hyperbolic generator needs the base dimension n")
-        return hyperbolic(params["t"], n)
-    raise UsageError(f"unknown generator kind {kind!r}")
+    if kind not in ("parabolic", "hyperbolic"):
+        raise UsageError(f"unknown generator kind {kind!r}")
+    if n is None:
+        raise UsageError(f"{kind} generator needs the base dimension n")
+    return (parabolic if kind == "parabolic" else hyperbolic)(params["t"], n)
 
 
-def from_blocks(b: BlockData) -> LaguerreTransform:
-    """Assemble the group element with the given block coordinates."""
+def _blocks_matrix(b: BlockData) -> np.ndarray:
     n = b.n
     s = float(np.dot(b.a, b.a))
     r2 = b.rho * b.rho
@@ -213,7 +232,12 @@ def from_blocks(b: BlockData) -> LaguerreTransform:
     M[-1, 1] = -va + b.rho * b.w
     M[-1, 2:-1] = b.v
     M[-1, -1] = b.w
-    return LaguerreTransform(M)
+    return M
+
+
+def from_blocks(b: BlockData) -> LaguerreTransform:
+    """Assemble the group element with the given block coordinates."""
+    return LaguerreTransform(_blocks_matrix(b))
 
 
 def to_blocks(T: LaguerreTransform | np.ndarray) -> BlockData:
@@ -233,7 +257,7 @@ def to_blocks(T: LaguerreTransform | np.ndarray) -> BlockData:
         a=M[0, 2:-1],
         rho=M[0, -1],
     )
-    rebuilt = from_blocks(blocks).matrix
+    rebuilt = _blocks_matrix(blocks)
     scale = max(1.0, float(np.abs(M).max()))
     if np.abs(rebuilt - M).max() > RECONSTRUCTION_TOL * scale:
         raise InvalidElementError("matrix entries are inconsistent with the block form")
@@ -264,7 +288,8 @@ def act_on_contact(T: LaguerreTransform, c: ContactElement) -> ContactElement:
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """T = epsilon * isometry(sigma2) * boost(t) * parallel(s) * isometry(sigma1)."""
+    """T = epsilon * isometry(sigma2) * boost(t) * parallel(s) * isometry(sigma1),
+    kept as read-only copies of its arrays whose product is formed once."""
 
     epsilon: int
     A2: np.ndarray
@@ -273,21 +298,26 @@ class Factorization:
     s: float
     A1: np.ndarray
     a1: np.ndarray
+    _product: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("A2", "a2", "A1", "a1"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        prod = (
+            _isometry_matrix(self.A2, self.a2)
+            @ _hyperbolic_matrix(self.t, self.n)
+            @ _parabolic_matrix(self.s, self.n)
+            @ _isometry_matrix(self.A1, self.a1)
+        )
+        object.__setattr__(self, "_product", _read_only(self.epsilon * prod))
 
     @property
     def n(self) -> int:
         return self.A1.shape[0]
 
     def reconstruct(self) -> np.ndarray:
-        """The matrix epsilon * T(sigma2) T(psi_t) T(phi_s) T(sigma1)."""
-        n = self.n
-        prod = (
-            isometry(self.A2, self.a2).matrix
-            @ hyperbolic(self.t, n).matrix
-            @ parabolic(self.s, n).matrix
-            @ isometry(self.A1, self.a1).matrix
-        )
-        return self.epsilon * prod
+        """The matrix epsilon * T(sigma2) T(psi_t) T(phi_s) T(sigma1), read-only."""
+        return self._product
 
 
 def _rotation_to_last_axis(v: np.ndarray) -> np.ndarray:
@@ -300,10 +330,8 @@ def _rotation_to_last_axis(v: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return np.eye(n)
-    vhat = v / norm
-    e = np.zeros(n)
-    e[-1] = 1.0
-    w = vhat - e
+    w = v / norm
+    w[-1] -= 1.0
     wn = float(np.dot(w, w))
     if wn < 1e-28:
         return np.eye(n)
@@ -326,37 +354,29 @@ def decompose(T: LaguerreTransform | np.ndarray, tol: float = RECONSTRUCTION_TOL
         T = LaguerreTransform(T)
     M = T.matrix
     n = T.n
-    eps = 1
-    W = M
-    if W[-1, -1] < 0:
-        eps = -1
-        W = -M
+    eps = -1 if M[-1, -1] < 0 else 1
+    W = eps * M
 
     v = W[-1, 2:-1]
-    w = W[-1, -1]
-    k = W[-1, 0]
     A1rot = _rotation_to_last_axis(v)  # v A1rot = |v| e_last
     t = float(np.arcsinh(np.linalg.norm(v)))
-    s = float(k / w)
+    s = float(W[-1, 0] / W[-1, -1])
 
-    peeled = (
-        W
-        @ isometry(A1rot, np.zeros(n)).matrix
-        @ parabolic(-s, n).matrix
-        @ hyperbolic(-t, n).matrix
-    )
+    X = W @ _isometry_matrix(A1rot, np.zeros(n)) @ _parabolic_matrix(-s, n)
+    peeled = X @ _hyperbolic_matrix(-t, n)
+    # The peeled isometry is 0 in column -1 above its last row, so X[:-1, -1] = tanh t X[:-1, -2]
+    # and its column -2 is X[:-1, -2] / cosh t: read that way, it cancels nothing.
+    peeled[:-1, -2] = X[:-1, -2] / np.cosh(t)
     A2 = peeled[2:-1, 2:-1]
     a2 = peeled[0, 2:-1]
-    if np.abs(A2 @ A2.T - np.eye(n)).max() > 1e-8:
+    if not np.abs(A2 @ A2.T - np.eye(n)).max() <= ORTHOGONAL_TOL:
         raise InvalidElementError(
             "element is not a product of isometries and flows "
             "(non-orthochronous Lorentz block)"
         )
-    fact = Factorization(
-        epsilon=eps, A2=A2, a2=a2, t=t, s=s, A1=A1rot.T, a1=np.zeros(n)
-    )
+    fact = Factorization(epsilon=eps, A2=A2, a2=a2, t=t, s=s, A1=A1rot.T, a1=np.zeros(n))
     scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(fact.reconstruct() - M).max() > tol * scale:
+    if not np.abs(fact.reconstruct() - M).max() <= tol * scale:
         raise InvalidElementError(
             "factorization does not reproduce the element; "
             "it lies outside the subgroup generated by the three flows"
@@ -409,7 +429,7 @@ def random_transform(
     flow_scale: float = 0.4,
 ) -> LaguerreTransform:
     """Seeded random composite of all three generator kinds (for testing)."""
-    result: LaguerreTransform | None = None
+    M: np.ndarray | None = None
     kinds = rng.integers(0, 3, size=factors)
     # Make sure each family shows up at least once when there is room.
     if factors >= 3:
@@ -417,10 +437,10 @@ def random_transform(
     for kind in kinds:
         if kind == 0:
             Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            factor = isometry(Q, translation_scale * rng.standard_normal(n))
+            factor = _isometry_matrix(Q, translation_scale * rng.standard_normal(n))
         elif kind == 1:
-            factor = parabolic(flow_scale * rng.standard_normal(), n)
+            factor = _parabolic_matrix(flow_scale * rng.standard_normal(), n)
         else:
-            factor = hyperbolic(flow_scale * rng.standard_normal(), n)
-        result = factor if result is None else result.then(factor)
-    return result
+            factor = _hyperbolic_matrix(flow_scale * rng.standard_normal(), n)
+        M = factor if M is None else M @ factor
+    return LaguerreTransform(M)

@@ -106,6 +106,15 @@ def test_group_decompose_random_product(tmp_path, capsys):
     assert out["reconstruction_error"] < 1e-10
 
 
+@pytest.mark.parametrize("t", [7.0, 10.0, 20.0])
+def test_group_decompose_large_boost_exits_0(t, tmp_path, capsys):
+    script = write(tmp_path, "t.json", {"n": 3, "factors": [{"kind": "hyperbolic", "t": t}]})
+    assert run(["group", "decompose", "--transform", script]) == 0
+    out = read_out(capsys)
+    assert out["t"] == pytest.approx(t, rel=1e-14)
+    assert out["reconstruction_error"] <= 1e-14 * np.cosh(t)
+
+
 def test_group_invalid_element_exits_3(tmp_path, capsys):
     script = write(tmp_path, "t.json", [
         {"kind": "matrix", "rows": np.diag([1.0, 1, 1, 1, 1, 2]).tolist()},

@@ -370,3 +370,112 @@ def test_act_on_contact_names_a_space_form_element():
     xi = np.array([0.3, -0.4, np.sqrt(1.25)])   # unit time-like
     with pytest.raises(UsageError, match="not for an element of r31"):
         group.act_on_contact(group.parabolic(0.5, 3), ContactElement(np.zeros(3), xi, "r31"))
+
+
+# --- validation at the boundary ----------------------------------------------
+
+def _validated_every_step(rng, n, factors, translation_scale, flow_scale):
+    """random_transform as it was written before its factors became plain
+    matrices: every generator and every partial product is validated."""
+    result = None
+    kinds = rng.integers(0, 3, size=factors)
+    if factors >= 3:
+        kinds[:3] = [0, 1, 2]
+    for kind in kinds:
+        if kind == 0:
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            factor = group.isometry(Q, translation_scale * rng.standard_normal(n))
+        elif kind == 1:
+            factor = group.parabolic(flow_scale * rng.standard_normal(), n)
+        else:
+            factor = group.hyperbolic(flow_scale * rng.standard_normal(), n)
+        result = factor if result is None else result.then(factor)
+    return result
+
+
+def _product_of_validated_generators(f):
+    n = f.n
+    return f.epsilon * (group.isometry(f.A2, f.a2).matrix @ group.hyperbolic(f.t, n).matrix
+                        @ group.parabolic(f.s, n).matrix @ group.isometry(f.A1, f.a1).matrix)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]), factors=st.integers(1, 6),
+       translation_scale=st.sampled_from([0.1, 1.0, 10.0]), flow_scale=st.sampled_from([0.4, 1.0]),
+       eps=st.sampled_from([1, -1]))
+def test_plain_matrices_equal_the_validated_path(seed, n, factors, translation_scale,
+                                                 flow_scale, eps):
+    """Building generators and products as plain matrices and validating once
+    changes no bit: random_transform equals the validate-every-step loop, and
+    reconstruct() equals the product of four validated generators, both for
+    decompose's factorizations and for factorizations drawn directly."""
+    args = (n, factors, translation_scale, flow_scale)
+    T = group.random_transform(np.random.default_rng(seed), *args)
+    reference = _validated_every_step(np.random.default_rng(seed), *args)
+    assert T.matrix.tobytes() == reference.matrix.tobytes()
+    rng = np.random.default_rng(seed)
+    t, s = rng.standard_normal(2)
+    drawn = group.Factorization(epsilon=eps, A2=random_rotation(rng, n), a2=rng.standard_normal(n),
+                                t=t, s=s, A1=random_rotation(rng, n), a1=rng.standard_normal(n))
+    for f in (drawn, group.decompose(T)):
+        assert f.reconstruct().tobytes() == _product_of_validated_generators(f).tobytes()
+
+
+def test_elements_are_validated_once(monkeypatch):
+    calls = []
+    check = lorentz.is_laguerre_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(lorentz, "is_laguerre_matrix", counted)
+    T = group.random_transform(np.random.default_rng(30), 3, factors=6)
+    assert len(calls) == 1
+    f = group.decompose(T)
+    f.reconstruct()
+    group.to_blocks(T)
+    assert len(calls) == 1
+
+
+def test_factorization_is_immutable():
+    rng = np.random.default_rng(32)
+    arrays = {"A2": random_rotation(rng, 3), "a2": rng.standard_normal(3),
+              "A1": random_rotation(rng, 3), "a1": rng.standard_normal(3)}
+    f = group.Factorization(epsilon=1, t=0.3, s=-0.2, **arrays)
+    product = f.reconstruct().copy()
+    for name, x in arrays.items():
+        x[...] = 0.0
+        with pytest.raises(ValueError):
+            getattr(f, name)[0] = 1.0
+    assert f.reconstruct() is f.reconstruct()
+    assert f.reconstruct().tobytes() == product.tobytes()
+    with pytest.raises(ValueError):
+        f.reconstruct()[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("t", [7.0, 10.0, 20.0])
+def test_decompose_large_boost(t):
+    """The peel reads the boosted column without cancellation: before, it lost
+    eps cosh^2 t there, and the factors of a pure boost failed the checks."""
+    T = group.hyperbolic(t, 3)
+    f = group.decompose(T)
+    assert f.t == pytest.approx(t, rel=1e-14) and abs(f.s) < 1e-12
+    assert np.abs(f.A2 @ f.A2.T - np.eye(3)).max() < 1e-14
+    assert np.abs(f.reconstruct() - T.matrix).max() <= 1e-14 * np.abs(T.matrix).max()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 4]), factors=st.integers(3, 6),
+       flow_scale=st.sampled_from([1.0, 3.0]))
+def test_decompose_of_an_element_raises_no_usage_error(seed, n, factors, flow_scale):
+    """Large flows put the factors' rounding near decompose's tolerance: an
+    element may then fail to factor (InvalidElementError), but a validated
+    element is never reported as malformed input (UsageError)."""
+    T = group.random_transform(np.random.default_rng(seed), n, factors, flow_scale=flow_scale)
+    try:
+        f = group.decompose(T)
+    except InvalidElementError:
+        return
+    scale = max(1.0, np.abs(T.matrix).max())
+    assert np.abs(f.reconstruct() - T.matrix).max() <= 1e-10 * scale

@@ -77,6 +77,18 @@ MUTANTS = [
     ("parallel flow: radius shift -t -> +t", "src/laguerre/group.py",
      "    M[0, 0] = 1.0 - 0.5 * t * t", "    t = -t\n    M[0, 0] = 1.0 - 0.5 * t * t",
      ["tests/test_group.py"]),
+    ("random element: its single validation dropped", "src/laguerre/group.py",
+     "    return LaguerreTransform(M)\n",
+     '    T = object.__new__(LaguerreTransform)\n    object.__setattr__(T, "matrix", M)\n'
+     "    return T\n",
+     ["tests/test_group.py"]),
+    ("reconstruct: boost and parallel factors swapped", "src/laguerre/group.py",
+     "@ _hyperbolic_matrix(self.t, self.n)\n            @ _parabolic_matrix(self.s, self.n)",
+     "@ _parabolic_matrix(self.s, self.n)\n            @ _hyperbolic_matrix(self.t, self.n)",
+     ["tests/test_group.py"]),
+    ("decompose: boosted column read with cancellation", "src/laguerre/group.py",
+     "    peeled[:-1, -2] = X[:-1, -2] / np.cosh(t)\n", "",
+     ["tests/test_group.py"]),
     ("membership: wp-row check dropped", "src/laguerre/lorentz.py",
      "return wp_defect <= tol * max(1.0, big)", "return True",
      ["tests/test_lorentz.py"]),
