@@ -140,8 +140,9 @@ def cmd_group_decompose(args) -> dict:
 
 def _analysis_payload(patch, fld, residuals) -> dict:
     axes = patch.axes
-    mask = fd.valid_mask(patch.ngrid, fld.g)
-    margins = fd.interior_margins(mask)
+    # g's window, plus the NaN layers sampled jets leave inside it.
+    nan_layers = fd.interior_margins(fd.valid_mask(patch.ngrid, fld.g))
+    margins = [w + k for w, k in zip(fd.margins(fld.g, axes), nan_layers)]
     payload = {
         "space": patch.space,
         "n": patch.n,

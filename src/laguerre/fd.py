@@ -3,12 +3,20 @@
 A ``GridAxes`` describes the grid and carries its stencil: the order (2 or
 4) of the central differences every grid-level kernel here takes, fixed
 when the grid is built.  Fields are numpy arrays whose leading axes are
-the grid axes and whose remaining axes are component axes.  The stencil
-pads an axis once by its radius: periodic axes wrap, non-periodic axes
-pad with NaN, so the layers near their boundary are NaN.  NaN propagates
-through every later pointwise or stencil operation, so the valid interior
-shrinks by the stencil radius with each cascaded derivative and reductions
-must be NaN-aware.
+the grid axes and whose remaining axes are component axes.
+
+Each field is stored on its window: the part of the grid where it is
+defined.  A periodic axis is padded once by the stencil radius with its
+wrapped ends, so a derivative keeps every point; on a bounded axis the
+stencil is taken only where it has all its samples, so each cascaded
+derivative drops the stencil radius from both ends.  A field's margin on
+an axis is therefore (grid count - field count) / 2 (``margins``), and a
+pointwise kernel runs on its operands cut to their common window
+(``crop``).  Grid indices reported to users are full-grid indices.
+
+Fields may still hold NaN inside their window: sampled patches keep the
+NaN layers of their finite-difference jets (``to_grid``), so reductions
+stay NaN-aware.
 
 Derivative outputs insert the direction axis right after the grid axes:
 ``gradient`` writes each direction of a (*G, k) field into its slot of one
@@ -81,18 +89,20 @@ def _central(f: np.ndarray, axis: int, h: float, periodic: bool, order: int,
              out: np.ndarray | None = None) -> np.ndarray:
     """Central first difference along ``axis``, written into ``out`` when given.
 
-    The axis is padded once by the stencil radius -- wrapped on a periodic
-    axis, NaN on a bounded one -- and the stencil combines shifted slices of
-    the padded array.  Only its last operation writes ``out``, which may be
-    a strided slot, where every operation would run several times slower.
+    A periodic axis is padded once by the stencil radius with its wrapped
+    ends and keeps all its points; a bounded axis keeps its interior, the
+    ``count - 2r`` points where the stencil has all its samples.  The
+    stencil combines shifted slices of the (padded) array.  Only its last
+    operation writes ``out``, which may be a strided slot, where every
+    operation would run several times slower.
     """
     r = RADIUS[order]
-    width = [(r, r) if i == axis else (0, 0) for i in range(f.ndim)]
-    padded = (np.pad(f, width, mode="wrap") if periodic
-              else np.pad(f, width, constant_values=np.nan))
-    count = f.shape[axis]
+    if periodic:
+        width = [(r, r) if i == axis else (0, 0) for i in range(f.ndim)]
+        f = np.pad(f, width, mode="wrap")
+    count = max(f.shape[axis] - 2 * r, 0)
     lead = (slice(None),) * axis
-    s = lambda k: padded[lead + (slice(r + k, r + k + count),)]
+    s = lambda k: f[lead + (slice(r + k, r + k + count),)]
     if order == 2:
         return np.divide(s(1) - s(-1), 2.0 * h, out=out)
     d = s(-2) - 8.0 * s(-1)
@@ -102,10 +112,22 @@ def _central(f: np.ndarray, axis: int, h: float, periodic: bool, order: int,
 
 
 def diff(f: np.ndarray, axis: int, h: float, periodic: bool, order: int) -> np.ndarray:
-    """First derivative along one grid axis (central stencil of ``order``)."""
+    """First derivative along one grid axis (central stencil of ``order``);
+    a bounded axis keeps its interior."""
     if order not in RADIUS:
         raise UsageError(f"unsupported stencil order {order}")
     return _central(f, axis, h, periodic, order)
+
+
+def _derivative(f: np.ndarray, axis: int, grid: GridAxes,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """First derivative along ``axis`` on the window of a gradient of f: the
+    other bounded axes are cut by the stencil radius first, so no point
+    outside that window is computed."""
+    r = RADIUS[grid.order]
+    cut = tuple(slice(None) if a == axis or per else slice(r, max(c - r, r))
+                for a, (c, per) in enumerate(zip(f.shape, grid.periodic)))
+    return _central(f[cut], axis, grid.spacings[axis], grid.periodic[axis], grid.order, out=out)
 
 
 def gradient(f: np.ndarray, grid: GridAxes) -> np.ndarray:
@@ -116,10 +138,32 @@ def gradient(f: np.ndarray, grid: GridAxes) -> np.ndarray:
     ``grid.ndim``.
     """
     ngrid = grid.ndim
-    out = np.empty(f.shape[:ngrid] + (ngrid,) + f.shape[ngrid:])
-    for axis, (h, per) in enumerate(zip(grid.spacings, grid.periodic)):
-        _central(f, axis, h, per, grid.order, out=out[(slice(None),) * ngrid + (axis,)])
+    r = RADIUS[grid.order]
+    window = tuple(c if per else max(c - 2 * r, 0) for c, per in zip(f.shape, grid.periodic))
+    out = np.empty(window + (ngrid,) + f.shape[ngrid:])
+    for axis in range(ngrid):
+        _derivative(f, axis, grid, out=out[(slice(None),) * ngrid + (axis,)])
     return out
+
+
+def margins(field: np.ndarray, grid: GridAxes) -> tuple[int, ...]:
+    """Per-axis margin of a field's window: the grid points it lacks at each end."""
+    return tuple((c - s) // 2 for c, s in zip(grid.counts, field.shape))
+
+
+def crop(ngrid: int, *fields) -> tuple:
+    """The fields cut to their common window, the smallest of their extents
+    on each of the leading ``ngrid`` grid axes (windows are centred, so a
+    larger one contains a smaller one).  Views; nothing is copied."""
+    window = [min(f.shape[i] for f in fields) for i in range(ngrid)]
+    return tuple(f[tuple(slice((c - w) // 2, (c + w) // 2) for c, w in zip(f.shape, window))]
+                 for f in fields)
+
+
+def to_grid(field: np.ndarray, grid: GridAxes) -> np.ndarray:
+    """A field padded from its window to the whole grid with NaN."""
+    width = [(m, m) for m in margins(field, grid)] + [(0, 0)] * (field.ndim - grid.ndim)
+    return np.pad(field, width, constant_values=np.nan)
 
 
 # Pointwise contractions are staged as batched matrix products over the
@@ -345,7 +389,7 @@ def christoffel(g: np.ndarray, grid: GridAxes, ginv: np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma^c_{ab} of a metric field g (*G, m, m) with
     inverse ``ginv``."""
     ngrid = grid.ndim
-    dg = gradient(g, grid)  # (*G, d, a, b)
+    dg, ginv = crop(ngrid, gradient(g, grid), ginv)  # dg: (*G, d, a, b)
     low = 0.5 * (
         np.moveaxis(dg, ngrid, ngrid + 1)          # [c, a, b] <- dg[a, c, b]
         + np.moveaxis(dg, ngrid, ngrid + 2)        # [c, a, b] <- dg[b, c, a] (with symmetry of g)
@@ -354,7 +398,7 @@ def christoffel(g: np.ndarray, grid: GridAxes, ginv: np.ndarray) -> np.ndarray:
     # dg[a,c,b] term: derivative axis moved to slot 'a'; using g symmetry the
     # second term is dg with derivative axis in slot 'b'.
     m = g.shape[-1]
-    lead = g.shape[:-2]
+    lead = ginv.shape[:-2]
     return (ginv @ low.reshape(lead + (m, m * m))).reshape(lead + (m, m, m))
 
 
@@ -368,12 +412,12 @@ def cov_d(T: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
     """
     ngrid = grid.ndim
     m = T.shape[-1]
-    lead = T.shape[:ngrid]
     rank = T.ndim - ngrid
+    out, T, Gamma = crop(ngrid, gradient(T, grid), T, Gamma)
+    lead = T.shape[:ngrid]
     Gt = np.swapaxes(Gamma.reshape(lead + (m, m * m)), -1, -2)   # [(c a), e]
-    out = gradient(T, grid)
     for i in range(rank):
-        Te = np.moveaxis(T, ngrid + i, ngrid).reshape(lead + (m, -1))
+        Te = np.moveaxis(T, ngrid + i, ngrid).reshape(lead + (m, m ** (rank - 1)))
         corr = (Gt @ Te).reshape(lead + (m,) * (rank + 1))      # [c, a_i, other slots]
         out -= np.moveaxis(corr, ngrid + 1, ngrid + 1 + i)
     return out
@@ -391,10 +435,12 @@ def laplace_beltrami(f: np.ndarray, ginv: np.ndarray, sqrt_det: np.ndarray,
     """
     ngrid = grid.ndim
     df = gradient(f.reshape(f.shape[:ngrid] + (-1,)), grid)        # (*G, b, K)
+    df, ginv, sqrt_det = crop(ngrid, df, ginv, sqrt_det)
     weighted = sqrt_det[..., None, None] * (ginv @ df)              # (*G, a, K)
-    div = sum(_central(weighted[(slice(None),) * ngrid + (a,)], a, h, per, grid.order)
-              for a, (h, per) in enumerate(zip(grid.spacings, grid.periodic)))
-    return (div / sqrt_det[..., None]).reshape(f.shape)
+    div = sum(_derivative(weighted[(slice(None),) * ngrid + (a,)], a, grid)
+              for a in range(ngrid))
+    div, sqrt_det = crop(ngrid, div, sqrt_det)
+    return (div / sqrt_det[..., None]).reshape(div.shape[:ngrid] + f.shape[ngrid:])
 
 
 def riemann_tensor(g: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
@@ -404,7 +450,7 @@ def riemann_tensor(g: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarr
     both K = R_{abab} / (g_aa g_bb - g_ab^2) and the Ricci contraction
     Ric_{ac} = g^{bd} R_{abcd}.
     """
-    dG = gradient(Gamma, grid)  # (*G, deriv, e, i, j)
+    dG, Gamma, g = crop(grid.ndim, gradient(Gamma, grid), Gamma, g)  # dG[deriv, e, i, j]
     m = g.shape[-1]
     lead = g.shape[:-2]
     # GG[d, x, y, z] = Gamma^d_{xe} Gamma^e_{yz} holds both quadratic terms of

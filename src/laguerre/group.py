@@ -369,10 +369,16 @@ def decompose(T: LaguerreTransform | np.ndarray, tol: float = RECONSTRUCTION_TOL
     peeled[:-1, -2] = X[:-1, -2] / np.cosh(t)
     A2 = peeled[2:-1, 2:-1]
     a2 = peeled[0, 2:-1]
-    if not np.abs(A2 @ A2.T - np.eye(n)).max() <= ORTHOGONAL_TOL:
+    orthogonality = float(np.abs(A2 @ A2.T - np.eye(n)).max())
+    if not orthogonality <= ORTHOGONAL_TOL:
+        G = lorentz.signature_matrix(n)
+        membership = float(np.abs(M @ G @ M.T - G).max())
+        reversed_time = " (non-orthochronous Lorentz block)" if eps < 0 else ""
         raise InvalidElementError(
-            "element is not a product of isometries and flows "
-            "(non-orthochronous Lorentz block)"
+            "element is not a product of isometries and flows: the peeled rotation block "
+            f"is orthogonal only to {orthogonality:.1e} (ORTHOGONAL_TOL {ORTHOGONAL_TOL:g}); "
+            f"the element's own membership defect |T G T^T - G| is {membership:.1e}"
+            f"{reversed_time}"
         )
     fact = Factorization(epsilon=eps, A2=A2, a2=a2, t=t, s=s, A1=A1rot.T, a1=np.zeros(n))
     scale = max(1.0, float(np.abs(M).max()))

@@ -17,9 +17,14 @@ Gram-Schmidt on the coordinate derivatives, and the tensor fields
 
 together with the shape operator rho^{-1}(S^{-1} - r id).  Everything
 built from derivatives of grid fields uses cascaded central differences
-of the order the patch grid carries; the valid interior shrinks by the
-stencil radius per cascade level on non-periodic axes and reductions are
-NaN-aware.
+of the order the patch grid carries.  Each field is stored on its window,
+the part of the grid where it is defined: every cascade level drops the
+stencil radius from both ends of each non-periodic axis (g and B have
+margin r, Gamma and N 2r, L, C and the curvature tensors 3r, nabla C 4r),
+and a pointwise formula runs on its operands cut to their common window
+(``fd.crop``).  Patch-level fields (the shape data, S_op and its spectrum)
+cover the whole grid.  Sampled patches keep NaN layers inside the windows,
+so reductions are NaN-aware.
 
 ``analyze`` only guards: it checks the space, the grid's interior and the
 positive definiteness of g, so every command fails at the same point with
@@ -93,11 +98,16 @@ class InvariantField:
         """<Delta Y, Delta Y>."""
         return lorentz.inner(self.lapY, self.lapY)
 
+    def crop(self, *fields) -> tuple:
+        """The fields cut to their common window."""
+        return fd.crop(self.patch.ngrid, *fields)
+
     @cached_property
     def N(self) -> np.ndarray:
         """The null vector conjugate to Y: <N, N> = 0, <Y, N> = -1."""
         nm1 = self.patch.n - 1
-        return self.lapY / nm1 + (self.lap_norm / (2.0 * nm1 * nm1))[..., None] * self.patch.lift.Y
+        lapY, lap_norm, Y = self.crop(self.lapY, self.lap_norm, self.patch.lift.Y)
+        return lapY / nm1 + (lap_norm / (2.0 * nm1 * nm1))[..., None] * Y
 
     @cached_property
     def deta(self) -> np.ndarray:
@@ -116,9 +126,9 @@ class InvariantField:
     def _LC(self) -> tuple:
         """(L, C) from one gradient of N, which is not kept once both are formed."""
         sig = lorentz.signature(self.patch.n)
-        dN = fd.gradient(self.N, self.patch.axes)
-        L = fd.gram(dN, self.dY, sig)
-        return 0.5 * (L + np.swapaxes(L, -1, -2)), -fd.contract_last(dN, self.patch.lift.eta * sig)
+        dN, dY, eta = self.crop(fd.gradient(self.N, self.patch.axes), self.dY, self.patch.lift.eta)
+        L = fd.gram(dN, dY, sig)
+        return 0.5 * (L + np.swapaxes(L, -1, -2)), -fd.contract_last(dN, eta * sig)
 
     @property
     def L(self) -> np.ndarray:
@@ -145,7 +155,7 @@ class InvariantField:
 
     @cached_property
     def C_frame(self) -> np.ndarray:
-        return fd.contract_last(self.vielbein, self.C)
+        return fd.contract_last(*self.crop(self.vielbein, self.C))
 
     @cached_property
     def B_eigs(self) -> np.ndarray:
@@ -172,21 +182,22 @@ class InvariantField:
 
     @cached_property
     def ricci(self) -> np.ndarray:
-        return fd.ricci_tensor(self.riemann, self.ginv)
+        return fd.ricci_tensor(*self.crop(self.riemann, self.ginv))
 
     @cached_property
     def scalar(self) -> np.ndarray:
-        return fd.scalar_curvature(self.ricci, self.ginv)
+        return fd.scalar_curvature(*self.crop(self.ricci, self.ginv))
 
     @cached_property
     def diagnostics(self) -> dict:
         """Defects of three identities the construction satisfies exactly."""
         sig = lorentz.signature(self.patch.n)
-        C_dual = fd.contract_last(self.deta, self.N * sig)
+        deta, N = self.crop(self.deta, self.N)
+        C_dual = fd.contract_last(deta, N * sig)
         return {
             "raw_B_asymmetry": fd.nanmax_abs(self.B_raw - np.swapaxes(self.B_raw, -1, -2)),
-            "C_dual_defect": fd.nanmax_abs(self.C - C_dual),
-            "g_vs_rho2_III": fd.nanmax_abs(self.g - self.patch.g_exact),
+            "C_dual_defect": fd.nanmax_abs(np.subtract(*self.crop(self.C, C_dual))),
+            "g_vs_rho2_III": fd.nanmax_abs(np.subtract(*self.crop(self.g, self.patch.g_exact))),
         }
 
     @cached_property
@@ -202,12 +213,12 @@ class InvariantField:
     @cached_property
     def divC(self) -> np.ndarray:
         """div C = g^ca nabla_c C_a."""
-        return np.einsum("...ab,...ab->...", self.ginv, self.DC)
+        return np.einsum("...ab,...ab->...", *self.crop(self.ginv, self.DC))
 
     @cached_property
     def LB(self) -> np.ndarray:
         """<L, B> = g^ac g^bd L_ab B_cd."""
-        return fd.metric_pairing(self.L, self.B, self.ginv)
+        return fd.metric_pairing(*self.crop(self.L, self.B, self.ginv))
 
 
 def analyze(patch: SurfacePatch) -> InvariantField:
@@ -221,8 +232,11 @@ def analyze(patch: SurfacePatch) -> InvariantField:
         raise UsageError("analyze needs an r3 patch; embed space forms first")
     fd.require_interior(patch.axes, MAX_CASCADE_LEVELS)
     fld = InvariantField(patch)
-    if fd.nonpositive_index(fld.g, fld.minors) is not None:
-        raise DegenerateSurfaceError("invariant metric is not positive definite on the grid")
+    idx = fd.nonpositive_index(fld.g, fld.minors)
+    if idx is not None:
+        idx = tuple(i + m for i, m in zip(idx, fd.margins(fld.g, patch.axes)))
+        raise DegenerateSurfaceError(
+            f"invariant metric is not positive definite at grid index {idx}")
     return fld
 
 
@@ -248,64 +262,69 @@ def structural_residual_fields(fld: InvariantField) -> dict:
     Component axes of each residual are flattened so every entry of the
     dict is a grid scalar field (absolute value already applied).
     """
-    m = fld.patch.axes.ndim
-    g, ginv = fld.g, fld.ginv
-    n = fld.patch.n
+    m, n, crop = fld.patch.ngrid, fld.patch.n, fld.crop
+    g, ginv, B, L, C = fld.g, fld.ginv, fld.B, fld.L, fld.C
 
-    DL = fd.cov_d_tensor2(fld.L, fld.Gamma, fld.patch.axes)
+    DL = fd.cov_d_tensor2(L, fld.Gamma, fld.patch.axes)
     DB, DC = fld.DB, fld.DC
 
     def flat(resid):
         return fd.component_max_abs(resid, m)
 
+    def minus(a, b):
+        """a - b on the common window of the two terms."""
+        return np.subtract(*crop(a, b))
+
     res = {}
     res["l_codazzi"] = flat(DL - np.swapaxes(DL, -3, -1))
-    BL = fld.B @ ginv @ fld.L
-    res["c_exchange"] = flat(
-        np.swapaxes(DC, -1, -2) - DC - (BL - np.swapaxes(BL, -1, -2))
-    )
+    B3, ginv3, L3 = crop(B, ginv, L)
+    BL = B3 @ ginv3 @ L3
+    res["c_exchange"] = flat(minus(np.swapaxes(DC, -1, -2) - DC, BL - np.swapaxes(BL, -1, -2)))
+    C3, g3 = crop(C, g)
     codazzi_rhs = (
-        np.einsum("...b,...ac->...cab", fld.C, g)
-        - np.einsum("...c,...ab->...cab", fld.C, g)
+        np.einsum("...b,...ac->...cab", C3, g3)
+        - np.einsum("...c,...ab->...cab", C3, g3)
     )
-    res["b_codazzi"] = flat(DB - np.einsum("...cab->...bac", DB) - codazzi_rhs)
+    res["b_codazzi"] = flat(minus(DB - np.einsum("...cab->...bac", DB), codazzi_rhs))
 
-    res["gauss"] = flat(fld.riemann - gauss_rhs(fld.L, g))
+    res["gauss"] = flat(minus(fld.riemann, gauss_rhs(L3, g3)))
 
-    trB = np.einsum("...ab,...ab->...", ginv, fld.B)
+    trB = np.einsum("...ab,...ab->...", ginv, B)
     res["b_trace"] = flat(trB)
-    B2 = fd.metric_pairing(fld.B, fld.B, ginv)
+    B2 = fd.metric_pairing(B, B, ginv)
     res["b_sqnorm"] = flat(B2 - 1.0)
-    trL = np.einsum("...ab,...ab->...", ginv, fld.L)
-    res["l_trace_vs_lap"] = flat(trL + fld.lap_norm / (2.0 * (n - 1)))
+    trL = np.einsum("...ab,...ab->...", ginv3, L3)
+    res["l_trace_vs_lap"] = flat(np.add(*crop(trL, fld.lap_norm / (2.0 * (n - 1)))))
 
-    divB = np.einsum("...ca,...cab->...b", ginv, DB)
-    res["b_divergence"] = flat(divB - (n - 2) * fld.C)
+    divB = np.einsum("...ca,...cab->...b", *crop(ginv, DB))
+    res["b_divergence"] = flat(minus(divB, (n - 2) * C))
 
-    res["ricci_vs_l"] = flat(fld.ricci + (n - 3) * fld.L + trL[..., None, None] * g)
-    res["scalar_vs_lap"] = flat(fld.scalar - (n - 2) / (n - 1) * fld.lap_norm)
+    ricci, L3, trL, g3 = crop(fld.ricci, L, trL, g)
+    res["ricci_vs_l"] = flat(ricci + (n - 3) * L3 + trL[..., None, None] * g3)
+    res["scalar_vs_lap"] = flat(minus(fld.scalar, (n - 2) / (n - 1) * fld.lap_norm))
     return res
 
 
 def frame_residuals(fld: InvariantField) -> dict:
     """Max-abs defects of the pairings of the frame {Y, N, E_i(Y), eta, wp}."""
     inner = lorentz.inner
+    crop = fld.crop
     Y, eta, N, EY = fld.patch.lift.Y, fld.patch.lift.eta, fld.N, fld.EY
     wp = lorentz.wp(fld.patch.n)
     sig = lorentz.signature(fld.patch.n)
     return {
         "Y_null": fd.nanmax_abs(inner(Y, Y)),
         "N_null": fd.nanmax_abs(inner(N, N)),
-        "YN_pairing": fd.nanmax_abs(inner(Y, N) + 1.0),
+        "YN_pairing": fd.nanmax_abs(inner(*crop(Y, N)) + 1.0),
         "EY_orthonormal": fd.nanmax_abs(fd.gram(EY, EY, sig) - np.eye(EY.shape[-2])),
-        "Y_EY": fd.nanmax_abs(fd.contract_last(EY, Y * sig)),
-        "N_EY": fd.nanmax_abs(fd.contract_last(EY, N * sig)),
+        "Y_EY": fd.nanmax_abs(fd.contract_last(*crop(EY, Y * sig))),
+        "N_EY": fd.nanmax_abs(fd.contract_last(*crop(EY, N * sig))),
         "eta_null": fd.nanmax_abs(inner(eta, eta)),
         "eta_wp_pairing": fd.nanmax_abs(inner(eta, wp) + 1.0),
         "eta_Y": fd.nanmax_abs(inner(eta, Y)),
-        "eta_EY": fd.nanmax_abs(fd.contract_last(EY, eta * sig)),
+        "eta_EY": fd.nanmax_abs(fd.contract_last(*crop(EY, eta * sig))),
         "Y_wp": fd.nanmax_abs(inner(Y, wp)),
-        "N_eta": fd.nanmax_abs(inner(N, eta)),
+        "N_eta": fd.nanmax_abs(inner(*crop(N, eta))),
         "N_wp": fd.nanmax_abs(inner(N, wp)),
     }
 

@@ -79,9 +79,11 @@ def el_residual(fld: InvariantField):
     div C - <L, B>/(n - 2).  The first equals (n - 2) times the second up
     to discretization error.
     """
+    crop = fld.crop
     DDB = fd.cov_d_tensor3(fld.DB, fld.Gamma, fld.patch.axes)
-    sum_form = double_divergence(DDB, fld.ginv) - fld.LB
-    div_form = fld.divC - fld.LB / (fld.patch.n - 2)
+    sum_form = np.subtract(*crop(double_divergence(*crop(DDB, fld.ginv)), fld.LB))
+    divC, LB = crop(fld.divC, fld.LB)
+    div_form = divC - LB / (fld.patch.n - 2)
     return sum_form, div_form
 
 
@@ -102,25 +104,27 @@ def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
     equal to 1, tangent components (n - 3) C_i and a Y component equal to
     -div C + <L, B>; each defect is a free end-to-end consistency check.
     """
-    lift, n = fld.patch.lift, fld.patch.n
+    lift, n, crop = fld.patch.lift, fld.patch.n, fld.crop
     lap_eta = fd.laplace_beltrami(lift.eta, fld.ginv, fld.sqrt_det, fld.patch.axes)
     inner = lorentz.inner
 
-    wp_comp = -inner(lap_eta, lift.eta)
+    wp_comp = -inner(*crop(lap_eta, lift.eta))
     sig = lorentz.signature(n)
-    tangent = fd.contract_last(fld.dY, lap_eta * sig)
+    dY, lap_eta_sig = crop(fld.dY, lap_eta * sig)
+    tangent = fd.contract_last(dY, lap_eta_sig)
     # Convert <lap eta, d_a Y> to frame components through the vielbein.
-    tangent_frame = fd.contract_last(fld.vielbein, tangent)
-    C_frame = fld.C_frame
-    y_comp = -inner(lap_eta, fld.N)
+    tangent_frame = fd.contract_last(*crop(fld.vielbein, tangent))
+    tangent_frame, C_frame = crop(tangent_frame, fld.C_frame)
+    y_comp = -inner(*crop(lap_eta, fld.N))
+    divC, LB = crop(fld.divC, fld.LB)
     wp_vec = lorentz.wp(n)
 
     return {
         "wp_component_minus_1": fd.nanmax_abs(wp_comp - 1.0),
         "tangent_vs_C": fd.nanmax_abs(tangent_frame - (n - 3) * C_frame),
-        "y_component_vs_el": fd.nanmax_abs(y_comp - (-fld.divC + fld.LB)),
+        "y_component_vs_el": fd.nanmax_abs(np.subtract(*crop(y_comp, -divC + LB))),
         "eta_component": fd.nanmax_abs(inner(lap_eta, wp_vec)),
-        "n_component": fd.nanmax_abs(inner(lap_eta, lift.Y)),
+        "n_component": fd.nanmax_abs(inner(*crop(lap_eta, lift.Y))),
     }
 
 
@@ -141,16 +145,17 @@ def minimality_report(fld: InvariantField,
     if threshold is None:
         threshold = default_threshold(fld)
 
+    crop = fld.crop
     sum_form, div_form = el_residual(fld)
     n = fld.patch.n
     max_sum = fd.nanmax_abs(sum_form)
     max_div = fd.nanmax_abs(div_form)
-    discrepancy = fd.nanmax_abs(sum_form - (n - 2) * div_form)
+    discrepancy = fd.nanmax_abs(np.subtract(*crop(sum_form, (n - 2) * div_form)))
 
     # Verdict on the pointwise rho^3-scaled divergence form, whose units
     # match the threshold (and, for surfaces, the third-form Laplacian).
     rho3 = fld.patch.shape.rho ** 3
-    scaled_el = fd.nanmax_abs(rho3 * div_form)
+    scaled_el = fd.nanmax_abs(np.multiply(*crop(rho3, div_form)))
     verdict = "minimal" if scaled_el <= threshold else "non-minimal"
 
     lap_r = None
@@ -160,10 +165,11 @@ def minimality_report(fld: InvariantField,
         lap = third_form_laplacian_r(fld.patch, fld.patch.shape.r)
         lap_r = fd.nanmax_abs(lap)
         lap_verdict = "minimal" if lap_r <= threshold else "non-minimal"
-        bridge_rhs = rho3 * (-fld.divC + fld.LB)
+        divC, LB = crop(fld.divC, fld.LB)
+        bridge_rhs = np.multiply(*crop(rho3, -divC + LB))
         scale = max(fd.nanmax_abs(lap), fd.nanmax_abs(bridge_rhs))
         if scale > max(threshold, 1e-12):
-            crosscheck = fd.nanmax_abs(lap - bridge_rhs) / scale
+            crosscheck = fd.nanmax_abs(np.subtract(*crop(lap, bridge_rhs))) / scale
 
     diagnostics = eta_laplacian_diagnostics(fld)
     consistent = lap_verdict is None or lap_verdict == verdict

@@ -732,10 +732,13 @@ def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise UsageError(f"sampled points or normals are not finite at grid index {idx}")
     # Second jets are one gradient of the first; swapping the two direction
-    # axes puts d_b d_a in slot (a, b), the layout of the builtin jets.
+    # axes puts d_b d_a in slot (a, b), the layout of the builtin jets.  A
+    # patch stores its jets on the whole grid, NaN where the stencil lacks
+    # samples.
     m = axes.ndim
-    dx, dxi = fd.gradient(x, axes), fd.gradient(xi, axes)
-    d2x, d2xi = (np.swapaxes(fd.gradient(jet, axes), m, m + 1) for jet in (dx, dxi))
+    dx, dxi = (fd.to_grid(fd.gradient(f, axes), axes) for f in (x, xi))
+    d2x, d2xi = (np.swapaxes(fd.to_grid(fd.gradient(jet, axes), axes), m, m + 1)
+                 for jet in (dx, dxi))
     return make_patch(spec.get("space", "r3"), axes, x, dx, d2x, xi,
                       given_normal_jets(dxi, d2xi),
                       {"builtin": "samples", "jets": "fd", "normal": "as-given"})

@@ -68,11 +68,11 @@ def test_criterion_02_volume_oracle(torus):
 
 def test_criterion_03_flat_metric(torus):
     _, fld = torus
-    K = fld.riemann[..., 0, 1, 0, 1] / (
-        fld.g[..., 0, 0] * fld.g[..., 1, 1] - fld.g[..., 0, 1] ** 2
-    )
-    trL = np.einsum("...ab,...ab->...", fld.ginv, fld.L)
-    scal_vs_lap = fd.nanmax_abs(fld.scalar - 0.5 * fld.lap_norm)  # (n-2)/(n-1) = 1/2
+    riem, g = fd.crop(2, fld.riemann, fld.g)
+    K = riem[..., 0, 1, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
+    trL = np.einsum("...ab,...ab->...", *fd.crop(2, fld.ginv, fld.L))
+    scalar, lap_norm = fd.crop(2, fld.scalar, fld.lap_norm)
+    scal_vs_lap = fd.nanmax_abs(scalar - 0.5 * lap_norm)  # (n-2)/(n-1) = 1/2
     scal_vs_trl = fd.nanmax_abs(fld.scalar + 2.0 * trL)
     criterion(3, "invariant metric of the torus is flat; trace relations hold",
               [("gauss_curvature", fd.nanmax_abs(K), 1e-5),
@@ -93,7 +93,9 @@ def test_criterion_04_structure_residuals(torus_fine):
     fields_fine = hypersurface.structural_residual_fields(hypersurface.analyze(fine))
     ratios = []
     for key in ("b_codazzi", "l_codazzi", "b_divergence", "gauss"):
-        c, f = fields[key], fields_fine[key][::2, ::2]
+        # Same parameter points: every other fine point, on the full grids.
+        c = fd.to_grid(fields[key], p.axes)
+        f = fd.to_grid(fields_fine[key], fine.axes)[::2, ::2]
         mask = np.isfinite(c) & np.isfinite(f)
         ratios.append(float(np.max(c[mask]) / np.max(f[mask])))
 
@@ -166,7 +168,7 @@ def test_criterion_07_minimality_transfer(torus):
     p, fld_t = torus
     rep_t = minimality.minimality_report(fld_t)
     lap_t = minimality.third_form_laplacian_r(p, fld_t.patch.shape.r)
-    at_zero = abs(lap_t[32, 0] + 1.0)  # u = 0 sits on the 65-point axis
+    at_zero = abs(fd.to_grid(lap_t, p.axes)[32, 0] + 1.0)  # u = 0 sits on the 65-point axis
     criterion(7, "maximal catenoid embeds to a critical patch; torus does not",
               [("catenoid_laplacian_r", rep.max_laplacian_r, 1e-6),
                ("catenoid_el_residual", rep.max_el_div_form, 1e-4),

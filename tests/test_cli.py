@@ -218,18 +218,30 @@ def test_surface_compare_grid_refine_refines_both_specs(tmp_path, capsys):
 def test_interior_margin_matches_nan_layout(torus_spec_file, torus_field, capsys):
     assert run(["surface", "analyze", "--spec", torus_spec_file]) == 0
     out = read_out(capsys)
-    # g is built from first differences of Y: NaN on the first and last two
-    # u-rows of the 4th-order stencil, finite everywhere along periodic v.
-    finite = np.isfinite(torus_field.g).all(axis=(-2, -1))
-    u_rows = np.nonzero(finite.any(axis=1))[0]
-    assert out["interior_margin"] == {"u": int(u_rows[0]), "v": 0}
-    assert out["interior_margin"]["u"] == 2
+    # g is built from first differences of Y: its window lacks the first and
+    # last two u-rows of the 4th-order stencil and keeps all of periodic v.
+    assert torus_field.g.shape[:2] == (65 - 4, 64)
+    margins = fd.margins(torus_field.g, torus_field.patch.axes)
+    assert out["interior_margin"] == dict(zip("uv", margins))
+    assert out["interior_margin"] == {"u": 2, "v": 0}
 
 
 def test_fd_order_sets_interior_margin(torus_spec_file, capsys):
     # The 2nd-order stencil has radius 1, so g loses one u-row per side.
     assert run(["surface", "analyze", "--spec", torus_spec_file, "--fd-order", "2"]) == 0
     assert read_out(capsys)["interior_margin"] == {"u": 1, "v": 0}
+
+
+def test_interior_margin_of_a_sampled_patch_counts_its_nan_layers(tmp_path, capsys):
+    # Sampled jets keep NaN where their stencils lack samples: 2 u-rows per
+    # side for dx and 4 for d2x, hence Y.  g's window drops 2 more, so the
+    # first finite u-row of g is row 6, as it was when NaN marked every cut.
+    torus = patches.build_patch({"builtin": "torus"})
+    spec = write(tmp_path, "sampled.json", {
+        "samples": {"points": torus.x.tolist(), "normals": torus.xi.tolist()},
+        "grid": {"u": [-np.pi / 3, np.pi / 3, 65], "v": [0, 2 * np.pi, 64], "periodic": ["v"]}})
+    assert run(["surface", "analyze", "--spec", spec]) == 0
+    assert read_out(capsys)["interior_margin"] == {"u": 6, "v": 0}
 
 
 SURFACE_FLAGS = [["--strict"], ["--fd-order", "2"], ["--grid-refine", "2"]]
@@ -383,15 +395,17 @@ def counted(monkeypatch, module, name):
 # I Gram and the cone lift once per patch that needs them, the curvature
 # tensor and the spectra only for the commands that report them, and the
 # second normal jets only where a group action or an embedding reads them.
+# The stencil count (fd.gradient, including the calls inside the fd kernels)
+# is the one the benchmark tracer reports per request.
 LAZY = {"first_fundamental": patches, "laguerre_lift": patches, "_d2xi_from_shape": patches,
         "riemann_tensor": fd, "grid_eigvalsh": fd, "selfadjoint_eigvals": fd,
-        "christoffel": fd, "laplace_beltrami": fd}
+        "christoffel": fd, "laplace_beltrami": fd, "gradient": fd}
 LAZY_CALLS = {
-    "analyze": (1, 1, 0, 1, 2, 1, 1, 1),
-    "minimality": (1, 1, 0, 0, 0, 0, 1, 3),
-    "volume": (1, 0, 0, 0, 0, 0, 0, 0),
-    "embed": (2, 2, 1, 1, 2, 1, 1, 3),
-    "compare": (3, 2, 1, 0, 4, 2, 0, 0),
+    "analyze": (1, 1, 0, 1, 2, 1, 1, 1, 9),
+    "minimality": (1, 1, 0, 0, 0, 0, 1, 3, 10),
+    "volume": (1, 0, 0, 0, 0, 0, 0, 0, 0),
+    "embed": (2, 2, 1, 1, 2, 1, 1, 3, 12),
+    "compare": (3, 2, 1, 0, 4, 2, 0, 0, 4),
 }
 
 
@@ -442,7 +456,9 @@ def test_torus4_commands_compute_only_what_they_read(command, tmp_path, monkeypa
     capsys.readouterr()
     got, expected = lazy_counts(lazy, command)
     if command == "minimality":
-        expected["laplace_beltrami"] -= 1   # the third-form Laplacian is for surfaces only
+        # The third-form Laplacian, and its gradient, are for surfaces only.
+        expected["laplace_beltrami"] -= 1
+        expected["gradient"] -= 1
     assert got == expected
 
 

@@ -89,13 +89,13 @@ def xi_jets_literal(x, dx, d2x, d3x, xi, form):
 
 def christoffel_literal(g, ginv, grid):
     ngrid = grid.ndim
-    dg = fd.gradient(g, grid)
+    dg, ginv = fd.crop(ngrid, fd.gradient(g, grid), ginv)
     low = 0.5 * (np.moveaxis(dg, ngrid, ngrid + 1) + np.moveaxis(dg, ngrid, ngrid + 2) - dg)
     return np.einsum("...ec,...cab->...eab", ginv, low)
 
 
 def riemann_literal(g, Gamma, grid):
-    dG = fd.gradient(Gamma, grid)
+    dG, Gamma, g = fd.crop(grid.ndim, fd.gradient(Gamma, grid), Gamma, g)
     up = (
         np.einsum("...adbc->...dcab", dG)
         - np.einsum("...bdac->...dcab", dG)
@@ -194,38 +194,44 @@ def test_fd_contractions(case):
     assert_close(Gamma, christoffel_literal(g, ginv, grid))
 
     C = rng.standard_normal(shape + (m,))
+    dC, G, Cw = fd.crop(m, fd.gradient(C, grid), Gamma, C)
     assert_close(fd.cov_d_covector(C, Gamma, grid),
-                 fd.gradient(C, grid) - np.einsum("...eca,...e->...ca", Gamma, C))
+                 dC - np.einsum("...eca,...e->...ca", G, Cw))
 
     T = rng.standard_normal(shape + (m, m))
+    dT, G, Tw = fd.crop(m, fd.gradient(T, grid), Gamma, T)
     assert_close(
         fd.cov_d_tensor2(T, Gamma, grid),
-        fd.gradient(T, grid)
-        - np.einsum("...eca,...eb->...cab", Gamma, T)
-        - np.einsum("...ecb,...ae->...cab", Gamma, T),
+        dT
+        - np.einsum("...eca,...eb->...cab", G, Tw)
+        - np.einsum("...ecb,...ae->...cab", G, Tw),
     )
 
     U = rng.standard_normal(shape + (m, m, m))
+    dU, G, Uw = fd.crop(m, fd.gradient(U, grid), Gamma, U)
     assert_close(
         fd.cov_d_tensor3(U, Gamma, grid),
-        fd.gradient(U, grid)
-        - np.einsum("...edc,...eab->...dcab", Gamma, U)
-        - np.einsum("...eda,...ceb->...dcab", Gamma, U)
-        - np.einsum("...edb,...cae->...dcab", Gamma, U),
+        dU
+        - np.einsum("...edc,...eab->...dcab", G, Uw)
+        - np.einsum("...eda,...ceb->...dcab", G, Uw)
+        - np.einsum("...edb,...cae->...dcab", G, Uw),
     )
 
     riem = fd.riemann_tensor(g, Gamma, grid)
     assert_close(riem, riemann_literal(g, Gamma, grid))
-    assert_close(fd.ricci_tensor(riem, ginv), np.einsum("...bd,...abcd->...ac", ginv, riem))
+    riem, ginv_r = fd.crop(m, riem, ginv)
+    assert_close(fd.ricci_tensor(riem, ginv_r),
+                 np.einsum("...bd,...abcd->...ac", ginv_r, riem))
 
     f = rng.standard_normal(shape + (2,))
     sqrt_det = np.sqrt(np.linalg.det(g))
-    df = fd.gradient(f, grid)
-    flux = sqrt_det[..., None, None] * np.einsum("...ab,...bk->...ak", ginv, df)
-    div = sum(fd.diff(np.take(flux, a, axis=m), a, grid.spacings[a], periodic[a], grid.order)
-              for a in range(m))
+    df, ginv_f, sqrt_det_f = fd.crop(m, fd.gradient(f, grid), ginv, sqrt_det)
+    flux = sqrt_det_f[..., None, None] * np.einsum("...ab,...bk->...ak", ginv_f, df)
+    div = sum(fd.crop(m, *(fd.diff(np.take(flux, a, axis=m), a, grid.spacings[a], periodic[a],
+                                   grid.order) for a in range(m))))
+    div, sqrt_det_d = fd.crop(m, div, sqrt_det)
     assert_close(fd.laplace_beltrami(f, ginv, sqrt_det, grid),
-                 div / sqrt_det[..., None])
+                 div / sqrt_det_d[..., None])
 
     sym = rng.standard_normal(shape + (m, m))
     endo = ginv @ (sym + np.swapaxes(sym, -1, -2))

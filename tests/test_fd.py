@@ -29,7 +29,7 @@ def test_diff_convergence_order():
         f = np.exp(t) * np.sin(5 * t)
         exact = np.exp(t) * (np.sin(5 * t) + 5 * np.cos(5 * t))
         d = fd.diff(f, 0, h, periodic=False, order=order)
-        return np.nanmax(np.abs(d - exact))
+        return np.max(np.abs(np.subtract(*fd.crop(1, d, exact))))
 
     r4 = err(101, 4) / err(201, 4)
     r2 = err(101, 2) / err(201, 2)
@@ -38,10 +38,13 @@ def test_diff_convergence_order():
 
 
 def test_diff_nan_margins():
+    # A bounded axis keeps only its interior, the count - 2r points where the
+    # stencil has all its samples: no NaN margin is left.
     f = np.arange(20.0)
-    d = fd.diff(f, 0, 1.0, periodic=False, order=4)
-    assert np.isnan(d[:2]).all() and np.isnan(d[-2:]).all()
-    assert np.allclose(d[2:-2], 1.0)
+    for order, r in fd.RADIUS.items():
+        d = fd.diff(f, 0, 1.0, periodic=False, order=order)
+        assert d.shape == (20 - 2 * r,)
+        assert np.array_equal(d, np.ones(20 - 2 * r))
 
 
 def test_gradient_shape_and_axis_position():
@@ -62,7 +65,133 @@ def test_gradient_is_diff_per_axis(counts, periodic, ncomp, order, seed):
     f = np.random.default_rng(seed).standard_normal(tuple(counts) + (2,) * ncomp)
     parts = [fd.diff(f, a, h, per, order)
              for a, (h, per) in enumerate(zip(grid.spacings, grid.periodic))]
-    assert np.array_equal(fd.gradient(f, grid), np.stack(parts, axis=m), equal_nan=True)
+    assert np.array_equal(fd.gradient(f, grid), np.stack(fd.crop(m, *parts), axis=m))
+
+
+# The NaN-padded stencil the windowed kernels replaced, and the kernels on
+# it, as they were: every field covers the whole grid, NaN where a stencil
+# lacked samples.  Each windowed kernel must equal the window of its
+# reference bit for bit.
+
+def _central_nan_padded(f, axis, h, periodic, order):
+    r = fd.RADIUS[order]
+    width = [(r, r) if i == axis else (0, 0) for i in range(f.ndim)]
+    padded = (np.pad(f, width, mode="wrap") if periodic
+              else np.pad(f, width, constant_values=np.nan))
+    count = f.shape[axis]
+    lead = (slice(None),) * axis
+    s = lambda k: padded[lead + (slice(r + k, r + k + count),)]
+    if order == 2:
+        return np.divide(s(1) - s(-1), 2.0 * h)
+    d = s(-2) - 8.0 * s(-1)
+    d += 8.0 * s(1)
+    d -= s(2)
+    return np.divide(d, 12.0 * h)
+
+
+def gradient_ref(f, grid):
+    return np.stack([_central_nan_padded(f, axis, h, per, grid.order)
+                     for axis, (h, per) in enumerate(zip(grid.spacings, grid.periodic))],
+                    axis=grid.ndim)
+
+
+def christoffel_ref(g, grid, ginv):
+    ngrid = grid.ndim
+    dg = gradient_ref(g, grid)
+    low = 0.5 * (np.moveaxis(dg, ngrid, ngrid + 1) + np.moveaxis(dg, ngrid, ngrid + 2) - dg)
+    m = g.shape[-1]
+    lead = g.shape[:-2]
+    return (ginv @ low.reshape(lead + (m, m * m))).reshape(lead + (m, m, m))
+
+
+def cov_d_ref(T, Gamma, grid):
+    ngrid = grid.ndim
+    m = T.shape[-1]
+    lead = T.shape[:ngrid]
+    rank = T.ndim - ngrid
+    Gt = np.swapaxes(Gamma.reshape(lead + (m, m * m)), -1, -2)
+    out = gradient_ref(T, grid)
+    for i in range(rank):
+        Te = np.moveaxis(T, ngrid + i, ngrid).reshape(lead + (m, -1))
+        corr = (Gt @ Te).reshape(lead + (m,) * (rank + 1))
+        out -= np.moveaxis(corr, ngrid + 1, ngrid + 1 + i)
+    return out
+
+
+def laplace_beltrami_ref(f, ginv, sqrt_det, grid):
+    ngrid = grid.ndim
+    df = gradient_ref(f.reshape(f.shape[:ngrid] + (-1,)), grid)
+    weighted = sqrt_det[..., None, None] * (ginv @ df)
+    div = sum(_central_nan_padded(weighted[(slice(None),) * ngrid + (a,)], a, h, per, grid.order)
+              for a, (h, per) in enumerate(zip(grid.spacings, grid.periodic)))
+    return (div / sqrt_det[..., None]).reshape(f.shape)
+
+
+def riemann_ref(g, Gamma, grid):
+    dG = gradient_ref(Gamma, grid)
+    m = g.shape[-1]
+    lead = g.shape[:-2]
+    GG = Gamma.reshape(lead + (m * m, m)) @ Gamma.reshape(lead + (m, m * m))
+    GG = GG.reshape(lead + (m,) * 4)
+    up = (np.einsum("...adbc->...dcab", dG) - np.einsum("...bdac->...dcab", dG)
+          + np.einsum("...dabc->...dcab", GG) - np.einsum("...dbac->...dcab", GG))
+    low = (g @ up.reshape(lead + (m, m ** 3))).reshape(lead + (m,) * 4)
+    return np.einsum("...dcab->...abdc", low)
+
+
+@st.composite
+def window_cases(draw):
+    """(grid, rng): m = 1-3 axes, each periodic or bounded, with room on a
+    bounded axis for the three cascade levels the deepest kernel takes."""
+    m = draw(st.integers(1, 3))
+    order = draw(st.sampled_from([2, 4]))
+    r = fd.RADIUS[order]
+    periodic = tuple(draw(st.booleans()) for _ in range(m))
+    counts = tuple(draw(st.integers(6 * r + 1, 6 * r + 3)) for _ in range(m))
+    grid = fd.GridAxes(tuple("uvw"[:m]), (0.0,) * m, tuple(0.5 + 0.25 * i for i in range(m)),
+                       counts, periodic, order)
+    return grid, np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+# Time budget: about 1 s of tier-1 time on one core (40 examples).
+@settings(max_examples=40, derandomize=True, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(window_cases())
+def test_windowed_kernels_are_windows_of_the_nan_padded_kernels(case):
+    grid, rng = case
+    m, r = grid.ndim, fd.RADIUS[grid.order]
+
+    def check(got, ref, levels):
+        expected = tuple(0 if per else levels * r for per in grid.periodic)
+        assert fd.margins(got, grid) == expected
+        window = tuple(slice(k, c - k) for k, c in zip(expected, grid.counts))
+        assert np.array_equal(got, ref[window])
+
+    # A metric one stencil level deep, as g is in the pipeline.
+    X = rng.standard_normal(grid.shape + (m + 1,))
+    P, P_ref = fd.gradient(X, grid), gradient_ref(X, grid)
+    check(P, P_ref, 1)
+    g, g_ref = (np.eye(m) + 0.1 * (Q @ np.swapaxes(Q, -1, -2)) for Q in (P, P_ref))
+    ginv, ginv_ref = fd.grid_inv(g), fd.grid_inv(g_ref)
+    sqrt_det, sqrt_det_ref = (fd.sqrt_det(fd.grid_det(q)) for q in (g, g_ref))
+
+    Gamma, Gamma_ref = fd.christoffel(g, grid, ginv), christoffel_ref(g_ref, grid, ginv_ref)
+    check(Gamma, Gamma_ref, 2)
+    check(fd.riemann_tensor(g, Gamma, grid), riemann_ref(g_ref, Gamma_ref, grid), 3)
+
+    f = rng.standard_normal(grid.shape + (2,))
+    check(fd.laplace_beltrami(f, ginv, sqrt_det, grid),
+          laplace_beltrami_ref(f, ginv_ref, sqrt_det_ref, grid), 2)
+
+    # cov_d of a whole-grid covector, of a 2-tensor one level deep and of
+    # the 3-tensor that results, two levels deep.
+    C = rng.standard_normal(grid.shape + (m,))
+    check(fd.cov_d(C, Gamma, grid), cov_d_ref(C, Gamma_ref, grid), 2)
+    V = rng.standard_normal(grid.shape + (m,))
+    T, T_ref = fd.gradient(V, grid), gradient_ref(V, grid)
+    DT, DT_ref = fd.cov_d(T, Gamma, grid), cov_d_ref(T_ref, Gamma_ref, grid)
+    check(DT, DT_ref, 2)
+    check(fd.cov_d(DT, Gamma, grid), cov_d_ref(DT_ref, Gamma_ref, grid), 3)
 
 
 def test_grid_axes_rejects_unsupported_order():
@@ -195,21 +324,23 @@ def test_christoffel_and_laplacian_on_round_sphere():
     Gamma = fd.christoffel(g, grid, ginv)
     # closed forms: Gamma^u_{vv} = -sin u cos u, Gamma^v_{uv} = cot u
     mask = np.isfinite(Gamma).all(axis=(-3, -2, -1))
-    exp_uvv = -np.sin(U) * np.cos(U)
-    exp_vuv = np.cos(U) / np.sin(U)
+    Gamma, Uw = fd.crop(2, Gamma, U)
+    exp_uvv = -np.sin(Uw) * np.cos(Uw)
+    exp_vuv = np.cos(Uw) / np.sin(Uw)
     assert fd.nanmax_abs(Gamma[..., 0, 1, 1] - np.where(mask, exp_uvv, np.nan)) < 1e-6
     assert fd.nanmax_abs(Gamma[..., 1, 0, 1] - np.where(mask, exp_vuv, np.nan)) < 1e-6
 
     # cos(u) is an eigenfunction: Delta cos u = -2 cos u
     f = np.cos(U)
     lap = fd.laplace_beltrami(f, ginv, sqrt_det, grid)
-    assert fd.nanmax_abs(lap + 2 * np.cos(U)) < 1e-6
+    assert fd.nanmax_abs(np.add(*fd.crop(2, lap, 2 * np.cos(U)))) < 1e-6
 
     # curvature: positive on the sphere, sectional = scalar / 2 = 1
     riem = fd.riemann_tensor(g, Gamma, grid)
-    ricci = fd.ricci_tensor(riem, ginv)
-    scal = fd.scalar_curvature(ricci, ginv)
+    ricci = fd.ricci_tensor(*fd.crop(2, riem, ginv))
+    scal = fd.scalar_curvature(*fd.crop(2, ricci, ginv))
     assert abs(np.nanmedian(scal) - 2.0) < 1e-5
+    riem, g = fd.crop(2, riem, g)
     K = riem[..., 0, 1, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
     assert fd.nanmax_abs(K - np.where(np.isfinite(K), 1.0, np.nan)) < 1e-5
 

@@ -479,3 +479,20 @@ def test_decompose_of_an_element_raises_no_usage_error(seed, n, factors, flow_sc
         return
     scale = max(1.0, np.abs(T.matrix).max())
     assert np.abs(f.reconstruct() - T.matrix).max() <= 1e-10 * scale
+
+
+def test_decompose_gate_states_the_measured_defects():
+    """Draw 537 at flow scale 3 passes validation (its membership defect,
+    2.0e-9, is within 1e-9 max|T|^2) but peels to a rotation block orthogonal
+    only to 2.2e-10.  The message gives both numbers and the tolerance, and
+    does not call its Lorentz block (w = 1.39) non-orthochronous."""
+    rng = np.random.default_rng(0)
+    for _ in range(538):
+        T = group.random_transform(rng, 3, 4, flow_scale=3.0)
+    assert T.matrix[-1, -1] == pytest.approx(1.39, abs=0.01)
+    with pytest.raises(InvalidElementError) as err:
+        group.decompose(T)
+    message = str(err.value)
+    assert "rotation block is orthogonal only to 2.2e-10 (ORTHOGONAL_TOL 1e-10)" in message
+    assert "own membership defect |T G T^T - G| is 2.0e-09" in message
+    assert "orthochronous" not in message

@@ -66,13 +66,13 @@ def test_mean_curvature_sphere(torus_patch, torus_field):
 
 def test_metric_closed_form(torus_field):
     iu = 32
-    g = torus_field.g[iu, 0]
+    g = fd.to_grid(torus_field.g, torus_field.patch.axes)[iu, 0]
     assert np.abs(g - 2.0 * np.eye(2)).max() < 1e-3
     U = torus_field.patch.axes.meshgrid()[0]
-    expect = np.zeros_like(torus_field.g)
+    expect = np.zeros(U.shape + (2, 2))
     expect[..., 0, 0] = 2.0 / np.cos(U) ** 2
     expect[..., 1, 1] = 2.0
-    assert fd.nanmax_abs(torus_field.g - expect) < 1e-3
+    assert fd.nanmax_abs(np.subtract(*fd.crop(2, torus_field.g, expect))) < 1e-3
 
 
 def test_metric_matches_exact_form_at_fine_resolution():
@@ -83,11 +83,25 @@ def test_metric_matches_exact_form_at_fine_resolution():
 
 def test_metric_is_flat_for_torus(torus_field):
     # Gauss curvature of g vanishes identically
-    K = torus_field.riemann[..., 0, 1, 0, 1] / (
-        torus_field.g[..., 0, 0] * torus_field.g[..., 1, 1]
-        - torus_field.g[..., 0, 1] ** 2
-    )
+    riem, g = fd.crop(2, torus_field.riemann, torus_field.g)
+    K = riem[..., 0, 1, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
     assert fd.nanmax_abs(K) < 1e-5
+
+
+def test_indefinite_metric_is_located_on_the_full_grid(torus_patch, monkeypatch):
+    # g's window lacks two u-rows at each end, so the block flipped at window
+    # index (10, 5) sits at grid index (12, 5).
+    computed = hypersurface.InvariantField.g.func
+
+    def flipped(fld):
+        g = computed(fld).copy()
+        g[10, 5] *= -1.0
+        return g
+
+    monkeypatch.setattr(hypersurface.InvariantField, "g", property(flipped))
+    with pytest.raises(DegenerateSurfaceError,
+                       match=r"not positive definite at grid index \(12, 5\)"):
+        hypersurface.analyze(torus_patch)
 
 
 # --- frame and tensors --------------------------------------------------------
@@ -106,7 +120,7 @@ def test_s_eigs_match_radii_formula(torus_field):
 def test_b_eigs_match_radii_formula(torus_field):
     sd = torus_field.patch.shape
     expect = np.sort((sd.radii - sd.r[..., None]) / sd.rho[..., None], axis=-1)[..., ::-1]
-    assert fd.nanmax_abs(torus_field.B_eigs - expect) < 1e-6
+    assert fd.nanmax_abs(np.subtract(*fd.crop(2, torus_field.B_eigs, expect))) < 1e-6
 
 
 def test_trace_conditions(torus_residuals):
@@ -117,7 +131,7 @@ def test_trace_conditions(torus_residuals):
 
 def test_torus_l_and_lap_norm_vanish(torus_field):
     # flat invariant metric forces tr L = 0 and a null Laplacian image
-    trL = np.einsum("...ab,...ab->...", torus_field.ginv, torus_field.L)
+    trL = np.einsum("...ab,...ab->...", *fd.crop(2, torus_field.ginv, torus_field.L))
     assert fd.nanmax_abs(trL) < 1e-4
     assert fd.nanmax_abs(torus_field.lap_norm) < 1e-4
 
@@ -149,7 +163,8 @@ def test_residual_convergence_under_refinement():
                      "periodic": ["v"]},
         })
         fld = hypersurface.analyze(p)
-        return hypersurface.structural_residual_fields(fld)
+        return {k: fd.to_grid(v, p.axes)
+                for k, v in hypersurface.structural_residual_fields(fld).items()}
 
     coarse = fields(65, 64)
     fine = fields(129, 128)
@@ -166,8 +181,7 @@ def test_b_diagonal_in_principal_gauge(torus_field):
     # of the lift is diagonal with entries (r_i - r)/rho; compare spectra
     sd = torus_field.patch.shape
     diag = (sd.radii - sd.r[..., None]) / sd.rho[..., None]
-    got = np.sort(torus_field.B_eigs, axis=-1)
-    want = np.sort(diag, axis=-1)
+    got, want = fd.crop(2, np.sort(torus_field.B_eigs, axis=-1), np.sort(diag, axis=-1))
     assert fd.nanmax_abs(got - want) < 1e-6
 
 
@@ -280,7 +294,8 @@ def assert_jets_exact(patch):
     for field, jet in (("x", "dx"), ("dx", "d2x"), ("xi", "dxi"), ("dxi", "d2xi")):
         exact = getattr(patch, jet)
         diff = fd.gradient(getattr(patch, field), patch.axes)
-        assert fd.nanmax_abs(diff - exact) <= JET_REL * fd.nanmax_abs(exact), jet
+        assert (fd.nanmax_abs(np.subtract(*fd.crop(patch.ngrid, diff, exact)))
+                <= JET_REL * fd.nanmax_abs(exact)), jet
 
 
 def test_mapped_patches_keep_the_stencil_order():
@@ -438,9 +453,10 @@ def test_higher_dim_l_recovered_from_curvature():
     fld = hypersurface.analyze(p)
     # for a 3-dimensional hypersurface the symmetric tensor L is a function
     # of the curvature of g: L = -Ric + (scalar/4) g
-    trL_from = -fld.scalar / 4.0
-    L_curv = -fld.ricci - trL_from[..., None, None] * fld.g
-    assert fd.nanmax_abs(L_curv - fld.L) < 1e-3
+    ricci, scalar, g, L = fd.crop(3, fld.ricci, fld.scalar, fld.g, fld.L)
+    trL_from = -scalar / 4.0
+    L_curv = -ricci - trL_from[..., None, None] * g
+    assert fd.nanmax_abs(L_curv - L) < 1e-3
 
 
 def test_frame_and_tensors_entry_point(torus_patch):

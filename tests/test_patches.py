@@ -38,7 +38,7 @@ def test_structure_relation_dxi(torus_patch, torus_shape):
     assert np.abs(lhs).max() < 1e-12
     # and the analytic normal jets agree with finite differences of xi
     dxi_fd = fd.gradient(torus_patch.xi, torus_patch.axes)
-    assert fd.nanmax_abs(torus_patch.dxi - dxi_fd) < 1e-4
+    assert fd.nanmax_abs(np.subtract(*fd.crop(2, torus_patch.dxi, dxi_fd))) < 1e-4
 
 
 def test_principal_directions_orthonormal(torus_patch, torus_shape):

@@ -48,6 +48,14 @@ MUTANTS = [
     ("padded stencil: periodic axes padded by edge values", "src/laguerre/fd.py",
      'np.pad(f, width, mode="wrap")', 'np.pad(f, width, mode="edge")',
      ["tests/test_fd.py"]),
+    ("window margin: one more on each cropped (bounded) axis", "src/laguerre/fd.py",
+     "return tuple((c - s) // 2 for c, s in zip(grid.counts, field.shape))",
+     "return tuple((c - s) // 2 + (s < c) for c, s in zip(grid.counts, field.shape))",
+     ["tests/test_fd.py", "tests/test_cli.py"]),
+    ("crop: to the largest window instead of the common one", "src/laguerre/fd.py",
+     "window = [min(f.shape[i] for f in fields) for i in range(ngrid)]",
+     "window = [max(f.shape[i] for f in fields) for i in range(ngrid)]",
+     ["tests/test_contractions.py"]),
     ("cov_d: last slot correction dropped", "src/laguerre/fd.py",
      "for i in range(rank):", "for i in range(rank - 1):",
      ["tests/test_contractions.py"]),
@@ -59,13 +67,13 @@ MUTANTS = [
      "(2.0 * nm1 * nm1)", "(2.0 * nm1)",
      ["tests/test_hypersurface.py"]),
     ("criticality: div form divides <L, B> by n - 1", "src/laguerre/minimality.py",
-     "fld.LB / (fld.patch.n - 2)", "fld.LB / (fld.patch.n - 1)",
+     "divC - LB / (fld.patch.n - 2)", "divC - LB / (fld.patch.n - 1)",
      ["tests/test_minimality.py"]),
     ("bridge identity: sign of div C flipped", "src/laguerre/minimality.py",
-     "rho3 * (-fld.divC + fld.LB)", "rho3 * (fld.divC + fld.LB)",
+     "crop(rho3, -divC + LB)", "crop(rho3, divC + LB)",
      ["tests/test_minimality.py"]),
     ("eta Laplacian: wp component sign flipped", "src/laguerre/minimality.py",
-     "wp_comp = -inner(lap_eta, lift.eta)", "wp_comp = inner(lap_eta, lift.eta)",
+     "wp_comp = -inner(*crop(lap_eta, lift.eta))", "wp_comp = inner(*crop(lap_eta, lift.eta))",
      ["tests/test_minimality.py"]),
     ("group inverse: one signature factor dropped", "src/laguerre/group.py",
      "sig[:, None] * self.matrix.T * sig", "self.matrix.T * sig",
