@@ -238,13 +238,26 @@ def interior_margins(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(margins)
 
 
-# Per-point blocks of size m <= 3 (m = n - 1 parameter axes) are inverted,
-# factored and reduced by elementwise closed forms over the whole grid:
-# numpy's batched LAPACK wrappers make one LAPACK call per block, which is
-# what dominates on three-axis grids.  Larger blocks take the LAPACK path.
-# Spectra stay on LAPACK (eigh, eigvalsh): closed-form 3x3 eigensolvers lose
-# relative accuracy near repeated eigenvalues.
+# Per-point blocks of size m <= 3 (m = n - 1 parameter axes) are handled
+# elementwise over the whole grid: numpy's batched LAPACK wrappers make one
+# LAPACK call per block, which is what dominates on three-axis grids.
+# Inverses, determinants and Cholesky factors are closed forms.  Spectra
+# come from cyclic Jacobi rotations instead, since closed-form 3x3
+# eigensolvers (roots of the characteristic cubic) lose relative accuracy
+# near repeated eigenvalues.  Each rotation zeroes one off-diagonal entry
+# a_pq and is computed from a_pp, a_qq and a_pq alone, and a rotation is
+# skipped once |a_pq| <= JACOBI_TOL sqrt|a_pp a_qq|: with that stopping
+# rule Jacobi is at least as accurate as QR, and keeps each eigenvalue of a
+# graded positive definite block to relative accuracy where QR keeps it
+# only relative to the largest (Demmel and Veselic, "Jacobi's method is
+# more accurate than QR", SIAM J. Matrix Anal. Appl. 13(4), 1992).  Only
+# blocks with m >= 4 take the LAPACK path.
 CLOSED_FORM_MAX = 3
+
+# An m = 3 block takes at most JACOBI_SWEEPS sweeps of its three pairs; the
+# convergence is quadratic, and a generic block is done after four.
+JACOBI_SWEEPS = 8
+JACOBI_TOL = np.finfo(float).eps
 
 
 def _masked_batched(op, mat: np.ndarray, fill: np.ndarray) -> np.ndarray:
@@ -301,6 +314,41 @@ def _small_cholesky(a: np.ndarray) -> np.ndarray:
     return L
 
 
+def _small_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of symmetric blocks (lower triangle read) by
+    cyclic Jacobi rotations: one diagonalizes an m = 2 block exactly."""
+    m = a.shape[-1]
+    d = [a[..., i, i] for i in range(m)]
+    pairs = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if q < m]
+    off = {(p, q): a[..., q, p] for p, q in pairs}
+    for _ in range(JACOBI_SWEEPS if m == 3 else 1):
+        rotated = False
+        for p, q in pairs:
+            apq = off[p, q]
+            big = np.abs(apq) > JACOBI_TOL * np.sqrt(np.abs(d[p])) * np.sqrt(np.abs(d[q]))
+            if not big.any():
+                continue
+            rotated = True
+            # t = tan of the angle, the root of t^2 + 2 theta t = 1 of least
+            # magnitude; hypot keeps theta^2 from overflowing.
+            theta = np.divide(d[q] - d[p], 2.0 * apq, out=np.zeros(apq.shape), where=big)
+            t = np.where(big, np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(1.0, theta)), 0.0)
+            d[p], d[q] = d[p] - t * apq, d[q] + t * apq
+            off[p, q] = np.zeros(apq.shape)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            for r in range(m):
+                if r not in (p, q):
+                    rp, rq = tuple(sorted((r, p))), tuple(sorted((r, q)))
+                    off[rp], off[rq] = c * off[rp] - s * off[rq], s * off[rp] + c * off[rq]
+        if not rotated:
+            break
+    # Ascending order by compare-exchange, pair by pair: a sorting network.
+    for i, j in pairs:
+        d[i], d[j] = np.minimum(d[i], d[j]), np.maximum(d[i], d[j])
+    return np.stack(d, axis=-1)
+
+
 def _batched(closed, lapack, mat: np.ndarray) -> np.ndarray:
     m = mat.shape[-1]
     return _masked_batched(closed if m <= CLOSED_FORM_MAX else lapack, mat, np.eye(m))
@@ -322,7 +370,8 @@ def grid_cholesky(mat: np.ndarray) -> np.ndarray:
 
 
 def grid_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    return _masked_batched(np.linalg.eigvalsh, mat, np.eye(mat.shape[-1]))
+    """Ascending eigenvalues of symmetric blocks, NaN for NaN blocks."""
+    return _batched(_small_eigvalsh, np.linalg.eigvalsh, mat)
 
 
 def leading_minors(mat: np.ndarray) -> list:

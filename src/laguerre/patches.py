@@ -202,16 +202,13 @@ class ShapeData:
 
     ``k`` holds the principal curvatures sorted descending, ``radii`` their
     reciprocals in the same order, ``r`` the mean curvature radius, ``rho``
-    the size sqrt(sum (r_i - r)^2) of the trace-free radius part and
-    ``dirs`` the matching principal directions as rows of parameter
-    components (orthonormal for the first fundamental form).
+    the size sqrt(sum (r_i - r)^2) of the trace-free radius part.
     """
 
     k: np.ndarray
     radii: np.ndarray
     r: np.ndarray
     rho: np.ndarray
-    dirs: np.ndarray
 
 
 @dataclass(eq=False)
@@ -231,7 +228,7 @@ def second_fundamental(patch: SurfacePatch) -> np.ndarray:
 
 
 def shape_data(patch: SurfacePatch) -> ShapeData:
-    """Principal curvatures, radii and directions over the whole grid.
+    """Principal curvatures and radii over the whole grid.
 
     Raises DegenerateSurfaceError (naming a grid index) on umbilics,
     vanishing curvatures or curvature-label crossings; the excluded sets
@@ -240,15 +237,8 @@ def shape_data(patch: SurfacePatch) -> ShapeData:
     NaN here and are skipped by the checks.
     """
     # Generalized symmetric eigenproblem II v = k I v through the Cholesky
-    # factor of I, so the directions come out I-orthonormal.
-    sym = fd.cholesky_reduce(patch.II, patch.Linv)
-    bad = ~np.isfinite(sym).all(axis=(-2, -1))
-    symw = np.where(bad[..., None, None], np.eye(sym.shape[-1]), sym)
-    vals, vecs = np.linalg.eigh(symw)
-    vals = np.where(bad[..., None], np.nan, vals[..., ::-1])
-    # Undo the Cholesky change of basis; rows of ``dirs`` are directions.
-    dirs = np.swapaxes(vecs[..., ::-1], -1, -2) @ patch.Linv
-    dirs = np.where(bad[..., None, None], np.nan, dirs)
+    # factor of I.
+    vals = fd.grid_eigvalsh(fd.cholesky_reduce(patch.II, patch.Linv))[..., ::-1]
 
     diam = patch.diameter
     k_zero_tol = CURVATURE_ZERO_FACTOR / max(diam, 1e-300)
@@ -269,7 +259,7 @@ def shape_data(patch: SurfacePatch) -> ShapeData:
         raise DegenerateSurfaceError(f"umbilic point at grid index {idx}")
 
     _check_crossings(vals, patch.ngrid)
-    return ShapeData(k=vals, radii=radii, r=r, rho=rho, dirs=dirs)
+    return ShapeData(k=vals, radii=radii, r=r, rho=rho)
 
 
 def laguerre_lift(patch: SurfacePatch) -> LaguerreLift:

@@ -393,19 +393,20 @@ def counted(monkeypatch, module, name):
 
 # Calls a command makes to functions whose results are read on demand: the
 # I Gram and the cone lift once per patch that needs them, the curvature
-# tensor and the spectra only for the commands that report them, and the
-# second normal jets only where a group action or an embedding reads them.
+# tensor and the B and S spectra only for the commands that report them, and
+# the second normal jets only where a group action or an embedding reads
+# them.  grid_eigvalsh also runs once per shape_data (principal curvatures).
 # The stencil count (fd.gradient, including the calls inside the fd kernels)
 # is the one the benchmark tracer reports per request.
 LAZY = {"first_fundamental": patches, "laguerre_lift": patches, "_d2xi_from_shape": patches,
         "riemann_tensor": fd, "grid_eigvalsh": fd, "selfadjoint_eigvals": fd,
         "christoffel": fd, "laplace_beltrami": fd, "gradient": fd}
 LAZY_CALLS = {
-    "analyze": (1, 1, 0, 1, 2, 1, 1, 1, 9),
-    "minimality": (1, 1, 0, 0, 0, 0, 1, 3, 10),
-    "volume": (1, 0, 0, 0, 0, 0, 0, 0, 0),
-    "embed": (2, 2, 1, 1, 2, 1, 1, 3, 12),
-    "compare": (3, 2, 1, 0, 4, 2, 0, 0, 4),
+    "analyze": (1, 1, 0, 1, 3, 1, 1, 1, 9),
+    "minimality": (1, 1, 0, 0, 1, 0, 1, 3, 10),
+    "volume": (1, 0, 0, 0, 1, 0, 0, 0, 0),
+    "embed": (2, 2, 1, 1, 4, 1, 1, 3, 12),
+    "compare": (3, 2, 1, 0, 7, 2, 0, 0, 4),
 }
 
 
@@ -466,24 +467,19 @@ LAPACK = ("inv", "solve", "det", "cholesky", "eigvalsh", "eigh")
 
 
 @pytest.mark.parametrize("surface", ["torus", "torus4"])
-@pytest.mark.parametrize("command, eigh_calls, eigvalsh_calls", [
-    ("analyze", 1, 2), ("minimality", 1, 0), ("volume", 1, 0),
-])
-def test_small_blocks_stay_off_lapack(surface, command, eigh_calls, eigvalsh_calls,
-                                      torus_spec_file, tmp_path, monkeypatch, capsys):
-    # Inverses, determinants and Cholesky factors of the 2x2/3x3 blocks are
-    # closed forms; only the reported spectra reach LAPACK: the principal
-    # curvatures (one eigh per patch) and B_eigs/S_eigs (per analysis that
-    # reports them; minimality reads neither).
+@pytest.mark.parametrize("command", ["analyze", "minimality", "volume"])
+def test_small_blocks_stay_off_lapack(surface, command, torus_spec_file, tmp_path,
+                                      monkeypatch, capsys):
+    # Inverses, determinants, Cholesky factors and spectra (the principal
+    # curvatures, B_eigs and S_eigs) of the 2x2/3x3 blocks are computed
+    # elementwise over the grid: no command makes a batched LAPACK call.
     calls = {name: counted(monkeypatch, np.linalg, name) for name in LAPACK}
     spec = torus_spec_file
     if surface == "torus4":
         spec = write(tmp_path, "torus4.json", {"builtin": "torus4"})
     assert run(["surface", command, "--spec", spec]) == 0
     capsys.readouterr()
-    assert {name: len(c) for name, c in calls.items()} == {
-        "inv": 0, "solve": 0, "det": 0, "cholesky": 0,
-        "eigvalsh": eigvalsh_calls, "eigh": eigh_calls}
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(LAPACK, 0)
 
 
 def test_tracer_layers_resolve():

@@ -253,6 +253,29 @@ def assert_rel(got, ref, rel=1e-12):
     assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
 
 
+def symmetric_blocks(rng, m, shape, kind):
+    """Symmetric blocks of one kind of spectrum that is hard for an
+    eigensolver: exactly repeated, split by 1e-9, graded over eight
+    decades, or an already diagonal block or one with a zero off-diagonal
+    pair (the rotation's a_pq = 0 case)."""
+    lam = {"repeated": [1.0, 1.0, 1.0], "split": [1.0, 1.0 + 1e-9, 2.0],
+           "graded": [1.0, 1e-4, 1e-8]}.get(kind)
+    lam = rng.uniform(0.5, 2.0, shape + (m,)) if lam is None else np.array(lam[:m])
+    if kind != "repeated":
+        lam = lam * np.where(rng.random(shape + (m,)) < 0.5, -1.0, 1.0)
+    if kind == "diagonal":
+        return lam[..., None] * np.eye(m)
+    Q, _ = np.linalg.qr(rng.standard_normal(shape + (m, m)))
+    blocks = (Q * lam[..., None, :]) @ np.swapaxes(Q, -1, -2)
+    if kind == "zero pair" and m > 1:
+        i, j = rng.choice(m, 2, replace=False)
+        blocks[..., i, j] = blocks[..., j, i] = 0.0
+    return blocks
+
+
+SPECTRA = ("repeated", "split", "graded", "diagonal", "zero pair")
+
+
 @PROPERTY
 @given(blocks())
 def test_closed_forms_match_lapack(case):
@@ -262,6 +285,14 @@ def test_closed_forms_match_lapack(case):
     assert_rel(fd.grid_det(general), np.linalg.det(general))
     spd = spd_blocks(rng, m, shape)
     assert_rel(fd.grid_cholesky(spd), np.linalg.cholesky(spd))
+    # Spectra (Jacobi rotations) agree per block to 1e-13 of the block's
+    # largest |eigenvalue|, also at overall scales 1e-150 and 1e150.
+    for sym in [general + np.swapaxes(general, -1, -2)] + [
+            symmetric_blocks(rng, m, shape, kind) for kind in SPECTRA]:
+        for scale in (1.0, 1e-150, 1e150):
+            got, ref = fd.grid_eigvalsh(scale * sym), np.linalg.eigvalsh(scale * sym)
+            assert got.shape == ref.shape
+            assert (np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=-1, keepdims=True)).all()
 
 
 @PROPERTY
@@ -289,7 +320,8 @@ def test_nan_entry_blanks_its_block(case, data):
     mat[at] = np.nan
     block, rest = at[:-2], np.ones(shape, bool)
     rest[block] = False
-    for out in (fd.grid_inv(mat), fd.grid_det(mat), fd.grid_cholesky(mat)):
+    for out in (fd.grid_inv(mat), fd.grid_det(mat), fd.grid_cholesky(mat),
+                fd.grid_eigvalsh(mat)):
         assert np.isnan(out[block]).all() and np.isfinite(out[rest]).all()
 
 

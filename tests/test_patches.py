@@ -41,10 +41,32 @@ def test_structure_relation_dxi(torus_patch, torus_shape):
     assert fd.nanmax_abs(np.subtract(*fd.crop(2, torus_patch.dxi, dxi_fd))) < 1e-4
 
 
-def test_principal_directions_orthonormal(torus_patch, torus_shape):
-    gram = np.einsum("...ia,...ab,...jb->...ij", torus_shape.dirs, torus_patch.I,
-                     torus_shape.dirs)
-    assert np.abs(gram - np.eye(2)).max() < 1e-8
+@pytest.mark.parametrize("builtin", ["torus", "torus4"])
+def test_principal_curvatures_are_roots_of_the_pencil(builtin):
+    # det(II - k I) = det(I) prod_j (k_j - k) vanishes at each k_i; the bound
+    # is relative to det(I) max|k|^m, the size of its terms.
+    p = patches.build_patch({"builtin": builtin})
+    k, m = p.shape.k, p.ngrid
+    pencil = p.II[..., None, :, :] - k[..., None, None] * p.I[..., None, :, :]
+    scale = np.linalg.det(p.I)[..., None] * np.abs(k).max(axis=-1, keepdims=True) ** m
+    assert (np.abs(np.linalg.det(pencil)) <= 1e-12 * scale).all()
+
+
+def test_four_axis_graph_takes_the_lapack_branch(monkeypatch):
+    # n = 5: the 4x4 blocks exceed fd.CLOSED_FORM_MAX, so every batched
+    # inverse, factor and spectrum of this build runs through LAPACK.  At
+    # the centre the graph's curvatures are 2 quad.
+    spectra = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a.shape) or eigvalsh(a))
+    quad = [1.0, 0.7, 0.45, 0.25]
+    grid = dict.fromkeys("uvws", [-0.25, 0.25, 9])
+    p = patches.build_patch({"builtin": "translational_graph", "params": {"quad": quad},
+                             "grid": grid})
+    assert spectra == [(9, 9, 9, 9, 4, 4)]
+    assert np.abs(p.shape.k[4, 4, 4, 4] - 2.0 * np.array(quad)).max() <= 1e-12
+    spectrum = fd.selfadjoint_eigvals(p.S, p.I)
+    assert np.abs(spectrum - np.sort(p.shape.k, axis=-1)).max() <= 1e-12
 
 
 def test_round_sphere_is_umbilic():

@@ -56,6 +56,19 @@ MUTANTS = [
      "window = [min(f.shape[i] for f in fields) for i in range(ngrid)]",
      "window = [max(f.shape[i] for f in fields) for i in range(ngrid)]",
      ["tests/test_contractions.py"]),
+    ("Jacobi: one sweep for m = 3", "src/laguerre/fd.py",
+     "JACOBI_SWEEPS = 8", "JACOBI_SWEEPS = 1",
+     ["tests/test_fd.py"]),
+    ("Jacobi: sign of the rotation tangent flipped", "src/laguerre/fd.py",
+     "t = np.where(big, np.copysign(1.0, theta)", "t = -np.where(big, np.copysign(1.0, theta)",
+     ["tests/test_fd.py"]),
+    ("Jacobi: pair (1, 2) dropped from the sweep", "src/laguerre/fd.py",
+     "for p, q in ((0, 1), (0, 2), (1, 2)) if q < m]", "for p, q in ((0, 1), (0, 2)) if q < m]",
+     ["tests/test_fd.py"]),
+    ("principal curvatures: ascending instead of descending", "src/laguerre/patches.py",
+     "fd.cholesky_reduce(patch.II, patch.Linv))[..., ::-1]",
+     "fd.cholesky_reduce(patch.II, patch.Linv))",
+     ["tests/test_patches.py"]),
     ("cov_d: last slot correction dropped", "src/laguerre/fd.py",
      "for i in range(rank):", "for i in range(rank - 1):",
      ["tests/test_contractions.py"]),
