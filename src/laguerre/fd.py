@@ -166,28 +166,46 @@ def to_grid(field: np.ndarray, grid: GridAxes) -> np.ndarray:
     return np.pad(field, width, constant_values=np.nan)
 
 
-# Pointwise contractions are staged as batched matrix products over the
-# trailing axes: a multi-operand einsum loops over every index combination
-# per grid point, which is what dominates for three or more parameter axes.
+# Grams, contractions with a vector and the metric pairing are formed from
+# last-axis dot products, each an einsum over the whole grid: a gram takes
+# one per entry (a <= b only, mirrored, when both stacks are the same),
+# contract_last one for all entries.  A batched matmul of the small
+# per-point blocks pays one dispatch per block (about 0.2 us), most of its
+# cost here, and runs slower still against a transposed view or a column
+# vector; a dot pays per point and entry only.  With many entries per
+# block (the m^2 rows of d2x against dx in ``patches``) a matmul of
+# contiguous operands is cheaper, and those sites stay on @.
 
 def gram(u: np.ndarray, v: np.ndarray, form: np.ndarray) -> np.ndarray:
     """Form-weighted Gram matrices sum_i u_ai v_bi form_i of two stacks of
-    vectors (..., m, d); output (..., m, m)."""
-    return (u * form) @ np.swapaxes(v, -1, -2)
+    vectors (..., p, d) and (..., q, d); output (..., p, q), exactly
+    symmetric when v is u."""
+    symmetric = u is v
+    p, q = u.shape[-2], v.shape[-2]
+    out = np.empty(np.broadcast_shapes(u.shape[:-2], v.shape[:-2]) + (p, q))
+    for a in range(p):
+        for b in range(a if symmetric else 0, q):
+            np.einsum("...i,...i,i->...", u[..., a, :], v[..., b, :], form, out=out[..., a, b])
+            if symmetric:
+                out[..., b, a] = out[..., a, b]
+    return out
 
 
 def contract_last(T: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_i T_{...i} w_i over the last axis, for T (*G, *K, d) and w (*G, d)."""
     lead = w.shape[:-1]
     comp = T.shape[len(lead):-1]
-    prod = T.reshape(lead + (-1, w.shape[-1])) @ w[..., None]
-    return prod.reshape(lead + comp)
+    return np.einsum("...i,...i->...", T, w.reshape(lead + (1,) * len(comp) + w.shape[-1:]))
 
 
 def metric_pairing(P: np.ndarray, Q: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Full contraction g^ac g^bd P_ab Q_cd of two covariant 2-tensor fields."""
-    raised = ginv @ Q @ np.swapaxes(ginv, -1, -2)
-    return np.einsum("...ab,...ab->...", P, raised)
+    m = ginv.shape[-1]
+    one = np.ones(m)
+    # W_ac = sum_b P_ab (sum_d Q_cd g^bd): grams of rows, unweighted.
+    W = gram(P, gram(Q, ginv, one), one)
+    return np.einsum("...i,...i->...", ginv.reshape(ginv.shape[:-2] + (m * m,)),
+                     W.reshape(W.shape[:-2] + (m * m,)))
 
 
 def require_interior(grid: GridAxes, levels: int) -> None:
@@ -251,7 +269,8 @@ def interior_margins(mask: np.ndarray) -> tuple[int, ...]:
 # graded positive definite block to relative accuracy where QR keeps it
 # only relative to the largest (Demmel and Veselic, "Jacobi's method is
 # more accurate than QR", SIAM J. Matrix Anal. Appl. 13(4), 1992).  Only
-# blocks with m >= 4 take the LAPACK path.
+# blocks with m >= 4 take the LAPACK path.  The inverse Cholesky factor
+# and the Cholesky reduction are entrywise for every m.
 CLOSED_FORM_MAX = 3
 
 # An m = 3 block takes at most JACOBI_SWEEPS sweeps of its three pairs; the
@@ -407,18 +426,43 @@ def nonpositive_index(mat: np.ndarray, minors: list | None = None):
 
 def inverse_cholesky(metric: np.ndarray) -> np.ndarray:
     """Linv = L^{-1} with L the lower Cholesky factor of ``metric``: its rows
-    are a metric-orthonormal basis (Gram-Schmidt on the coordinate basis)."""
-    return grid_inv(grid_cholesky(metric))
+    are a metric-orthonormal basis (Gram-Schmidt on the coordinate basis).
+
+    L is inverted by forward substitution, entrywise over the grid for
+    every m: the diagonal reciprocals, then row by row the strictly lower
+    entries Linv_ij = -(sum_{j <= k < i} L_ik Linv_kj) / L_ii.
+    """
+    L = grid_cholesky(metric)
+    m = L.shape[-1]
+    Linv = 0.0 * L   # the zero upper triangle, and NaN blocks stay NaN
+    for i in range(m):
+        Linv[..., i, i] = 1.0 / L[..., i, i]
+        for j in range(i):
+            dot = sum(L[..., i, k] * Linv[..., k, j] for k in range(j, i))
+            Linv[..., i, j] = -dot / L[..., i, i]
+    return Linv
 
 
 def cholesky_reduce(Q: np.ndarray, Linv: np.ndarray) -> np.ndarray:
-    """Symmetrized Linv Q Linv^T for Linv = ``inverse_cholesky(metric)``.
+    """Linv Q Linv^T for Linv = ``inverse_cholesky(metric)`` and Q symmetric
+    up to rounding, exactly symmetric.
 
     The reduction has the eigenvalues of Q v = k metric v; its eigenvectors
-    w give the metric-orthonormal solutions v = Linv^T w.
+    w give the metric-orthonormal solutions v = Linv^T w.  Only the lower
+    triangle of Linv is read, and only the lower triangle of the result is
+    formed and mirrored.
     """
-    sym = Linv @ Q @ np.swapaxes(Linv, -1, -2)
-    return 0.5 * (sym + np.swapaxes(sym, -1, -2))
+    m = Q.shape[-1]
+    # Rows of Linv Q: row a combines the rows c <= a of Q.
+    LQ = [np.einsum("...c,...cd->...d", Linv[..., a, :a + 1], Q[..., :a + 1, :])
+          for a in range(m)]
+    out = np.empty(Q.shape)
+    for a in range(m):
+        for b in range(a + 1):
+            np.einsum("...d,...d->...", LQ[a][..., :b + 1], Linv[..., b, :b + 1],
+                      out=out[..., a, b])
+            out[..., b, a] = out[..., a, b]
+    return out
 
 
 def selfadjoint_eigvals(endo: np.ndarray, metric: np.ndarray,

@@ -69,8 +69,8 @@ class InvariantField:
 
     @cached_property
     def g(self) -> np.ndarray:
-        g = fd.gram(self.dY, self.dY, lorentz.signature(self.patch.n))
-        return 0.5 * (g + np.swapaxes(g, -1, -2))
+        """<d_a Y, d_b Y>, exactly symmetric: a gram of one stack with itself."""
+        return fd.gram(self.dY, self.dY, lorentz.signature(self.patch.n))
 
     @cached_property
     def minors(self) -> list:

@@ -330,11 +330,17 @@ def _d2xi_from_shape(patch: SurfacePatch, d3x: np.ndarray) -> np.ndarray:
     m, d = dx.shape[-2:]
     lead = dx.shape[:-2]
 
-    # Rows (d, a) of the second jets against the (weighted) first jets.
+    # Rows (d, a) of the second jets against the (weighted) first jets: with
+    # m^2 rows a matmul beats per-entry dots (fd.gram), once its transposed
+    # operand is made contiguous.
     d2x_rows = d2x.reshape(lead + (m * m, d))
-    P = (d2x_rows @ np.swapaxes(dx * form, -1, -2)).reshape(lead + (m, m, m))
+
+    def rows_against(v):
+        return (d2x_rows @ np.swapaxes(v * form, -1, -2).copy()).reshape(lead + (m, m, m))
+
+    P = rows_against(dx)
     dI = P + np.swapaxes(P, -1, -2)
-    Q = (d2x_rows @ np.swapaxes(patch.dxi * form, -1, -2)).reshape(lead + (m, m, m))
+    Q = rows_against(patch.dxi)
     dII = fd.contract_last(d3x, xi * form) + np.moveaxis(Q, -1, -3)
     dIS = (dI.reshape(lead + (m * m, m)) @ S).reshape(lead + (m, m, m))
     dS = patch.Iinv[..., None, :, :] @ (dII - dIS)

@@ -1,12 +1,18 @@
 """Staged tensor contractions against their literal einsum formulas.
 
-The package evaluates its pointwise contractions as batched matrix products.
-Each test here keeps the literal einsum formula as the reference and checks
-the staged kernel against it on random, well-conditioned jets over small
-grids with m in {2, 3} parameter axes and N in {3, 4} ambient components.
+The package evaluates its pointwise contractions as last-axis dot products
+over the grid (grams, contractions with a vector, the metric pairing, the
+Cholesky reduction), as forward substitution (the inverse Cholesky factor)
+or as batched matrix products (Christoffels, covariant derivatives,
+curvature tensors).  Each test here keeps the literal einsum formula, or
+LAPACK, as the reference and checks the staged kernel against it on
+random, well-conditioned jets over small grids: m in {2, 3} parameter axes
+and N in {3, 4} ambient components for the grid kernels, blocks of size
+m in {1, 2, 3, 4} for the pointwise ones.
 """
 
 import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +36,18 @@ def grids(draw):
     space = draw(st.sampled_from(["r3", "r31"]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     return np.random.default_rng(seed), m, N, shape, periodic, space
+
+
+@st.composite
+def block_fields(draw):
+    """(rng, grid shape, d) for pointwise kernels on blocks and stacks of
+    vectors with d components; the block size m is a test parameter."""
+    d = draw(st.sampled_from([3, 4, 7]))
+    shape = tuple(draw(st.integers(2, 6)) for _ in range(draw(st.integers(1, 3))))
+    return np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), shape, d
+
+
+BLOCK_SIZES = pytest.mark.parametrize("m", [1, 2, 3, 4])
 
 
 def assert_close(got, ref):
@@ -241,3 +259,46 @@ def test_fd_contractions(case):
     full = np.linalg.solve(L, np.swapaxes(half, -1, -2))
     ref = np.linalg.eigvalsh(0.5 * (full + np.swapaxes(full, -1, -2)))
     assert_close(fd.selfadjoint_eigvals(endo, g), ref)
+
+
+@BLOCK_SIZES
+@PROPERTY
+@given(case=block_fields())
+def test_gram_and_contract_last(m, case):
+    rng, shape, d = case
+    u = rng.standard_normal(shape + (m, d))
+    v = rng.standard_normal(shape + (m, d))
+    form = rng.choice([-1.0, 1.0, 0.5], d)
+    g = fd.gram(u, u, form)
+    assert np.array_equal(g, np.swapaxes(g, -1, -2))
+    assert_close(g, np.einsum("...ai,...bi,i->...ab", u, u, form))
+    assert_close(fd.gram(u, v, form), np.einsum("...ai,...bi,i->...ab", u, v, form))
+    w = rng.standard_normal(shape + (d,))
+    for ncomp in (1, 2, 3):
+        T = rng.standard_normal(shape + (m,) * ncomp + (d,))
+        wide = w.reshape(shape + (1,) * ncomp + (d,))
+        assert_close(fd.contract_last(T, w), np.einsum("...i,...i->...", T, wide))
+    ginv = fd.grid_inv(metric_field(rng, m, shape))
+    P, Q = rng.standard_normal((2,) + shape + (m, m))
+    assert_close(fd.metric_pairing(P, Q, ginv),
+                 np.einsum("...ab,...cd,...ac,...bd->...", P, Q, ginv, ginv))
+
+
+@BLOCK_SIZES
+@PROPERTY
+@given(case=block_fields())
+def test_inverse_cholesky_and_reduction(m, case):
+    rng, shape, _ = case
+    g = metric_field(rng, m, shape)
+    Linv = np.linalg.inv(np.linalg.cholesky(g))
+    got = fd.inverse_cholesky(g)
+    assert_close(got, Linv)
+    assert np.array_equal(np.triu(got, 1), np.zeros(got.shape))
+    sym = rng.standard_normal(shape + (m, m))
+    sym = sym + np.swapaxes(sym, -1, -2)
+    # selfadjoint_eigvals passes metric @ endo, symmetric up to rounding.
+    for Q in (sym, g @ (np.linalg.inv(g) @ sym)):
+        full = np.einsum("...ac,...cd,...bd->...ab", Linv, Q, Linv)
+        reduced = fd.cholesky_reduce(Q, got)
+        assert np.array_equal(reduced, np.swapaxes(reduced, -1, -2))
+        assert_close(reduced, 0.5 * (full + np.swapaxes(full, -1, -2)))

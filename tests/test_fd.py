@@ -321,7 +321,7 @@ def test_nan_entry_blanks_its_block(case, data):
     block, rest = at[:-2], np.ones(shape, bool)
     rest[block] = False
     for out in (fd.grid_inv(mat), fd.grid_det(mat), fd.grid_cholesky(mat),
-                fd.grid_eigvalsh(mat)):
+                fd.grid_eigvalsh(mat), fd.inverse_cholesky(mat)):
         assert np.isnan(out[block]).all() and np.isfinite(out[rest]).all()
 
 

@@ -53,9 +53,11 @@ def test_principal_curvatures_are_roots_of_the_pencil(builtin):
 
 
 def test_four_axis_graph_takes_the_lapack_branch(monkeypatch):
-    # n = 5: the 4x4 blocks exceed fd.CLOSED_FORM_MAX, so every batched
-    # inverse, factor and spectrum of this build runs through LAPACK.  At
-    # the centre the graph's curvatures are 2 quad.
+    # n = 5: the 4x4 blocks exceed fd.CLOSED_FORM_MAX, so every general
+    # inverse, determinant, Cholesky factor and spectrum of this build runs
+    # through LAPACK; only the inverse of the Cholesky factor (forward
+    # substitution, for every m) does not.  At the centre the graph's
+    # curvatures are 2 quad.
     spectra = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a.shape) or eigvalsh(a))

@@ -69,6 +69,18 @@ MUTANTS = [
      "fd.cholesky_reduce(patch.II, patch.Linv))[..., ::-1]",
      "fd.cholesky_reduce(patch.II, patch.Linv))",
      ["tests/test_patches.py"]),
+    ("gram: two different stacks mirrored as if symmetric", "src/laguerre/fd.py",
+     "symmetric = u is v", "symmetric = True",
+     ["tests/test_contractions.py"]),
+    ("inverse Cholesky factor: off-diagonal sign flipped", "src/laguerre/fd.py",
+     "Linv[..., i, j] = -dot / L[..., i, i]", "Linv[..., i, j] = dot / L[..., i, i]",
+     ["tests/test_contractions.py"]),
+    ("Cholesky reduction: reads column b of Linv (its upper triangle)", "src/laguerre/fd.py",
+     "Linv[..., b, :b + 1],", "Linv[..., :b + 1, b],",
+     ["tests/test_contractions.py"]),
+    ("metric pairing: inner dots transposed", "src/laguerre/fd.py",
+     "W = gram(P, gram(Q, ginv, one), one)", "W = gram(P, gram(ginv, Q, one), one)",
+     ["tests/test_contractions.py"]),
     ("cov_d: last slot correction dropped", "src/laguerre/fd.py",
      "for i in range(rank):", "for i in range(rank - 1):",
      ["tests/test_contractions.py"]),
