@@ -22,6 +22,7 @@ The environment variable LAGUERRE_LOG selects the logging level.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -346,10 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of ``main``: built on its first call, not at import, and
+# shared by the calls that follow in one process.
+_main_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("LAGUERRE_LOG", "WARNING").upper())
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         payload = args.func(args)
     except ToleranceBreachError as exc:

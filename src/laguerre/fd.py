@@ -16,7 +16,8 @@ pointwise kernel runs on its operands cut to their common window
 
 Fields may still hold NaN inside their window: sampled patches keep the
 NaN layers of their finite-difference jets (``to_grid``), so reductions
-stay NaN-aware.
+stay NaN-aware.  Each first reduces the whole array and takes its
+NaN-aware path only when that result shows a NaN.
 
 Derivative outputs insert the direction axis right after the grid axes:
 ``gradient`` writes each direction of a (*G, k) field into its slot of one
@@ -169,7 +170,10 @@ def to_grid(field: np.ndarray, grid: GridAxes) -> np.ndarray:
 # Grams, contractions with a vector and the metric pairing are formed from
 # last-axis dot products, each an einsum over the whole grid: a gram takes
 # one per entry (a <= b only, mirrored, when both stacks are the same),
-# contract_last one for all entries.  A batched matmul of the small
+# contract_last one for all entries.  The ambient pairings of grid fields,
+# ``lorentz.inner`` and ``SurfacePatch.dot``, are the same weighted dot
+# with one entry; weights of +-1 make each product exact, so a point rounds
+# alike alone and in a grid.  A batched matmul of the small
 # per-point blocks pays one dispatch per block (about 0.2 us), most of its
 # cost here, and runs slower still against a transposed view or a column
 # vector; a dot pays per point and entry only.  With many entries per
@@ -239,11 +243,33 @@ def component_max_abs(f: np.ndarray, ngrid: int) -> np.ndarray:
     return np.abs(f).reshape(f.shape[:ngrid] + (-1,)).max(axis=-1)
 
 
+# Max-abs reductions of a whole field take max(max f, -min f), which is
+# exact and forms no |f| temporary; it is NaN exactly when f holds a NaN,
+# and only then do the NaN-aware reductions run.
+
+def _max_abs(field: np.ndarray) -> float:
+    """Largest |value| of a field; NaN when it holds a NaN or is empty."""
+    if field.size == 0:
+        return np.nan
+    return abs(float(max(field.max(), -field.min())))   # abs: a -0.0 reads 0.0
+
+
 def nanmax_abs(field: np.ndarray) -> float:
     """Largest |value| over the valid region (0.0 for an all-NaN field)."""
+    top = _max_abs(field)
+    if not np.isnan(top):
+        return top
     if np.all(np.isnan(field)):
         return 0.0
     return float(np.nanmax(np.abs(field)))
+
+
+def point_max_abs(f: np.ndarray, ngrid: int) -> float:
+    """Largest |component| of f over the grid points where every component
+    is valid: ``nanmax_abs(component_max_abs(f, ngrid))``, in one whole-array
+    reduction when f holds no NaN."""
+    top = _max_abs(f)
+    return nanmax_abs(component_max_abs(f, ngrid)) if np.isnan(top) else top
 
 
 def interior_margins(mask: np.ndarray) -> tuple[int, ...]:
@@ -280,10 +306,11 @@ JACOBI_TOL = np.finfo(float).eps
 
 
 def _masked_batched(op, mat: np.ndarray, fill: np.ndarray) -> np.ndarray:
-    """Apply a batched matrix op, routing NaN blocks around it."""
-    bad = ~np.isfinite(mat).all(axis=(-2, -1))
-    if not bad.any():
+    """Apply a batched matrix op, routing NaN blocks around it.  The blocks
+    are looked at one by one only when the whole array is not finite."""
+    if np.isfinite(mat).all():
         return op(mat)
+    bad = ~np.isfinite(mat).all(axis=(-2, -1))
     out = np.asarray(op(np.where(bad[..., None, None], fill, mat)), dtype=float)
     # One scalar (det), vector (eigenvalues) or matrix per block.
     return np.where(bad.reshape(bad.shape + (1,) * (out.ndim - bad.ndim)), np.nan, out)
@@ -520,20 +547,22 @@ def cov_d(T: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
 cov_d_covector = cov_d_tensor2 = cov_d_tensor3 = cov_d
 
 
-def laplace_beltrami(f: np.ndarray, ginv: np.ndarray, sqrt_det: np.ndarray,
+def laplace_beltrami(df: np.ndarray, ginv: np.ndarray, sqrt_det: np.ndarray,
                      grid: GridAxes) -> np.ndarray:
-    """Laplace-Beltrami operator (1/sqrt g) d_a(sqrt g g^{ab} d_b f).
+    """Laplace-Beltrami operator (1/sqrt g) d_a(sqrt g g^{ab} d_b f) of a
+    field f with one component axis, given its gradient.
 
-    f may carry component axes; ginv is (*G, m, m) and sqrt_det (*G).
+    df = ``gradient(f)`` is (*G, b, K), so a caller that holds the gradient
+    of f does not take it again; ginv is (*G, m, m) and sqrt_det (*G).
+    Output (*G, K).
     """
     ngrid = grid.ndim
-    df = gradient(f.reshape(f.shape[:ngrid] + (-1,)), grid)        # (*G, b, K)
     df, ginv, sqrt_det = crop(ngrid, df, ginv, sqrt_det)
     weighted = sqrt_det[..., None, None] * (ginv @ df)              # (*G, a, K)
     div = sum(_derivative(weighted[(slice(None),) * ngrid + (a,)], a, grid)
               for a in range(ngrid))
     div, sqrt_det = crop(ngrid, div, sqrt_det)
-    return (div / sqrt_det[..., None]).reshape(div.shape[:ngrid] + f.shape[ngrid:])
+    return div / sqrt_det[..., None]
 
 
 def riemann_tensor(g: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:

@@ -91,7 +91,7 @@ class InvariantField:
 
     @cached_property
     def lapY(self) -> np.ndarray:
-        return fd.laplace_beltrami(self.patch.lift.Y, self.ginv, self.sqrt_det, self.patch.axes)
+        return fd.laplace_beltrami(self.dY, self.ginv, self.sqrt_det, self.patch.axes)
 
     @cached_property
     def lap_norm(self) -> np.ndarray:
@@ -253,23 +253,20 @@ def gauss_rhs(L: np.ndarray, g: np.ndarray) -> np.ndarray:
     )
 
 
-def structural_residual_fields(fld: InvariantField) -> dict:
-    """Pointwise residual fields of the structure-equation identities.
+def _structure_identities(fld: InvariantField, flat) -> dict:
+    """Residuals of the structure-equation identities, each residual tensor
+    reduced by ``flat`` as soon as it is formed, so no two of them are held
+    at once.
 
     Covariant derivatives are taken in parameter coordinates with the
     Christoffel symbols of g; each identity is evaluated as a coordinate
     tensor equation, which is equivalent to its orthonormal-frame form.
-    Component axes of each residual are flattened so every entry of the
-    dict is a grid scalar field (absolute value already applied).
     """
-    m, n, crop = fld.patch.ngrid, fld.patch.n, fld.crop
+    n, crop = fld.patch.n, fld.crop
     g, ginv, B, L, C = fld.g, fld.ginv, fld.B, fld.L, fld.C
 
     DL = fd.cov_d_tensor2(L, fld.Gamma, fld.patch.axes)
     DB, DC = fld.DB, fld.DC
-
-    def flat(resid):
-        return fd.component_max_abs(resid, m)
 
     def minus(a, b):
         """a - b on the common window of the two terms."""
@@ -305,6 +302,16 @@ def structural_residual_fields(fld: InvariantField) -> dict:
     return res
 
 
+def structural_residual_fields(fld: InvariantField) -> dict:
+    """Pointwise residual fields of the structure-equation identities.
+
+    Component axes of each residual are flattened so every entry of the
+    dict is a grid scalar field (absolute value already applied).
+    """
+    m = fld.patch.ngrid
+    return _structure_identities(fld, lambda resid: fd.component_max_abs(resid, m))
+
+
 def frame_residuals(fld: InvariantField) -> dict:
     """Max-abs defects of the pairings of the frame {Y, N, E_i(Y), eta, wp}."""
     inner = lorentz.inner
@@ -330,8 +337,14 @@ def frame_residuals(fld: InvariantField) -> dict:
 
 
 def structural_residuals(fld: InvariantField) -> dict:
-    """Max-abs residuals of the structure identities plus frame pairings."""
-    res = {k: fd.nanmax_abs(v) for k, v in structural_residual_fields(fld).items()}
+    """Max-abs residuals of the structure identities plus frame pairings.
+
+    Each structure residual is ``nanmax_abs`` of its field in
+    ``structural_residual_fields``, taken from the residual tensor in one
+    whole-array reduction.
+    """
+    m = fld.patch.ngrid
+    res = _structure_identities(fld, lambda resid: fd.point_max_abs(resid, m))
     res.update({f"frame_{k}": v for k, v in frame_residuals(fld).items()})
     return res
 

@@ -96,14 +96,16 @@ def inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray | float:
     """Inner product <X, Y> of signature (-, +, ..., +, -).
 
     Broadcasts over leading axes, so it applies equally to single vectors
-    and to grids of vectors stored in the trailing axis.
+    and to grids of vectors stored in the trailing axis.  One signature-
+    weighted last-axis dot, the form ``fd.gram`` takes: the weights are
+    +-1, so each product is exact however it is grouped, and the sum runs
+    in component order for every point alike.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape[-1] != Y.shape[-1]:
         raise UsageError(f"dimension mismatch: {X.shape[-1]} vs {Y.shape[-1]}")
-    sig = signature(X.shape[-1] - 3)
-    out = np.sum(sig * X * Y, axis=-1)
+    out = np.einsum("...i,...i,i->...", X, Y, signature(X.shape[-1] - 3))
     return float(out) if out.ndim == 0 else out
 
 

@@ -94,7 +94,8 @@ def third_form_laplacian_r(patch: SurfacePatch, r: np.ndarray) -> np.ndarray:
         raise UsageError("the third-form Laplacian criterion is stated for surfaces")
     IIIinv = fd.grid_inv(patch.third_form)
     sqrt_det = fd.sqrt_det(fd.grid_det(patch.third_form))
-    return fd.laplace_beltrami(r, IIIinv, sqrt_det, patch.axes)
+    return fd.laplace_beltrami(fd.gradient(r[..., None], patch.axes), IIIinv, sqrt_det,
+                               patch.axes)[..., 0]
 
 
 def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
@@ -105,7 +106,7 @@ def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
     -div C + <L, B>; each defect is a free end-to-end consistency check.
     """
     lift, n, crop = fld.patch.lift, fld.patch.n, fld.crop
-    lap_eta = fd.laplace_beltrami(lift.eta, fld.ginv, fld.sqrt_det, fld.patch.axes)
+    lap_eta = fd.laplace_beltrami(fld.deta, fld.ginv, fld.sqrt_det, fld.patch.axes)
     inner = lorentz.inner
 
     wp_comp = -inner(*crop(lap_eta, lift.eta))

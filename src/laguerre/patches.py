@@ -113,8 +113,9 @@ class SurfacePatch:
         return self.axes.ndim
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Ambient inner product, broadcasting over grid axes."""
-        return np.sum(self.form * u * v, axis=-1)
+        """Ambient inner product, broadcasting over grid axes: one
+        form-weighted last-axis dot, as ``lorentz.inner``."""
+        return np.einsum("...i,...i,i->...", u, v, self.form)
 
     @property
     def diameter(self) -> float:

@@ -180,7 +180,7 @@ def test_windowed_kernels_are_windows_of_the_nan_padded_kernels(case):
     check(fd.riemann_tensor(g, Gamma, grid), riemann_ref(g_ref, Gamma_ref, grid), 3)
 
     f = rng.standard_normal(grid.shape + (2,))
-    check(fd.laplace_beltrami(f, ginv, sqrt_det, grid),
+    check(fd.laplace_beltrami(fd.gradient(f, grid), ginv, sqrt_det, grid),
           laplace_beltrami_ref(f, ginv_ref, sqrt_det_ref, grid), 2)
 
     # cov_d of a whole-grid covector, of a 2-tensor one level deep and of
@@ -314,15 +314,61 @@ def test_leading_minor_screen_matches_eigvalsh(case):
 @PROPERTY
 @given(blocks(), st.data())
 def test_nan_entry_blanks_its_block(case, data):
+    # A block holding a single inf is blanked like one holding a NaN.
     rng, m, shape = case
-    mat = spd_blocks(rng, m, shape)
     at = tuple(data.draw(st.integers(0, n - 1)) for n in shape + (m, m))
-    mat[at] = np.nan
     block, rest = at[:-2], np.ones(shape, bool)
     rest[block] = False
-    for out in (fd.grid_inv(mat), fd.grid_det(mat), fd.grid_cholesky(mat),
-                fd.grid_eigvalsh(mat), fd.inverse_cholesky(mat)):
-        assert np.isnan(out[block]).all() and np.isfinite(out[rest]).all()
+    for bad in (np.nan, np.inf):
+        mat = spd_blocks(rng, m, shape)
+        mat[at] = bad
+        for out in (fd.grid_inv(mat), fd.grid_det(mat), fd.grid_cholesky(mat),
+                    fd.grid_eigvalsh(mat), fd.inverse_cholesky(mat)):
+            assert np.isnan(out[block]).all() and np.isfinite(out[rest]).all()
+
+
+@st.composite
+def max_abs_fields(draw):
+    """(field, ngrid): a random grid field with 0-2 component axes, holding
+    one of: no NaN, NaN layers along a grid axis, a single NaN, +-inf, only
+    NaN, or only signed zeros."""
+    ngrid = draw(st.integers(1, 3))
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(ngrid + draw(st.integers(0, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f = rng.standard_normal(shape) * rng.lognormal(0.0, 2.0, shape)
+    kind = draw(st.sampled_from(["finite", "layers", "single", "inf", "all-nan", "zeros"]))
+    at = tuple(int(rng.integers(n)) for n in shape)
+    if kind == "layers":
+        axis = int(rng.integers(ngrid))
+        f[(slice(None),) * axis + (slice(0, 1 + shape[axis] // 3),)] = np.nan
+    elif kind == "single":
+        f[at] = np.nan
+    elif kind == "inf":
+        f[at] = draw(st.sampled_from([np.inf, -np.inf]))
+    elif kind == "all-nan":
+        f[...] = np.nan
+    elif kind == "zeros":
+        f = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    return f, ngrid
+
+
+# Time budget: about 0.5 s of tier-1 time on one core (200 examples).
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(max_abs_fields())
+def test_max_abs_reductions_match_the_nan_aware_ones(case):
+    # Both read what the NaN-aware compositions read, signed zeros as +0.0:
+    # nanmax_abs the largest |value| that is not NaN (0.0 when none is),
+    # point_max_abs the largest |component| over the points with no NaN.
+    f, ngrid = case
+    nan_aware = 0.0 if np.isnan(f).all() else float(np.nanmax(np.abs(f)))
+    per_point = fd.component_max_abs(f, ngrid)
+    by_point = 0.0 if np.isnan(per_point).all() else float(np.nanmax(per_point))
+    for got, want in ((fd.nanmax_abs(f), nan_aware), (fd.point_max_abs(f, ngrid), by_point)):
+        assert type(got) is float and got == want and np.copysign(1.0, got) == 1.0
+
+
+def test_max_abs_of_an_empty_field_is_zero():
+    assert fd.nanmax_abs(np.zeros((0, 3))) == 0.0
 
 
 def test_selfadjoint_eigvals():
@@ -364,7 +410,7 @@ def test_christoffel_and_laplacian_on_round_sphere():
 
     # cos(u) is an eigenfunction: Delta cos u = -2 cos u
     f = np.cos(U)
-    lap = fd.laplace_beltrami(f, ginv, sqrt_det, grid)
+    lap = fd.laplace_beltrami(fd.gradient(f[..., None], grid), ginv, sqrt_det, grid)[..., 0]
     assert fd.nanmax_abs(np.add(*fd.crop(2, lap, 2 * np.cos(U)))) < 1e-6
 
     # curvature: positive on the sphere, sectional = scalar / 2 = 1

@@ -176,6 +176,31 @@ def test_residual_convergence_under_refinement():
         assert ratio > 8.0, (key, ratio)
 
 
+def sampled_torus():
+    """The default 65 x 64 torus rebuilt from its samples: finite-difference
+    jets, whose NaN layers reach every residual tensor."""
+    torus = patches.build_patch({"builtin": "torus"})
+    return patches.build_patch({"samples": {"points": torus.x, "normals": torus.xi},
+                                "grid": {"u": [-np.pi / 3, np.pi / 3, 65],
+                                         "v": [0.0, 2 * np.pi, 64], "periodic": ["v"]}})
+
+
+@pytest.mark.parametrize("surface", ["torus", "torus4", "sampled"])
+def test_residual_maxima_are_the_maxima_of_the_residual_fields(surface):
+    # structural_residuals reduces each residual tensor as it is formed;
+    # its values are those of the per-point fields, with or without NaN.
+    if surface == "sampled":
+        patch = sampled_torus()
+    else:
+        patch = patches.build_patch({"builtin": surface})
+    fld = hypersurface.analyze(patch)
+    fields = hypersurface.structural_residual_fields(fld)
+    if surface == "sampled":
+        assert any(np.isnan(v).any() for v in fields.values())
+    maxima = hypersurface.structural_residuals(fld)
+    assert {k: maxima[k] for k in fields} == {k: fd.nanmax_abs(v) for k, v in fields.items()}
+
+
 def test_b_diagonal_in_principal_gauge(torus_field):
     # in the eigenbasis of the shape operator the second fundamental form
     # of the lift is diagonal with entries (r_i - r)/rho; compare spectra

@@ -36,6 +36,29 @@ def test_inner_symmetric_bilinear():
         )
 
 
+# Time budget: about 0.3 s of tier-1 time on one core (60 examples).
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.sampled_from([6, 7, 8]), st.lists(st.integers(1, 5), min_size=0, max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+def test_grid_inner_is_the_pointwise_inner(d, shape, seed):
+    # n = 3, 4, 5.  A grid of pairings rounds exactly as each of its points
+    # alone, and as the signature-weighted sum taken in component order;
+    # so does the pairing of every point with one vector (wp).
+    rng = np.random.default_rng(seed)
+    X, Y = (rng.standard_normal((2, *shape, d)) * rng.lognormal(0.0, 3.0, (2, *shape, d)))
+    sig = lorentz.signature(d - 3)
+    ordered = 0.0
+    for i in range(d):
+        ordered = ordered + sig[i] * X[..., i] * Y[..., i]
+    for other in (Y, lorentz.wp(d - 3)):
+        grid = np.asarray(lorentz.inner(X, other))
+        assert grid.shape == tuple(shape)
+        for idx in np.ndindex(*shape):
+            point = lorentz.inner(X[idx], other if other.ndim == 1 else other[idx])
+            assert type(point) is float and point == grid[idx]
+    assert np.array_equal(lorentz.inner(X, Y), ordered)
+
+
 def test_inner_dimension_mismatch():
     with pytest.raises(UsageError):
         lorentz.inner(np.zeros(6), np.zeros(7))

@@ -81,6 +81,23 @@ MUTANTS = [
     ("metric pairing: inner dots transposed", "src/laguerre/fd.py",
      "W = gram(P, gram(Q, ginv, one), one)", "W = gram(P, gram(ginv, Q, one), one)",
      ["tests/test_contractions.py"]),
+    ("max-abs: whole-array reduction drops -min f", "src/laguerre/fd.py",
+     "abs(float(max(field.max(), -field.min())))", "abs(float(field.max()))",
+     ["tests/test_fd.py"]),
+    ("max-abs: per-point fallback replaced by nanmax_abs of the tensor", "src/laguerre/fd.py",
+     "return nanmax_abs(component_max_abs(f, ngrid)) if np.isnan(top) else top",
+     "return nanmax_abs(f)",
+     ["tests/test_fd.py"]),
+    ("max-abs: residual maxima reduce with max instead of max-abs", "src/laguerre/fd.py",
+     "    top = _max_abs(f)\n    return nanmax_abs(", "    top = float(f.max())\n    return nanmax_abs(",
+     ["tests/test_hypersurface.py"]),
+    ("finiteness screen: np.isnan, so inf blocks slip through", "src/laguerre/fd.py",
+     "if np.isfinite(mat).all():", "if not np.isnan(mat).any():",
+     ["tests/test_fd.py"]),
+    ("grid pairing: weighted by (+, ..., +) instead of the signature", "src/laguerre/lorentz.py",
+     'np.einsum("...i,...i,i->...", X, Y, signature(X.shape[-1] - 3))',
+     'np.einsum("...i,...i->...", X, Y)',
+     ["tests/test_lorentz.py"]),
     ("cov_d: last slot correction dropped", "src/laguerre/fd.py",
      "for i in range(rank):", "for i in range(rank - 1):",
      ["tests/test_contractions.py"]),
