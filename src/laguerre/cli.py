@@ -140,10 +140,11 @@ def cmd_group_decompose(args) -> dict:
 
 
 def _analysis_payload(patch, fld, residuals) -> dict:
-    axes = patch.axes
-    # g's window, plus the NaN layers sampled jets leave inside it.
-    nan_layers = fd.interior_margins(fd.valid_mask(patch.ngrid, fld.g))
-    margins = [w + k for w, k in zip(fd.margins(fld.g, axes), nan_layers)]
+    # The spec's grid, which a sampled patch's window sits inside: g's
+    # margin counts from its ends.
+    axes = patch.spec_axes
+    grid_axes = tuple(range(axes.ndim))
+    shape = patch.shape
     payload = {
         "space": patch.space,
         "n": patch.n,
@@ -154,32 +155,23 @@ def _analysis_payload(patch, fld, residuals) -> dict:
                                                axes.counts, axes.periodic)
             ],
         },
-        "interior_margin": {nm: mg for nm, mg in zip(axes.names, margins)},
+        "interior_margin": dict(zip(axes.names, fd.margins(fld.g, axes))),
         "shape": {
-            "k_min": float(np.nanmin(fld.patch.shape.k)),
-            "k_max": float(np.nanmax(fld.patch.shape.k)),
-            "rho_min": float(np.nanmin(fld.patch.shape.rho)),
-            "rho_max": float(np.nanmax(fld.patch.shape.rho)),
+            "k_min": float(shape.k.min()),
+            "k_max": float(shape.k.max()),
+            "rho_min": float(shape.rho.min()),
+            "rho_max": float(shape.rho.max()),
         },
-        "s_eigenvalues": {
-            "min": np.nanmin(fld.S_eigs, axis=tuple(range(axes.ndim))),
-            "max": np.nanmax(fld.S_eigs, axis=tuple(range(axes.ndim))),
-        },
-        "b_eigenvalues": {
-            "min": np.nanmin(fld.B_eigs, axis=tuple(range(axes.ndim))),
-            "max": np.nanmax(fld.B_eigs, axis=tuple(range(axes.ndim))),
-        },
+        "s_eigenvalues": {"min": fld.S_eigs.min(axis=grid_axes),
+                          "max": fld.S_eigs.max(axis=grid_axes)},
+        "b_eigenvalues": {"min": fld.B_eigs.min(axis=grid_axes),
+                          "max": fld.B_eigs.max(axis=grid_axes)},
         "residuals": residuals,
         "diagnostics": fld.diagnostics,
+        "volume": hypersurface.laguerre_volume(patch),
     }
-    try:
-        payload["volume"] = hypersurface.laguerre_volume(patch)
-        if patch.n == 3:
-            payload["volume_curvature_form"] = hypersurface.volume_via_curvature_quotient(patch)
-    except UsageError:
-        # Finite-difference jets leave boundary margins without data, so a
-        # full-region quadrature is undefined for sampled patches.
-        payload["volume"] = None
+    if patch.n == 3:
+        payload["volume_curvature_form"] = hypersurface.volume_via_curvature_quotient(patch)
     return payload
 
 
@@ -191,9 +183,9 @@ def _write_csv(path: str, patch, fld) -> None:
     for i in range(patch.ambient_dim):
         cols.append((f"x{i + 1}", patch.x[..., i]))
     for i in range(m):
-        cols.append((f"k{i + 1}", fld.patch.shape.k[..., i]))
-    cols.append(("r", fld.patch.shape.r))
-    cols.append(("rho", fld.patch.shape.rho))
+        cols.append((f"k{i + 1}", patch.shape.k[..., i]))
+    cols.append(("r", patch.shape.r))
+    cols.append(("rho", patch.shape.rho))
     for i in range(m):
         cols.append((f"s_eig{i + 1}", fld.S_eigs[..., i]))
     header = ",".join(name for name, _ in cols)

@@ -12,12 +12,9 @@ stencil is taken only where it has all its samples, so each cascaded
 derivative drops the stencil radius from both ends.  A field's margin on
 an axis is therefore (grid count - field count) / 2 (``margins``), and a
 pointwise kernel runs on its operands cut to their common window
-(``crop``).  Grid indices reported to users are full-grid indices.
-
-Fields may still hold NaN inside their window: sampled patches keep the
-NaN layers of their finite-difference jets (``to_grid``), so reductions
-stay NaN-aware.  Each first reduces the whole array and takes its
-NaN-aware path only when that result shows a NaN.
+(``crop``).  No field holds a NaN: a sampled patch is built on the
+window of its finite-difference jets, so every reduction is a plain
+whole-array one (``max_abs``).
 
 Derivative outputs insert the direction axis right after the grid axes:
 ``gradient`` writes each direction of a (*G, k) field into its slot of one
@@ -84,6 +81,16 @@ class GridAxes:
 
     def meshgrid(self):
         return np.meshgrid(*self.coords(), indexing="ij")
+
+    def inset(self, k: int) -> GridAxes:
+        """The sub-grid ``k`` points inside both ends of every bounded axis;
+        its ends are grid points of this grid."""
+        axes = list(zip(self.los, self.his, self.counts, self.periodic, self.coords()))
+        return GridAxes(self.names,
+                        tuple(lo if per else float(x[k]) for lo, _, _, per, x in axes),
+                        tuple(hi if per else float(x[-1 - k]) for _, hi, _, per, x in axes),
+                        tuple(c if per else c - 2 * k for _, _, c, per, _ in axes),
+                        self.periodic, self.order)
 
 
 def _central(f: np.ndarray, axis: int, h: float, periodic: bool, order: int,
@@ -161,12 +168,6 @@ def crop(ngrid: int, *fields) -> tuple:
                  for f in fields)
 
 
-def to_grid(field: np.ndarray, grid: GridAxes) -> np.ndarray:
-    """A field padded from its window to the whole grid with NaN."""
-    width = [(m, m) for m in margins(field, grid)] + [(0, 0)] * (field.ndim - grid.ndim)
-    return np.pad(field, width, constant_values=np.nan)
-
-
 # Grams, contractions with a vector and the metric pairing are formed from
 # last-axis dot products, each an einsum over the whole grid: a gram takes
 # one per entry (a <= b only, mirrored, when both stacks are the same),
@@ -215,71 +216,23 @@ def metric_pairing(P: np.ndarray, Q: np.ndarray, ginv: np.ndarray) -> np.ndarray
 def require_interior(grid: GridAxes, levels: int) -> None:
     """Fail early when a cascade of ``levels`` derivatives eats the grid."""
     margin = RADIUS[grid.order] * levels
-    for count, per in zip(grid.counts, grid.periodic):
+    for name, count, per in zip(grid.names, grid.counts, grid.periodic):
         if not per and count <= 2 * margin + 2:
             raise InsufficientInteriorError(
-                f"axis with {count} points cannot support {levels} cascaded "
+                f"axis {name!r} with {count} points cannot support {levels} cascaded "
                 f"derivative levels (needs margin {margin} per side)"
             )
 
 
-def valid_mask(ngrid: int, *fields) -> np.ndarray:
-    """Grid mask of points where every given field is finite.
-
-    The leading ``ngrid`` axes of each field are grid axes; its component
-    axes are reduced with 'all finite'.
-    """
-    shapes = {f.shape[:ngrid] for f in fields}
-    if len(shapes) != 1:
-        raise UsageError("fields do not share a grid shape")
-    mask = np.ones(next(iter(shapes)), dtype=bool)
-    for f in fields:
-        mask &= np.isfinite(f).reshape(mask.shape + (-1,)).all(axis=-1)
-    return mask
-
-
 def component_max_abs(f: np.ndarray, ngrid: int) -> np.ndarray:
-    """Grid field of the largest |component| of f (NaN where any is NaN)."""
+    """Grid field of the largest |component| of f."""
     return np.abs(f).reshape(f.shape[:ngrid] + (-1,)).max(axis=-1)
 
 
-# Max-abs reductions of a whole field take max(max f, -min f), which is
-# exact and forms no |f| temporary; it is NaN exactly when f holds a NaN,
-# and only then do the NaN-aware reductions run.
-
-def _max_abs(field: np.ndarray) -> float:
-    """Largest |value| of a field; NaN when it holds a NaN or is empty."""
-    if field.size == 0:
-        return np.nan
+def max_abs(field: np.ndarray) -> float:
+    """Largest |value| of a field, as max(max f, -min f): exact, with no |f|
+    temporary.  A field with no points has none (ValueError)."""
     return abs(float(max(field.max(), -field.min())))   # abs: a -0.0 reads 0.0
-
-
-def nanmax_abs(field: np.ndarray) -> float:
-    """Largest |value| over the valid region (0.0 for an all-NaN field)."""
-    top = _max_abs(field)
-    if not np.isnan(top):
-        return top
-    if np.all(np.isnan(field)):
-        return 0.0
-    return float(np.nanmax(np.abs(field)))
-
-
-def point_max_abs(f: np.ndarray, ngrid: int) -> float:
-    """Largest |component| of f over the grid points where every component
-    is valid: ``nanmax_abs(component_max_abs(f, ngrid))``, in one whole-array
-    reduction when f holds no NaN."""
-    top = _max_abs(f)
-    return nanmax_abs(component_max_abs(f, ngrid)) if np.isnan(top) else top
-
-
-def interior_margins(mask: np.ndarray) -> tuple[int, ...]:
-    """Per-axis NaN margin of a validity mask (0 on fully valid axes)."""
-    margins = []
-    for axis in range(mask.ndim):
-        collapsed = mask.any(axis=tuple(i for i in range(mask.ndim) if i != axis))
-        idx = np.nonzero(collapsed)[0]
-        margins.append(int(idx[0]) if idx.size else mask.shape[axis])
-    return tuple(margins)
 
 
 # Per-point blocks of size m <= 3 (m = n - 1 parameter axes) are handled
@@ -303,17 +256,6 @@ CLOSED_FORM_MAX = 3
 # convergence is quadratic, and a generic block is done after four.
 JACOBI_SWEEPS = 8
 JACOBI_TOL = np.finfo(float).eps
-
-
-def _masked_batched(op, mat: np.ndarray, fill: np.ndarray) -> np.ndarray:
-    """Apply a batched matrix op, routing NaN blocks around it.  The blocks
-    are looked at one by one only when the whole array is not finite."""
-    if np.isfinite(mat).all():
-        return op(mat)
-    bad = ~np.isfinite(mat).all(axis=(-2, -1))
-    out = np.asarray(op(np.where(bad[..., None, None], fill, mat)), dtype=float)
-    # One scalar (det), vector (eigenvalues) or matrix per block.
-    return np.where(bad.reshape(bad.shape + (1,) * (out.ndim - bad.ndim)), np.nan, out)
 
 
 def _cofactor(a: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -396,12 +338,10 @@ def _small_eigvalsh(a: np.ndarray) -> np.ndarray:
 
 
 def _batched(closed, lapack, mat: np.ndarray) -> np.ndarray:
-    m = mat.shape[-1]
-    return _masked_batched(closed if m <= CLOSED_FORM_MAX else lapack, mat, np.eye(m))
+    return (closed if mat.shape[-1] <= CLOSED_FORM_MAX else lapack)(mat)
 
 
 def grid_inv(mat: np.ndarray) -> np.ndarray:
-    """Batched matrix inverse that passes NaN blocks through."""
     return _batched(_small_inv, np.linalg.inv, mat)
 
 
@@ -410,13 +350,13 @@ def grid_det(mat: np.ndarray) -> np.ndarray:
 
 
 def grid_cholesky(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors; LinAlgError when a finite block is not
-    positive definite."""
+    """Lower Cholesky factors; LinAlgError when a block is not positive
+    definite."""
     return _batched(_small_cholesky, np.linalg.cholesky, mat)
 
 
 def grid_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of symmetric blocks, NaN for NaN blocks."""
+    """Ascending eigenvalues of symmetric blocks."""
     return _batched(_small_eigvalsh, np.linalg.eigvalsh, mat)
 
 
@@ -425,16 +365,9 @@ def leading_minors(mat: np.ndarray) -> list:
     return [grid_det(mat[..., :k, :k]) for k in range(1, mat.shape[-1] + 1)]
 
 
-def sqrt_det(det: np.ndarray) -> np.ndarray:
-    """Square root of a grid of determinants, NaN where one is not finite
-    and positive (the volume density sqrt(det g) of a metric field)."""
-    return np.sqrt(np.where(np.isfinite(det) & (det > 0), det, np.nan))
-
-
 def nonpositive_index(mat: np.ndarray, minors: list | None = None):
-    """Grid index of the finite block with the lowest eigenvalue when some
-    finite block of a symmetric field is not positive definite; None when
-    every one is.
+    """Grid index of the block with the lowest eigenvalue when some block of
+    a symmetric field is not positive definite; None when every one is.
 
     Sylvester's criterion (every leading minor > 0, from ``minors`` when the
     caller has them) screens the grid; eigvalsh runs only when it fails, to
@@ -444,11 +377,10 @@ def nonpositive_index(mat: np.ndarray, minors: list | None = None):
         minors = leading_minors(mat)
     if not any((minor <= 0).any() for minor in minors):
         return None
-    eig = grid_eigvalsh(mat)
-    low = np.nanmin(eig)
-    if not (np.isfinite(low) and low <= 0):
+    low = grid_eigvalsh(mat)[..., 0]
+    if low.min() > 0:
         return None
-    return tuple(int(i) for i in np.unravel_index(np.nanargmin(eig[..., 0]), eig.shape[:-1]))
+    return tuple(int(i) for i in np.unravel_index(np.argmin(low), low.shape))
 
 
 def inverse_cholesky(metric: np.ndarray) -> np.ndarray:
@@ -461,7 +393,7 @@ def inverse_cholesky(metric: np.ndarray) -> np.ndarray:
     """
     L = grid_cholesky(metric)
     m = L.shape[-1]
-    Linv = 0.0 * L   # the zero upper triangle, and NaN blocks stay NaN
+    Linv = np.zeros(L.shape)
     for i in range(m):
         Linv[..., i, i] = 1.0 / L[..., i, i]
         for j in range(i):

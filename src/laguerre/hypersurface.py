@@ -23,8 +23,8 @@ stencil radius from both ends of each non-periodic axis (g and B have
 margin r, Gamma and N 2r, L, C and the curvature tensors 3r, nabla C 4r),
 and a pointwise formula runs on its operands cut to their common window
 (``fd.crop``).  Patch-level fields (the shape data, S_op and its spectrum)
-cover the whole grid.  Sampled patches keep NaN layers inside the windows,
-so reductions are NaN-aware.
+cover the patch's whole grid, which for a sampled patch is already the
+window of its jets (``patches``), so no field holds a NaN.
 
 ``analyze`` only guards: it checks the space, the grid's interior and the
 positive definiteness of g, so every command fails at the same point with
@@ -45,7 +45,7 @@ from . import fd, lorentz, patches
 from .errors import DegenerateSurfaceError, UsageError
 from .group import LaguerreTransform
 from .patches import SurfacePatch
-from .spheres import contact_from_pencil, contact_pencil, coord_tail, plane_point
+from .spheres import contact_from_pencil, contact_pencil, coord_tail
 
 # Cascade depth of the deepest residual (divergence of C), used for the
 # up-front interior check: Y -> g -> Gamma/lap -> N -> C -> div C.
@@ -83,7 +83,7 @@ class InvariantField:
 
     @cached_property
     def sqrt_det(self) -> np.ndarray:
-        return fd.sqrt_det(self.minors[-1])
+        return np.sqrt(self.minors[-1])
 
     @cached_property
     def Gamma(self) -> np.ndarray:
@@ -195,9 +195,9 @@ class InvariantField:
         deta, N = self.crop(self.deta, self.N)
         C_dual = fd.contract_last(deta, N * sig)
         return {
-            "raw_B_asymmetry": fd.nanmax_abs(self.B_raw - np.swapaxes(self.B_raw, -1, -2)),
-            "C_dual_defect": fd.nanmax_abs(np.subtract(*self.crop(self.C, C_dual))),
-            "g_vs_rho2_III": fd.nanmax_abs(np.subtract(*self.crop(self.g, self.patch.g_exact))),
+            "raw_B_asymmetry": fd.max_abs(self.B_raw - np.swapaxes(self.B_raw, -1, -2)),
+            "C_dual_defect": fd.max_abs(np.subtract(*self.crop(self.C, C_dual))),
+            "g_vs_rho2_III": fd.max_abs(np.subtract(*self.crop(self.g, self.patch.g_exact))),
         }
 
     @cached_property
@@ -234,7 +234,8 @@ def analyze(patch: SurfacePatch) -> InvariantField:
     fld = InvariantField(patch)
     idx = fd.nonpositive_index(fld.g, fld.minors)
     if idx is not None:
-        idx = tuple(i + m for i, m in zip(idx, fd.margins(fld.g, patch.axes)))
+        margin = fd.margins(fld.g, patch.axes)
+        idx = patches.grid_index(patch, [i + m for i, m in zip(idx, margin)])
         raise DegenerateSurfaceError(
             f"invariant metric is not positive definite at grid index {idx}")
     return fld
@@ -320,31 +321,30 @@ def frame_residuals(fld: InvariantField) -> dict:
     wp = lorentz.wp(fld.patch.n)
     sig = lorentz.signature(fld.patch.n)
     return {
-        "Y_null": fd.nanmax_abs(inner(Y, Y)),
-        "N_null": fd.nanmax_abs(inner(N, N)),
-        "YN_pairing": fd.nanmax_abs(inner(*crop(Y, N)) + 1.0),
-        "EY_orthonormal": fd.nanmax_abs(fd.gram(EY, EY, sig) - np.eye(EY.shape[-2])),
-        "Y_EY": fd.nanmax_abs(fd.contract_last(*crop(EY, Y * sig))),
-        "N_EY": fd.nanmax_abs(fd.contract_last(*crop(EY, N * sig))),
-        "eta_null": fd.nanmax_abs(inner(eta, eta)),
-        "eta_wp_pairing": fd.nanmax_abs(inner(eta, wp) + 1.0),
-        "eta_Y": fd.nanmax_abs(inner(eta, Y)),
-        "eta_EY": fd.nanmax_abs(fd.contract_last(*crop(EY, eta * sig))),
-        "Y_wp": fd.nanmax_abs(inner(Y, wp)),
-        "N_eta": fd.nanmax_abs(inner(*crop(N, eta))),
-        "N_wp": fd.nanmax_abs(inner(N, wp)),
+        "Y_null": fd.max_abs(inner(Y, Y)),
+        "N_null": fd.max_abs(inner(N, N)),
+        "YN_pairing": fd.max_abs(inner(*crop(Y, N)) + 1.0),
+        "EY_orthonormal": fd.max_abs(fd.gram(EY, EY, sig) - np.eye(EY.shape[-2])),
+        "Y_EY": fd.max_abs(fd.contract_last(*crop(EY, Y * sig))),
+        "N_EY": fd.max_abs(fd.contract_last(*crop(EY, N * sig))),
+        "eta_null": fd.max_abs(inner(eta, eta)),
+        "eta_wp_pairing": fd.max_abs(inner(eta, wp) + 1.0),
+        "eta_Y": fd.max_abs(inner(eta, Y)),
+        "eta_EY": fd.max_abs(fd.contract_last(*crop(EY, eta * sig))),
+        "Y_wp": fd.max_abs(inner(Y, wp)),
+        "N_eta": fd.max_abs(inner(*crop(N, eta))),
+        "N_wp": fd.max_abs(inner(N, wp)),
     }
 
 
 def structural_residuals(fld: InvariantField) -> dict:
     """Max-abs residuals of the structure identities plus frame pairings.
 
-    Each structure residual is ``nanmax_abs`` of its field in
+    Each structure residual is ``max_abs`` of its field in
     ``structural_residual_fields``, taken from the residual tensor in one
     whole-array reduction.
     """
-    m = fld.patch.ngrid
-    res = _structure_identities(fld, lambda resid: fd.point_max_abs(resid, m))
+    res = _structure_identities(fld, fd.max_abs)
     res.update({f"frame_{k}": v for k, v in frame_residuals(fld).items()})
     return res
 
@@ -384,51 +384,39 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
         raise UsageError("only Euclidean patches transform under the group")
     if T.n != patch.n:
         raise UsageError("transform and patch have different base dimensions")
-    h1, h2 = ([j @ T.matrix for j in member] for member in pencil_jets(patch))
+    # The derivative jets of the pencil members are their tails: entries 0
+    # and 1 are a multiple of wp, which T fixes, so they add nothing to
+    # entries 2: of the image.  The values keep their full coordinates.
+    M = T.matrix
+    h1, h2 = ([(value @ M)[..., 2:], *(j @ M[2:, 2:] for j in tails)]
+              for value, tails in zip(contact_pencil(patch.x, patch.xi), jet_tails(patch)))
     try:
-        return patch_from_pencil(patch, [j[..., 2:] for j in h1], [j[..., 2:] for j in h2],
-                                 transformed=True)
+        return patch_from_pencil(patch, h1, h2, transformed=True)
     except DegenerateSurfaceError as exc:
         # Curvature sphere i goes to (gamma1 + r_i gamma2) T, whose last entry
         # is the image radius r'_i = a + r_i b.  One that takes both signs on
         # the grid passes through zero between neighbouring grid points.
         radii = (h1[0][..., -1:] + patch.shape.radii * h2[0][..., -1:]).reshape(-1, patch.n - 1)
-        # Sampled patches have no radii in their margins: the reductions skip NaN.
         signs = np.sign(radii)
-        flips = np.nanmin(signs, axis=0) != np.nanmax(signs, axis=0)
+        flips = signs.min(axis=0) != signs.max(axis=0)
         if not flips.any():
             raise
-        point, i = np.unravel_index(np.nanargmin(np.where(flips, np.abs(radii), np.inf)),
+        point, i = np.unravel_index(np.argmin(np.where(flips, np.abs(radii), np.inf)),
                                     radii.shape)
-        idx = tuple(int(j) for j in np.unravel_index(point, patch.axes.shape))
+        idx = patches.grid_index(patch, np.unravel_index(point, patch.axes.shape))
         raise DegenerateSurfaceError(
             f"principal radius {i + 1} of the image passes through zero (|r'| = "
             f"{abs(radii[point, i]):.1e} at grid index {idx}): the image is a front "
             "with a cusp, not an immersed patch") from exc
 
 
-def pencil_jets(patch: SurfacePatch):
-    """Jets (value, first and second parameter derivatives) of the pencil
-    members gamma1 and gamma2 along a patch, in the layout of its space."""
-    x, dx, d2x = patch.x, patch.dx, patch.d2x
-    xi, dxi, d2xi = patch.xi, patch.dxi, patch.d2xi
-    w = patch.form
-    xw, xiw, dxw = x * w, xi * w, dx * w
-    # d(<x,x>/2) = <x,dx> and d<x,xi> = <dx,xi> + <x,dxi>, then once more.
-    xdx = np.einsum("...i,...ai->...a", xw, dx)
-    d2xx = np.einsum("...ai,...bi->...ab", dxw, dx) + np.einsum("...i,...abi->...ab", xw, d2x)
-    dxxi = np.einsum("...ai,...i->...a", dx, xiw) + np.einsum("...i,...ai->...a", xw, dxi)
-    P = np.einsum("...ai,...bi->...ab", dxw, dxi)
-    d2xxi = (np.einsum("...abi,...i->...ab", d2x, xiw) + P + np.swapaxes(P, -1, -2)
-             + np.einsum("...i,...abi->...ab", xw, d2xi))
-
-    def member(s, v):
-        # The radius entry is constant along the patch, so its jets vanish.
-        return plane_point(s, coord_tail(v, 0.0, patch.space))
-
-    g1, g2 = contact_pencil(x, xi, patch.space)
-    return ((g1, member(xdx, dx), member(d2xx, d2x)),
-            (g2, member(dxxi, dxi), member(d2xxi, d2xi)))
+def jet_tails(patch: SurfacePatch):
+    """Entries 2: of the first and second parameter derivatives of the
+    pencil members gamma1 and gamma2 along a patch, in the layout of its
+    space: the tails of (dx, d2x) and of (dxi, d2xi).  The radius entry is
+    constant along the patch, so its jets vanish."""
+    return ([coord_tail(j, 0.0, patch.space) for j in (patch.dx, patch.d2x)],
+            [coord_tail(j, 0.0, patch.space) for j in (patch.dxi, patch.d2xi)])
 
 
 def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
@@ -440,7 +428,7 @@ def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
     and (B, b) the middle block and the last entry, x = A - (a/b) B and
     xi = B / b carry their derivatives as quotient jets.
     """
-    x, xi = contact_from_pencil(h1[0], h2[0])
+    x, xi = contact_from_pencil(h1[0], h2[0], lambda idx: patches.grid_index(patch, idx))
     (dA, d2A), (B, dB, d2B) = ([j[..., :-1] for j in h] for h in (h1[1:], h2))
     da, d2a = (j[..., -1:] for j in h1[1:])
     b, db, d2b = (j[..., -1] for j in h2)
@@ -475,11 +463,16 @@ def _quotient_jets(w, dv, d2v, b, db, d2b):
 
 def compare_invariants(f1: InvariantField, f2: InvariantField) -> dict:
     """Pointwise deviations of g, the shape-operator spectrum and the
-    second-fundamental-form spectrum between two aligned patches."""
-    if f1.patch.axes != f2.patch.axes:
+    second-fundamental-form spectrum between two patches on the same spec
+    grid, over the common window of each pair of fields."""
+    if f1.patch.spec_axes != f2.patch.spec_axes:
         raise UsageError("patches must share grid topology and parameter alignment")
+
+    def deviation(a, b):
+        return fd.max_abs(np.subtract(*fd.crop(f1.patch.ngrid, a, b)))
+
     return {
-        "max_g_deviation": fd.nanmax_abs(f1.g - f2.g),
-        "max_s_eig_deviation": fd.nanmax_abs(f1.S_eigs - f2.S_eigs),
-        "max_b_eig_deviation": fd.nanmax_abs(f1.B_eigs - f2.B_eigs),
+        "max_g_deviation": deviation(f1.g, f2.g),
+        "max_s_eig_deviation": deviation(f1.S_eigs, f2.S_eigs),
+        "max_b_eig_deviation": deviation(f1.B_eigs, f2.B_eigs),
     }

@@ -93,7 +93,7 @@ def third_form_laplacian_r(patch: SurfacePatch, r: np.ndarray) -> np.ndarray:
     if patch.n != 3:
         raise UsageError("the third-form Laplacian criterion is stated for surfaces")
     IIIinv = fd.grid_inv(patch.third_form)
-    sqrt_det = fd.sqrt_det(fd.grid_det(patch.third_form))
+    sqrt_det = np.sqrt(fd.grid_det(patch.third_form))
     return fd.laplace_beltrami(fd.gradient(r[..., None], patch.axes), IIIinv, sqrt_det,
                                patch.axes)[..., 0]
 
@@ -121,11 +121,11 @@ def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
     wp_vec = lorentz.wp(n)
 
     return {
-        "wp_component_minus_1": fd.nanmax_abs(wp_comp - 1.0),
-        "tangent_vs_C": fd.nanmax_abs(tangent_frame - (n - 3) * C_frame),
-        "y_component_vs_el": fd.nanmax_abs(np.subtract(*crop(y_comp, -divC + LB))),
-        "eta_component": fd.nanmax_abs(inner(lap_eta, wp_vec)),
-        "n_component": fd.nanmax_abs(inner(*crop(lap_eta, lift.Y))),
+        "wp_component_minus_1": fd.max_abs(wp_comp - 1.0),
+        "tangent_vs_C": fd.max_abs(tangent_frame - (n - 3) * C_frame),
+        "y_component_vs_el": fd.max_abs(np.subtract(*crop(y_comp, -divC + LB))),
+        "eta_component": fd.max_abs(inner(lap_eta, wp_vec)),
+        "n_component": fd.max_abs(inner(*crop(lap_eta, lift.Y))),
     }
 
 
@@ -136,7 +136,7 @@ def default_threshold(fld: InvariantField) -> float:
     times the criticality residual, so rho^3 converts the dimensionless
     1e-3 into the residual's units.
     """
-    rho3 = np.nanmedian(fld.patch.shape.rho ** 3)
+    rho3 = np.median(fld.patch.shape.rho ** 3)
     return 1e-3 * float(max(rho3, 1e-12))
 
 
@@ -149,14 +149,14 @@ def minimality_report(fld: InvariantField,
     crop = fld.crop
     sum_form, div_form = el_residual(fld)
     n = fld.patch.n
-    max_sum = fd.nanmax_abs(sum_form)
-    max_div = fd.nanmax_abs(div_form)
-    discrepancy = fd.nanmax_abs(np.subtract(*crop(sum_form, (n - 2) * div_form)))
+    max_sum = fd.max_abs(sum_form)
+    max_div = fd.max_abs(div_form)
+    discrepancy = fd.max_abs(np.subtract(*crop(sum_form, (n - 2) * div_form)))
 
     # Verdict on the pointwise rho^3-scaled divergence form, whose units
     # match the threshold (and, for surfaces, the third-form Laplacian).
     rho3 = fld.patch.shape.rho ** 3
-    scaled_el = fd.nanmax_abs(np.multiply(*crop(rho3, div_form)))
+    scaled_el = fd.max_abs(np.multiply(*crop(rho3, div_form)))
     verdict = "minimal" if scaled_el <= threshold else "non-minimal"
 
     lap_r = None
@@ -164,13 +164,13 @@ def minimality_report(fld: InvariantField,
     crosscheck = None
     if n == 3:
         lap = third_form_laplacian_r(fld.patch, fld.patch.shape.r)
-        lap_r = fd.nanmax_abs(lap)
+        lap_r = fd.max_abs(lap)
         lap_verdict = "minimal" if lap_r <= threshold else "non-minimal"
         divC, LB = crop(fld.divC, fld.LB)
         bridge_rhs = np.multiply(*crop(rho3, -divC + LB))
-        scale = max(fd.nanmax_abs(lap), fd.nanmax_abs(bridge_rhs))
+        scale = max(fd.max_abs(lap), fd.max_abs(bridge_rhs))
         if scale > max(threshold, 1e-12):
-            crosscheck = fd.nanmax_abs(np.subtract(*crop(lap, bridge_rhs))) / scale
+            crosscheck = fd.max_abs(np.subtract(*crop(lap, bridge_rhs))) / scale
 
     diagnostics = eta_laplacian_diagnostics(fld)
     consistent = lap_verdict is None or lap_verdict == verdict

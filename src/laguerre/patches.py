@@ -16,10 +16,14 @@ turns into symmetric derivative arrays; the normal jets are then produced
 exactly through the shape operator (the relation d(xi) = -dx o S and its
 derivative), so no hand-differentiated normals are needed anywhere.
 Sampled ("samples") patches fall back to central finite differences for
-every jet, the second jets being one gradient of the first.  The grid of
-a patch (``fd.GridAxes``) carries the stencil order given to
-``build_patch``; every patch mapped from it keeps that grid, so the order
-reaches every later derivative.
+every jet, the second jets being one gradient of the first.  Those exist
+only 2r points inside each bounded end of the sampled grid (r the stencil
+radius), so a sampled patch is built on that window (``fd.GridAxes.inset``)
+and records the grid of its spec in ``metadata["grid"]`` (``spec_axes``);
+``grid_index`` maps a patch grid index to the spec's.  The grid of a patch
+carries the stencil order given to ``build_patch``; every patch mapped from
+it keeps that grid and that record, so the order reaches every later
+derivative and every message names indices of the spec's grid.
 
 What a patch computes is pulled by what reads it.  The build computes x,
 dx, d2x and xi and screens the patch, which reads I, II, I^{-1}, S, the
@@ -35,9 +39,9 @@ space-form embedding -- is made by ``make_patch`` and passes one screen
 (``_validate_patch``): normal normalization, contact condition, immersion,
 and the umbilic, vanishing-curvature and curvature-label-crossing checks of
 ``shape_data``.  A failure inside the grid aborts the build with the
-offending grid index; nothing is smoothed over.  The normalization and
-contact tolerances follow the jets provenance in ``metadata["jets"]``
-(``SCREEN_TOL``).  Sampled input must be finite.
+offending grid index (``grid_index``); nothing is smoothed over.  The
+normalization and contact tolerances follow the jets provenance in
+``metadata["jets"]`` (``SCREEN_TOL``).  Sampled input must be finite.
 """
 
 from __future__ import annotations
@@ -118,6 +122,12 @@ class SurfacePatch:
         return np.einsum("...i,...i,i->...", u, v, self.form)
 
     @property
+    def spec_axes(self) -> fd.GridAxes:
+        """The grid of the spec: a sampled patch is the window of its jets
+        inside it, every other patch covers it."""
+        return self.metadata.get("grid", self.axes)
+
+    @property
     def diameter(self) -> float:
         mins = self.x.reshape(-1, self.ambient_dim).min(axis=0)
         maxs = self.x.reshape(-1, self.ambient_dim).max(axis=0)
@@ -170,11 +180,19 @@ class SurfacePatch:
     @cached_property
     def area_element(self) -> np.ndarray:
         """sqrt(det I), the Euclidean volume density in the parameters."""
-        return fd.sqrt_det(fd.grid_det(self.I))
+        return np.sqrt(fd.grid_det(self.I))
 
     @cached_property
     def lift(self) -> LaguerreLift:
         return laguerre_lift(self)
+
+
+def grid_index(patch: SurfacePatch, idx) -> tuple:
+    """The spec's grid index of the patch grid index ``idx`` (extra trailing
+    entries are dropped): a sampled patch's window is centred in its spec's
+    grid."""
+    return tuple(int(i) + (c - w) // 2
+                 for i, c, w in zip(idx, patch.spec_axes.counts, patch.axes.counts))
 
 
 def given_normal_jets(dxi: np.ndarray, d2xi: np.ndarray) -> Callable:
@@ -233,9 +251,7 @@ def shape_data(patch: SurfacePatch) -> ShapeData:
 
     Raises DegenerateSurfaceError (naming a grid index) on umbilics,
     vanishing curvatures or curvature-label crossings; the excluded sets
-    are part of the domain of everything downstream.  Patches with
-    finite-difference jets carry NaN boundary layers, which simply stay
-    NaN here and are skipped by the checks.
+    are part of the domain of everything downstream.
     """
     # Generalized symmetric eigenproblem II v = k I v through the Cholesky
     # factor of I.
@@ -245,7 +261,7 @@ def shape_data(patch: SurfacePatch) -> ShapeData:
     k_zero_tol = CURVATURE_ZERO_FACTOR / max(diam, 1e-300)
     flat = np.abs(vals) <= k_zero_tol
     if flat.any():
-        idx = tuple(int(i) for i in np.argwhere(flat)[0][:patch.ngrid])
+        idx = grid_index(patch, np.argwhere(flat)[0])
         raise DegenerateSurfaceError(
             f"vanishing principal curvature at grid index {idx}"
         )
@@ -256,10 +272,10 @@ def shape_data(patch: SurfacePatch) -> ShapeData:
     umb_tol = UMBILIC_TOL_FACTOR * diam
     umb = rho <= umb_tol
     if umb.any():
-        idx = tuple(int(i) for i in np.argwhere(umb)[0])
+        idx = grid_index(patch, np.argwhere(umb)[0])
         raise DegenerateSurfaceError(f"umbilic point at grid index {idx}")
 
-    _check_crossings(vals, patch.ngrid)
+    _check_crossings(vals, patch)
     return ShapeData(k=vals, radii=radii, r=r, rho=rho)
 
 
@@ -272,7 +288,7 @@ def laguerre_lift(patch: SurfacePatch) -> LaguerreLift:
     return LaguerreLift(Y=shape.rho[..., None] * y, eta=g1 + shape.r[..., None] * y)
 
 
-def _check_crossings(vals: np.ndarray, ngrid: int) -> None:
+def _check_crossings(vals: np.ndarray, patch: SurfacePatch) -> None:
     """Detect curvature-label crossings inside the grid.
 
     Sorted labels are continuous but kink where two curvature families
@@ -282,11 +298,12 @@ def _check_crossings(vals: np.ndarray, ngrid: int) -> None:
     wide-ranging gaps (and identically repeated curvatures) out of the
     net.
     """
+    ngrid = patch.ngrid
     for i in range(vals.shape[-1] - 1):
         gap = vals[..., i] - vals[..., i + 1]
-        med = float(np.nanmedian(gap))
-        scale = float(np.nanmax(np.abs(vals)))
-        if not np.isfinite(med) or med <= 1e-12 * scale:
+        med = float(np.median(gap))
+        scale = fd.max_abs(vals)
+        if med <= 1e-12 * scale:
             continue  # identically degenerate pair: allowed
         for axis in range(ngrid):
             if gap.shape[axis] < 5:
@@ -300,16 +317,12 @@ def _check_crossings(vals: np.ndarray, ngrid: int) -> None:
             spike = np.abs(
                 gap[tuple(sl_p)] - 2.0 * gap[tuple(sl_0)] + gap[tuple(sl_m)]
             )
-            smooth = float(np.nanmedian(spike))
-            big = np.nan_to_num(spike, nan=0.0) > max(
-                CROSSING_SPIKE_FACTOR * smooth, 1e-13 * scale
-            )
-            local_gap = gap[tuple(sl_0)]
-            collapsed = np.nan_to_num(local_gap, nan=np.inf) < CROSSING_GAP_FRACTION * med
+            smooth = float(np.median(spike))
+            big = spike > max(CROSSING_SPIKE_FACTOR * smooth, 1e-13 * scale)
+            collapsed = gap[tuple(sl_0)] < CROSSING_GAP_FRACTION * med
             hit = big & collapsed
             if hit.any():
-                inner = np.argwhere(hit)[0]
-                idx = tuple(int(v) + 1 for v in inner)
+                idx = grid_index(patch, np.argwhere(hit)[0] + 1)
                 raise DegenerateSurfaceError(
                     f"principal curvature crossing near grid index {idx}; "
                     "re-grid to keep curvature labels separated"
@@ -559,9 +572,11 @@ BUILTINS = {
 # Build
 # ---------------------------------------------------------------------------
 
-def _parse_axes(grid_spec, order: int, refine: int = 1) -> fd.GridAxes:
+def _parse_axes(grid_spec, order: int, refine: int = 1, inset: int = 0) -> fd.GridAxes:
     """Grid of a spec {"u": [lo, hi, count], ..., "periodic": [...]}; every
-    axis count is multiplied by ``refine``."""
+    axis count is multiplied by ``refine``.  With ``inset`` > 0 (sampled
+    data), the grid ``inset`` points inside each bounded end must still
+    hold the 6 samples of an axis."""
     if not isinstance(grid_spec, dict):
         raise UsageError("grid must be an object of axes [lo, hi, count]")
     periodic = grid_spec.get("periodic", [])
@@ -582,6 +597,8 @@ def _parse_axes(grid_spec, order: int, refine: int = 1) -> fd.GridAxes:
         los.append(lo)
         his.append(hi)
         counts.append(n * refine)
+    if inset and any(c - 2 * inset < 6 for c, key in zip(counts, names) if key not in periodic):
+        raise UsageError("grid too small for finite-difference jets")
     return fd.GridAxes(tuple(names), tuple(los), tuple(his), tuple(counts),
                        tuple(key in periodic for key in names), order)
 
@@ -593,13 +610,10 @@ def _parse_axes(grid_spec, order: int, refine: int = 1) -> fd.GridAxes:
 SCREEN_TOL = {"exact": (1e-9, 1e-9), "fd": (1e-8, 1e-4)}
 
 
-def _worst(defect: np.ndarray, ngrid: int):
-    """(max value, grid index) of a defect field, skipping NaN margins."""
-    if np.all(np.isnan(defect)):
-        return 0.0, ()
-    flatmax = np.nanmax(defect)
-    idx = np.unravel_index(np.nanargmax(defect), defect.shape)[:ngrid]
-    return float(flatmax), tuple(int(i) for i in idx)
+def _worst(defect: np.ndarray, patch: SurfacePatch):
+    """(max value, spec grid index) of a nonnegative defect field."""
+    idx = np.unravel_index(np.argmax(defect), defect.shape)
+    return float(defect[idx]), grid_index(patch, idx)
 
 
 def _validate_patch(patch: SurfacePatch) -> None:
@@ -607,38 +621,35 @@ def _validate_patch(patch: SurfacePatch) -> None:
     condition, immersion, and the curvature checks of ``shape_data`` (run by
     the first read of ``patch.shape``).  Each failure names a grid index.
 
-    Tolerances follow the jets provenance (``SCREEN_TOL``).  Finite-difference
-    jets carry NaN boundary margins, which every check skips.
+    Tolerances follow the jets provenance (``SCREEN_TOL``).
     """
     fd_jets = patch.metadata.get("jets") == "fd"
-    if fd_jets and not fd.valid_mask(patch.ngrid, patch.dx).any():
-        raise UsageError("grid too small for finite-difference jets")
     scale = max(1.0, float(np.abs(patch.x).max()))
     unit_tol, contact_tol = SCREEN_TOL["fd" if fd_jets else "exact"]
 
     if patch.space == "r30":
         # The patch lies in the hyperplane <x, nu> = 0 with <xi, nu> = 1.
         nu = lorentz.nu(patch.n)
-        worst, idx = _worst(np.abs(patch.dot(patch.xi, nu) - 1.0), patch.ngrid)
+        worst, idx = _worst(np.abs(patch.dot(patch.xi, nu) - 1.0), patch)
         if worst > 1e-9:
             raise DegenerateSurfaceError(f"normal pairing with nu is not 1 at grid index {idx}")
-        worst, idx = _worst(np.abs(patch.dot(patch.x, nu)), patch.ngrid)
+        worst, idx = _worst(np.abs(patch.dot(patch.x, nu)), patch)
         if worst > 1e-9 * scale:
             raise DegenerateSurfaceError(f"points leave the hyperplane at grid index {idx}")
     xi2 = patch.dot(patch.xi, patch.xi)   # raises UsageError on an unknown space tag
-    worst, idx = _worst(np.abs(xi2 - {"r3": 1.0, "r31": -1.0, "r30": 0.0}[patch.space]),
-                        patch.ngrid)
+    worst, idx = _worst(np.abs(xi2 - {"r3": 1.0, "r31": -1.0, "r30": 0.0}[patch.space]), patch)
     if worst > unit_tol * scale:
         raise DegenerateSurfaceError(f"normal is not normalized at grid index {idx}")
 
     legendre = np.abs(fd.contract_last(patch.dx, patch.xi * patch.form))
-    worst, idx = _worst(legendre, patch.ngrid)
+    worst, idx = _worst(legendre, patch)
     if worst > contact_tol * scale:
         raise DegenerateSurfaceError(f"contact condition dx . xi = 0 fails at grid index {idx}")
 
     idx = fd.nonpositive_index(patch.I)
     if idx is not None:
-        raise DegenerateSurfaceError(f"not an immersion (metric degenerates) at grid index {idx}")
+        raise DegenerateSurfaceError(
+            f"not an immersion (metric degenerates) at grid index {grid_index(patch, idx)}")
     patch.shape  # first read runs the curvature screening of shape_data
 
 
@@ -660,11 +671,12 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
     "normal": "outward"|"inward", "space": ...}; without "grid" the
     builtin's default grid is used.  Sample specs carry {"samples":
     {"points": ..., "normals": ...}, "grid": {...}} with finite values and
-    get finite-difference jets.  ``fd_order`` is the stencil order of the
-    patch's grid, used for those jets and for every derivative taken on
-    the patch or its images later; ``refine`` multiplies every axis count
-    of a builtin's grid (a sampled grid is fixed).  Every patch passes the
-    screen of ``_validate_patch`` before it is returned.
+    get finite-difference jets, on the window where those exist.
+    ``fd_order`` is the stencil order of the patch's grid, used for those
+    jets and for every derivative taken on the patch or its images later;
+    ``refine`` multiplies every axis count of a builtin's grid (a sampled
+    grid is fixed).  Every patch passes the screen of ``_validate_patch``
+    before it is returned.
     """
     if not isinstance(spec, dict):
         raise UsageError("surface spec must be an object")
@@ -705,7 +717,7 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
     if entry.get("zero_mean_curvature"):
         S = patch.S
         mean_k = np.abs(np.trace(S, axis1=-2, axis2=-1) / S.shape[-1])
-        worst, idx = _worst(mean_k, patch.ngrid)
+        worst, idx = _worst(mean_k, patch)
         if worst > 1e-8:
             raise DegenerateSurfaceError(
                 "mean curvature oracle failed: builtin advertised as minimal is not "
@@ -715,27 +727,29 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
 
 
 def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
+    """Patch of sampled points and normals on the window of its second jets,
+    2r points inside each bounded end of the spec's grid."""
     samples = spec["samples"]
-    axes = _parse_axes(spec.get("grid"), fd_order)
+    inset = 2 * fd.RADIUS.get(fd_order, 0)   # an unknown order is rejected with the grid
+    grid = _parse_axes(spec.get("grid"), fd_order, inset=inset)
     try:
         x = np.asarray(samples["points"], dtype=float)
         xi = np.asarray(samples["normals"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed samples: {exc}") from exc
-    if x.shape[:-1] != axes.shape or xi.shape != x.shape:
+    if x.shape[:-1] != grid.shape or xi.shape != x.shape:
         raise UsageError("sample arrays do not match the grid shape")
     bad = ~(np.isfinite(x) & np.isfinite(xi)).all(axis=-1)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise UsageError(f"sampled points or normals are not finite at grid index {idx}")
     # Second jets are one gradient of the first; swapping the two direction
-    # axes puts d_b d_a in slot (a, b), the layout of the builtin jets.  A
-    # patch stores its jets on the whole grid, NaN where the stencil lacks
-    # samples.
-    m = axes.ndim
-    dx, dxi = (fd.to_grid(fd.gradient(f, axes), axes) for f in (x, xi))
-    d2x, d2xi = (np.swapaxes(fd.to_grid(fd.gradient(jet, axes), axes), m, m + 1)
-                 for jet in (dx, dxi))
-    return make_patch(spec.get("space", "r3"), axes, x, dx, d2x, xi,
+    # axes puts d_b d_a in slot (a, b), the layout of the builtin jets.
+    # Every field is cut to the window of the second jets.
+    m = grid.ndim
+    dx, dxi = (fd.gradient(f, grid) for f in (x, xi))
+    d2x, d2xi = (np.swapaxes(fd.gradient(jet, grid), m, m + 1) for jet in (dx, dxi))
+    x, xi, dx, dxi, d2x, d2xi = fd.crop(m, x, xi, dx, dxi, d2x, d2xi)
+    return make_patch(spec.get("space", "r3"), grid.inset(inset), x, dx, d2x, xi,
                       given_normal_jets(dxi, d2xi),
-                      {"builtin": "samples", "jets": "fd", "normal": "as-given"})
+                      {"builtin": "samples", "jets": "fd", "normal": "as-given", "grid": grid})

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import fd, lorentz
 from .errors import UsageError
-from .hypersurface import patch_from_pencil
+from .hypersurface import jet_tails, patch_from_pencil
 from .patches import SurfacePatch
 from .spheres import (ContactElement, SphereElement, classify_coord, contact_from_pencil,
                       coord_tail, sphere_coord)
@@ -104,9 +104,9 @@ def embed_patch(patch: SurfacePatch) -> SurfacePatch:
     if patch.space not in ("r31", "r30"):
         raise UsageError(f"unknown space {patch.space!r}")
     sp = patch.space
-    h1 = [coord_tail(j, 0.0, sp) for j in (patch.x, patch.dx, patch.d2x)]
-    h2 = [coord_tail(j, c, sp) for j, c in ((patch.xi, 1.0), (patch.dxi, 0.0), (patch.d2xi, 0.0))]
-    return patch_from_pencil(patch, h1, h2, embedded_from=sp)
+    dh1, dh2 = jet_tails(patch)
+    return patch_from_pencil(patch, [coord_tail(patch.x, 0.0, sp), *dh1],
+                             [coord_tail(patch.xi, 1.0, sp), *dh2], embedded_from=sp)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +137,8 @@ def proposition_pairings(patch: SurfacePatch) -> dict:
     lift, shape = patch.lift, patch.shape
     c = distinguished_vector(patch.space, patch.n)
     return {
-        "Y_pairing": fd.nanmax_abs(lorentz.inner(lift.Y, c) - shape.rho),
-        "eta_pairing": fd.nanmax_abs(lorentz.inner(lift.eta, c) - shape.r),
+        "Y_pairing": fd.max_abs(lorentz.inner(lift.Y, c) - shape.rho),
+        "eta_pairing": fd.max_abs(lorentz.inner(lift.eta, c) - shape.r),
     }
 
 
@@ -159,16 +159,16 @@ def transfer_check(native: SurfacePatch, embedded: SurfacePatch) -> dict:
 
     mapped = np.sort(shape_n.radii * xi1[..., None] + x1[..., None], axis=-1)
     actual = np.sort(shape_e.radii, axis=-1)
-    radii_defect = fd.nanmax_abs(actual - mapped)
+    radii_defect = fd.max_abs(actual - mapped)
 
-    rho_defect = fd.nanmax_abs(shape_e.rho - np.abs(xi1) * shape_n.rho)
+    rho_defect = fd.max_abs(shape_e.rho - np.abs(xi1) * shape_n.rho)
 
     lift_n, lift_e = native.lift, embedded.lift
     sign = np.sign(xi1)[..., None]
-    Y_defect = fd.nanmax_abs(lift_e.Y - sign * lift_n.Y)
-    eta_defect = fd.nanmax_abs(lift_e.eta - lift_n.eta)
+    Y_defect = fd.max_abs(lift_e.Y - sign * lift_n.Y)
+    eta_defect = fd.max_abs(lift_e.eta - lift_n.eta)
 
-    g_defect = fd.nanmax_abs(embedded.g_exact - native.g_exact)
+    g_defect = fd.max_abs(embedded.g_exact - native.g_exact)
 
     report = {
         "radii_map": radii_defect,

@@ -327,19 +327,20 @@ def contact_pencil(x: np.ndarray, xi: np.ndarray, space: str = "r3"):
     return sphere_point(t1), plane_point(lorentz.inner_1(t1, t2), t2)
 
 
-def contact_from_pencil(h1: np.ndarray, h2: np.ndarray):
+def contact_from_pencil(h1: np.ndarray, h2: np.ndarray, locate=tuple):
     """Euclidean contact elements read off entries 2: of a point-sphere
     member h1 and a hyperplane member h2 of a pencil (any layout).
 
     With (A, a) and (B, b) the middle block and the last entry of h1 and h2,
     x = A - (a/b) B and xi = B / b.  Where |b| is at most 1e-12 times the
     largest entry of h2 the pencil has no Euclidean element, and
-    EmbeddingDomainError names the first such grid index.
+    EmbeddingDomainError names the first such grid index, as ``locate``
+    maps it (a patch's locator, ``patches.grid_index``).
     """
     b = h2[..., -1:]
     bad = np.abs(b[..., 0]) <= 1e-12 * np.abs(h2).max(axis=-1)
     if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        idx = tuple(int(i) for i in locate(np.argwhere(bad)[0]))
         where = f" at grid index {idx}" if idx else ""
         raise EmbeddingDomainError(
             f"the pencil has no Euclidean element{where}: the last entry of its "

@@ -15,6 +15,13 @@ TORUS_SPEC = {
 }
 
 
+def to_grid(field, grid):
+    """A field padded from its window to the whole grid with NaN, so that
+    fields of different windows can be indexed by the same grid point."""
+    width = [(m, m) for m in fd.margins(field, grid)] + [(0, 0)] * (field.ndim - grid.ndim)
+    return np.pad(field, width, constant_values=np.nan)
+
+
 def spaced_grid(shape, hs, periodic):
     """4th-order grid of the given shape whose axes start at 0 with steps ``hs``."""
     his = tuple(h * (c if p else c - 1) for h, c, p in zip(hs, shape, periodic))
@@ -45,6 +52,15 @@ def torus_residuals(torus_field):
 @pytest.fixture(scope="session")
 def torus_report(torus_field):
     return minimality.minimality_report(torus_field)
+
+
+@pytest.fixture(scope="session")
+def graph3_field():
+    """The 3-axis cubic translational graph (n = 4), where C does not vanish."""
+    return hypersurface.analyze(patches.build_patch({
+        "builtin": "translational_graph",
+        "params": {"quad": [1.0, 0.7, 0.4], "cubic": [0.1, 0.2, -0.1]},
+        "grid": dict.fromkeys("uvw", [-0.25, 0.25, 21])}))
 
 
 @pytest.fixture(scope="session")

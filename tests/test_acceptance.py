@@ -9,6 +9,7 @@ refinement partner at 193 x 192); every tolerance is the stated one.
 import numpy as np
 import pytest
 
+from conftest import to_grid
 from laguerre import (fd, group, hypersurface, lorentz, minimality, patches,
                       spaceforms, spheres)
 
@@ -49,8 +50,8 @@ def torus_fine():
 
 def test_criterion_01_shape_operator_spectrum(torus):
     _, fld = torus
-    dev = fd.nanmax_abs(np.abs(fld.S_eigs) - 1.0 / np.sqrt(2))
-    signs = fd.nanmax_abs(np.sign(fld.S_eigs) - np.array([1.0, -1.0]))
+    dev = fd.max_abs(np.abs(fld.S_eigs) - 1.0 / np.sqrt(2))
+    signs = fd.max_abs(np.sign(fld.S_eigs) - np.array([1.0, -1.0]))
     criterion(1, "torus shape-operator spectrum is +-1/sqrt(2) everywhere",
               [("max_spectrum_deviation", dev, 1e-6), ("sign_pattern", signs, 0.0)])
 
@@ -72,10 +73,10 @@ def test_criterion_03_flat_metric(torus):
     K = riem[..., 0, 1, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
     trL = np.einsum("...ab,...ab->...", *fd.crop(2, fld.ginv, fld.L))
     scalar, lap_norm = fd.crop(2, fld.scalar, fld.lap_norm)
-    scal_vs_lap = fd.nanmax_abs(scalar - 0.5 * lap_norm)  # (n-2)/(n-1) = 1/2
-    scal_vs_trl = fd.nanmax_abs(fld.scalar + 2.0 * trL)
+    scal_vs_lap = fd.max_abs(scalar - 0.5 * lap_norm)  # (n-2)/(n-1) = 1/2
+    scal_vs_trl = fd.max_abs(fld.scalar + 2.0 * trL)
     criterion(3, "invariant metric of the torus is flat; trace relations hold",
-              [("gauss_curvature", fd.nanmax_abs(K), 1e-5),
+              [("gauss_curvature", fd.max_abs(K), 1e-5),
                ("scalar_vs_laplacian", scal_vs_lap, 1e-4),
                ("scalar_vs_trace", scal_vs_trl, 1e-4)])
 
@@ -94,8 +95,8 @@ def test_criterion_04_structure_residuals(torus_fine):
     ratios = []
     for key in ("b_codazzi", "l_codazzi", "b_divergence", "gauss"):
         # Same parameter points: every other fine point, on the full grids.
-        c = fd.to_grid(fields[key], p.axes)
-        f = fd.to_grid(fields_fine[key], fine.axes)[::2, ::2]
+        c = to_grid(fields[key], p.axes)
+        f = to_grid(fields_fine[key], fine.axes)[::2, ::2]
         mask = np.isfinite(c) & np.isfinite(f)
         ratios.append(float(np.max(c[mask]) / np.max(f[mask])))
 
@@ -168,7 +169,7 @@ def test_criterion_07_minimality_transfer(torus):
     p, fld_t = torus
     rep_t = minimality.minimality_report(fld_t)
     lap_t = minimality.third_form_laplacian_r(p, fld_t.patch.shape.r)
-    at_zero = abs(fd.to_grid(lap_t, p.axes)[32, 0] + 1.0)  # u = 0 sits on the 65-point axis
+    at_zero = abs(to_grid(lap_t, p.axes)[32, 0] + 1.0)  # u = 0 sits on the 65-point axis
     criterion(7, "maximal catenoid embeds to a critical patch; torus does not",
               [("catenoid_laplacian_r", rep.max_laplacian_r, 1e-6),
                ("catenoid_el_residual", rep.max_el_div_form, 1e-4),

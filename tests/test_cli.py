@@ -147,7 +147,7 @@ def test_transform_without_euclidean_image_exits_4(torus_spec_file, tmp_path, ca
 def test_transformed_sampled_patch_keeps_its_screen(tmp_path, capsys):
     # The image of sampled data inherits its finite-difference contact error,
     # so it is screened at the tolerances of sampled data.
-    grid = {"u": [-0.3, 0.3, 25], "v": [-0.3, 0.3, 25]}
+    grid = {"u": [-0.3, 0.3, 27], "v": [-0.3, 0.3, 27]}
     graph = patches.build_patch({"builtin": "translational_graph", "grid": grid,
                                  "params": {"quad": [1.0, 0.5], "cubic": [0.3, 0.2]}})
     spec = write(tmp_path, "s.json", {"samples": {"points": graph.x.tolist(),
@@ -233,15 +233,92 @@ def test_fd_order_sets_interior_margin(torus_spec_file, capsys):
 
 
 def test_interior_margin_of_a_sampled_patch_counts_its_nan_layers(tmp_path, capsys):
-    # Sampled jets keep NaN where their stencils lack samples: 2 u-rows per
-    # side for dx and 4 for d2x, hence Y.  g's window drops 2 more, so the
-    # first finite u-row of g is row 6, as it was when NaN marked every cut.
+    # Sampled jets exist only where their stencils have samples: 2 u-rows
+    # inside each end for dx and 4 for d2x, the window the patch is built
+    # on.  g's window drops 2 more, so g starts at u-row 6 of the spec's grid.
     torus = patches.build_patch({"builtin": "torus"})
     spec = write(tmp_path, "sampled.json", {
         "samples": {"points": torus.x.tolist(), "normals": torus.xi.tolist()},
         "grid": {"u": [-np.pi / 3, np.pi / 3, 65], "v": [0, 2 * np.pi, 64], "periodic": ["v"]}})
     assert run(["surface", "analyze", "--spec", spec]) == 0
     assert read_out(capsys)["interior_margin"] == {"u": 6, "v": 0}
+
+
+def sampled_spec(tmp_path, nu, nv, builtin="torus"):
+    """Spec file of a builtin sampled on u in [-pi/3, pi/3] (nu points) and
+    nv periodic v points, and the spec file of the builtin on that grid."""
+    grid = {"u": [-np.pi / 3, np.pi / 3, nu], "v": [0, 2 * np.pi, nv], "periodic": ["v"]}
+    p = patches.build_patch({"builtin": builtin, "grid": grid})
+    return (write(tmp_path, "sampled.json", {"samples": {"points": p.x.tolist(),
+                                                         "normals": p.xi.tolist()},
+                                             "grid": grid}),
+            write(tmp_path, "builtin.json", {"builtin": builtin, "grid": grid}))
+
+
+def test_sampled_volume_is_one_integral_in_both_commands(tmp_path, capsys):
+    # The volume of a sampled patch is the integral over its window, in
+    # volume and in analyze alike.
+    spec, _ = sampled_spec(tmp_path, 33, 32)
+    assert run(["surface", "volume", "--spec", spec]) == 0
+    volume = read_out(capsys)
+    assert run(["surface", "analyze", "--spec", spec]) == 0
+    analysis = read_out(capsys)
+    assert volume["volume"] == analysis["volume"] > 0.0
+    assert volume["volume_curvature_form"] == analysis["volume_curvature_form"]
+
+
+# Fewest samples per bounded axis, by stencil order: the window of the jets
+# (2r points inside each end) must hold the 4 cascade levels of analyze
+# (19 points at order 4, 11 at order 2), and for volume the 6 samples of an
+# axis.
+@pytest.mark.parametrize("command", ["analyze", "minimality"])
+@pytest.mark.parametrize("order, nu, code", [
+    ("4", 19, 4), ("4", 22, 4), ("4", 25, 4), ("4", 26, 4), ("4", 27, 0),
+    ("2", 14, 4), ("2", 15, 0),
+])
+def test_small_sampled_grids_exit_4_naming_the_axis(command, order, nu, code, tmp_path, capsys):
+    spec, _ = sampled_spec(tmp_path, nu, 32)
+    assert run(["surface", command, "--spec", spec, "--fd-order", order]) == code
+    err = capsys.readouterr().err
+    assert ("axis 'u' with" in err) == (code == 4)
+
+
+@pytest.mark.parametrize("order, nu, code", [("4", 13, 2), ("4", 14, 0), ("2", 9, 2), ("2", 10, 0)])
+def test_sampled_volume_needs_a_window_of_6_samples(order, nu, code, tmp_path, capsys):
+    spec, _ = sampled_spec(tmp_path, nu, 32)
+    assert run(["surface", "volume", "--spec", spec, "--fd-order", order]) == code
+    err = capsys.readouterr().err
+    assert ("grid too small for finite-difference jets" in err) == (code == 2)
+
+
+def test_five_samples_are_too_few_for_jets(tmp_path, capsys):
+    # Reported as too small for the jets, not as a grid below 6 samples.
+    ones = np.ones((5, 32, 3)).tolist()
+    spec = write(tmp_path, "s.json", {"grid": {"u": [0, 1, 5], "v": [0, 1, 32], "periodic": ["v"]},
+                                      "samples": {"points": ones, "normals": ones}})
+    assert run(["surface", "volume", "--spec", spec]) == 2
+    assert "grid too small for finite-difference jets" in capsys.readouterr().err
+
+
+def test_compare_builtin_against_its_samples(tmp_path, capsys):
+    # Both patches sit on the same spec grid; they are compared over the
+    # window of the sampled one.
+    sampled, builtin = sampled_spec(tmp_path, 65, 64)
+    assert run(["surface", "compare", "--spec", builtin, "--spec2", sampled]) == 0
+    out = read_out(capsys)
+    assert out["max_g_deviation"] < 1e-9
+    assert out["max_s_eig_deviation"] < 1e-5
+
+
+def test_csv_of_a_sampled_patch_has_no_nan(tmp_path, capsys):
+    # One row per point of the patch's window: 57 u-rows of 64.
+    spec, _ = sampled_spec(tmp_path, 65, 64)
+    csv_path = tmp_path / "fields.csv"
+    assert run(["surface", "analyze", "--spec", spec, "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    rows = csv_path.read_text().lower().splitlines()
+    assert len(rows) == 1 + 57 * 64
+    assert not any("nan" in row for row in rows)
 
 
 SURFACE_FLAGS = [["--strict"], ["--fd-order", "2"], ["--grid-refine", "2"]]
@@ -262,7 +339,7 @@ def test_commands_reject_flags_they_ignore(argv, capsys):
 
 @pytest.mark.parametrize("defect, code", [(None, 0), ("shift", 4), ("scale", 4)])
 def test_sampled_r30_patch_stays_in_the_degenerate_hyperplane(defect, code, tmp_path, capsys):
-    grid = {"u": [0.3, 1.2, 25], "v": [0.3, 1.2, 25]}
+    grid = {"u": [0.3, 1.2, 27], "v": [0.3, 1.2, 27]}
     saddle = patches.build_patch({"builtin": "saddle_r30", "grid": grid})
     x, xi = saddle.x.copy(), saddle.xi.copy()
     if defect == "shift":

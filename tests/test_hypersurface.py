@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import to_grid
 from laguerre import fd, group, hypersurface, lorentz, patches, spaceforms, spheres
 from laguerre.errors import DegenerateSurfaceError
 
@@ -42,11 +43,11 @@ def test_lift_hand_values(torus_field):
 def test_lift_invariants_everywhere(torus_field):
     Y, eta = torus_field.patch.lift.Y, torus_field.patch.lift.eta
     w = lorentz.wp(3)
-    assert fd.nanmax_abs(lorentz.inner(Y, Y)) < 1e-10
-    assert fd.nanmax_abs(lorentz.inner(Y, w)) < 1e-12
-    assert fd.nanmax_abs(lorentz.inner(eta, eta)) < 1e-10
-    assert fd.nanmax_abs(lorentz.inner(eta, w) + 1.0) < 1e-12
-    assert fd.nanmax_abs(lorentz.inner(eta, Y)) < 1e-10
+    assert fd.max_abs(lorentz.inner(Y, Y)) < 1e-10
+    assert fd.max_abs(lorentz.inner(Y, w)) < 1e-12
+    assert fd.max_abs(lorentz.inner(eta, eta)) < 1e-10
+    assert fd.max_abs(lorentz.inner(eta, w) + 1.0) < 1e-12
+    assert fd.max_abs(lorentz.inner(eta, Y)) < 1e-10
 
 
 def test_mean_curvature_sphere(torus_patch, torus_field):
@@ -66,13 +67,13 @@ def test_mean_curvature_sphere(torus_patch, torus_field):
 
 def test_metric_closed_form(torus_field):
     iu = 32
-    g = fd.to_grid(torus_field.g, torus_field.patch.axes)[iu, 0]
+    g = to_grid(torus_field.g, torus_field.patch.axes)[iu, 0]
     assert np.abs(g - 2.0 * np.eye(2)).max() < 1e-3
     U = torus_field.patch.axes.meshgrid()[0]
     expect = np.zeros(U.shape + (2, 2))
     expect[..., 0, 0] = 2.0 / np.cos(U) ** 2
     expect[..., 1, 1] = 2.0
-    assert fd.nanmax_abs(np.subtract(*fd.crop(2, torus_field.g, expect))) < 1e-3
+    assert fd.max_abs(np.subtract(*fd.crop(2, torus_field.g, expect))) < 1e-3
 
 
 def test_metric_matches_exact_form_at_fine_resolution():
@@ -85,7 +86,7 @@ def test_metric_is_flat_for_torus(torus_field):
     # Gauss curvature of g vanishes identically
     riem, g = fd.crop(2, torus_field.riemann, torus_field.g)
     K = riem[..., 0, 1, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
-    assert fd.nanmax_abs(K) < 1e-5
+    assert fd.max_abs(K) < 1e-5
 
 
 def test_indefinite_metric_is_located_on_the_full_grid(torus_patch, monkeypatch):
@@ -108,19 +109,19 @@ def test_indefinite_metric_is_located_on_the_full_grid(torus_patch, monkeypatch)
 
 def test_shape_operator_spectrum(torus_field):
     dev = np.abs(torus_field.S_eigs - np.array([1.0, -1.0]) / np.sqrt(2))
-    assert fd.nanmax_abs(dev) < 1e-6
+    assert fd.max_abs(dev) < 1e-6
 
 
 def test_s_eigs_match_radii_formula(torus_field):
     sd = torus_field.patch.shape
     expect = np.sort((sd.radii - sd.r[..., None]) / sd.rho[..., None], axis=-1)[..., ::-1]
-    assert fd.nanmax_abs(torus_field.S_eigs - expect) < 1e-10
+    assert fd.max_abs(torus_field.S_eigs - expect) < 1e-10
 
 
 def test_b_eigs_match_radii_formula(torus_field):
     sd = torus_field.patch.shape
     expect = np.sort((sd.radii - sd.r[..., None]) / sd.rho[..., None], axis=-1)[..., ::-1]
-    assert fd.nanmax_abs(np.subtract(*fd.crop(2, torus_field.B_eigs, expect))) < 1e-6
+    assert fd.max_abs(np.subtract(*fd.crop(2, torus_field.B_eigs, expect))) < 1e-6
 
 
 def test_trace_conditions(torus_residuals):
@@ -132,8 +133,8 @@ def test_trace_conditions(torus_residuals):
 def test_torus_l_and_lap_norm_vanish(torus_field):
     # flat invariant metric forces tr L = 0 and a null Laplacian image
     trL = np.einsum("...ab,...ab->...", *fd.crop(2, torus_field.ginv, torus_field.L))
-    assert fd.nanmax_abs(trL) < 1e-4
-    assert fd.nanmax_abs(torus_field.lap_norm) < 1e-4
+    assert fd.max_abs(trL) < 1e-4
+    assert fd.max_abs(torus_field.lap_norm) < 1e-4
 
 
 def test_frame_pairings_coarse(torus_field):
@@ -163,7 +164,7 @@ def test_residual_convergence_under_refinement():
                      "periodic": ["v"]},
         })
         fld = hypersurface.analyze(p)
-        return {k: fd.to_grid(v, p.axes)
+        return {k: to_grid(v, p.axes)
                 for k, v in hypersurface.structural_residual_fields(fld).items()}
 
     coarse = fields(65, 64)
@@ -178,7 +179,7 @@ def test_residual_convergence_under_refinement():
 
 def sampled_torus():
     """The default 65 x 64 torus rebuilt from its samples: finite-difference
-    jets, whose NaN layers reach every residual tensor."""
+    jets, on their 57 x 64 window."""
     torus = patches.build_patch({"builtin": "torus"})
     return patches.build_patch({"samples": {"points": torus.x, "normals": torus.xi},
                                 "grid": {"u": [-np.pi / 3, np.pi / 3, 65],
@@ -188,17 +189,23 @@ def sampled_torus():
 @pytest.mark.parametrize("surface", ["torus", "torus4", "sampled"])
 def test_residual_maxima_are_the_maxima_of_the_residual_fields(surface):
     # structural_residuals reduces each residual tensor as it is formed;
-    # its values are those of the per-point fields, with or without NaN.
+    # its values are those of the per-point fields.
     if surface == "sampled":
         patch = sampled_torus()
     else:
         patch = patches.build_patch({"builtin": surface})
     fld = hypersurface.analyze(patch)
     fields = hypersurface.structural_residual_fields(fld)
-    if surface == "sampled":
-        assert any(np.isnan(v).any() for v in fields.values())
     maxima = hypersurface.structural_residuals(fld)
-    assert {k: maxima[k] for k in fields} == {k: fd.nanmax_abs(v) for k, v in fields.items()}
+    assert {k: maxima[k] for k in fields} == {k: fd.max_abs(v) for k, v in fields.items()}
+
+
+def test_raw_B_asymmetry_is_bounded(graph3_field):
+    # <d_a eta, d_b Y> is symmetric up to discretization: small, not zero.
+    B_raw = graph3_field.B_raw
+    asym = graph3_field.diagnostics["raw_B_asymmetry"]
+    assert asym == fd.max_abs(B_raw - np.swapaxes(B_raw, -1, -2))
+    assert 0.0 < asym < 1e-4
 
 
 def test_b_diagonal_in_principal_gauge(torus_field):
@@ -207,7 +214,7 @@ def test_b_diagonal_in_principal_gauge(torus_field):
     sd = torus_field.patch.shape
     diag = (sd.radii - sd.r[..., None]) / sd.rho[..., None]
     got, want = fd.crop(2, np.sort(torus_field.B_eigs, axis=-1), np.sort(diag, axis=-1))
-    assert fd.nanmax_abs(got - want) < 1e-6
+    assert fd.max_abs(got - want) < 1e-6
 
 
 # --- transform equivariance ---------------------------------------------------
@@ -218,8 +225,8 @@ def test_lift_equivariance_under_group(torus_patch, torus_field):
     fld2 = hypersurface.analyze(moved)
     Y_push = np.einsum("...i,ij->...j", torus_field.patch.lift.Y, T.matrix)
     eta_push = np.einsum("...i,ij->...j", torus_field.patch.lift.eta, T.matrix)
-    assert fd.nanmax_abs(fld2.patch.lift.Y - Y_push) < 1e-8
-    assert fd.nanmax_abs(fld2.patch.lift.eta - eta_push) < 1e-8
+    assert fd.max_abs(fld2.patch.lift.Y - Y_push) < 1e-8
+    assert fd.max_abs(fld2.patch.lift.eta - eta_push) < 1e-8
 
 
 def test_invariants_preserved_under_group(torus_patch, torus_field):
@@ -290,8 +297,8 @@ def test_invariants_preserved_over_parameter_families(family, examples):
         assume(np.abs(image_radii(patch, T)).min() > 0.05)
         f1 = hypersurface.analyze(patch)
         f2 = hypersurface.analyze(hypersurface.transform_patch(T, patch))
-        assert fd.nanmax_abs(f2.g - f1.g) <= 1e-10 * fd.nanmax_abs(f1.g)
-        assert fd.nanmax_abs(f2.S_op - f1.S_op) <= 1e-12 * fd.nanmax_abs(f1.S_op)
+        assert fd.max_abs(f2.g - f1.g) <= 1e-10 * fd.max_abs(f1.g)
+        assert fd.max_abs(f2.S_op - f1.S_op) <= 1e-12 * fd.max_abs(f1.S_op)
 
     check()
 
@@ -319,8 +326,8 @@ def assert_jets_exact(patch):
     for field, jet in (("x", "dx"), ("dx", "d2x"), ("xi", "dxi"), ("dxi", "d2xi")):
         exact = getattr(patch, jet)
         diff = fd.gradient(getattr(patch, field), patch.axes)
-        assert (fd.nanmax_abs(np.subtract(*fd.crop(patch.ngrid, diff, exact)))
-                <= JET_REL * fd.nanmax_abs(exact)), jet
+        assert (fd.max_abs(np.subtract(*fd.crop(patch.ngrid, diff, exact)))
+                <= JET_REL * fd.max_abs(exact)), jet
 
 
 def test_mapped_patches_keep_the_stencil_order():
@@ -376,8 +383,8 @@ def test_transform_through_a_cusp_names_the_radius():
 
 
 def test_transform_of_a_sampled_patch_through_a_cusp_names_a_finite_radius():
-    # The same image from samples: its radii are NaN in the jet margins, so
-    # the diagnosis must skip them and name the smallest finite radius.
+    # The same image from samples: the patch is the window of its jets, and
+    # the diagnosis names the smallest radius there in the spec's grid.
     builtin = patches.build_patch({"builtin": "torus4", "params": {"R": 1.5, "a": 0.5625}})
     grid = {"u": [-np.pi / 3, np.pi / 3, 33], "v": [np.pi / 4, 3 * np.pi / 4, 25],
             "w": [0.0, 2 * np.pi, 24], "periodic": ["w"]}
@@ -404,7 +411,8 @@ def test_radius_sign_change_alone_is_not_rejected(torus_patch, monkeypatch):
         script = workloads.transform_script(rng)
     T = group.compose_script(script)
     # Image radius i is the last entry of (gamma1 + r_i gamma2) T.
-    g1, g2 = (member[0] @ T.matrix for member in hypersurface.pencil_jets(torus_patch))
+    g1, g2 = (member @ T.matrix for member in spheres.contact_pencil(torus_patch.x,
+                                                                      torus_patch.xi))
     radii = g1[..., -1] + torus_patch.shape.radii[..., 1] * g2[..., -1]
     assert radii.min() < 0 < radii.max()
     hypersurface.analyze(hypersurface.transform_patch(T, torus_patch))
@@ -428,7 +436,7 @@ def test_curvature_quotient_invariant_in_higher_dim():
         return (rad[..., 0] - rad[..., 1]) / (rad[..., 0] - rad[..., 2])
 
     q1, q2 = quotient(sd), quotient(sd2)
-    assert fd.nanmax_abs(q1 - q2) < 1e-8
+    assert fd.max_abs(q1 - q2) < 1e-8
     assert np.nanstd(q1) > 1e-3  # the quotient genuinely varies on this patch
 
 
@@ -481,7 +489,7 @@ def test_higher_dim_l_recovered_from_curvature():
     ricci, scalar, g, L = fd.crop(3, fld.ricci, fld.scalar, fld.g, fld.L)
     trL_from = -scalar / 4.0
     L_curv = -ricci - trL_from[..., None, None] * g
-    assert fd.nanmax_abs(L_curv - L) < 1e-3
+    assert fd.max_abs(L_curv - L) < 1e-3
 
 
 def test_frame_and_tensors_entry_point(torus_patch):

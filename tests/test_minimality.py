@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import to_grid
 from laguerre import fd, hypersurface, minimality, patches, spaceforms
 from laguerre.errors import UsageError
 
@@ -19,19 +20,17 @@ def test_torus_el_residual_closed_form(torus_field):
     assert abs(np.nanmedian(np.abs(div_form)) - expect) < 1e-5
     assert abs(np.nanmedian(np.abs(sum_form)) - expect) < 1e-5
     # n = 3: the forms coincide
-    assert fd.nanmax_abs(np.subtract(*fd.crop(2, sum_form, div_form))) < 1e-3
+    assert fd.max_abs(np.subtract(*fd.crop(2, sum_form, div_form))) < 1e-3
 
 
 def test_torus_laplacian_r_closed_form(torus_patch, torus_shape):
     lap = minimality.third_form_laplacian_r(torus_patch, torus_shape.r)
-    assert fd.to_grid(lap, torus_patch.axes)[32, 0] == pytest.approx(-1.0, abs=1e-4)
+    assert to_grid(lap, torus_patch.axes)[32, 0] == pytest.approx(-1.0, abs=1e-4)
     U = torus_patch.axes.meshgrid()[0]
     closed, lap = fd.crop(2, -np.cos(U) ** -3, lap)  # -(R/2) sec^3 u with R = 2
-    mask = np.isfinite(lap)
-    assert fd.nanmax_abs(lap - np.where(mask, closed, np.nan)) < 1e-3
-    # the max over the valid region matches the closed form at its edge
-    edge = np.nanmax(np.abs(np.where(mask, closed, np.nan)))
-    assert fd.nanmax_abs(lap) == pytest.approx(edge, rel=1e-3)
+    assert fd.max_abs(lap - closed) < 1e-3
+    # the max over the window matches the closed form at its edge
+    assert fd.max_abs(lap) == pytest.approx(fd.max_abs(closed), rel=1e-3)
 
 
 def test_laplacian_requires_surface_case():
@@ -43,7 +42,7 @@ def test_laplacian_requires_surface_case():
 def test_laplacian_annihilates_constants(torus_patch, torus_shape):
     lap1 = minimality.third_form_laplacian_r(torus_patch, torus_shape.r)
     lap2 = minimality.third_form_laplacian_r(torus_patch, torus_shape.r + 17.5)
-    assert fd.nanmax_abs(lap1 - lap2) < 1e-10
+    assert fd.max_abs(lap1 - lap2) < 1e-10
 
 
 def test_bridge_identity_on_torus(torus_patch, torus_report):
@@ -58,6 +57,32 @@ def test_eta_laplacian_expansion(torus_report):
     assert diag["y_component_vs_el"] < 1e-3
     assert diag["eta_component"] < 1e-8
     assert diag["n_component"] < 1e-3
+
+
+def test_tangent_vs_C_where_C_does_not_vanish(graph3_field):
+    # n = 4: the tangent components of Delta eta are (n - 3) C_i = C_i, and
+    # C is of order 5 on this graph.
+    diag = minimality.eta_laplacian_diagnostics(graph3_field)
+    assert fd.max_abs(graph3_field.C_frame) > 1.0
+    assert diag["tangent_vs_C"] < 1e-3 * fd.max_abs(graph3_field.C_frame)
+
+
+def test_reported_el_forms_discrepancy():
+    # n = 4: the report's discrepancy is max |sum form - 2 div form|, small
+    # but not zero.
+    fld = hypersurface.analyze(patches.build_patch({"builtin": "torus4"}))
+    reported = minimality.minimality_report(fld).to_json()["el_forms_discrepancy"]
+    sum_form, div_form = minimality.el_residual(fld)
+    assert reported == fd.max_abs(np.subtract(*fd.crop(3, sum_form, 2.0 * div_form)))
+    assert 0.0 < reported < 5e-3
+
+
+def test_default_threshold_is_pinned(torus_patch, torus_report):
+    # 1e-3 times the grid median of rho^3, with rho = sqrt(2) sec u on the torus.
+    U = torus_patch.axes.meshgrid()[0]
+    expect = 1e-3 * np.median((np.sqrt(2.0) / np.cos(U)) ** 3)
+    assert torus_report.threshold == pytest.approx(expect, rel=1e-12)
+    assert torus_report.to_json()["threshold"] == torus_report.threshold
 
 
 def test_embedded_catenoid_is_minimal(embedded_catenoid):
@@ -81,7 +106,7 @@ def test_el_forms_scale_relation():
     p = patches.build_patch({"builtin": "torus4"})
     fld = hypersurface.analyze(p)
     sum_form, div_form = minimality.el_residual(fld)
-    assert fd.nanmax_abs(np.subtract(*fd.crop(3, sum_form, 2.0 * div_form))) < 5e-3
+    assert fd.max_abs(np.subtract(*fd.crop(3, sum_form, 2.0 * div_form))) < 5e-3
 
 
 def test_minimality_verdict_invariant_under_group(torus_patch, torus_field):
@@ -96,7 +121,7 @@ def test_minimality_verdict_invariant_under_group(torus_patch, torus_field):
     assert rep1.verdict == rep2.verdict == "non-minimal"
     s1, d1 = minimality.el_residual(torus_field)
     s2, d2 = minimality.el_residual(fld2)
-    assert fd.nanmax_abs(d1 - d2) < 1e-6
+    assert fd.max_abs(d1 - d2) < 1e-6
 
 
 @pytest.mark.parametrize("native", ["catenoid_patch", "saddle_patch"])

@@ -193,9 +193,9 @@ def test_embeddings_preserve_oriented_contact():
 def test_catenoid_shape_data(catenoid_patch):
     sd = catenoid_patch.shape
     U = catenoid_patch.axes.meshgrid()[0]
-    assert fd.nanmax_abs(sd.r) < 1e-12
-    assert fd.nanmax_abs(sd.rho - np.sqrt(2) * U * U) < 1e-10
-    assert fd.nanmax_abs(np.sort(sd.k, axis=-1) - np.stack([-U ** -2, U ** -2], -1)) < 1e-10
+    assert fd.max_abs(sd.r) < 1e-12
+    assert fd.max_abs(sd.rho - np.sqrt(2) * U * U) < 1e-10
+    assert fd.max_abs(np.sort(sd.k, axis=-1) - np.stack([-U ** -2, U ** -2], -1)) < 1e-10
 
 
 def test_transfer_catenoid(catenoid_patch, embedded_catenoid):
@@ -239,6 +239,22 @@ def test_transfer_defects_over_space_form_families(family):
             assert val <= 1e-6, key
 
     check()
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(SPACEFORM_FAMILIES["maximal_catenoid_r31"])
+def test_embedded_patch_is_the_embedded_element_at_every_point(spec):
+    # embed_patch reads the image off the pencil jets; at each grid point it
+    # is sigma of that point's contact element (a generic one: x != 0 and xi
+    # not the time axis, so every entry of the pencil tails matters).
+    native = patches.build_patch(spec)
+    emb = spaceforms.embed_patch(native)
+    images = [spaceforms.embed_element(ContactElement(native.x[i], native.xi[i], "r31"))
+              for i in np.ndindex(native.axes.shape)]
+    x = np.reshape([el.x for el in images], emb.x.shape)
+    xi = np.reshape([el.xi for el in images], emb.xi.shape)
+    assert np.abs(x - emb.x).max() <= 1e-12 * np.abs(emb.x).max()
+    assert np.abs(xi - emb.xi).max() <= 1e-12
 
 
 def test_transfer_saddle(saddle_patch):
