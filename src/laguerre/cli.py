@@ -79,19 +79,18 @@ def _jsonable(value):
     return value
 
 
-def _build_patch_from_args(args, path: str) -> patches.SurfacePatch:
-    """Patch of the spec at ``path``; its grid carries the stencil order and
-    the refinement factor."""
-    return patches.build_patch(_load_json(path), args.fd_order, args.grid_refine)
+def _build_patch_from_args(args, spec: dict) -> patches.SurfacePatch:
+    """Patch of a loaded spec, on a grid of the stencil order and refinement of ``args``."""
+    return patches.build_patch(spec, args.fd_order, args.grid_refine)
 
 
-def _euclidean_patch(args, path: str) -> patches.SurfacePatch:
-    """Patch of the spec at ``path`` in R^n: space-form patches are embedded.
+def _euclidean_patch(args, spec: dict) -> patches.SurfacePatch:
+    """Patch of a loaded spec in R^n: space-form patches are embedded.
 
     Euclidean patches skip ``embed_patch``, an identity on them, so layer
     traces count only real embeddings.
     """
-    patch = _build_patch_from_args(args, path)
+    patch = _build_patch_from_args(args, spec)
     return patch if patch.space == "r3" else spaceforms.embed_patch(patch)
 
 
@@ -139,11 +138,15 @@ def cmd_group_decompose(args) -> dict:
     }
 
 
+def _extrema(eigs: np.ndarray) -> dict:
+    """Per-component min and max over the grid, one reduction per component."""
+    return {end: [getattr(c, end)() for c in fd.components(eigs)] for end in ("min", "max")}
+
+
 def _analysis_payload(patch, fld, residuals) -> dict:
     # The spec's grid, which a sampled patch's window sits inside: g's
     # margin counts from its ends.
     axes = patch.spec_axes
-    grid_axes = tuple(range(axes.ndim))
     shape = patch.shape
     payload = {
         "space": patch.space,
@@ -162,10 +165,8 @@ def _analysis_payload(patch, fld, residuals) -> dict:
             "rho_min": float(shape.rho.min()),
             "rho_max": float(shape.rho.max()),
         },
-        "s_eigenvalues": {"min": fld.S_eigs.min(axis=grid_axes),
-                          "max": fld.S_eigs.max(axis=grid_axes)},
-        "b_eigenvalues": {"min": fld.B_eigs.min(axis=grid_axes),
-                          "max": fld.B_eigs.max(axis=grid_axes)},
+        "s_eigenvalues": _extrema(fld.S_eigs),
+        "b_eigenvalues": _extrema(fld.B_eigs),
         "residuals": residuals,
         "diagnostics": fld.diagnostics,
         "volume": hypersurface.laguerre_volume(patch),
@@ -178,16 +179,11 @@ def _analysis_payload(patch, fld, residuals) -> dict:
 def _write_csv(path: str, patch, fld) -> None:
     axes = patch.axes
     coords = np.meshgrid(*axes.coords(), indexing="ij")
-    m = axes.ndim
-    cols = [(nm, coords[i]) for i, nm in enumerate(axes.names)]
-    for i in range(patch.ambient_dim):
-        cols.append((f"x{i + 1}", patch.x[..., i]))
-    for i in range(m):
-        cols.append((f"k{i + 1}", patch.shape.k[..., i]))
-    cols.append(("r", patch.shape.r))
-    cols.append(("rho", patch.shape.rho))
-    for i in range(m):
-        cols.append((f"s_eig{i + 1}", fld.S_eigs[..., i]))
+    cols = list(zip(axes.names, coords))
+    cols += [(f"x{i + 1}", c) for i, c in enumerate(fd.components(patch.x))]
+    cols += [(f"k{i + 1}", c) for i, c in enumerate(fd.components(patch.shape.k))]
+    cols += [("r", patch.shape.r), ("rho", patch.shape.rho)]
+    cols += [(f"s_eig{i + 1}", c) for i, c in enumerate(fd.components(fld.S_eigs))]
     header = ",".join(name for name, _ in cols)
     data = np.column_stack([arr.reshape(-1) for _, arr in cols])
     np.savetxt(path, data, delimiter=",", header=header, comments="")
@@ -202,7 +198,7 @@ def _strict_gate(residuals: dict, tol: float) -> None:
 
 
 def cmd_surface_analyze(args) -> dict:
-    patch = _euclidean_patch(args, args.spec)
+    patch = _euclidean_patch(args, _load_json(args.spec))
     fld = hypersurface.analyze(patch)
     residuals = hypersurface.structural_residuals(fld)
     payload = _analysis_payload(patch, fld, residuals)
@@ -214,7 +210,7 @@ def cmd_surface_analyze(args) -> dict:
 
 
 def cmd_surface_minimality(args) -> dict:
-    fld = hypersurface.analyze(_euclidean_patch(args, args.spec))
+    fld = hypersurface.analyze(_euclidean_patch(args, _load_json(args.spec)))
     rep = minimality.minimality_report(fld, threshold=args.threshold)
     if args.strict and not rep.consistent:
         raise ToleranceBreachError("strict mode: the two minimality criteria disagree")
@@ -222,7 +218,7 @@ def cmd_surface_minimality(args) -> dict:
 
 
 def cmd_surface_volume(args) -> dict:
-    patch = _euclidean_patch(args, args.spec)
+    patch = _euclidean_patch(args, _load_json(args.spec))
     payload = {"volume": hypersurface.laguerre_volume(patch)}
     if patch.n == 3:
         payload["volume_curvature_form"] = hypersurface.volume_via_curvature_quotient(patch)
@@ -235,8 +231,11 @@ def cmd_surface_volume(args) -> dict:
 
 
 def cmd_surface_compare(args) -> dict:
-    p1 = _euclidean_patch(args, args.spec)
-    p2 = _euclidean_patch(args, args.spec2)
+    spec = _load_json(args.spec)
+    p1 = _euclidean_patch(args, spec)
+    # The invariance check compares a spec with its own image: one build.
+    spec2 = _load_json(args.spec2)
+    p2 = p1 if spec2 == spec else _euclidean_patch(args, spec2)
     if args.transform:
         T = group.compose_script(_load_json(args.transform))
         p2 = hypersurface.transform_patch(T, p2)
@@ -249,7 +248,7 @@ def cmd_surface_compare(args) -> dict:
 
 
 def cmd_surface_embed(args) -> dict:
-    native = _build_patch_from_args(args, args.spec)
+    native = _build_patch_from_args(args, _load_json(args.spec))
     if native.space == "r3":
         raise UsageError("embed expects a space tag 'r31' or 'r30' in the spec")
     embedded = spaceforms.embed_patch(native)

@@ -24,6 +24,7 @@ every tensor rank.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,13 +214,16 @@ def metric_pairing(P: np.ndarray, Q: np.ndarray, ginv: np.ndarray) -> np.ndarray
                      W.reshape(W.shape[:-2] + (m * m,)))
 
 
-def require_interior(grid: GridAxes, levels: int) -> None:
-    """Fail early when a cascade of ``levels`` derivatives eats the grid."""
+def require_interior(grid: GridAxes, levels: int, spec: GridAxes | None = None) -> None:
+    """Fail early when a cascade of ``levels`` derivatives eats the grid; the
+    message names the counts of ``spec``, the user's grid ``grid`` is a window of."""
     margin = RADIUS[grid.order] * levels
-    for name, count, per in zip(grid.names, grid.counts, grid.periodic):
+    for name, count, given, per in zip(grid.names, grid.counts, (spec or grid).counts, grid.periodic):
         if not per and count <= 2 * margin + 2:
+            cut = (f" ({count} after the jets' cut of {(given - count) // 2} per side)"
+                   if given > count else "")
             raise InsufficientInteriorError(
-                f"axis {name!r} with {count} points cannot support {levels} cascaded "
+                f"axis {name!r} with {given} points{cut} cannot support {levels} cascaded "
                 f"derivative levels (needs margin {margin} per side)"
             )
 
@@ -227,6 +231,21 @@ def require_interior(grid: GridAxes, levels: int) -> None:
 def component_max_abs(f: np.ndarray, ngrid: int) -> np.ndarray:
     """Grid field of the largest |component| of f."""
     return np.abs(f).reshape(f.shape[:ngrid] + (-1,)).max(axis=-1)
+
+
+def components(f: np.ndarray) -> list:
+    """The grid fields (views) of the last axis of f: one whole-grid operation
+    each, in order, is numpy's reduction over a short axis, bit for bit."""
+    return list(np.moveaxis(f, -1, 0))
+
+
+def ascending(columns: list) -> list:
+    """The grid fields sorted pointwise, in place: compare-exchange of every
+    pair i < j in order, a sorting network."""
+    for i, j in itertools.combinations(range(len(columns)), 2):
+        columns[i], columns[j] = (np.minimum(columns[i], columns[j]),
+                                  np.maximum(columns[i], columns[j]))
+    return columns
 
 
 def max_abs(field: np.ndarray) -> float:
@@ -331,10 +350,7 @@ def _small_eigvalsh(a: np.ndarray) -> np.ndarray:
                     off[rp], off[rq] = c * off[rp] - s * off[rq], s * off[rp] + c * off[rq]
         if not rotated:
             break
-    # Ascending order by compare-exchange, pair by pair: a sorting network.
-    for i, j in pairs:
-        d[i], d[j] = np.minimum(d[i], d[j]), np.maximum(d[i], d[j])
-    return np.stack(d, axis=-1)
+    return np.stack(ascending(d), axis=-1)
 
 
 def _batched(closed, lapack, mat: np.ndarray) -> np.ndarray:

@@ -15,13 +15,14 @@ Gram-Schmidt on the coordinate derivatives, and the tensor fields
 
     B_ab = <d_a eta, d_b Y>,  L_ab = <d_a N, d_b Y>,  C_a = -<d_a N, eta>,
 
-together with the shape operator rho^{-1}(S^{-1} - r id).  Everything
-built from derivatives of grid fields uses cascaded central differences
-of the order the patch grid carries.  Each field is stored on its window,
-the part of the grid where it is defined: every cascade level drops the
-stencil radius from both ends of each non-periodic axis (g and B have
-margin r, Gamma and N 2r, L, C and the curvature tensors 3r, nabla C 4r),
-and a pointwise formula runs on its operands cut to their common window
+together with the shape operator rho^{-1}(S^{-1} - r id), whose spectrum
+(r_i - r) / rho is read off the curvature radii.  Everything built from
+derivatives of grid fields uses cascaded central differences of the order
+the patch grid carries.  Each field is stored on its window, the part of
+the grid where it is defined: every cascade level drops the stencil radius
+from both ends of each non-periodic axis (g and B have margin r, Gamma, N
+and div B 2r, L, C, the curvature tensors and B_ab,ab 3r, nabla C 4r), and a
+pointwise formula runs on its operands cut to their common window
 (``fd.crop``).  Patch-level fields (the shape data, S_op and its spectrum)
 cover the patch's whole grid, which for a sampled patch is already the
 window of its jets (``patches``), so no field holds a NaN.
@@ -29,15 +30,15 @@ window of its jets (``patches``), so no field holds a NaN.
 ``analyze`` only guards: it checks the space, the grid's interior and the
 positive definiteness of g, so every command fails at the same point with
 the same error.  Every field of ``InvariantField`` -- g and its inverse,
-Gamma, N, the frame, B, L, C, the spectra, the curvature tensors and the
-covariant derivatives -- is computed on first read and cached, so a command
-pays only for the fields it reports.
+Gamma, N, the frame, B, L, C, the spectra, the curvature tensors, the
+covariant derivatives and div B -- is computed on first read and cached, so
+a command pays only for the fields it reports, and each field once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -172,9 +173,11 @@ class InvariantField:
 
     @cached_property
     def S_eigs(self) -> np.ndarray:
-        """Eigenvalues of S_op (self-adjoint for I), descending."""
-        patch = self.patch
-        return fd.selfadjoint_eigvals(self.S_op, patch.I, patch.Linv)[..., ::-1]
+        """Eigenvalues of S_op, descending: (r_i - r) / rho, since S^{-1} has
+        the curvature radii r_i for eigenvalues."""
+        shape = self.patch.shape
+        eigs = [(radius - shape.r) / shape.rho for radius in fd.components(shape.radii)]
+        return np.stack(fd.ascending(eigs)[::-1], axis=-1)
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -211,6 +214,11 @@ class InvariantField:
         return fd.cov_d_covector(self.C, self.Gamma, self.patch.axes)
 
     @cached_property
+    def divB(self) -> np.ndarray:
+        """(div B)_b = g^ca nabla_c B_ab."""
+        return np.einsum("...ca,...cab->...b", *self.crop(self.ginv, self.DB))
+
+    @cached_property
     def divC(self) -> np.ndarray:
         """div C = g^ca nabla_c C_a."""
         return np.einsum("...ab,...ab->...", *self.crop(self.ginv, self.DC))
@@ -230,7 +238,7 @@ def analyze(patch: SurfacePatch) -> InvariantField:
     """
     if patch.space != "r3":
         raise UsageError("analyze needs an r3 patch; embed space forms first")
-    fd.require_interior(patch.axes, MAX_CASCADE_LEVELS)
+    fd.require_interior(patch.axes, MAX_CASCADE_LEVELS, patch.spec_axes)
     fld = InvariantField(patch)
     idx = fd.nonpositive_index(fld.g, fld.minors)
     if idx is not None:
@@ -294,8 +302,7 @@ def _structure_identities(fld: InvariantField, flat) -> dict:
     trL = np.einsum("...ab,...ab->...", ginv3, L3)
     res["l_trace_vs_lap"] = flat(np.add(*crop(trL, fld.lap_norm / (2.0 * (n - 1)))))
 
-    divB = np.einsum("...ca,...cab->...b", *crop(ginv, DB))
-    res["b_divergence"] = flat(minus(divB, (n - 2) * C))
+    res["b_divergence"] = flat(minus(fld.divB, (n - 2) * C))
 
     ricci, L3, trL, g3 = crop(fld.ricci, L, trL, g)
     res["ricci_vs_l"] = flat(ricci + (n - 3) * L3 + trL[..., None, None] * g3)
@@ -356,7 +363,8 @@ def laguerre_volume(patch: SurfacePatch) -> float:
     element is pointwise exact; the quadrature is the only approximation.
     """
     shape = patch.shape
-    integrand = shape.rho ** (patch.n - 1) / np.prod(shape.radii, axis=-1) * patch.area_element
+    radii_product = reduce(np.multiply, fd.components(shape.radii))
+    integrand = shape.rho ** (patch.n - 1) / radii_product * patch.area_element
     return fd.integrate(integrand, patch.axes)
 
 

@@ -5,9 +5,12 @@ A patch is critical for the invariant volume functional exactly when
     sum_{ij} (B_{ij,ij} - L_ij B_ij) = 0,
 
 equivalently div C - <L, B> / (n - 2) = 0 (the two differ by the factor
-n - 2 through the divergence identity for B).  For surfaces (n = 3) the
-same condition reads Delta_{III} r = 0 with the Laplacian of the third
-fundamental form applied to the mean curvature radius, and the bridge
+n - 2 through the divergence identity for B).  B_{ij,ij} is div W with
+W^b = g^{bd} (div B)_d, one Laplace-Beltrami of the div B the structure
+identities read: no second covariant derivative of B is formed.  For
+surfaces (n = 3) the same condition reads Delta_{III} r = 0 with the
+Laplacian of the third fundamental form applied to the mean curvature
+radius, and the bridge
 
     Delta_{III} r = rho^3 * (-div C + <L, B>)
 
@@ -59,19 +62,6 @@ class MinimalityReport:
         }
 
 
-def double_divergence(DDB: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """B_{ab,ab} = g^ca g^db DDB_dcab from DDB_dcab = nabla_d nabla_c B_ab.
-
-    Contraction pattern: inner derivative with the first tensor slot, outer
-    derivative with the second.  The inner pair (c, a) goes first, leaving
-    T_db = g^ca DDB_dcab.
-    """
-    m = ginv.shape[-1]
-    lead = ginv.shape[:-2]
-    T = ginv.reshape(lead + (1, 1, m * m)) @ DDB.reshape(lead + (m, m * m, m))
-    return np.einsum("...db,...db->...", ginv, T[..., 0, :])
-
-
 def el_residual(fld: InvariantField):
     """Pointwise residuals of both forms of the criticality equation.
 
@@ -80,8 +70,8 @@ def el_residual(fld: InvariantField):
     to discretization error.
     """
     crop = fld.crop
-    DDB = fd.cov_d_tensor3(fld.DB, fld.Gamma, fld.patch.axes)
-    sum_form = np.subtract(*crop(double_divergence(*crop(DDB, fld.ginv)), fld.LB))
+    div_divB = fd.laplace_beltrami(fld.divB[..., None], fld.ginv, fld.sqrt_det, fld.patch.axes)
+    sum_form = np.subtract(*crop(div_divB[..., 0], fld.LB))
     divC, LB = crop(fld.divC, fld.LB)
     div_form = divC - LB / (fld.patch.n - 2)
     return sum_form, div_form

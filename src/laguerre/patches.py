@@ -47,7 +47,7 @@ normalization and contact tolerances follow the jets provenance in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -129,9 +129,8 @@ class SurfacePatch:
 
     @property
     def diameter(self) -> float:
-        mins = self.x.reshape(-1, self.ambient_dim).min(axis=0)
-        maxs = self.x.reshape(-1, self.ambient_dim).max(axis=0)
-        return float(np.linalg.norm(maxs - mins))
+        """Diagonal of the bounding box, one whole-grid min and max per component."""
+        return float(np.linalg.norm([c.max() - c.min() for c in fd.components(self.x)]))
 
     @cached_property
     def dxi(self) -> np.ndarray:
@@ -267,8 +266,9 @@ def shape_data(patch: SurfacePatch) -> ShapeData:
         )
 
     radii = 1.0 / vals
-    r = radii.mean(axis=-1)
-    rho = np.sqrt(np.sum((radii - r[..., None]) ** 2, axis=-1))
+    columns = fd.components(radii)
+    r = reduce(np.add, columns) / len(columns)
+    rho = np.sqrt(reduce(np.add, [(c - r) ** 2 for c in columns]))
     umb_tol = UMBILIC_TOL_FACTOR * diam
     umb = rho <= umb_tol
     if umb.any():

@@ -153,32 +153,19 @@ def transfer_check(native: SurfacePatch, embedded: SurfacePatch) -> dict:
     if native.space not in ("r31", "r30"):
         raise UsageError("transfer checks start from a Lorentzian or degenerate patch")
 
-    shape_n, shape_e = native.shape, embedded.shape
+    shape_n, shape_e, lift_n, lift_e = native.shape, embedded.shape, native.lift, embedded.lift
     xi1 = native.xi[..., -1]
     x1 = native.x[..., -1]
-
-    mapped = np.sort(shape_n.radii * xi1[..., None] + x1[..., None], axis=-1)
-    actual = np.sort(shape_e.radii, axis=-1)
-    radii_defect = fd.max_abs(actual - mapped)
-
-    rho_defect = fd.max_abs(shape_e.rho - np.abs(xi1) * shape_n.rho)
-
-    lift_n, lift_e = native.lift, embedded.lift
-    sign = np.sign(xi1)[..., None]
-    Y_defect = fd.max_abs(lift_e.Y - sign * lift_n.Y)
-    eta_defect = fd.max_abs(lift_e.eta - lift_n.eta)
-
-    g_defect = fd.max_abs(embedded.g_exact - native.g_exact)
-
+    # Both sets of radii sorted pointwise, component by component.
+    mapped = fd.ascending([radius * xi1 + x1 for radius in fd.components(shape_n.radii)])
+    actual = fd.ascending(fd.components(shape_e.radii))
     report = {
-        "radii_map": radii_defect,
-        "rho_scaling": rho_defect,
-        "Y_transfer": Y_defect,
-        "eta_transfer": eta_defect,
-        "g_transfer": g_defect,
+        "radii_map": max(fd.max_abs(a - b) for a, b in zip(actual, mapped)),
+        "rho_scaling": fd.max_abs(shape_e.rho - np.abs(xi1) * shape_n.rho),
+        "Y_transfer": fd.max_abs(lift_e.Y - np.sign(xi1)[..., None] * lift_n.Y),
+        "eta_transfer": fd.max_abs(lift_e.eta - lift_n.eta),
+        "g_transfer": fd.max_abs(embedded.g_exact - native.g_exact),
     }
-    for key, val in proposition_pairings(native).items():
-        report[f"native_{key}"] = val
-    for key, val in proposition_pairings(embedded).items():
-        report[f"euclidean_{key}"] = val
+    for side, patch in (("native", native), ("euclidean", embedded)):
+        report.update({f"{side}_{key}": val for key, val in proposition_pairings(patch).items()})
     return report

@@ -215,6 +215,35 @@ def test_surface_compare_grid_refine_refines_both_specs(tmp_path, capsys):
     assert out["max_g_deviation"] == 0.0
 
 
+def test_compare_builds_one_patch_for_equal_specs(torus_spec_file, tmp_path, monkeypatch,
+                                                  capsys):
+    # A second file of equal content reuses the first patch; a spec that
+    # differs only in leaving a default out builds its own, with
+    # byte-identical output.
+    T = group.random_transform(np.random.default_rng(9), 3, factors=4,
+                               translation_scale=0.3, flow_scale=0.2)
+    script = write(tmp_path, "t.json", [{"kind": "matrix", "rows": T.matrix.tolist()}])
+    spec = json.loads(Path(torus_spec_file).read_text())
+    copy = write(tmp_path, "copy.json", spec)
+    implicit = write(tmp_path, "implicit.json", {k: v for k, v in spec.items() if k != "normal"})
+    builds = counted(monkeypatch, patches, "build_patch")
+    outputs = []
+    for spec2 in (copy, implicit):
+        builds.clear()
+        assert run(["surface", "compare", "--spec", torus_spec_file, "--spec2", spec2,
+                    "--transform", script]) == 0
+        outputs.append((len(builds), capsys.readouterr().out))
+    assert [count for count, _ in outputs] == [1, 2]
+    assert outputs[0][1] == outputs[1][1]
+
+
+def test_compare_builds_its_spec_before_reading_spec2(tmp_path, capsys):
+    sphere = write(tmp_path, "sphere.json", {"builtin": "sphere"})
+    assert run(["surface", "compare", "--spec", sphere,
+                "--spec2", str(tmp_path / "missing.json")]) == 4
+    assert "umbilic" in capsys.readouterr().err
+
+
 def test_interior_margin_matches_nan_layout(torus_spec_file, torus_field, capsys):
     assert run(["surface", "analyze", "--spec", torus_spec_file]) == 0
     out = read_out(capsys)
@@ -281,6 +310,14 @@ def test_small_sampled_grids_exit_4_naming_the_axis(command, order, nu, code, tm
     assert run(["surface", command, "--spec", spec, "--fd-order", order]) == code
     err = capsys.readouterr().err
     assert ("axis 'u' with" in err) == (code == 4)
+
+
+def test_small_sampled_grid_message_names_the_spec_count(tmp_path, capsys):
+    # The jets' window of the 19 x 32 sampled torus keeps 11 of its 19 u-rows.
+    spec, _ = sampled_spec(tmp_path, 19, 32)
+    assert run(["surface", "analyze", "--spec", spec]) == 4
+    assert ("axis 'u' with 19 points (11 after the jets' cut of 4 per side) cannot support 4 "
+            "cascaded derivative levels" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("order, nu, code", [("4", 13, 2), ("4", 14, 0), ("2", 9, 2), ("2", 10, 0)])
@@ -470,21 +507,23 @@ def counted(monkeypatch, module, name):
 
 # Calls a command makes to functions whose results are read on demand: the
 # I Gram and the cone lift once per patch that needs them, the curvature
-# tensor and the B and S spectra only for the commands that report them, and
+# tensor and the B spectrum only for the commands that report them, and
 # the second normal jets only where a group action or an embedding reads
-# them.  grid_eigvalsh also runs once per shape_data (principal curvatures).
+# them.  grid_eigvalsh also runs once per shape_data (principal curvatures);
+# the S spectrum is read off the curvature radii, with no eigensolver.
 # The stencil count (fd.gradient, including the calls inside the fd kernels)
 # is the one the benchmark tracer reports per request; the Laplacians of Y
-# and eta take no gradient of their own but reuse dY and deta.
+# and eta take no gradient of their own but reuse dY and deta, and the
+# criticality sum form is one more Laplacian, of div B.
 LAZY = {"first_fundamental": patches, "laguerre_lift": patches, "_d2xi_from_shape": patches,
         "riemann_tensor": fd, "grid_eigvalsh": fd, "selfadjoint_eigvals": fd,
         "christoffel": fd, "laplace_beltrami": fd, "gradient": fd}
 LAZY_CALLS = {
-    "analyze": (1, 1, 0, 1, 3, 1, 1, 1, 8),
-    "minimality": (1, 1, 0, 0, 1, 0, 1, 3, 8),
+    "analyze": (1, 1, 0, 1, 2, 0, 1, 1, 8),
+    "minimality": (1, 1, 0, 0, 1, 0, 1, 4, 7),
     "volume": (1, 0, 0, 0, 1, 0, 0, 0, 0),
-    "embed": (2, 2, 1, 1, 4, 1, 1, 3, 10),
-    "compare": (3, 2, 1, 0, 7, 2, 0, 0, 4),
+    "embed": (2, 2, 1, 1, 3, 0, 1, 4, 9),
+    "compare": (2, 2, 1, 0, 4, 0, 0, 0, 4),
 }
 
 
@@ -500,13 +539,13 @@ def lazy_counts(calls, command):
 
 @pytest.mark.parametrize("command, shape_calls, cov_d_calls", [
     ("analyze", 1, 1), ("minimality", 1, 1), ("volume", 1, 0), ("embed", 2, 1),
-    ("compare", 3, 0),
+    ("compare", 2, 0),
 ])
 def test_derived_fields_computed_once(command, shape_calls, cov_d_calls, torus_spec_file,
                                       tmp_path, monkeypatch, capsys):
-    # One shape_data per patch (compare: two built, one transformed; embed:
-    # native and image) and one nabla C per analyzed patch, however many
-    # consumers read them.
+    # One shape_data per patch (compare: one built for both specs, one
+    # transformed; embed: native and image) and one nabla C per analyzed
+    # patch, however many consumers read them.
     shapes = counted(monkeypatch, patches, "shape_data")
     cov_ds = counted(monkeypatch, fd, "cov_d_covector")
     lazy = count_lazy(monkeypatch)

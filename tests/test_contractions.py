@@ -17,7 +17,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import spaced_grid
-from laguerre import fd, hypersurface, minimality, patches
+from laguerre import fd, hypersurface, patches
 
 REL = 1e-12
 # The arrays come from a drawn seed, so shrinking cannot simplify a failing
@@ -183,10 +183,9 @@ def test_metric_pairing(case):
 
 @PROPERTY
 @given(grids())
-def test_gauss_rhs_and_double_divergence(case):
+def test_gauss_rhs(case):
     rng, m, _, shape, _, _ = case
     g = metric_field(rng, m, shape)
-    ginv = fd.grid_inv(g)
     L = rng.standard_normal(shape + (m, m))
     ref = (
         np.einsum("...bc,...ad->...abcd", L, g)
@@ -195,9 +194,6 @@ def test_gauss_rhs_and_double_divergence(case):
         - np.einsum("...bd,...ac->...abcd", L, g)
     )
     assert_close(hypersurface.gauss_rhs(L, g), ref)
-    DDB = rng.standard_normal(shape + (m,) * 4)
-    assert_close(minimality.double_divergence(DDB, ginv),
-                 np.einsum("...ca,...db,...dcab->...", ginv, ginv, DDB))
 
 
 @PROPERTY

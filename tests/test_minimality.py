@@ -135,3 +135,69 @@ def test_bridge_crosscheck_is_null_when_both_sides_read_zero(native, request):
     assert rep.max_el_scaled <= rep.threshold
     assert rep.crosscheck is None
     assert rep.to_json()["crosscheck_lap_r"] is None
+
+
+# --- the sum form as div(div B) ----------------------------------------------
+
+def nabla_nabla_B_sum_form(fld):
+    """Reference sum form through the second covariant derivative of B:
+    g^ca g^db nabla_d nabla_c B_ab - <L, B>, from the G x m^4 field
+    nabla nabla B."""
+    DDB = fd.cov_d(fld.DB, fld.Gamma, fld.patch.axes)
+    DDB, ginv, LB = fd.crop(fld.patch.ngrid, DDB, fld.ginv, fld.LB)
+    return np.einsum("...ca,...db,...dcab->...", ginv, ginv, DDB) - LB
+
+
+def refined(grid, k):
+    """The grid with k - 1 points added in every interval: its points k
+    apart are the points of ``grid``."""
+    periodic = grid.get("periodic", [])
+    out = {"periodic": periodic}
+    for name, (lo, hi, c) in ((name, val) for name, val in grid.items() if name != "periodic"):
+        out[name] = [lo, hi, c * k if name in periodic else (c - 1) * k + 1]
+    return out
+
+
+def sum_forms_at(spec, k, points):
+    """Both sum forms on the grid of ``spec`` refined by k, at the grid
+    points ``points`` (one index array per axis) of the unrefined grid."""
+    fld = hypersurface.analyze(patches.build_patch({**spec, "grid": refined(spec["grid"], k)}))
+    forms = [minimality.el_residual(fld)[0], nabla_nabla_B_sum_form(fld)]
+    return [f[np.ix_(*(k * ix - m for ix, m in zip(points, fd.margins(f, fld.patch.axes))))]
+            for f in forms]
+
+
+def test_sum_form_converges_with_the_nabla_nabla_B_form():
+    # Two discretisations of B_ab,ab on the cubic graph (n = 3), where the
+    # sum form is of order 450: they differ by ~8e-4 of it on a 21 x 21
+    # grid, and both the difference and each form's change between
+    # refinements shrink by ~16 per halving of the step (fourth order), at
+    # the points of the 21 x 21 window.
+    spec = {"builtin": "translational_graph", "params": {"quad": [1.0, 0.5], "cubic": [0.3, 0.2]},
+            "grid": {"u": [-0.3, 0.3, 21], "v": [-0.3, 0.3, 21]}}
+    window = [np.arange(6, 15)] * 2   # inside the sum form's margin 3r = 6
+    forms = {k: sum_forms_at(spec, k, window) for k in (1, 2, 4)}
+    scale = fd.max_abs(forms[4][1])
+    gaps = [fd.max_abs(new - ref) for new, ref in forms.values()]
+    assert gaps[0] < 2e-3 * scale
+    assert gaps[0] > 8 * gaps[1] > 64 * gaps[2]
+    for route in (0, 1):
+        steps = [fd.max_abs(forms[a][route] - forms[b][route]) for a, b in ((1, 2), (2, 4))]
+        assert steps[0] > 8 * steps[1]
+
+
+@pytest.mark.parametrize("spec, rel", [
+    ({"builtin": "torus"}, 1e-11),
+    ({"builtin": "torus4"}, 1e-12),
+    ({"builtin": "translational_graph", "params": {"quad": [1.0, 0.7, 0.4],
+                                                   "cubic": [0.1, 0.2, -0.1]},
+      "grid": dict.fromkeys("uvw", [-0.25, 0.25, 21])}, 1e-4),
+])
+def test_sum_form_matches_the_nabla_nabla_B_form(spec, rel):
+    # On the tori the sum form is constant along the rotation and both
+    # routes agree to rounding; on the 3-axis cubic graph (n = 4) to 8e-6.
+    fld = hypersurface.analyze(patches.build_patch(spec))
+    new, ref = fd.crop(fld.patch.ngrid, minimality.el_residual(fld)[0],
+                       nabla_nabla_B_sum_form(fld))
+    assert new.shape == ref.shape
+    assert fd.max_abs(new - ref) <= rel * fd.max_abs(ref)

@@ -99,9 +99,35 @@ MUTANTS = [
      ["tests/test_patches.py"]),
     ("analyze: interior checked on the spec's grid instead of the patch's",
      "src/laguerre/hypersurface.py",
-     "fd.require_interior(patch.axes, MAX_CASCADE_LEVELS)",
-     "fd.require_interior(patch.spec_axes, MAX_CASCADE_LEVELS)",
+     "fd.require_interior(patch.axes, MAX_CASCADE_LEVELS, patch.spec_axes)",
+     "fd.require_interior(patch.spec_axes, MAX_CASCADE_LEVELS, patch.spec_axes)",
      ["tests/test_cli.py"]),
+    ("interior message: the jets' cut counted on both sides", "src/laguerre/fd.py",
+     "the jets' cut of {(given - count) // 2} per side", "the jets' cut of {given - count} per side",
+     ["tests/test_cli.py"]),
+    ("S spectrum: radii + r", "src/laguerre/hypersurface.py",
+     "(radius - shape.r) / shape.rho", "(radius + shape.r) / shape.rho",
+     ["tests/test_hypersurface.py"]),
+    ("S spectrum: times rho", "src/laguerre/hypersurface.py",
+     "(radius - shape.r) / shape.rho", "(radius - shape.r) * shape.rho",
+     ["tests/test_hypersurface.py"]),
+    ("S spectrum: ascending, the descending flip dropped", "src/laguerre/hypersurface.py",
+     "np.stack(fd.ascending(eigs)[::-1], axis=-1)", "np.stack(fd.ascending(eigs), axis=-1)",
+     ["tests/test_hypersurface.py"]),
+    ("sorting network: adjacent pairs only", "src/laguerre/fd.py",
+     "itertools.combinations(range(len(columns)), 2)",
+     "zip(range(len(columns) - 1), range(1, len(columns)))",
+     ["tests/test_hypersurface.py", "tests/test_fd.py"]),
+    ("shape data: mean radius over 2 components", "src/laguerre/patches.py",
+     "reduce(np.add, columns) / len(columns)", "reduce(np.add, columns) / 2",
+     ["tests/test_hypersurface.py"]),
+    ("volume: radii summed instead of multiplied", "src/laguerre/hypersurface.py",
+     "reduce(np.multiply, fd.components(shape.radii))",
+     "reduce(np.add, fd.components(shape.radii))",
+     ["tests/test_hypersurface.py"]),
+    ("diameter: max + min", "src/laguerre/patches.py",
+     "c.max() - c.min()", "c.max() + c.min()",
+     ["tests/test_hypersurface.py"]),
     ("raw B asymmetry: B_raw + B_raw^T", "src/laguerre/hypersurface.py",
      "self.B_raw - np.swapaxes(self.B_raw, -1, -2)", "self.B_raw + np.swapaxes(self.B_raw, -1, -2)",
      ["tests/test_hypersurface.py"]),
@@ -115,6 +141,10 @@ MUTANTS = [
      "src/laguerre/hypersurface.py",
      "(2.0 * nm1 * nm1)", "(2.0 * nm1)",
      ["tests/test_hypersurface.py"]),
+    ("criticality: sum form's Laplacian without sqrt(det g)", "src/laguerre/minimality.py",
+     "fld.divB[..., None], fld.ginv, fld.sqrt_det,",
+     "fld.divB[..., None], fld.ginv, np.ones_like(fld.sqrt_det),",
+     ["tests/test_minimality.py"]),
     ("criticality: div form divides <L, B> by n - 1", "src/laguerre/minimality.py",
      "divC - LB / (fld.patch.n - 2)", "divC - LB / (fld.patch.n - 1)",
      ["tests/test_minimality.py"]),
@@ -202,6 +232,9 @@ MUTANTS = [
     ("contact element: r30 <x, nu> = 0 dropped", "src/laguerre/spheres.py",
      'if self.space == "r30" and abs(', "if False and abs(",
      ["tests/test_spheres.py", "tests/test_spaceforms.py"]),
+    ("compare: one patch reused when the specs differ", "src/laguerre/cli.py",
+     "p2 = p1 if spec2 == spec else", "p2 = p1 if True else",
+     ["tests/test_cli.py"]),
     ("analyze --tol default 1e-3 -> 1e-4", "src/laguerre/cli.py",
      '("analyze", cmd_surface_analyze, ("csv",), 1e-3)',
      '("analyze", cmd_surface_analyze, ("csv",), 1e-4)',
