@@ -23,6 +23,13 @@ peels and products are plain matrices from the ``_*_matrix`` builders, which
 check only their parameters; ``decompose`` and ``to_blocks`` compare them
 against an already validated matrix.
 
+Everything here acts on one element, so it pays for its arithmetic, not
+for grid machinery (the grid paths, chosen by the input's rank, are those
+of ``lorentz`` and ``spheres``): the flow builders copy a cached identity,
+``_isometry_matrix`` reads the orthogonality defect off one list, and
+``decompose`` peels with one (n+2) x n product, since the peeling flows
+reach the entries it reads only through a division by cosh t.
+
 The block form: with respect to the splitting 2 + n + 1 of the ambient
 coordinates, an element is determined by an O(n, 1) matrix [[A, u], [v, w]]
 together with a translation vector (a, rho) in R^{n+1}; the correspondence
@@ -31,7 +38,9 @@ is an isomorphism onto the affine Lorentz group of R^{n+1}_1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,6 +60,21 @@ def _read_only(x) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=None)
+def _identity(size: int) -> np.ndarray:
+    """The identity matrix of one size, built once; the builders copy it."""
+    return _read_only(np.eye(size))
+
+
+def _orthogonality_defect(A: np.ndarray) -> float:
+    """max |A A^T - 1| over the entries, NaN when A holds one."""
+    gram = A.dot(A.T)
+    gram.reshape(-1)[:: A.shape[0] + 1] -= 1.0
+    defects = list(map(abs, gram.ravel().tolist()))
+    # Python's max may pass over a NaN, the sum cannot
+    return math.nan if math.isnan(sum(defects)) else max(defects)
+
+
 @dataclass(frozen=True, eq=False)
 class LaguerreTransform:
     """A validated group element, immutable after construction: it keeps a
@@ -64,7 +88,7 @@ class LaguerreTransform:
             raise InvalidElementError(
                 "matrix does not preserve the inner product and fix wp"
             )
-        w = M[-1, -1]
+        w = float(M[-1, -1])
         v = M[-1, 2:-1]
         if abs(w * w - 1.0 - float(np.dot(v, v))) > BLOCK_TOL * max(1.0, w * w):
             raise InvalidElementError("lower-right block violates w^2 = 1 + |v|^2")
@@ -136,17 +160,16 @@ def _isometry_matrix(A: np.ndarray, a: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     if A.shape != (n, n):
         raise UsageError("rotation block and translation have inconsistent sizes")
-    if np.abs(A @ A.T - np.eye(n)).max() > ORTHOGONAL_TOL:
+    if _orthogonality_defect(A) > ORTHOGONAL_TOL:
         raise UsageError("rotation block must be orthogonal")
-    s = float(np.dot(a, a))
+    h = 0.5 * float(np.dot(a, a))
     M = np.zeros((n + 3, n + 3))
-    M[0, 0] = 1.0 + 0.5 * s
-    M[0, 1] = -0.5 * s
-    M[0, 2:-1] = a
-    M[1, 0] = 0.5 * s
-    M[1, 1] = 1.0 - 0.5 * s
-    M[1, 2:-1] = a
-    Aa = A @ a
+    M[0, 0] = 1.0 + h
+    M[0, 1] = -h
+    M[1, 0] = h
+    M[1, 1] = 1.0 - h
+    M[:2, 2:-1] = a
+    Aa = A.dot(a)
     M[2:-1, 0] = Aa
     M[2:-1, 1] = -Aa
     M[2:-1, 2:-1] = A
@@ -156,14 +179,15 @@ def _isometry_matrix(A: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _parabolic_matrix(t: float, n: int) -> np.ndarray:
     t = float(t)
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise UsageError("flow parameter must be finite")
-    M = np.eye(n + 3)
-    M[0, 0] = 1.0 - 0.5 * t * t
-    M[0, 1] = 0.5 * t * t
+    h = 0.5 * t * t
+    M = _identity(n + 3).copy()
+    M[0, 0] = 1.0 - h
+    M[0, 1] = h
     M[0, -1] = -t
-    M[1, 0] = -0.5 * t * t
-    M[1, 1] = 1.0 + 0.5 * t * t
+    M[1, 0] = -h
+    M[1, 1] = 1.0 + h
     M[1, -1] = -t
     M[-1, 0] = t
     M[-1, 1] = -t
@@ -172,10 +196,10 @@ def _parabolic_matrix(t: float, n: int) -> np.ndarray:
 
 def _hyperbolic_matrix(t: float, n: int) -> np.ndarray:
     t = float(t)
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise UsageError("flow parameter must be finite")
-    M = np.eye(n + 3)
-    c, s = np.cosh(t), np.sinh(t)
+    c, s = float(np.cosh(t)), float(np.sinh(t))
+    M = _identity(n + 3).copy()
     M[-2, -2] = c
     M[-2, -1] = s
     M[-1, -2] = s
@@ -268,7 +292,7 @@ def act_on_coord(T: LaguerreTransform, gamma: ProjectivePoint) -> ProjectivePoin
     """Image of a quadric point, [gamma] -> [gamma T]."""
     if gamma.n != T.n:
         raise UsageError("transform and coordinate have different base dimensions")
-    return ProjectivePoint(gamma.vec @ T.matrix)
+    return ProjectivePoint(gamma.vec.dot(T.matrix))
 
 
 def act_on_contact(T: LaguerreTransform, c: ContactElement) -> ContactElement:
@@ -305,9 +329,9 @@ class Factorization:
             object.__setattr__(self, name, _read_only(getattr(self, name)))
         prod = (
             _isometry_matrix(self.A2, self.a2)
-            @ _hyperbolic_matrix(self.t, self.n)
-            @ _parabolic_matrix(self.s, self.n)
-            @ _isometry_matrix(self.A1, self.a1)
+            .dot(_hyperbolic_matrix(self.t, self.n))
+            .dot(_parabolic_matrix(self.s, self.n))
+            .dot(_isometry_matrix(self.A1, self.a1))
         )
         object.__setattr__(self, "_product", _read_only(self.epsilon * prod))
 
@@ -320,22 +344,27 @@ class Factorization:
         return self._product
 
 
-def _rotation_to_last_axis(v: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix H (acting on rows) with v H = |v| e_last.
+def _rotation_to_last_axis(v: np.ndarray, norm: float) -> np.ndarray:
+    """Orthogonal matrix H (acting on rows) with v H = norm e_last, given
+    norm = |v|.
 
     Householder reflection through the bisector of v/|v| and e_last; the
-    identity when v already points along the last axis.
+    identity when v already points along the last axis.  The last entry of
+    the mirror w = v/|v| - e_last is formed as -|w_perp|^2 / (1 + v_last/|v|)
+    when v_last > 0, where the difference v_last/|v| - 1 would cancel.
     """
     n = v.shape[0]
-    norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return np.eye(n)
     w = v / norm
-    w[-1] -= 1.0
-    wn = float(np.dot(w, w))
+    if w[-1] > 0.0:
+        w[-1] = -float(w[:-1].dot(w[:-1])) / (1.0 + w[-1])
+    else:
+        w[-1] -= 1.0
+    wn = float(w.dot(w))
     if wn < 1e-28:
         return np.eye(n)
-    return np.eye(n) - 2.0 * np.outer(w, w) / wn
+    return _identity(n) - 2.0 * np.outer(w, w) / wn
 
 
 def decompose(T: LaguerreTransform | np.ndarray, tol: float = RECONSTRUCTION_TOL) -> Factorization:
@@ -358,18 +387,22 @@ def decompose(T: LaguerreTransform | np.ndarray, tol: float = RECONSTRUCTION_TOL
     W = eps * M
 
     v = W[-1, 2:-1]
-    A1rot = _rotation_to_last_axis(v)  # v A1rot = |v| e_last
-    t = float(np.arcsinh(np.linalg.norm(v)))
+    norm = math.sqrt(float(v.dot(v)))  # |v| as np.linalg.norm forms it
+    H = _rotation_to_last_axis(v, norm)
+    t = float(np.arcsinh(norm))
     s = float(W[-1, 0] / W[-1, -1])
 
-    X = W @ _isometry_matrix(A1rot, np.zeros(n)) @ _parabolic_matrix(-s, n)
-    peeled = X @ _hyperbolic_matrix(-t, n)
-    # The peeled isometry is 0 in column -1 above its last row, so X[:-1, -1] = tanh t X[:-1, -2]
-    # and its column -2 is X[:-1, -2] / cosh t: read that way, it cancels nothing.
-    peeled[:-1, -2] = X[:-1, -2] / np.cosh(t)
-    A2 = peeled[2:-1, 2:-1]
-    a2 = peeled[0, 2:-1]
-    orthogonality = float(np.abs(A2 @ A2.T - np.eye(n)).max())
+    # Peeling the rotation H, the parallel flow phi_{-s} and the boost psi_{-t}
+    # off the right of W leaves sigma2, whose A2 and a2 are rows 2:-1 and row 0
+    # of its columns 2:-1.  Of these columns the flow moves none and the boost
+    # only the last, mixing it with column -1.  Column -1 of sigma2 is 0 above
+    # its last row, so there the boost's peel is a division by cosh t: read that
+    # way, it cancels nothing.  Row 1 comes along to keep the product one slice.
+    peeled = W[:-1, 2:-1].dot(H)
+    peeled[:, -1] /= np.cosh(t)
+    A2 = peeled[2:]
+    a2 = peeled[0]
+    orthogonality = _orthogonality_defect(A2)
     if not orthogonality <= ORTHOGONAL_TOL:
         G = lorentz.signature_matrix(n)
         membership = float(np.abs(M @ G @ M.T - G).max())
@@ -380,7 +413,7 @@ def decompose(T: LaguerreTransform | np.ndarray, tol: float = RECONSTRUCTION_TOL
             f"the element's own membership defect |T G T^T - G| is {membership:.1e}"
             f"{reversed_time}"
         )
-    fact = Factorization(epsilon=eps, A2=A2, a2=a2, t=t, s=s, A1=A1rot.T, a1=np.zeros(n))
+    fact = Factorization(epsilon=eps, A2=A2, a2=a2, t=t, s=s, A1=H.T, a1=np.zeros(n))
     scale = max(1.0, float(np.abs(M).max()))
     if not np.abs(fact.reconstruct() - M).max() <= tol * scale:
         raise InvalidElementError(
@@ -448,5 +481,5 @@ def random_transform(
             factor = _parabolic_matrix(flow_scale * rng.standard_normal(), n)
         else:
             factor = _hyperbolic_matrix(flow_scale * rng.standard_normal(), n)
-        M = factor if M is None else M @ factor
+        M = factor if M is None else M.dot(factor)
     return LaguerreTransform(M)

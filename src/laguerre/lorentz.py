@@ -99,14 +99,21 @@ def inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray | float:
     and to grids of vectors stored in the trailing axis.  One signature-
     weighted last-axis dot, the form ``fd.gram`` takes: the weights are
     +-1, so each product is exact however it is grouped, and the sum runs
-    in component order for every point alike.
+    in component order for every point alike.  Two 1-d vectors give a
+    float, the same sum taken over Python floats without the einsum set-up.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if X.shape[-1] != Y.shape[-1]:
         raise UsageError(f"dimension mismatch: {X.shape[-1]} vs {Y.shape[-1]}")
-    out = np.einsum("...i,...i,i->...", X, Y, signature(X.shape[-1] - 3))
-    return float(out) if out.ndim == 0 else out
+    sig = signature(X.shape[-1] - 3)
+    if X.ndim == 1 and Y.ndim == 1:
+        x, y = X.tolist(), Y.tolist()
+        total = 0.0 - x[0] * y[0]  # from +0.0, as einsum's sum starts
+        for i in range(1, len(x) - 1):  # a loop: sum() compensates from Python 3.12 on
+            total += x[i] * y[i]
+        return total - x[-1] * y[-1]
+    return np.einsum("...i,...i,i->...", X, Y, sig)
 
 
 def inner_1(v: np.ndarray, w: np.ndarray):

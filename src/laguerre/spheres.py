@@ -43,6 +43,7 @@ guarded read-off of the Euclidean element, ``contact_from_pencil``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +60,7 @@ def _as_float_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise UsageError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise UsageError(f"{name} has non-finite entries")
     return arr
 
@@ -97,7 +98,7 @@ class Sphere:
     def __post_init__(self):
         object.__setattr__(self, "center", _as_float_vector(self.center, "center"))
         object.__setattr__(self, "radius", float(self.radius))
-        if not np.isfinite(self.radius):
+        if not math.isfinite(self.radius):
             raise UsageError("radius must be finite")
         if self.space not in ("r3", "r31"):
             raise UsageError("a sphere of R^n_0 is a paraboloid with no free radius: "
@@ -200,8 +201,9 @@ def require_euclidean(what: str, *elements) -> None:
 def normalize_representative(vec: np.ndarray) -> np.ndarray:
     """Scale a nonzero vector so its first entry of largest magnitude is +1."""
     vec = np.asarray(vec, dtype=float)
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
+    entries = vec.tolist()
+    sizes = list(map(abs, entries))
+    pivot = entries[sizes.index(max(sizes))]
     if pivot == 0.0:
         raise InvalidCoordinateError("zero vector has no projective class")
     return vec / pivot
@@ -362,19 +364,19 @@ def classify_coord(
         gamma = ProjectivePoint(gamma, tol=max(tol, 1e-10))
     rep = gamma.vec
     n = rep.shape[0] - 3
-    w = lorentz.wp(n)
+    big = max(map(abs, rep.tolist()))  # rep is finite: Python's max is numpy's
     # Projective test against the improper point: kill the component along
     # it and see what is left (robust against pivot ties in normalization).
     unit = lorentz.unit_wp(n)
     residue = rep - np.dot(rep, unit) * unit
-    if np.abs(residue).max() <= max(tol, 1e-12) * max(1.0, float(np.abs(rep).max())):
+    if max(map(abs, residue.tolist())) <= max(tol, 1e-12) * max(1.0, big):
         return PointAtInfinity()
-    pairing = lorentz.inner(rep, w)
-    if abs(pairing) > tol * float(np.abs(rep).max()):
+    pairing = lorentz.inner(rep, lorentz.wp(n))
+    if abs(pairing) > tol * big:
         u = rep / (-pairing)
         return Sphere(center=u[2:-1], radius=-u[-1])
     last = rep[-1]
-    if abs(last) <= tol * float(np.abs(rep).max()):
+    if abs(last) <= tol * big:
         raise InvalidCoordinateError("degenerate coordinate: neither sphere, plane nor infinity")
     u = rep / last
     xi = u[2:-1]
@@ -388,8 +390,8 @@ def oriented_contact(a: SphereElement, b: SphereElement, tol: float = 1e-9) -> b
     """True iff the two elements are tangent with matching orientations."""
     ga = sphere_coord(a).vec
     gb = sphere_coord(b).vec
-    scale = float(np.linalg.norm(ga) * np.linalg.norm(gb))
-    return bool(abs(lorentz.inner(ga, gb)) <= tol * scale)
+    scale = math.sqrt(ga.dot(ga)) * math.sqrt(gb.dot(gb))  # np.linalg.norm's |ga| |gb|
+    return abs(lorentz.inner(ga, gb)) <= tol * scale
 
 
 def tangential_invariant(a: SphereElement, b: SphereElement) -> float:

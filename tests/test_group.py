@@ -496,3 +496,47 @@ def test_decompose_gate_states_the_measured_defects():
     assert "rotation block is orthogonal only to 2.2e-10 (ORTHOGONAL_TOL 1e-10)" in message
     assert "own membership defect |T G T^T - G| is 2.0e-09" in message
     assert "orthochronous" not in message
+
+
+def _rotation_in_plane_of_first_and_last_axes(theta, n=3):
+    R = np.eye(n)
+    R[0, 0] = R[-1, -1] = np.cos(theta)
+    R[0, -1], R[-1, 0] = -np.sin(theta), np.sin(theta)
+    return R
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-7, 1e-8])
+def test_decompose_rotates_a_nearly_axial_last_row_without_cancellation(theta):
+    """A boost followed by a rotation by theta leaves v = T[-1, 2:-1] theta off
+    the last axis.  The Householder mirror v/|v| - e_last then has a last entry
+    of about -theta^2/2; formed as the difference cos theta - 1 it loses its
+    digits, the rotated v stays off the axis, and the peeled block fails the
+    orthogonality gate (1.2e-10 to 9.0e-9 before)."""
+    T = group.hyperbolic(1.0, 3).then(group.isometry(
+        _rotation_in_plane_of_first_and_last_axes(theta), np.zeros(3)))
+    v = T.matrix[-1, 2:-1]
+    assert abs(v[0]) == pytest.approx(np.sinh(1.0) * theta, rel=1e-9)
+    f = group.decompose(T)
+    assert np.abs(f.A2 @ f.A2.T - np.eye(3)).max() <= 1e-15
+    assert np.abs(f.reconstruct() - T.matrix).max() <= 1e-12 * max(1.0, np.abs(T.matrix).max())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("factors", [1, 2, 3, 4, 5, 6])
+def test_random_transform_draws_a_pinned_stream(n, factors):
+    """random_transform draws its kinds, then per factor a rotation seed and a
+    translation (isometry) or one parameter (flows), and nothing else: the
+    element stream a seed gives (the benchmark's inputs) stays fixed."""
+    for seed in range(5):
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        group.random_transform(rng, n, factors)
+        kinds = replay.integers(0, 3, size=factors)
+        if factors >= 3:
+            kinds[:3] = [0, 1, 2]
+        for kind in kinds:
+            if kind == 0:
+                replay.standard_normal((n, n))
+                replay.standard_normal(n)
+            else:
+                replay.standard_normal()
+        assert rng.bit_generator.state == replay.bit_generator.state

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laguerre import lorentz, spheres
 from laguerre.errors import InvalidCoordinateError, InvalidLineError, UsageError
@@ -252,3 +254,62 @@ def test_tangent_hyperboloids_are_in_oriented_contact():
     # hyperboloid touches the Euclidean image of its tangent hyperboloid.
     image = spheres.classify_coord(spheres.sphere_coord(h2))
     assert image.space == "r3" and spheres.oriented_contact(h1, image)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: Sphere(v[:3], 1.0), "center"),
+    (lambda v: Plane(v[:3], 0.0), "normal"),
+    (lambda v: spheres.CSphere(v[:4]), "p"),
+    (lambda v: ContactElement(v[:3], np.array([0.0, 0, 1])), "x"),
+    (lambda v: ContactElement(np.zeros(3), v[:3]), "xi"),
+    (lambda v: spheres.ProjectivePoint(v), "representative"),
+], ids=["sphere", "plane", "csphere", "contact-x", "contact-xi", "projective"])
+def test_non_finite_entries_are_rejected_by_name(make, name, bad):
+    v = np.array([0.0, 0.0, 1.0, 0.5, 0.5, 0.0])
+    v[2] = bad
+    with pytest.raises(UsageError, match=f"^{name} has non-finite entries"):
+        make(v)
+
+
+def test_representative_pivot_is_the_first_entry_of_largest_magnitude():
+    assert spheres.normalize_representative(np.array([1.0, -4.0, 4.0, 0.5])).tolist() == [
+        -0.25, 1.0, -1.0, -0.125]
+    assert spheres.normalize_representative([0.0, 3.0, -3.0]).tolist() == [0.0, 1.0, -1.0]
+    with pytest.raises(InvalidCoordinateError):
+        spheres.normalize_representative(np.zeros(6))
+
+
+def _element_batch(kind, rng, count):
+    """``count`` elements of one kind and the broadcasting-kernel coordinates
+    of the whole stacked batch, one row per element."""
+    v = rng.standard_normal((count, 4)) * rng.lognormal(0.0, 1.5, (count, 1))
+    if kind == "csphere-r30":
+        return [spheres.CSphere(p) for p in v], spheres.sphere_point(v)
+    shape, space = kind.split("-")
+    if shape == "sphere":
+        elements = [Sphere(p[:3], p[3], space) for p in v]
+        return elements, spheres.sphere_point(spheres.coord_tail(v[:, :3], -v[:, 3], space))
+    if space == "r3":
+        normals = v[:, :3] / np.linalg.norm(v[:, :3], axis=-1, keepdims=True)
+    else:  # a unit time-like normal, <xi, xi> = -1, of either time orientation
+        xi0 = 0.5 * v[:, :2]
+        last = np.sqrt(1.0 + np.sum(xi0 * xi0, axis=-1, keepdims=True))
+        normals = np.concatenate([xi0, np.where(v[:, 2:3] < 0, -last, last)], axis=-1)
+    elements = [Plane(xi, lam, space) for xi, lam in zip(normals, v[:, 3])]
+    return elements, spheres.plane_point(v[:, 3], spheres.coord_tail(normals, 1.0, space))
+
+
+# Time budget: about 0.3 s of tier-1 time on one core (80 examples of up to
+# 7 elements each).
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["sphere-r3", "sphere-r31", "plane-r3", "plane-r31", "csphere-r30"]),
+       count=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_element_coordinates_are_the_rows_of_the_batch_kernels(kind, count, seed):
+    """The coordinate of one element and the row of a stacked batch come from
+    the same kernels and agree bit for bit, so a patch and its elements
+    cannot drift apart."""
+    elements, batch = _element_batch(kind, np.random.default_rng(seed), count)
+    assert batch.shape == (count, elements[0].n + 3)
+    for element, row in zip(elements, batch):
+        assert spheres.sphere_coord_vector(element).tobytes() == row.tobytes()

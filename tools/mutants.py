@@ -85,8 +85,10 @@ MUTANTS = [
      "abs(float(max(field.max(), -field.min())))", "abs(float(field.max()))",
      ["tests/test_fd.py"]),
     ("grid pairing: weighted by (+, ..., +) instead of the signature", "src/laguerre/lorentz.py",
-     'np.einsum("...i,...i,i->...", X, Y, signature(X.shape[-1] - 3))',
-     'np.einsum("...i,...i->...", X, Y)',
+     'np.einsum("...i,...i,i->...", X, Y, sig)', 'np.einsum("...i,...i->...", X, Y)',
+     ["tests/test_lorentz.py"]),
+    ("scalar pairing: sign of the last term flipped", "src/laguerre/lorentz.py",
+     "return total - x[-1] * y[-1]", "return total + x[-1] * y[-1]",
      ["tests/test_lorentz.py"]),
     ("cov_d: last slot correction dropped", "src/laguerre/fd.py",
      "for i in range(rank):", "for i in range(rank - 1):",
@@ -181,7 +183,10 @@ MUTANTS = [
      "LaguerreTransform(other.matrix @ self.matrix)",
      ["tests/test_group.py"]),
     ("parallel flow: radius shift -t -> +t", "src/laguerre/group.py",
-     "    M[0, 0] = 1.0 - 0.5 * t * t", "    t = -t\n    M[0, 0] = 1.0 - 0.5 * t * t",
+     "    h = 0.5 * t * t\n", "    t = -t\n    h = 0.5 * t * t\n",
+     ["tests/test_group.py"]),
+    ("orthogonality defect: the identity not subtracted", "src/laguerre/group.py",
+     "gram.reshape(-1)[:: A.shape[0] + 1] -= 1.0", "gram.reshape(-1)[:: A.shape[0] + 1] -= 0.0",
      ["tests/test_group.py"]),
     ("random element: its single validation dropped", "src/laguerre/group.py",
      "    return LaguerreTransform(M)\n",
@@ -189,11 +194,19 @@ MUTANTS = [
      "    return T\n",
      ["tests/test_group.py"]),
     ("reconstruct: boost and parallel factors swapped", "src/laguerre/group.py",
-     "@ _hyperbolic_matrix(self.t, self.n)\n            @ _parabolic_matrix(self.s, self.n)",
-     "@ _parabolic_matrix(self.s, self.n)\n            @ _hyperbolic_matrix(self.t, self.n)",
+     ".dot(_hyperbolic_matrix(self.t, self.n))\n            .dot(_parabolic_matrix(self.s, self.n))",
+     ".dot(_parabolic_matrix(self.s, self.n))\n            .dot(_hyperbolic_matrix(self.t, self.n))",
      ["tests/test_group.py"]),
     ("decompose: boosted column read with cancellation", "src/laguerre/group.py",
-     "    peeled[:-1, -2] = X[:-1, -2] / np.cosh(t)\n", "",
+     "peeled[:, -1] /= np.cosh(t)",
+     "peeled[:, -1] = np.cosh(t) * peeled[:, -1]"
+     " - np.sinh(t) * (W[:-1, -1] + s * (W[:-1, 0] + W[:-1, 1]))",
+     ["tests/test_group.py"]),
+    ("decompose: the peel's last column not rescaled", "src/laguerre/group.py",
+     "    peeled[:, -1] /= np.cosh(t)\n", "",
+     ["tests/test_group.py"]),
+    ("decompose: Householder mirror's last entry formed by cancellation", "src/laguerre/group.py",
+     "    if w[-1] > 0.0:\n", "    if False:\n",
      ["tests/test_group.py"]),
     ("membership: wp-row check dropped", "src/laguerre/lorentz.py",
      "return wp_defect <= tol * max(1.0, big)", "return True",
@@ -206,6 +219,12 @@ MUTANTS = [
      ["tests/test_lorentz.py"]),
     ("cached unit wp: wp / 2 instead of wp / |wp|", "src/laguerre/lorentz.py",
      "wp(n) / np.linalg.norm(wp(n))", "wp(n) / 2.0",
+     ["tests/test_spheres.py"]),
+    ("element vectors: finiteness check always passes", "src/laguerre/spheres.py",
+     "if not all(map(math.isfinite, arr.tolist())):", "if False:",
+     ["tests/test_spheres.py"]),
+    ("representative: pivot taken as the first entry", "src/laguerre/spheres.py",
+     "pivot = entries[sizes.index(max(sizes))]", "pivot = entries[0]",
      ["tests/test_spheres.py"]),
     ("sphere point: sign of q flipped", "src/laguerre/spheres.py",
      "q = lorentz.inner_1(tail, tail)", "q = -lorentz.inner_1(tail, tail)",
