@@ -19,7 +19,9 @@ whole-array one (``max_abs``).
 Derivative outputs insert the direction axis right after the grid axes:
 ``gradient`` writes each direction of a (*G, k) field into its slot of one
 (*G, m, k) array, and one covariant-derivative rule (``cov_d``) serves
-every tensor rank.
+every tensor rank.  The curvature is formed only on its derivative pairs
+a < b (``riemann_tensor``, (*G, P, m, m)), from single-axis derivatives of
+the Christoffel rows each pair needs, and ``ricci_tensor`` reads the pairs.
 """
 
 from __future__ import annotations
@@ -139,6 +141,13 @@ def _derivative(f: np.ndarray, axis: int, grid: GridAxes,
     return _central(f[cut], axis, grid.spacings[axis], grid.periodic[axis], grid.order, out=out)
 
 
+def _derivative_window(f: np.ndarray, grid: GridAxes) -> tuple:
+    """Grid shape of a derivative of f: a bounded axis loses the stencil
+    radius at each end."""
+    r = RADIUS[grid.order]
+    return tuple(c if per else max(c - 2 * r, 0) for c, per in zip(f.shape, grid.periodic))
+
+
 def gradient(f: np.ndarray, grid: GridAxes) -> np.ndarray:
     """First derivatives along every grid axis, each written into its slot
     of one output.
@@ -147,9 +156,7 @@ def gradient(f: np.ndarray, grid: GridAxes) -> np.ndarray:
     ``grid.ndim``.
     """
     ngrid = grid.ndim
-    r = RADIUS[grid.order]
-    window = tuple(c if per else max(c - 2 * r, 0) for c, per in zip(f.shape, grid.periodic))
-    out = np.empty(window + (ngrid,) + f.shape[ngrid:])
+    out = np.empty(_derivative_window(f, grid) + (ngrid,) + f.shape[ngrid:])
     for axis in range(ngrid):
         _derivative(f, axis, grid, out=out[(slice(None),) * ngrid + (axis,)])
     return out
@@ -387,11 +394,12 @@ def nonpositive_index(mat: np.ndarray, minors: list | None = None):
 
     Sylvester's criterion (every leading minor > 0, from ``minors`` when the
     caller has them) screens the grid; eigvalsh runs only when it fails, to
-    confirm and locate.
+    confirm and locate.  A NaN minor fails the criterion, and a NaN block is
+    located as not positive definite.
     """
     if minors is None:
         minors = leading_minors(mat)
-    if not any((minor <= 0).any() for minor in minors):
+    if all((minor > 0).all() for minor in minors):
         return None
     low = grid_eigvalsh(mat)[..., 0]
     if low.min() > 0:
@@ -513,38 +521,58 @@ def laplace_beltrami(df: np.ndarray, ginv: np.ndarray, sqrt_det: np.ndarray,
     return div / sqrt_det[..., None]
 
 
+def derivative_pairs(m: int) -> list:
+    """The derivative pairs (a, b), a < b, of m axes: the order of the
+    pair axis of ``riemann_tensor``."""
+    return list(itertools.combinations(range(m), 2))
+
+
 def riemann_tensor(g: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
-    """Lowered curvature tensor of a metric field.
+    """Lowered curvature tensor R_{abxy} of a metric field on its derivative
+    pairs a < b: output (*G, P, m, m), slot p holding R_{ab..} of the pair
+    ``derivative_pairs(m)[p]``.  The other derivative slots are
+    R_{ba..} = -R_{ab..} and R_{aa..} = 0, so no reader needs them formed.
 
     Sign and slot convention: the round sphere comes out positive through
     both K = R_{abab} / (g_aa g_bb - g_ab^2) and the Ricci contraction
     Ric_{ac} = g^{bd} R_{abcd}.
     """
-    dG, Gamma, g = crop(grid.ndim, gradient(Gamma, grid), Gamma, g)  # dG[deriv, e, i, j]
     m = g.shape[-1]
-    lead = g.shape[:-2]
-    # GG[d, x, y, z] = Gamma^d_{xe} Gamma^e_{yz} holds both quadratic terms of
-    # R^d_{cab} = d_a Gamma^d_{bc} - d_b Gamma^d_{ac} + Gamma^d_{ae} Gamma^e_{bc} - Gamma^d_{be} Gamma^e_{ac}
-    GG = Gamma.reshape(lead + (m * m, m)) @ Gamma.reshape(lead + (m, m * m))
-    GG = GG.reshape(lead + (m,) * 4)
-    up = (
-        np.einsum("...adbc->...dcab", dG)
-        - np.einsum("...bdac->...dcab", dG)
-        + np.einsum("...dabc->...dcab", GG)
-        - np.einsum("...dbac->...dcab", GG)
-    )
-    # Lower the free slot; swapping the last pair afterwards lands in the
-    # positive-sphere arrangement stated above.
-    low = (g @ up.reshape(lead + (m, m ** 3))).reshape(lead + (m,) * 4)
-    return np.einsum("...dcab->...abdc", low)
+    pairs = derivative_pairs(m)
+    window = _derivative_window(Gamma, grid)
+    # up[d, p, c] = R^d_{cab} of pair p = (a, b), from the single-axis
+    # derivatives of the Gamma rows the pair needs (row i: Gamma^d_{ic}):
+    # R^d_{cab} = d_a Gamma^d_{bc} - d_b Gamma^d_{ac} + Gamma^d_{ae} Gamma^e_{bc}
+    #             - Gamma^d_{be} Gamma^e_{ac}.
+    # The quadratic terms are per-point products of rows, as batched
+    # matmuls: an entry rounds as in the product of all rows with all.
+    up = np.empty(window + (m, len(pairs), m))
+    Gw, g = crop(grid.ndim, Gamma, g, up)[:2]
+    for p, (a, b) in enumerate(pairs):
+        Ga, Gb = Gw[..., :, a, :], Gw[..., :, b, :]
+        up[..., p, :] = ((_derivative(Gamma[..., :, b, :], a, grid)
+                          - _derivative(Gamma[..., :, a, :], b, grid))
+                         + Ga @ Gb) - Gb @ Ga
+    # Lower the free slot: R_{abxy} = g_xd R^d_{yab}.
+    low = (g @ up.reshape(window + (m, len(pairs) * m))).reshape(up.shape)
+    return np.moveaxis(low, -2, -3)
 
 
 def ricci_tensor(riem: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    """Ricci contraction R_{ac} = g^{bd} R_{abcd} (positive for spheres)."""
+    """Ricci contraction R_{ac} = g^{bd} R_{abcd} (positive for spheres) of
+    the curvature on its derivative pairs: pair (a, b) adds g^{bd} R_{abcd}
+    to row a and, through R_{bacd} = -R_{abcd}, -g^{ad} R_{abcd} to row b.
+    Each sum over d takes one whole-grid product per d: the pair slots of
+    ``riemann_tensor`` are strided views, on which a last-axis dot
+    (``contract_last``) runs about three times slower."""
     m = ginv.shape[-1]
-    lead = ginv.shape[:-2]
-    pairs = np.swapaxes(riem, -3, -2).reshape(lead + (m * m, m * m))   # [(a c), (b d)]
-    return (pairs @ ginv.reshape(lead + (m * m, 1))).reshape(lead + (m, m))
+    ric = np.zeros(ginv.shape)
+    for p, (a, b) in enumerate(derivative_pairs(m)):
+        R = riem[..., p, :, :]
+        row = lambda i: sum(R[..., :, d] * ginv[..., i, d, None] for d in range(m))
+        ric[..., a, :] += row(b)
+        ric[..., b, :] -= row(a)
+    return ric
 
 
 def scalar_curvature(ricci: np.ndarray, ginv: np.ndarray) -> np.ndarray:

@@ -21,11 +21,15 @@ derivatives of grid fields uses cascaded central differences of the order
 the patch grid carries.  Each field is stored on its window, the part of
 the grid where it is defined: every cascade level drops the stencil radius
 from both ends of each non-periodic axis (g and B have margin r, Gamma, N
-and div B 2r, L, C, the curvature tensors and B_ab,ab 3r, nabla C 4r), and a
-pointwise formula runs on its operands cut to their common window
-(``fd.crop``).  Patch-level fields (the shape data, S_op and its spectrum)
-cover the patch's whole grid, which for a sampled patch is already the
-window of its jets (``patches``), so no field holds a NaN.
+and div B 2r, L, C, the curvature on its derivative pairs, Ricci, the
+scalar curvature and B_ab,ab 3r, nabla C 4r), and a pointwise formula runs
+on its operands cut to their common window (``fd.crop``).  The curvature
+is formed only on its derivative pairs a < b (``fd.riemann_tensor``);
+Ricci and the Gauss residual (``gauss_residuals``) read it through
+R_ba.. = -R_ab.. and R_aa.. = 0, so no G x m^4 array is formed.
+Patch-level fields (the shape data, S_op and its spectrum) cover the
+patch's whole grid, which for a sampled patch is already the window of its
+jets (``patches``), so no field holds a NaN.
 
 ``analyze`` only guards: it checks the space, the grid's interior and the
 positive definiteness of g, so every command fails at the same point with
@@ -33,12 +37,17 @@ the same error.  Every field of ``InvariantField`` -- g and its inverse,
 Gamma, N, the frame, B, L, C, the spectra, the curvature tensors, the
 covariant derivatives and div B -- is computed on first read and cached, so
 a command pays only for the fields it reports, and each field once.
+
+Group images and space-form embeddings are read off a pencil
+(``patch_from_pencil``): they hold their first jets, take II from them
+(-<dx, dxi>) and form their second jets, and pull the source's, only
+when those are read, which no command does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -249,23 +258,41 @@ def analyze(patch: SurfacePatch) -> InvariantField:
     return fld
 
 
-def gauss_rhs(L: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Right-hand side L_bc g_ad + L_ad g_bc - L_ac g_bd - L_bd g_ac of the
-    Gauss equation, slots (a, b, c, d)."""
-    # Every term is a slot permutation of one outer product Lg_abcd = L_ab g_cd.
-    Lg = L[..., :, :, None, None] * g[..., None, None, :, :]
-    return (
-        np.einsum("...bcad->...abcd", Lg)
-        + np.einsum("...adbc->...abcd", Lg)
-        - np.einsum("...acbd->...abcd", Lg)
-        - np.einsum("...bdac->...abcd", Lg)
-    )
+def gauss_residuals(riem: np.ndarray, L: np.ndarray, g: np.ndarray) -> list:
+    """Residual R_abcd - (L_bc g_ad + L_ad g_bc - L_ac g_bd - L_bd g_ac) of
+    the Gauss equation, from the curvature on its derivative pairs, as
+    (*G, m, m) blocks over (c, d): for each pair a < b the blocks (a, b) and
+    (b, a), whose curvature is -R_ab.., then the blocks (a, a), whose
+    curvature is 0.  Each entry is formed in the term order of the
+    equation, ((T1 + T2) - T3) - T4.
+
+    The terms are formed component-major, each (c, d) entry a contiguous
+    grid field (whole-grid operations on a trailing 2x2 or 3x3 block run
+    about three times slower), and the blocks are returned as grid-leading
+    views.
+    """
+    Lc, gc = (np.ascontiguousarray(np.moveaxis(f, (-2, -1), (0, 1))) for f in (L, g))
+    Rc = np.moveaxis(riem, (-3, -2, -1), (0, 1, 2))
+    blocks = []
+    for p, (a, b) in enumerate(fd.derivative_pairs(g.shape[-1])):
+        # The terms of block (a, b); block (b, a) has T3, T4, T1, T2.
+        T1 = Lc[b, :, None] * gc[a, None, :]
+        T2 = gc[b, :, None] * Lc[a, None, :]
+        T3 = Lc[a, :, None] * gc[b, None, :]
+        T4 = gc[a, :, None] * Lc[b, None, :]
+        blocks += [Rc[p] - (((T1 + T2) - T3) - T4), -Rc[p] - (((T3 + T4) - T1) - T2)]
+    for a in range(g.shape[-1]):
+        T1 = Lc[a, :, None] * gc[a, None, :]
+        T2 = gc[a, :, None] * Lc[a, None, :]
+        blocks.append(-(((T1 + T2) - T1) - T2))
+    return [np.moveaxis(block, (0, 1), (-2, -1)) for block in blocks]
 
 
 def _structure_identities(fld: InvariantField, flat) -> dict:
     """Residuals of the structure-equation identities, each residual tensor
     reduced by ``flat`` as soon as it is formed, so no two of them are held
-    at once.
+    at once; a residual formed in blocks (the Gauss equation's) is reduced
+    by one ``flat`` of all its blocks.
 
     Covariant derivatives are taken in parameter coordinates with the
     Christoffel symbols of g; each identity is evaluated as a coordinate
@@ -293,7 +320,7 @@ def _structure_identities(fld: InvariantField, flat) -> dict:
     )
     res["b_codazzi"] = flat(minus(DB - np.einsum("...cab->...bac", DB), codazzi_rhs))
 
-    res["gauss"] = flat(minus(fld.riemann, gauss_rhs(L3, g3)))
+    res["gauss"] = flat(*gauss_residuals(*crop(fld.riemann, L, g)))
 
     trB = np.einsum("...ab,...ab->...", ginv, B)
     res["b_trace"] = flat(trB)
@@ -317,7 +344,8 @@ def structural_residual_fields(fld: InvariantField) -> dict:
     dict is a grid scalar field (absolute value already applied).
     """
     m = fld.patch.ngrid
-    return _structure_identities(fld, lambda resid: fd.component_max_abs(resid, m))
+    return _structure_identities(fld, lambda *resid: reduce(
+        np.maximum, [fd.component_max_abs(r, m) for r in resid]))
 
 
 def frame_residuals(fld: InvariantField) -> dict:
@@ -349,9 +377,9 @@ def structural_residuals(fld: InvariantField) -> dict:
 
     Each structure residual is ``max_abs`` of its field in
     ``structural_residual_fields``, taken from the residual tensor in one
-    whole-array reduction.
+    whole-array reduction (one per block of the Gauss residual).
     """
-    res = _structure_identities(fld, fd.max_abs)
+    res = _structure_identities(fld, lambda *resid: max(map(fd.max_abs, resid)))
     res.update({f"frame_{k}": v for k, v in frame_residuals(fld).items()})
     return res
 
@@ -385,7 +413,8 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
 
     The pencil jets of the patch are mapped through T and the image patch
     is read off them (``patch_from_pencil``), so no accuracy is lost
-    relative to the source patch.  The image keeps the source's jets
+    relative to the source patch; the second jets are mapped only when the
+    image's second jets are read.  The image keeps the source's jets
     provenance, and with it the source's screen tolerances.
     """
     if patch.space != "r3":
@@ -396,10 +425,12 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
     # and 1 are a multiple of wp, which T fixes, so they add nothing to
     # entries 2: of the image.  The values keep their full coordinates.
     M = T.matrix
-    h1, h2 = ([(value @ M)[..., 2:], *(j @ M[2:, 2:] for j in tails)]
-              for value, tails in zip(contact_pencil(patch.x, patch.xi), jet_tails(patch)))
+    h1, h2 = ([(value @ M)[..., 2:], tail @ M[2:, 2:]]
+              for value, tail in zip(contact_pencil(patch.x, patch.xi), jet_tails(patch, 1)))
     try:
-        return patch_from_pencil(patch, h1, h2, transformed=True)
+        return patch_from_pencil(patch, h1, h2,
+                                 lambda: [tail @ M[2:, 2:] for tail in jet_tails(patch, 2)],
+                                 transformed=True)
     except DegenerateSurfaceError as exc:
         # Curvature sphere i goes to (gamma1 + r_i gamma2) T, whose last entry
         # is the image radius r'_i = a + r_i b.  One that takes both signs on
@@ -418,55 +449,70 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
             "with a cusp, not an immersed patch") from exc
 
 
-def jet_tails(patch: SurfacePatch):
-    """Entries 2: of the first and second parameter derivatives of the
-    pencil members gamma1 and gamma2 along a patch, in the layout of its
-    space: the tails of (dx, d2x) and of (dxi, d2xi).  The radius entry is
-    constant along the patch, so its jets vanish."""
-    return ([coord_tail(j, 0.0, patch.space) for j in (patch.dx, patch.d2x)],
-            [coord_tail(j, 0.0, patch.space) for j in (patch.dxi, patch.d2xi)])
+def jet_tails(patch: SurfacePatch, order: int) -> list:
+    """Entries 2: of the parameter derivatives of order 1 or 2 of the pencil
+    members gamma1 and gamma2 along a patch, in the layout of its space: the
+    tails of d^order x and d^order xi.  The radius entry is constant along
+    the patch, so its jets vanish."""
+    jets = (patch.dx, patch.dxi) if order == 1 else (patch.d2x, patch.d2xi)
+    return [coord_tail(j, 0.0, patch.space) for j in jets]
 
 
-def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
+def patch_from_pencil(patch: SurfacePatch, h1, h2, second, **metadata) -> SurfacePatch:
     """Euclidean patch read off a pencil along ``patch``, with exact jets.
 
-    h1 and h2 are the jets (value, first, second derivatives) of entries 2:
-    of the point-sphere and hyperplane members.  x and xi come from
-    ``spheres.contact_from_pencil``, which guards the read-off; with (A, a)
-    and (B, b) the middle block and the last entry, x = A - (a/b) B and
-    xi = B / b carry their derivatives as quotient jets.
+    h1 and h2 are the jets (value, first derivatives) of entries 2: of the
+    point-sphere and hyperplane members, and ``second()`` gives their second
+    derivatives.  x and xi come from ``spheres.contact_from_pencil``, which
+    guards the read-off; with (A, a) and (B, b) the middle block and the
+    last entry, x = A - (a/b) B and xi = B / b carry their derivatives as
+    quotient jets.  The image holds x, xi and their first jets, and its II
+    is -<dx, dxi>, so its screen reads no second jet; ``second()`` is called
+    when the image's d2x or d2xi is first read.
     """
     x, xi = contact_from_pencil(h1[0], h2[0], lambda idx: patches.grid_index(patch, idx))
-    (dA, d2A), (B, dB, d2B) = ([j[..., :-1] for j in h] for h in (h1[1:], h2))
-    da, d2a = (j[..., -1:] for j in h1[1:])
-    b, db, d2b = (j[..., -1] for j in h2)
-    dxi, d2xi = _quotient_jets(xi, dB, d2B, b, db, d2b)
-    # q = a / b is the same quotient on a single component.
-    q = h1[0][..., -1] / b
-    dq, d2q = (j[..., 0] for j in _quotient_jets(q[..., None], da, d2a, b, db, d2b))
-    dx = dA - dq[..., None] * B[..., None, :] - q[..., None, None] * dB
-    d2x = (
-        d2A
-        - d2q[..., None] * B[..., None, None, :]
-        - dq[..., :, None, None] * dB[..., None, :, :]
-        - dq[..., None, :, None] * dB[..., :, None, :]
-        - q[..., None, None, None] * d2B
-    )
-    return patches.make_patch("r3", patch.axes, x, dx, d2x, xi,
-                              patches.given_normal_jets(dxi, d2xi),
-                              {**patch.metadata, **metadata})
+    dA, B, dB = h1[1][..., :-1], h2[0][..., :-1], h2[1][..., :-1]
+    da, b, db = h1[1][..., -1:], h2[0][..., -1], h2[1][..., -1]
+    dxi = _quotient_d(xi, dB, b, db)
+    # q = a / b is the same quotient on a single component; x = A - q B.
+    q = h1[0][..., -1:] / b[..., None]
+    dq = _quotient_d(q, da, b, db)
+    dx = dA - dq * B[..., None, :] - q[..., None, :] * dB
+
+    @cache
+    def second_jets() -> dict:
+        (d2A, d2a), (d2B, d2b) = ((j[..., :-1], j[..., -1:]) for j in second())
+        d2b = d2b[..., 0]
+        d2q = _quotient_d2(q, dq, d2a, b, db, d2b)
+        return {
+            "d2x": d2A - d2q * B[..., None, None, :] - dq[..., :, None, :] * dB[..., None, :, :]
+            - dq[..., None, :, :] * dB[..., :, None, :] - q[..., None, None, :] * d2B,
+            "d2xi": _quotient_d2(xi, dxi, d2B, b, db, d2b),
+        }
+
+    def jets(image, name):
+        if name == "dxi":
+            return dxi
+        if name == "II":
+            return patches.weingarten_second_fundamental(image)
+        return second_jets()[name]
+
+    return patches.make_patch("r3", patch.axes, x, dx, xi, jets, {**patch.metadata, **metadata})
 
 
-def _quotient_jets(w, dv, d2v, b, db, d2b):
-    """First and second jets of the vector field w = v / b, given w."""
-    dw = (dv - w[..., None, :] * db[..., :, None]) / b[..., None, None]
-    d2w = (
+def _quotient_d(w, dv, b, db):
+    """First jets of the vector field w = v / b, given w."""
+    return (dv - w[..., None, :] * db[..., :, None]) / b[..., None, None]
+
+
+def _quotient_d2(w, dw, d2v, b, db, d2b):
+    """Second jets of the vector field w = v / b, given w and its first jets."""
+    return (
         d2v
         - dw[..., None, :, :] * db[..., :, None, None]
         - dw[..., :, None, :] * db[..., None, :, None]
         - w[..., None, None, :] * d2b[..., :, :, None]
     ) / b[..., None, None, None]
-    return dw, d2w
 
 
 def compare_invariants(f1: InvariantField, f2: InvariantField) -> dict:

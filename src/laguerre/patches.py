@@ -1,8 +1,10 @@
 """Sampled hypersurface patches with derivative jets.
 
 A patch stores, on a rectangular parameter grid, the immersion x, its
-first and second parameter derivatives, the unit normal xi and the first
-and second derivatives of xi.  Patches live in one of three geometries:
+first parameter derivatives and the unit normal xi; the second
+derivatives of x and the first and second derivatives of xi come from the
+patch's jets source when they are read.  Patches live in one of three
+geometries:
 
 * "r3"  -- Euclidean R^n (ambient form +...+),
 * "r31" -- Lorentzian R^n_1 (+...+-, last axis time-like, <xi, xi> = -1),
@@ -26,13 +28,18 @@ it keeps that grid and that record, so the order reaches every later
 derivative and every message names indices of the spec's grid.
 
 What a patch computes is pulled by what reads it.  The build computes x,
-dx, d2x and xi and screens the patch, which reads I, II, I^{-1}, S, the
+dx and xi and screens the patch, which reads I, II, I^{-1}, S, the
 inverse Cholesky factor of I and the curvature data; each of those is a
 cached value on the patch, formed once however many consumers read it.
-The normal jets, the third fundamental form and the cone lift are formed
-on first read, and a builtin's third x-jets only when d2xi is read (by a
-group action or a space-form embedding); the volume and an analysis never
-read them.
+A builtin or sampled patch holds d2x from its build, and its II is
+<d2x, xi>.  A patch read off a pencil (a group image or a space-form
+embedding, ``hypersurface.patch_from_pencil``) holds its first jets dx and
+dxi, and its II is -<dx, dxi> (Weingarten: dxi = -dx o S), so its second
+jets d2x and d2xi, and the second jets of the patch it was mapped from,
+are formed only when read.  The normal jets, the third fundamental form
+and the cone lift are formed on first read, and a builtin's third x-jets
+only when its d2xi is read; no command reads d2xi, and no command reads
+the d2x of a mapped patch.
 
 Degeneracy policy: every patch -- builtin, sampled, group image or
 space-form embedding -- is made by ``make_patch`` and passes one screen
@@ -84,14 +91,14 @@ class SurfacePatch:
     Grid axes lead every array; ambient components trail.  ``dx`` has shape
     (*G, m, d), ``d2x`` (*G, m, m, d) and likewise for the normal.
 
-    The immersion jets and the normal are stored; every other field is a
-    value computed on first read and then cached: the normal jets ``dxi``
-    and ``d2xi`` (from ``normal_jets``, see ``given_normal_jets`` and
-    ``shape_normal_jets``), the fundamental forms ``I``/``II``, ``Iinv``,
-    the shape operator ``S``, the inverse Cholesky factor ``Linv`` of I,
-    the curvature data ``shape``, ``third_form``, the exact invariant metric
-    ``g_exact``, the Euclidean area element ``area_element`` and the cone
-    ``lift``.
+    x, dx and the normal are stored; every other field is a value computed
+    on first read and then cached: ``d2x``, ``II`` and the normal jets
+    ``dxi`` and ``d2xi`` (from the jets source ``jets``, see ``given_jets``,
+    ``shape_jets`` and ``hypersurface.patch_from_pencil``), the first
+    fundamental form ``I``, ``Iinv``, the shape operator ``S``, the inverse
+    Cholesky factor ``Linv`` of I, the curvature data ``shape``,
+    ``third_form``, the exact invariant metric ``g_exact``, the Euclidean
+    area element ``area_element`` and the cone ``lift``.
     """
 
     space: str
@@ -99,9 +106,8 @@ class SurfacePatch:
     axes: fd.GridAxes
     x: np.ndarray
     dx: np.ndarray
-    d2x: np.ndarray
     xi: np.ndarray
-    normal_jets: Callable = field(repr=False)   # (patch, order) -> d^order xi
+    jets: Callable = field(repr=False)   # (patch, "d2x" | "II" | "dxi" | "d2xi") -> field
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -133,12 +139,16 @@ class SurfacePatch:
         return float(np.linalg.norm([c.max() - c.min() for c in fd.components(self.x)]))
 
     @cached_property
+    def d2x(self) -> np.ndarray:
+        return self.jets(self, "d2x")
+
+    @cached_property
     def dxi(self) -> np.ndarray:
-        return self.normal_jets(self, 1)
+        return self.jets(self, "dxi")
 
     @cached_property
     def d2xi(self) -> np.ndarray:
-        return self.normal_jets(self, 2)
+        return self.jets(self, "d2xi")
 
     @cached_property
     def I(self) -> np.ndarray:
@@ -146,7 +156,7 @@ class SurfacePatch:
 
     @cached_property
     def II(self) -> np.ndarray:
-        return second_fundamental(self)
+        return self.jets(self, "II")
 
     @cached_property
     def Iinv(self) -> np.ndarray:
@@ -194,17 +204,23 @@ def grid_index(patch: SurfacePatch, idx) -> tuple:
                  for i, c, w in zip(idx, patch.spec_axes.counts, patch.axes.counts))
 
 
-def given_normal_jets(dxi: np.ndarray, d2xi: np.ndarray) -> Callable:
-    """Normal-jets source of a patch whose normal jets are handed in."""
-    return lambda patch, order: (dxi, d2xi)[order - 1]
+def given_jets(d2x: np.ndarray, dxi: np.ndarray, d2xi: np.ndarray) -> Callable:
+    """Jets source of a patch whose second x-jets and normal jets are handed
+    in; II = <d2x, xi>."""
+    given = {"d2x": d2x, "dxi": dxi, "d2xi": d2xi}
+    return lambda patch, name: second_fundamental(patch) if name == "II" else given[name]
 
 
-def shape_normal_jets(third: Callable) -> Callable:
-    """Normal-jets source of a patch with exact x-jets: d(xi) = -dx o S, and
-    ``_d2xi_from_shape`` with the third x-jets ``third()``, which are built
-    only when d2xi is read."""
-    def jets(patch, order):
-        if order == 1:
+def shape_jets(d2x: np.ndarray, third: Callable) -> Callable:
+    """Jets source of a patch with exact x-jets d2x: II = <d2x, xi>,
+    d(xi) = -dx o S, and ``_d2xi_from_shape`` with the third x-jets
+    ``third()``, which are built only when d2xi is read."""
+    def jets(patch, name):
+        if name == "d2x":
+            return d2x
+        if name == "II":
+            return second_fundamental(patch)
+        if name == "dxi":
             return -(np.swapaxes(patch.S, -1, -2) @ patch.dx)
         return _d2xi_from_shape(patch, third())
     return jets
@@ -242,7 +258,15 @@ def first_fundamental(patch: SurfacePatch) -> np.ndarray:
 
 
 def second_fundamental(patch: SurfacePatch) -> np.ndarray:
+    """II = <d2x, xi>."""
     return fd.contract_last(patch.d2x, patch.xi * patch.form)
+
+
+def weingarten_second_fundamental(patch: SurfacePatch) -> np.ndarray:
+    """II = -<dx, dxi> from the first jets (Weingarten: dxi = -dx o S),
+    symmetrized: exact jets make <dx_a, dxi_b> symmetric up to rounding."""
+    W = fd.gram(patch.dx, patch.dxi, patch.form)
+    return -0.5 * (W + np.swapaxes(W, -1, -2))
 
 
 def shape_data(patch: SurfacePatch) -> ShapeData:
@@ -621,7 +645,9 @@ def _validate_patch(patch: SurfacePatch) -> None:
     condition, immersion, and the curvature checks of ``shape_data`` (run by
     the first read of ``patch.shape``).  Each failure names a grid index.
 
-    Tolerances follow the jets provenance (``SCREEN_TOL``).
+    Tolerances follow the jets provenance (``SCREEN_TOL``).  Each check
+    passes only where its defect is within tolerance, so a NaN defect fails
+    it (and ``_worst`` names the first NaN).
     """
     fd_jets = patch.metadata.get("jets") == "fd"
     scale = max(1.0, float(np.abs(patch.x).max()))
@@ -631,19 +657,19 @@ def _validate_patch(patch: SurfacePatch) -> None:
         # The patch lies in the hyperplane <x, nu> = 0 with <xi, nu> = 1.
         nu = lorentz.nu(patch.n)
         worst, idx = _worst(np.abs(patch.dot(patch.xi, nu) - 1.0), patch)
-        if worst > 1e-9:
+        if not worst <= 1e-9:
             raise DegenerateSurfaceError(f"normal pairing with nu is not 1 at grid index {idx}")
         worst, idx = _worst(np.abs(patch.dot(patch.x, nu)), patch)
-        if worst > 1e-9 * scale:
+        if not worst <= 1e-9 * scale:
             raise DegenerateSurfaceError(f"points leave the hyperplane at grid index {idx}")
     xi2 = patch.dot(patch.xi, patch.xi)   # raises UsageError on an unknown space tag
     worst, idx = _worst(np.abs(xi2 - {"r3": 1.0, "r31": -1.0, "r30": 0.0}[patch.space]), patch)
-    if worst > unit_tol * scale:
+    if not worst <= unit_tol * scale:
         raise DegenerateSurfaceError(f"normal is not normalized at grid index {idx}")
 
     legendre = np.abs(fd.contract_last(patch.dx, patch.xi * patch.form))
     worst, idx = _worst(legendre, patch)
-    if worst > contact_tol * scale:
+    if not worst <= contact_tol * scale:
         raise DegenerateSurfaceError(f"contact condition dx . xi = 0 fails at grid index {idx}")
 
     idx = fd.nonpositive_index(patch.I)
@@ -653,13 +679,13 @@ def _validate_patch(patch: SurfacePatch) -> None:
     patch.shape  # first read runs the curvature screening of shape_data
 
 
-def make_patch(space: str, axes: fd.GridAxes, x: np.ndarray, dx: np.ndarray, d2x: np.ndarray,
-               xi: np.ndarray, normal_jets: Callable, metadata: dict) -> SurfacePatch:
+def make_patch(space: str, axes: fd.GridAxes, x: np.ndarray, dx: np.ndarray, xi: np.ndarray,
+               jets: Callable, metadata: dict) -> SurfacePatch:
     """The one constructor of patches: derives n from the space, builds the
     patch and screens it (``_validate_patch``)."""
     n = x.shape[-1] - 1 if space == "r30" else x.shape[-1]
-    patch = SurfacePatch(space=space, n=n, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
-                         normal_jets=normal_jets, metadata=metadata)
+    patch = SurfacePatch(space=space, n=n, axes=axes, x=x, dx=dx, xi=xi, jets=jets,
+                         metadata=metadata)
     _validate_patch(patch)
     return patch
 
@@ -698,9 +724,7 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
     if entry["naxes"] is not None and axes.ndim != entry["naxes"]:
         raise UsageError(f"builtin {name!r} needs {entry['naxes']} parameter axes")
     params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise UsageError("builtin 'params' must be an object")
-    x, xi, first, second, third = entry["jets"](params, *axes.meshgrid())
+    x, xi, first, second, third = _builtin_jets(name, params, axes)
 
     orientation = spec.get("normal", "outward")
     if orientation not in ("outward", "inward"):
@@ -710,20 +734,44 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
             raise UsageError("the degenerate-space normal is unique; it cannot be flipped")
         xi = -xi
 
-    patch = make_patch(space, axes, x, _symmetric_jet(first, x, 1), _symmetric_jet(second, x, 2),
-                       xi, shape_normal_jets(lambda: _symmetric_jet(third(), x, 3)),
+    patch = make_patch(space, axes, x, _symmetric_jet(first, x, 1), xi,
+                       shape_jets(_symmetric_jet(second, x, 2),
+                                  lambda: _symmetric_jet(third(), x, 3)),
                        {"builtin": name, "params": dict(params), "jets": "analytic",
                         "normal": orientation})
     if entry.get("zero_mean_curvature"):
         S = patch.S
         mean_k = np.abs(np.trace(S, axis1=-2, axis2=-1) / S.shape[-1])
         worst, idx = _worst(mean_k, patch)
-        if worst > 1e-8:
+        if not worst <= 1e-8:
             raise DegenerateSurfaceError(
                 "mean curvature oracle failed: builtin advertised as minimal is not "
                 f"(grid index {idx})"
             )
     return patch
+
+
+def _builtin_jets(name: str, params, axes: fd.GridAxes) -> tuple:
+    """The jets tables of builtin ``name`` with ``params`` on ``axes``.
+
+    UsageError unless params is an object of finite numbers or lists of
+    numbers (json reads 1e400 as inf and NaN as nan, and float() reads
+    "nan"), each of the form its builtin reads.
+    """
+    if not isinstance(params, dict):
+        raise UsageError("builtin 'params' must be an object")
+    for key, value in params.items():
+        try:
+            finite = bool(np.isfinite(np.asarray(value, dtype=float)).all())
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise UsageError(f"builtin param {key!r} must be a finite number or list of numbers")
+    try:
+        return BUILTINS[name]["jets"](params, *axes.meshgrid())
+    except (TypeError, ValueError) as exc:   # e.g. a list where a number belongs
+        raise UsageError(f"builtin params of {name!r} are not of their documented form: "
+                         f"{exc}") from exc
 
 
 def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
@@ -750,6 +798,6 @@ def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
     dx, dxi = (fd.gradient(f, grid) for f in (x, xi))
     d2x, d2xi = (np.swapaxes(fd.gradient(jet, grid), m, m + 1) for jet in (dx, dxi))
     x, xi, dx, dxi, d2x, d2xi = fd.crop(m, x, xi, dx, dxi, d2x, d2xi)
-    return make_patch(spec.get("space", "r3"), grid.inset(inset), x, dx, d2x, xi,
-                      given_normal_jets(dxi, d2xi),
+    return make_patch(spec.get("space", "r3"), grid.inset(inset), x, dx, xi,
+                      given_jets(d2x, dxi, d2xi),
                       {"builtin": "samples", "jets": "fd", "normal": "as-given", "grid": grid})

@@ -96,17 +96,18 @@ def embed_patch(patch: SurfacePatch) -> SurfacePatch:
 
     The image is read off the jets of the native pencil's entries 2:,
     (0, x) and (1, xi) in R^n_1 and x and xi in R^n_0; the jets are exact
-    and the image is validated like any other patch.  It keeps the source's
-    jets provenance.
+    (the second ones formed when the image's are read) and the image is
+    validated like any other patch.  It keeps the source's jets provenance.
     """
     if patch.space == "r3":
         return patch
     if patch.space not in ("r31", "r30"):
         raise UsageError(f"unknown space {patch.space!r}")
     sp = patch.space
-    dh1, dh2 = jet_tails(patch)
-    return patch_from_pencil(patch, [coord_tail(patch.x, 0.0, sp), *dh1],
-                             [coord_tail(patch.xi, 1.0, sp), *dh2], embedded_from=sp)
+    dh1, dh2 = jet_tails(patch, 1)
+    return patch_from_pencil(patch, [coord_tail(patch.x, 0.0, sp), dh1],
+                             [coord_tail(patch.xi, 1.0, sp), dh2], lambda: jet_tails(patch, 2),
+                             embedded_from=sp)
 
 
 # ---------------------------------------------------------------------------

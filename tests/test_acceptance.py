@@ -70,7 +70,7 @@ def test_criterion_02_volume_oracle(torus):
 def test_criterion_03_flat_metric(torus):
     _, fld = torus
     riem, g = fd.crop(2, fld.riemann, fld.g)
-    K = riem[..., 0, 1, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
+    K = riem[..., 0, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
     trL = np.einsum("...ab,...ab->...", *fd.crop(2, fld.ginv, fld.L))
     scalar, lap_norm = fd.crop(2, fld.scalar, fld.lap_norm)
     scal_vs_lap = fd.max_abs(scalar - 0.5 * lap_norm)  # (n-2)/(n-1) = 1/2

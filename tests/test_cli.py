@@ -412,6 +412,8 @@ MALFORMED_SPECS = {
     "count-not-integer": {"builtin": "torus", "grid": {**TORUS_GRID, "u": [-1.0, 1.0, 32.5]}},
     "count-not-number": {"builtin": "torus", "grid": {**TORUS_GRID, "u": [-1.0, 1.0, "many"]}},
     "params-not-object": {"builtin": "torus", "params": [2.0, 1.0]},
+    "param-not-numeric": {"builtin": "torus", "params": {"R": "two"}},
+    "param-list-for-number": {"builtin": "torus", "params": {"R": [2.0, 1.0]}},
     "spec-not-object": [{"builtin": "torus"}],
     "samples-unknown-space": {"space": "r7", "grid": {"u": [0, 1, 8], "v": [0, 1, 8]},
                               "samples": {"points": np.ones((8, 8, 3)).tolist(),
@@ -425,6 +427,25 @@ def test_malformed_spec_exits_2(name, refine, tmp_path, capsys):
     spec = write(tmp_path, "s.json", MALFORMED_SPECS[name])
     assert run(["surface", "analyze", "--spec", spec, *refine]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Python's json reads 1e400 as inf and NaN as nan, and the string "nan"
+# converts to one: each is rejected before the build, exit 2.
+NONFINITE_PARAMS = {
+    "overflow": '{"builtin": "torus", "params": {"R": 1e400}}',
+    "nan": '{"builtin": "torus", "params": {"a": NaN}}',
+    "nan-string": '{"builtin": "torus", "params": {"a": "nan"}}',
+    "nan-in-list": '{"builtin": "translational_graph", "params": {"cubic": [0.1, NaN]}}',
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "volume"])
+@pytest.mark.parametrize("name", NONFINITE_PARAMS)
+def test_nonfinite_params_exit_2(name, command, tmp_path, capsys):
+    spec = tmp_path / "s.json"
+    spec.write_text(NONFINITE_PARAMS[name])
+    assert run(["surface", command, "--spec", str(spec)]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -508,22 +529,26 @@ def counted(monkeypatch, module, name):
 # Calls a command makes to functions whose results are read on demand: the
 # I Gram and the cone lift once per patch that needs them, the curvature
 # tensor and the B spectrum only for the commands that report them, and
-# the second normal jets only where a group action or an embedding reads
-# them.  grid_eigvalsh also runs once per shape_data (principal curvatures);
-# the S spectrum is read off the curvature radii, with no eigensolver.
+# the second normal jets never: a group image or a space-form embedding
+# holds the first jets it reads off and takes its II from them, so neither
+# it nor its source forms a second normal jet.  grid_eigvalsh also runs
+# once per shape_data (principal curvatures); the S spectrum is read off
+# the curvature radii, with no eigensolver.
 # The stencil count (fd.gradient, including the calls inside the fd kernels)
 # is the one the benchmark tracer reports per request; the Laplacians of Y
-# and eta take no gradient of their own but reuse dY and deta, and the
-# criticality sum form is one more Laplacian, of div B.
+# and eta take no gradient of their own but reuse dY and deta, the
+# curvature takes single-axis derivatives of the Gamma rows its pairs need
+# instead of a gradient of Gamma, and the criticality sum form is one more
+# Laplacian, of div B.
 LAZY = {"first_fundamental": patches, "laguerre_lift": patches, "_d2xi_from_shape": patches,
         "riemann_tensor": fd, "grid_eigvalsh": fd, "selfadjoint_eigvals": fd,
         "christoffel": fd, "laplace_beltrami": fd, "gradient": fd}
 LAZY_CALLS = {
-    "analyze": (1, 1, 0, 1, 2, 0, 1, 1, 8),
+    "analyze": (1, 1, 0, 1, 2, 0, 1, 1, 7),
     "minimality": (1, 1, 0, 0, 1, 0, 1, 4, 7),
     "volume": (1, 0, 0, 0, 1, 0, 0, 0, 0),
-    "embed": (2, 2, 1, 1, 3, 0, 1, 4, 9),
-    "compare": (2, 2, 1, 0, 4, 0, 0, 0, 4),
+    "embed": (2, 2, 0, 1, 3, 0, 1, 4, 8),
+    "compare": (2, 2, 0, 0, 4, 0, 0, 0, 4),
 }
 
 

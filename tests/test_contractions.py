@@ -8,7 +8,9 @@ curvature tensors).  Each test here keeps the literal einsum formula, or
 LAPACK, as the reference and checks the staged kernel against it on
 random, well-conditioned jets over small grids: m in {2, 3} parameter axes
 and N in {3, 4} ambient components for the grid kernels, blocks of size
-m in {1, 2, 3, 4} for the pointwise ones.
+m in {1, 2, 3, 4} for the pointwise ones.  The curvature, formed only on
+its derivative pairs a < b, is checked against the literal full tensor
+(with its Ricci contraction and the Gauss residual) for m in {1, 2, 3, 4}.
 """
 
 import numpy as np
@@ -134,8 +136,8 @@ def test_xi_jets_from_shape(case):
     x, dx, d2x, d3x, xi = jets(rng, m, N, shape)
     form = patches.ambient_form_diag(space, N)
     axes = fd.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic, order=4)
-    patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
-                                 normal_jets=patches.shape_normal_jets(lambda: d3x))
+    patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, xi=xi,
+                                 jets=patches.shape_jets(d2x, lambda: d3x))
     ref = xi_jets_literal(x, dx, d2x, d3x, xi, form)
     assert_close(patch.dxi, ref[0])
     assert_close(patch.d2xi, ref[1])
@@ -147,8 +149,8 @@ def test_fundamental_forms(case):
     rng, m, N, shape, periodic, space = case
     x, dx, d2x, d3x, xi = jets(rng, m, N, shape)
     axes = fd.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic, order=4)
-    patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, d2x=d2x, xi=xi,
-                                 normal_jets=patches.given_normal_jets(dx, d2x))
+    patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, xi=xi,
+                                 jets=patches.given_jets(d2x, dx, d2x))
     form = patches.ambient_form_diag(space, N)
     assert_close(patches.first_fundamental(patch),
                  np.einsum("...ai,...bi,i->...ab", dx, dx, form))
@@ -181,19 +183,64 @@ def test_metric_pairing(case):
                      np.einsum("...ab,...cd,...ac,...bd->...", P, Q, ginv, ginv))
 
 
-@PROPERTY
-@given(grids())
-def test_gauss_rhs(case):
-    rng, m, _, shape, _, _ = case
+def curvature_case(m, seed, periodic):
+    """(rng, g, ginv, the pair curvature, the literal full tensor) of a
+    random metric on an order-2 grid of m axes, 6 or 7 points each: room for
+    the two cascade levels past g on a bounded axis."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(c) for c in rng.integers(6, 8, size=m))
+    grid = fd.GridAxes(tuple("uvwz"[:m]), (0.0,) * m, tuple(0.5 + 0.25 * i for i in range(m)),
+                       shape, tuple(periodic[:m]), order=2)
     g = metric_field(rng, m, shape)
-    L = rng.standard_normal(shape + (m, m))
-    ref = (
+    ginv = fd.grid_inv(g)
+    Gamma = fd.christoffel(g, grid, ginv)
+    return rng, g, ginv, fd.riemann_tensor(g, Gamma, grid), riemann_literal(g, Gamma, grid)
+
+
+def full_from_pairs(riem, m):
+    """The full tensor of a curvature on its derivative pairs: R_ba.. = -R_ab..
+    and R_aa.. = 0."""
+    full = np.zeros(riem.shape[:-3] + (m,) * 4)
+    for p, (a, b) in enumerate(fd.derivative_pairs(m)):
+        full[..., a, b, :, :], full[..., b, a, :, :] = riem[..., p, :, :], -riem[..., p, :, :]
+    return full
+
+
+CURVATURE_AXES = pytest.mark.parametrize("m", [1, 2, 3, 4])   # m = 1 has no pairs
+
+
+@CURVATURE_AXES
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), periodic=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_curvature_on_pairs_is_the_literal_tensor(m, seed, periodic):
+    _, g, ginv, riem, literal = curvature_case(m, seed, periodic)
+    assert riem.shape[-3:] == (m * (m - 1) // 2, m, m)
+    assert_close(full_from_pairs(riem, m), literal)
+    riem, ginv = fd.crop(m, riem, ginv)
+    assert_close(fd.ricci_tensor(riem, ginv), np.einsum("...bd,...abcd->...ac", ginv, literal))
+
+
+@CURVATURE_AXES
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), periodic=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_gauss_residuals(m, seed, periodic):
+    rng, g, _, riem, literal = curvature_case(m, seed, periodic)
+    riem, g = fd.crop(m, riem, g)
+    L = rng.standard_normal(g.shape)
+    ref = literal - (
         np.einsum("...bc,...ad->...abcd", L, g)
         + np.einsum("...ad,...bc->...abcd", L, g)
         - np.einsum("...ac,...bd->...abcd", L, g)
         - np.einsum("...bd,...ac->...abcd", L, g)
     )
-    assert_close(hypersurface.gauss_rhs(L, g), ref)
+    blocks = iter(hypersurface.gauss_residuals(riem, L, g))
+    got = np.empty(ref.shape)
+    for a, b in fd.derivative_pairs(m):
+        got[..., a, b, :, :], got[..., b, a, :, :] = next(blocks), next(blocks)
+    for a in range(m):
+        got[..., a, a, :, :] = next(blocks)
+    assert next(blocks, None) is None
+    assert_close(got, ref)
 
 
 @PROPERTY
@@ -230,12 +277,6 @@ def test_fd_contractions(case):
         - np.einsum("...eda,...ceb->...dcab", G, Uw)
         - np.einsum("...edb,...cae->...dcab", G, Uw),
     )
-
-    riem = fd.riemann_tensor(g, Gamma, grid)
-    assert_close(riem, riemann_literal(g, Gamma, grid))
-    riem, ginv_r = fd.crop(m, riem, ginv)
-    assert_close(fd.ricci_tensor(riem, ginv_r),
-                 np.einsum("...bd,...abcd->...ac", ginv_r, riem))
 
     f = rng.standard_normal(shape + (2,))
     sqrt_det = np.sqrt(np.linalg.det(g))

@@ -128,15 +128,19 @@ def laplace_beltrami_ref(f, ginv, sqrt_det, grid):
 
 
 def riemann_ref(g, Gamma, grid):
-    dG = gradient_ref(Gamma, grid)
+    """The curvature on its derivative pairs in the pair arithmetic of
+    ``fd.riemann_tensor``, each derivative taken on the NaN-padded stencil."""
     m = g.shape[-1]
-    lead = g.shape[:-2]
-    GG = Gamma.reshape(lead + (m * m, m)) @ Gamma.reshape(lead + (m, m * m))
-    GG = GG.reshape(lead + (m,) * 4)
-    up = (np.einsum("...adbc->...dcab", dG) - np.einsum("...bdac->...dcab", dG)
-          + np.einsum("...dabc->...dcab", GG) - np.einsum("...dbac->...dcab", GG))
-    low = (g @ up.reshape(lead + (m, m ** 3))).reshape(lead + (m,) * 4)
-    return np.einsum("...dcab->...abdc", low)
+    h, per = grid.spacings, grid.periodic
+    d = lambda f, axis: _central_nan_padded(f, axis, h[axis], per[axis], grid.order)
+    pairs = fd.derivative_pairs(m)
+    up = np.empty(g.shape[:-2] + (m, len(pairs), m))
+    for p, (a, b) in enumerate(pairs):
+        up[..., p, :] = (((d(Gamma[..., :, b, :], a) - d(Gamma[..., :, a, :], b))
+                          + Gamma[..., :, a, :] @ Gamma[..., :, b, :])
+                         - Gamma[..., :, b, :] @ Gamma[..., :, a, :])
+    low = (g @ up.reshape(g.shape[:-2] + (m, -1))).reshape(up.shape)
+    return np.moveaxis(low, -2, -3)
 
 
 @st.composite
@@ -316,6 +320,14 @@ def test_leading_minor_screen_matches_eigvalsh(case):
         fd.grid_cholesky(mat)
 
 
+def test_leading_minor_screen_locates_a_nan_block():
+    # A NaN minor fails Sylvester's criterion (minor > 0 is False), so a NaN
+    # block is located like a block that is not positive definite.
+    mat = np.broadcast_to(np.eye(3), (4, 5, 3, 3)).copy()
+    mat[2, 3, 1, 1] = np.nan
+    assert fd.nonpositive_index(mat) == (2, 3)
+
+
 @st.composite
 def max_abs_fields(draw):
     """(field, ngrid): a random grid field with 0-2 component axes, holding
@@ -395,7 +407,7 @@ def test_christoffel_and_laplacian_on_round_sphere():
     scal = fd.scalar_curvature(*fd.crop(2, ricci, ginv))
     assert abs(np.nanmedian(scal) - 2.0) < 1e-5
     riem, g = fd.crop(2, riem, g)
-    K = riem[..., 0, 1, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
+    K = riem[..., 0, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
     assert fd.max_abs(K - 1.0) < 1e-5
 
 

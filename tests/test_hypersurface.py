@@ -85,7 +85,7 @@ def test_metric_matches_exact_form_at_fine_resolution():
 def test_metric_is_flat_for_torus(torus_field):
     # Gauss curvature of g vanishes identically
     riem, g = fd.crop(2, torus_field.riemann, torus_field.g)
-    K = riem[..., 0, 1, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
+    K = riem[..., 0, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
     assert fd.max_abs(K) < 1e-5
 
 
@@ -413,6 +413,45 @@ def test_embedded_jets_match_finite_differences(native, request):
     assert_jets_exact(spaceforms.embed_patch(request.getfixturevalue(native)))
 
 
+def test_jets_of_an_image_of_an_image_match_finite_differences(torus_patch):
+    # The second image pulls its second jets from the first image's, which
+    # pulls them from the torus.
+    image = hypersurface.transform_patch(seeded_transform(3, translation_scale=0.3,
+                                                          flow_scale=0.2), torus_patch)
+    assert_jets_exact(hypersurface.transform_patch(
+        seeded_transform(4, translation_scale=0.3, flow_scale=0.2), image))
+
+
+# Patches read off a pencil: (source fixture, map).
+MAPS = {"image": ("torus_patch", lambda p: hypersurface.transform_patch(seeded_transform(5), p)),
+        "catenoid": ("catenoid_patch", spaceforms.embed_patch),
+        "saddle": ("saddle_patch", spaceforms.embed_patch)}
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_mapped_patch_is_screened_and_analyzed_without_second_jets(name, request):
+    # The screen reads II = -<dx, dxi> off the first jets, and an analysis
+    # reads no jet of higher order: neither the mapped patch nor its source
+    # forms a second normal jet, and the mapped patch forms no d2x.
+    fixture, mapping = MAPS[name]
+    source = copy.copy(request.getfixturevalue(fixture))
+    source.__dict__.pop("d2xi", None)
+    mapped = mapping(source)
+    hypersurface.structural_residuals(hypersurface.analyze(mapped))
+    assert {"d2x", "d2xi"}.isdisjoint(vars(mapped))
+    assert "d2xi" not in vars(source)
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_mapped_second_form_is_the_pulled_second_jets_against_the_normal(name, request):
+    fixture, mapping = MAPS[name]
+    mapped = mapping(request.getfixturevalue(fixture))
+    II = mapped.II
+    assert np.array_equal(II, np.swapaxes(II, -1, -2))
+    assert (fd.max_abs(II - patches.second_fundamental(mapped))
+            <= 1e-12 * fd.max_abs(II))
+
+
 BUILTIN_SPECS = {
     "torus": {"builtin": "torus"},
     "torus inward": {"builtin": "torus", "normal": "inward"},
@@ -544,9 +583,35 @@ def test_compare_different_tori(torus_field):
     assert rep["max_g_deviation"] > 1.0
 
 
-def test_higher_dim_l_recovered_from_curvature():
-    p = patches.build_patch({"builtin": "torus4"})
-    fld = hypersurface.analyze(p)
+@pytest.fixture(scope="module")
+def torus4_field():
+    return hypersurface.analyze(patches.build_patch({"builtin": "torus4"}))
+
+
+def test_curvature_identities_bounded_on_torus4(torus4_field):
+    # The invariant metric of torus4 is curved (|Riem| ~ 2.7, |Ric| ~ 1.0),
+    # so every derivative slot of the pair curvature enters these residuals;
+    # each is bounded against the largest term of its identity.  They read
+    # 2.2e-4, 4.4e-4 and 1.4e-4 of it on the default grid.
+    fld = torus4_field
+    n = fld.patch.n
+    res = hypersurface.structural_residuals(fld)
+    riem, L, g, ricci, ginv = fld.crop(fld.riemann, fld.L, fld.g, fld.ricci, fld.ginv)
+    trL = np.einsum("...ab,...ab->...", ginv, L)
+    largest = {
+        "gauss": max(fd.max_abs(riem), fd.max_abs(L[..., None, None] * g[..., None, None, :, :])),
+        "ricci_vs_l": max(fd.max_abs(ricci), (n - 3) * fd.max_abs(L),
+                          fd.max_abs(trL[..., None, None] * g)),
+        "scalar_vs_lap": max(fd.max_abs(fld.scalar),
+                             (n - 2) / (n - 1) * fd.max_abs(fld.lap_norm)),
+    }
+    assert largest["gauss"] > 2.0 and largest["ricci_vs_l"] > 0.9
+    for key, scale in largest.items():
+        assert res[key] <= 1e-3 * scale, key
+
+
+def test_higher_dim_l_recovered_from_curvature(torus4_field):
+    fld = torus4_field
     # for a 3-dimensional hypersurface the symmetric tensor L is a function
     # of the curvature of g: L = -Ric + (scalar/4) g
     ricci, scalar, g, L = fd.crop(3, fld.ricci, fld.scalar, fld.g, fld.L)

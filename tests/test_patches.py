@@ -235,13 +235,25 @@ def test_sampled_input_must_be_finite(field, bad):
 def test_screen_tolerance_follows_jets_provenance(torus_patch, jets, defect, accepted):
     p = torus_patch
     xi = p.xi * np.sqrt(1.0 + defect)
-    args = ("r3", p.axes, p.x, p.dx, p.d2x, xi, patches.given_normal_jets(p.dxi, p.d2xi),
+    args = ("r3", p.axes, p.x, p.dx, xi, patches.given_jets(p.d2x, p.dxi, p.d2xi),
             {"jets": jets})
     if accepted:
         assert patches.make_patch(*args).n == 3
     else:
         with pytest.raises(DegenerateSurfaceError, match=r"not normalized at grid index"):
             patches.make_patch(*args)
+
+
+@pytest.mark.parametrize("jet, message", [("xi", "not normalized"), ("dx", "contact condition")])
+def test_screen_fails_on_a_nan_defect(torus_patch, jet, message):
+    # Each check passes only where its defect is within tolerance: a NaN
+    # fails it at its grid index instead of slipping through a "> tol" test.
+    p = torus_patch
+    fields = {"xi": p.xi.copy(), "dx": p.dx.copy()}
+    fields[jet][7, 3, ..., 0] = np.nan
+    with pytest.raises(DegenerateSurfaceError, match=message + r".* at grid index \(7, 3\)"):
+        patches.make_patch("r3", p.axes, p.x, fields["dx"], fields["xi"],
+                           patches.given_jets(p.d2x, p.dxi, p.d2xi), {"jets": "analytic"})
 
 
 def test_refine_multiplies_the_parsed_counts():

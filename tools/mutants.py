@@ -251,6 +251,32 @@ MUTANTS = [
     ("contact element: r30 <x, nu> = 0 dropped", "src/laguerre/spheres.py",
      'if self.space == "r30" and abs(', "if False and abs(",
      ["tests/test_spheres.py", "tests/test_spaceforms.py"]),
+    ("curvature pairs: d_a Gamma_a - d_b Gamma_b instead of the swapped rows",
+     "src/laguerre/fd.py",
+     "_derivative(Gamma[..., :, b, :], a, grid)\n                          - _derivative(Gamma[..., :, a, :], b, grid)",
+     "_derivative(Gamma[..., :, a, :], a, grid)\n                          - _derivative(Gamma[..., :, b, :], b, grid)",
+     ["tests/test_contractions.py"]),
+    ("curvature pairs: the two Gamma Gamma terms in the other order", "src/laguerre/fd.py",
+     "+ Ga @ Gb) - Gb @ Ga", "+ Gb @ Ga) - Ga @ Gb",
+     ["tests/test_contractions.py"]),
+    ("Ricci: row b filled with +R_ab.. instead of -R_ab..", "src/laguerre/fd.py",
+     "ric[..., b, :] -= row(a)", "ric[..., b, :] += row(a)",
+     ["tests/test_hypersurface.py"]),
+    ("Gauss residual: block (b, a) with curvature +R_ab..", "src/laguerre/hypersurface.py",
+     "-Rc[p] - (((T3 + T4) - T1) - T2)", "Rc[p] - (((T3 + T4) - T1) - T2)",
+     ["tests/test_hypersurface.py"]),
+    ("mapped II: +<dx, dxi> instead of -<dx, dxi>", "src/laguerre/patches.py",
+     "return -0.5 * (W + np.swapaxes(W, -1, -2))", "return 0.5 * (W + np.swapaxes(W, -1, -2))",
+     ["tests/test_hypersurface.py"]),
+    ("mapped II: not symmetrized", "src/laguerre/patches.py",
+     "return -0.5 * (W + np.swapaxes(W, -1, -2))", "return -0.5 * (W + W)",
+     ["tests/test_hypersurface.py"]),
+    ("builtin params: non-finite values accepted", "src/laguerre/patches.py",
+     "        if not finite:\n            raise UsageError(f\"builtin param", "        if False:\n            raise UsageError(f\"builtin param",
+     ["tests/test_cli.py"]),
+    ("screen: a NaN contact defect passes", "src/laguerre/patches.py",
+     "if not worst <= contact_tol * scale:", "if worst > contact_tol * scale:",
+     ["tests/test_patches.py"]),
     ("compare: one patch reused when the specs differ", "src/laguerre/cli.py",
      "p2 = p1 if spec2 == spec else", "p2 = p1 if True else",
      ["tests/test_cli.py"]),
