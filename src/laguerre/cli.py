@@ -140,7 +140,7 @@ def cmd_group_decompose(args) -> dict:
 
 def _extrema(eigs: np.ndarray) -> dict:
     """Per-component min and max over the grid, one reduction per component."""
-    return {end: [getattr(c, end)() for c in fd.components(eigs)] for end in ("min", "max")}
+    return {end: [getattr(c, end)() for c in eigs] for end in ("min", "max")}
 
 
 def _analysis_payload(patch, fld, residuals) -> dict:
@@ -180,10 +180,10 @@ def _write_csv(path: str, patch, fld) -> None:
     axes = patch.axes
     coords = np.meshgrid(*axes.coords(), indexing="ij")
     cols = list(zip(axes.names, coords))
-    cols += [(f"x{i + 1}", c) for i, c in enumerate(fd.components(patch.x))]
-    cols += [(f"k{i + 1}", c) for i, c in enumerate(fd.components(patch.shape.k))]
+    cols += [(f"x{i + 1}", c) for i, c in enumerate(patch.x)]
+    cols += [(f"k{i + 1}", c) for i, c in enumerate(patch.shape.k)]
     cols += [("r", patch.shape.r), ("rho", patch.shape.rho)]
-    cols += [(f"s_eig{i + 1}", c) for i, c in enumerate(fd.components(fld.S_eigs))]
+    cols += [(f"s_eig{i + 1}", c) for i, c in enumerate(fld.S_eigs)]
     header = ",".join(name for name, _ in cols)
     data = np.column_stack([arr.reshape(-1) for _, arr in cols])
     np.savetxt(path, data, delimiter=",", header=header, comments="")

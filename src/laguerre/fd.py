@@ -2,26 +2,39 @@
 
 A ``GridAxes`` describes the grid and carries its stencil: the order (2 or
 4) of the central differences every grid-level kernel here takes, fixed
-when the grid is built.  Fields are numpy arrays whose leading axes are
-the grid axes and whose remaining axes are component axes.
+when the grid is built.
+
+Every grid field is a numpy array whose component axes come first and
+whose grid axes (*G) come last, so each component is a contiguous grid
+field and a scalar grid field broadcasts against a component field as
+written (``rho * y``).  With d ambient components and m parameter axes:
+
+    scalars                               (*G)
+    x, xi, Y, eta                         (d, *G)
+    dx, dxi                               (m, d, *G)
+    d2x, d2xi                             (m, m, d, *G)
+    I, II, S, g, B, L                     (m, m, *G)
+    C                                     (m, *G)
+    Gamma^c_ab, nabla_c B_ab, nabla_c L_ab (c, a, b, *G)
+    curvature on pairs                    (P, m, m, *G)
+
+A derivative's direction axis goes first: ``gradient`` writes each
+direction of a (*K, *G) field into its slot of one (m, *K, *G) array, and
+one covariant-derivative rule (``cov_d``) serves every tensor rank.  The
+curvature is formed only on its P derivative pairs a < b
+(``riemann_tensor``), from single-axis derivatives of the Christoffel rows
+each pair needs, and ``ricci_tensor`` reads the pairs.
 
 Each field is stored on its window: the part of the grid where it is
 defined.  A periodic axis is padded once by the stencil radius with its
 wrapped ends, so a derivative keeps every point; on a bounded axis the
 stencil is taken only where it has all its samples, so each cascaded
 derivative drops the stencil radius from both ends.  A field's margin on
-an axis is therefore (grid count - field count) / 2 (``margins``), and a
-pointwise kernel runs on its operands cut to their common window
-(``crop``).  No field holds a NaN: a sampled patch is built on the
-window of its finite-difference jets, so every reduction is a plain
-whole-array one (``max_abs``).
-
-Derivative outputs insert the direction axis right after the grid axes:
-``gradient`` writes each direction of a (*G, k) field into its slot of one
-(*G, m, k) array, and one covariant-derivative rule (``cov_d``) serves
-every tensor rank.  The curvature is formed only on its derivative pairs
-a < b (``riemann_tensor``, (*G, P, m, m)), from single-axis derivatives of
-the Christoffel rows each pair needs, and ``ricci_tensor`` reads the pairs.
+an axis is therefore (grid count - field count) / 2 (``margins``, read
+off the trailing grid axes), and a pointwise kernel runs on its operands
+cut to their common window (``crop``).  No field holds a NaN: a sampled
+patch is built on the window of its finite-difference jets, so every
+reduction is a plain whole-array one (``max_abs``).
 """
 
 from __future__ import annotations
@@ -103,9 +116,7 @@ def _central(f: np.ndarray, axis: int, h: float, periodic: bool, order: int,
     A periodic axis is padded once by the stencil radius with its wrapped
     ends and keeps all its points; a bounded axis keeps its interior, the
     ``count - 2r`` points where the stencil has all its samples.  The
-    stencil combines shifted slices of the (padded) array.  Only its last
-    operation writes ``out``, which may be a strided slot, where every
-    operation would run several times slower.
+    stencil combines shifted slices of the (padded) array.
     """
     r = RADIUS[order]
     if periodic:
@@ -122,103 +133,91 @@ def _central(f: np.ndarray, axis: int, h: float, periodic: bool, order: int,
     return np.divide(d, 12.0 * h, out=out)
 
 
-def diff(f: np.ndarray, axis: int, h: float, periodic: bool, order: int) -> np.ndarray:
-    """First derivative along one grid axis (central stencil of ``order``);
-    a bounded axis keeps its interior."""
-    if order not in RADIUS:
-        raise UsageError(f"unsupported stencil order {order}")
-    return _central(f, axis, h, periodic, order)
-
-
 def _derivative(f: np.ndarray, axis: int, grid: GridAxes,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """First derivative along ``axis`` on the window of a gradient of f: the
-    other bounded axes are cut by the stencil radius first, so no point
-    outside that window is computed."""
+    """First derivative along grid axis ``axis`` on the window of a gradient
+    of f: the other bounded axes are cut by the stencil radius first, so no
+    point outside that window is computed."""
     r = RADIUS[grid.order]
+    ncomp = f.ndim - grid.ndim
     cut = tuple(slice(None) if a == axis or per else slice(r, max(c - r, r))
-                for a, (c, per) in enumerate(zip(f.shape, grid.periodic)))
-    return _central(f[cut], axis, grid.spacings[axis], grid.periodic[axis], grid.order, out=out)
+                for a, (c, per) in enumerate(zip(f.shape[ncomp:], grid.periodic)))
+    return _central(f[(slice(None),) * ncomp + cut], ncomp + axis, grid.spacings[axis],
+                    grid.periodic[axis], grid.order, out=out)
 
 
 def _derivative_window(f: np.ndarray, grid: GridAxes) -> tuple:
     """Grid shape of a derivative of f: a bounded axis loses the stencil
     radius at each end."""
     r = RADIUS[grid.order]
-    return tuple(c if per else max(c - 2 * r, 0) for c, per in zip(f.shape, grid.periodic))
+    return tuple(c if per else max(c - 2 * r, 0)
+                 for c, per in zip(f.shape[f.ndim - grid.ndim:], grid.periodic))
 
 
 def gradient(f: np.ndarray, grid: GridAxes) -> np.ndarray:
-    """First derivatives along every grid axis, each written into its slot
-    of one output.
-
-    Output shape (*G, m, *C): the new direction axis sits at position
-    ``grid.ndim``.
-    """
-    ngrid = grid.ndim
-    out = np.empty(_derivative_window(f, grid) + (ngrid,) + f.shape[ngrid:])
-    for axis in range(ngrid):
-        _derivative(f, axis, grid, out=out[(slice(None),) * ngrid + (axis,)])
+    """First derivatives of a (*K, *G) field along every grid axis, each
+    written into its slot of one (m, *K, *G) output."""
+    out = np.empty((grid.ndim,) + f.shape[:f.ndim - grid.ndim] + _derivative_window(f, grid))
+    for axis in range(grid.ndim):
+        _derivative(f, axis, grid, out=out[axis])
     return out
 
 
 def margins(field: np.ndarray, grid: GridAxes) -> tuple[int, ...]:
     """Per-axis margin of a field's window: the grid points it lacks at each end."""
-    return tuple((c - s) // 2 for c, s in zip(grid.counts, field.shape))
+    return tuple((c - s) // 2 for c, s in zip(grid.counts, field.shape[field.ndim - grid.ndim:]))
 
 
 def crop(ngrid: int, *fields) -> tuple:
     """The fields cut to their common window, the smallest of their extents
-    on each of the leading ``ngrid`` grid axes (windows are centred, so a
+    on each of the trailing ``ngrid`` grid axes (windows are centred, so a
     larger one contains a smaller one).  Views; nothing is copied."""
-    window = [min(f.shape[i] for f in fields) for i in range(ngrid)]
-    return tuple(f[tuple(slice((c - w) // 2, (c + w) // 2) for c, w in zip(f.shape, window))]
+    window = [min(f.shape[f.ndim - ngrid + i] for f in fields) for i in range(ngrid)]
+    return tuple(f[(Ellipsis,) + tuple(slice((c - w) // 2, (c + w) // 2)
+                                       for c, w in zip(f.shape[f.ndim - ngrid:], window))]
                  for f in fields)
 
 
-# Grams, contractions with a vector and the metric pairing are formed from
-# last-axis dot products, each an einsum over the whole grid: a gram takes
-# one per entry (a <= b only, mirrored, when both stacks are the same),
-# contract_last one for all entries.  The ambient pairings of grid fields,
-# ``lorentz.inner`` and ``SurfacePatch.dot``, are the same weighted dot
-# with one entry; weights of +-1 make each product exact, so a point rounds
-# alike alone and in a grid.  A batched matmul of the small
-# per-point blocks pays one dispatch per block (about 0.2 us), most of its
-# cost here, and runs slower still against a transposed view or a column
-# vector; a dot pays per point and entry only.  With many entries per
-# block (the m^2 rows of d2x against dx in ``patches``) a matmul of
-# contiguous operands is cheaper, and those sites stay on @.
-
 def gram(u: np.ndarray, v: np.ndarray, form: np.ndarray) -> np.ndarray:
     """Form-weighted Gram matrices sum_i u_ai v_bi form_i of two stacks of
-    vectors (..., p, d) and (..., q, d); output (..., p, q), exactly
-    symmetric when v is u."""
+    vectors (p, d, *G) and (q, d, *G); output (p, q, *G), exactly symmetric
+    when v is u.  Each entry is one einsum, summed in component order."""
     symmetric = u is v
-    p, q = u.shape[-2], v.shape[-2]
-    out = np.empty(np.broadcast_shapes(u.shape[:-2], v.shape[:-2]) + (p, q))
+    p, q = len(u), len(v)
+    out = np.empty((p, q) + np.broadcast_shapes(u.shape[2:], v.shape[2:]))
     for a in range(p):
         for b in range(a if symmetric else 0, q):
-            np.einsum("...i,...i,i->...", u[..., a, :], v[..., b, :], form, out=out[..., a, b])
+            np.einsum("i...,i...,i->...", u[a], v[b], form, out=out[a, b])
             if symmetric:
-                out[..., b, a] = out[..., a, b]
+                out[b, a] = out[a, b]
     return out
 
 
-def contract_last(T: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_i T_{...i} w_i over the last axis, for T (*G, *K, d) and w (*G, d)."""
-    lead = w.shape[:-1]
-    comp = T.shape[len(lead):-1]
-    return np.einsum("...i,...i->...", T, w.reshape(lead + (1,) * len(comp) + w.shape[-1:]))
+def contract_last(T: np.ndarray, w: np.ndarray, form: np.ndarray | None = None) -> np.ndarray:
+    """sum_i T_{..i} w_i (times form_i when given) over the last component
+    axis of T (*K, d, *G) and the component axis of w (d, *G); output (*K, *G).
+
+    The products are summed in two interleaved lanes,
+    (p_0 + p_2 + ...) + (p_1 + p_3 + ...): the order numpy's einsum takes
+    for a dot of two contiguous short vectors, with which the curvature
+    data pinned in ``perfbench/reference.json`` were recorded.
+    """
+    lead = (slice(None),) * (T.ndim - w.ndim)
+    terms = [T[lead + (i,)] * (w[i] if form is None else w[i] * form[i]) for i in range(len(w))]
+    return sum(terms[0::2]) + sum(terms[1::2])
+
+
+def trace_product(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """sum_ab P_ab Q_ab of two (m, m, *G) fields, e.g. g^ab B_ab."""
+    k = P.shape[0] * P.shape[1]
+    return contract_last(P.reshape((k,) + P.shape[2:]), Q.reshape((k,) + Q.shape[2:]))
 
 
 def metric_pairing(P: np.ndarray, Q: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Full contraction g^ac g^bd P_ab Q_cd of two covariant 2-tensor fields."""
-    m = ginv.shape[-1]
-    one = np.ones(m)
+    one = np.ones(len(ginv))
     # W_ac = sum_b P_ab (sum_d Q_cd g^bd): grams of rows, unweighted.
-    W = gram(P, gram(Q, ginv, one), one)
-    return np.einsum("...i,...i->...", ginv.reshape(ginv.shape[:-2] + (m * m,)),
-                     W.reshape(W.shape[:-2] + (m * m,)))
+    return trace_product(ginv, gram(P, gram(Q, ginv, one), one))
 
 
 def require_interior(grid: GridAxes, levels: int, spec: GridAxes | None = None) -> None:
@@ -237,13 +236,7 @@ def require_interior(grid: GridAxes, levels: int, spec: GridAxes | None = None) 
 
 def component_max_abs(f: np.ndarray, ngrid: int) -> np.ndarray:
     """Grid field of the largest |component| of f."""
-    return np.abs(f).reshape(f.shape[:ngrid] + (-1,)).max(axis=-1)
-
-
-def components(f: np.ndarray) -> list:
-    """The grid fields (views) of the last axis of f: one whole-grid operation
-    each, in order, is numpy's reduction over a short axis, bit for bit."""
-    return list(np.moveaxis(f, -1, 0))
+    return np.abs(f).reshape((-1,) + f.shape[f.ndim - ngrid:]).max(axis=0)
 
 
 def ascending(columns: list) -> list:
@@ -262,20 +255,21 @@ def max_abs(field: np.ndarray) -> float:
 
 
 # Per-point blocks of size m <= 3 (m = n - 1 parameter axes) are handled
-# elementwise over the whole grid: numpy's batched LAPACK wrappers make one
-# LAPACK call per block, which is what dominates on three-axis grids.
-# Inverses, determinants and Cholesky factors are closed forms.  Spectra
-# come from cyclic Jacobi rotations instead, since closed-form 3x3
-# eigensolvers (roots of the characteristic cubic) lose relative accuracy
-# near repeated eigenvalues.  Each rotation zeroes one off-diagonal entry
-# a_pq and is computed from a_pp, a_qq and a_pq alone, and a rotation is
-# skipped once |a_pq| <= JACOBI_TOL sqrt|a_pp a_qq|: with that stopping
-# rule Jacobi is at least as accurate as QR, and keeps each eigenvalue of a
-# graded positive definite block to relative accuracy where QR keeps it
-# only relative to the largest (Demmel and Veselic, "Jacobi's method is
-# more accurate than QR", SIAM J. Matrix Anal. Appl. 13(4), 1992).  Only
-# blocks with m >= 4 take the LAPACK path.  The inverse Cholesky factor
-# and the Cholesky reduction are entrywise for every m.
+# elementwise over the whole grid, each block entry a contiguous grid
+# field: numpy's batched LAPACK wrappers make one LAPACK call per block,
+# which is what dominates on three-axis grids.  Inverses, determinants and
+# Cholesky factors are closed forms.  Spectra come from cyclic Jacobi
+# rotations instead, since closed-form 3x3 eigensolvers (roots of the
+# characteristic cubic) lose relative accuracy near repeated eigenvalues.
+# Each rotation zeroes one off-diagonal entry a_pq and is computed from
+# a_pp, a_qq and a_pq alone, and a rotation is skipped once
+# |a_pq| <= JACOBI_TOL sqrt|a_pp a_qq|: with that stopping rule Jacobi is at
+# least as accurate as QR, and keeps each eigenvalue of a graded positive
+# definite block to relative accuracy where QR keeps it only relative to
+# the largest (Demmel and Veselic, "Jacobi's method is more accurate than
+# QR", SIAM J. Matrix Anal. Appl. 13(4), 1992).  Only blocks with m >= 4
+# take the LAPACK path.  The inverse Cholesky factor and the Cholesky
+# reduction are entrywise for every m.
 CLOSED_FORM_MAX = 3
 
 # An m = 3 block takes at most JACOBI_SWEEPS sweeps of its three pairs; the
@@ -286,55 +280,55 @@ JACOBI_TOL = np.finfo(float).eps
 
 def _cofactor(a: np.ndarray, i: int, j: int) -> np.ndarray:
     """Signed cofactor of entry (i, j) of each block (m <= 3)."""
-    m = a.shape[-1]
+    m = len(a)
     if m == 1:
-        return np.ones(a.shape[:-2])
+        return np.ones(a.shape[2:])
     if m == 2:
-        return (-1) ** (i + j) * a[..., 1 - i, 1 - j]
+        return (-1) ** (i + j) * a[1 - i, 1 - j]
     # Cyclic index shifts carry the sign in a 3x3 block.
     i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
-    return a[..., i1, j1] * a[..., i2, j2] - a[..., i1, j2] * a[..., i2, j1]
+    return a[i1, j1] * a[i2, j2] - a[i1, j2] * a[i2, j1]
 
 
 def _small_det(a: np.ndarray) -> np.ndarray:
     """Determinants by cofactor expansion along the first row."""
-    return sum(a[..., 0, j] * _cofactor(a, 0, j) for j in range(a.shape[-1]))
+    return sum(a[0, j] * _cofactor(a, 0, j) for j in range(len(a)))
 
 
 def _small_inv(a: np.ndarray) -> np.ndarray:
     """Inverses as adjugate over determinant."""
-    m = a.shape[-1]
+    m = len(a)
     adj = np.empty(a.shape)
     for i, j in np.ndindex(m, m):
-        adj[..., j, i] = _cofactor(a, i, j)
-    det = sum(a[..., 0, j] * adj[..., j, 0] for j in range(m))
+        adj[j, i] = _cofactor(a, i, j)
+    det = sum(a[0, j] * adj[j, 0] for j in range(m))
     if (det == 0).any():
         raise np.linalg.LinAlgError("Singular matrix")
-    return adj / det[..., None, None]
+    return adj / det
 
 
 def _small_cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of each block, column by column."""
-    m = a.shape[-1]
+    m = len(a)
     L = np.zeros(a.shape)
     for j in range(m):
-        pivot = a[..., j, j] - sum(L[..., j, k] * L[..., j, k] for k in range(j))
+        pivot = a[j, j] - sum(L[j, k] * L[j, k] for k in range(j))
         if not (pivot > 0).all():
             raise np.linalg.LinAlgError("Matrix is not positive definite")
-        L[..., j, j] = np.sqrt(pivot)
+        L[j, j] = np.sqrt(pivot)
         for i in range(j + 1, m):
-            dot = sum(L[..., i, k] * L[..., j, k] for k in range(j))
-            L[..., i, j] = (a[..., i, j] - dot) / L[..., j, j]
+            dot = sum(L[i, k] * L[j, k] for k in range(j))
+            L[i, j] = (a[i, j] - dot) / L[j, j]
     return L
 
 
 def _small_eigvalsh(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of symmetric blocks (lower triangle read) by
     cyclic Jacobi rotations: one diagonalizes an m = 2 block exactly."""
-    m = a.shape[-1]
-    d = [a[..., i, i] for i in range(m)]
+    m = len(a)
+    d = [a[i, i] for i in range(m)]
     pairs = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if q < m]
-    off = {(p, q): a[..., q, p] for p, q in pairs}
+    off = {(p, q): a[q, p] for p, q in pairs}
     for _ in range(JACOBI_SWEEPS if m == 3 else 1):
         rotated = False
         for p, q in pairs:
@@ -357,11 +351,16 @@ def _small_eigvalsh(a: np.ndarray) -> np.ndarray:
                     off[rp], off[rq] = c * off[rp] - s * off[rq], s * off[rp] + c * off[rq]
         if not rotated:
             break
-    return np.stack(ascending(d), axis=-1)
+    return np.stack(ascending(d))
 
 
 def _batched(closed, lapack, mat: np.ndarray) -> np.ndarray:
-    return (closed if mat.shape[-1] <= CLOSED_FORM_MAX else lapack)(mat)
+    if len(mat) <= CLOSED_FORM_MAX:
+        return closed(mat)
+    # LAPACK reads trailing blocks: a block of m >= 4 is moved there and back.
+    out = lapack(np.moveaxis(mat, (0, 1), (-2, -1)))
+    ncomp = out.ndim - (mat.ndim - 2)
+    return np.moveaxis(out, tuple(range(-ncomp, 0)), tuple(range(ncomp)))
 
 
 def grid_inv(mat: np.ndarray) -> np.ndarray:
@@ -379,13 +378,13 @@ def grid_cholesky(mat: np.ndarray) -> np.ndarray:
 
 
 def grid_eigvalsh(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of symmetric blocks."""
+    """Ascending eigenvalues of symmetric blocks, (m, *G)."""
     return _batched(_small_eigvalsh, np.linalg.eigvalsh, mat)
 
 
 def leading_minors(mat: np.ndarray) -> list:
     """Determinants of the leading k x k blocks, k = 1..m; the last is det(mat)."""
-    return [grid_det(mat[..., :k, :k]) for k in range(1, mat.shape[-1] + 1)]
+    return [grid_det(mat[:k, :k]) for k in range(1, len(mat) + 1)]
 
 
 def nonpositive_index(mat: np.ndarray, minors: list | None = None):
@@ -401,7 +400,7 @@ def nonpositive_index(mat: np.ndarray, minors: list | None = None):
         minors = leading_minors(mat)
     if all((minor > 0).all() for minor in minors):
         return None
-    low = grid_eigvalsh(mat)[..., 0]
+    low = grid_eigvalsh(mat)[0]
     if low.min() > 0:
         return None
     return tuple(int(i) for i in np.unravel_index(np.argmin(low), low.shape))
@@ -416,13 +415,13 @@ def inverse_cholesky(metric: np.ndarray) -> np.ndarray:
     entries Linv_ij = -(sum_{j <= k < i} L_ik Linv_kj) / L_ii.
     """
     L = grid_cholesky(metric)
-    m = L.shape[-1]
+    m = len(L)
     Linv = np.zeros(L.shape)
     for i in range(m):
-        Linv[..., i, i] = 1.0 / L[..., i, i]
+        Linv[i, i] = 1.0 / L[i, i]
         for j in range(i):
-            dot = sum(L[..., i, k] * Linv[..., k, j] for k in range(j, i))
-            Linv[..., i, j] = -dot / L[..., i, i]
+            dot = sum(L[i, k] * Linv[k, j] for k in range(j, i))
+            Linv[i, j] = -dot / L[i, i]
     return Linv
 
 
@@ -435,16 +434,13 @@ def cholesky_reduce(Q: np.ndarray, Linv: np.ndarray) -> np.ndarray:
     triangle of Linv is read, and only the lower triangle of the result is
     formed and mirrored.
     """
-    m = Q.shape[-1]
+    m = len(Q)
     # Rows of Linv Q: row a combines the rows c <= a of Q.
-    LQ = [np.einsum("...c,...cd->...d", Linv[..., a, :a + 1], Q[..., :a + 1, :])
-          for a in range(m)]
+    LQ = [sum(Linv[a, c] * Q[c] for c in range(a + 1)) for a in range(m)]
     out = np.empty(Q.shape)
     for a in range(m):
         for b in range(a + 1):
-            np.einsum("...d,...d->...", LQ[a][..., :b + 1], Linv[..., b, :b + 1],
-                      out=out[..., a, b])
-            out[..., b, a] = out[..., a, b]
+            out[a, b] = out[b, a] = contract_last(LQ[a][:b + 1], Linv[b, :b + 1])
     return out
 
 
@@ -458,67 +454,51 @@ def selfadjoint_eigvals(endo: np.ndarray, metric: np.ndarray,
     """
     if Linv is None:
         Linv = inverse_cholesky(metric)
-    return grid_eigvalsh(cholesky_reduce(metric @ endo, Linv))
+    return grid_eigvalsh(cholesky_reduce(np.einsum("ab...,bc...->ac...", metric, endo), Linv))
 
 
 def christoffel(g: np.ndarray, grid: GridAxes, ginv: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma^c_{ab} of a metric field g (*G, m, m) with
-    inverse ``ginv``."""
-    ngrid = grid.ndim
-    dg, ginv = crop(ngrid, gradient(g, grid), ginv)  # dg: (*G, d, a, b)
-    low = 0.5 * (
-        np.moveaxis(dg, ngrid, ngrid + 1)          # [c, a, b] <- dg[a, c, b]
-        + np.moveaxis(dg, ngrid, ngrid + 2)        # [c, a, b] <- dg[b, c, a] (with symmetry of g)
-        - dg
-    )
-    # dg[a,c,b] term: derivative axis moved to slot 'a'; using g symmetry the
-    # second term is dg with derivative axis in slot 'b'.
-    m = g.shape[-1]
-    lead = ginv.shape[:-2]
-    return (ginv @ low.reshape(lead + (m, m * m))).reshape(lead + (m, m, m))
+    """Christoffel symbols Gamma^c_{ab} of a metric field g (m, m, *G) with
+    inverse ``ginv``: (c, a, b, *G)."""
+    dg, ginv = crop(grid.ndim, gradient(g, grid), ginv)     # dg: (d, a, b, *G)
+    # Gamma_cab = (d_a g_cb + d_b g_ca - d_c g_ab) / 2, with g symmetric.
+    low = 0.5 * ((np.einsum("acb...->cab...", dg) + np.einsum("bca...->cab...", dg)) - dg)
+    return np.einsum("ec...,cab...->eab...", ginv, low)
 
 
 def cov_d(T: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
-    """nabla_c T_{a_1 ... a_k} of a covariant k-tensor field T (*G, m, ..., m),
-    k >= 1; output (*G, c, a_1, ..., a_k).
+    """nabla_c T_{a_1 ... a_k} of a covariant k-tensor field T (m, ..., m, *G),
+    k >= 1; output (c, a_1, ..., a_k, *G).
 
     The one rule for every rank: the gradient minus, for each slot a_i in
-    slot order, Gamma^e_{c a_i} T_{.. e ..}, formed as one batched product
-    of Gamma [(c a_i), e] with T, its slot i moved to the front.
+    slot order, Gamma^e_{c a_i} T_{.. e ..}, one einsum per slot.
     """
-    ngrid = grid.ndim
-    m = T.shape[-1]
-    rank = T.ndim - ngrid
-    out, T, Gamma = crop(ngrid, gradient(T, grid), T, Gamma)
-    lead = T.shape[:ngrid]
-    Gt = np.swapaxes(Gamma.reshape(lead + (m, m * m)), -1, -2)   # [(c a), e]
-    for i in range(rank):
-        Te = np.moveaxis(T, ngrid + i, ngrid).reshape(lead + (m, m ** (rank - 1)))
-        corr = (Gt @ Te).reshape(lead + (m,) * (rank + 1))      # [c, a_i, other slots]
-        out -= np.moveaxis(corr, ngrid + 1, ngrid + 1 + i)
+    rank = T.ndim - grid.ndim
+    out, T, Gamma = crop(grid.ndim, gradient(T, grid), T, Gamma)
+    slots = "abcd"[:rank]
+    for i, a in enumerate(slots):
+        out -= np.einsum(f"ez{a}...,{slots[:i]}e{slots[i + 1:]}...->z{slots}...", Gamma, T)
     return out
 
 
-# The rank-named entry points the call sites (and the layer tracer) use.
+# The rank-named entry points the call sites use: perfbench's layer tracer
+# wraps them by name.
 cov_d_covector = cov_d_tensor2 = cov_d_tensor3 = cov_d
 
 
 def laplace_beltrami(df: np.ndarray, ginv: np.ndarray, sqrt_det: np.ndarray,
                      grid: GridAxes) -> np.ndarray:
     """Laplace-Beltrami operator (1/sqrt g) d_a(sqrt g g^{ab} d_b f) of a
-    field f with one component axis, given its gradient.
-
-    df = ``gradient(f)`` is (*G, b, K), so a caller that holds the gradient
-    of f does not take it again; ginv is (*G, m, m) and sqrt_det (*G).
-    Output (*G, K).
+    field f (*K, *G), given its gradient df = ``gradient(f)`` (m, *K, *G), so
+    a caller that holds the gradient of f does not take it again; ginv is
+    (m, m, *G) and sqrt_det (*G).  Output (*K, *G).
     """
     ngrid = grid.ndim
     df, ginv, sqrt_det = crop(ngrid, df, ginv, sqrt_det)
-    weighted = sqrt_det[..., None, None] * (ginv @ df)              # (*G, a, K)
-    div = sum(_derivative(weighted[(slice(None),) * ngrid + (a,)], a, grid)
+    div = sum(_derivative(sqrt_det * sum(ginv[a, b] * df[b] for b in range(ngrid)), a, grid)
               for a in range(ngrid))
     div, sqrt_det = crop(ngrid, div, sqrt_det)
-    return div / sqrt_det[..., None]
+    return div / sqrt_det
 
 
 def derivative_pairs(m: int) -> list:
@@ -529,7 +509,7 @@ def derivative_pairs(m: int) -> list:
 
 def riemann_tensor(g: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarray:
     """Lowered curvature tensor R_{abxy} of a metric field on its derivative
-    pairs a < b: output (*G, P, m, m), slot p holding R_{ab..} of the pair
+    pairs a < b: output (P, m, m, *G), slot p holding R_{ab..} of the pair
     ``derivative_pairs(m)[p]``.  The other derivative slots are
     R_{ba..} = -R_{ab..} and R_{aa..} = 0, so no reader needs them formed.
 
@@ -537,46 +517,36 @@ def riemann_tensor(g: np.ndarray, Gamma: np.ndarray, grid: GridAxes) -> np.ndarr
     both K = R_{abab} / (g_aa g_bb - g_ab^2) and the Ricci contraction
     Ric_{ac} = g^{bd} R_{abcd}.
     """
-    m = g.shape[-1]
-    pairs = derivative_pairs(m)
+    pairs = derivative_pairs(len(g))
     window = _derivative_window(Gamma, grid)
-    # up[d, p, c] = R^d_{cab} of pair p = (a, b), from the single-axis
-    # derivatives of the Gamma rows the pair needs (row i: Gamma^d_{ic}):
-    # R^d_{cab} = d_a Gamma^d_{bc} - d_b Gamma^d_{ac} + Gamma^d_{ae} Gamma^e_{bc}
-    #             - Gamma^d_{be} Gamma^e_{ac}.
-    # The quadratic terms are per-point products of rows, as batched
-    # matmuls: an entry rounds as in the product of all rows with all.
-    up = np.empty(window + (m, len(pairs), m))
-    Gw, g = crop(grid.ndim, Gamma, g, up)[:2]
+    Gw, g = crop(grid.ndim, Gamma, g, np.empty(window))[:2]
+    out = np.empty((len(pairs),) + g.shape)
     for p, (a, b) in enumerate(pairs):
-        Ga, Gb = Gw[..., :, a, :], Gw[..., :, b, :]
-        up[..., p, :] = ((_derivative(Gamma[..., :, b, :], a, grid)
-                          - _derivative(Gamma[..., :, a, :], b, grid))
-                         + Ga @ Gb) - Gb @ Ga
-    # Lower the free slot: R_{abxy} = g_xd R^d_{yab}.
-    low = (g @ up.reshape(window + (m, len(pairs) * m))).reshape(up.shape)
-    return np.moveaxis(low, -2, -3)
+        # up[d, c] = R^d_{cab} from the single-axis derivatives of the Gamma
+        # rows the pair needs (row i: Gamma^d_{ic}):
+        # R^d_{cab} = d_a Gamma^d_{bc} - d_b Gamma^d_{ac} + Gamma^d_{ae} Gamma^e_{bc}
+        #             - Gamma^d_{be} Gamma^e_{ac}.
+        Ga, Gb = Gw[:, a], Gw[:, b]
+        up = ((_derivative(Gamma[:, b], a, grid) - _derivative(Gamma[:, a], b, grid))
+              + np.einsum("de...,ec...->dc...", Ga, Gb)) - np.einsum("de...,ec...->dc...", Gb, Ga)
+        # Lower the free slot: R_{abxy} = g_xd R^d_{yab}.
+        np.einsum("xd...,dy...->xy...", g, up, out=out[p])
+    return out
 
 
 def ricci_tensor(riem: np.ndarray, ginv: np.ndarray) -> np.ndarray:
     """Ricci contraction R_{ac} = g^{bd} R_{abcd} (positive for spheres) of
     the curvature on its derivative pairs: pair (a, b) adds g^{bd} R_{abcd}
-    to row a and, through R_{bacd} = -R_{abcd}, -g^{ad} R_{abcd} to row b.
-    Each sum over d takes one whole-grid product per d: the pair slots of
-    ``riemann_tensor`` are strided views, on which a last-axis dot
-    (``contract_last``) runs about three times slower."""
-    m = ginv.shape[-1]
+    to row a and, through R_{bacd} = -R_{abcd}, -g^{ad} R_{abcd} to row b."""
     ric = np.zeros(ginv.shape)
-    for p, (a, b) in enumerate(derivative_pairs(m)):
-        R = riem[..., p, :, :]
-        row = lambda i: sum(R[..., :, d] * ginv[..., i, d, None] for d in range(m))
-        ric[..., a, :] += row(b)
-        ric[..., b, :] -= row(a)
+    for R, (a, b) in zip(riem, derivative_pairs(len(ginv))):
+        ric[a] += contract_last(R, ginv[b])
+        ric[b] -= contract_last(R, ginv[a])
     return ric
 
 
 def scalar_curvature(ricci: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    return np.einsum("...ac,...ac->...", ginv, ricci)
+    return trace_product(ginv, ricci)
 
 
 def simpson(y: np.ndarray, h: float) -> np.ndarray:

@@ -55,7 +55,7 @@ from . import fd, lorentz, patches
 from .errors import DegenerateSurfaceError, UsageError
 from .group import LaguerreTransform
 from .patches import SurfacePatch
-from .spheres import contact_from_pencil, contact_pencil, coord_tail
+from .spheres import contact_from_pencil, contact_pencil
 
 # Cascade depth of the deepest residual (divergence of C), used for the
 # up-front interior check: Y -> g -> Gamma/lap -> N -> C -> div C.
@@ -117,7 +117,7 @@ class InvariantField:
         """The null vector conjugate to Y: <N, N> = 0, <Y, N> = -1."""
         nm1 = self.patch.n - 1
         lapY, lap_norm, Y = self.crop(self.lapY, self.lap_norm, self.patch.lift.Y)
-        return lapY / nm1 + (lap_norm / (2.0 * nm1 * nm1))[..., None] * Y
+        return lapY / nm1 + lap_norm / (2.0 * nm1 * nm1) * Y
 
     @cached_property
     def deta(self) -> np.ndarray:
@@ -130,7 +130,7 @@ class InvariantField:
 
     @cached_property
     def B(self) -> np.ndarray:
-        return 0.5 * (self.B_raw + np.swapaxes(self.B_raw, -1, -2))
+        return 0.5 * (self.B_raw + np.swapaxes(self.B_raw, 0, 1))
 
     @cached_property
     def _LC(self) -> tuple:
@@ -138,7 +138,7 @@ class InvariantField:
         sig = lorentz.signature(self.patch.n)
         dN, dY, eta = self.crop(fd.gradient(self.N, self.patch.axes), self.dY, self.patch.lift.eta)
         L = fd.gram(dN, dY, sig)
-        return 0.5 * (L + np.swapaxes(L, -1, -2)), -fd.contract_last(dN, eta * sig)
+        return 0.5 * (L + np.swapaxes(L, 0, 1)), -fd.contract_last(dN, eta, sig)
 
     @property
     def L(self) -> np.ndarray:
@@ -156,8 +156,8 @@ class InvariantField:
 
     @cached_property
     def EY(self) -> np.ndarray:
-        """The frame E_i(Y), (*G, m, n+3), orthonormal for the ambient product."""
-        return self.vielbein @ self.dY
+        """The frame E_i(Y), (m, n+3, *G), orthonormal for the ambient product."""
+        return np.einsum("ia...,ak...->ik...", self.vielbein, self.dY)
 
     @cached_property
     def B_frame(self) -> np.ndarray:
@@ -170,23 +170,23 @@ class InvariantField:
     @cached_property
     def B_eigs(self) -> np.ndarray:
         """Eigenvalues of B in the orthonormal frame, descending."""
-        return fd.grid_eigvalsh(self.B_frame)[..., ::-1]
+        return fd.grid_eigvalsh(self.B_frame)[::-1]
 
     @cached_property
     def S_op(self) -> np.ndarray:
         """The invariant shape operator rho^{-1} (S^{-1} - r id)."""
         shape = self.patch.shape
         Sinv = fd.grid_inv(self.patch.S)
-        eye = np.eye(self.patch.ngrid)
-        return (Sinv - shape.r[..., None, None] * eye) / shape.rho[..., None, None]
+        Sinv[np.diag_indices(len(Sinv))] -= shape.r
+        return Sinv / shape.rho
 
     @cached_property
     def S_eigs(self) -> np.ndarray:
         """Eigenvalues of S_op, descending: (r_i - r) / rho, since S^{-1} has
         the curvature radii r_i for eigenvalues."""
         shape = self.patch.shape
-        eigs = [(radius - shape.r) / shape.rho for radius in fd.components(shape.radii)]
-        return np.stack(fd.ascending(eigs)[::-1], axis=-1)
+        eigs = [(radius - shape.r) / shape.rho for radius in shape.radii]
+        return np.stack(fd.ascending(eigs)[::-1])
 
     @cached_property
     def riemann(self) -> np.ndarray:
@@ -205,9 +205,9 @@ class InvariantField:
         """Defects of three identities the construction satisfies exactly."""
         sig = lorentz.signature(self.patch.n)
         deta, N = self.crop(self.deta, self.N)
-        C_dual = fd.contract_last(deta, N * sig)
+        C_dual = fd.contract_last(deta, N, sig)
         return {
-            "raw_B_asymmetry": fd.max_abs(self.B_raw - np.swapaxes(self.B_raw, -1, -2)),
+            "raw_B_asymmetry": fd.max_abs(self.B_raw - np.swapaxes(self.B_raw, 0, 1)),
             "C_dual_defect": fd.max_abs(np.subtract(*self.crop(self.C, C_dual))),
             "g_vs_rho2_III": fd.max_abs(np.subtract(*self.crop(self.g, self.patch.g_exact))),
         }
@@ -225,12 +225,12 @@ class InvariantField:
     @cached_property
     def divB(self) -> np.ndarray:
         """(div B)_b = g^ca nabla_c B_ab."""
-        return np.einsum("...ca,...cab->...b", *self.crop(self.ginv, self.DB))
+        return np.einsum("ca...,cab...->b...", *self.crop(self.ginv, self.DB))
 
     @cached_property
     def divC(self) -> np.ndarray:
         """div C = g^ca nabla_c C_a."""
-        return np.einsum("...ab,...ab->...", *self.crop(self.ginv, self.DC))
+        return fd.trace_product(*self.crop(self.ginv, self.DC))
 
     @cached_property
     def LB(self) -> np.ndarray:
@@ -261,31 +261,24 @@ def analyze(patch: SurfacePatch) -> InvariantField:
 def gauss_residuals(riem: np.ndarray, L: np.ndarray, g: np.ndarray) -> list:
     """Residual R_abcd - (L_bc g_ad + L_ad g_bc - L_ac g_bd - L_bd g_ac) of
     the Gauss equation, from the curvature on its derivative pairs, as
-    (*G, m, m) blocks over (c, d): for each pair a < b the blocks (a, b) and
+    (m, m, *G) blocks over (c, d): for each pair a < b the blocks (a, b) and
     (b, a), whose curvature is -R_ab.., then the blocks (a, a), whose
     curvature is 0.  Each entry is formed in the term order of the
     equation, ((T1 + T2) - T3) - T4.
-
-    The terms are formed component-major, each (c, d) entry a contiguous
-    grid field (whole-grid operations on a trailing 2x2 or 3x3 block run
-    about three times slower), and the blocks are returned as grid-leading
-    views.
     """
-    Lc, gc = (np.ascontiguousarray(np.moveaxis(f, (-2, -1), (0, 1))) for f in (L, g))
-    Rc = np.moveaxis(riem, (-3, -2, -1), (0, 1, 2))
     blocks = []
-    for p, (a, b) in enumerate(fd.derivative_pairs(g.shape[-1])):
+    for R, (a, b) in zip(riem, fd.derivative_pairs(len(g))):
         # The terms of block (a, b); block (b, a) has T3, T4, T1, T2.
-        T1 = Lc[b, :, None] * gc[a, None, :]
-        T2 = gc[b, :, None] * Lc[a, None, :]
-        T3 = Lc[a, :, None] * gc[b, None, :]
-        T4 = gc[a, :, None] * Lc[b, None, :]
-        blocks += [Rc[p] - (((T1 + T2) - T3) - T4), -Rc[p] - (((T3 + T4) - T1) - T2)]
-    for a in range(g.shape[-1]):
-        T1 = Lc[a, :, None] * gc[a, None, :]
-        T2 = gc[a, :, None] * Lc[a, None, :]
+        T1 = L[b, :, None] * g[a, None, :]
+        T2 = g[b, :, None] * L[a, None, :]
+        T3 = L[a, :, None] * g[b, None, :]
+        T4 = g[a, :, None] * L[b, None, :]
+        blocks += [R - (((T1 + T2) - T3) - T4), -R - (((T3 + T4) - T1) - T2)]
+    for a in range(len(g)):
+        T1 = L[a, :, None] * g[a, None, :]
+        T2 = g[a, :, None] * L[a, None, :]
         blocks.append(-(((T1 + T2) - T1) - T2))
-    return [np.moveaxis(block, (0, 1), (-2, -1)) for block in blocks]
+    return blocks
 
 
 def _structure_identities(fld: InvariantField, flat) -> dict:
@@ -309,30 +302,27 @@ def _structure_identities(fld: InvariantField, flat) -> dict:
         return np.subtract(*crop(a, b))
 
     res = {}
-    res["l_codazzi"] = flat(DL - np.swapaxes(DL, -3, -1))
+    # nabla_c L_ab - nabla_b L_ac, and likewise for B.
+    res["l_codazzi"] = flat(DL - np.swapaxes(DL, 0, 2))
     B3, ginv3, L3 = crop(B, ginv, L)
-    BL = B3 @ ginv3 @ L3
-    res["c_exchange"] = flat(minus(np.swapaxes(DC, -1, -2) - DC, BL - np.swapaxes(BL, -1, -2)))
+    BL = np.einsum("ab...,bc...,cd...->ad...", B3, ginv3, L3)
+    res["c_exchange"] = flat(minus(np.swapaxes(DC, 0, 1) - DC, BL - np.swapaxes(BL, 0, 1)))
     C3, g3 = crop(C, g)
-    codazzi_rhs = (
-        np.einsum("...b,...ac->...cab", C3, g3)
-        - np.einsum("...c,...ab->...cab", C3, g3)
-    )
-    res["b_codazzi"] = flat(minus(DB - np.einsum("...cab->...bac", DB), codazzi_rhs))
+    codazzi_rhs = np.einsum("b...,ac...->cab...", C3, g3) - np.einsum("c...,ab...->cab...", C3, g3)
+    res["b_codazzi"] = flat(minus(DB - np.swapaxes(DB, 0, 2), codazzi_rhs))
 
     res["gauss"] = flat(*gauss_residuals(*crop(fld.riemann, L, g)))
 
-    trB = np.einsum("...ab,...ab->...", ginv, B)
-    res["b_trace"] = flat(trB)
+    res["b_trace"] = flat(fd.trace_product(ginv, B))
     B2 = fd.metric_pairing(B, B, ginv)
     res["b_sqnorm"] = flat(B2 - 1.0)
-    trL = np.einsum("...ab,...ab->...", ginv3, L3)
+    trL = fd.trace_product(ginv3, L3)
     res["l_trace_vs_lap"] = flat(np.add(*crop(trL, fld.lap_norm / (2.0 * (n - 1)))))
 
     res["b_divergence"] = flat(minus(fld.divB, (n - 2) * C))
 
     ricci, L3, trL, g3 = crop(fld.ricci, L, trL, g)
-    res["ricci_vs_l"] = flat(ricci + (n - 3) * L3 + trL[..., None, None] * g3)
+    res["ricci_vs_l"] = flat(ricci + (n - 3) * L3 + trL * g3)
     res["scalar_vs_lap"] = flat(minus(fld.scalar, (n - 2) / (n - 1) * fld.lap_norm))
     return res
 
@@ -355,17 +345,19 @@ def frame_residuals(fld: InvariantField) -> dict:
     Y, eta, N, EY = fld.patch.lift.Y, fld.patch.lift.eta, fld.N, fld.EY
     wp = lorentz.wp(fld.patch.n)
     sig = lorentz.signature(fld.patch.n)
+    EE = fd.gram(EY, EY, sig)
+    EE[np.diag_indices(len(EE))] -= 1.0
     return {
         "Y_null": fd.max_abs(inner(Y, Y)),
         "N_null": fd.max_abs(inner(N, N)),
         "YN_pairing": fd.max_abs(inner(*crop(Y, N)) + 1.0),
-        "EY_orthonormal": fd.max_abs(fd.gram(EY, EY, sig) - np.eye(EY.shape[-2])),
-        "Y_EY": fd.max_abs(fd.contract_last(*crop(EY, Y * sig))),
-        "N_EY": fd.max_abs(fd.contract_last(*crop(EY, N * sig))),
+        "EY_orthonormal": fd.max_abs(EE),
+        "Y_EY": fd.max_abs(fd.contract_last(*crop(EY, Y), sig)),
+        "N_EY": fd.max_abs(fd.contract_last(*crop(EY, N), sig)),
         "eta_null": fd.max_abs(inner(eta, eta)),
         "eta_wp_pairing": fd.max_abs(inner(eta, wp) + 1.0),
         "eta_Y": fd.max_abs(inner(eta, Y)),
-        "eta_EY": fd.max_abs(fd.contract_last(*crop(EY, eta * sig))),
+        "eta_EY": fd.max_abs(fd.contract_last(*crop(EY, eta), sig)),
         "Y_wp": fd.max_abs(inner(Y, wp)),
         "N_eta": fd.max_abs(inner(*crop(N, eta))),
         "N_wp": fd.max_abs(inner(N, wp)),
@@ -391,7 +383,7 @@ def laguerre_volume(patch: SurfacePatch) -> float:
     element is pointwise exact; the quadrature is the only approximation.
     """
     shape = patch.shape
-    radii_product = reduce(np.multiply, fd.components(shape.radii))
+    radii_product = np.prod(shape.radii, axis=0)
     integrand = shape.rho ** (patch.n - 1) / radii_product * patch.area_element
     return fd.integrate(integrand, patch.axes)
 
@@ -401,7 +393,7 @@ def volume_via_curvature_quotient(patch: SurfacePatch) -> float:
     if patch.n != 3:
         raise UsageError("the mean/Gauss curvature form of the volume is for surfaces")
     shape = patch.shape
-    k1, k2 = shape.k[..., 0], shape.k[..., 1]
+    k1, k2 = shape.k
     H = 0.5 * (k1 + k2)
     K = k1 * k2
     integrand = 2.0 * (H * H - K) / K * patch.area_element
@@ -423,39 +415,42 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
         raise UsageError("transform and patch have different base dimensions")
     # The derivative jets of the pencil members are their tails: entries 0
     # and 1 are a multiple of wp, which T fixes, so they add nothing to
-    # entries 2: of the image.  The values keep their full coordinates.
-    M = T.matrix
-    h1, h2 = ([(value @ M)[..., 2:], tail @ M[2:, 2:]]
-              for value, tail in zip(contact_pencil(patch.x, patch.xi), jet_tails(patch, 1)))
+    # entries 2: of the image, and the radius entry (last) is constant, so
+    # only the rows of the jets of x and xi enter.  The values keep their
+    # full coordinates.
+    M, ngrid = T.matrix, patch.ngrid
+    jet_rows = M[2:-1, 2:]
+    h1, h2 = ([_image(value, M[:, 2:], ngrid), _image(jet, jet_rows, ngrid)]
+              for value, jet in zip(contact_pencil(patch.x, patch.xi), (patch.dx, patch.dxi)))
     try:
         return patch_from_pencil(patch, h1, h2,
-                                 lambda: [tail @ M[2:, 2:] for tail in jet_tails(patch, 2)],
+                                 lambda: [_image(patch.d2x, jet_rows, ngrid),
+                                          _image(patch.d2xi, jet_rows, ngrid)],
                                  transformed=True)
     except DegenerateSurfaceError as exc:
         # Curvature sphere i goes to (gamma1 + r_i gamma2) T, whose last entry
         # is the image radius r'_i = a + r_i b.  One that takes both signs on
         # the grid passes through zero between neighbouring grid points.
-        radii = (h1[0][..., -1:] + patch.shape.radii * h2[0][..., -1:]).reshape(-1, patch.n - 1)
+        radii = (h1[0][-1] + patch.shape.radii * h2[0][-1]).reshape(patch.n - 1, -1)
         signs = np.sign(radii)
-        flips = signs.min(axis=0) != signs.max(axis=0)
+        flips = signs.min(axis=1) != signs.max(axis=1)
         if not flips.any():
             raise
-        point, i = np.unravel_index(np.argmin(np.where(flips, np.abs(radii), np.inf)),
+        i, point = np.unravel_index(np.argmin(np.where(flips[:, None], np.abs(radii), np.inf)),
                                     radii.shape)
         idx = patches.grid_index(patch, np.unravel_index(point, patch.axes.shape))
         raise DegenerateSurfaceError(
             f"principal radius {i + 1} of the image passes through zero (|r'| = "
-            f"{abs(radii[point, i]):.1e} at grid index {idx}): the image is a front "
+            f"{abs(radii[i, point]):.1e} at grid index {idx}): the image is a front "
             "with a cusp, not an immersed patch") from exc
 
 
-def jet_tails(patch: SurfacePatch, order: int) -> list:
-    """Entries 2: of the parameter derivatives of order 1 or 2 of the pencil
-    members gamma1 and gamma2 along a patch, in the layout of its space: the
-    tails of d^order x and d^order xi.  The radius entry is constant along
-    the patch, so its jets vanish."""
-    jets = (patch.dx, patch.dxi) if order == 1 else (patch.d2x, patch.d2xi)
-    return [coord_tail(j, 0.0, patch.space) for j in jets]
+def _image(field: np.ndarray, rows: np.ndarray, ngrid: int) -> np.ndarray:
+    """The vector axis of ``field`` (the one after its direction axes) times
+    the matrix ``rows``: one product per direction slot."""
+    if field.ndim == ngrid + 1:
+        return np.tensordot(rows, field, axes=(0, 0))
+    return np.stack([_image(slot, rows, ngrid) for slot in field])
 
 
 def patch_from_pencil(patch: SurfacePatch, h1, h2, second, **metadata) -> SurfacePatch:
@@ -471,22 +466,21 @@ def patch_from_pencil(patch: SurfacePatch, h1, h2, second, **metadata) -> Surfac
     when the image's d2x or d2xi is first read.
     """
     x, xi = contact_from_pencil(h1[0], h2[0], lambda idx: patches.grid_index(patch, idx))
-    dA, B, dB = h1[1][..., :-1], h2[0][..., :-1], h2[1][..., :-1]
-    da, b, db = h1[1][..., -1:], h2[0][..., -1], h2[1][..., -1]
+    dA, B, dB = h1[1][:, :-1], h2[0][:-1], h2[1][:, :-1]
+    da, b, db = h1[1][:, -1:], h2[0][-1], h2[1][:, -1]
     dxi = _quotient_d(xi, dB, b, db)
     # q = a / b is the same quotient on a single component; x = A - q B.
-    q = h1[0][..., -1:] / b[..., None]
+    q = h1[0][-1:] / b
     dq = _quotient_d(q, da, b, db)
-    dx = dA - dq * B[..., None, :] - q[..., None, :] * dB
+    dx = dA - dq * B - q * dB
 
     @cache
     def second_jets() -> dict:
-        (d2A, d2a), (d2B, d2b) = ((j[..., :-1], j[..., -1:]) for j in second())
-        d2b = d2b[..., 0]
+        (d2A, d2a), (d2B, d2b) = ((j[:, :, :-1], j[:, :, -1:]) for j in second())
+        d2b = d2b[:, :, 0]
         d2q = _quotient_d2(q, dq, d2a, b, db, d2b)
         return {
-            "d2x": d2A - d2q * B[..., None, None, :] - dq[..., :, None, :] * dB[..., None, :, :]
-            - dq[..., None, :, :] * dB[..., :, None, :] - q[..., None, None, :] * d2B,
+            "d2x": d2A - d2q * B - dq[:, None] * dB - dq * dB[:, None] - q * d2B,
             "d2xi": _quotient_d2(xi, dxi, d2B, b, db, d2b),
         }
 
@@ -501,18 +495,14 @@ def patch_from_pencil(patch: SurfacePatch, h1, h2, second, **metadata) -> Surfac
 
 
 def _quotient_d(w, dv, b, db):
-    """First jets of the vector field w = v / b, given w."""
-    return (dv - w[..., None, :] * db[..., :, None]) / b[..., None, None]
+    """First jets (m, k, *G) of the field w = v / b of k components, given w;
+    db[:, None] pairs each direction with every component."""
+    return (dv - w * db[:, None]) / b
 
 
 def _quotient_d2(w, dw, d2v, b, db, d2b):
-    """Second jets of the vector field w = v / b, given w and its first jets."""
-    return (
-        d2v
-        - dw[..., None, :, :] * db[..., :, None, None]
-        - dw[..., :, None, :] * db[..., None, :, None]
-        - w[..., None, None, :] * d2b[..., :, :, None]
-    ) / b[..., None, None, None]
+    """Second jets (m, m, k, *G) of w = v / b, given w and its first jets."""
+    return (d2v - dw * db[:, None, None] - dw[:, None] * db[:, None] - w * d2b[:, :, None]) / b
 
 
 def compare_invariants(f1: InvariantField, f2: InvariantField) -> dict:

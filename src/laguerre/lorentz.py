@@ -12,6 +12,9 @@ Conventions:
   transformations is the left-to-right matrix product.
 * The distinguished light-like vector fixed by the whole transformation
   group is wp = (1, -1, 0, ..., 0).
+* Vectors and grid fields of vectors carry their components on axis 0,
+  broadcasting over trailing axes: a single element is a 1-d vector and a
+  grid field is (n + 3, *G), and one kernel serves both.
 * Tolerances are relative to a natural scale (Euclidean norm of the vector,
   max-norm of the matrix); the package-wide default is 1e-9.
 * ``inner_1`` is the product (+, ..., +, -) of R^k_1, which the space
@@ -95,35 +98,37 @@ def base_dim(vec_or_mat: np.ndarray) -> int:
 def inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray | float:
     """Inner product <X, Y> of signature (-, +, ..., +, -).
 
-    Broadcasts over leading axes, so it applies equally to single vectors
-    and to grids of vectors stored in the trailing axis.  One signature-
-    weighted last-axis dot, the form ``fd.gram`` takes: the weights are
-    +-1, so each product is exact however it is grouped, and the sum runs
-    in component order for every point alike.  Two 1-d vectors give a
-    float, the same sum taken over Python floats without the einsum set-up.
+    Components on axis 0, broadcasting over trailing axes, so it applies
+    equally to single vectors and to grid fields (d, *G).  One signature-
+    weighted sum over the component axis, the form ``fd.gram`` takes: the
+    weights are +-1, so each product is exact however it is grouped, and
+    the sum runs in component order for every point alike.  Two 1-d
+    vectors give a float, the same sum taken over Python floats without the
+    einsum set-up.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    if X.shape[-1] != Y.shape[-1]:
-        raise UsageError(f"dimension mismatch: {X.shape[-1]} vs {Y.shape[-1]}")
-    sig = signature(X.shape[-1] - 3)
+    if X.shape[0] != Y.shape[0]:
+        raise UsageError(f"dimension mismatch: {X.shape[0]} vs {Y.shape[0]}")
+    sig = signature(X.shape[0] - 3)
     if X.ndim == 1 and Y.ndim == 1:
         x, y = X.tolist(), Y.tolist()
         total = 0.0 - x[0] * y[0]  # from +0.0, as einsum's sum starts
         for i in range(1, len(x) - 1):  # a loop: sum() compensates from Python 3.12 on
             total += x[i] * y[i]
         return total - x[-1] * y[-1]
-    return np.einsum("...i,...i,i->...", X, Y, sig)
+    return np.einsum("i...,i...,i->...", X, Y, sig)
 
 
 def inner_1(v: np.ndarray, w: np.ndarray):
-    """Product of signature (+, ..., +, -) over the trailing axis: the form of
-    R^n_1 and R^{n+1}_1, and of entries 2: of a light-cone coordinate in
-    every space-form layout.  A sequential reduce, not a BLAS dot, so a grid
-    point and the same point alone round alike.  Broadcasts over leading axes.
+    """Product of signature (+, ..., +, -) over the component axis 0: the
+    form of R^n_1 and R^{n+1}_1, and of entries 2: of a light-cone
+    coordinate in every space-form layout.  A sequential reduce, so a grid
+    point and the same point alone round alike.  Broadcasts over trailing
+    axes.
     """
     p = v * w
-    return np.add.reduce(p[..., :-1], axis=-1) - p[..., -1]
+    return np.add.reduce(p[:-1], axis=0) - p[-1]
 
 
 def causal_type(X: np.ndarray, tol: float = 1e-12) -> str:

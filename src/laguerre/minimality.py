@@ -70,8 +70,8 @@ def el_residual(fld: InvariantField):
     to discretization error.
     """
     crop = fld.crop
-    div_divB = fd.laplace_beltrami(fld.divB[..., None], fld.ginv, fld.sqrt_det, fld.patch.axes)
-    sum_form = np.subtract(*crop(div_divB[..., 0], fld.LB))
+    div_divB = fd.laplace_beltrami(fld.divB, fld.ginv, fld.sqrt_det, fld.patch.axes)
+    sum_form = np.subtract(*crop(div_divB, fld.LB))
     divC, LB = crop(fld.divC, fld.LB)
     div_form = divC - LB / (fld.patch.n - 2)
     return sum_form, div_form
@@ -84,8 +84,7 @@ def third_form_laplacian_r(patch: SurfacePatch, r: np.ndarray) -> np.ndarray:
         raise UsageError("the third-form Laplacian criterion is stated for surfaces")
     IIIinv = fd.grid_inv(patch.third_form)
     sqrt_det = np.sqrt(fd.grid_det(patch.third_form))
-    return fd.laplace_beltrami(fd.gradient(r[..., None], patch.axes), IIIinv, sqrt_det,
-                               patch.axes)[..., 0]
+    return fd.laplace_beltrami(fd.gradient(r, patch.axes), IIIinv, sqrt_det, patch.axes)
 
 
 def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
@@ -100,9 +99,8 @@ def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
     inner = lorentz.inner
 
     wp_comp = -inner(*crop(lap_eta, lift.eta))
-    sig = lorentz.signature(n)
-    dY, lap_eta_sig = crop(fld.dY, lap_eta * sig)
-    tangent = fd.contract_last(dY, lap_eta_sig)
+    dY, lap_eta_c = crop(fld.dY, lap_eta)
+    tangent = fd.contract_last(dY, lap_eta_c, lorentz.signature(n))
     # Convert <lap eta, d_a Y> to frame components through the vielbein.
     tangent_frame = fd.contract_last(*crop(fld.vielbein, tangent))
     tangent_frame, C_frame = crop(tangent_frame, fld.C_frame)

@@ -54,7 +54,7 @@ normalization and contact tolerances follow the jets provenance in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -88,8 +88,9 @@ def ambient_form_diag(space: str, n: int) -> np.ndarray:
 class SurfacePatch:
     """Immutable sampled hypersurface with jets.
 
-    Grid axes lead every array; ambient components trail.  ``dx`` has shape
-    (*G, m, d), ``d2x`` (*G, m, m, d) and likewise for the normal.
+    Component axes lead every array and grid axes trail (the table of
+    ``fd``): x and xi are (d, *G), ``dx`` (m, d, *G), ``d2x`` (m, m, d, *G)
+    and likewise for the normal.
 
     x, dx and the normal are stored; every other field is a value computed
     on first read and then cached: ``d2x``, ``II`` and the normal jets
@@ -111,10 +112,6 @@ class SurfacePatch:
     metadata: dict = field(default_factory=dict)
 
     @property
-    def ambient_dim(self) -> int:
-        return self.x.shape[-1]
-
-    @property
     def form(self) -> np.ndarray:
         return ambient_form_diag(self.space, self.n)
 
@@ -123,9 +120,9 @@ class SurfacePatch:
         return self.axes.ndim
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Ambient inner product, broadcasting over grid axes: one
-        form-weighted last-axis dot, as ``lorentz.inner``."""
-        return np.einsum("...i,...i,i->...", u, v, self.form)
+        """Ambient inner product over the component axis 0, broadcasting over
+        grid axes: one form-weighted sum, as ``lorentz.inner``."""
+        return np.einsum("i...,i...,i->...", u, v, self.form)
 
     @property
     def spec_axes(self) -> fd.GridAxes:
@@ -136,7 +133,7 @@ class SurfacePatch:
     @property
     def diameter(self) -> float:
         """Diagonal of the bounding box, one whole-grid min and max per component."""
-        return float(np.linalg.norm([c.max() - c.min() for c in fd.components(self.x)]))
+        return float(np.linalg.norm([c.max() - c.min() for c in self.x]))
 
     @cached_property
     def d2x(self) -> np.ndarray:
@@ -165,7 +162,7 @@ class SurfacePatch:
     @cached_property
     def S(self) -> np.ndarray:
         """Shape operator S = I^{-1} II, the operator in d(xi) = -dx o S."""
-        return self.Iinv @ self.II
+        return np.einsum("ac...,cb...->ab...", self.Iinv, self.II)
 
     @cached_property
     def Linv(self) -> np.ndarray:
@@ -184,7 +181,7 @@ class SurfacePatch:
     @cached_property
     def g_exact(self) -> np.ndarray:
         """rho^2 III, the invariant metric pointwise exact."""
-        return (self.shape.rho ** 2)[..., None, None] * self.third_form
+        return self.shape.rho ** 2 * self.third_form
 
     @cached_property
     def area_element(self) -> np.ndarray:
@@ -197,9 +194,8 @@ class SurfacePatch:
 
 
 def grid_index(patch: SurfacePatch, idx) -> tuple:
-    """The spec's grid index of the patch grid index ``idx`` (extra trailing
-    entries are dropped): a sampled patch's window is centred in its spec's
-    grid."""
+    """The spec's grid index of the patch grid index ``idx``: a sampled
+    patch's window is centred in its spec's grid."""
     return tuple(int(i) + (c - w) // 2
                  for i, c, w in zip(idx, patch.spec_axes.counts, patch.axes.counts))
 
@@ -221,7 +217,7 @@ def shape_jets(d2x: np.ndarray, third: Callable) -> Callable:
         if name == "II":
             return second_fundamental(patch)
         if name == "dxi":
-            return -(np.swapaxes(patch.S, -1, -2) @ patch.dx)
+            return -np.einsum("cb...,ci...->bi...", patch.S, patch.dx)
         return _d2xi_from_shape(patch, third())
     return jets
 
@@ -234,9 +230,10 @@ def shape_jets(d2x: np.ndarray, third: Callable) -> Callable:
 class ShapeData:
     """Pointwise curvature data of a patch.
 
-    ``k`` holds the principal curvatures sorted descending, ``radii`` their
-    reciprocals in the same order, ``r`` the mean curvature radius, ``rho``
-    the size sqrt(sum (r_i - r)^2) of the trace-free radius part.
+    ``k`` (m, *G) holds the principal curvatures sorted descending,
+    ``radii`` their reciprocals in the same order, ``r`` the mean curvature
+    radius, ``rho`` the size sqrt(sum (r_i - r)^2) of the trace-free radius
+    part.
     """
 
     k: np.ndarray
@@ -259,14 +256,14 @@ def first_fundamental(patch: SurfacePatch) -> np.ndarray:
 
 def second_fundamental(patch: SurfacePatch) -> np.ndarray:
     """II = <d2x, xi>."""
-    return fd.contract_last(patch.d2x, patch.xi * patch.form)
+    return fd.contract_last(patch.d2x, patch.xi, patch.form)
 
 
 def weingarten_second_fundamental(patch: SurfacePatch) -> np.ndarray:
     """II = -<dx, dxi> from the first jets (Weingarten: dxi = -dx o S),
     symmetrized: exact jets make <dx_a, dxi_b> symmetric up to rounding."""
     W = fd.gram(patch.dx, patch.dxi, patch.form)
-    return -0.5 * (W + np.swapaxes(W, -1, -2))
+    return -0.5 * (W + np.swapaxes(W, 0, 1))
 
 
 def shape_data(patch: SurfacePatch) -> ShapeData:
@@ -278,11 +275,11 @@ def shape_data(patch: SurfacePatch) -> ShapeData:
     """
     # Generalized symmetric eigenproblem II v = k I v through the Cholesky
     # factor of I.
-    vals = fd.grid_eigvalsh(fd.cholesky_reduce(patch.II, patch.Linv))[..., ::-1]
+    vals = fd.grid_eigvalsh(fd.cholesky_reduce(patch.II, patch.Linv))[::-1]
 
     diam = patch.diameter
     k_zero_tol = CURVATURE_ZERO_FACTOR / max(diam, 1e-300)
-    flat = np.abs(vals) <= k_zero_tol
+    flat = (np.abs(vals) <= k_zero_tol).any(axis=0)
     if flat.any():
         idx = grid_index(patch, np.argwhere(flat)[0])
         raise DegenerateSurfaceError(
@@ -290,9 +287,8 @@ def shape_data(patch: SurfacePatch) -> ShapeData:
         )
 
     radii = 1.0 / vals
-    columns = fd.components(radii)
-    r = reduce(np.add, columns) / len(columns)
-    rho = np.sqrt(reduce(np.add, [(c - r) ** 2 for c in columns]))
+    r = radii.mean(axis=0)
+    rho = np.sqrt(np.sum((radii - r) ** 2, axis=0))
     umb_tol = UMBILIC_TOL_FACTOR * diam
     umb = rho <= umb_tol
     if umb.any():
@@ -309,7 +305,7 @@ def laguerre_lift(patch: SurfacePatch) -> LaguerreLift:
     (gamma1, gamma2) in the layout of the patch's own space form."""
     shape = patch.shape
     g1, y = contact_pencil(patch.x, patch.xi, patch.space)
-    return LaguerreLift(Y=shape.rho[..., None] * y, eta=g1 + shape.r[..., None] * y)
+    return LaguerreLift(Y=shape.rho * y, eta=g1 + shape.r * y)
 
 
 def _check_crossings(vals: np.ndarray, patch: SurfacePatch) -> None:
@@ -323,8 +319,8 @@ def _check_crossings(vals: np.ndarray, patch: SurfacePatch) -> None:
     net.
     """
     ngrid = patch.ngrid
-    for i in range(vals.shape[-1] - 1):
-        gap = vals[..., i] - vals[..., i + 1]
+    for i in range(len(vals) - 1):
+        gap = vals[i] - vals[i + 1]
         med = float(np.median(gap))
         scale = fd.max_abs(vals)
         if med <= 1e-12 * scale:
@@ -365,26 +361,15 @@ def _d2xi_from_shape(patch: SurfacePatch, d3x: np.ndarray) -> np.ndarray:
     ambient form enters.
     """
     dx, d2x, xi, form, S = patch.dx, patch.d2x, patch.xi, patch.form, patch.S
-    m, d = dx.shape[-2:]
-    lead = dx.shape[:-2]
-
-    # Rows (d, a) of the second jets against the (weighted) first jets: with
-    # m^2 rows a matmul beats per-entry dots (fd.gram), once its transposed
-    # operand is made contiguous.
-    d2x_rows = d2x.reshape(lead + (m * m, d))
-
-    def rows_against(v):
-        return (d2x_rows @ np.swapaxes(v * form, -1, -2).copy()).reshape(lead + (m, m, m))
-
-    P = rows_against(dx)
-    dI = P + np.swapaxes(P, -1, -2)
-    Q = rows_against(patch.dxi)
-    dII = fd.contract_last(d3x, xi * form) + np.moveaxis(Q, -1, -3)
-    dIS = (dI.reshape(lead + (m * m, m)) @ S).reshape(lead + (m, m, m))
-    dS = patch.Iinv[..., None, :, :] @ (dII - dIS)
-    return -(np.swapaxes(dS, -1, -2) @ dx[..., None, :, :]) - (
-        np.swapaxes(S, -1, -2)[..., None, :, :] @ d2x
-    )
+    # d_d I_ab = <d2x_da, dx_b> + <d2x_db, dx_a>,
+    # d_d II_ab = <d3x_dab, xi> + <d2x_ab, dxi_d>.
+    P = np.einsum("dai...,bi...,i->dab...", d2x, dx, form)
+    dI = P + np.swapaxes(P, 1, 2)
+    dII = (fd.contract_last(d3x, xi, form)
+           + np.einsum("abi...,di...,i->dab...", d2x, patch.dxi, form))
+    dIS = np.einsum("dae...,eb...->dab...", dI, S)
+    dS = np.einsum("ga...,dab...->dgb...", patch.Iinv, dII - dIS)
+    return -np.einsum("dgb...,gi...->dbi...", dS, dx) - np.einsum("gb...,dgi...->dbi...", S, d2x)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +381,8 @@ def _d2xi_from_shape(patch: SurfacePatch, d3x: np.ndarray) -> np.ndarray:
 # built only when the third jets are read (``_symmetric_jet`` assembles them).
 
 def _vec(*comps):
-    """Stack scalar grid fields (broadcast together) into a vector field."""
-    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+    """The vector field (d, *G) of d scalar grid fields."""
+    return np.stack(comps)
 
 
 def _torus_jets(params, U, V):
@@ -554,7 +539,7 @@ def _saddle_r30_jets(params, U, V):
 
 
 def _symmetric_jet(table: dict, x: np.ndarray, order: int) -> np.ndarray:
-    """Symmetric derivative array (*G, m, ..., m, d) of x (*G, d) with
+    """Symmetric derivative array (m, ..., m, d, *G) of x (d, *G) with
     ``order`` direction axes, assembled from its distinct entries ``table``
     (keyed by sorted index tuples; absent entries are zero) in one gather:
     slot (a, b, ...) holds the entry of the sorted key of (a, b, ...)."""
@@ -562,8 +547,7 @@ def _symmetric_jet(table: dict, x: np.ndarray, order: int) -> np.ndarray:
     slot = {tuple(sorted(key)): e + 1 for e, key in enumerate(table)}   # 0: the zero entry
     index = np.reshape([slot.get(tuple(sorted(idx)), 0) for idx in np.ndindex((m,) * order)],
                        (m,) * order)
-    entries = np.stack(np.broadcast_arrays(np.zeros_like(x), *table.values()), axis=-2)
-    return np.take(entries, index, axis=-2)
+    return np.take(np.stack([np.zeros_like(x), *table.values()]), index, axis=0)
 
 
 BUILTINS = {
@@ -667,7 +651,7 @@ def _validate_patch(patch: SurfacePatch) -> None:
     if not worst <= unit_tol * scale:
         raise DegenerateSurfaceError(f"normal is not normalized at grid index {idx}")
 
-    legendre = np.abs(fd.contract_last(patch.dx, patch.xi * patch.form))
+    legendre = np.abs(fd.contract_last(patch.dx, patch.xi, patch.form)).max(axis=0)
     worst, idx = _worst(legendre, patch)
     if not worst <= contact_tol * scale:
         raise DegenerateSurfaceError(f"contact condition dx . xi = 0 fails at grid index {idx}")
@@ -683,7 +667,7 @@ def make_patch(space: str, axes: fd.GridAxes, x: np.ndarray, dx: np.ndarray, xi:
                jets: Callable, metadata: dict) -> SurfacePatch:
     """The one constructor of patches: derives n from the space, builds the
     patch and screens it (``_validate_patch``)."""
-    n = x.shape[-1] - 1 if space == "r30" else x.shape[-1]
+    n = len(x) - 1 if space == "r30" else len(x)
     patch = SurfacePatch(space=space, n=n, axes=axes, x=x, dx=dx, xi=xi, jets=jets,
                          metadata=metadata)
     _validate_patch(patch)
@@ -741,7 +725,7 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
                         "normal": orientation})
     if entry.get("zero_mean_curvature"):
         S = patch.S
-        mean_k = np.abs(np.trace(S, axis1=-2, axis2=-1) / S.shape[-1])
+        mean_k = np.abs(np.trace(S) / len(S))
         worst, idx = _worst(mean_k, patch)
         if not worst <= 1e-8:
             raise DegenerateSurfaceError(
@@ -791,13 +775,14 @@ def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise UsageError(f"sampled points or normals are not finite at grid index {idx}")
-    # Second jets are one gradient of the first; swapping the two direction
-    # axes puts d_b d_a in slot (a, b), the layout of the builtin jets.
-    # Every field is cut to the window of the second jets.
-    m = grid.ndim
+    # The samples come (*G, d); the patch stores them (d, *G).  Second jets
+    # are one gradient of the first; swapping the two direction axes puts
+    # d_b d_a in slot (a, b), the order of the builtin jets.  Every field is
+    # cut to the window of the second jets.
+    x, xi = (np.moveaxis(f, -1, 0) for f in (x, xi))
     dx, dxi = (fd.gradient(f, grid) for f in (x, xi))
-    d2x, d2xi = (np.swapaxes(fd.gradient(jet, grid), m, m + 1) for jet in (dx, dxi))
-    x, xi, dx, dxi, d2x, d2xi = fd.crop(m, x, xi, dx, dxi, d2x, d2xi)
+    d2x, d2xi = (np.swapaxes(fd.gradient(jet, grid), 0, 1) for jet in (dx, dxi))
+    x, xi, dx, dxi, d2x, d2xi = fd.crop(grid.ndim, x, xi, dx, dxi, d2x, d2xi)
     return make_patch(spec.get("space", "r3"), grid.inset(inset), x, dx, xi,
                       given_jets(d2x, dxi, d2xi),
                       {"builtin": "samples", "jets": "fd", "normal": "as-given", "grid": grid})

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import fd, lorentz
 from .errors import UsageError
-from .hypersurface import jet_tails, patch_from_pencil
+from .hypersurface import patch_from_pencil
 from .patches import SurfacePatch
 from .spheres import (ContactElement, SphereElement, classify_coord, contact_from_pencil,
                       coord_tail, sphere_coord)
@@ -104,10 +104,23 @@ def embed_patch(patch: SurfacePatch) -> SurfacePatch:
     if patch.space not in ("r31", "r30"):
         raise UsageError(f"unknown space {patch.space!r}")
     sp = patch.space
-    dh1, dh2 = jet_tails(patch, 1)
+    dh1, dh2 = _jet_tails(patch, 1)
     return patch_from_pencil(patch, [coord_tail(patch.x, 0.0, sp), dh1],
-                             [coord_tail(patch.xi, 1.0, sp), dh2], lambda: jet_tails(patch, 2),
+                             [coord_tail(patch.xi, 1.0, sp), dh2], lambda: _jet_tails(patch, 2),
                              embedded_from=sp)
+
+
+def _jet_tails(patch: SurfacePatch, order: int) -> list:
+    """Entries 2: of the parameter derivatives of order 1 or 2 of the pencil
+    members along a patch of R^n_1 or R^n_0: the jets of x and xi, in R^n_1
+    after the radius entry, which is constant along the patch, so its jets
+    are a zero first row of the vector axis (the one after the ``order``
+    direction axes)."""
+    jets = (patch.dx, patch.dxi) if order == 1 else (patch.d2x, patch.d2xi)
+    if patch.space == "r30":
+        return list(jets)
+    return [np.pad(j, [(1, 0) if axis == order else (0, 0) for axis in range(j.ndim)])
+            for j in jets]
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +168,15 @@ def transfer_check(native: SurfacePatch, embedded: SurfacePatch) -> dict:
         raise UsageError("transfer checks start from a Lorentzian or degenerate patch")
 
     shape_n, shape_e, lift_n, lift_e = native.shape, embedded.shape, native.lift, embedded.lift
-    xi1 = native.xi[..., -1]
-    x1 = native.x[..., -1]
+    xi1 = native.xi[-1]
+    x1 = native.x[-1]
     # Both sets of radii sorted pointwise, component by component.
-    mapped = fd.ascending([radius * xi1 + x1 for radius in fd.components(shape_n.radii)])
-    actual = fd.ascending(fd.components(shape_e.radii))
+    mapped = fd.ascending([radius * xi1 + x1 for radius in shape_n.radii])
+    actual = fd.ascending(list(shape_e.radii))
     report = {
         "radii_map": max(fd.max_abs(a - b) for a, b in zip(actual, mapped)),
         "rho_scaling": fd.max_abs(shape_e.rho - np.abs(xi1) * shape_n.rho),
-        "Y_transfer": fd.max_abs(lift_e.Y - np.sign(xi1)[..., None] * lift_n.Y),
+        "Y_transfer": fd.max_abs(lift_e.Y - np.sign(xi1) * lift_n.Y),
         "eta_transfer": fd.max_abs(lift_e.eta - lift_n.eta),
         "g_transfer": fd.max_abs(embedded.g_exact - native.g_exact),
     }

@@ -33,12 +33,17 @@ place (``_check_normal``) for hyperplanes and contact elements alike.  The
 coordinates and the pencil are written the same way in every space form;
 only the place of the radius entry changes, so ``sphere_coord`` serves
 every element.  What is defined for Euclidean elements only (the
-tangential invariant, the contact line, the group action and the JSON
-form) rejects the others by name (``require_euclidean``).
+tangential invariant, the contact line and the group action) rejects the
+others by name (``require_euclidean``).
 
 Every map of contact elements -- the group action and the space-form
 embeddings alike -- is a linear image of the pencil followed by one
 guarded read-off of the Euclidean element, ``contact_from_pencil``.
+
+The coordinate kernels (``coord_tail``, ``sphere_point``, ``plane_point``,
+``contact_pencil``, ``contact_from_pencil``) take components on axis 0,
+broadcasting over trailing axes: a single element is a 1-d vector and a
+grid field of patch points (d, *G) goes through the same kernel.
 """
 
 from __future__ import annotations
@@ -235,14 +240,6 @@ class ProjectivePoint:
     def n(self) -> int:
         return self.vec.shape[0] - 3
 
-    def same_point(self, other: "ProjectivePoint", tol: float = 1e-9) -> bool:
-        """Projective equality: proportionality of the representatives."""
-        if self.vec.shape != other.vec.shape:
-            return False
-        u, v = self.vec, other.vec
-        s = float(np.dot(u, v) / np.dot(v, v))
-        return bool(np.abs(u - s * v).max() <= tol * max(1.0, np.abs(u).max()))
-
 
 @dataclass(frozen=True, eq=False)
 class LieLine:
@@ -269,28 +266,27 @@ class LieLine:
 def coord_tail(v, c: float, space: str = "r3") -> np.ndarray:
     """Entries 2: of a light-cone coordinate: the block v together with the
     radius entry c, which comes last in R^n ("r3"), first in R^n_1 ("r31")
-    and not at all in R^n_0 ("r30").  Broadcasts over leading axes."""
+    and not at all in R^n_0 ("r30")."""
     v = np.asarray(v, dtype=float)
     if space == "r30":
         return v
-    out = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    out = np.empty((len(v) + 1,) + v.shape[1:])
     if space == "r3":
-        out[..., :-1], out[..., -1] = v, c
+        out[:-1], out[-1] = v, c
     else:
-        out[..., 0], out[..., 1:] = c, v
+        out[0], out[1:] = c, v
     return out
 
 
 def _coord(first, second, tail: np.ndarray) -> np.ndarray:
-    out = np.empty(tail.shape[:-1] + (tail.shape[-1] + 2,))
-    out[..., 0], out[..., 1], out[..., 2:] = first, second, tail
+    out = np.empty((len(tail) + 2,) + tail.shape[1:])
+    out[0], out[1], out[2:] = first, second, tail
     return out
 
 
 def sphere_point(tail) -> np.ndarray:
     """Coordinate ((1 + q)/2, (1 - q)/2, tail), q = <tail, tail>, of the sphere
-    with this tail (radius entry 0: the point sphere), pairing -1 with wp.
-    Broadcasts over leading axes."""
+    with this tail (radius entry 0: the point sphere), pairing -1 with wp."""
     tail = np.asarray(tail, dtype=float)
     q = lorentz.inner_1(tail, tail)
     return _coord(0.5 * (1.0 + q), 0.5 * (1.0 - q), tail)
@@ -298,7 +294,7 @@ def sphere_point(tail) -> np.ndarray:
 
 def plane_point(lam, tail) -> np.ndarray:
     """Coordinate (lam, -lam, tail) of the hyperplane with offset lam and this
-    tail.  Broadcasts over leading axes."""
+    tail."""
     return _coord(lam, -lam, np.asarray(tail, dtype=float))
 
 
@@ -323,8 +319,7 @@ def sphere_coord(s: SphereElement) -> ProjectivePoint:
 def contact_pencil(x: np.ndarray, xi: np.ndarray, space: str = "r3"):
     """The pencil (gamma1, gamma2) of contact elements (x, xi) in the layout
     of ``space``: the point sphere of x and the tangent hyperplane of xi,
-    whose lam = <x, xi> is the pairing of the two tails.  Broadcasts over
-    leading axes."""
+    whose lam = <x, xi> is the pairing of the two tails."""
     t1, t2 = coord_tail(x, 0.0, space), coord_tail(xi, 1.0, space)
     return sphere_point(t1), plane_point(lorentz.inner_1(t1, t2), t2)
 
@@ -339,15 +334,15 @@ def contact_from_pencil(h1: np.ndarray, h2: np.ndarray, locate=tuple):
     EmbeddingDomainError names the first such grid index, as ``locate``
     maps it (a patch's locator, ``patches.grid_index``).
     """
-    b = h2[..., -1:]
-    bad = np.abs(b[..., 0]) <= 1e-12 * np.abs(h2).max(axis=-1)
+    b = h2[-1]
+    bad = np.abs(b) <= 1e-12 * np.abs(h2).max(axis=0)
     if bad.any():
         idx = tuple(int(i) for i in locate(np.argwhere(bad)[0]))
         where = f" at grid index {idx}" if idx else ""
         raise EmbeddingDomainError(
             f"the pencil has no Euclidean element{where}: the last entry of its "
             "hyperplane member vanishes against the others")
-    return h1[..., :-1] - (h1[..., -1:] / b) * h2[..., :-1], h2[..., :-1] / b
+    return h1[:-1] - (h1[-1] / b) * h2[:-1], h2[:-1] / b
 
 
 def classify_coord(
@@ -438,15 +433,6 @@ def contact_from_line(line: LieLine) -> ContactElement:
     if not isinstance(plane, Plane):
         raise InvalidLineError("line does not contain a hyperplane")
     return ContactElement(x=point.center, xi=plane.normal)
-
-
-def element_to_json(s: SphereElement) -> dict:
-    require_euclidean("the JSON form", s)
-    if isinstance(s, Sphere):
-        return {"kind": "sphere", "center": s.center.tolist(), "radius": s.radius}
-    if isinstance(s, Plane):
-        return {"kind": "plane", "normal": s.normal.tolist(), "offset": s.offset}
-    raise UsageError(f"not a sphere element: {type(s).__name__}")
 
 
 def element_from_json(obj: dict) -> SphereElement:

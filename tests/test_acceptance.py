@@ -51,7 +51,7 @@ def torus_fine():
 def test_criterion_01_shape_operator_spectrum(torus):
     _, fld = torus
     dev = fd.max_abs(np.abs(fld.S_eigs) - 1.0 / np.sqrt(2))
-    signs = fd.max_abs(np.sign(fld.S_eigs) - np.array([1.0, -1.0]))
+    signs = fd.max_abs(np.sign(fld.S_eigs) - np.array([1.0, -1.0])[:, None, None])
     criterion(1, "torus shape-operator spectrum is +-1/sqrt(2) everywhere",
               [("max_spectrum_deviation", dev, 1e-6), ("sign_pattern", signs, 0.0)])
 
@@ -70,8 +70,8 @@ def test_criterion_02_volume_oracle(torus):
 def test_criterion_03_flat_metric(torus):
     _, fld = torus
     riem, g = fd.crop(2, fld.riemann, fld.g)
-    K = riem[..., 0, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
-    trL = np.einsum("...ab,...ab->...", *fd.crop(2, fld.ginv, fld.L))
+    K = riem[0, 0, 1] / (g[0, 0] * g[1, 1] - g[0, 1] ** 2)
+    trL = np.einsum("ab...,ab...->...", *fd.crop(2, fld.ginv, fld.L))
     scalar, lap_norm = fd.crop(2, fld.scalar, fld.lap_norm)
     scal_vs_lap = fd.max_abs(scalar - 0.5 * lap_norm)  # (n-2)/(n-1) = 1/2
     scal_vs_trl = fd.max_abs(fld.scalar + 2.0 * trL)

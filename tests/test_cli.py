@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import laguerre
+from conftest import grid_leading
 from laguerre import cli, fd, group, patches
 
 
@@ -150,8 +151,9 @@ def test_transformed_sampled_patch_keeps_its_screen(tmp_path, capsys):
     grid = {"u": [-0.3, 0.3, 27], "v": [-0.3, 0.3, 27]}
     graph = patches.build_patch({"builtin": "translational_graph", "grid": grid,
                                  "params": {"quad": [1.0, 0.5], "cubic": [0.3, 0.2]}})
-    spec = write(tmp_path, "s.json", {"samples": {"points": graph.x.tolist(),
-                                                  "normals": graph.xi.tolist()}, "grid": grid})
+    samples = {"points": grid_leading(graph.x, 1).tolist(),
+               "normals": grid_leading(graph.xi, 1).tolist()}
+    spec = write(tmp_path, "s.json", {"samples": samples, "grid": grid})
     T = group.random_transform(np.random.default_rng(9), 3, factors=4,
                                translation_scale=0.3, flow_scale=0.2)
     script = write(tmp_path, "t.json", [{"kind": "matrix", "rows": T.matrix.tolist()}])
@@ -249,7 +251,7 @@ def test_interior_margin_matches_nan_layout(torus_spec_file, torus_field, capsys
     out = read_out(capsys)
     # g is built from first differences of Y: its window lacks the first and
     # last two u-rows of the 4th-order stencil and keeps all of periodic v.
-    assert torus_field.g.shape[:2] == (65 - 4, 64)
+    assert torus_field.g.shape[2:] == (65 - 4, 64)
     margins = fd.margins(torus_field.g, torus_field.patch.axes)
     assert out["interior_margin"] == dict(zip("uv", margins))
     assert out["interior_margin"] == {"u": 2, "v": 0}
@@ -267,7 +269,8 @@ def test_interior_margin_of_a_sampled_patch_counts_its_nan_layers(tmp_path, caps
     # on.  g's window drops 2 more, so g starts at u-row 6 of the spec's grid.
     torus = patches.build_patch({"builtin": "torus"})
     spec = write(tmp_path, "sampled.json", {
-        "samples": {"points": torus.x.tolist(), "normals": torus.xi.tolist()},
+        "samples": {"points": grid_leading(torus.x, 1).tolist(),
+                    "normals": grid_leading(torus.xi, 1).tolist()},
         "grid": {"u": [-np.pi / 3, np.pi / 3, 65], "v": [0, 2 * np.pi, 64], "periodic": ["v"]}})
     assert run(["surface", "analyze", "--spec", spec]) == 0
     assert read_out(capsys)["interior_margin"] == {"u": 6, "v": 0}
@@ -278,8 +281,8 @@ def sampled_spec(tmp_path, nu, nv, builtin="torus"):
     nv periodic v points, and the spec file of the builtin on that grid."""
     grid = {"u": [-np.pi / 3, np.pi / 3, nu], "v": [0, 2 * np.pi, nv], "periodic": ["v"]}
     p = patches.build_patch({"builtin": builtin, "grid": grid})
-    return (write(tmp_path, "sampled.json", {"samples": {"points": p.x.tolist(),
-                                                         "normals": p.xi.tolist()},
+    return (write(tmp_path, "sampled.json", {"samples": {"points": grid_leading(p.x, 1).tolist(),
+                                                         "normals": grid_leading(p.xi, 1).tolist()},
                                              "grid": grid}),
             write(tmp_path, "builtin.json", {"builtin": builtin, "grid": grid}))
 
@@ -378,7 +381,7 @@ def test_commands_reject_flags_they_ignore(argv, capsys):
 def test_sampled_r30_patch_stays_in_the_degenerate_hyperplane(defect, code, tmp_path, capsys):
     grid = {"u": [0.3, 1.2, 27], "v": [0.3, 1.2, 27]}
     saddle = patches.build_patch({"builtin": "saddle_r30", "grid": grid})
-    x, xi = saddle.x.copy(), saddle.xi.copy()
+    x, xi = grid_leading(saddle.x, 1).copy(), grid_leading(saddle.xi, 1).copy()
     if defect == "shift":
         x[..., 0] += 0.25      # <x, nu> = 0.25
     elif defect == "scale":
@@ -393,10 +396,10 @@ def test_sampled_r30_patch_stays_in_the_degenerate_hyperplane(defect, code, tmp_
 def test_sampled_nan_exits_2_naming_the_index(command, tmp_path, capsys):
     grid = {"u": [-1.0, 1.0, 25], "v": [0.0, 2 * np.pi, 24], "periodic": ["v"]}
     torus = patches.build_patch({"builtin": "torus", "grid": grid})
-    points = torus.x.tolist()
+    points = grid_leading(torus.x, 1).tolist()
     points[10][5][0] = float("nan")
     spec = write(tmp_path, "s.json", {"samples": {"points": points,
-                                                  "normals": torus.xi.tolist()},
+                                                  "normals": grid_leading(torus.xi, 1).tolist()},
                                       "grid": grid})
     assert run(["surface", command, "--spec", spec]) == 2
     assert "(10, 5)" in capsys.readouterr().err

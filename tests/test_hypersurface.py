@@ -1,6 +1,8 @@
 import copy
+import gc
 import importlib.util
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import to_grid
+from conftest import grid_leading, to_grid
 from laguerre import cli, fd, group, hypersurface, lorentz, patches, spaceforms, spheres
 from laguerre.errors import DegenerateSurfaceError
 
@@ -32,9 +34,9 @@ def seeded_transform(seed, **kw):
 
 def test_lift_hand_values(torus_field):
     iu, iv = 32, 0
-    Y = torus_field.patch.lift.Y[iu, iv]
+    Y = torus_field.patch.lift.Y[:, iu, iv]
     assert np.abs(Y - np.sqrt(2) * np.array([3, -3, 1, 0, 0, 1])).max() < 1e-12
-    eta = torus_field.patch.lift.eta[iu, iv]
+    eta = torus_field.patch.lift.eta[:, iu, iv]
     assert np.abs(eta - np.array([-1, 2, 1, 0, 0, -2])).max() < 1e-12
     assert lorentz.inner(eta, eta) == pytest.approx(0.0, abs=1e-12)
     assert lorentz.inner(eta, lorentz.wp(3)) == pytest.approx(-1.0, abs=1e-12)
@@ -55,9 +57,10 @@ def test_mean_curvature_sphere(torus_patch, torus_field):
     # is -r (the pencil member through (x, xi) with that center)
     sd = torus_field.patch.shape
     for iu, iv in [(32, 0), (10, 17), (50, 40)]:
-        el = spheres.classify_coord(spheres.ProjectivePoint(torus_field.patch.lift.eta[iu, iv]))
-        x = torus_patch.x[iu, iv]
-        xi = torus_patch.xi[iu, iv]
+        el = spheres.classify_coord(
+            spheres.ProjectivePoint(torus_field.patch.lift.eta[:, iu, iv]))
+        x = torus_patch.x[:, iu, iv]
+        xi = torus_patch.xi[:, iu, iv]
         r = sd.r[iu, iv]
         assert np.abs(el.center - (x + r * xi)).max() < 1e-10
         assert el.radius == pytest.approx(-r, rel=1e-10)
@@ -67,12 +70,12 @@ def test_mean_curvature_sphere(torus_patch, torus_field):
 
 def test_metric_closed_form(torus_field):
     iu = 32
-    g = to_grid(torus_field.g, torus_field.patch.axes)[iu, 0]
+    g = to_grid(torus_field.g, torus_field.patch.axes)[:, :, iu, 0]
     assert np.abs(g - 2.0 * np.eye(2)).max() < 1e-3
     U = torus_field.patch.axes.meshgrid()[0]
-    expect = np.zeros(U.shape + (2, 2))
-    expect[..., 0, 0] = 2.0 / np.cos(U) ** 2
-    expect[..., 1, 1] = 2.0
+    expect = np.zeros((2, 2) + U.shape)
+    expect[0, 0] = 2.0 / np.cos(U) ** 2
+    expect[1, 1] = 2.0
     assert fd.max_abs(np.subtract(*fd.crop(2, torus_field.g, expect))) < 1e-3
 
 
@@ -85,7 +88,7 @@ def test_metric_matches_exact_form_at_fine_resolution():
 def test_metric_is_flat_for_torus(torus_field):
     # Gauss curvature of g vanishes identically
     riem, g = fd.crop(2, torus_field.riemann, torus_field.g)
-    K = riem[..., 0, 0, 1] / (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2)
+    K = riem[0, 0, 1] / (g[0, 0] * g[1, 1] - g[0, 1] ** 2)
     assert fd.max_abs(K) < 1e-5
 
 
@@ -96,7 +99,7 @@ def test_indefinite_metric_is_located_on_the_full_grid(torus_patch, monkeypatch)
 
     def flipped(fld):
         g = computed(fld).copy()
-        g[10, 5] *= -1.0
+        g[:, :, 10, 5] *= -1.0
         return g
 
     monkeypatch.setattr(hypersurface.InvariantField, "g", property(flipped))
@@ -108,19 +111,19 @@ def test_indefinite_metric_is_located_on_the_full_grid(torus_patch, monkeypatch)
 # --- frame and tensors --------------------------------------------------------
 
 def test_shape_operator_spectrum(torus_field):
-    dev = np.abs(torus_field.S_eigs - np.array([1.0, -1.0]) / np.sqrt(2))
+    dev = np.abs(torus_field.S_eigs - np.array([1.0, -1.0])[:, None, None] / np.sqrt(2))
     assert fd.max_abs(dev) < 1e-6
 
 
 def test_s_eigs_match_radii_formula(torus_field):
     sd = torus_field.patch.shape
-    expect = np.sort((sd.radii - sd.r[..., None]) / sd.rho[..., None], axis=-1)[..., ::-1]
+    expect = np.sort((sd.radii - sd.r) / sd.rho, axis=0)[::-1]
     assert fd.max_abs(torus_field.S_eigs - expect) < 1e-10
 
 
 def test_b_eigs_match_radii_formula(torus_field):
     sd = torus_field.patch.shape
-    expect = np.sort((sd.radii - sd.r[..., None]) / sd.rho[..., None], axis=-1)[..., ::-1]
+    expect = np.sort((sd.radii - sd.r) / sd.rho, axis=0)[::-1]
     assert fd.max_abs(np.subtract(*fd.crop(2, torus_field.B_eigs, expect))) < 1e-6
 
 
@@ -132,7 +135,7 @@ def test_trace_conditions(torus_residuals):
 
 def test_torus_l_and_lap_norm_vanish(torus_field):
     # flat invariant metric forces tr L = 0 and a null Laplacian image
-    trL = np.einsum("...ab,...ab->...", *fd.crop(2, torus_field.ginv, torus_field.L))
+    trL = np.einsum("ab...,ab...->...", *fd.crop(2, torus_field.ginv, torus_field.L))
     assert fd.max_abs(trL) < 1e-4
     assert fd.max_abs(torus_field.lap_norm) < 1e-4
 
@@ -181,7 +184,8 @@ def sampled_torus():
     """The default 65 x 64 torus rebuilt from its samples: finite-difference
     jets, on their 57 x 64 window."""
     torus = patches.build_patch({"builtin": "torus"})
-    return patches.build_patch({"samples": {"points": torus.x, "normals": torus.xi},
+    return patches.build_patch({"samples": {"points": grid_leading(torus.x, 1),
+                                            "normals": grid_leading(torus.xi, 1)},
                                 "grid": {"u": [-np.pi / 3, np.pi / 3, 65],
                                          "v": [0.0, 2 * np.pi, 64], "periodic": ["v"]}})
 
@@ -204,7 +208,7 @@ def test_raw_B_asymmetry_is_bounded(graph3_field):
     # <d_a eta, d_b Y> is symmetric up to discretization: small, not zero.
     B_raw = graph3_field.B_raw
     asym = graph3_field.diagnostics["raw_B_asymmetry"]
-    assert asym == fd.max_abs(B_raw - np.swapaxes(B_raw, -1, -2))
+    assert asym == fd.max_abs(B_raw - np.swapaxes(B_raw, 0, 1))
     assert 0.0 < asym < 1e-4
 
 
@@ -212,8 +216,8 @@ def test_b_diagonal_in_principal_gauge(torus_field):
     # in the eigenbasis of the shape operator the second fundamental form
     # of the lift is diagonal with entries (r_i - r)/rho; compare spectra
     sd = torus_field.patch.shape
-    diag = (sd.radii - sd.r[..., None]) / sd.rho[..., None]
-    got, want = fd.crop(2, np.sort(torus_field.B_eigs, axis=-1), np.sort(diag, axis=-1))
+    diag = (sd.radii - sd.r) / sd.rho
+    got, want = fd.crop(2, np.sort(torus_field.B_eigs, axis=0), np.sort(diag, axis=0))
     assert fd.max_abs(got - want) < 1e-6
 
 
@@ -223,8 +227,8 @@ def test_lift_equivariance_under_group(torus_patch, torus_field):
     T = seeded_transform(101)
     moved = hypersurface.transform_patch(T, torus_patch)
     fld2 = hypersurface.analyze(moved)
-    Y_push = np.einsum("...i,ij->...j", torus_field.patch.lift.Y, T.matrix)
-    eta_push = np.einsum("...i,ij->...j", torus_field.patch.lift.eta, T.matrix)
+    Y_push = np.einsum("i...,ij->j...", torus_field.patch.lift.Y, T.matrix)
+    eta_push = np.einsum("i...,ij->j...", torus_field.patch.lift.eta, T.matrix)
     assert fd.max_abs(fld2.patch.lift.Y - Y_push) < 1e-8
     assert fd.max_abs(fld2.patch.lift.eta - eta_push) < 1e-8
 
@@ -244,8 +248,8 @@ def image_radii(patch, T):
     """Principal radii of the image patch, exactly: T maps the curvature
     sphere gamma1 + r_i gamma2 to the sphere whose radius entry is r_i'."""
     g1, g2 = spheres.contact_pencil(patch.x, patch.xi, patch.space)
-    curvature_spheres = g1[..., None, :] + patch.shape.radii[..., None] * g2[..., None, :]
-    return (curvature_spheres @ T.matrix)[..., -1]
+    curvature_spheres = g1 + patch.shape.radii[:, None] * g2
+    return np.einsum("ki...,i->k...", curvature_spheres, T.matrix[:, -1])
 
 
 def torus_family(builtin):
@@ -326,7 +330,7 @@ def test_s_spectrum_from_the_radii_matches_the_operator(family):
     def check(spec):
         patch = patches.build_patch(spec)
         fld = hypersurface.InvariantField(patch)
-        ref = fd.selfadjoint_eigvals(fld.S_op, patch.I, patch.Linv)[..., ::-1]
+        ref = fd.selfadjoint_eigvals(fld.S_op, patch.I, patch.Linv)[::-1]
         assert fd.max_abs(fld.S_eigs - ref) <= 1e-13 * fd.max_abs(ref)
 
     check()
@@ -349,19 +353,21 @@ def bits(value):
 
 @pytest.mark.parametrize("name", sorted(REDUCTION_SPECS))
 def test_reductions_by_component_are_the_axis_reductions_bit_for_bit(name):
-    # One whole-grid reduction per component, in component order, is the
-    # reduction over the component axis, bit for bit.
+    # A reduction over the leading component axis is numpy's reduction over
+    # the same components stored as a short contiguous trailing axis, bit for
+    # bit.
     patch = patches.build_patch(REDUCTION_SPECS[name])
-    shape, x = patch.shape, patch.x.reshape(-1, patch.ambient_dim)
+    trailing = lambda f: np.ascontiguousarray(grid_leading(f, 1))
+    shape, x = patch.shape, trailing(patch.x).reshape(-1, len(patch.x))
+    radii = trailing(shape.radii)
     assert bits(patch.diameter) == bits(np.linalg.norm(x.max(axis=0) - x.min(axis=0)))
-    assert bits(shape.r) == bits(shape.radii.mean(axis=-1))
-    assert bits(shape.rho) == bits(np.sqrt(np.sum((shape.radii - shape.r[..., None]) ** 2,
-                                                  axis=-1)))
-    integrand = shape.rho ** (patch.n - 1) / np.prod(shape.radii, axis=-1) * patch.area_element
+    assert bits(shape.r) == bits(radii.mean(axis=-1))
+    assert bits(shape.rho) == bits(np.sqrt(np.sum((radii - shape.r[..., None]) ** 2, axis=-1)))
+    integrand = shape.rho ** (patch.n - 1) / np.prod(radii, axis=-1) * patch.area_element
     assert bits(hypersurface.laguerre_volume(patch)) == bits(fd.integrate(integrand, patch.axes))
-    eigs = hypersurface.InvariantField(patch).S_eigs
+    eigs = trailing(hypersurface.InvariantField(patch).S_eigs)
     grid_axes = tuple(range(patch.ngrid))
-    extrema = cli._extrema(eigs)
+    extrema = cli._extrema(hypersurface.InvariantField(patch).S_eigs)
     assert bits(extrema["min"]) == bits(eigs.min(axis=grid_axes))
     assert bits(extrema["max"]) == bits(eigs.max(axis=grid_axes))
 
@@ -370,10 +376,10 @@ def test_transform_patch_consistency_with_contact_action(torus_patch):
     T = seeded_transform(7)
     moved = hypersurface.transform_patch(T, torus_patch)
     iu, iv = 20, 33
-    c = spheres.ContactElement(torus_patch.x[iu, iv], torus_patch.xi[iu, iv])
+    c = spheres.ContactElement(torus_patch.x[:, iu, iv], torus_patch.xi[:, iu, iv])
     img = group.act_on_contact(T, c)
-    assert np.abs(moved.x[iu, iv] - img.x).max() < 1e-10
-    assert np.abs(moved.xi[iu, iv] - img.xi).max() < 1e-10
+    assert np.abs(moved.x[:, iu, iv] - img.x).max() < 1e-10
+    assert np.abs(moved.xi[:, iu, iv] - img.xi).max() < 1e-10
 
 
 # --- exact jets of mapped patches ---------------------------------------------
@@ -443,11 +449,30 @@ def test_mapped_patch_is_screened_and_analyzed_without_second_jets(name, request
 
 
 @pytest.mark.parametrize("name", MAPS)
+def test_a_mapped_patch_and_its_source_are_freed_without_the_cycle_collector(name, request):
+    # The source, the image and the image's on-read jets form no reference
+    # cycle, so both go with their last reference, not at
+    # the next full collection (a cycle held ~20 MB per fine compare request).
+    fixture, mapping = MAPS[name]
+    source = copy.copy(request.getfixturevalue(fixture))
+    gc.collect()
+    gc.disable()
+    try:
+        image = mapping(source)
+        hypersurface.analyze(image).g
+        refs = [weakref.ref(source), weakref.ref(image)]
+        del source, image
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", MAPS)
 def test_mapped_second_form_is_the_pulled_second_jets_against_the_normal(name, request):
     fixture, mapping = MAPS[name]
     mapped = mapping(request.getfixturevalue(fixture))
     II = mapped.II
-    assert np.array_equal(II, np.swapaxes(II, -1, -2))
+    assert np.array_equal(II, np.swapaxes(II, 0, 1))
     assert (fd.max_abs(II - patches.second_fundamental(mapped))
             <= 1e-12 * fd.max_abs(II))
 
@@ -490,7 +515,8 @@ def test_transform_of_a_sampled_patch_through_a_cusp_names_a_finite_radius():
     builtin = patches.build_patch({"builtin": "torus4", "params": {"R": 1.5, "a": 0.5625}})
     grid = {"u": [-np.pi / 3, np.pi / 3, 33], "v": [np.pi / 4, 3 * np.pi / 4, 25],
             "w": [0.0, 2 * np.pi, 24], "periodic": ["w"]}
-    sampled = patches.build_patch({"samples": {"points": builtin.x, "normals": builtin.xi},
+    sampled = patches.build_patch({"samples": {"points": grid_leading(builtin.x, 1),
+                                               "normals": grid_leading(builtin.xi, 1)},
                                    "grid": grid})
     T = group.random_transform(np.random.default_rng(1888728893), 4, factors=4,
                                translation_scale=0.3, flow_scale=0.2)
@@ -513,9 +539,9 @@ def test_radius_sign_change_alone_is_not_rejected(torus_patch, monkeypatch):
         script = workloads.transform_script(rng)
     T = group.compose_script(script)
     # Image radius i is the last entry of (gamma1 + r_i gamma2) T.
-    g1, g2 = (member @ T.matrix for member in spheres.contact_pencil(torus_patch.x,
-                                                                      torus_patch.xi))
-    radii = g1[..., -1] + torus_patch.shape.radii[..., 1] * g2[..., -1]
+    g1, g2 = (np.einsum("i...,ij->j...", member, T.matrix)
+              for member in spheres.contact_pencil(torus_patch.x, torus_patch.xi))
+    radii = g1[-1] + torus_patch.shape.radii[1] * g2[-1]
     assert radii.min() < 0 < radii.max()
     hypersurface.analyze(hypersurface.transform_patch(T, torus_patch))
 
@@ -534,8 +560,8 @@ def test_curvature_quotient_invariant_in_higher_dim():
     sd2 = patches.shape_data(moved)
 
     def quotient(shape):
-        rad = np.sort(shape.radii, axis=-1)
-        return (rad[..., 0] - rad[..., 1]) / (rad[..., 0] - rad[..., 2])
+        rad = np.sort(shape.radii, axis=0)
+        return (rad[0] - rad[1]) / (rad[0] - rad[2])
 
     q1, q2 = quotient(sd), quotient(sd2)
     assert fd.max_abs(q1 - q2) < 1e-8
@@ -597,11 +623,10 @@ def test_curvature_identities_bounded_on_torus4(torus4_field):
     n = fld.patch.n
     res = hypersurface.structural_residuals(fld)
     riem, L, g, ricci, ginv = fld.crop(fld.riemann, fld.L, fld.g, fld.ricci, fld.ginv)
-    trL = np.einsum("...ab,...ab->...", ginv, L)
+    trL = np.einsum("ab...,ab...->...", ginv, L)
     largest = {
-        "gauss": max(fd.max_abs(riem), fd.max_abs(L[..., None, None] * g[..., None, None, :, :])),
-        "ricci_vs_l": max(fd.max_abs(ricci), (n - 3) * fd.max_abs(L),
-                          fd.max_abs(trL[..., None, None] * g)),
+        "gauss": max(fd.max_abs(riem), fd.max_abs(np.einsum("ab...,cd...->abcd...", L, g))),
+        "ricci_vs_l": max(fd.max_abs(ricci), (n - 3) * fd.max_abs(L), fd.max_abs(trL * g)),
         "scalar_vs_lap": max(fd.max_abs(fld.scalar),
                              (n - 2) / (n - 1) * fd.max_abs(fld.lap_norm)),
     }
@@ -616,13 +641,34 @@ def test_higher_dim_l_recovered_from_curvature(torus4_field):
     # of the curvature of g: L = -Ric + (scalar/4) g
     ricci, scalar, g, L = fd.crop(3, fld.ricci, fld.scalar, fld.g, fld.L)
     trL_from = -scalar / 4.0
-    L_curv = -ricci - trL_from[..., None, None] * g
+    L_curv = -ricci - trL_from * g
     assert fd.max_abs(L_curv - L) < 1e-3
 
 
 def test_frame_and_tensors_entry_point(torus_patch):
     fld = hypersurface.analyze(torus_patch)
     assert fld.EY.shape == fld.dY.shape
+
+
+@pytest.mark.parametrize("builtin", ["torus", "torus4"])
+def test_invariant_fields_have_the_documented_shapes(builtin):
+    # fd's table: the component axes first, then the m grid axes of the
+    # field's window, which keeps every point of a periodic axis.
+    fld = hypersurface.analyze(patches.build_patch({"builtin": builtin}))
+    axes, m, d = fld.patch.axes, fld.patch.ngrid, fld.patch.n + 3
+    P = m * (m - 1) // 2
+    comps = {"dY": (m, d), "deta": (m, d), "g": (m, m), "ginv": (m, m), "sqrt_det": (),
+             "Gamma": (m, m, m), "lapY": (d,), "lap_norm": (), "N": (d,), "B_raw": (m, m),
+             "B": (m, m), "L": (m, m), "C": (m,), "vielbein": (m, m), "EY": (m, d),
+             "B_frame": (m, m), "C_frame": (m,), "B_eigs": (m,), "S_op": (m, m), "S_eigs": (m,),
+             "riemann": (P, m, m), "ricci": (m, m), "scalar": (), "DB": (m, m, m),
+             "DC": (m, m), "divB": (m,), "divC": (), "LB": ()}
+    for name, lead in comps.items():
+        f = getattr(fld, name)
+        assert f.ndim == len(lead) + m and f.shape[:len(lead)] == lead, name
+        margins = fd.margins(f, axes)
+        assert all(k >= 0 and (k == 0 or not per) for k, per in zip(margins, axes.periodic)), name
+    assert [minor.shape for minor in fld.minors] == [fld.g.shape[2:]] * m
 
 
 def test_compare_requires_matching_grids(torus_field):

@@ -45,16 +45,17 @@ def test_grid_inner_is_the_pointwise_inner(d, shape, seed):
     # alone, and as the signature-weighted sum taken in component order;
     # so does the pairing of every point with one vector (wp).
     rng = np.random.default_rng(seed)
-    X, Y = (rng.standard_normal((2, *shape, d)) * rng.lognormal(0.0, 3.0, (2, *shape, d)))
+    X, Y = (rng.standard_normal((2, d, *shape)) * rng.lognormal(0.0, 3.0, (2, d, *shape)))
     sig = lorentz.signature(d - 3)
     ordered = 0.0
     for i in range(d):
-        ordered = ordered + sig[i] * X[..., i] * Y[..., i]
+        ordered = ordered + sig[i] * X[i] * Y[i]
     for other in (Y, lorentz.wp(d - 3)):
         grid = np.asarray(lorentz.inner(X, other))
         assert grid.shape == tuple(shape)
         for idx in np.ndindex(*shape):
-            point = lorentz.inner(X[idx], other if other.ndim == 1 else other[idx])
+            point = lorentz.inner(X[(slice(None),) + idx],
+                                  other if other.ndim == 1 else other[(slice(None),) + idx])
             assert type(point) is float and point == grid[idx]
     assert np.array_equal(lorentz.inner(X, Y), ordered)
 

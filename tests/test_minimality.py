@@ -145,7 +145,7 @@ def nabla_nabla_B_sum_form(fld):
     nabla nabla B."""
     DDB = fd.cov_d(fld.DB, fld.Gamma, fld.patch.axes)
     DDB, ginv, LB = fd.crop(fld.patch.ngrid, DDB, fld.ginv, fld.LB)
-    return np.einsum("...ca,...db,...dcab->...", ginv, ginv, DDB) - LB
+    return np.einsum("ca...,db...,dcab...->...", ginv, ginv, DDB) - LB
 
 
 def refined(grid, k):

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import grid_leading
 from laguerre import fd, lorentz, patches
 from laguerre.errors import DegenerateSurfaceError, UsageError
 
@@ -12,19 +13,19 @@ TORUS = {"builtin": "torus", "params": {"R": 2.0, "a": 1.0}}
 
 def test_torus_patch_basics(torus_patch):
     assert torus_patch.space == "r3"
-    assert torus_patch.x.shape == (65, 64, 3)
+    assert torus_patch.x.shape == (3, 65, 64)
     assert torus_patch.axes.periodic == (False, True)
     # contact condition and unit normal are exact for analytic jets
-    legendre = np.einsum("...ai,...i->...a", torus_patch.dx, torus_patch.xi)
+    legendre = np.einsum("ai...,i...->a...", torus_patch.dx, torus_patch.xi)
     assert np.abs(legendre).max() < 1e-12
-    assert np.abs(np.sum(torus_patch.xi ** 2, axis=-1) - 1).max() < 1e-12
+    assert np.abs(np.sum(torus_patch.xi ** 2, axis=0) - 1).max() < 1e-12
 
 
 def test_torus_closed_form_shape(torus_patch, torus_shape):
     iu, iv = 32, 0  # (u, v) = (0, 0)
     # principal curvatures -1/a and -cos u / (R + a cos u), sorted descending
-    assert np.allclose(torus_shape.k[iu, iv], [-1.0 / 3.0, -1.0])
-    assert np.allclose(torus_shape.radii[iu, iv], [-3.0, -1.0])
+    assert np.allclose(torus_shape.k[:, iu, iv], [-1.0 / 3.0, -1.0])
+    assert np.allclose(torus_shape.radii[:, iu, iv], [-3.0, -1.0])
     assert torus_shape.r[iu, iv] == pytest.approx(-2.0)
     assert torus_shape.rho[iu, iv] == pytest.approx(np.sqrt(2.0))
     U = torus_patch.axes.meshgrid()[0]
@@ -34,7 +35,7 @@ def test_torus_closed_form_shape(torus_patch, torus_shape):
 
 def test_structure_relation_dxi(torus_patch, torus_shape):
     # e_i(xi) = -k_i e_i(x): equivalently d(xi) + S-contracted dx vanishes
-    lhs = torus_patch.dxi + np.einsum("...gb,...gi->...bi", torus_patch.S, torus_patch.dx)
+    lhs = torus_patch.dxi + np.einsum("gb...,gi...->bi...", torus_patch.S, torus_patch.dx)
     assert np.abs(lhs).max() < 1e-12
     # and the analytic normal jets agree with finite differences of xi
     dxi_fd = fd.gradient(torus_patch.xi, torus_patch.axes)
@@ -46,9 +47,10 @@ def test_principal_curvatures_are_roots_of_the_pencil(builtin):
     # det(II - k I) = det(I) prod_j (k_j - k) vanishes at each k_i; the bound
     # is relative to det(I) max|k|^m, the size of its terms.
     p = patches.build_patch({"builtin": builtin})
-    k, m = p.shape.k, p.ngrid
-    pencil = p.II[..., None, :, :] - k[..., None, None] * p.I[..., None, :, :]
-    scale = np.linalg.det(p.I)[..., None] * np.abs(k).max(axis=-1, keepdims=True) ** m
+    k, m = grid_leading(p.shape.k, 1), p.ngrid
+    II, I = grid_leading(p.II, 2), grid_leading(p.I, 2)
+    pencil = II[..., None, :, :] - k[..., None, None] * I[..., None, :, :]
+    scale = np.linalg.det(I)[..., None] * np.abs(k).max(axis=-1, keepdims=True) ** m
     assert (np.abs(np.linalg.det(pencil)) <= 1e-12 * scale).all()
 
 
@@ -66,9 +68,9 @@ def test_four_axis_graph_takes_the_lapack_branch(monkeypatch):
     p = patches.build_patch({"builtin": "translational_graph", "params": {"quad": quad},
                              "grid": grid})
     assert spectra == [(9, 9, 9, 9, 4, 4)]
-    assert np.abs(p.shape.k[4, 4, 4, 4] - 2.0 * np.array(quad)).max() <= 1e-12
+    assert np.abs(p.shape.k[:, 4, 4, 4, 4] - 2.0 * np.array(quad)).max() <= 1e-12
     spectrum = fd.selfadjoint_eigvals(p.S, p.I)
-    assert np.abs(spectrum - np.sort(p.shape.k, axis=-1)).max() <= 1e-12
+    assert np.abs(spectrum - np.sort(p.shape.k, axis=0)).max() <= 1e-12
 
 
 def test_round_sphere_is_umbilic():
@@ -95,14 +97,14 @@ def test_graph_curvatures_at_origin():
         "grid": {"u": [-0.3, 0.3, 33], "v": [-0.3, 0.3, 33]},
     })
     sd = patches.shape_data(p)
-    assert np.allclose(sd.k[16, 16], [2.0, 1.0], atol=1e-12)
+    assert np.allclose(sd.k[:, 16, 16], [2.0, 1.0], atol=1e-12)
 
 
 def test_normal_flip():
     p = patches.build_patch({**TORUS, "normal": "inward"})
     sd = patches.shape_data(p)
     # flipping the normal negates every signed curvature
-    assert np.allclose(sd.k[32, 0], [1.0, 1.0 / 3.0])
+    assert np.allclose(sd.k[:, 32, 0], [1.0, 1.0 / 3.0])
 
 
 def test_torus4_closed_forms():
@@ -110,14 +112,15 @@ def test_torus4_closed_forms():
     sd = patches.shape_data(p)
     U = p.axes.meshgrid()[0]
     k_sphere = -np.cos(U) / (2.0 + np.cos(U))
-    assert fd.max_abs(sd.k[..., 0] - k_sphere) < 1e-12
-    assert fd.max_abs(sd.k[..., 1] - k_sphere) < 1e-12
-    assert fd.max_abs(sd.k[..., 2] + 1.0) < 1e-12
+    assert fd.max_abs(sd.k[0] - k_sphere) < 1e-12
+    assert fd.max_abs(sd.k[1] - k_sphere) < 1e-12
+    assert fd.max_abs(sd.k[2] + 1.0) < 1e-12
 
 
 def test_samples_roundtrip_matches_analytic(torus_patch, torus_shape):
     spec = {
-        "samples": {"points": torus_patch.x.tolist(), "normals": torus_patch.xi.tolist()},
+        "samples": {"points": grid_leading(torus_patch.x, 1).tolist(),
+                    "normals": grid_leading(torus_patch.xi, 1).tolist()},
         "grid": {"u": [-np.pi / 3, np.pi / 3, 65], "v": [0.0, 2 * np.pi, 64],
                  "periodic": ["v"]},
     }
@@ -125,7 +128,7 @@ def test_samples_roundtrip_matches_analytic(torus_patch, torus_shape):
     assert p.metadata["jets"] == "fd"
     # The patch is the window of its second jets, 4 u-rows inside each end.
     assert (p.axes.counts, p.spec_axes.counts) == ((57, 64), (65, 64))
-    assert np.array_equal(p.x, torus_patch.x[4:-4])
+    assert np.array_equal(p.x, torus_patch.x[:, 4:-4])
     sd = patches.shape_data(p)
     assert fd.max_abs(np.subtract(*fd.crop(2, sd.k, torus_shape.k))) < 1e-5
 
@@ -145,17 +148,18 @@ def test_bad_specs():
 
 def test_catenoid_zero_mean_curvature_oracle(catenoid_patch):
     S = catenoid_patch.S
-    mean_k = np.trace(S, axis1=-2, axis2=-1) / 2.0
+    mean_k = (S[0, 0] + S[1, 1]) / 2.0
     assert np.abs(mean_k).max() < 1e-12
 
 
 def test_saddle_constraints(saddle_patch):
     form = saddle_patch.form
     nu = lorentz.nu(3)
-    x_on_plane = np.sum(form * saddle_patch.x * nu, axis=-1)
+    x, xi = grid_leading(saddle_patch.x, 1), grid_leading(saddle_patch.xi, 1)
+    x_on_plane = np.sum(form * x * nu, axis=-1)
     assert np.abs(x_on_plane).max() < 1e-14
-    xi_null = np.sum(form * saddle_patch.xi * saddle_patch.xi, axis=-1)
-    xi_nu = np.sum(form * saddle_patch.xi * nu, axis=-1)
+    xi_null = np.sum(form * xi * xi, axis=-1)
+    xi_nu = np.sum(form * xi * nu, axis=-1)
     assert np.abs(xi_null).max() < 1e-14
     assert np.abs(xi_nu - 1.0).max() < 1e-14
 
@@ -177,7 +181,7 @@ def test_spacelike_plane_in_r31_is_flat():
 
 def test_validate_patch_names_degenerate_index(torus_patch):
     dx = torus_patch.dx.copy()
-    dx[10, 20] = 0.0
+    dx[..., 10, 20] = 0.0
     with pytest.raises(DegenerateSurfaceError,
                        match=r"not an immersion .* at grid index \(10, 20\)"):
         patches._validate_patch(dataclasses.replace(torus_patch, dx=dx))
@@ -204,14 +208,15 @@ def sampled_torus(nu=25, nv=24):
     patch it samples."""
     grid = {"u": [-1.0, 1.0, nu], "v": [0.0, 2 * np.pi, nv], "periodic": ["v"]}
     p = patches.build_patch({"builtin": "torus", "grid": grid})
-    return {"samples": {"points": p.x.tolist(), "normals": p.xi.tolist()}, "grid": grid}, p
+    return {"samples": {"points": grid_leading(p.x, 1).tolist(),
+                        "normals": grid_leading(p.xi, 1).tolist()}, "grid": grid}, p
 
 
 def test_sampled_contact_error_names_grid_index():
     spec, p = sampled_torus()
     # Tilt the normal at (10, 5) towards dx/du, keeping it a unit vector.
-    t = p.dx[10, 5, 0] / np.linalg.norm(p.dx[10, 5, 0])
-    spec["samples"]["normals"][10][5] = (np.cos(0.1) * p.xi[10, 5] + np.sin(0.1) * t).tolist()
+    t = p.dx[0, :, 10, 5] / np.linalg.norm(p.dx[0, :, 10, 5])
+    spec["samples"]["normals"][10][5] = (np.cos(0.1) * p.xi[:, 10, 5] + np.sin(0.1) * t).tolist()
     with pytest.raises(DegenerateSurfaceError,
                        match=r"contact condition .* at grid index \(10, 5\)"):
         patches.build_patch(spec)
@@ -250,7 +255,7 @@ def test_screen_fails_on_a_nan_defect(torus_patch, jet, message):
     # fails it at its grid index instead of slipping through a "> tol" test.
     p = torus_patch
     fields = {"xi": p.xi.copy(), "dx": p.dx.copy()}
-    fields[jet][7, 3, ..., 0] = np.nan
+    fields[jet][..., 0, 7, 3] = np.nan
     with pytest.raises(DegenerateSurfaceError, match=message + r".* at grid index \(7, 3\)"):
         patches.make_patch("r3", p.axes, p.x, fields["dx"], fields["xi"],
                            patches.given_jets(p.d2x, p.dxi, p.d2xi), {"jets": "analytic"})
@@ -278,13 +283,42 @@ def test_minimal_oracle_names_grid_index(monkeypatch):
 @pytest.mark.parametrize("m, order", [(1, 1), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_symmetric_jet_fills_every_permutation(m, order):
     rng = np.random.default_rng(10 * m + order)
-    x = rng.standard_normal((4,) * m + (3,))
+    x = rng.standard_normal((3,) + (4,) * m)
     keys = list(itertools.combinations_with_replacement(range(m), order))
     table = {key: rng.standard_normal(x.shape) for key in keys[::2]}   # every other key absent
     jet = patches._symmetric_jet(table, x, order)
-    assert jet.shape == x.shape[:-1] + (m,) * order + (3,)
-    grid = (slice(None),) * m
+    assert jet.shape == (m,) * order + x.shape
     for idx in itertools.product(range(m), repeat=order):
         key = tuple(sorted(idx))
         expected = table[key] if key in table else np.zeros(x.shape)
-        assert np.array_equal(jet[grid + idx], expected), idx
+        assert np.array_equal(jet[idx], expected), idx
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"quad": [1.0, 0.5], "cubic": [2.2222222222222223, 0.0]},
+     r"vanishing principal curvature at grid index \(8, 0\)"),
+    ({"quad": [1.0, 1.0], "cubic": [0.0, 0.0]}, r"umbilic point at grid index \(16, 16\)"),
+], ids=["vanishing", "umbilic"])
+def test_curvature_screen_names_the_grid_index(params, message):
+    # The curvature fields are (m, *G): the located point is a grid index,
+    # never a (component, u) pair.  k_1 = 2 + 6 (20/9) u vanishes on the row
+    # u = -0.15 (index 8); equal quads make the origin (16, 16) umbilic.
+    with pytest.raises(DegenerateSurfaceError, match=message):
+        patches.build_patch({"builtin": "translational_graph", "params": params})
+
+
+@pytest.mark.parametrize("builtin", ["torus", "torus4"])
+def test_patch_fields_have_the_documented_shapes(builtin):
+    # fd's table: component axes first, the grid axes (*G) last.
+    p = patches.build_patch({"builtin": builtin})
+    G, m, d = p.axes.shape, p.ngrid, len(p.x)
+    shapes = {"x": (d,), "xi": (d,), "dx": (m, d), "dxi": (m, d), "d2x": (m, m, d),
+              "d2xi": (m, m, d), "I": (m, m), "II": (m, m), "Iinv": (m, m), "S": (m, m),
+              "Linv": (m, m), "third_form": (m, m), "g_exact": (m, m), "area_element": ()}
+    for name, comps in shapes.items():
+        assert getattr(p, name).shape == comps + G, name
+    for name in ("k", "radii"):
+        assert getattr(p.shape, name).shape == (m,) + G, name
+    for name in ("r", "rho"):
+        assert getattr(p.shape, name).shape == G, name
+    assert p.lift.Y.shape == p.lift.eta.shape == (d + 3,) + G

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import element_to_json
 from laguerre import lorentz, spheres
 from laguerre.errors import InvalidCoordinateError, InvalidLineError, UsageError
 from laguerre.spheres import ContactElement, Plane, PointAtInfinity, Sphere
@@ -190,7 +191,7 @@ def test_degenerate_line_rejected():
 
 def test_element_json_roundtrip():
     for el in [Sphere(np.array([1.0, 2, 3]), -0.5), Plane(np.array([0.0, 1, 0]), 2.0)]:
-        back = spheres.element_from_json(spheres.element_to_json(el))
+        back = spheres.element_from_json(element_to_json(el))
         assert type(back) is type(el)
     with pytest.raises(UsageError):
         spheres.element_from_json({"kind": "blob"})
@@ -209,11 +210,7 @@ R30_NORMAL = np.array([0.375, 0.3, -0.4, -0.625])        # null, <xi, nu> = 1
                                           Sphere(np.zeros(3), 1.0)), "r30"),
     (lambda: spheres.lie_line(ContactElement(np.zeros(3), R31_NORMAL, "r31")), "r31"),
     (lambda: spheres.lie_line(ContactElement(np.zeros(4), R30_NORMAL, "r30")), "r30"),
-    (lambda: spheres.element_to_json(Sphere(np.zeros(3), 1.0, "r31")), "r31"),
-    (lambda: spheres.element_to_json(Plane(R30_NORMAL, 1.0, "r30")), "r30"),
-    (lambda: spheres.element_to_json(spheres.CSphere(np.zeros(4))), "r30"),
-], ids=["tangential-r31", "tangential-r30", "lie-line-r31", "lie-line-r30", "json-r31-sphere",
-        "json-r30-plane", "json-r30-sphere"])
+], ids=["tangential-r31", "tangential-r30", "lie-line-r31", "lie-line-r30"])
 def test_euclidean_only_operations_name_the_space(call, space):
     with pytest.raises(UsageError, match=f"R\\^n only, not for an element of {space}"):
         call()
@@ -282,14 +279,14 @@ def test_representative_pivot_is_the_first_entry_of_largest_magnitude():
 
 def _element_batch(kind, rng, count):
     """``count`` elements of one kind and the broadcasting-kernel coordinates
-    of the whole stacked batch, one row per element."""
+    of the whole stacked batch, components on axis 0: one column per element."""
     v = rng.standard_normal((count, 4)) * rng.lognormal(0.0, 1.5, (count, 1))
     if kind == "csphere-r30":
-        return [spheres.CSphere(p) for p in v], spheres.sphere_point(v)
+        return [spheres.CSphere(p) for p in v], spheres.sphere_point(v.T)
     shape, space = kind.split("-")
     if shape == "sphere":
         elements = [Sphere(p[:3], p[3], space) for p in v]
-        return elements, spheres.sphere_point(spheres.coord_tail(v[:, :3], -v[:, 3], space))
+        return elements, spheres.sphere_point(spheres.coord_tail(v[:, :3].T, -v[:, 3], space))
     if space == "r3":
         normals = v[:, :3] / np.linalg.norm(v[:, :3], axis=-1, keepdims=True)
     else:  # a unit time-like normal, <xi, xi> = -1, of either time orientation
@@ -297,7 +294,7 @@ def _element_batch(kind, rng, count):
         last = np.sqrt(1.0 + np.sum(xi0 * xi0, axis=-1, keepdims=True))
         normals = np.concatenate([xi0, np.where(v[:, 2:3] < 0, -last, last)], axis=-1)
     elements = [Plane(xi, lam, space) for xi, lam in zip(normals, v[:, 3])]
-    return elements, spheres.plane_point(v[:, 3], spheres.coord_tail(normals, 1.0, space))
+    return elements, spheres.plane_point(v[:, 3], spheres.coord_tail(normals.T, 1.0, space))
 
 
 # Time budget: about 0.3 s of tier-1 time on one core (80 examples of up to
@@ -306,10 +303,10 @@ def _element_batch(kind, rng, count):
 @given(kind=st.sampled_from(["sphere-r3", "sphere-r31", "plane-r3", "plane-r31", "csphere-r30"]),
        count=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
 def test_element_coordinates_are_the_rows_of_the_batch_kernels(kind, count, seed):
-    """The coordinate of one element and the row of a stacked batch come from
-    the same kernels and agree bit for bit, so a patch and its elements
+    """The coordinate of one element and its column of a stacked batch come
+    from the same kernels and agree bit for bit, so a patch and its elements
     cannot drift apart."""
     elements, batch = _element_batch(kind, np.random.default_rng(seed), count)
-    assert batch.shape == (count, elements[0].n + 3)
-    for element, row in zip(elements, batch):
-        assert spheres.sphere_coord_vector(element).tobytes() == row.tobytes()
+    assert batch.shape == (elements[0].n + 3, count)
+    for element, column in zip(elements, batch.T):
+        assert spheres.sphere_coord_vector(element).tobytes() == column.tobytes()

@@ -49,12 +49,12 @@ MUTANTS = [
      'np.pad(f, width, mode="wrap")', 'np.pad(f, width, mode="edge")',
      ["tests/test_fd.py"]),
     ("window margin: one more on each cropped (bounded) axis", "src/laguerre/fd.py",
-     "return tuple((c - s) // 2 for c, s in zip(grid.counts, field.shape))",
-     "return tuple((c - s) // 2 + (s < c) for c, s in zip(grid.counts, field.shape))",
+     "(c - s) // 2 for c, s in zip(grid.counts, field.shape[field.ndim - grid.ndim:]))",
+     "(c - s) // 2 + (s < c) for c, s in zip(grid.counts, field.shape[field.ndim - grid.ndim:]))",
      ["tests/test_fd.py", "tests/test_cli.py"]),
     ("crop: to the largest window instead of the common one", "src/laguerre/fd.py",
-     "window = [min(f.shape[i] for f in fields) for i in range(ngrid)]",
-     "window = [max(f.shape[i] for f in fields) for i in range(ngrid)]",
+     "window = [min(f.shape[f.ndim - ngrid + i] for f in fields) for i in range(ngrid)]",
+     "window = [max(f.shape[f.ndim - ngrid + i] for f in fields) for i in range(ngrid)]",
      ["tests/test_contractions.py"]),
     ("Jacobi: one sweep for m = 3", "src/laguerre/fd.py",
      "JACOBI_SWEEPS = 8", "JACOBI_SWEEPS = 1",
@@ -66,32 +66,33 @@ MUTANTS = [
      "for p, q in ((0, 1), (0, 2), (1, 2)) if q < m]", "for p, q in ((0, 1), (0, 2)) if q < m]",
      ["tests/test_fd.py"]),
     ("principal curvatures: ascending instead of descending", "src/laguerre/patches.py",
-     "fd.cholesky_reduce(patch.II, patch.Linv))[..., ::-1]",
+     "fd.cholesky_reduce(patch.II, patch.Linv))[::-1]",
      "fd.cholesky_reduce(patch.II, patch.Linv))",
      ["tests/test_patches.py"]),
     ("gram: two different stacks mirrored as if symmetric", "src/laguerre/fd.py",
      "symmetric = u is v", "symmetric = True",
      ["tests/test_contractions.py"]),
     ("inverse Cholesky factor: off-diagonal sign flipped", "src/laguerre/fd.py",
-     "Linv[..., i, j] = -dot / L[..., i, i]", "Linv[..., i, j] = dot / L[..., i, i]",
+     "Linv[i, j] = -dot / L[i, i]", "Linv[i, j] = dot / L[i, i]",
      ["tests/test_contractions.py"]),
     ("Cholesky reduction: reads column b of Linv (its upper triangle)", "src/laguerre/fd.py",
-     "Linv[..., b, :b + 1],", "Linv[..., :b + 1, b],",
+     "contract_last(LQ[a][:b + 1], Linv[b, :b + 1])",
+     "contract_last(LQ[a][:b + 1], Linv[:b + 1, b])",
      ["tests/test_contractions.py"]),
     ("metric pairing: inner dots transposed", "src/laguerre/fd.py",
-     "W = gram(P, gram(Q, ginv, one), one)", "W = gram(P, gram(ginv, Q, one), one)",
+     "gram(P, gram(Q, ginv, one), one)", "gram(P, gram(ginv, Q, one), one)",
      ["tests/test_contractions.py"]),
     ("max-abs: whole-array reduction drops -min f", "src/laguerre/fd.py",
      "abs(float(max(field.max(), -field.min())))", "abs(float(field.max()))",
      ["tests/test_fd.py"]),
     ("grid pairing: weighted by (+, ..., +) instead of the signature", "src/laguerre/lorentz.py",
-     'np.einsum("...i,...i,i->...", X, Y, sig)', 'np.einsum("...i,...i->...", X, Y)',
+     'np.einsum("i...,i...,i->...", X, Y, sig)', 'np.einsum("i...,i...->...", X, Y)',
      ["tests/test_lorentz.py"]),
     ("scalar pairing: sign of the last term flipped", "src/laguerre/lorentz.py",
      "return total - x[-1] * y[-1]", "return total + x[-1] * y[-1]",
      ["tests/test_lorentz.py"]),
     ("cov_d: last slot correction dropped", "src/laguerre/fd.py",
-     "for i in range(rank):", "for i in range(rank - 1):",
+     "for i, a in enumerate(slots):", "for i, a in enumerate(slots[:-1]):",
      ["tests/test_contractions.py"]),
     ("sampled window: cut by r instead of 2r", "src/laguerre/patches.py",
      "inset = 2 * fd.RADIUS.get(fd_order, 0)", "inset = fd.RADIUS.get(fd_order, 0)",
@@ -114,38 +115,37 @@ MUTANTS = [
      "(radius - shape.r) / shape.rho", "(radius - shape.r) * shape.rho",
      ["tests/test_hypersurface.py"]),
     ("S spectrum: ascending, the descending flip dropped", "src/laguerre/hypersurface.py",
-     "np.stack(fd.ascending(eigs)[::-1], axis=-1)", "np.stack(fd.ascending(eigs), axis=-1)",
+     "np.stack(fd.ascending(eigs)[::-1])", "np.stack(fd.ascending(eigs))",
      ["tests/test_hypersurface.py"]),
     ("sorting network: adjacent pairs only", "src/laguerre/fd.py",
      "itertools.combinations(range(len(columns)), 2)",
      "zip(range(len(columns) - 1), range(1, len(columns)))",
      ["tests/test_hypersurface.py", "tests/test_fd.py"]),
     ("shape data: mean radius over 2 components", "src/laguerre/patches.py",
-     "reduce(np.add, columns) / len(columns)", "reduce(np.add, columns) / 2",
+     "r = radii.mean(axis=0)", "r = radii.sum(axis=0) / 2",
      ["tests/test_hypersurface.py"]),
     ("volume: radii summed instead of multiplied", "src/laguerre/hypersurface.py",
-     "reduce(np.multiply, fd.components(shape.radii))",
-     "reduce(np.add, fd.components(shape.radii))",
+     "np.prod(shape.radii, axis=0)", "np.sum(shape.radii, axis=0)",
      ["tests/test_hypersurface.py"]),
     ("diameter: max + min", "src/laguerre/patches.py",
      "c.max() - c.min()", "c.max() + c.min()",
      ["tests/test_hypersurface.py"]),
     ("raw B asymmetry: B_raw + B_raw^T", "src/laguerre/hypersurface.py",
-     "self.B_raw - np.swapaxes(self.B_raw, -1, -2)", "self.B_raw + np.swapaxes(self.B_raw, -1, -2)",
+     "self.B_raw - np.swapaxes(self.B_raw, 0, 1)", "self.B_raw + np.swapaxes(self.B_raw, 0, 1)",
      ["tests/test_hypersurface.py"]),
     ("raw B asymmetry: no transpose", "src/laguerre/hypersurface.py",
-     "self.B_raw - np.swapaxes(self.B_raw, -1, -2)", "self.B_raw - self.B_raw",
+     "self.B_raw - np.swapaxes(self.B_raw, 0, 1)", "self.B_raw - self.B_raw",
      ["tests/test_hypersurface.py"]),
     ("cusp message: image radius a - r b", "src/laguerre/hypersurface.py",
-     "h1[0][..., -1:] + patch.shape.radii", "h1[0][..., -1:] - patch.shape.radii",
+     "h1[0][-1] + patch.shape.radii", "h1[0][-1] - patch.shape.radii",
      ["tests/test_hypersurface.py"]),
     ("conjugate null vector N: denominator 2 (n-1) instead of 2 (n-1)^2",
      "src/laguerre/hypersurface.py",
      "(2.0 * nm1 * nm1)", "(2.0 * nm1)",
      ["tests/test_hypersurface.py"]),
     ("criticality: sum form's Laplacian without sqrt(det g)", "src/laguerre/minimality.py",
-     "fld.divB[..., None], fld.ginv, fld.sqrt_det,",
-     "fld.divB[..., None], fld.ginv, np.ones_like(fld.sqrt_det),",
+     "laplace_beltrami(fld.divB, fld.ginv, fld.sqrt_det,",
+     "laplace_beltrami(fld.divB, fld.ginv, np.ones_like(fld.sqrt_det),",
      ["tests/test_minimality.py"]),
     ("criticality: div form divides <L, B> by n - 1", "src/laguerre/minimality.py",
      "divC - LB / (fld.patch.n - 2)", "divC - LB / (fld.patch.n - 1)",
@@ -253,23 +253,24 @@ MUTANTS = [
      ["tests/test_spheres.py", "tests/test_spaceforms.py"]),
     ("curvature pairs: d_a Gamma_a - d_b Gamma_b instead of the swapped rows",
      "src/laguerre/fd.py",
-     "_derivative(Gamma[..., :, b, :], a, grid)\n                          - _derivative(Gamma[..., :, a, :], b, grid)",
-     "_derivative(Gamma[..., :, a, :], a, grid)\n                          - _derivative(Gamma[..., :, b, :], b, grid)",
+     "(_derivative(Gamma[:, b], a, grid) - _derivative(Gamma[:, a], b, grid))",
+     "(_derivative(Gamma[:, a], a, grid) - _derivative(Gamma[:, b], b, grid))",
      ["tests/test_contractions.py"]),
     ("curvature pairs: the two Gamma Gamma terms in the other order", "src/laguerre/fd.py",
-     "+ Ga @ Gb) - Gb @ Ga", "+ Gb @ Ga) - Ga @ Gb",
+     'np.einsum("de...,ec...->dc...", Ga, Gb)) - np.einsum("de...,ec...->dc...", Gb, Ga)',
+     'np.einsum("de...,ec...->dc...", Gb, Ga)) - np.einsum("de...,ec...->dc...", Ga, Gb)',
      ["tests/test_contractions.py"]),
     ("Ricci: row b filled with +R_ab.. instead of -R_ab..", "src/laguerre/fd.py",
-     "ric[..., b, :] -= row(a)", "ric[..., b, :] += row(a)",
+     "ric[b] -= contract_last(R, ginv[a])", "ric[b] += contract_last(R, ginv[a])",
      ["tests/test_hypersurface.py"]),
     ("Gauss residual: block (b, a) with curvature +R_ab..", "src/laguerre/hypersurface.py",
-     "-Rc[p] - (((T3 + T4) - T1) - T2)", "Rc[p] - (((T3 + T4) - T1) - T2)",
+     "-R - (((T3 + T4) - T1) - T2)", "R - (((T3 + T4) - T1) - T2)",
      ["tests/test_hypersurface.py"]),
     ("mapped II: +<dx, dxi> instead of -<dx, dxi>", "src/laguerre/patches.py",
-     "return -0.5 * (W + np.swapaxes(W, -1, -2))", "return 0.5 * (W + np.swapaxes(W, -1, -2))",
+     "return -0.5 * (W + np.swapaxes(W, 0, 1))", "return 0.5 * (W + np.swapaxes(W, 0, 1))",
      ["tests/test_hypersurface.py"]),
     ("mapped II: not symmetrized", "src/laguerre/patches.py",
-     "return -0.5 * (W + np.swapaxes(W, -1, -2))", "return -0.5 * (W + W)",
+     "return -0.5 * (W + np.swapaxes(W, 0, 1))", "return -0.5 * (W + W)",
      ["tests/test_hypersurface.py"]),
     ("builtin params: non-finite values accepted", "src/laguerre/patches.py",
      "        if not finite:\n            raise UsageError(f\"builtin param", "        if False:\n            raise UsageError(f\"builtin param",
@@ -284,6 +285,41 @@ MUTANTS = [
      '("analyze", cmd_surface_analyze, ("csv",), 1e-3)',
      '("analyze", cmd_surface_analyze, ("csv",), 1e-4)',
      ["tests/test_cli.py"]),
+    # Faults of the component-leading layout: a located failure reading a
+    # component index as a grid index, a result left in LAPACK's trailing
+    # layout, slots or rows of the mapped jets confused, and a reference
+    # cycle that keeps a transformed patch's source alive.
+    ("locator keeps the component index", "src/laguerre/patches.py",
+     "flat = (np.abs(vals) <= k_zero_tol).any(axis=0)", "flat = np.abs(vals) <= k_zero_tol",
+     ["tests/test_patches.py"]),
+    ("contact screen: locator keeps the component index", "src/laguerre/patches.py",
+     "np.abs(fd.contract_last(patch.dx, patch.xi, patch.form)).max(axis=0)",
+     "np.abs(fd.contract_last(patch.dx, patch.xi, patch.form))",
+     ["tests/test_patches.py"]),
+    ("LAPACK branch: result left in the trailing layout", "src/laguerre/fd.py",
+     "return np.moveaxis(out, tuple(range(-ncomp, 0)), tuple(range(ncomp)))", "return out",
+     ["tests/test_fd.py", "tests/test_patches.py"]),
+    ("gradient: every direction written into slot 0", "src/laguerre/fd.py",
+     "_derivative(f, axis, grid, out=out[axis])", "_derivative(f, axis, grid, out=out[0])",
+     ["tests/test_fd.py"]),
+    ("contraction: form weight dropped", "src/laguerre/fd.py",
+     "(w[i] if form is None else w[i] * form[i])", "w[i]",
+     ["tests/test_contractions.py"]),
+    ("transform: jets mapped with the radius row of T", "src/laguerre/hypersurface.py",
+     "jet_rows = M[2:-1, 2:]", "jet_rows = M[2:, 2:]",
+     ["tests/test_hypersurface.py"]),
+    ("transform: second jets through a closure that holds itself and the source",
+     "src/laguerre/hypersurface.py",
+     "        return patch_from_pencil(patch, h1, h2,\n"
+     "                                 lambda: [_image(patch.d2x, jet_rows, ngrid),",
+     "        def image(f):\n"
+     "            return _image(f, jet_rows, patch.ngrid) if f.ndim else image(f)\n"
+     "        return patch_from_pencil(patch, h1, h2,\n"
+     "                                 lambda: [image(patch.d2x),",
+     ["tests/test_hypersurface.py"]),
+    ("R^n_1 jet tails: zero radius row last instead of first", "src/laguerre/spaceforms.py",
+     "[(1, 0) if axis == order else (0, 0)", "[(0, 1) if axis == order else (0, 0)",
+     ["tests/test_hypersurface.py"]),
 ]
 
 
@@ -293,7 +329,7 @@ def tests_fail(tests: list, edit: tuple | None = None) -> bool:
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".pytest_cache", ".hypothesis", "tools"))
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
         if edit is not None:
             file, old, new = edit
             source = (copy / file).read_text()
