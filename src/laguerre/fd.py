@@ -12,7 +12,7 @@ written (``rho * y``).  With d ambient components and m parameter axes:
     scalars                               (*G)
     x, xi, Y, eta                         (d, *G)
     dx, dxi                               (m, d, *G)
-    d2x, d2xi                             (m, m, d, *G)
+    d2x (a build's, until II is formed)   (m, m, d, *G)
     I, II, S, g, B, L                     (m, m, *G)
     C                                     (m, *G)
     Gamma^c_ab, nabla_c B_ab, nabla_c L_ab (c, a, b, *G)

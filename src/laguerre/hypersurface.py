@@ -39,15 +39,14 @@ covariant derivatives and div B -- is computed on first read and cached, so
 a command pays only for the fields it reports, and each field once.
 
 Group images and space-form embeddings are read off a pencil
-(``patch_from_pencil``): they hold their first jets, take II from them
-(-<dx, dxi>) and form their second jets, and pull the source's, only
-when those are read, which no command does.
+(``patch_from_pencil``): they hold their first jets and take II from them
+(-<dx, dxi>), so no jet of second order is mapped or formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -405,8 +404,7 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
 
     The pencil jets of the patch are mapped through T and the image patch
     is read off them (``patch_from_pencil``), so no accuracy is lost
-    relative to the source patch; the second jets are mapped only when the
-    image's second jets are read.  The image keeps the source's jets
+    relative to the source patch.  The image keeps the source's jets
     provenance, and with it the source's screen tolerances.
     """
     if patch.space != "r3":
@@ -416,17 +414,15 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
     # The derivative jets of the pencil members are their tails: entries 0
     # and 1 are a multiple of wp, which T fixes, so they add nothing to
     # entries 2: of the image, and the radius entry (last) is constant, so
-    # only the rows of the jets of x and xi enter.  The values keep their
-    # full coordinates.
-    M, ngrid = T.matrix, patch.ngrid
+    # only the rows of the jets of x and xi enter, one product per direction
+    # slot.  The values keep their full coordinates.
+    M = T.matrix
     jet_rows = M[2:-1, 2:]
-    h1, h2 = ([_image(value, M[:, 2:], ngrid), _image(jet, jet_rows, ngrid)]
+    h1, h2 = ([np.tensordot(M[:, 2:], value, axes=(0, 0)),
+               np.stack([np.tensordot(jet_rows, slot, axes=(0, 0)) for slot in jet])]
               for value, jet in zip(contact_pencil(patch.x, patch.xi), (patch.dx, patch.dxi)))
     try:
-        return patch_from_pencil(patch, h1, h2,
-                                 lambda: [_image(patch.d2x, jet_rows, ngrid),
-                                          _image(patch.d2xi, jet_rows, ngrid)],
-                                 transformed=True)
+        return patch_from_pencil(patch, h1, h2, transformed=True)
     except DegenerateSurfaceError as exc:
         # Curvature sphere i goes to (gamma1 + r_i gamma2) T, whose last entry
         # is the image radius r'_i = a + r_i b.  One that takes both signs on
@@ -445,25 +441,15 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
             "with a cusp, not an immersed patch") from exc
 
 
-def _image(field: np.ndarray, rows: np.ndarray, ngrid: int) -> np.ndarray:
-    """The vector axis of ``field`` (the one after its direction axes) times
-    the matrix ``rows``: one product per direction slot."""
-    if field.ndim == ngrid + 1:
-        return np.tensordot(rows, field, axes=(0, 0))
-    return np.stack([_image(slot, rows, ngrid) for slot in field])
-
-
-def patch_from_pencil(patch: SurfacePatch, h1, h2, second, **metadata) -> SurfacePatch:
+def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
     """Euclidean patch read off a pencil along ``patch``, with exact jets.
 
     h1 and h2 are the jets (value, first derivatives) of entries 2: of the
-    point-sphere and hyperplane members, and ``second()`` gives their second
-    derivatives.  x and xi come from ``spheres.contact_from_pencil``, which
-    guards the read-off; with (A, a) and (B, b) the middle block and the
-    last entry, x = A - (a/b) B and xi = B / b carry their derivatives as
-    quotient jets.  The image holds x, xi and their first jets, and its II
-    is -<dx, dxi>, so its screen reads no second jet; ``second()`` is called
-    when the image's d2x or d2xi is first read.
+    point-sphere and hyperplane members.  x and xi come from
+    ``spheres.contact_from_pencil``, which guards the read-off; with (A, a)
+    and (B, b) the middle block and the last entry, x = A - (a/b) B and
+    xi = B / b carry their derivatives as quotient jets.  The image holds x,
+    xi and their first jets, and its II is -<dx, dxi>.
     """
     x, xi = contact_from_pencil(h1[0], h2[0], lambda idx: patches.grid_index(patch, idx))
     dA, B, dB = h1[1][:, :-1], h2[0][:-1], h2[1][:, :-1]
@@ -473,36 +459,15 @@ def patch_from_pencil(patch: SurfacePatch, h1, h2, second, **metadata) -> Surfac
     q = h1[0][-1:] / b
     dq = _quotient_d(q, da, b, db)
     dx = dA - dq * B - q * dB
-
-    @cache
-    def second_jets() -> dict:
-        (d2A, d2a), (d2B, d2b) = ((j[:, :, :-1], j[:, :, -1:]) for j in second())
-        d2b = d2b[:, :, 0]
-        d2q = _quotient_d2(q, dq, d2a, b, db, d2b)
-        return {
-            "d2x": d2A - d2q * B - dq[:, None] * dB - dq * dB[:, None] - q * d2B,
-            "d2xi": _quotient_d2(xi, dxi, d2B, b, db, d2b),
-        }
-
-    def jets(image, name):
-        if name == "dxi":
-            return dxi
-        if name == "II":
-            return patches.weingarten_second_fundamental(image)
-        return second_jets()[name]
-
-    return patches.make_patch("r3", patch.axes, x, dx, xi, jets, {**patch.metadata, **metadata})
+    II = patches.weingarten_second_fundamental(dx, dxi, patches.ambient_form_diag("r3", len(x)))
+    return patches.make_patch("r3", patch.axes, x, dx, xi, II, dxi,
+                              {**patch.metadata, **metadata})
 
 
 def _quotient_d(w, dv, b, db):
     """First jets (m, k, *G) of the field w = v / b of k components, given w;
     db[:, None] pairs each direction with every component."""
     return (dv - w * db[:, None]) / b
-
-
-def _quotient_d2(w, dw, d2v, b, db, d2b):
-    """Second jets (m, m, k, *G) of w = v / b, given w and its first jets."""
-    return (d2v - dw * db[:, None, None] - dw[:, None] * db[:, None] - w * d2b[:, :, None]) / b
 
 
 def compare_invariants(f1: InvariantField, f2: InvariantField) -> dict:

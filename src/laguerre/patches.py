@@ -1,10 +1,10 @@
 """Sampled hypersurface patches with derivative jets.
 
 A patch stores, on a rectangular parameter grid, the immersion x, its
-first parameter derivatives and the unit normal xi; the second
-derivatives of x and the first and second derivatives of xi come from the
-patch's jets source when they are read.  Patches live in one of three
-geometries:
+first parameter derivatives dx, the unit normal xi and the second
+fundamental form II; the first derivatives dxi of the normal are stored
+when they are given and formed on first read otherwise.  Patches live in
+one of three geometries:
 
 * "r3"  -- Euclidean R^n (ambient form +...+),
 * "r31" -- Lorentzian R^n_1 (+...+-, last axis time-like, <xi, xi> = -1),
@@ -12,34 +12,31 @@ geometries:
            coordinate equal to the last; the normal is the null vector
            field normalized against nu = (1, 0, ..., 0, 1).
 
-Builtin surfaces supply the distinct partial derivatives of x to third
+Builtin surfaces supply the distinct partial derivatives of x to second
 order analytically, as tables that one assembler (``_symmetric_jet``)
 turns into symmetric derivative arrays; the normal jets are then produced
-exactly through the shape operator (the relation d(xi) = -dx o S and its
-derivative), so no hand-differentiated normals are needed anywhere.
-Sampled ("samples") patches fall back to central finite differences for
-every jet, the second jets being one gradient of the first.  Those exist
-only 2r points inside each bounded end of the sampled grid (r the stencil
-radius), so a sampled patch is built on that window (``fd.GridAxes.inset``)
+exactly through the shape operator (d(xi) = -dx o S), so no
+hand-differentiated normals are needed anywhere.  Sampled ("samples")
+patches fall back to central finite differences for dx and dxi, and for
+the second x-jets as one gradient of dx.  Those exist only 2r points
+inside each bounded end of the sampled grid (r the stencil radius), so a
+sampled patch is built on that window (``fd.GridAxes.inset``)
 and records the grid of its spec in ``metadata["grid"]`` (``spec_axes``);
 ``grid_index`` maps a patch grid index to the spec's.  The grid of a patch
 carries the stencil order given to ``build_patch``; every patch mapped from
 it keeps that grid and that record, so the order reaches every later
 derivative and every message names indices of the spec's grid.
 
-What a patch computes is pulled by what reads it.  The build computes x,
-dx and xi and screens the patch, which reads I, II, I^{-1}, S, the
-inverse Cholesky factor of I and the curvature data; each of those is a
-cached value on the patch, formed once however many consumers read it.
-A builtin or sampled patch holds d2x from its build, and its II is
-<d2x, xi>.  A patch read off a pencil (a group image or a space-form
+Each builder forms II once, from arrays: a builtin or sampled patch as
+<d2x, xi> (``second_fundamental``), after which its second x-jets are
+dropped; a patch read off a pencil (a group image or a space-form
 embedding, ``hypersurface.patch_from_pencil``) holds its first jets dx and
-dxi, and its II is -<dx, dxi> (Weingarten: dxi = -dx o S), so its second
-jets d2x and d2xi, and the second jets of the patch it was mapped from,
-are formed only when read.  The normal jets, the third fundamental form
-and the cone lift are formed on first read, and a builtin's third x-jets
-only when its d2xi is read; no command reads d2xi, and no command reads
-the d2x of a mapped patch.
+dxi and takes -<dx, dxi>, symmetrized (``weingarten_second_fundamental``;
+Weingarten: dxi = -dx o S).  So no patch holds a field with two direction
+axes.  The screen reads I, II, I^{-1}, S, the inverse Cholesky factor of I
+and the curvature data; each of those, a builtin's dxi, the third
+fundamental form and the cone lift is a cached value on the patch, formed
+on first read however many consumers read it.
 
 Degeneracy policy: every patch -- builtin, sampled, group image or
 space-form embedding -- is made by ``make_patch`` and passes one screen
@@ -55,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -69,19 +65,15 @@ CROSSING_SPIKE_FACTOR = 20.0     # kink spike over the smooth second-difference 
 CROSSING_GAP_FRACTION = 0.5      # of the median gap: "locally collapsed"
 
 
-def ambient_form_diag(space: str, n: int) -> np.ndarray:
-    """Signature diagonal of the ambient inner product for each geometry."""
-    if space == "r3":
-        return np.ones(n)
-    if space == "r31":
-        d = np.ones(n)
-        d[-1] = -1.0
-        return d
-    if space == "r30":
-        d = np.ones(n + 1)
-        d[-1] = -1.0
-        return d
-    raise UsageError(f"unknown space tag {space!r}")
+def ambient_form_diag(space: str, d: int) -> np.ndarray:
+    """Signature diagonal of the ambient inner product on d components:
+    +...+ in R^n, +...+- in R^n_1 and in the R^{n+1}_1 that holds R^n_0."""
+    if space not in ("r3", "r31", "r30"):
+        raise UsageError(f"unknown space tag {space!r}")
+    form = np.ones(d)
+    if space != "r3":
+        form[-1] = -1.0
+    return form
 
 
 @dataclass(eq=False)
@@ -89,17 +81,17 @@ class SurfacePatch:
     """Immutable sampled hypersurface with jets.
 
     Component axes lead every array and grid axes trail (the table of
-    ``fd``): x and xi are (d, *G), ``dx`` (m, d, *G), ``d2x`` (m, m, d, *G)
-    and likewise for the normal.
+    ``fd``): x and xi are (d, *G), ``dx`` and ``dxi`` (m, d, *G), ``II``
+    (m, m, *G).
 
-    x, dx and the normal are stored; every other field is a value computed
-    on first read and then cached: ``d2x``, ``II`` and the normal jets
-    ``dxi`` and ``d2xi`` (from the jets source ``jets``, see ``given_jets``,
-    ``shape_jets`` and ``hypersurface.patch_from_pencil``), the first
-    fundamental form ``I``, ``Iinv``, the shape operator ``S``, the inverse
-    Cholesky factor ``Linv`` of I, the curvature data ``shape``,
-    ``third_form``, the exact invariant metric ``g_exact``, the Euclidean
-    area element ``area_element`` and the cone ``lift``.
+    x, dx, the normal and the second fundamental form ``II`` are stored,
+    and so is ``dxi`` when the patch is made with it (``make_patch``);
+    every other field is a value computed on first read and then cached:
+    a builtin's ``dxi``, the first fundamental form ``I``, ``Iinv``, the
+    shape operator ``S``, the inverse Cholesky factor ``Linv`` of I, the
+    curvature data ``shape``, ``third_form``, the exact invariant metric
+    ``g_exact``, the Euclidean area element ``area_element`` and the cone
+    ``lift``.
     """
 
     space: str
@@ -108,12 +100,12 @@ class SurfacePatch:
     x: np.ndarray
     dx: np.ndarray
     xi: np.ndarray
-    jets: Callable = field(repr=False)   # (patch, "d2x" | "II" | "dxi" | "d2xi") -> field
+    II: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     @property
     def form(self) -> np.ndarray:
-        return ambient_form_diag(self.space, self.n)
+        return ambient_form_diag(self.space, len(self.x))
 
     @property
     def ngrid(self) -> int:
@@ -136,24 +128,14 @@ class SurfacePatch:
         return float(np.linalg.norm([c.max() - c.min() for c in self.x]))
 
     @cached_property
-    def d2x(self) -> np.ndarray:
-        return self.jets(self, "d2x")
-
-    @cached_property
     def dxi(self) -> np.ndarray:
-        return self.jets(self, "dxi")
-
-    @cached_property
-    def d2xi(self) -> np.ndarray:
-        return self.jets(self, "d2xi")
+        """d(xi) = -dx o S, exact for exact x-jets; a patch made with its
+        own dxi holds that instead (``make_patch``)."""
+        return -np.einsum("cb...,ci...->bi...", self.S, self.dx)
 
     @cached_property
     def I(self) -> np.ndarray:
         return first_fundamental(self)
-
-    @cached_property
-    def II(self) -> np.ndarray:
-        return self.jets(self, "II")
 
     @cached_property
     def Iinv(self) -> np.ndarray:
@@ -200,28 +182,6 @@ def grid_index(patch: SurfacePatch, idx) -> tuple:
                  for i, c, w in zip(idx, patch.spec_axes.counts, patch.axes.counts))
 
 
-def given_jets(d2x: np.ndarray, dxi: np.ndarray, d2xi: np.ndarray) -> Callable:
-    """Jets source of a patch whose second x-jets and normal jets are handed
-    in; II = <d2x, xi>."""
-    given = {"d2x": d2x, "dxi": dxi, "d2xi": d2xi}
-    return lambda patch, name: second_fundamental(patch) if name == "II" else given[name]
-
-
-def shape_jets(d2x: np.ndarray, third: Callable) -> Callable:
-    """Jets source of a patch with exact x-jets d2x: II = <d2x, xi>,
-    d(xi) = -dx o S, and ``_d2xi_from_shape`` with the third x-jets
-    ``third()``, which are built only when d2xi is read."""
-    def jets(patch, name):
-        if name == "d2x":
-            return d2x
-        if name == "II":
-            return second_fundamental(patch)
-        if name == "dxi":
-            return -np.einsum("cb...,ci...->bi...", patch.S, patch.dx)
-        return _d2xi_from_shape(patch, third())
-    return jets
-
-
 # ---------------------------------------------------------------------------
 # Shape data and the cone lift
 # ---------------------------------------------------------------------------
@@ -254,15 +214,16 @@ def first_fundamental(patch: SurfacePatch) -> np.ndarray:
     return fd.gram(patch.dx, patch.dx, patch.form)
 
 
-def second_fundamental(patch: SurfacePatch) -> np.ndarray:
+def second_fundamental(d2x: np.ndarray, xi: np.ndarray, form: np.ndarray) -> np.ndarray:
     """II = <d2x, xi>."""
-    return fd.contract_last(patch.d2x, patch.xi, patch.form)
+    return fd.contract_last(d2x, xi, form)
 
 
-def weingarten_second_fundamental(patch: SurfacePatch) -> np.ndarray:
+def weingarten_second_fundamental(dx: np.ndarray, dxi: np.ndarray,
+                                  form: np.ndarray) -> np.ndarray:
     """II = -<dx, dxi> from the first jets (Weingarten: dxi = -dx o S),
     symmetrized: exact jets make <dx_a, dxi_b> symmetric up to rounding."""
-    W = fd.gram(patch.dx, patch.dxi, patch.form)
+    W = fd.gram(dx, dxi, form)
     return -0.5 * (W + np.swapaxes(W, 0, 1))
 
 
@@ -350,35 +311,11 @@ def _check_crossings(vals: np.ndarray, patch: SurfacePatch) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Exact normal jets through the shape operator
-# ---------------------------------------------------------------------------
-
-def _d2xi_from_shape(patch: SurfacePatch, d3x: np.ndarray) -> np.ndarray:
-    """Second derivatives of the unit normal, pointwise exact.
-
-    Differentiates d(xi) = -dx o S through the third-order jets of x:
-    dS = I^{-1} (dII - dI S).  Valid in every geometry because only the
-    ambient form enters.
-    """
-    dx, d2x, xi, form, S = patch.dx, patch.d2x, patch.xi, patch.form, patch.S
-    # d_d I_ab = <d2x_da, dx_b> + <d2x_db, dx_a>,
-    # d_d II_ab = <d3x_dab, xi> + <d2x_ab, dxi_d>.
-    P = np.einsum("dai...,bi...,i->dab...", d2x, dx, form)
-    dI = P + np.swapaxes(P, 1, 2)
-    dII = (fd.contract_last(d3x, xi, form)
-           + np.einsum("abi...,di...,i->dab...", d2x, patch.dxi, form))
-    dIS = np.einsum("dae...,eb...->dab...", dI, S)
-    dS = np.einsum("ga...,dab...->dgb...", patch.Iinv, dII - dIS)
-    return -np.einsum("dgb...,gi...->dbi...", dS, dx) - np.einsum("gb...,dgi...->dbi...", S, d2x)
-
-
-# ---------------------------------------------------------------------------
-# Builtin surfaces (analytic x-jets to third order)
+# Builtin surfaces (analytic x-jets to second order)
 # ---------------------------------------------------------------------------
 # Each builtin returns x, xi and the distinct partial derivatives of x as
 # tables keyed by sorted index tuples (absent keys are zero): the first- and
-# second-order tables and a callable giving the third-order table, which is
-# built only when the third jets are read (``_symmetric_jet`` assembles them).
+# second-order tables (``_symmetric_jet`` assembles them).
 
 def _vec(*comps):
     """The vector field (d, *G) of d scalar grid fields."""
@@ -400,12 +337,7 @@ def _torus_jets(params, U, V):
         (0, 1): _vec(a * su * sv, -a * su * cv, zeros),
         (1, 1): _vec(-w * cv, -w * sv, zeros),
     }
-    return x, xi, first, second, lambda: {
-        (0, 0, 0): _vec(a * su * cv, a * su * sv, -a * cu),
-        (0, 0, 1): _vec(a * cu * sv, -a * cu * cv, zeros),
-        (0, 1, 1): _vec(a * su * cv, a * su * sv, zeros),
-        (1, 1, 1): _vec(w * sv, -w * cv, zeros),
-    }
+    return x, xi, first, second
 
 
 def _sphere_jets(params, U, V):
@@ -414,16 +346,10 @@ def _sphere_jets(params, U, V):
     zeros = np.zeros_like(U)
 
     xi = _vec(cu * cv, cu * sv, su)
-    xiu = _vec(-su * cv, -su * sv, cu)
-    xiv = _vec(-cu * sv, cu * cv, zeros)
-    first = {(0,): R * xiu, (1,): R * xiv}
+    first = {(0,): R * _vec(-su * cv, -su * sv, cu), (1,): R * _vec(-cu * sv, cu * cv, zeros)}
     second = {(0, 0): R * -xi, (0, 1): R * _vec(su * sv, -su * cv, zeros),
               (1, 1): R * _vec(-cu * cv, -cu * sv, zeros)}
-    return R * xi, xi, first, second, lambda: {
-        (0, 0, 0): R * -xiu, (0, 0, 1): R * -xiv,
-        (0, 1, 1): R * _vec(su * cv, su * sv, zeros),
-        (1, 1, 1): R * _vec(cu * sv, -cu * cv, zeros),
-    }
+    return R * xi, xi, first, second
 
 
 def _cylinder_jets(params, U, V):
@@ -435,7 +361,7 @@ def _cylinder_jets(params, U, V):
     xi = _vec(cv, sv, zeros)
     first = {(0,): _vec(zeros, zeros, np.ones_like(U)), (1,): _vec(-R * sv, R * cv, zeros)}
     second = {(1, 1): _vec(-R * cv, -R * sv, zeros)}
-    return x, xi, first, second, lambda: {(1, 1, 1): _vec(R * sv, -R * cv, zeros)}
+    return x, xi, first, second
 
 
 def _graph_jets(params, *coords):
@@ -461,8 +387,7 @@ def _graph_jets(params, *coords):
     xi = _vec(*(-g / s for g in f1), 1.0 / s)
     first = {(i,): along(i, ones, f1[i]) for i in range(m)}
     second = {(i, i): along(i, zeros, 2 * quad[i] + 6 * cubic[i] * grids[i]) for i in range(m)}
-    return x, xi, first, second, lambda: {(i, i, i): along(i, zeros, 6 * cubic[i] * ones)
-                                          for i in range(m)}
+    return x, xi, first, second
 
 
 def _torus4_jets(params, U, T, P):
@@ -481,7 +406,6 @@ def _torus4_jets(params, U, T, P):
     npp = (-st * sp, st * cp, zeros)
     ntp = (-ct * sp, ct * cp, zeros)
     npp2 = (-st * cp, -st * sp, zeros)
-    neg = lambda v: tuple(-c for c in v)
     w = R + a * cu
 
     def emb(scal, vec3, last):
@@ -493,17 +417,10 @@ def _torus4_jets(params, U, T, P):
     first = {(0,): emb(-a * su, n, a * cu), (1,): emb(w, nt, zeros), (2,): emb(w, npp, zeros)}
     second = {
         (0, 0): emb(-a * cu, n, -a * su), (0, 1): emb(-a * su, nt, zeros),
-        (0, 2): emb(-a * su, npp, zeros), (1, 1): emb(w, neg(n), zeros),
+        (0, 2): emb(-a * su, npp, zeros), (1, 1): emb(-w, n, zeros),
         (1, 2): emb(w, ntp, zeros), (2, 2): emb(w, npp2, zeros),
     }
-    return x, xi, first, second, lambda: {
-        (0, 0, 0): emb(a * su, n, -a * cu), (0, 0, 1): emb(-a * cu, nt, zeros),
-        (0, 0, 2): emb(-a * cu, npp, zeros), (0, 1, 1): emb(-a * su, neg(n), zeros),
-        (0, 1, 2): emb(-a * su, ntp, zeros), (0, 2, 2): emb(-a * su, npp2, zeros),
-        (1, 1, 1): emb(w, neg(nt), zeros), (1, 1, 2): emb(w, neg(npp), zeros),
-        (1, 2, 2): emb(w, (-ct * cp, -ct * sp, zeros), zeros),
-        (2, 2, 2): emb(w, (st * sp, -st * cp, zeros), zeros),
-    }
+    return x, xi, first, second
 
 
 def _catenoid_r31_jets(params, u, V):
@@ -517,10 +434,7 @@ def _catenoid_r31_jets(params, u, V):
     first = {(0,): _vec(cv, sv, (1.0 + u * u) ** -0.5), (1,): _vec(-u * sv, u * cv, zeros)}
     second = {(0, 0): _vec(zeros, zeros, -u * (1.0 + u * u) ** -1.5),
               (0, 1): _vec(-sv, cv, zeros), (1, 1): _vec(-u * cv, -u * sv, zeros)}
-    return x, xi, first, second, lambda: {
-        (0, 0, 0): _vec(zeros, zeros, (2.0 * u * u - 1.0) * (1.0 + u * u) ** -2.5),
-        (0, 1, 1): _vec(-cv, -sv, zeros), (1, 1, 1): _vec(u * sv, -u * cv, zeros),
-    }
+    return x, xi, first, second
 
 
 def _saddle_r30_jets(params, U, V):
@@ -535,7 +449,7 @@ def _saddle_r30_jets(params, U, V):
     xi = _vec(half, -c * V, -c * U, half - 1.0)
     first = {(0,): _vec(c * V, ones, zeros, c * V), (1,): _vec(c * U, zeros, ones, c * U)}
     second = {(0, 1): _vec(c * ones, zeros, zeros, c * ones)}
-    return x, xi, first, second, lambda: {}
+    return x, xi, first, second
 
 
 def _symmetric_jet(table: dict, x: np.ndarray, order: int) -> np.ndarray:
@@ -664,12 +578,14 @@ def _validate_patch(patch: SurfacePatch) -> None:
 
 
 def make_patch(space: str, axes: fd.GridAxes, x: np.ndarray, dx: np.ndarray, xi: np.ndarray,
-               jets: Callable, metadata: dict) -> SurfacePatch:
+               II: np.ndarray, dxi: np.ndarray | None, metadata: dict) -> SurfacePatch:
     """The one constructor of patches: derives n from the space, builds the
-    patch and screens it (``_validate_patch``)."""
+    patch, holding ``dxi`` when one is given (a builtin's is formed on
+    read), and screens it (``_validate_patch``)."""
     n = len(x) - 1 if space == "r30" else len(x)
-    patch = SurfacePatch(space=space, n=n, axes=axes, x=x, dx=dx, xi=xi, jets=jets,
-                         metadata=metadata)
+    patch = SurfacePatch(space=space, n=n, axes=axes, x=x, dx=dx, xi=xi, II=II, metadata=metadata)
+    if dxi is not None:
+        patch.dxi = dxi   # set in place of the cached on-read value
     _validate_patch(patch)
     return patch
 
@@ -708,7 +624,7 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
     if entry["naxes"] is not None and axes.ndim != entry["naxes"]:
         raise UsageError(f"builtin {name!r} needs {entry['naxes']} parameter axes")
     params = spec.get("params", {})
-    x, xi, first, second, third = _builtin_jets(name, params, axes)
+    x, xi, first, second = _builtin_jets(name, params, axes)
 
     orientation = spec.get("normal", "outward")
     if orientation not in ("outward", "inward"):
@@ -718,9 +634,8 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
             raise UsageError("the degenerate-space normal is unique; it cannot be flipped")
         xi = -xi
 
-    patch = make_patch(space, axes, x, _symmetric_jet(first, x, 1), xi,
-                       shape_jets(_symmetric_jet(second, x, 2),
-                                  lambda: _symmetric_jet(third(), x, 3)),
+    II = second_fundamental(_symmetric_jet(second, x, 2), xi, ambient_form_diag(space, len(x)))
+    patch = make_patch(space, axes, x, _symmetric_jet(first, x, 1), xi, II, None,
                        {"builtin": name, "params": dict(params), "jets": "analytic",
                         "normal": orientation})
     if entry.get("zero_mean_curvature"):
@@ -759,8 +674,8 @@ def _builtin_jets(name: str, params, axes: fd.GridAxes) -> tuple:
 
 
 def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
-    """Patch of sampled points and normals on the window of its second jets,
-    2r points inside each bounded end of the spec's grid."""
+    """Patch of sampled points and normals on the window of its second
+    x-jets, 2r points inside each bounded end of the spec's grid."""
     samples = spec["samples"]
     inset = 2 * fd.RADIUS.get(fd_order, 0)   # an unknown order is rejected with the grid
     grid = _parse_axes(spec.get("grid"), fd_order, inset=inset)
@@ -775,14 +690,15 @@ def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise UsageError(f"sampled points or normals are not finite at grid index {idx}")
-    # The samples come (*G, d); the patch stores them (d, *G).  Second jets
-    # are one gradient of the first; swapping the two direction axes puts
+    # The samples come (*G, d); the patch stores them (d, *G).  The second
+    # x-jets are one gradient of dx; swapping the two direction axes puts
     # d_b d_a in slot (a, b), the order of the builtin jets.  Every field is
-    # cut to the window of the second jets.
+    # cut to the window of the second x-jets, which only II reads.
     x, xi = (np.moveaxis(f, -1, 0) for f in (x, xi))
     dx, dxi = (fd.gradient(f, grid) for f in (x, xi))
-    d2x, d2xi = (np.swapaxes(fd.gradient(jet, grid), 0, 1) for jet in (dx, dxi))
-    x, xi, dx, dxi, d2x, d2xi = fd.crop(grid.ndim, x, xi, dx, dxi, d2x, d2xi)
-    return make_patch(spec.get("space", "r3"), grid.inset(inset), x, dx, xi,
-                      given_jets(d2x, dxi, d2xi),
+    d2x = np.swapaxes(fd.gradient(dx, grid), 0, 1)
+    x, xi, dx, dxi, d2x = fd.crop(grid.ndim, x, xi, dx, dxi, d2x)
+    space = spec.get("space", "r3")
+    II = second_fundamental(d2x, xi, ambient_form_diag(space, len(x)))
+    return make_patch(space, grid.inset(inset), x, dx, xi, II, dxi,
                       {"builtin": "samples", "jets": "fd", "normal": "as-given", "grid": grid})

@@ -94,33 +94,30 @@ def embed_sphere(s: SphereElement) -> SphereElement:
 def embed_patch(patch: SurfacePatch) -> SurfacePatch:
     """Push a Lorentzian or degenerate patch into the Euclidean bundle.
 
-    The image is read off the jets of the native pencil's entries 2:,
-    (0, x) and (1, xi) in R^n_1 and x and xi in R^n_0; the jets are exact
-    (the second ones formed when the image's are read) and the image is
-    validated like any other patch.  It keeps the source's jets provenance.
+    The image is read off the first jets of the native pencil's entries
+    2:, (0, x) and (1, xi) in R^n_1 and x and xi in R^n_0; the jets are
+    exact and the image is validated like any other patch.  It keeps the
+    source's jets provenance.
     """
     if patch.space == "r3":
         return patch
     if patch.space not in ("r31", "r30"):
         raise UsageError(f"unknown space {patch.space!r}")
     sp = patch.space
-    dh1, dh2 = _jet_tails(patch, 1)
+    dh1, dh2 = _jet_tails(patch)
     return patch_from_pencil(patch, [coord_tail(patch.x, 0.0, sp), dh1],
-                             [coord_tail(patch.xi, 1.0, sp), dh2], lambda: _jet_tails(patch, 2),
-                             embedded_from=sp)
+                             [coord_tail(patch.xi, 1.0, sp), dh2], embedded_from=sp)
 
 
-def _jet_tails(patch: SurfacePatch, order: int) -> list:
-    """Entries 2: of the parameter derivatives of order 1 or 2 of the pencil
-    members along a patch of R^n_1 or R^n_0: the jets of x and xi, in R^n_1
-    after the radius entry, which is constant along the patch, so its jets
-    are a zero first row of the vector axis (the one after the ``order``
-    direction axes)."""
-    jets = (patch.dx, patch.dxi) if order == 1 else (patch.d2x, patch.d2xi)
+def _jet_tails(patch: SurfacePatch) -> list:
+    """Entries 2: of the first parameter derivatives of the pencil members
+    along a patch of R^n_1 or R^n_0: dx and dxi, in R^n_1 after the radius
+    entry, which is constant along the patch, so its jets are a zero first
+    row of the vector axis (axis 1, after the direction axis)."""
+    jets = [patch.dx, patch.dxi]
     if patch.space == "r30":
-        return list(jets)
-    return [np.pad(j, [(1, 0) if axis == order else (0, 0) for axis in range(j.ndim)])
-            for j in jets]
+        return jets
+    return [np.pad(j, [(1, 0) if axis == 1 else (0, 0) for axis in range(j.ndim)]) for j in jets]
 
 
 # ---------------------------------------------------------------------------

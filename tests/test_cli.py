@@ -530,28 +530,26 @@ def counted(monkeypatch, module, name):
 
 
 # Calls a command makes to functions whose results are read on demand: the
-# I Gram and the cone lift once per patch that needs them, the curvature
-# tensor and the B spectrum only for the commands that report them, and
-# the second normal jets never: a group image or a space-form embedding
-# holds the first jets it reads off and takes its II from them, so neither
-# it nor its source forms a second normal jet.  grid_eigvalsh also runs
-# once per shape_data (principal curvatures); the S spectrum is read off
-# the curvature radii, with no eigensolver.
+# I Gram and the cone lift once per patch that needs them, and the
+# curvature tensor and the B spectrum only for the commands that report
+# them.  grid_eigvalsh also runs once per shape_data (principal
+# curvatures); the S spectrum is read off the curvature radii, with no
+# eigensolver.
 # The stencil count (fd.gradient, including the calls inside the fd kernels)
 # is the one the benchmark tracer reports per request; the Laplacians of Y
 # and eta take no gradient of their own but reuse dY and deta, the
 # curvature takes single-axis derivatives of the Gamma rows its pairs need
 # instead of a gradient of Gamma, and the criticality sum form is one more
 # Laplacian, of div B.
-LAZY = {"first_fundamental": patches, "laguerre_lift": patches, "_d2xi_from_shape": patches,
+LAZY = {"first_fundamental": patches, "laguerre_lift": patches,
         "riemann_tensor": fd, "grid_eigvalsh": fd, "selfadjoint_eigvals": fd,
         "christoffel": fd, "laplace_beltrami": fd, "gradient": fd}
 LAZY_CALLS = {
-    "analyze": (1, 1, 0, 1, 2, 0, 1, 1, 7),
-    "minimality": (1, 1, 0, 0, 1, 0, 1, 4, 7),
-    "volume": (1, 0, 0, 0, 1, 0, 0, 0, 0),
-    "embed": (2, 2, 0, 1, 3, 0, 1, 4, 8),
-    "compare": (2, 2, 0, 0, 4, 0, 0, 0, 4),
+    "analyze": (1, 1, 1, 2, 0, 1, 1, 7),
+    "minimality": (1, 1, 0, 1, 0, 1, 4, 7),
+    "volume": (1, 0, 0, 1, 0, 0, 0, 0),
+    "embed": (2, 2, 1, 3, 0, 1, 4, 8),
+    "compare": (2, 2, 0, 4, 0, 0, 0, 4),
 }
 
 
@@ -594,8 +592,8 @@ def test_derived_fields_computed_once(command, shape_calls, cov_d_calls, torus_s
 
 @pytest.mark.parametrize("command", ["analyze", "minimality", "volume"])
 def test_torus4_commands_compute_only_what_they_read(command, tmp_path, monkeypatch, capsys):
-    # On n = 4 the second normal jets, the curvature tensor and the spectra
-    # are the largest fields nothing but some commands read.
+    # On n = 4 the curvature tensor and the spectra are the largest fields
+    # nothing but some commands read.
     lazy = count_lazy(monkeypatch)
     spec = write(tmp_path, "torus4.json", {"builtin": "torus4"})
     assert run(["surface", command, "--spec", spec]) == 0

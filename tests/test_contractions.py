@@ -70,9 +70,8 @@ def jets(rng, m, N, shape):
     dx = frame + 0.2 * rng.standard_normal((m, N) + shape)
     d2x = rng.standard_normal((m, m, N) + shape)
     d2x = 0.5 * (d2x + np.swapaxes(d2x, 0, 1))
-    d3x = rng.standard_normal((m, m, m, N) + shape)
     xi = rng.standard_normal((N,) + shape)
-    return rng.standard_normal((N,) + shape), dx, d2x, d3x, xi
+    return rng.standard_normal((N,) + shape), dx, d2x, xi
 
 
 def metric_field(rng, m, shape):
@@ -87,27 +86,12 @@ def metric_field(rng, m, shape):
 # Literal formulas
 # ---------------------------------------------------------------------------
 
-def xi_jets_literal(x, dx, d2x, d3x, xi, form):
+def xi_jet_literal(dx, d2x, xi, form):
     I = np.einsum("ai...,bi...,i->ab...", dx, dx, form)
     II = np.einsum("abi...,i...,i->ab...", d2x, xi, form)
     Iinv = component_leading(np.linalg.inv(grid_leading(I, 2)), 2)
     S = np.einsum("ga...,ab...->gb...", Iinv, II)
-    dxi = -np.einsum("gb...,gi...->bi...", S, dx)
-    dI = (
-        np.einsum("dai...,bi...,i->dab...", d2x, dx, form)
-        + np.einsum("ai...,dbi...,i->dab...", dx, d2x, form)
-    )
-    dII = (
-        np.einsum("dabi...,i...,i->dab...", d3x, xi, form)
-        + np.einsum("abi...,di...,i->dab...", d2x, dxi, form)
-    )
-    dS = np.einsum("ga...,dab...->dgb...", Iinv, dII) - np.einsum(
-        "ge...,def...,fa...,ab...->dgb...", Iinv, dI, Iinv, II
-    )
-    d2xi = -np.einsum("dgb...,gi...->dbi...", dS, dx) - np.einsum(
-        "gb...,dgi...->dbi...", S, d2x
-    )
-    return dxi, d2xi
+    return -np.einsum("gb...,gi...->bi...", S, dx)
 
 
 def christoffel_literal(g, ginv, grid):
@@ -134,30 +118,28 @@ def riemann_literal(g, Gamma, grid):
 @PROPERTY
 @given(grids())
 def test_xi_jets_from_shape(case):
+    # A patch made without dxi forms it on read as -dx o S.
     rng, m, N, shape, periodic, space = case
-    x, dx, d2x, d3x, xi = jets(rng, m, N, shape)
+    x, dx, d2x, xi = jets(rng, m, N, shape)
     form = patches.ambient_form_diag(space, N)
     axes = fd.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic, order=4)
     patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, xi=xi,
-                                 jets=patches.shape_jets(d2x, lambda: d3x))
-    ref = xi_jets_literal(x, dx, d2x, d3x, xi, form)
-    assert_close(patch.dxi, ref[0])
-    assert_close(patch.d2xi, ref[1])
+                                 II=patches.second_fundamental(d2x, xi, form))
+    assert_close(patch.dxi, xi_jet_literal(dx, d2x, xi, form))
 
 
 @PROPERTY
 @given(grids())
 def test_fundamental_forms(case):
     rng, m, N, shape, periodic, space = case
-    x, dx, d2x, d3x, xi = jets(rng, m, N, shape)
+    x, dx, d2x, xi = jets(rng, m, N, shape)
     axes = fd.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic, order=4)
-    patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, xi=xi,
-                                 jets=patches.given_jets(d2x, dx, d2x))
     form = patches.ambient_form_diag(space, N)
+    II = patches.second_fundamental(d2x, xi, form)
+    patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, xi=xi, II=II)
     assert_close(patches.first_fundamental(patch),
                  np.einsum("ai...,bi...,i->ab...", dx, dx, form))
-    assert_close(patches.second_fundamental(patch),
-                 np.einsum("abi...,i...,i->ab...", d2x, xi, form))
+    assert_close(II, np.einsum("abi...,i...,i->ab...", d2x, xi, form))
 
 
 @PROPERTY

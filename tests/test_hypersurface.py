@@ -389,14 +389,18 @@ def test_transform_patch_consistency_with_contact_action(torus_patch):
 JET_REL = 1e-3
 
 
+def assert_jet_exact(jet, field, axes, name):
+    """4th-order differences of ``field`` match its exact first jet ``jet`` on
+    the valid interior, relative to the jet's max."""
+    diff = fd.gradient(field, axes)
+    assert (fd.max_abs(np.subtract(*fd.crop(axes.ndim, diff, jet)))
+            <= JET_REL * fd.max_abs(jet)), name
+
+
 def assert_jets_exact(patch):
-    """4th-order differences of x, dx, xi and dxi match the stored dx, d2x,
-    dxi and d2xi on the valid interior, relative to each jet's max."""
-    for field, jet in (("x", "dx"), ("dx", "d2x"), ("xi", "dxi"), ("dxi", "d2xi")):
-        exact = getattr(patch, jet)
-        diff = fd.gradient(getattr(patch, field), patch.axes)
-        assert (fd.max_abs(np.subtract(*fd.crop(patch.ngrid, diff, exact)))
-                <= JET_REL * fd.max_abs(exact)), jet
+    """The patch's dx and dxi against 4th-order differences of x and xi."""
+    assert_jet_exact(patch.dx, patch.x, patch.axes, "dx")
+    assert_jet_exact(patch.dxi, patch.xi, patch.axes, "dxi")
 
 
 def test_mapped_patches_keep_the_stencil_order():
@@ -420,12 +424,28 @@ def test_embedded_jets_match_finite_differences(native, request):
 
 
 def test_jets_of_an_image_of_an_image_match_finite_differences(torus_patch):
-    # The second image pulls its second jets from the first image's, which
-    # pulls them from the torus.
+    # The second image maps the first jets the first image read off the torus.
     image = hypersurface.transform_patch(seeded_transform(3, translation_scale=0.3,
                                                           flow_scale=0.2), torus_patch)
     assert_jets_exact(hypersurface.transform_patch(
         seeded_transform(4, translation_scale=0.3, flow_scale=0.2), image))
+
+
+def second_jets_held(patch):
+    """Names of the arrays the patch holds with two direction axes (m, m, d, *G)."""
+    return [name for name, value in vars(patch).items()
+            if isinstance(value, np.ndarray) and value.ndim > patch.ngrid + 2]
+
+
+@pytest.mark.parametrize("builtin", ["torus", "torus4", "maximal_catenoid_r31"])
+def test_a_built_and_analyzed_builtin_holds_no_second_jet(builtin):
+    # The build forms II = <d2x, xi> and drops d2x; the screen, an analysis
+    # and the normal jets read no jet of second order.
+    patch = patches.build_patch({"builtin": builtin})
+    patch.dxi
+    if patch.space == "r3":
+        hypersurface.structural_residuals(hypersurface.analyze(patch))
+    assert second_jets_held(patch) == []
 
 
 # Patches read off a pencil: (source fixture, map).
@@ -438,14 +458,12 @@ MAPS = {"image": ("torus_patch", lambda p: hypersurface.transform_patch(seeded_t
 def test_mapped_patch_is_screened_and_analyzed_without_second_jets(name, request):
     # The screen reads II = -<dx, dxi> off the first jets, and an analysis
     # reads no jet of higher order: neither the mapped patch nor its source
-    # forms a second normal jet, and the mapped patch forms no d2x.
+    # holds a field with two direction axes.
     fixture, mapping = MAPS[name]
     source = copy.copy(request.getfixturevalue(fixture))
-    source.__dict__.pop("d2xi", None)
     mapped = mapping(source)
     hypersurface.structural_residuals(hypersurface.analyze(mapped))
-    assert {"d2x", "d2xi"}.isdisjoint(vars(mapped))
-    assert "d2xi" not in vars(source)
+    assert second_jets_held(mapped) == second_jets_held(source) == []
 
 
 @pytest.mark.parametrize("name", MAPS)
@@ -469,12 +487,16 @@ def test_a_mapped_patch_and_its_source_are_freed_without_the_cycle_collector(nam
 
 @pytest.mark.parametrize("name", MAPS)
 def test_mapped_second_form_is_the_pulled_second_jets_against_the_normal(name, request):
+    # II = -<dx, dxi> is symmetric as stored and equals <d2x, xi>, d2x taken
+    # as 4th-order differences of the mapped patch's first jets.
     fixture, mapping = MAPS[name]
     mapped = mapping(request.getfixturevalue(fixture))
     II = mapped.II
     assert np.array_equal(II, np.swapaxes(II, 0, 1))
-    assert (fd.max_abs(II - patches.second_fundamental(mapped))
-            <= 1e-12 * fd.max_abs(II))
+    d2x, xi = fd.crop(mapped.ngrid, fd.gradient(mapped.dx, mapped.axes), mapped.xi)
+    II_diff = patches.second_fundamental(d2x, xi, mapped.form)
+    assert (fd.max_abs(np.subtract(*fd.crop(mapped.ngrid, II_diff, II)))
+            <= JET_REL * fd.max_abs(II))
 
 
 BUILTIN_SPECS = {
@@ -494,8 +516,14 @@ BUILTIN_SPECS = {
 
 @pytest.mark.parametrize("name", BUILTIN_SPECS)
 def test_builtin_jet_tables_match_finite_differences(name):
-    # d2xi reads the third-order table, so every table of the builtin is checked.
-    assert_jets_exact(patches.build_patch(BUILTIN_SPECS[name]))
+    # Both tables of the builtin: the first-order one as dx, the second-order
+    # one assembled as the build assembles it, every ambient component (II
+    # reads only the normal one).
+    spec = BUILTIN_SPECS[name]
+    patch = patches.build_patch(spec)
+    assert_jets_exact(patch)
+    x, _, _, second = patches._builtin_jets(spec["builtin"], spec.get("params", {}), patch.axes)
+    assert_jet_exact(patches._symmetric_jet(second, x, 2), patch.dx, patch.axes, "d2x")
 
 
 def test_transform_through_a_cusp_names_the_radius():
@@ -635,6 +663,39 @@ def test_curvature_identities_bounded_on_torus4(torus4_field):
         assert res[key] <= 1e-3 * scale, key
 
 
+# The 2-axis cubic graph, where every term of the first-order identities is
+# O(1) (on the tori the commutator, nabla B and C sit near zero).
+CUBIC_GRAPH = {"builtin": "translational_graph",
+               "params": {"quad": [1.0, 0.5], "cubic": [0.3, 0.2]},
+               "grid": {"u": [-0.2, 0.2, 33], "v": [-0.2, 0.2, 33]}}
+
+
+def test_first_order_identities_bounded_on_the_cubic_graph():
+    # Each residual is bounded against the largest term of its identity:
+    # |B g^-1 L - (B g^-1 L)^T| 23, |nabla B - (nabla B)^T| 5.6 and
+    # <Delta Y, Delta Y> / 2(n-1) 88.  They read 1.7e-5, 3.4e-6 and 3.7e-4
+    # of it on this grid; a sign error in one term leaves a residual of the
+    # size of that term.
+    fld = hypersurface.analyze(patches.build_patch(CUBIC_GRAPH))
+    n = fld.patch.n
+    res = hypersurface.structural_residuals(fld)
+    B, ginv, L = fld.crop(fld.B, fld.ginv, fld.L)
+    BL = np.einsum("ab...,bc...,cd...->ad...", B, ginv, L)
+    C, g = fld.crop(fld.C, fld.g)
+    largest = {
+        "c_exchange": max(fd.max_abs(fld.DC - np.swapaxes(fld.DC, 0, 1)),
+                          fd.max_abs(BL - np.swapaxes(BL, 0, 1))),
+        "b_codazzi": max(fd.max_abs(fld.DB - np.swapaxes(fld.DB, 0, 2)),
+                         fd.max_abs(np.einsum("b...,ac...->cab...", C, g))),
+        "l_trace_vs_lap": max(fd.max_abs(np.einsum("ab...,ab...->...", ginv, L)),
+                              fd.max_abs(fld.lap_norm) / (2 * (n - 1))),
+    }
+    bound = {"c_exchange": 1e-4, "b_codazzi": 2e-5, "l_trace_vs_lap": 2e-3}
+    assert min(largest.values()) > 5.0
+    for key, scale in largest.items():
+        assert res[key] <= bound[key] * scale, key
+
+
 def test_higher_dim_l_recovered_from_curvature(torus4_field):
     fld = torus4_field
     # for a 3-dimensional hypersurface the symmetric tensor L is a function
@@ -688,7 +749,7 @@ SMALL_TORUS4 = {"builtin": "torus4", "grid": {
     "u": [-np.pi / 3, np.pi / 3, 21], "v": [np.pi / 4, 3 * np.pi / 4, 21],
     "w": [0.0, 2 * np.pi, 12], "periodic": ["w"]}}
 # Values the build does not read, on the patch and on the analyzed field.
-PATCH_ON_READ = ("dxi", "d2xi", "third_form", "g_exact", "area_element", "lift")
+PATCH_ON_READ = ("dxi", "third_form", "g_exact", "area_element", "lift")
 FIELD_ON_READ = ("dY", "g", "minors", "ginv", "sqrt_det", "Gamma", "lapY", "lap_norm", "N",
                  "deta", "B_raw", "B", "L", "C", "vielbein", "EY", "B_frame",
                  "C_frame", "B_eigs", "S_op", "S_eigs", "riemann", "ricci", "scalar",

@@ -212,6 +212,20 @@ def sampled_torus(nu=25, nv=24):
                         "normals": grid_leading(p.xi, 1).tolist()}, "grid": grid}, p
 
 
+def test_sampled_build_differences_x_xi_and_dx_once_each(monkeypatch):
+    # dx, dxi and the second x-jets that II reads: three gradients, and the
+    # patch keeps the given dxi and no second jet.
+    spec, _ = sampled_torus()
+    calls = []
+    gradient = fd.gradient
+    monkeypatch.setattr(fd, "gradient",
+                        lambda f, *args: calls.append(f.ndim) or gradient(f, *args))
+    p = patches.build_patch(spec)
+    assert calls == [3, 3, 4]
+    assert "dxi" in vars(p)
+    assert not any(isinstance(v, np.ndarray) and v.ndim > p.ngrid + 2 for v in vars(p).values())
+
+
 def test_sampled_contact_error_names_grid_index():
     spec, p = sampled_torus()
     # Tilt the normal at (10, 5) towards dx/du, keeping it a unit vector.
@@ -240,8 +254,7 @@ def test_sampled_input_must_be_finite(field, bad):
 def test_screen_tolerance_follows_jets_provenance(torus_patch, jets, defect, accepted):
     p = torus_patch
     xi = p.xi * np.sqrt(1.0 + defect)
-    args = ("r3", p.axes, p.x, p.dx, xi, patches.given_jets(p.d2x, p.dxi, p.d2xi),
-            {"jets": jets})
+    args = ("r3", p.axes, p.x, p.dx, xi, p.II, None, {"jets": jets})
     if accepted:
         assert patches.make_patch(*args).n == 3
     else:
@@ -257,8 +270,8 @@ def test_screen_fails_on_a_nan_defect(torus_patch, jet, message):
     fields = {"xi": p.xi.copy(), "dx": p.dx.copy()}
     fields[jet][..., 0, 7, 3] = np.nan
     with pytest.raises(DegenerateSurfaceError, match=message + r".* at grid index \(7, 3\)"):
-        patches.make_patch("r3", p.axes, p.x, fields["dx"], fields["xi"],
-                           patches.given_jets(p.d2x, p.dxi, p.d2xi), {"jets": "analytic"})
+        patches.make_patch("r3", p.axes, p.x, fields["dx"], fields["xi"], p.II, None,
+                           {"jets": "analytic"})
 
 
 def test_refine_multiplies_the_parsed_counts():
@@ -312,9 +325,9 @@ def test_patch_fields_have_the_documented_shapes(builtin):
     # fd's table: component axes first, the grid axes (*G) last.
     p = patches.build_patch({"builtin": builtin})
     G, m, d = p.axes.shape, p.ngrid, len(p.x)
-    shapes = {"x": (d,), "xi": (d,), "dx": (m, d), "dxi": (m, d), "d2x": (m, m, d),
-              "d2xi": (m, m, d), "I": (m, m), "II": (m, m), "Iinv": (m, m), "S": (m, m),
-              "Linv": (m, m), "third_form": (m, m), "g_exact": (m, m), "area_element": ()}
+    shapes = {"x": (d,), "xi": (d,), "dx": (m, d), "dxi": (m, d), "I": (m, m), "II": (m, m),
+              "Iinv": (m, m), "S": (m, m), "Linv": (m, m), "third_form": (m, m),
+              "g_exact": (m, m), "area_element": ()}
     for name, comps in shapes.items():
         assert getattr(p, name).shape == comps + G, name
     for name in ("k", "radii"):
