@@ -108,6 +108,17 @@ def graph3_field():
 
 
 @pytest.fixture(scope="session")
+def graph4_field():
+    """The 4-axis cubic translational graph (n = 5), where the dimension
+    coefficients (n - 2), (n - 3), (n - 4) all differ from 0 and 1; about
+    1.4 s of CPU time."""
+    return hypersurface.analyze(patches.build_patch({
+        "builtin": "translational_graph",
+        "params": {"quad": [1.0, 0.7, 0.45, 0.25], "cubic": [0.05, -0.03, 0.04, 0.02]},
+        "grid": dict.fromkeys("uvwx", [-0.25, 0.25, 19])}))
+
+
+@pytest.fixture(scope="session")
 def catenoid_patch():
     return patches.build_patch({"builtin": "maximal_catenoid_r31"})
 

@@ -451,6 +451,21 @@ def test_nonfinite_params_exit_2(name, command, tmp_path, capsys):
     assert "must be a finite number" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap tuning")
+def test_main_keeps_freed_fields_mapped(tmp_path, sphere_files):
+    # After a command, ten 3 MiB fields freed together are allocated again
+    # without faulting their 7,680 pages in afresh.
+    import resource
+    assert run(["spheres", "contact", "--a", sphere_files[0], "--b", sphere_files[1],
+                "--out", str(tmp_path / "o.json")]) == 0
+    fault = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fields = [np.ones(3 << 17) for _ in range(10)]
+    del fields
+    before = fault()
+    fields = [np.ones(3 << 17) for _ in range(10)]
+    assert fault() - before < 768
+
+
 def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(laguerre.__file__))

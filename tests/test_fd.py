@@ -1,4 +1,6 @@
+import math
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -201,6 +203,60 @@ def test_windowed_kernels_are_windows_of_the_nan_padded_kernels(case):
     DT, DT_ref = fd.cov_d(T, Gamma, grid), cov_d_ref(T_ref, Gamma_ref, grid)
     check(DT, DT_ref, 2)
     check(fd.cov_d(DT, Gamma, grid), cov_d_ref(DT_ref, Gamma_ref, grid), 3)
+
+
+# Time budget: about 0.2 s of tier-1 time on one core (60 examples).
+@settings(max_examples=60, derandomize=True, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(window_cases(), st.integers(0, 2),
+       st.sampled_from(["1", "7", "slab - 1", "slab", "slab + 1"]))
+def test_blocked_stencil_is_the_reference_at_every_block_size(case, ncomp, block):
+    """At block sizes that make the kernel recurse towards the stencil's
+    axis (1, 7, one slab - 1), split a leading axis into ragged blocks (7)
+    or take whole slabs (one slab, one slab + 1), every kernel reads what
+    the reference stencils read, bit for bit, also on a cropped input and
+    into a given output."""
+    grid, rng = case
+    m, r = grid.ndim, fd.RADIUS[grid.order]
+    # A (*K, *G) field cropped by one point at both ends of every axis: a
+    # view that is not contiguous.
+    f = rng.standard_normal((2,) * ncomp + tuple(c + 2 for c in grid.shape))
+    f = f[(Ellipsis,) + (slice(1, -1),) * m]
+    slab = math.prod(f.shape[1:])
+    size = {"1": 1, "7": 7, "slab - 1": slab - 1, "slab": slab, "slab + 1": slab + 1}[block]
+    hs, per = grid.spacings, grid.periodic
+    with mock.patch.object(fd, "STENCIL_BLOCK", size):
+        parts = [diff(f, ncomp + a, hs[a], per[a], grid.order) for a in range(m)]
+        assert np.array_equal(fd.gradient(f, grid), np.stack(fd.crop(m, *parts)))
+        for a, part in enumerate(parts):
+            out = np.full(part.shape[::-1], np.nan).T     # strided, not contiguous
+            fd._central(f, ncomp + a, hs[a], per[a], grid.order, out=out)
+            assert np.array_equal(out, part)
+
+        X = rng.standard_normal((m + 1,) + grid.shape)
+        g, g_ref = metric_from(fd.gradient(X, grid)), metric_from(gradient_ref(X, grid))
+        ginv, ginv_ref = fd.grid_inv(g), fd.grid_inv(g_ref)
+        sqrt_det, sqrt_det_ref = (np.sqrt(fd.grid_det(q)) for q in (g, g_ref))
+        Gamma, Gamma_ref = fd.christoffel(g, grid, ginv), christoffel_ref(g_ref, grid, ginv_ref)
+        pairs = [(fd.riemann_tensor(g, Gamma, grid), riemann_ref(g_ref, Gamma_ref, grid)),
+                 (fd.laplace_beltrami(fd.gradient(f, grid), ginv, sqrt_det, grid),
+                  laplace_beltrami_ref(f, ginv_ref, sqrt_det_ref, grid))]
+    for got, ref in pairs:
+        window = (Ellipsis,) + tuple(slice(k, c - k) for k, c in
+                                     zip(fd.margins(got, grid), grid.counts))
+        assert np.array_equal(got, ref[window])
+
+
+def test_blocked_stencil_at_the_real_block_size():
+    # One (6, 40, 200) slab of the field holds more elements than a block, so
+    # the kernel takes each on its own, where 4 of the 6 slabs of 8,000 fit
+    # in a block and the last block holds 2.
+    grid = spaced_grid((40, 200), (0.05, 0.03), (False, True))
+    f = np.random.default_rng(7).standard_normal((2, 6, 40, 200))
+    assert math.prod(f.shape[1:]) > fd.STENCIL_BLOCK > 4 * math.prod(f.shape[2:])
+    parts = [diff(f, 2 + a, h, per, 4)
+             for a, (h, per) in enumerate(zip(grid.spacings, grid.periodic))]
+    assert np.array_equal(fd.gradient(f, grid), np.stack(fd.crop(2, *parts)))
 
 
 def test_grid_axes_rejects_unsupported_order():

@@ -663,20 +663,32 @@ def test_curvature_identities_bounded_on_torus4(torus4_field):
         assert res[key] <= 1e-3 * scale, key
 
 
-# The 2-axis cubic graph, where every term of the first-order identities is
-# O(1) (on the tori the commutator, nabla B and C sit near zero).
-CUBIC_GRAPH = {"builtin": "translational_graph",
+# The 2- and 3-axis cubic graphs, where every term of the first-order
+# identities is O(1) (on the tori the commutator, nabla B and C sit near zero).
+CUBIC_GRAPHS = {
+    "2-axis": {"builtin": "translational_graph",
                "params": {"quad": [1.0, 0.5], "cubic": [0.3, 0.2]},
-               "grid": {"u": [-0.2, 0.2, 33], "v": [-0.2, 0.2, 33]}}
+               "grid": {"u": [-0.2, 0.2, 33], "v": [-0.2, 0.2, 33]}},
+    "3-axis": {"builtin": "translational_graph",
+               "params": {"quad": [1.0, 0.7, 0.4], "cubic": [0.2, -0.1, 0.15]},
+               "grid": dict.fromkeys("uvw", [-0.2, 0.2, 25])},
+}
+# Each residual's bound, a fraction of the largest term of its identity.
+# The largest terms and the residuals' fractions of them on the grids above:
+#   2-axis: |B g^-1 L - (B g^-1 L)^T| 23, |nabla B - (nabla B)^T| 5.6,
+#           <Delta Y, Delta Y> / 2(n-1) 88; 1.7e-5, 3.4e-6, 3.7e-4;
+#   3-axis: 5.9, 7.1, 76; 1.6e-5, 2.1e-5, 5.3e-6.
+FIRST_ORDER_BOUNDS = {
+    "2-axis": {"c_exchange": 1e-4, "b_codazzi": 2e-5, "l_trace_vs_lap": 2e-3},
+    "3-axis": {"c_exchange": 1e-4, "b_codazzi": 1e-4, "l_trace_vs_lap": 5e-5},
+}
 
 
-def test_first_order_identities_bounded_on_the_cubic_graph():
-    # Each residual is bounded against the largest term of its identity:
-    # |B g^-1 L - (B g^-1 L)^T| 23, |nabla B - (nabla B)^T| 5.6 and
-    # <Delta Y, Delta Y> / 2(n-1) 88.  They read 1.7e-5, 3.4e-6 and 3.7e-4
-    # of it on this grid; a sign error in one term leaves a residual of the
-    # size of that term.
-    fld = hypersurface.analyze(patches.build_patch(CUBIC_GRAPH))
+@pytest.mark.parametrize("graph", sorted(CUBIC_GRAPHS))
+def test_first_order_identities_bounded_on_the_cubic_graph(graph):
+    # Each residual is bounded against the largest term of its identity; a
+    # sign error in one term leaves a residual of the size of that term.
+    fld = hypersurface.analyze(patches.build_patch(CUBIC_GRAPHS[graph]))
     n = fld.patch.n
     res = hypersurface.structural_residuals(fld)
     B, ginv, L = fld.crop(fld.B, fld.ginv, fld.L)
@@ -690,10 +702,29 @@ def test_first_order_identities_bounded_on_the_cubic_graph():
         "l_trace_vs_lap": max(fd.max_abs(np.einsum("ab...,ab...->...", ginv, L)),
                               fd.max_abs(fld.lap_norm) / (2 * (n - 1))),
     }
-    bound = {"c_exchange": 1e-4, "b_codazzi": 2e-5, "l_trace_vs_lap": 2e-3}
     assert min(largest.values()) > 5.0
     for key, scale in largest.items():
-        assert res[key] <= bound[key] * scale, key
+        assert res[key] <= FIRST_ORDER_BOUNDS[graph][key] * scale, key
+
+
+def test_dimension_coefficients_bounded_on_the_4_axis_graph(graph4_field):
+    # n = 5: Ric = -(n - 3) L - tr(L) g and div B = (n - 2) C, each residual
+    # bounded against the largest term of its identity (|Ric| 26.3 and
+    # |div B| 1.7; they read 5e-6 and 6e-5 of it).  A coefficient right only
+    # at n = 3 or 4, as (n - 3)^2 for (n - 3) or (n - 2) + (n - 3)(n - 4)
+    # for (n - 2), leaves 2 |L| = 3.7 or 2 |C| = 1.0.
+    fld = graph4_field
+    n = fld.patch.n
+    res = hypersurface.structural_residuals(fld)
+    ricci, L, g, ginv = fld.crop(fld.ricci, fld.L, fld.g, fld.ginv)
+    trL = np.einsum("ab...,ab...->...", ginv, L)
+    largest = {
+        "ricci_vs_l": max(fd.max_abs(ricci), (n - 3) * fd.max_abs(L), fd.max_abs(trL * g)),
+        "b_divergence": max(fd.max_abs(fld.divB), (n - 2) * fd.max_abs(fld.C)),
+    }
+    assert n == 5 and min(largest.values()) > 1.0
+    for key, scale in largest.items():
+        assert res[key] <= 1e-3 * scale, key
 
 
 def test_higher_dim_l_recovered_from_curvature(torus4_field):

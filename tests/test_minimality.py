@@ -67,6 +67,14 @@ def test_tangent_vs_C_where_C_does_not_vanish(graph3_field):
     assert diag["tangent_vs_C"] < 1e-3 * fd.max_abs(graph3_field.C_frame)
 
 
+def test_tangent_vs_C_on_the_4_axis_graph(graph4_field):
+    # n = 5: the tangent components are (n - 3) C_i = 2 C_i, with |C| 0.86;
+    # the defect reads 4e-5 of it, and (n - 3)^2 C_i would leave 1.7.
+    diag = minimality.eta_laplacian_diagnostics(graph4_field)
+    assert graph4_field.patch.n == 5 and fd.max_abs(graph4_field.C_frame) > 0.5
+    assert diag["tangent_vs_C"] < 1e-3 * fd.max_abs(graph4_field.C_frame)
+
+
 def test_reported_el_forms_discrepancy():
     # n = 4: the report's discrepancy is max |sum form - 2 div form|, small
     # but not zero.

@@ -52,10 +52,27 @@ MUTANTS = [
      "slot.get(tuple(sorted(idx)), 0)", "slot.get(tuple(idx), 0)",
      ["tests/test_patches.py"]),
     ("order-4 stencil: coefficient 8 -> 7", "src/laguerre/fd.py",
-     "d += 8.0 * s(1)", "d += 7.0 * s(1)",
+     "np.multiply(s(1), 8.0, out=e)", "np.multiply(s(1), 7.0, out=e)",
      ["tests/test_fd.py"]),
     ("padded stencil: periodic axes padded by edge values", "src/laguerre/fd.py",
-     'np.pad(f, width, mode="wrap")', 'np.pad(f, width, mode="edge")',
+     "wrapped[along(0, r)] = block[along(n - r, n)]\n"
+     "            wrapped[along(r + n, n + 2 * r)] = block[along(0, r)]",
+     "wrapped[along(0, r)] = block[along(0, 1)]\n"
+     "            wrapped[along(r + n, n + 2 * r)] = block[along(n - 1, n)]",
+     ["tests/test_fd.py"]),
+    ("stencil blocks: the two wrapped ends swapped in the periodic scratch", "src/laguerre/fd.py",
+     "wrapped[along(0, r)] = block[along(n - r, n)]\n"
+     "            wrapped[along(r + n, n + 2 * r)] = block[along(0, r)]",
+     "wrapped[along(0, r)] = block[along(0, r)]\n"
+     "            wrapped[along(r + n, n + 2 * r)] = block[along(n - r, n)]",
+     ["tests/test_fd.py"]),
+    ("stencil blocks: each block starts one slab late, so ragged ends go unwritten",
+     "src/laguerre/fd.py",
+     "for i in range(0, len(f), step):", "for i in range(0, len(f), step + 1):",
+     ["tests/test_fd.py"]),
+    ("stencil blocks: the recursion into a slab keeps the stencil axis", "src/laguerre/fd.py",
+     "_central(fi, axis - 1, h, periodic, order, out=oi)",
+     "_central(fi, axis, h, periodic, order, out=oi)",
      ["tests/test_fd.py"]),
     ("window margin: one more on each cropped (bounded) axis", "src/laguerre/fd.py",
      "(c - s) // 2 for c, s in zip(grid.counts, field.shape[field.ndim - grid.ndim:]))",
@@ -175,6 +192,10 @@ MUTANTS = [
     ("eta Laplacian: tangent_vs_C against (n - 4) C", "src/laguerre/minimality.py",
      "max_abs(tangent_frame - (n - 3) * C_frame)", "max_abs(tangent_frame - (n - 4) * C_frame)",
      ["tests/test_minimality.py"]),
+    ("eta Laplacian: tangent_vs_C against (n - 3)^2 C", "src/laguerre/minimality.py",
+     "max_abs(tangent_frame - (n - 3) * C_frame)",
+     "max_abs(tangent_frame - (n - 3) ** 2 * C_frame)",
+     ["tests/test_minimality.py"]),
     ("default threshold: rho^4 instead of rho^3", "src/laguerre/minimality.py",
      "np.median(fld.patch.shape.rho ** 3)", "np.median(fld.patch.shape.rho ** 4)",
      ["tests/test_minimality.py"]),
@@ -290,6 +311,12 @@ MUTANTS = [
     ("compare: one patch reused when the specs differ", "src/laguerre/cli.py",
      "p2 = p1 if spec2 == spec else", "p2 = p1 if True else",
      ["tests/test_cli.py"]),
+    ("freed heap: the trim threshold left at its default", "src/laguerre/cli.py",
+     "        mallopt(M_TRIM_THRESHOLD, 1 << 30)", "        pass",
+     ["tests/test_cli.py"]),
+    ("freed heap: the mmap threshold left adaptive", "src/laguerre/cli.py",
+     "if mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX):", "if True:",
+     ["tests/test_cli.py"]),
     ("analyze --tol default 1e-3 -> 1e-4", "src/laguerre/cli.py",
      '("analyze", cmd_surface_analyze, ("csv",), 1e-3)',
      '("analyze", cmd_surface_analyze, ("csv",), 1e-4)',
@@ -330,6 +357,15 @@ MUTANTS = [
     ("l_trace_vs_lap: tr L - |Delta Y|^2 / 2(n-1) instead of the sum",
      "src/laguerre/hypersurface.py",
      "flat(np.add(*crop(trL,", "flat(np.subtract(*crop(trL,",
+     ["tests/test_hypersurface.py"]),
+    # The dimension coefficients on the 4-axis graph (n = 5), where a
+    # coefficient right only at n = 3 or 4 is wrong.
+    ("ricci_vs_l: (n - 3) L -> (n - 3)^2 L", "src/laguerre/hypersurface.py",
+     "flat(ricci + (n - 3) * L3 + trL * g3)", "flat(ricci + (n - 3) ** 2 * L3 + trL * g3)",
+     ["tests/test_hypersurface.py"]),
+    ("b_divergence: (n - 2) C -> ((n - 2) + (n - 3)(n - 4)) C", "src/laguerre/hypersurface.py",
+     "flat(minus(fld.divB, (n - 2) * C))",
+     "flat(minus(fld.divB, ((n - 2) + (n - 3) * (n - 4)) * C))",
      ["tests/test_hypersurface.py"]),
 ]
 
