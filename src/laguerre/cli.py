@@ -206,9 +206,7 @@ def _analysis_payload(patch, fld, residuals) -> dict:
 
 
 def _write_csv(path: str, patch, fld) -> None:
-    axes = patch.axes
-    coords = np.meshgrid(*axes.coords(), indexing="ij")
-    cols = list(zip(axes.names, coords))
+    cols = list(zip(patch.axes.names, patch.axes.meshgrid()))
     cols += [(f"x{i + 1}", c) for i, c in enumerate(patch.x)]
     cols += [(f"k{i + 1}", c) for i, c in enumerate(patch.shape.k)]
     cols += [("r", patch.shape.r), ("rho", patch.shape.rho)]

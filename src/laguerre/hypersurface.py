@@ -422,7 +422,7 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
                np.stack([np.tensordot(jet_rows, slot, axes=(0, 0)) for slot in jet])]
               for value, jet in zip(contact_pencil(patch.x, patch.xi), (patch.dx, patch.dxi)))
     try:
-        return patch_from_pencil(patch, h1, h2, transformed=True)
+        return patch_from_pencil(patch, h1, h2)
     except DegenerateSurfaceError as exc:
         # Curvature sphere i goes to (gamma1 + r_i gamma2) T, whose last entry
         # is the image radius r'_i = a + r_i b.  One that takes both signs on
@@ -441,7 +441,7 @@ def transform_patch(T: LaguerreTransform, patch: SurfacePatch) -> SurfacePatch:
             "with a cusp, not an immersed patch") from exc
 
 
-def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
+def patch_from_pencil(patch: SurfacePatch, h1, h2) -> SurfacePatch:
     """Euclidean patch read off a pencil along ``patch``, with exact jets.
 
     h1 and h2 are the jets (value, first derivatives) of entries 2: of the
@@ -449,7 +449,8 @@ def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
     ``spheres.contact_from_pencil``, which guards the read-off; with (A, a)
     and (B, b) the middle block and the last entry, x = A - (a/b) B and
     xi = B / b carry their derivatives as quotient jets.  The image holds x,
-    xi and their first jets, and its II is -<dx, dxi>.
+    xi and their first jets, and its II is -<dx, dxi>; it keeps the jets
+    provenance and the spec grid of ``patch``.
     """
     x, xi = contact_from_pencil(h1[0], h2[0], lambda idx: patches.grid_index(patch, idx))
     dA, B, dB = h1[1][:, :-1], h2[0][:-1], h2[1][:, :-1]
@@ -460,8 +461,7 @@ def patch_from_pencil(patch: SurfacePatch, h1, h2, **metadata) -> SurfacePatch:
     dq = _quotient_d(q, da, b, db)
     dx = dA - dq * B - q * dB
     II = patches.weingarten_second_fundamental(dx, dxi, patches.ambient_form_diag("r3", len(x)))
-    return patches.make_patch("r3", patch.axes, x, dx, xi, II, dxi,
-                              {**patch.metadata, **metadata})
+    return patches.make_patch("r3", patch.axes, x, dx, xi, II, dxi, patch.jets, patch.spec_axes)
 
 
 def _quotient_d(w, dv, b, db):

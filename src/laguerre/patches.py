@@ -20,12 +20,13 @@ hand-differentiated normals are needed anywhere.  Sampled ("samples")
 patches fall back to central finite differences for dx and dxi, and for
 the second x-jets as one gradient of dx.  Those exist only 2r points
 inside each bounded end of the sampled grid (r the stencil radius), so a
-sampled patch is built on that window (``fd.GridAxes.inset``)
-and records the grid of its spec in ``metadata["grid"]`` (``spec_axes``);
-``grid_index`` maps a patch grid index to the spec's.  The grid of a patch
-carries the stencil order given to ``build_patch``; every patch mapped from
-it keeps that grid and that record, so the order reaches every later
-derivative and every message names indices of the spec's grid.
+sampled patch is built on that window (``fd.GridAxes.inset``) and records
+the grid of its spec in ``spec_axes`` (every other patch covers its spec's
+grid, and ``spec_axes`` is ``axes``); ``grid_index`` maps a patch grid
+index to the spec's.  The grid of a patch carries the stencil order given
+to ``build_patch``; every patch mapped from it keeps that grid and that
+record, so the order reaches every later derivative and every message
+names indices of the spec's grid.
 
 Each builder forms II once, from arrays: a builtin or sampled patch as
 <d2x, xi> (``second_fundamental``), after which its second x-jets are
@@ -44,13 +45,13 @@ space-form embedding -- is made by ``make_patch`` and passes one screen
 and the umbilic, vanishing-curvature and curvature-label-crossing checks of
 ``shape_data``.  A failure inside the grid aborts the build with the
 offending grid index (``grid_index``); nothing is smoothed over.  The
-normalization and contact tolerances follow the jets provenance in
-``metadata["jets"]`` (``SCREEN_TOL``).  Sampled input must be finite.
+normalization and contact tolerances follow the jets provenance ``jets``,
+"analytic" or "fd" (``SCREEN_TOL``).  Sampled input must be finite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -85,23 +86,34 @@ class SurfacePatch:
     (m, m, *G).
 
     x, dx, the normal and the second fundamental form ``II`` are stored,
-    and so is ``dxi`` when the patch is made with it (``make_patch``);
-    every other field is a value computed on first read and then cached:
-    a builtin's ``dxi``, the first fundamental form ``I``, ``Iinv``, the
-    shape operator ``S``, the inverse Cholesky factor ``Linv`` of I, the
-    curvature data ``shape``, ``third_form``, the exact invariant metric
-    ``g_exact``, the Euclidean area element ``area_element`` and the cone
-    ``lift``.
+    and so is ``dxi`` when the patch is made with it (``make_patch``),
+    together with the jets provenance ``jets`` ("analytic" or "fd") and
+    the grid of the spec ``spec_axes`` (``axes`` unless the patch is a
+    window inside it); every other field is a value computed on first read
+    and then cached: a builtin's ``dxi``, the first fundamental form ``I``,
+    its leading ``minors``, ``Iinv``, the shape operator ``S``, the inverse
+    Cholesky factor ``Linv`` of I, the curvature data ``shape``,
+    ``third_form``, the exact invariant metric ``g_exact``, the Euclidean
+    area element ``area_element`` and the cone ``lift``.
     """
 
     space: str
-    n: int
     axes: fd.GridAxes
     x: np.ndarray
     dx: np.ndarray
     xi: np.ndarray
     II: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    jets: str
+    spec_axes: fd.GridAxes | None = None
+
+    def __post_init__(self):
+        if self.spec_axes is None:
+            self.spec_axes = self.axes
+
+    @property
+    def n(self) -> int:
+        """Base dimension: the components of x, less the added one of R^n_0."""
+        return len(self.x) - (self.space == "r30")
 
     @property
     def form(self) -> np.ndarray:
@@ -117,12 +129,6 @@ class SurfacePatch:
         return np.einsum("i...,i...,i->...", u, v, self.form)
 
     @property
-    def spec_axes(self) -> fd.GridAxes:
-        """The grid of the spec: a sampled patch is the window of its jets
-        inside it, every other patch covers it."""
-        return self.metadata.get("grid", self.axes)
-
-    @property
     def diameter(self) -> float:
         """Diagonal of the bounding box, one whole-grid min and max per component."""
         return float(np.linalg.norm([c.max() - c.min() for c in self.x]))
@@ -136,6 +142,11 @@ class SurfacePatch:
     @cached_property
     def I(self) -> np.ndarray:
         return first_fundamental(self)
+
+    @cached_property
+    def minors(self) -> list:
+        """Leading minors of I; the last is det I."""
+        return fd.leading_minors(self.I)
 
     @cached_property
     def Iinv(self) -> np.ndarray:
@@ -168,7 +179,7 @@ class SurfacePatch:
     @cached_property
     def area_element(self) -> np.ndarray:
         """sqrt(det I), the Euclidean volume density in the parameters."""
-        return np.sqrt(fd.grid_det(self.I))
+        return np.sqrt(self.minors[-1])
 
     @cached_property
     def lift(self) -> LaguerreLift:
@@ -368,7 +379,10 @@ def _graph_jets(params, *coords):
     """Translational graph x = (u_1, ..., u_m, sum_i f_i(u_i)) with
     f_i(t) = quad_i t^2 + cubic_i t^3, upward unit normal."""
     m = len(coords)
-    quad = np.asarray(params.get("quad", [1.0, 0.5][:m] if m == 2 else [1.0, 0.7, 0.4]), dtype=float)
+    if "quad" not in params and m not in (2, 3):
+        raise UsageError(f"translational_graph on {m} axes needs the param 'quad': "
+                         "its default is for 2 or 3 axes")
+    quad = np.asarray(params.get("quad", [1.0, 0.5] if m == 2 else [1.0, 0.7, 0.4]), dtype=float)
     cubic = np.asarray(params.get("cubic", np.zeros(m)), dtype=float)
     if quad.shape != (m,) or cubic.shape != (m,):
         raise UsageError("graph coefficients must match the number of axes")
@@ -526,10 +540,10 @@ def _parse_axes(grid_spec, order: int, refine: int = 1, inset: int = 0) -> fd.Gr
 
 
 # Screen tolerances (normal normalization, contact condition), times the
-# patch scale, for exact jets and for finite-difference jets (provenance
-# ``metadata["jets"] == "fd"``): those hold the contact condition only to
+# patch scale, per jets provenance: exact ("analytic") jets and
+# finite-difference ("fd") jets, which hold the contact condition only to
 # truncation error, while their normals are still given pointwise.
-SCREEN_TOL = {"exact": (1e-9, 1e-9), "fd": (1e-8, 1e-4)}
+SCREEN_TOL = {"analytic": (1e-9, 1e-9), "fd": (1e-8, 1e-4)}
 
 
 def _worst(defect: np.ndarray, patch: SurfacePatch):
@@ -547,9 +561,8 @@ def _validate_patch(patch: SurfacePatch) -> None:
     passes only where its defect is within tolerance, so a NaN defect fails
     it (and ``_worst`` names the first NaN).
     """
-    fd_jets = patch.metadata.get("jets") == "fd"
     scale = max(1.0, float(np.abs(patch.x).max()))
-    unit_tol, contact_tol = SCREEN_TOL["fd" if fd_jets else "exact"]
+    unit_tol, contact_tol = SCREEN_TOL[patch.jets]
 
     if patch.space == "r30":
         # The patch lies in the hyperplane <x, nu> = 0 with <xi, nu> = 1.
@@ -570,7 +583,7 @@ def _validate_patch(patch: SurfacePatch) -> None:
     if not worst <= contact_tol * scale:
         raise DegenerateSurfaceError(f"contact condition dx . xi = 0 fails at grid index {idx}")
 
-    idx = fd.nonpositive_index(patch.I)
+    idx = fd.nonpositive_index(patch.I, patch.minors)
     if idx is not None:
         raise DegenerateSurfaceError(
             f"not an immersion (metric degenerates) at grid index {grid_index(patch, idx)}")
@@ -578,12 +591,12 @@ def _validate_patch(patch: SurfacePatch) -> None:
 
 
 def make_patch(space: str, axes: fd.GridAxes, x: np.ndarray, dx: np.ndarray, xi: np.ndarray,
-               II: np.ndarray, dxi: np.ndarray | None, metadata: dict) -> SurfacePatch:
-    """The one constructor of patches: derives n from the space, builds the
-    patch, holding ``dxi`` when one is given (a builtin's is formed on
-    read), and screens it (``_validate_patch``)."""
-    n = len(x) - 1 if space == "r30" else len(x)
-    patch = SurfacePatch(space=space, n=n, axes=axes, x=x, dx=dx, xi=xi, II=II, metadata=metadata)
+               II: np.ndarray, dxi: np.ndarray | None, jets: str,
+               spec_axes: fd.GridAxes | None = None) -> SurfacePatch:
+    """The one constructor of patches: builds the patch, holding ``dxi``
+    when one is given (a builtin's is formed on read), and screens it
+    (``_validate_patch``)."""
+    patch = SurfacePatch(space, axes, x, dx, xi, II, jets, spec_axes)
     if dxi is not None:
         patch.dxi = dxi   # set in place of the cached on-read value
     _validate_patch(patch)
@@ -635,9 +648,7 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
         xi = -xi
 
     II = second_fundamental(_symmetric_jet(second, x, 2), xi, ambient_form_diag(space, len(x)))
-    patch = make_patch(space, axes, x, _symmetric_jet(first, x, 1), xi, II, None,
-                       {"builtin": name, "params": dict(params), "jets": "analytic",
-                        "normal": orientation})
+    patch = make_patch(space, axes, x, _symmetric_jet(first, x, 1), xi, II, None, "analytic")
     if entry.get("zero_mean_curvature"):
         S = patch.S
         mean_k = np.abs(np.trace(S) / len(S))
@@ -700,5 +711,4 @@ def _build_from_samples(spec: dict, fd_order: int) -> SurfacePatch:
     x, xi, dx, dxi, d2x = fd.crop(grid.ndim, x, xi, dx, dxi, d2x)
     space = spec.get("space", "r3")
     II = second_fundamental(d2x, xi, ambient_form_diag(space, len(x)))
-    return make_patch(space, grid.inset(inset), x, dx, xi, II, dxi,
-                      {"builtin": "samples", "jets": "fd", "normal": "as-given", "grid": grid})
+    return make_patch(space, grid.inset(inset), x, dx, xi, II, dxi, "fd", grid)

@@ -104,20 +104,10 @@ def embed_patch(patch: SurfacePatch) -> SurfacePatch:
     if patch.space not in ("r31", "r30"):
         raise UsageError(f"unknown space {patch.space!r}")
     sp = patch.space
-    dh1, dh2 = _jet_tails(patch)
-    return patch_from_pencil(patch, [coord_tail(patch.x, 0.0, sp), dh1],
-                             [coord_tail(patch.xi, 1.0, sp), dh2], embedded_from=sp)
-
-
-def _jet_tails(patch: SurfacePatch) -> list:
-    """Entries 2: of the first parameter derivatives of the pencil members
-    along a patch of R^n_1 or R^n_0: dx and dxi, in R^n_1 after the radius
-    entry, which is constant along the patch, so its jets are a zero first
-    row of the vector axis (axis 1, after the direction axis)."""
-    jets = [patch.dx, patch.dxi]
-    if patch.space == "r30":
-        return jets
-    return [np.pad(j, [(1, 0) if axis == 1 else (0, 0) for axis in range(j.ndim)]) for j in jets]
+    # The radius entry is constant along the patch, so its jets are 0.
+    h1, h2 = ([coord_tail(value, c, sp), np.stack([coord_tail(slot, 0.0, sp) for slot in jet])]
+              for value, jet, c in ((patch.x, patch.dx, 0.0), (patch.xi, patch.dxi, 1.0)))
+    return patch_from_pencil(patch, h1, h2)
 
 
 # ---------------------------------------------------------------------------

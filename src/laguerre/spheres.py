@@ -38,7 +38,8 @@ others by name (``require_euclidean``).
 
 Every map of contact elements -- the group action and the space-form
 embeddings alike -- is a linear image of the pencil followed by one
-guarded read-off of the Euclidean element, ``contact_from_pencil``.
+guarded read-off of the Euclidean element, ``contact_from_pencil``; a
+contact line (``contact_from_line``) is read off through it too.
 
 The coordinate kernels (``coord_tail``, ``sphere_point``, ``plane_point``,
 ``contact_pencil``, ``contact_from_pencil``) take components on axis 0,
@@ -408,31 +409,18 @@ def lie_line(c: ContactElement) -> LieLine:
 
 
 def contact_from_line(line: LieLine) -> ContactElement:
-    """Recover (x, xi) from a contact line.
+    """Recover (x, xi) from a contact line, through the one read-off of a
+    pencil (``contact_from_pencil``).
 
-    Works for any pair of generators: the hyperplane member is the
-    combination pairing to zero with wp, the point sphere the combination
-    with vanishing last coordinate.
+    Works for any pair of generators: gamma1 is a sphere of the pencil
+    (``LieLine`` checks it), scaled to pair -1 with wp, and the hyperplane
+    member is the combination pairing to zero with wp.
     """
     g1, g2 = line.gamma1.vec, line.gamma2.vec
-    n = line.gamma1.n
-    w = lorentz.wp(n)
-
-    s1 = lorentz.inner(g1, w)
-    s2 = lorentz.inner(g2, w)
-    plane_rep = s1 * g2 - s2 * g1
-    point_rep = g2[-1] * g1 - g1[-1] * g2
-    scale = max(float(np.abs(g1).max()), float(np.abs(g2).max()))
-    if np.abs(plane_rep).max() <= 1e-12 * scale or np.abs(point_rep).max() <= 1e-12 * scale:
-        raise InvalidLineError("degenerate line: generators are projectively equal")
-
-    point = classify_coord(normalize_representative(point_rep))
-    plane = classify_coord(normalize_representative(plane_rep))
-    if not isinstance(point, Sphere) or abs(point.radius) > 1e-9 * (1 + np.abs(point.center).max()):
-        raise InvalidLineError("line does not contain a point sphere")
-    if not isinstance(plane, Plane):
-        raise InvalidLineError("line does not contain a hyperplane")
-    return ContactElement(x=point.center, xi=plane.normal)
+    w = lorentz.wp(line.gamma1.n)
+    s1, s2 = lorentz.inner(g1, w), lorentz.inner(g2, w)
+    x, xi = contact_from_pencil(g1[2:] / -s1, (s1 * g2 - s2 * g1)[2:])
+    return ContactElement(x=x, xi=xi / np.linalg.norm(xi))
 
 
 def element_from_json(obj: dict) -> SphereElement:

@@ -451,6 +451,17 @@ def test_nonfinite_params_exit_2(name, command, tmp_path, capsys):
     assert "must be a finite number" in capsys.readouterr().err
 
 
+def test_graph_without_quad_on_4_axes_exits_2_naming_it(tmp_path, capsys):
+    # The default quad coefficients are for 2 or 3 axes; the user gave no
+    # params, so the message names the missing one, not a size mismatch.
+    axis = [-0.3, 0.3, 13]
+    spec = write(tmp_path, "s.json", {"builtin": "translational_graph",
+                                      "grid": {"u": axis, "v": axis, "w": axis, "t": axis}})
+    assert run(["surface", "analyze", "--spec", spec]) == 2
+    err = capsys.readouterr().err
+    assert "'quad'" in err and "must match" not in err
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap tuning")
 def test_main_keeps_freed_fields_mapped(tmp_path, sphere_files):
     # After a command, ten 3 MiB fields freed together are allocated again

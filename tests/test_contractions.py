@@ -123,8 +123,8 @@ def test_xi_jets_from_shape(case):
     x, dx, d2x, xi = jets(rng, m, N, shape)
     form = patches.ambient_form_diag(space, N)
     axes = fd.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic, order=4)
-    patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, xi=xi,
-                                 II=patches.second_fundamental(d2x, xi, form))
+    patch = patches.SurfacePatch(space=space, axes=axes, x=x, dx=dx, xi=xi,
+                                 II=patches.second_fundamental(d2x, xi, form), jets="analytic")
     assert_close(patch.dxi, xi_jet_literal(dx, d2x, xi, form))
 
 
@@ -136,7 +136,7 @@ def test_fundamental_forms(case):
     axes = fd.GridAxes(tuple("uvw"[:m]), (0.0,) * m, (1.0,) * m, shape, periodic, order=4)
     form = patches.ambient_form_diag(space, N)
     II = patches.second_fundamental(d2x, xi, form)
-    patch = patches.SurfacePatch(space=space, n=N, axes=axes, x=x, dx=dx, xi=xi, II=II)
+    patch = patches.SurfacePatch(space=space, axes=axes, x=x, dx=dx, xi=xi, II=II, jets="analytic")
     assert_close(patches.first_fundamental(patch),
                  np.einsum("ai...,bi...,i->ab...", dx, dx, form))
     assert_close(II, np.einsum("abi...,i...,i->ab...", d2x, xi, form))

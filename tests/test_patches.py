@@ -125,7 +125,7 @@ def test_samples_roundtrip_matches_analytic(torus_patch, torus_shape):
                  "periodic": ["v"]},
     }
     p = patches.build_patch(spec)
-    assert p.metadata["jets"] == "fd"
+    assert p.jets == "fd"
     # The patch is the window of its second jets, 4 u-rows inside each end.
     assert (p.axes.counts, p.spec_axes.counts) == ((57, 64), (65, 64))
     assert np.array_equal(p.x, torus_patch.x[:, 4:-4])
@@ -248,13 +248,13 @@ def test_sampled_input_must_be_finite(field, bad):
 # (unit-square defect, patch is accepted) per jets provenance: the torus has
 # scale 3, so the normal screen allows 3e-9 for exact jets and 3e-8 for fd.
 @pytest.mark.parametrize("jets, defect, accepted", [
-    ("analytic", 1e-9, True), ("analytic", 1e-8, False), ("chain", 1e-8, False),
+    ("analytic", 1e-9, True), ("analytic", 1e-8, False),
     ("fd", 1e-8, True), ("fd", 1e-6, False),
 ])
 def test_screen_tolerance_follows_jets_provenance(torus_patch, jets, defect, accepted):
     p = torus_patch
     xi = p.xi * np.sqrt(1.0 + defect)
-    args = ("r3", p.axes, p.x, p.dx, xi, p.II, None, {"jets": jets})
+    args = ("r3", p.axes, p.x, p.dx, xi, p.II, None, jets)
     if accepted:
         assert patches.make_patch(*args).n == 3
     else:
@@ -270,8 +270,7 @@ def test_screen_fails_on_a_nan_defect(torus_patch, jet, message):
     fields = {"xi": p.xi.copy(), "dx": p.dx.copy()}
     fields[jet][..., 0, 7, 3] = np.nan
     with pytest.raises(DegenerateSurfaceError, match=message + r".* at grid index \(7, 3\)"):
-        patches.make_patch("r3", p.axes, p.x, fields["dx"], fields["xi"], p.II, None,
-                           {"jets": "analytic"})
+        patches.make_patch("r3", p.axes, p.x, fields["dx"], fields["xi"], p.II, None, "analytic")
 
 
 def test_refine_multiplies_the_parsed_counts():
