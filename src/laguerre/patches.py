@@ -13,31 +13,37 @@ one of three geometries:
            field normalized against nu = (1, 0, ..., 0, 1).
 
 Builtin surfaces supply the distinct partial derivatives of x to second
-order analytically, as tables that one assembler (``_symmetric_jet``)
-turns into symmetric derivative arrays; the normal jets are then produced
-exactly through the shape operator (d(xi) = -dx o S), so no
-hand-differentiated normals are needed anywhere.  Sampled ("samples")
-patches fall back to central finite differences for dx and dxi, and for
-the second x-jets as one gradient of dx.  Those exist only 2r points
-inside each bounded end of the sampled grid (r the stencil radius), so a
-sampled patch is built on that window (``fd.GridAxes.inset``) and records
-the grid of its spec in ``spec_axes`` (every other patch covers its spec's
-grid, and ``spec_axes`` is ``axes``); ``grid_index`` maps a patch grid
-index to the spec's.  The grid of a patch carries the stencil order given
-to ``build_patch``; every patch mapped from it keeps that grid and that
+order analytically, as tables computed on the separable (sparse)
+coordinate axes of the grid: a function of one coordinate is evaluated on
+that axis alone, and only the products broadcast to the grid.  The build
+writes dx from the first-order table and II from the distinct
+second-order entries; the normal jets are then produced exactly through
+the shape operator (d(xi) = -dx o S), so no hand-differentiated normals
+are needed anywhere.  Sampled ("samples") patches fall back to central
+finite differences for dx and dxi, and for the second x-jets as one
+gradient of dx.  Those exist only 2r points inside each bounded end of
+the sampled grid (r the stencil radius), so a sampled patch is built on
+that window (``fd.GridAxes.inset``) and records the grid of its spec in
+``spec_axes`` (every other patch covers its spec's grid, and
+``spec_axes`` is ``axes``); ``grid_index`` maps a patch grid index to the
+spec's.  The grid of a patch carries the stencil order given to
+``build_patch``; every patch mapped from it keeps that grid and that
 record, so the order reaches every later derivative and every message
 names indices of the spec's grid.
 
-Each builder forms II once, from arrays: a builtin or sampled patch as
-<d2x, xi> (``second_fundamental``), after which its second x-jets are
-dropped; a patch read off a pencil (a group image or a space-form
-embedding, ``hypersurface.patch_from_pencil``) holds its first jets dx and
-dxi and takes -<dx, dxi>, symmetrized (``weingarten_second_fundamental``;
-Weingarten: dxi = -dx o S).  So no patch holds a field with two direction
-axes.  The screen reads I, II, I^{-1}, S, the inverse Cholesky factor of I
-and the curvature data; each of those, a builtin's dxi, the third
-fundamental form and the cone lift is a cached value on the patch, formed
-on first read however many consumers read it.
+Each builder forms II once, from arrays: a builtin patch as <d2x, xi>
+(``second_fundamental``) of each distinct entry of its second-order table,
+written into both slots (a, b) and (b, a), so its symmetric second x-jets
+are never assembled; a sampled patch as <d2x, xi> of the gradient of dx,
+after which those jets are dropped; a patch read off a pencil (a group
+image or a space-form embedding, ``hypersurface.patch_from_pencil``)
+holds its first jets dx and dxi and takes -<dx, dxi>, symmetrized
+(``weingarten_second_fundamental``; Weingarten: dxi = -dx o S).  So no
+patch holds a field with two direction axes.  The screen reads I, II,
+I^{-1}, S, the inverse Cholesky factor of I and the curvature data; each
+of those, a builtin's dxi, the third fundamental form and the cone lift is
+a cached value on the patch, formed on first read however many consumers
+read it.
 
 Degeneracy policy: every patch -- builtin, sampled, group image or
 space-form embedding -- is made by ``make_patch`` and passes one screen
@@ -288,30 +294,33 @@ def _check_crossings(vals: np.ndarray, patch: SurfacePatch) -> None:
     field exactly where that gap collapses below its typical size.  Both
     signatures are required before flagging, which keeps legitimately
     wide-ranging gaps (and identically repeated curvatures) out of the
-    net.
+    net.  The collapse is read on the interior points, the same on every
+    axis, so the spike fields are formed only for a gap that collapses
+    somewhere.
     """
     ngrid = patch.ngrid
+    scale = fd.max_abs(vals)
+    interior = (slice(1, -1),) * ngrid
     for i in range(len(vals) - 1):
         gap = vals[i] - vals[i + 1]
         med = float(np.median(gap))
-        scale = fd.max_abs(vals)
         if med <= 1e-12 * scale:
             continue  # identically degenerate pair: allowed
+        collapsed = gap[interior] < CROSSING_GAP_FRACTION * med
+        if not collapsed.any():
+            continue
         for axis in range(ngrid):
             if gap.shape[axis] < 5:
                 continue
-            sl_m = [slice(1, -1)] * ngrid
-            sl_p = list(sl_m)
-            sl_0 = list(sl_m)
+            sl_m = list(interior)
+            sl_p = list(interior)
             sl_m[axis] = slice(0, -2)
             sl_p[axis] = slice(2, None)
-            sl_0[axis] = slice(1, -1)
             spike = np.abs(
-                gap[tuple(sl_p)] - 2.0 * gap[tuple(sl_0)] + gap[tuple(sl_m)]
+                gap[tuple(sl_p)] - 2.0 * gap[interior] + gap[tuple(sl_m)]
             )
             smooth = float(np.median(spike))
             big = spike > max(CROSSING_SPIKE_FACTOR * smooth, 1e-13 * scale)
-            collapsed = gap[tuple(sl_0)] < CROSSING_GAP_FRACTION * med
             hit = big & collapsed
             if hit.any():
                 idx = grid_index(patch, np.argwhere(hit)[0] + 1)
@@ -324,58 +333,62 @@ def _check_crossings(vals: np.ndarray, patch: SurfacePatch) -> None:
 # ---------------------------------------------------------------------------
 # Builtin surfaces (analytic x-jets to second order)
 # ---------------------------------------------------------------------------
-# Each builtin returns x, xi and the distinct partial derivatives of x as
-# tables keyed by sorted index tuples (absent keys are zero): the first- and
-# second-order tables (``_symmetric_jet`` assembles them).
+# Each builtin takes its params, the grid shape G and the sparse coordinate
+# axes of the grid (``np.meshgrid(..., indexing="ij", sparse=True)``), and
+# returns x, xi and the distinct partial derivatives of x as tables keyed by
+# sorted index tuples (absent keys are zero): the first- and second-order
+# tables.  Functions of one coordinate run on its axis; the products
+# broadcast, and each vector is written into one (d, *G) array (``_vec``).
 
-def _vec(*comps):
-    """The vector field (d, *G) of d scalar grid fields."""
-    return np.stack(comps)
+def _vec(G, *comps):
+    """The vector field (d, *G) of d components, each a number or a field
+    that broadcasts to the grid shape G."""
+    out = np.empty((len(comps),) + G)
+    for field, comp in zip(out, comps):
+        field[...] = comp
+    return out
 
 
-def _torus_jets(params, U, V):
+def _torus_jets(params, G, U, V):
     R = float(params.get("R", 2.0))
     a = float(params.get("a", 1.0))
     cu, su, cv, sv = np.cos(U), np.sin(U), np.cos(V), np.sin(V)
     w = R + a * cu
-    zeros = np.zeros_like(U)
 
-    x = _vec(w * cv, w * sv, a * su)
-    xi = _vec(cu * cv, cu * sv, su)
-    first = {(0,): _vec(-a * su * cv, -a * su * sv, a * cu), (1,): _vec(-w * sv, w * cv, zeros)}
+    x = _vec(G, w * cv, w * sv, a * su)
+    xi = _vec(G, cu * cv, cu * sv, su)
+    first = {(0,): _vec(G, -a * su * cv, -a * su * sv, a * cu), (1,): _vec(G, -w * sv, w * cv, 0.0)}
     second = {
-        (0, 0): _vec(-a * cu * cv, -a * cu * sv, -a * su),
-        (0, 1): _vec(a * su * sv, -a * su * cv, zeros),
-        (1, 1): _vec(-w * cv, -w * sv, zeros),
+        (0, 0): _vec(G, -a * cu * cv, -a * cu * sv, -a * su),
+        (0, 1): _vec(G, a * su * sv, -a * su * cv, 0.0),
+        (1, 1): _vec(G, -w * cv, -w * sv, 0.0),
     }
     return x, xi, first, second
 
 
-def _sphere_jets(params, U, V):
+def _sphere_jets(params, G, U, V):
     R = float(params.get("R", 1.0))
     cu, su, cv, sv = np.cos(U), np.sin(U), np.cos(V), np.sin(V)
-    zeros = np.zeros_like(U)
 
-    xi = _vec(cu * cv, cu * sv, su)
-    first = {(0,): R * _vec(-su * cv, -su * sv, cu), (1,): R * _vec(-cu * sv, cu * cv, zeros)}
-    second = {(0, 0): R * -xi, (0, 1): R * _vec(su * sv, -su * cv, zeros),
-              (1, 1): R * _vec(-cu * cv, -cu * sv, zeros)}
+    xi = _vec(G, cu * cv, cu * sv, su)
+    first = {(0,): R * _vec(G, -su * cv, -su * sv, cu), (1,): R * _vec(G, -cu * sv, cu * cv, 0.0)}
+    second = {(0, 0): R * -xi, (0, 1): R * _vec(G, su * sv, -su * cv, 0.0),
+              (1, 1): R * _vec(G, -cu * cv, -cu * sv, 0.0)}
     return R * xi, xi, first, second
 
 
-def _cylinder_jets(params, U, V):
+def _cylinder_jets(params, G, U, V):
     R = float(params.get("R", 1.0))
     cv, sv = np.cos(V), np.sin(V)
-    zeros = np.zeros_like(U)
 
-    x = _vec(R * cv, R * sv, U)
-    xi = _vec(cv, sv, zeros)
-    first = {(0,): _vec(zeros, zeros, np.ones_like(U)), (1,): _vec(-R * sv, R * cv, zeros)}
-    second = {(1, 1): _vec(-R * cv, -R * sv, zeros)}
+    x = _vec(G, R * cv, R * sv, U)
+    xi = _vec(G, cv, sv, 0.0)
+    first = {(0,): _vec(G, 0.0, 0.0, 1.0), (1,): _vec(G, -R * sv, R * cv, 0.0)}
+    second = {(1, 1): _vec(G, -R * cv, -R * sv, 0.0)}
     return x, xi, first, second
 
 
-def _graph_jets(params, *coords):
+def _graph_jets(params, G, *coords):
     """Translational graph x = (u_1, ..., u_m, sum_i f_i(u_i)) with
     f_i(t) = quad_i t^2 + cubic_i t^3, upward unit normal."""
     m = len(coords)
@@ -386,25 +399,22 @@ def _graph_jets(params, *coords):
     cubic = np.asarray(params.get("cubic", np.zeros(m)), dtype=float)
     if quad.shape != (m,) or cubic.shape != (m,):
         raise UsageError("graph coefficients must match the number of axes")
-    shape = np.broadcast_shapes(*(c.shape for c in coords))
-    grids = [np.broadcast_to(c, shape) for c in coords]
-    zeros, ones = np.zeros(shape), np.ones(shape)
 
     def along(i, head, last):
         """The vector (0, ..., head at i, ..., 0, last)."""
-        return _vec(*(head if j == i else zeros for j in range(m)), last)
+        return _vec(G, *(head if j == i else 0.0 for j in range(m)), last)
 
-    f = sum(quad[i] * grids[i] ** 2 + cubic[i] * grids[i] ** 3 for i in range(m))
-    f1 = [2 * quad[i] * grids[i] + 3 * cubic[i] * grids[i] ** 2 for i in range(m)]
+    f = sum(quad[i] * coords[i] ** 2 + cubic[i] * coords[i] ** 3 for i in range(m))
+    f1 = [2 * quad[i] * coords[i] + 3 * cubic[i] * coords[i] ** 2 for i in range(m)]
     s = np.sqrt(1.0 + sum(g * g for g in f1))
-    x = _vec(*grids, f)
-    xi = _vec(*(-g / s for g in f1), 1.0 / s)
-    first = {(i,): along(i, ones, f1[i]) for i in range(m)}
-    second = {(i, i): along(i, zeros, 2 * quad[i] + 6 * cubic[i] * grids[i]) for i in range(m)}
+    x = _vec(G, *coords, f)
+    xi = _vec(G, *(-g / s for g in f1), 1.0 / s)
+    first = {(i,): along(i, 1.0, f1[i]) for i in range(m)}
+    second = {(i, i): along(i, 0.0, 2 * quad[i] + 6 * cubic[i] * coords[i]) for i in range(m)}
     return x, xi, first, second
 
 
-def _torus4_jets(params, U, T, P):
+def _torus4_jets(params, G, U, T, P):
     """Rotational 3-torus in R^4: circle of radius a swept over a 2-sphere
     of radius R; outward normal."""
     R = float(params.get("R", 2.0))
@@ -412,70 +422,55 @@ def _torus4_jets(params, U, T, P):
     cu, su = np.cos(U), np.sin(U)
     ct, st = np.cos(T), np.sin(T)
     cp, sp = np.cos(P), np.sin(P)
-    zeros = np.zeros_like(U)
 
     # Unit 2-sphere direction and its jets in (theta, phi), as components.
     n = (st * cp, st * sp, ct)
     nt = (ct * cp, ct * sp, -st)
-    npp = (-st * sp, st * cp, zeros)
-    ntp = (-ct * sp, ct * cp, zeros)
-    npp2 = (-st * cp, -st * sp, zeros)
+    npp = (-st * sp, st * cp, 0.0)
+    ntp = (-ct * sp, ct * cp, 0.0)
+    npp2 = (-st * cp, -st * sp, 0.0)
     w = R + a * cu
 
     def emb(scal, vec3, last):
         """(scal * vec3, last) as a 4-vector field."""
-        return _vec(*(scal * c for c in vec3), last)
+        return _vec(G, *(scal * c for c in vec3), last)
 
     x = emb(w, n, a * su)
     xi = emb(cu, n, su)
-    first = {(0,): emb(-a * su, n, a * cu), (1,): emb(w, nt, zeros), (2,): emb(w, npp, zeros)}
+    first = {(0,): emb(-a * su, n, a * cu), (1,): emb(w, nt, 0.0), (2,): emb(w, npp, 0.0)}
     second = {
-        (0, 0): emb(-a * cu, n, -a * su), (0, 1): emb(-a * su, nt, zeros),
-        (0, 2): emb(-a * su, npp, zeros), (1, 1): emb(-w, n, zeros),
-        (1, 2): emb(w, ntp, zeros), (2, 2): emb(w, npp2, zeros),
+        (0, 0): emb(-a * cu, n, -a * su), (0, 1): emb(-a * su, nt, 0.0),
+        (0, 2): emb(-a * su, npp, 0.0), (1, 1): emb(-w, n, 0.0),
+        (1, 2): emb(w, ntp, 0.0), (2, 2): emb(w, npp2, 0.0),
     }
     return x, xi, first, second
 
 
-def _catenoid_r31_jets(params, u, V):
+def _catenoid_r31_jets(params, G, u, V):
     """Rotational maximal (zero mean curvature) surface in R^3_1:
     x = (u cos v, u sin v, arcsinh u), future-pointing time-like normal."""
     cv, sv = np.cos(V), np.sin(V)
-    zeros = np.zeros_like(u)
 
-    x = _vec(u * cv, u * sv, np.arcsinh(u))
-    xi = _vec(cv / u, sv / u, np.sqrt(1.0 + u * u) / u)
-    first = {(0,): _vec(cv, sv, (1.0 + u * u) ** -0.5), (1,): _vec(-u * sv, u * cv, zeros)}
-    second = {(0, 0): _vec(zeros, zeros, -u * (1.0 + u * u) ** -1.5),
-              (0, 1): _vec(-sv, cv, zeros), (1, 1): _vec(-u * cv, -u * sv, zeros)}
+    x = _vec(G, u * cv, u * sv, np.arcsinh(u))
+    xi = _vec(G, cv / u, sv / u, np.sqrt(1.0 + u * u) / u)
+    first = {(0,): _vec(G, cv, sv, (1.0 + u * u) ** -0.5), (1,): _vec(G, -u * sv, u * cv, 0.0)}
+    second = {(0, 0): _vec(G, 0.0, 0.0, -u * (1.0 + u * u) ** -1.5),
+              (0, 1): _vec(G, -sv, cv, 0.0), (1, 1): _vec(G, -u * cv, -u * sv, 0.0)}
     return x, xi, first, second
 
 
-def _saddle_r30_jets(params, U, V):
+def _saddle_r30_jets(params, G, U, V):
     """Spacelike graph t = c u v inside the degenerate hyperplane of R^4_1,
     written as x = (t, u, v, t); normal fixed by the null-frame conditions."""
     c = float(params.get("c", 1.0))
-    zeros, ones = np.zeros_like(U), np.ones_like(U)
 
     t = c * U * V
-    x = _vec(t, U, V, t)
+    x = _vec(G, t, U, V, t)
     half = 0.5 * (1.0 - c * c * (U * U + V * V))
-    xi = _vec(half, -c * V, -c * U, half - 1.0)
-    first = {(0,): _vec(c * V, ones, zeros, c * V), (1,): _vec(c * U, zeros, ones, c * U)}
-    second = {(0, 1): _vec(c * ones, zeros, zeros, c * ones)}
+    xi = _vec(G, half, -c * V, -c * U, half - 1.0)
+    first = {(0,): _vec(G, c * V, 1.0, 0.0, c * V), (1,): _vec(G, c * U, 0.0, 1.0, c * U)}
+    second = {(0, 1): _vec(G, c, 0.0, 0.0, c)}
     return x, xi, first, second
-
-
-def _symmetric_jet(table: dict, x: np.ndarray, order: int) -> np.ndarray:
-    """Symmetric derivative array (m, ..., m, d, *G) of x (d, *G) with
-    ``order`` direction axes, assembled from its distinct entries ``table``
-    (keyed by sorted index tuples; absent entries are zero) in one gather:
-    slot (a, b, ...) holds the entry of the sorted key of (a, b, ...)."""
-    m = x.ndim - 1
-    slot = {tuple(sorted(key)): e + 1 for e, key in enumerate(table)}   # 0: the zero entry
-    index = np.reshape([slot.get(tuple(sorted(idx)), 0) for idx in np.ndindex((m,) * order)],
-                       (m,) * order)
-    return np.take(np.stack([np.zeros_like(x), *table.values()]), index, axis=0)
 
 
 BUILTINS = {
@@ -561,7 +556,7 @@ def _validate_patch(patch: SurfacePatch) -> None:
     passes only where its defect is within tolerance, so a NaN defect fails
     it (and ``_worst`` names the first NaN).
     """
-    scale = max(1.0, float(np.abs(patch.x).max()))
+    scale = max(1.0, fd.max_abs(patch.x))
     unit_tol, contact_tol = SCREEN_TOL[patch.jets]
 
     if patch.space == "r30":
@@ -647,8 +642,16 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
             raise UsageError("the degenerate-space normal is unique; it cannot be flipped")
         xi = -xi
 
-    II = second_fundamental(_symmetric_jet(second, x, 2), xi, ambient_form_diag(space, len(x)))
-    patch = make_patch(space, axes, x, _symmetric_jet(first, x, 1), xi, II, None, "analytic")
+    # dx from the first-order table; II from the distinct second-order
+    # entries, each contracted once and written into both of its slots.
+    form = ambient_form_diag(space, len(x))
+    dx = np.empty((axes.ndim,) + x.shape)
+    for a in range(axes.ndim):
+        dx[a] = first.get((a,), 0.0)
+    II = np.zeros((axes.ndim,) * 2 + axes.shape)
+    for (a, b), d2x in second.items():
+        II[a, b] = II[b, a] = second_fundamental(d2x, xi, form)
+    patch = make_patch(space, axes, x, dx, xi, II, None, "analytic")
     if entry.get("zero_mean_curvature"):
         S = patch.S
         mean_k = np.abs(np.trace(S) / len(S))
@@ -678,7 +681,8 @@ def _builtin_jets(name: str, params, axes: fd.GridAxes) -> tuple:
         if not finite:
             raise UsageError(f"builtin param {key!r} must be a finite number or list of numbers")
     try:
-        return BUILTINS[name]["jets"](params, *axes.meshgrid())
+        return BUILTINS[name]["jets"](params, axes.shape,
+                                      *np.meshgrid(*axes.coords(), indexing="ij", sparse=True))
     except (TypeError, ValueError) as exc:   # e.g. a list where a number belongs
         raise UsageError(f"builtin params of {name!r} are not of their documented form: "
                          f"{exc}") from exc

@@ -66,6 +66,51 @@ def component_leading(f, ncomp):
     return np.moveaxis(f, tuple(range(-ncomp, 0)), tuple(range(ncomp)))
 
 
+def symmetric_jet(table, x, order):
+    """Symmetric derivative array (m, ..., m, d, *G) of x (d, *G) with
+    ``order`` direction axes, assembled from its distinct entries ``table``
+    (keyed by sorted index tuples; absent entries are zero) in one gather:
+    slot (a, b, ...) holds the entry of the sorted key of (a, b, ...).  The
+    reference for the builds, which read the tables entry by entry."""
+    m = x.ndim - 1
+    slot = {tuple(sorted(key)): e + 1 for e, key in enumerate(table)}   # 0: the zero entry
+    index = np.reshape([slot.get(tuple(sorted(idx)), 0) for idx in np.ndindex((m,) * order)],
+                       (m,) * order)
+    return np.take(np.stack([np.zeros_like(x), *table.values()]), index, axis=0)
+
+
+def whole_grid_eigvalsh(a):
+    """Ascending eigenvalues of symmetric (m, m, *G) blocks, m <= 3, by
+    ``fd._small_eigvalsh``'s cyclic Jacobi rotations applied at every grid
+    point, a point below the stopping rule rotated by t = 0: the reference
+    for the kernel, which rotates only the points above it."""
+    m = len(a)
+    d = [a[i, i] for i in range(m)]
+    pairs = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if q < m]
+    off = {(p, q): a[q, p] for p, q in pairs}
+    for _ in range(fd.JACOBI_SWEEPS if m == 3 else 1):
+        rotated = False
+        for p, q in pairs:
+            apq = off[p, q]
+            big = np.abs(apq) > fd.JACOBI_TOL * np.sqrt(np.abs(d[p])) * np.sqrt(np.abs(d[q]))
+            if not big.any():
+                continue
+            rotated = True
+            theta = np.divide(d[q] - d[p], 2.0 * apq, out=np.zeros(apq.shape), where=big)
+            t = np.where(big, np.copysign(1.0, theta) / (np.abs(theta) + np.hypot(1.0, theta)), 0.0)
+            d[p], d[q] = d[p] - t * apq, d[q] + t * apq
+            off[p, q] = np.zeros(apq.shape)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            for r in range(m):
+                if r not in (p, q):
+                    rp, rq = tuple(sorted((r, p))), tuple(sorted((r, q)))
+                    off[rp], off[rq] = c * off[rp] - s * off[rq], s * off[rp] + c * off[rq]
+        if not rotated:
+            break
+    return np.stack(fd.ascending(d))
+
+
 def spaced_grid(shape, hs, periodic):
     """4th-order grid of the given shape whose axes start at 0 with steps ``hs``."""
     his = tuple(h * (c if p else c - 1) for h, c, p in zip(hs, shape, periodic))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import component_leading, diff, grid_leading, spaced_grid
+from conftest import component_leading, diff, grid_leading, spaced_grid, whole_grid_eigvalsh
 from laguerre import fd
 from laguerre.errors import InsufficientInteriorError, UsageError
 
@@ -367,6 +367,42 @@ def test_closed_forms_match_lapack(case):
             got, ref = kernel(fd.grid_eigvalsh, scale * sym, 1), np.linalg.eigvalsh(scale * sym)
             assert got.shape == ref.shape
             assert (np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=-1, keepdims=True)).all()
+
+
+@st.composite
+def nearly_diagonal_blocks(draw):
+    """A contiguous (m, m, *G) field of random symmetric blocks,
+    m = 2 or 3, at an overall scale, with a drawn share of its points (none,
+    some or all) diagonal or within the stopping rule of diagonal."""
+    m = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(2, 6)) for _ in range(draw(st.integers(1, 3))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.05, 0.95))
+    tiny = draw(st.sampled_from([0.0, 1e-20]))
+    scale = draw(st.sampled_from([1.0, 1e-150, 1e150]))
+    kind = draw(st.sampled_from(("split", "graded", "zero pair")))
+    mat = symmetric_blocks(rng, m, shape, kind)
+    npoints = math.prod(shape)
+    diagonal = np.zeros(npoints, bool)
+    diagonal[rng.permutation(npoints)[:round(share * npoints)]] = True
+    mat[diagonal.reshape(shape)] *= np.where(np.eye(m, dtype=bool), 1.0, tiny)
+    return np.ascontiguousarray(component_leading(scale * mat, 2))
+
+
+@PROPERTY
+@given(nearly_diagonal_blocks())
+def test_jacobi_rotates_only_where_an_entry_is_off_the_diagonal(mat):
+    # The kernel rotates each pair only at the points above the stopping
+    # rule, on copies of the entries: bit for bit the whole-grid rotation
+    # (t = 0 at every other point), its input untouched, and within 1e-12 of
+    # LAPACK relative to each block's largest |eigenvalue|.
+    given_mat = mat.copy()
+    got = fd._small_eigvalsh(mat)
+    assert np.array_equal(mat, given_mat)
+    assert np.array_equal(got, whole_grid_eigvalsh(mat))
+    ref = np.linalg.eigvalsh(grid_leading(mat, 2))
+    assert (np.abs(grid_leading(got, 1) - ref)
+            <= 1e-12 * np.abs(ref).max(axis=-1, keepdims=True)).all()
 
 
 @PROPERTY

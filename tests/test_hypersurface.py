@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_leading, to_grid
+from conftest import grid_leading, symmetric_jet, to_grid
 from laguerre import cli, fd, group, hypersurface, lorentz, patches, spaceforms, spheres
 from laguerre.errors import DegenerateSurfaceError
 
@@ -486,7 +486,7 @@ def test_a_mapped_patch_and_its_source_are_freed_without_the_cycle_collector(nam
 
 
 @pytest.mark.parametrize("name", MAPS)
-def test_mapped_second_form_is_the_pulled_second_jets_against_the_normal(name, request):
+def test_mapped_second_form_matches_its_differenced_first_jets(name, request):
     # II = -<dx, dxi> is symmetric as stored and equals <d2x, xi>, d2x taken
     # as 4th-order differences of the mapped patch's first jets.
     fixture, mapping = MAPS[name]
@@ -517,13 +517,13 @@ BUILTIN_SPECS = {
 @pytest.mark.parametrize("name", BUILTIN_SPECS)
 def test_builtin_jet_tables_match_finite_differences(name):
     # Both tables of the builtin: the first-order one as dx, the second-order
-    # one assembled as the build assembles it, every ambient component (II
-    # reads only the normal one).
+    # one assembled into the symmetric second jets, every ambient component
+    # (II reads only the normal one).
     spec = BUILTIN_SPECS[name]
     patch = patches.build_patch(spec)
     assert_jets_exact(patch)
     x, _, _, second = patches._builtin_jets(spec["builtin"], spec.get("params", {}), patch.axes)
-    assert_jet_exact(patches._symmetric_jet(second, x, 2), patch.dx, patch.axes, "d2x")
+    assert_jet_exact(symmetric_jet(second, x, 2), patch.dx, patch.axes, "d2x")
 
 
 def test_transform_through_a_cusp_names_the_radius():

@@ -85,6 +85,16 @@ def test_reported_el_forms_discrepancy():
     assert 0.0 < reported < 5e-3
 
 
+def test_el_forms_agree_on_the_4_axis_graph(graph4_field):
+    # n = 5: the sum form is (n - 2) = 3 times the div form.  The
+    # discrepancy reads 3.6e-5 of the sum form's max (8.2e-4 against 22.6);
+    # a divisor right only at n = 3 and 4, (n - 2) + (n - 3)(n - 4), leaves
+    # 3.8e-2 of it.
+    rep = minimality.minimality_report(graph4_field)
+    assert graph4_field.patch.n == 5 and rep.max_el_residual > 10.0
+    assert rep.el_forms_discrepancy < 2e-4 * rep.max_el_residual
+
+
 def test_default_threshold_is_pinned(torus_patch, torus_report):
     # 1e-3 times the grid median of rho^3, with rho = sqrt(2) sec u on the torus.
     U = torus_patch.axes.meshgrid()[0]

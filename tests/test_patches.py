@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import grid_leading
+from conftest import grid_leading, symmetric_jet
 from laguerre import fd, lorentz, patches
 from laguerre.errors import DegenerateSurfaceError, UsageError
 
@@ -84,11 +84,48 @@ def test_cylinder_has_flat_direction():
 
 
 def test_crossing_detection():
-    with pytest.raises(DegenerateSurfaceError):
+    # k_u = 2 / (1 + 4 u^2)^(3/2) crosses k_v near u = 0.38: the sorted gap
+    # kinks there, where it also collapses.
+    with pytest.raises(DegenerateSurfaceError) as err:
         patches.build_patch({
             "builtin": "translational_graph", "params": {"quad": [1.0, 0.5]},
             "grid": {"u": [0.013, 1.0, 64], "v": [-0.2, 0.2, 17]},
         })
+    assert str(err.value) == ("principal curvature crossing near grid index (31, 7); "
+                              "re-grid to keep curvature labels separated")
+
+
+def test_collapsed_gap_without_a_spike_is_no_crossing():
+    # The same graph stopped short of the crossing: the gap narrows smoothly
+    # to under half its median at the u = 0.37 end, with no kink.
+    p = patches.build_patch({
+        "builtin": "translational_graph", "params": {"quad": [1.0, 0.5]},
+        "grid": {"u": [0.0, 0.37, 38], "v": [-0.2, 0.2, 17]},
+    })
+    gap = p.shape.k[0] - p.shape.k[1]
+    assert (gap[1:-1, 1:-1] < patches.CROSSING_GAP_FRACTION * np.median(gap)).any()
+
+
+FORM_SPECS = {**{name: {"builtin": name} for name in patches.BUILTINS},
+              "torus inward": {"builtin": "torus", "normal": "inward"},
+              "graph 3 axes": {"builtin": "translational_graph",
+                               "params": {"quad": [1.0, 0.7, 0.4], "cubic": [0.1, 0.2, -0.1]},
+                               "grid": dict.fromkeys("uvw", [-0.25, 0.25, 11])}}
+
+
+@pytest.mark.parametrize("name", FORM_SPECS)
+def test_builtin_forms_are_the_assembled_jets(name, monkeypatch):
+    # The build reads the jet tables entry by entry: dx is the first-order
+    # table and II the distinct second-order entries against the normal,
+    # bit for bit <d2x, xi> of the assembled symmetric second jets.  The
+    # screen is off, so the umbilic sphere and the flat cylinder build too.
+    monkeypatch.setattr(patches, "_validate_patch", lambda patch: None)
+    spec = FORM_SPECS[name]
+    p = patches.build_patch(spec)
+    x, xi, first, second = patches._builtin_jets(spec["builtin"], spec.get("params", {}), p.axes)
+    xi = -xi if spec.get("normal") == "inward" else xi
+    assert np.array_equal(p.dx, symmetric_jet(first, x, 1))
+    assert np.array_equal(p.II, patches.second_fundamental(symmetric_jet(second, x, 2), xi, p.form))
 
 
 def test_graph_curvatures_at_origin():
@@ -298,7 +335,7 @@ def test_symmetric_jet_fills_every_permutation(m, order):
     x = rng.standard_normal((3,) + (4,) * m)
     keys = list(itertools.combinations_with_replacement(range(m), order))
     table = {key: rng.standard_normal(x.shape) for key in keys[::2]}   # every other key absent
-    jet = patches._symmetric_jet(table, x, order)
+    jet = symmetric_jet(table, x, order)
     assert jet.shape == (m,) * order + x.shape
     for idx in itertools.product(range(m), repeat=order):
         key = tuple(sorted(idx))
