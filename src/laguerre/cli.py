@@ -172,6 +172,14 @@ def _extrema(eigs: np.ndarray) -> dict:
     return {end: [getattr(c, end)() for c in eigs] for end in ("min", "max")}
 
 
+# The InvariantField fields ``_analysis_payload`` reads (g, for its
+# margins) or forms its fields from: B and the frame for the B spectrum,
+# and the operands of the construction diagnostics.  The residual passes
+# have formed them all, so a command that keeps only these after those
+# passes forms the payload's fields once the passes' fields are gone.
+PAYLOAD_FIELDS = ("g", "B", "vielbein", "deta", "N", "B_raw", "_LC")
+
+
 def _analysis_payload(patch, fld, residuals) -> dict:
     # The spec's grid, which a sampled patch's window sits inside: g's
     # margin counts from its ends.
@@ -228,6 +236,7 @@ def cmd_surface_analyze(args) -> dict:
     patch = _euclidean_patch(args, _load_json(args.spec))
     fld = hypersurface.analyze(patch)
     residuals = hypersurface.structural_residuals(fld)
+    fld.keep_only(*PAYLOAD_FIELDS)
     payload = _analysis_payload(patch, fld, residuals)
     if args.csv:
         _write_csv(args.csv, patch, fld)
@@ -266,9 +275,11 @@ def cmd_surface_compare(args) -> dict:
     if args.transform:
         T = group.compose_script(_load_json(args.transform))
         p2 = hypersurface.transform_patch(T, p2)
+    # The first side is reduced to what compare_invariants reads before the
+    # second is analyzed.
     f1 = hypersurface.analyze(p1)
-    f2 = hypersurface.analyze(p2)
-    payload = hypersurface.compare_invariants(f1, f2)
+    f1.keep_only(*hypersurface.COMPARED_FIELDS)
+    payload = hypersurface.compare_invariants(f1, hypersurface.analyze(p2))
     if args.strict:
         _strict_gate(payload, args.tol)
     return payload
@@ -280,8 +291,10 @@ def cmd_surface_embed(args) -> dict:
         raise UsageError("embed expects a space tag 'r31' or 'r30' in the spec")
     embedded = spaceforms.embed_patch(native)
     transfer = spaceforms.transfer_check(native, embedded)
+    del native   # nothing reads the native patch after the transfer check
     fld = hypersurface.analyze(embedded)
     residuals = hypersurface.structural_residuals(fld)
+    fld.keep_only(*PAYLOAD_FIELDS, *minimality.REPORT_FIELDS)
     rep = minimality.minimality_report(fld, threshold=args.threshold)
     payload = {
         "transfer": transfer,

@@ -34,9 +34,26 @@ jets (``patches``), so no field holds a NaN.
 ``analyze`` only guards: it checks the space, the grid's interior and the
 positive definiteness of g, so every command fails at the same point with
 the same error.  Every field of ``InvariantField`` -- g and its inverse,
-Gamma, N, the frame, B, L, C, the spectra, the curvature tensors, the
-covariant derivatives and div B -- is computed on first read and cached, so
-a command pays only for the fields it reports, and each field once.
+Gamma, N, the vielbein, B, L, C, the spectra, the curvature tensors,
+the covariant derivatives and div B -- is computed on first read and
+cached, so a command pays only for the fields it reports, and each field
+once.
+
+Lifetimes: a field lives from its first reader to its last, so a command
+peaks at its largest stage, not at the sum of its stages.
+- An operand that only one residual reads (nabla L, the product B g^-1 L,
+  the Codazzi right-hand side, each block of the Gauss residual) is
+  dropped as soon as that residual is reduced.
+- A value read once, to form one other (the frame E_i(Y) for the frame
+  residuals, B in the frame for its spectrum), is formed on read and not
+  cached; the frame residuals run before the structure identities, so
+  E_i(Y) is formed while their fields are not yet held.
+- Between stages a command names the fields its later stages read or form
+  theirs from (``InvariantField.keep_only``): those are formed then, if not
+  yet, and every other cached field is dropped -- Gamma, the curvature,
+  Ricci, the covariant derivatives and div B, which only the residual
+  passes read.  A dropped field read again is formed again, with the same
+  bits, so a missing name costs time, never a wrong value.
 
 Group images and space-form embeddings are read off a pencil
 (``patch_from_pencil``): they hold their first jets and take II from them
@@ -67,10 +84,19 @@ class InvariantField:
 
     The only stored field is the patch; every invariant is a cached
     property computed on first read from the fields it needs, so a command
-    pays only for what it reads.
+    pays only for what it reads (E_i(Y) and B in the frame, each read once,
+    are formed on read), and ``keep_only`` drops what it no longer reads.
     """
 
     patch: SurfacePatch
+
+    def keep_only(self, *names: str) -> None:
+        """Form the cached fields ``names``, if not yet formed, and drop every
+        other cached field: the fields a command's later stages read (L and
+        C are cached together, as ``_LC``)."""
+        kept = {"patch": self.patch, **{name: getattr(self, name) for name in names}}
+        vars(self).clear()
+        vars(self).update(kept)
 
     @cached_property
     def dY(self) -> np.ndarray:
@@ -153,13 +179,17 @@ class InvariantField:
         on the coordinate directions, i.e. the inverse Cholesky factor of g."""
         return fd.inverse_cholesky(self.g)
 
-    @cached_property
+    @property
     def EY(self) -> np.ndarray:
-        """The frame E_i(Y), (m, n+3, *G), orthonormal for the ambient product."""
+        """The frame E_i(Y), (m, n+3, *G), orthonormal for the ambient
+        product; formed on each read, since its one reader, the frame
+        residuals, reads it once."""
         return np.einsum("ia...,ak...->ik...", self.vielbein, self.dY)
 
-    @cached_property
+    @property
     def B_frame(self) -> np.ndarray:
+        """B in the orthonormal frame; formed on each read: its one reader,
+        B_eigs, is cached."""
         return fd.cholesky_reduce(self.B, self.vielbein)
 
     @cached_property
@@ -257,34 +287,35 @@ def analyze(patch: SurfacePatch) -> InvariantField:
     return fld
 
 
-def gauss_residuals(riem: np.ndarray, L: np.ndarray, g: np.ndarray) -> list:
+def gauss_residuals(riem: np.ndarray, L: np.ndarray, g: np.ndarray):
     """Residual R_abcd - (L_bc g_ad + L_ad g_bc - L_ac g_bd - L_bd g_ac) of
     the Gauss equation, from the curvature on its derivative pairs, as
-    (m, m, *G) blocks over (c, d): for each pair a < b the blocks (a, b) and
-    (b, a), whose curvature is -R_ab.., then the blocks (a, a), whose
-    curvature is 0.  Each entry is formed in the term order of the
-    equation, ((T1 + T2) - T3) - T4.
+    (m, m, *G) blocks over (c, d), yielded one at a time: for each pair
+    a < b the blocks (a, b) and (b, a), whose curvature is -R_ab.., then the
+    blocks (a, a), whose curvature is 0.  Each entry is formed in the term
+    order of the equation, ((T1 + T2) - T3) - T4.
     """
-    blocks = []
     for R, (a, b) in zip(riem, fd.derivative_pairs(len(g))):
         # The terms of block (a, b); block (b, a) has T3, T4, T1, T2.
         T1 = L[b, :, None] * g[a, None, :]
         T2 = g[b, :, None] * L[a, None, :]
         T3 = L[a, :, None] * g[b, None, :]
         T4 = g[a, :, None] * L[b, None, :]
-        blocks += [R - (((T1 + T2) - T3) - T4), -R - (((T3 + T4) - T1) - T2)]
+        yield R - (((T1 + T2) - T3) - T4)
+        yield -R - (((T3 + T4) - T1) - T2)
     for a in range(len(g)):
         T1 = L[a, :, None] * g[a, None, :]
         T2 = g[a, :, None] * L[a, None, :]
-        blocks.append(-(((T1 + T2) - T1) - T2))
-    return blocks
+        yield -(((T1 + T2) - T1) - T2)
 
 
-def _structure_identities(fld: InvariantField, flat) -> dict:
+def _structure_identities(fld: InvariantField, flat, larger) -> dict:
     """Residuals of the structure-equation identities, each residual tensor
     reduced by ``flat`` as soon as it is formed, so no two of them are held
-    at once; a residual formed in blocks (the Gauss equation's) is reduced
-    by one ``flat`` of all its blocks.
+    at once, and each operand only it reads (nabla L, B g^-1 L, the Codazzi
+    right-hand side) dropped with it.  The Gauss residual is reduced block
+    by block as ``gauss_residuals`` forms it, the reductions combined by
+    ``larger``.
 
     Covariant derivatives are taken in parameter coordinates with the
     Christoffel symbols of g; each identity is evaluated as a coordinate
@@ -292,8 +323,6 @@ def _structure_identities(fld: InvariantField, flat) -> dict:
     """
     n, crop = fld.patch.n, fld.crop
     g, ginv, B, L, C = fld.g, fld.ginv, fld.B, fld.L, fld.C
-
-    DL = fd.cov_d_tensor2(L, fld.Gamma, fld.patch.axes)
     DB, DC = fld.DB, fld.DC
 
     def minus(a, b):
@@ -302,15 +331,19 @@ def _structure_identities(fld: InvariantField, flat) -> dict:
 
     res = {}
     # nabla_c L_ab - nabla_b L_ac, and likewise for B.
+    DL = fd.cov_d_tensor2(L, fld.Gamma, fld.patch.axes)
     res["l_codazzi"] = flat(DL - np.swapaxes(DL, 0, 2))
+    del DL
     B3, ginv3, L3 = crop(B, ginv, L)
     BL = np.einsum("ab...,bc...,cd...->ad...", B3, ginv3, L3)
     res["c_exchange"] = flat(minus(np.swapaxes(DC, 0, 1) - DC, BL - np.swapaxes(BL, 0, 1)))
+    del BL
     C3, g3 = crop(C, g)
     codazzi_rhs = np.einsum("b...,ac...->cab...", C3, g3) - np.einsum("c...,ab...->cab...", C3, g3)
     res["b_codazzi"] = flat(minus(DB - np.swapaxes(DB, 0, 2), codazzi_rhs))
+    del codazzi_rhs
 
-    res["gauss"] = flat(*gauss_residuals(*crop(fld.riemann, L, g)))
+    res["gauss"] = reduce(larger, map(flat, gauss_residuals(*crop(fld.riemann, L, g))))
 
     res["b_trace"] = flat(fd.trace_product(ginv, B))
     B2 = fd.metric_pairing(B, B, ginv)
@@ -333,8 +366,7 @@ def structural_residual_fields(fld: InvariantField) -> dict:
     dict is a grid scalar field (absolute value already applied).
     """
     m = fld.patch.ngrid
-    return _structure_identities(fld, lambda *resid: reduce(
-        np.maximum, [fd.component_max_abs(r, m) for r in resid]))
+    return _structure_identities(fld, lambda resid: fd.component_max_abs(resid, m), np.maximum)
 
 
 def frame_residuals(fld: InvariantField) -> dict:
@@ -370,8 +402,11 @@ def structural_residuals(fld: InvariantField) -> dict:
     ``structural_residual_fields``, taken from the residual tensor in one
     whole-array reduction (one per block of the Gauss residual).
     """
-    res = _structure_identities(fld, lambda *resid: max(map(fd.max_abs, resid)))
-    res.update({f"frame_{k}": v for k, v in frame_residuals(fld).items()})
+    # The frame pass first: the frame E_i(Y) is formed while the fields of
+    # the structure identities are not yet held.
+    frame = frame_residuals(fld)
+    res = _structure_identities(fld, fd.max_abs, max)
+    res.update({f"frame_{k}": v for k, v in frame.items()})
     return res
 
 
@@ -468,6 +503,10 @@ def _quotient_d(w, dv, b, db):
     """First jets (m, k, *G) of the field w = v / b of k components, given w;
     db[:, None] pairs each direction with every component."""
     return (dv - w * db[:, None]) / b
+
+
+# The InvariantField fields ``compare_invariants`` reads.
+COMPARED_FIELDS = ("g", "S_eigs", "B_eigs")
 
 
 def compare_invariants(f1: InvariantField, f2: InvariantField) -> dict:

@@ -33,6 +33,12 @@ from .hypersurface import InvariantField
 from .patches import SurfacePatch
 
 
+# The InvariantField fields ``minimality_report`` reads, directly or through
+# ``el_residual`` and ``eta_laplacian_diagnostics``.
+REPORT_FIELDS = ("ginv", "sqrt_det", "dY", "deta", "N", "vielbein", "C_frame",
+                 "divB", "divC", "LB")
+
+
 @dataclass(eq=False)
 class MinimalityReport:
     verdict: str                     # "minimal" | "non-minimal"

@@ -31,19 +31,23 @@ spec's.  The grid of a patch carries the stencil order given to
 record, so the order reaches every later derivative and every message
 names indices of the spec's grid.
 
-Each builder forms II once, from arrays: a builtin patch as <d2x, xi>
-(``second_fundamental``) of each distinct entry of its second-order table,
-written into both slots (a, b) and (b, a), so its symmetric second x-jets
-are never assembled; a sampled patch as <d2x, xi> of the gradient of dx,
-after which those jets are dropped; a patch read off a pencil (a group
-image or a space-form embedding, ``hypersurface.patch_from_pencil``)
-holds its first jets dx and dxi and takes -<dx, dxi>, symmetrized
-(``weingarten_second_fundamental``; Weingarten: dxi = -dx o S).  So no
-patch holds a field with two direction axes.  The screen reads I, II,
-I^{-1}, S, the inverse Cholesky factor of I and the curvature data; each
-of those, a builtin's dxi, the third fundamental form and the cone lift is
-a cached value on the patch, formed on first read however many consumers
-read it.
+Each builder forms II once, from arrays: a builtin patch as <d2x, xi> of
+each distinct entry of its second-order table, against xi weighted by the
+form once, written into both slots (a, b) and (b, a), so its symmetric
+second x-jets are never assembled; a sampled patch as <d2x, xi> of the
+gradient of dx, after which those jets are dropped; a patch read off a
+pencil (a group image or a space-form embedding,
+``hypersurface.patch_from_pencil``) holds its first jets dx and dxi and
+takes -<dx, dxi>, symmetrized (``weingarten_second_fundamental``;
+Weingarten: dxi = -dx o S).  So no patch holds a field with two direction
+axes, and a builtin's jets tables are dropped once dx and II are formed,
+before the screen runs.  The screen reads I, II, the inverse Cholesky
+factor of I and the curvature data.  I, its leading minors, S, the
+curvature data, a builtin's dxi, the third fundamental form, g_exact and
+the cone lift are cached values on the patch, formed on first read however
+many consumers read it; I^{-1} and the inverse Cholesky factor, each read
+only to form one cached value (S and the curvature data), are formed on
+read and not held.
 
 Degeneracy policy: every patch -- builtin, sampled, group image or
 space-form embedding -- is made by ``make_patch`` and passes one screen
@@ -97,10 +101,10 @@ class SurfacePatch:
     the grid of the spec ``spec_axes`` (``axes`` unless the patch is a
     window inside it); every other field is a value computed on first read
     and then cached: a builtin's ``dxi``, the first fundamental form ``I``,
-    its leading ``minors``, ``Iinv``, the shape operator ``S``, the inverse
-    Cholesky factor ``Linv`` of I, the curvature data ``shape``,
-    ``third_form``, the exact invariant metric ``g_exact``, the Euclidean
-    area element ``area_element`` and the cone ``lift``.
+    its leading ``minors``, the shape operator ``S``, the curvature data
+    ``shape``, ``third_form``, the exact invariant metric ``g_exact``, the
+    Euclidean area element ``area_element`` and the cone ``lift``.  ``Iinv``
+    and the inverse Cholesky factor ``Linv`` of I are formed on each read.
     """
 
     space: str
@@ -154,8 +158,9 @@ class SurfacePatch:
         """Leading minors of I; the last is det I."""
         return fd.leading_minors(self.I)
 
-    @cached_property
+    @property
     def Iinv(self) -> np.ndarray:
+        """I^{-1}, formed on each read: its one reader, S, is cached."""
         return fd.grid_inv(self.I)
 
     @cached_property
@@ -163,8 +168,10 @@ class SurfacePatch:
         """Shape operator S = I^{-1} II, the operator in d(xi) = -dx o S."""
         return np.einsum("ac...,cb...->ab...", self.Iinv, self.II)
 
-    @cached_property
+    @property
     def Linv(self) -> np.ndarray:
+        """The inverse Cholesky factor of I, formed on each read: its one
+        reader, the curvature data, is cached."""
         return fd.inverse_cholesky(self.I)
 
     @cached_property
@@ -643,14 +650,18 @@ def build_patch(spec: dict, fd_order: int = 4, refine: int = 1) -> SurfacePatch:
         xi = -xi
 
     # dx from the first-order table; II from the distinct second-order
-    # entries, each contracted once and written into both of its slots.
+    # entries, each contracted once and written into both of its slots,
+    # against xi weighted by the form once: the products of
+    # ``second_fundamental``.
     form = ambient_form_diag(space, len(x))
     dx = np.empty((axes.ndim,) + x.shape)
     for a in range(axes.ndim):
         dx[a] = first.get((a,), 0.0)
     II = np.zeros((axes.ndim,) * 2 + axes.shape)
+    xi_form = xi * form.reshape(form.shape + (1,) * axes.ndim)
     for (a, b), d2x in second.items():
-        II[a, b] = II[b, a] = second_fundamental(d2x, xi, form)
+        II[a, b] = II[b, a] = fd.contract_last(d2x, xi_form)
+    del first, second, xi_form   # the screen runs without the jets tables
     patch = make_patch(space, axes, x, dx, xi, II, None, "analytic")
     if entry.get("zero_mean_curvature"):
         S = patch.S

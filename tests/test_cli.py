@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import laguerre
 from conftest import grid_leading
-from laguerre import cli, fd, group, patches
+from laguerre import cli, fd, group, hypersurface, lorentz, patches
 
 
 def run(args):
@@ -22,6 +23,13 @@ def write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def transform_file(tmp_path):
+    """A script of one random group element of the torus's dimension."""
+    T = group.random_transform(np.random.default_rng(9), 3, factors=4,
+                               translation_scale=0.3, flow_scale=0.2)
+    return write(tmp_path, "t.json", [{"kind": "matrix", "rows": T.matrix.tolist()}])
 
 
 @pytest.fixture
@@ -154,9 +162,7 @@ def test_transformed_sampled_patch_keeps_its_screen(tmp_path, capsys):
     samples = {"points": grid_leading(graph.x, 1).tolist(),
                "normals": grid_leading(graph.xi, 1).tolist()}
     spec = write(tmp_path, "s.json", {"samples": samples, "grid": grid})
-    T = group.random_transform(np.random.default_rng(9), 3, factors=4,
-                               translation_scale=0.3, flow_scale=0.2)
-    script = write(tmp_path, "t.json", [{"kind": "matrix", "rows": T.matrix.tolist()}])
+    script = transform_file(tmp_path)
     assert run(["surface", "compare", "--spec", spec, "--spec2", spec,
                 "--transform", script]) == 0
     assert read_out(capsys)["max_g_deviation"] < 1e-3
@@ -222,9 +228,7 @@ def test_compare_builds_one_patch_for_equal_specs(torus_spec_file, tmp_path, mon
     # A second file of equal content reuses the first patch; a spec that
     # differs only in leaving a default out builds its own, with
     # byte-identical output.
-    T = group.random_transform(np.random.default_rng(9), 3, factors=4,
-                               translation_scale=0.3, flow_scale=0.2)
-    script = write(tmp_path, "t.json", [{"kind": "matrix", "rows": T.matrix.tolist()}])
+    script = transform_file(tmp_path)
     spec = json.loads(Path(torus_spec_file).read_text())
     copy = write(tmp_path, "copy.json", spec)
     implicit = write(tmp_path, "implicit.json", {k: v for k, v in spec.items() if k != "normal"})
@@ -542,9 +546,10 @@ def test_emit_writes_standard_json(capsys):
     assert json.loads(text) == {"a": [1.0, None], "v": 2.5, "x": None}
 
 
-def counted(monkeypatch, module, name):
-    """Replace module.name by a wrapper that records each call in the returned list."""
-    calls = []
+def counted(monkeypatch, module, name, calls=None):
+    """Replace module.name by a wrapper that records each call in the returned
+    list (``calls``, when given)."""
+    calls = [] if calls is None else calls
     fn = getattr(module, name)
 
     def wrapper(*args, **kwargs):
@@ -555,32 +560,41 @@ def counted(monkeypatch, module, name):
     return calls
 
 
-# Calls a command makes to functions whose results are read on demand: the
-# I Gram and the cone lift once per patch that needs them, and the
-# curvature tensor and the B spectrum only for the commands that report
-# them.  grid_eigvalsh also runs once per shape_data (principal
+# Calls a command makes to the kernels that form its fields, pinned, so that
+# a field formed twice in one command -- read again after it was dropped
+# (``InvariantField.keep_only``), or never cached -- shows as one more call.
+# The I Gram and the cone lift are formed once per patch that needs them,
+# and the curvature tensor and the B spectrum only for the commands that
+# report them.  grid_eigvalsh also runs once per shape_data (principal
 # curvatures); the S spectrum is read off the curvature radii, with no
-# eigensolver.
+# eigensolver.  The inverse Cholesky factor is formed once per patch (the
+# screen) and once per analyzed field that reads its frame.
 # The stencil count (fd.gradient, including the calls inside the fd kernels)
 # is the one the benchmark tracer reports per request; the Laplacians of Y
 # and eta take no gradient of their own but reuse dY and deta, the
 # curvature takes single-axis derivatives of the Gamma rows its pairs need
 # instead of a gradient of Gamma, and the criticality sum form is one more
-# Laplacian, of div B.
+# Laplacian, of div B.  cov_d counts the calls through its rank aliases,
+# as the tracer does: nabla L, nabla B and nabla C.
 LAZY = {"first_fundamental": patches, "laguerre_lift": patches,
         "riemann_tensor": fd, "grid_eigvalsh": fd, "selfadjoint_eigvals": fd,
-        "christoffel": fd, "laplace_beltrami": fd, "gradient": fd}
+        "christoffel": fd, "laplace_beltrami": fd, "gradient": fd,
+        "cov_d": fd, "inverse_cholesky": fd, "inner": lorentz, "shape_data": patches}
 LAZY_CALLS = {
-    "analyze": (1, 1, 1, 2, 0, 1, 1, 7),
-    "minimality": (1, 1, 0, 1, 0, 1, 4, 7),
-    "volume": (1, 0, 0, 1, 0, 0, 0, 0),
-    "embed": (2, 2, 1, 3, 0, 1, 4, 8),
-    "compare": (2, 2, 0, 4, 0, 0, 0, 4),
+    "analyze": (1, 1, 1, 2, 0, 1, 1, 7, 3, 2, 10, 1),
+    "minimality": (1, 1, 0, 1, 0, 1, 4, 7, 2, 2, 5, 1),
+    "volume": (1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 1),
+    "embed": (2, 2, 1, 3, 0, 1, 4, 8, 3, 3, 18, 2),
+    "compare": (2, 2, 0, 4, 0, 0, 0, 4, 0, 4, 0, 2),
 }
+COV_D_ALIASES = ("cov_d_covector", "cov_d_tensor2", "cov_d_tensor3")
 
 
 def count_lazy(monkeypatch):
-    return {name: counted(monkeypatch, module, name) for name, module in LAZY.items()}
+    calls = {name: counted(monkeypatch, module, name) for name, module in LAZY.items()}
+    for alias in COV_D_ALIASES:
+        counted(monkeypatch, fd, alias, calls["cov_d"])
+    return calls
 
 
 def lazy_counts(calls, command):
@@ -605,15 +619,66 @@ def test_derived_fields_computed_once(command, shape_calls, cov_d_calls, torus_s
     if command == "embed":
         argv[-1] = write(tmp_path, "cat.json", {"space": "r31", "builtin": "maximal_catenoid_r31"})
     if command == "compare":
-        T = group.random_transform(np.random.default_rng(9), 3, factors=4,
-                                   translation_scale=0.3, flow_scale=0.2)
-        script = write(tmp_path, "t.json", [{"kind": "matrix", "rows": T.matrix.tolist()}])
+        script = transform_file(tmp_path)
         argv += ["--spec2", torus_spec_file, "--transform", script]
     assert run(argv) == 0
     capsys.readouterr()
     assert (len(shapes), len(cov_ds)) == (shape_calls, cov_d_calls)
     got, expected = lazy_counts(lazy, command)
     assert got == expected
+
+
+# tracemalloc peaks of a command on its default grid, MiB, about 1.2 times
+# what it reads when every field goes after its last reader.  With every
+# field held to the end of the command (and the native patch of embed, the
+# first side of compare and a builtin's jets tables through its screen)
+# they read 8.2, 42.0, 6.8 and 16.5; they now read 5.0, 30.8, 5.2 and 11.6.
+PEAK_CASES = {
+    "embed": ({"space": "r31", "builtin": "maximal_catenoid_r31"}, 6.0),
+    "analyze": ({"builtin": "torus4"}, 37.0),
+    "compare": ({"builtin": "torus"}, 6.2),
+    "volume": ({"builtin": "torus4"}, 14.0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PEAK_CASES))
+def test_a_command_peaks_at_its_largest_stage(command, tmp_path):
+    spec, bound = PEAK_CASES[command]
+    path = write(tmp_path, "spec.json", spec)
+    argv = ["surface", command, "--spec", path, "--out", str(tmp_path / "o.json")]
+    if command == "compare":
+        script = transform_file(tmp_path)
+        argv += ["--spec2", path, "--transform", script]
+    # A first run takes the one-time allocations (lazy imports, caches), so
+    # the traced run reads the command's own peak whichever test ran before.
+    assert run(argv) == 0
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 2 ** 20, peak / 2 ** 20
+
+
+def test_compare_reduces_its_first_side_before_it_analyzes_the_second(
+        torus_spec_file, tmp_path, monkeypatch, capsys):
+    # When the second side is analyzed the first holds only the three
+    # fields compare_invariants reads.
+    fields, held = [], []
+    analyze = hypersurface.analyze
+
+    def spy(patch):
+        held.extend(sorted(set(vars(f)) - {"patch"}) for f in fields)
+        fields.append(analyze(patch))
+        return fields[-1]
+
+    monkeypatch.setattr(hypersurface, "analyze", spy)
+    script = transform_file(tmp_path)
+    assert run(["surface", "compare", "--spec", torus_spec_file, "--spec2", torus_spec_file,
+                "--transform", script]) == 0
+    capsys.readouterr()
+    assert held == [sorted(hypersurface.COMPARED_FIELDS)]
 
 
 @pytest.mark.parametrize("command", ["analyze", "minimality", "volume"])

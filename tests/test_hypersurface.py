@@ -663,6 +663,31 @@ def test_curvature_identities_bounded_on_torus4(torus4_field):
         assert res[key] <= 1e-3 * scale, key
 
 
+def test_gauss_residual_is_the_maximum_over_every_block(torus4_field):
+    # The Gauss residual is reduced block by block as its blocks are formed;
+    # on torus4 (m = 3) the nine blocks differ and the first is not the
+    # largest, so a reduction that misses a block reads low.
+    fld = torus4_field
+    blocks = list(hypersurface.gauss_residuals(*fld.crop(fld.riemann, fld.L, fld.g)))
+    assert len(blocks) == 9
+    largest = max(fd.max_abs(block) for block in blocks)
+    assert fd.max_abs(blocks[0]) < largest
+    assert hypersurface.structural_residuals(fld)["gauss"] == largest
+    assert hypersurface.structural_residual_fields(fld)["gauss"].max() == largest
+
+
+def test_keep_only_drops_the_other_fields_and_a_dropped_one_reads_the_same_bits():
+    fld = hypersurface.analyze(patches.build_patch(SMALL_TORUS4))
+    hypersurface.structural_residuals(fld)
+    before = {name: copy.deepcopy(value) for name, value in vars(fld).items()
+              if name != "patch"}
+    fld.keep_only("g", "B_eigs")
+    assert set(vars(fld)) == {"patch", "g", "B_eigs"}
+    assert "B_eigs" not in before   # formed by keep_only
+    for name in ("Gamma", "riemann", "DB", "divB"):
+        assert np.array_equal(getattr(fld, name), before[name], equal_nan=True), name
+
+
 # The 2- and 3-axis cubic graphs, where every term of the first-order
 # identities is O(1) (on the tori the commutator, nabla B and C sit near zero).
 CUBIC_GRAPHS = {
