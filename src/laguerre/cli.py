@@ -49,6 +49,7 @@ M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD_MAX = 32 << 20
 
 
+@functools.cache
 def _keep_freed_heap() -> None:
     """Keep freed heap memory in the process for the next grid field (glibc).
 
@@ -60,7 +61,8 @@ def _keep_freed_heap() -> None:
     its free top stays mapped, to be reused, so the peak stays that of the
     live fields.  Setting either threshold pins the other, a 128 KiB mmap
     threshold being far worse than the adaptive one, so the trim threshold
-    is raised only once the mmap threshold is set.
+    is raised only once the mmap threshold is set.  The settings hold for
+    the whole process, so they are made once, on the first call.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -172,14 +174,6 @@ def _extrema(eigs: np.ndarray) -> dict:
     return {end: [getattr(c, end)() for c in eigs] for end in ("min", "max")}
 
 
-# The InvariantField fields ``_analysis_payload`` reads (g, for its
-# margins) or forms its fields from: B and the frame for the B spectrum,
-# and the operands of the construction diagnostics.  The residual passes
-# have formed them all, so a command that keeps only these after those
-# passes forms the payload's fields once the passes' fields are gone.
-PAYLOAD_FIELDS = ("g", "B", "vielbein", "deta", "N", "B_raw", "_LC")
-
-
 def _analysis_payload(patch, fld, residuals) -> dict:
     # The spec's grid, which a sampled patch's window sits inside: g's
     # margin counts from its ends.
@@ -236,7 +230,6 @@ def cmd_surface_analyze(args) -> dict:
     patch = _euclidean_patch(args, _load_json(args.spec))
     fld = hypersurface.analyze(patch)
     residuals = hypersurface.structural_residuals(fld)
-    fld.keep_only(*PAYLOAD_FIELDS)
     payload = _analysis_payload(patch, fld, residuals)
     if args.csv:
         _write_csv(args.csv, patch, fld)
@@ -279,6 +272,8 @@ def cmd_surface_compare(args) -> dict:
     # second is analyzed.
     f1 = hypersurface.analyze(p1)
     f1.keep_only(*hypersurface.COMPARED_FIELDS)
+    if p2 is not p1:   # the first side's lift and chain have had their last readers
+        p1.release("lift", *patches.CHAIN)
     payload = hypersurface.compare_invariants(f1, hypersurface.analyze(p2))
     if args.strict:
         _strict_gate(payload, args.tol)
@@ -293,8 +288,8 @@ def cmd_surface_embed(args) -> dict:
     transfer = spaceforms.transfer_check(native, embedded)
     del native   # nothing reads the native patch after the transfer check
     fld = hypersurface.analyze(embedded)
-    residuals = hypersurface.structural_residuals(fld)
-    fld.keep_only(*PAYLOAD_FIELDS, *minimality.REPORT_FIELDS)
+    residuals = hypersurface.structural_residuals(
+        fld, (*minimality.REPORT_FIELDS, *minimality.REPORT_PATCH_VALUES))
     rep = minimality.minimality_report(fld, threshold=args.threshold)
     payload = {
         "transfer": transfer,

@@ -39,8 +39,8 @@ the covariant derivatives and div B -- is computed on first read and
 cached, so a command pays only for the fields it reports, and each field
 once.
 
-Lifetimes: a field lives from its first reader to its last, so a command
-peaks at its largest stage, not at the sum of its stages.
+Lifetimes: a field lives from its first reader to its last, inside a
+stage as well as between stages, so a command peaks at its largest step.
 - An operand that only one residual reads (nabla L, the product B g^-1 L,
   the Codazzi right-hand side, each block of the Gauss residual) is
   dropped as soon as that residual is reduced.
@@ -48,12 +48,24 @@ peaks at its largest stage, not at the sum of its stages.
   residuals, B in the frame for its spectrum), is formed on read and not
   cached; the frame residuals run before the structure identities, so
   E_i(Y) is formed while their fields are not yet held.
-- Between stages a command names the fields its later stages read or form
-  theirs from (``InvariantField.keep_only``): those are formed then, if not
-  yet, and every other cached field is dropped -- Gamma, the curvature,
-  Ricci, the covariant derivatives and div B, which only the residual
-  passes read.  A dropped field read again is formed again, with the same
-  bits, so a missing name costs time, never a wrong value.
+- Inside the passes each field goes after its last reader
+  (``InvariantField.release``): dY once L, C and B are formed, Delta Y
+  once N is.  The payload's own fields are formed right after the frame
+  pass (``structural_residuals``): the frame goes after the B spectrum,
+  d eta, B before symmetrization and N after the diagnostics, and the
+  patch's chain S -> dxi -> III with them.  The structure identities form
+  and drop nabla L, nabla C, nabla B, the curvature on pairs (after which
+  Gamma goes), Ricci and the scalar curvature in turn.
+  ``minimality.minimality_report`` drops B before symmetrization once B
+  is formed, nabla B after div B, nabla C and Gamma after div C, and L, C
+  and B after <L, B> and the frame components of C.  A field a later
+  stage of the command reads (``keep``) is kept, and div B and div C are
+  formed before their covariant derivatives go.
+- Between stages ``compare`` names the fields its later stage reads
+  (``InvariantField.keep_only``): those are formed then, if not yet, and
+  every other cached field is dropped.  A dropped field read again is
+  formed again, with the same bits, so a missing name costs time, never a
+  wrong value.
 
 Group images and space-form embeddings are read off a pencil
 (``patch_from_pencil``): they hold their first jets and take II from them
@@ -85,7 +97,8 @@ class InvariantField:
     The only stored field is the patch; every invariant is a cached
     property computed on first read from the fields it needs, so a command
     pays only for what it reads (E_i(Y) and B in the frame, each read once,
-    are formed on read), and ``keep_only`` drops what it no longer reads.
+    are formed on read); ``release`` drops a field after its last reader,
+    and ``keep_only`` every field but those a later stage reads.
     """
 
     patch: SurfacePatch
@@ -97,6 +110,13 @@ class InvariantField:
         kept = {"patch": self.patch, **{name: getattr(self, name) for name in names}}
         vars(self).clear()
         vars(self).update(kept)
+
+    def release(self, *names: str, keep=()) -> None:
+        """Drop the cached fields ``names`` that are formed, except those
+        ``keep`` names (the fields a later stage of the command reads)."""
+        for name in names:
+            if name not in keep:
+                vars(self).pop(name, None)
 
     @cached_property
     def dY(self) -> np.ndarray:
@@ -231,14 +251,19 @@ class InvariantField:
 
     @cached_property
     def diagnostics(self) -> dict:
-        """Defects of three identities the construction satisfies exactly."""
+        """Defects of three identities the construction satisfies exactly; g
+        against rho^2 III is reduced one component at a time, so the exact
+        metric is not formed."""
         sig = lorentz.signature(self.patch.n)
         deta, N = self.crop(self.deta, self.N)
         C_dual = fd.contract_last(deta, N, sig)
+        g, III, rho = self.crop(self.g, self.patch.third_form, self.patch.shape.rho)
+        rho2 = rho ** 2
         return {
             "raw_B_asymmetry": fd.max_abs(self.B_raw - np.swapaxes(self.B_raw, 0, 1)),
             "C_dual_defect": fd.max_abs(np.subtract(*self.crop(self.C, C_dual))),
-            "g_vs_rho2_III": fd.max_abs(np.subtract(*self.crop(self.g, self.patch.g_exact))),
+            "g_vs_rho2_III": max(fd.max_abs(g[ab] - rho2 * III[ab])
+                                 for ab in np.ndindex(g.shape[:2])),
         }
 
     @cached_property
@@ -309,13 +334,19 @@ def gauss_residuals(riem: np.ndarray, L: np.ndarray, g: np.ndarray):
         yield -(((T1 + T2) - T1) - T2)
 
 
-def _structure_identities(fld: InvariantField, flat, larger) -> dict:
+def _structure_identities(fld: InvariantField, flat, larger, keep=()) -> dict:
     """Residuals of the structure-equation identities, each residual tensor
     reduced by ``flat`` as soon as it is formed, so no two of them are held
-    at once, and each operand only it reads (nabla L, B g^-1 L, the Codazzi
-    right-hand side) dropped with it.  The Gauss residual is reduced block
-    by block as ``gauss_residuals`` forms it, the reductions combined by
-    ``larger``.
+    at once.  The Gauss residual is reduced block by block as
+    ``gauss_residuals`` forms it, the reductions combined by ``larger``.
+
+    The pass forms its own fields in turn and drops each after its last
+    reader: nabla L, nabla C and nabla B, then the curvature on pairs, after
+    which Gamma goes, Ricci and the scalar curvature.  An operand only one
+    residual reads (B g^-1 L, the Codazzi right-hand side) goes with it.
+    div B, which a residual reads, and div C, when ``keep`` names it, are
+    formed before their covariant derivative goes; no field ``keep`` names
+    is dropped.
 
     Covariant derivatives are taken in parameter coordinates with the
     Christoffel symbols of g; each identity is evaluated as a coordinate
@@ -323,27 +354,45 @@ def _structure_identities(fld: InvariantField, flat, larger) -> dict:
     """
     n, crop = fld.patch.n, fld.crop
     g, ginv, B, L, C = fld.g, fld.ginv, fld.B, fld.L, fld.C
-    DB, DC = fld.DB, fld.DC
 
     def minus(a, b):
         """a - b on the common window of the two terms."""
         return np.subtract(*crop(a, b))
 
     res = {}
-    # nabla_c L_ab - nabla_b L_ac, and likewise for B.
+    # nabla_c L_ab - nabla_b L_ac.
     DL = fd.cov_d_tensor2(L, fld.Gamma, fld.patch.axes)
     res["l_codazzi"] = flat(DL - np.swapaxes(DL, 0, 2))
     del DL
+    # The exchange of nabla C with the commutator of B and L.
     B3, ginv3, L3 = crop(B, ginv, L)
     BL = np.einsum("ab...,bc...,cd...->ad...", B3, ginv3, L3)
+    DC = fld.DC
     res["c_exchange"] = flat(minus(np.swapaxes(DC, 0, 1) - DC, BL - np.swapaxes(BL, 0, 1)))
-    del BL
+    del BL, DC
+    if "divC" in keep:
+        fld.divC
+    fld.release("DC", keep=keep)
+    # nabla_c B_ab - nabla_b B_ac against its right-hand side, and div B.
     C3, g3 = crop(C, g)
-    codazzi_rhs = np.einsum("b...,ac...->cab...", C3, g3) - np.einsum("c...,ab...->cab...", C3, g3)
-    res["b_codazzi"] = flat(minus(DB - np.swapaxes(DB, 0, 2), codazzi_rhs))
-    del codazzi_rhs
+    codazzi_rhs = np.einsum("b...,ac...->cab...", C3, g3)
+    codazzi_rhs -= np.einsum("c...,ab...->cab...", C3, g3)
+    DB = fld.DB
+    resid, codazzi_rhs = crop(DB - np.swapaxes(DB, 0, 2), codazzi_rhs)
+    resid -= codazzi_rhs
+    res["b_codazzi"] = flat(resid)
+    del DB, resid, codazzi_rhs
+    res["b_divergence"] = flat(minus(fld.divB, (n - 2) * C))
+    fld.release("DB", keep=keep)
 
-    res["gauss"] = reduce(larger, map(flat, gauss_residuals(*crop(fld.riemann, L, g))))
+    # The curvature group: R on its derivative pairs, the last reader of
+    # Gamma, then Ricci and the scalar curvature.
+    riemann = fld.riemann
+    fld.release("Gamma", keep=keep)
+    res["gauss"] = reduce(larger, map(flat, gauss_residuals(*crop(riemann, L, g))))
+    del riemann
+    ricci = fld.ricci
+    fld.release("riemann", keep=keep)
 
     res["b_trace"] = flat(fd.trace_product(ginv, B))
     B2 = fd.metric_pairing(B, B, ginv)
@@ -351,11 +400,11 @@ def _structure_identities(fld: InvariantField, flat, larger) -> dict:
     trL = fd.trace_product(ginv3, L3)
     res["l_trace_vs_lap"] = flat(np.add(*crop(trL, fld.lap_norm / (2.0 * (n - 1)))))
 
-    res["b_divergence"] = flat(minus(fld.divB, (n - 2) * C))
-
-    ricci, L3, trL, g3 = crop(fld.ricci, L, trL, g)
+    ricci, L3, trL, g3 = crop(ricci, L, trL, g)
     res["ricci_vs_l"] = flat(ricci + (n - 3) * L3 + trL * g3)
+    del ricci
     res["scalar_vs_lap"] = flat(minus(fld.scalar, (n - 2) / (n - 1) * fld.lap_norm))
+    fld.release("ricci", "scalar", keep=keep)
     return res
 
 
@@ -395,17 +444,39 @@ def frame_residuals(fld: InvariantField) -> dict:
     }
 
 
-def structural_residuals(fld: InvariantField) -> dict:
+# The fields an analysis reports besides g and the residuals (the S and B
+# spectra and the construction diagnostics), in the order the residual pass
+# forms them right after its frame pass, each with the operands that go
+# once it is formed: the frame after the B spectrum, d eta, B before
+# symmetrization and N after the diagnostics.
+PAYLOAD_FIELDS = (("S_eigs", ()), ("B_eigs", ("vielbein",)),
+                  ("diagnostics", ("deta", "B_raw", "N")))
+
+
+def structural_residuals(fld: InvariantField, keep=()) -> dict:
     """Max-abs residuals of the structure identities plus frame pairings.
 
     Each structure residual is ``max_abs`` of its field in
     ``structural_residual_fields``, taken from the residual tensor in one
     whole-array reduction (one per block of the Gauss residual).
+
+    The frame pass runs first, so E_i(Y) is formed while the fields of the
+    structure identities are not yet held.  Then L, C and B take the last
+    reads of dY, and N has taken that of Delta Y.  The payload's fields
+    (``PAYLOAD_FIELDS``) are formed next, from the operands the frame pass
+    leaves, so those operands and the patch's chain (``patches.CHAIN``),
+    which the construction diagnostic reads last, go before the structure
+    identities form their fields.  ``keep`` names the fields, and patch
+    values, a later stage of the caller reads: none of them is dropped.
     """
-    # The frame pass first: the frame E_i(Y) is formed while the fields of
-    # the structure identities are not yet held.
     frame = frame_residuals(fld)
-    res = _structure_identities(fld, fd.max_abs, max)
+    fld.L, fld.B
+    fld.release("dY", "lapY", keep=keep)
+    for name, operands in PAYLOAD_FIELDS:
+        getattr(fld, name)
+        fld.release(*operands, keep=keep)
+    fld.patch.release(*(name for name in patches.CHAIN if name not in keep))
+    res = _structure_identities(fld, fd.max_abs, max, keep)
     res.update({f"frame_{k}": v for k, v in frame.items()})
     return res
 

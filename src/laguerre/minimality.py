@@ -27,16 +27,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fd, lorentz
+from . import fd, lorentz, patches
 from .errors import UsageError
 from .hypersurface import InvariantField
 from .patches import SurfacePatch
 
 
 # The InvariantField fields ``minimality_report`` reads, directly or through
-# ``el_residual`` and ``eta_laplacian_diagnostics``.
+# ``el_residual`` and ``eta_laplacian_diagnostics``, and the patch value its
+# n = 3 criterion reads (``third_form_laplacian_r``).
 REPORT_FIELDS = ("ginv", "sqrt_det", "dY", "deta", "N", "vielbein", "C_frame",
                  "divB", "divC", "LB")
+REPORT_PATCH_VALUES = ("third_form",)
 
 
 @dataclass(eq=False)
@@ -76,9 +78,14 @@ def el_residual(fld: InvariantField):
     to discretization error.
     """
     crop = fld.crop
+    fld.B   # B before symmetrization goes once B is formed
+    fld.release("B_raw")
     div_divB = fd.laplace_beltrami(fld.divB, fld.ginv, fld.sqrt_det, fld.patch.axes)
+    fld.release("DB")
+    divC = fld.divC
+    fld.release("DC", "Gamma")
     sum_form = np.subtract(*crop(div_divB, fld.LB))
-    divC, LB = crop(fld.divC, fld.LB)
+    divC, LB = crop(divC, fld.LB)
     div_form = divC - LB / (fld.patch.n - 2)
     return sum_form, div_form
 
@@ -136,12 +143,21 @@ def default_threshold(fld: InvariantField) -> float:
 
 def minimality_report(fld: InvariantField,
                       threshold: float | None = None) -> MinimalityReport:
-    """Assemble the verdict and all cross-checks for one analyzed patch."""
+    """Assemble the verdict and all cross-checks for one analyzed patch.
+
+    The last stage of a command: each field it forms goes after its last
+    reader here (``InvariantField.release``), and the patch's chain after
+    the n = 3 third-form Laplacian.
+    """
     if threshold is None:
         threshold = default_threshold(fld)
 
     crop = fld.crop
     sum_form, div_form = el_residual(fld)
+    # The frame components of C are the last reader of L, C and B left, and
+    # N has had that of Delta Y.
+    fld.C_frame
+    fld.release("_LC", "B", "lapY")
     n = fld.patch.n
     max_sum = fd.max_abs(sum_form)
     max_div = fd.max_abs(div_form)
@@ -158,6 +174,7 @@ def minimality_report(fld: InvariantField,
     crosscheck = None
     if n == 3:
         lap = third_form_laplacian_r(fld.patch, fld.patch.shape.r)
+        fld.patch.release(*patches.CHAIN)
         lap_r = fd.max_abs(lap)
         lap_verdict = "minimal" if lap_r <= threshold else "non-minimal"
         divC, LB = crop(fld.divC, fld.LB)

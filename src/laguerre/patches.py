@@ -43,11 +43,19 @@ Weingarten: dxi = -dx o S).  So no patch holds a field with two direction
 axes, and a builtin's jets tables are dropped once dx and II are formed,
 before the screen runs.  The screen reads I, II, the inverse Cholesky
 factor of I and the curvature data.  I, its leading minors, S, the
-curvature data, a builtin's dxi, the third fundamental form, g_exact and
-the cone lift are cached values on the patch, formed on first read however
-many consumers read it; I^{-1} and the inverse Cholesky factor, each read
-only to form one cached value (S and the curvature data), are formed on
-read and not held.
+curvature data, a builtin's dxi, the third fundamental form and the cone
+lift are cached values on the patch, formed on first read however many
+consumers read it; I^{-1}, the inverse Cholesky factor and g_exact, each
+read only to form one value (S, the curvature data and the transfer
+check), are formed on read and not held.
+
+The chain S -> dxi -> III (``CHAIN``) is as large as the patch's stored
+fields, and only the pencil jets of a group image or an embedding (dxi),
+the construction diagnostic and the transfer check (III, through g_exact)
+and the n = 3 third-form Laplacian (III) read it.  A command forms it once
+per patch and drops it after its last reader (``SurfacePatch.release``);
+no command reads S once dxi is formed, or dxi once III is, so each of
+those links is dropped when the next is formed.
 
 Degeneracy policy: every patch -- builtin, sampled, group image or
 space-form embedding -- is made by ``make_patch`` and passes one screen
@@ -75,6 +83,11 @@ CURVATURE_ZERO_FACTOR = 1e-10    # divided by patch diameter
 CROSSING_SPIKE_FACTOR = 20.0     # kink spike over the smooth second-difference level
 CROSSING_GAP_FRACTION = 0.5      # of the median gap: "locally collapsed"
 
+# The cached values of the chain S -> dxi -> III, which only the
+# construction diagnostic, the transfer check (through g_exact), the
+# third-form Laplacian and the pencil jets of a mapped patch read.
+CHAIN = ("S", "dxi", "third_form")
+
 
 def ambient_form_diag(space: str, d: int) -> np.ndarray:
     """Signature diagonal of the ambient inner product on d components:
@@ -96,15 +109,18 @@ class SurfacePatch:
     (m, m, *G).
 
     x, dx, the normal and the second fundamental form ``II`` are stored,
-    and so is ``dxi`` when the patch is made with it (``make_patch``),
-    together with the jets provenance ``jets`` ("analytic" or "fd") and
-    the grid of the spec ``spec_axes`` (``axes`` unless the patch is a
-    window inside it); every other field is a value computed on first read
-    and then cached: a builtin's ``dxi``, the first fundamental form ``I``,
-    its leading ``minors``, the shape operator ``S``, the curvature data
-    ``shape``, ``third_form``, the exact invariant metric ``g_exact``, the
-    Euclidean area element ``area_element`` and the cone ``lift``.  ``Iinv``
-    and the inverse Cholesky factor ``Linv`` of I are formed on each read.
+    and so is ``given_dxi``, the first jets of the normal the patch is made
+    with (``make_patch``; None for a builtin), together with the jets
+    provenance ``jets`` ("analytic" or "fd") and the grid of the spec
+    ``spec_axes`` (``axes`` unless the patch is a window inside it); every
+    other field is a value computed on first read and then cached: ``dxi``
+    (the given jets, or a builtin's -dx o S), the first fundamental form
+    ``I``, its leading ``minors``, the shape operator ``S``, the curvature
+    data ``shape``, ``third_form``, the Euclidean area element
+    ``area_element`` and the cone ``lift``.  ``Iinv``, the inverse Cholesky
+    factor ``Linv`` of I and the exact invariant metric ``g_exact`` are
+    formed on each read.  ``release`` drops cached values after their last
+    reader.
     """
 
     space: str
@@ -115,10 +131,18 @@ class SurfacePatch:
     II: np.ndarray
     jets: str
     spec_axes: fd.GridAxes | None = None
+    given_dxi: np.ndarray | None = None
 
     def __post_init__(self):
         if self.spec_axes is None:
             self.spec_axes = self.axes
+
+    def release(self, *names: str) -> None:
+        """Drop the cached values ``names`` that are formed: each is formed
+        again, with the same bits, if read again.  Stored fields, a given dxi
+        among them, stay."""
+        for name in names:
+            vars(self).pop(name, None)
 
     @property
     def n(self) -> int:
@@ -145,9 +169,13 @@ class SurfacePatch:
 
     @cached_property
     def dxi(self) -> np.ndarray:
-        """d(xi) = -dx o S, exact for exact x-jets; a patch made with its
-        own dxi holds that instead (``make_patch``)."""
-        return -np.einsum("cb...,ci...->bi...", self.S, self.dx)
+        """The given first jets of the normal, or d(xi) = -dx o S, exact for
+        exact x-jets; S, which no command reads after dxi, is then dropped."""
+        if self.given_dxi is not None:
+            return self.given_dxi
+        dxi = -np.einsum("cb...,ci...->bi...", self.S, self.dx)
+        self.release("S")
+        return dxi
 
     @cached_property
     def I(self) -> np.ndarray:
@@ -181,12 +209,16 @@ class SurfacePatch:
 
     @cached_property
     def third_form(self) -> np.ndarray:
-        """Third fundamental form III = <dxi, dxi>."""
-        return fd.gram(self.dxi, self.dxi, self.form)
+        """Third fundamental form III = <dxi, dxi>; dxi, which no command
+        reads after III, is then dropped (a given one stays stored)."""
+        III = fd.gram(self.dxi, self.dxi, self.form)
+        self.release("dxi")
+        return III
 
-    @cached_property
+    @property
     def g_exact(self) -> np.ndarray:
-        """rho^2 III, the invariant metric pointwise exact."""
+        """rho^2 III, the invariant metric pointwise exact, formed on each
+        read: its one reader, the transfer check, reads it once per patch."""
         return self.shape.rho ** 2 * self.third_form
 
     @cached_property
@@ -598,9 +630,7 @@ def make_patch(space: str, axes: fd.GridAxes, x: np.ndarray, dx: np.ndarray, xi:
     """The one constructor of patches: builds the patch, holding ``dxi``
     when one is given (a builtin's is formed on read), and screens it
     (``_validate_patch``)."""
-    patch = SurfacePatch(space, axes, x, dx, xi, II, jets, spec_axes)
-    if dxi is not None:
-        patch.dxi = dxi   # set in place of the cached on-read value
+    patch = SurfacePatch(space, axes, x, dx, xi, II, jets, spec_axes, dxi)
     _validate_patch(patch)
     return patch
 

@@ -1,3 +1,5 @@
+import collections
+import functools
 import importlib
 import importlib.util
 import json
@@ -481,6 +483,19 @@ def test_main_keeps_freed_fields_mapped(tmp_path, sphere_files):
     assert fault() - before < 768
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc heap tuning")
+def test_main_sets_the_heap_options_once_per_process(sphere_files, monkeypatch, capsys):
+    # The glibc settings hold for the whole process: a second request does
+    # not look mallopt up again.
+    import ctypes
+    lookups = counted(monkeypatch, ctypes, "CDLL")
+    cli._keep_freed_heap.cache_clear()
+    for _ in range(2):
+        assert run(["spheres", "contact", "--a", sphere_files[0], "--b", sphere_files[1]]) == 0
+    capsys.readouterr()
+    assert lookups == ["CDLL"]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(laguerre.__file__))
@@ -588,6 +603,37 @@ LAZY_CALLS = {
     "compare": (2, 2, 0, 4, 0, 0, 0, 4, 0, 4, 0, 2),
 }
 COV_D_ALIASES = ("cov_d_covector", "cov_d_tensor2", "cov_d_tensor3")
+# Formations of the links of the patch's chain S -> dxi -> III, which a
+# link drops once the next is formed: at most one of each per patch, so a
+# reader that slips in after a drop shows as a second formation.  A builtin
+# forms S and its dxi; a patch read off a pencil (compare's image, embed's
+# embedding) holds its dxi, whose read forms no S.  analyze and minimality
+# read III for the diagnostic and the third-form Laplacian, embed for the
+# transfer check on both patches, compare only the source's dxi for the
+# image's pencil jets, and volume none of the chain.
+CHAIN_FORMED = {
+    "analyze": {"S": 1, "dxi": 1, "third_form": 1},
+    "minimality": {"S": 1, "dxi": 1, "third_form": 1},
+    "volume": {},
+    "embed": {"S": 1, "dxi": 2, "third_form": 2},
+    "compare": {"S": 1, "dxi": 1},
+}
+
+
+def count_chain(monkeypatch):
+    """Record each formation of a chain link as (link, patch id)."""
+    formed = []
+    for name in patches.CHAIN:
+        form = vars(patches.SurfacePatch)[name].func
+
+        def counting(patch, form=form, name=name):
+            formed.append((name, id(patch)))
+            return form(patch)
+
+        link = functools.cached_property(counting)
+        link.__set_name__(patches.SurfacePatch, name)
+        monkeypatch.setattr(patches.SurfacePatch, name, link)
+    return formed
 
 
 def count_lazy(monkeypatch):
@@ -615,6 +661,7 @@ def test_derived_fields_computed_once(command, shape_calls, cov_d_calls, torus_s
     shapes = counted(monkeypatch, patches, "shape_data")
     cov_ds = counted(monkeypatch, fd, "cov_d_covector")
     lazy = count_lazy(monkeypatch)
+    chain = count_chain(monkeypatch)
     argv = ["surface", command, "--spec", torus_spec_file]
     if command == "embed":
         argv[-1] = write(tmp_path, "cat.json", {"space": "r31", "builtin": "maximal_catenoid_r31"})
@@ -626,18 +673,23 @@ def test_derived_fields_computed_once(command, shape_calls, cov_d_calls, torus_s
     assert (len(shapes), len(cov_ds)) == (shape_calls, cov_d_calls)
     got, expected = lazy_counts(lazy, command)
     assert got == expected
+    assert max(collections.Counter(chain).values(), default=1) == 1, chain
+    assert collections.Counter(name for name, _ in chain) == CHAIN_FORMED[command]
 
 
 # tracemalloc peaks of a command on its default grid, MiB, about 1.2 times
-# what it reads when every field goes after its last reader.  With every
-# field held to the end of the command (and the native patch of embed, the
-# first side of compare and a builtin's jets tables through its screen)
-# they read 8.2, 42.0, 6.8 and 16.5; they now read 5.0, 30.8, 5.2 and 11.6.
+# what it reads when every field goes after its last reader, inside a stage
+# as well as between stages.  With every field held to the end of the
+# command (and the native patch of embed, the first side of compare and a
+# builtin's jets tables through its screen) they read 8.2, 42.0, 6.8 and
+# 16.5; released only between stages, 5.0, 30.8, 5.2, 11.6 and 28.8
+# (minimality); they now read 4.3, 22.2, 4.5, 11.6 and 23.9.
 PEAK_CASES = {
-    "embed": ({"space": "r31", "builtin": "maximal_catenoid_r31"}, 6.0),
-    "analyze": ({"builtin": "torus4"}, 37.0),
-    "compare": ({"builtin": "torus"}, 6.2),
+    "embed": ({"space": "r31", "builtin": "maximal_catenoid_r31"}, 5.2),
+    "analyze": ({"builtin": "torus4"}, 26.6),
+    "compare": ({"builtin": "torus"}, 5.4),
     "volume": ({"builtin": "torus4"}, 14.0),
+    "minimality": ({"builtin": "torus4"}, 28.7),
 }
 
 
@@ -659,6 +711,28 @@ def test_a_command_peaks_at_its_largest_stage(command, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= bound * 2 ** 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("command, held", [("analyze", []), ("embed", ["third_form"])])
+def test_the_chain_goes_before_the_structure_identities(command, held, torus_spec_file,
+                                                        tmp_path, monkeypatch, capsys):
+    # The construction diagnostic reads the chain S -> dxi -> III last in
+    # analyze, so the structure identities run without any of it;
+    # embed keeps III for the third-form Laplacian of its minimality stage.
+    seen = []
+    identities = hypersurface._structure_identities
+
+    def spy(fld, *args):
+        seen.append(sorted(set(patches.CHAIN) & set(vars(fld.patch))))
+        return identities(fld, *args)
+
+    monkeypatch.setattr(hypersurface, "_structure_identities", spy)
+    spec = torus_spec_file
+    if command == "embed":
+        spec = write(tmp_path, "cat.json", {"space": "r31", "builtin": "maximal_catenoid_r31"})
+    assert run(["surface", command, "--spec", spec]) == 0
+    capsys.readouterr()
+    assert seen == [held]
 
 
 def test_compare_reduces_its_first_side_before_it_analyzes_the_second(

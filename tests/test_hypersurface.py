@@ -11,7 +11,8 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_leading, symmetric_jet, to_grid
-from laguerre import cli, fd, group, hypersurface, lorentz, patches, spaceforms, spheres
+from laguerre import (cli, fd, group, hypersurface, lorentz, minimality, patches, spaceforms,
+                      spheres)
 from laguerre.errors import DegenerateSurfaceError
 
 # A patch away from the secant blow-up, fine enough for the 1e-6 pointwise
@@ -678,7 +679,8 @@ def test_gauss_residual_is_the_maximum_over_every_block(torus4_field):
 
 def test_keep_only_drops_the_other_fields_and_a_dropped_one_reads_the_same_bits():
     fld = hypersurface.analyze(patches.build_patch(SMALL_TORUS4))
-    hypersurface.structural_residuals(fld)
+    for name in ("Gamma", "riemann", "DB", "divB"):
+        getattr(fld, name)
     before = {name: copy.deepcopy(value) for name, value in vars(fld).items()
               if name != "patch"}
     fld.keep_only("g", "B_eigs")
@@ -686,6 +688,24 @@ def test_keep_only_drops_the_other_fields_and_a_dropped_one_reads_the_same_bits(
     assert "B_eigs" not in before   # formed by keep_only
     for name in ("Gamma", "riemann", "DB", "divB"):
         assert np.array_equal(getattr(fld, name), before[name], equal_nan=True), name
+
+
+PASS_ONLY = {"Gamma", "DB", "DC", "riemann", "ricci", "scalar"}
+
+
+def test_the_residual_pass_drops_its_own_fields():
+    # Gamma, the covariant derivatives and the curvature fields are read by
+    # the structure identities alone: each goes after its last residual.
+    # div B and div C, which the minimality stage reads, are formed before
+    # their covariant derivatives go when the caller keeps them.
+    fld = hypersurface.analyze(patches.build_patch(SMALL_TORUS4))
+    hypersurface.structural_residuals(fld)
+    assert not PASS_ONLY & set(vars(fld))
+    assert "divC" not in vars(fld)
+    fld = hypersurface.analyze(fld.patch)
+    hypersurface.structural_residuals(fld, keep=minimality.REPORT_FIELDS)
+    assert not PASS_ONLY & set(vars(fld))
+    assert {"divB", "divC", "dY", "deta", "N", "vielbein"} <= set(vars(fld))
 
 
 # The 2- and 3-axis cubic graphs, where every term of the first-order

@@ -1,6 +1,6 @@
 """The statistics of the pair recorder (tools/pairs.py): quartiles, pair
-wins by a metric's direction, the bound check and the claim verdict.  No
-benchmark is run."""
+wins by a metric's direction, the bound check, the claim verdict and the
+per-kind peak summary.  No benchmark is run."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +43,11 @@ def test_a_claim_needs_nine_of_ten_wins_and_a_gain_above_the_parent_iqr(tool):
     assert not tool.claim_verdict(LOWER, tool.metric_summary(LOWER, parent, eight))["met"]
     within_iqr = [p - 0.05 for p in parent]
     assert not tool.claim_verdict(LOWER, tool.metric_summary(LOWER, parent, within_iqr))["met"]
+
+
+def test_kind_peaks_pair_each_request_kind(tool):
+    summary = tool.peak_summary({"analyze": 30.0, "volume": 12.0},
+                                {"analyze": 24.0, "volume": 12.0})
+    assert summary["analyze"] == {"parent_mib": 30.0, "change_mib": 24.0,
+                                  "relative_change": -0.2}
+    assert summary["volume"]["relative_change"] == 0.0

@@ -259,8 +259,24 @@ def test_sampled_build_differences_x_xi_and_dx_once_each(monkeypatch):
                         lambda f, *args: calls.append(f.ndim) or gradient(f, *args))
     p = patches.build_patch(spec)
     assert calls == [3, 3, 4]
-    assert "dxi" in vars(p)
+    assert p.given_dxi is not None
     assert not any(isinstance(v, np.ndarray) and v.ndim > p.ngrid + 2 for v in vars(p).values())
+
+
+def test_the_chain_drops_each_link_once_the_next_is_formed():
+    # No command reads S after dxi, or dxi after III: each goes once the next
+    # link is formed, and is formed again, with the same bits, if read.  A
+    # given dxi is stored and stays.
+    p = patches.build_patch({"builtin": "torus"})
+    S = p.S.copy()
+    dxi = p.dxi.copy()
+    assert "S" not in vars(p)
+    p.third_form
+    assert "dxi" not in vars(p)
+    assert np.array_equal(p.S, S) and np.array_equal(p.dxi, dxi)
+    sampled = patches.build_patch(sampled_torus()[0])
+    sampled.third_form
+    assert sampled.dxi is sampled.given_dxi
 
 
 def test_sampled_contact_error_names_grid_index():

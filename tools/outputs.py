@@ -46,6 +46,13 @@ SCRIPTS = {
                 {"kind": "isometry", "A": [[0.6, 0.0, -0.8], [0.0, 1.0, 0.0], [0.8, 0.0, 0.6]],
                  "a": [-0.1, 0.25, 0.05]}],
 }
+# The 4-axis cubic translational graph on 19^4 points (n = 5), the
+# smallest dimension where (n - 2), (n - 3) and (n - 4) all differ from 0
+# and 1; each of its two cases takes about 1 s of CPU time and 190-230 MB
+# (max RSS of one `laguerre surface` run).
+GRAPH4 = {"builtin": "translational_graph",
+          "params": {"quad": [1.0, 0.7, 0.45, 0.25], "cubic": [0.05, -0.03, 0.04, 0.02]},
+          "grid": dict.fromkeys("uvwx", [-0.25, 0.25, 19])}
 ELEMENTS = {"a.json": {"kind": "sphere", "center": [0, 0, 0], "radius": 1},
             "b.json": {"kind": "sphere", "center": [3, 0, 0], "radius": -2},
             "p.json": {"kind": "plane", "normal": [0, 0, 1], "offset": 1.0}}
@@ -62,6 +69,8 @@ def _cases() -> dict:
         for command in ("analyze", "minimality", "volume"):
             cases[f"{command}:sampled_torus_{grid}"] = (
                 ["surface", command, "--spec", f"sampled_torus_{grid}.json"], 0)
+    for command in ("analyze", "minimality"):
+        cases[f"{command}:graph4_19"] = (["surface", command, "--spec", "graph4_19.json"], 0)
     for script in SCRIPTS:
         cases[f"compare:torus:{script}"] = (["surface", "compare", "--spec", "torus.json",
                                              "--spec2", "torus.json", "--transform", script], 0)
@@ -97,7 +106,8 @@ def write_inputs(directory: Path) -> None:
     """The input files every case reads."""
     files = {f"{name}.json": {"builtin": name} for name in BUILTINS}
     files.update({"sampled_torus_65x64.json": sampled_torus(65, 64),
-                  "sampled_torus_33x32.json": sampled_torus(33, 32), **SCRIPTS, **ELEMENTS})
+                  "sampled_torus_33x32.json": sampled_torus(33, 32),
+                  "graph4_19.json": GRAPH4, **SCRIPTS, **ELEMENTS})
     for name, obj in files.items():
         (directory / name).write_text(json.dumps(obj))
 

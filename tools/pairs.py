@@ -21,10 +21,15 @@ interquartile range, and whether the change stays within the metric's
 bound; per request kind, the median over runs of each run's median scaled
 and unscaled CPU time and the pairs the change is lower in; and per run,
 its correctness and the user time, system time and minor page faults of
-its whole process tree (``getrusage`` of the waited-for children).  A
-``--claim W:METRIC`` adds a verdict: met when the change is better in at
-least 9 of 10 pairs (the same share of any N) and its median is better by
-more than the parent's interquartile range.
+its whole process tree (``getrusage`` of the waited-for children).  Beside
+them, per request kind, stands the tracemalloc peak of one warm request on
+each side (``kind_peaks``): a fresh interpreter per tree runs the first
+cycle of each workload's request stream for the seed ``--seed``, each
+request once untraced and once traced, so a change in ``peak_rss_mb`` can
+be traced to the requests whose arrays moved.  A ``--claim W:METRIC`` adds
+a verdict: met when the change is better in at least 9 of 10 pairs (the
+same share of any N) and its median is better by more than the parent's
+interquartile range.
 """
 
 from __future__ import annotations
@@ -32,12 +37,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import resource
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -113,6 +120,61 @@ def kind_medians(parent_runs: list, change_runs: list) -> dict:
     return out
 
 
+def _run_kind_peaks(tree: Path, seed: int) -> dict:
+    """Workload -> request kind -> tracemalloc peak (MiB) of one warm request,
+    run with the package and the workloads of ``tree`` (on sys.path)."""
+    import workloads
+    from laguerre import cli
+
+    reference = json.loads((tree / "perfbench" / "reference.json").read_text())
+    peaks = {}
+    with tempfile.TemporaryDirectory(prefix="peaks-") as directory:
+        out = str(Path(directory) / "out.json")
+
+        def run(request):
+            if request.op is not None:
+                request.op()
+            elif cli.main(request.argv + ["--out", out]) != 0:
+                raise SystemExit(f"{request.kind}: {request.argv} failed")
+
+        for name, work in workloads.WORKLOADS.items():
+            stream = (workloads.element_requests(seed) if work.mode == "elements"
+                      else workloads.cli_requests(name, seed, directory, reference))
+            per_kind = {}
+            for _ in work.kinds:
+                request = next(stream)
+                run(request)
+                tracemalloc.start()
+                try:
+                    run(request)
+                    per_kind[request.kind] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+                finally:
+                    tracemalloc.stop()
+            peaks[name] = per_kind
+    return peaks
+
+
+def kind_peaks(tree: Path, seed: int) -> dict:
+    """``_run_kind_peaks`` of ``tree`` in a fresh interpreter with one BLAS thread."""
+    paths = [tree / "src", tree / "perfbench", Path(__file__).resolve().parent]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(map(str, paths)))
+    child = ("import json, sys; from pathlib import Path; import pairs; "
+             "print(json.dumps(pairs._run_kind_peaks(Path(sys.argv[1]), int(sys.argv[2]))))")
+    proc = subprocess.run([sys.executable, "-c", child, str(tree), str(seed)],
+                          env=env, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree.name}: per-kind peaks failed: {proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
+
+
+def peak_summary(parent: dict, change: dict) -> dict:
+    """Per request kind: both sides' tracemalloc peaks (MiB) and the relative change."""
+    return {kind: {"parent_mib": parent[kind], "change_mib": change[kind],
+                   "relative_change": (change[kind] - parent[kind]) / parent[kind]}
+            for kind in parent}
+
+
 def claim_verdict(metric: dict, summary: dict) -> dict:
     """Whether a claimed gain holds: enough pair wins and a median better by
     more than the parent's interquartile range."""
@@ -171,6 +233,10 @@ def main(argv=None) -> int:
                   "how": " ".join(" ".join(__doc__.split("\n\n")[2:]).split()),
                   "workloads": {w: record_workload(i, w, trees, args)
                                 for i, w in enumerate(names)}}
+        peaks = {side: kind_peaks(tree, args.seed) for side, tree in trees.items()}
+        for w in names:
+            record["workloads"][w]["tracemalloc_peak_mib"] = peak_summary(
+                peaks["parent"][w], peaks["change"][w])
     if args.claim:
         workload, name = args.claim.split(":")
         metric = next(m for m in BENCHMARK["end_to_end"] if m["name"] == name)
