@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,10 @@ TORUS_SPEC = {
     },
     "normal": "outward",
 }
+
+
+# numpy's batched LAPACK routines, which no grid kernel calls.
+LAPACK = ("inv", "solve", "det", "cholesky", "eigvalsh", "eigh")
 
 
 def to_grid(field, grid):
@@ -80,15 +86,15 @@ def symmetric_jet(table, x, order):
 
 
 def whole_grid_eigvalsh(a):
-    """Ascending eigenvalues of symmetric (m, m, *G) blocks, m <= 3, by
-    ``fd._small_eigvalsh``'s cyclic Jacobi rotations applied at every grid
+    """Ascending eigenvalues of symmetric (m, m, *G) blocks by
+    ``fd.grid_eigvalsh``'s cyclic Jacobi rotations applied at every grid
     point, a point below the stopping rule rotated by t = 0: the reference
     for the kernel, which rotates only the points above it."""
     m = len(a)
     d = [a[i, i] for i in range(m)]
-    pairs = [(p, q) for p, q in ((0, 1), (0, 2), (1, 2)) if q < m]
+    pairs = list(itertools.combinations(range(m), 2))
     off = {(p, q): a[q, p] for p, q in pairs}
-    for _ in range(fd.JACOBI_SWEEPS if m == 3 else 1):
+    for _ in range(fd.JACOBI_SWEEPS if m > 2 else 1):
         rotated = False
         for p, q in pairs:
             apq = off[p, q]
@@ -152,15 +158,19 @@ def graph3_field():
         "grid": dict.fromkeys("uvw", [-0.25, 0.25, 21])}))
 
 
+def graph4_spec(count):
+    """The 4-axis cubic translational graph (n = 5) on count^4 points, where
+    the dimension coefficients (n - 2), (n - 3), (n - 4) all differ from 0
+    and 1; its analysis needs count >= 19 for an interior."""
+    return {"builtin": "translational_graph",
+            "params": {"quad": [1.0, 0.7, 0.45, 0.25], "cubic": [0.05, -0.03, 0.04, 0.02]},
+            "grid": dict.fromkeys("uvwx", [-0.25, 0.25, count])}
+
+
 @pytest.fixture(scope="session")
 def graph4_field():
-    """The 4-axis cubic translational graph (n = 5), where the dimension
-    coefficients (n - 2), (n - 3), (n - 4) all differ from 0 and 1; about
-    1.4 s of CPU time."""
-    return hypersurface.analyze(patches.build_patch({
-        "builtin": "translational_graph",
-        "params": {"quad": [1.0, 0.7, 0.45, 0.25], "cubic": [0.05, -0.03, 0.04, 0.02]},
-        "grid": dict.fromkeys("uvwx", [-0.25, 0.25, 19])}))
+    """The 4-axis graph analyzed on 19^4 points; about 1.4 s of CPU time."""
+    return hypersurface.analyze(patches.build_patch(graph4_spec(19)))
 
 
 @pytest.fixture(scope="session")

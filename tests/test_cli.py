@@ -2,6 +2,7 @@ import collections
 import functools
 import importlib
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import laguerre
-from conftest import grid_leading
+from conftest import LAPACK, graph4_spec, grid_leading
 from laguerre import cli, fd, group, hypersurface, lorentz, patches
 
 
@@ -771,20 +772,23 @@ def test_torus4_commands_compute_only_what_they_read(command, tmp_path, monkeypa
     assert got == expected
 
 
-LAPACK = ("inv", "solve", "det", "cholesky", "eigvalsh", "eigh")
+OFF_LAPACK = {"torus4": {"builtin": "torus4"}, "graph4_9": graph4_spec(9),
+              "graph4_19": graph4_spec(19)}
 
 
-@pytest.mark.parametrize("surface", ["torus", "torus4"])
-@pytest.mark.parametrize("command", ["analyze", "minimality", "volume"])
+@pytest.mark.parametrize(("command", "surface"), [
+    *itertools.product(["analyze", "minimality", "volume"], ["torus", "torus4"]),
+    ("volume", "graph4_9"), ("analyze", "graph4_19")])
 def test_small_blocks_stay_off_lapack(surface, command, torus_spec_file, tmp_path,
                                       monkeypatch, capsys):
     # Inverses, determinants, Cholesky factors and spectra (the principal
-    # curvatures, B_eigs and S_eigs) of the 2x2/3x3 blocks are computed
-    # elementwise over the grid: no command makes a batched LAPACK call.
+    # curvatures, B_eigs and S_eigs) of the 2x2, 3x3 and 4x4 blocks are
+    # computed elementwise over the grid: no command makes a batched LAPACK
+    # call.
     calls = {name: counted(monkeypatch, np.linalg, name) for name in LAPACK}
     spec = torus_spec_file
-    if surface == "torus4":
-        spec = write(tmp_path, "torus4.json", {"builtin": "torus4"})
+    if surface in OFF_LAPACK:
+        spec = write(tmp_path, f"{surface}.json", OFF_LAPACK[surface])
     assert run(["surface", command, "--spec", spec]) == 0
     capsys.readouterr()
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(LAPACK, 0)

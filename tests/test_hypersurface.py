@@ -314,8 +314,9 @@ def test_invariants_preserved_over_parameter_families(family, examples):
 # the operator S_op through the Cholesky reduction of I is the reference.
 # The saddle graphs have curvatures of both signs, so their radii come in
 # no fixed order and the sort is exercised; the 4-axis graph (m = 4,
-# n = 5) takes the LAPACK path of the reference.  Time budget: about 2 s of
-# tier-1 time on one core, at most ~0.1 s per example; no shrink phase.
+# n = 5) takes the reference through 4x4 Jacobi sweeps.  Time budget: about
+# 2 s of tier-1 time on one core, at most ~0.1 s per example; no shrink
+# phase.
 SPECTRUM_FAMILIES = {
     **{name: specs for name, (_, specs) in FAMILIES.items()},
     "saddle3": graph_family([1.0, -0.7, 0.4], 0.05, dict.fromkeys("uvw", [-0.25, 0.25, 21])),

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import grid_leading, symmetric_jet
+from conftest import LAPACK, grid_leading, symmetric_jet
 from laguerre import fd, lorentz, patches
 from laguerre.errors import DegenerateSurfaceError, UsageError
 
@@ -54,20 +54,21 @@ def test_principal_curvatures_are_roots_of_the_pencil(builtin):
     assert (np.abs(np.linalg.det(pencil)) <= 1e-12 * scale).all()
 
 
-def test_four_axis_graph_takes_the_lapack_branch(monkeypatch):
-    # n = 5: the 4x4 blocks exceed fd.CLOSED_FORM_MAX, so every general
-    # inverse, determinant, Cholesky factor and spectrum of this build runs
-    # through LAPACK; only the inverse of the Cholesky factor (forward
-    # substitution, for every m) does not.  At the centre the graph's
+def test_four_axis_graph_stays_off_lapack(monkeypatch):
+    # n = 5: the inverses, determinants, Cholesky factors and spectra of the
+    # 4x4 blocks are formed elementwise over the grid, as for m <= 3, so the
+    # build makes no batched LAPACK call.  At the centre the graph's
     # curvatures are 2 quad.
-    spectra = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a.shape) or eigvalsh(a))
+    calls = []
+    for name in LAPACK:
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, name=name, fn=fn, **k: calls.append(name) or fn(*a, **k))
     quad = [1.0, 0.7, 0.45, 0.25]
     grid = dict.fromkeys("uvws", [-0.25, 0.25, 9])
     p = patches.build_patch({"builtin": "translational_graph", "params": {"quad": quad},
                              "grid": grid})
-    assert spectra == [(9, 9, 9, 9, 4, 4)]
+    assert calls == []
     assert np.abs(p.shape.k[:, 4, 4, 4, 4] - 2.0 * np.array(quad)).max() <= 1e-12
     spectrum = fd.selfadjoint_eigvals(p.S, p.I)
     assert np.abs(spectrum - np.sort(p.shape.k, axis=0)).max() <= 1e-12
