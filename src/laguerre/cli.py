@@ -268,13 +268,11 @@ def cmd_surface_compare(args) -> dict:
     if args.transform:
         T = group.compose_script(_load_json(args.transform))
         p2 = hypersurface.transform_patch(T, p2)
-    # The first side is reduced to what compare_invariants reads before the
-    # second is analyzed.
-    f1 = hypersurface.analyze(p1)
-    f1.keep_only(*hypersurface.COMPARED_FIELDS)
-    if p2 is not p1:   # the first side's lift and chain have had their last readers
-        p1.release("lift", *patches.CHAIN)
-    payload = hypersurface.compare_invariants(f1, hypersurface.analyze(p2))
+    # Each side is reduced to what compare_invariants reads as it is
+    # analyzed, the first before the second is; a second analysis of one
+    # patch (equal specs, no transform) forms its fields again.
+    f1 = hypersurface.compared_field(p1)
+    payload = hypersurface.compare_invariants(f1, hypersurface.compared_field(p2))
     if args.strict:
         _strict_gate(payload, args.tol)
     return payload

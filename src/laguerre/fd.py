@@ -534,14 +534,20 @@ def laplace_beltrami(df: np.ndarray, ginv: np.ndarray, sqrt_det: np.ndarray,
     """Laplace-Beltrami operator (1/sqrt g) d_a(sqrt g g^{ab} d_b f) of a
     field f (*K, *G), given its gradient df = ``gradient(f)`` (m, *K, *G), so
     a caller that holds the gradient of f does not take it again; ginv is
-    (m, m, *G) and sqrt_det (*G).  Output (*K, *G).
+    (m, m, *G) and sqrt_det (*G).  Output (*K, *G).  Each component of f is
+    taken on its own, written into its slot of the output, so the fluxes
+    and derivatives held at once are those of one component.
     """
     ngrid = grid.ndim
     df, ginv, sqrt_det = crop(ngrid, df, ginv, sqrt_det)
-    div = sum(_derivative(sqrt_det * sum(ginv[a, b] * df[b] for b in range(ngrid)), a, grid)
-              for a in range(ngrid))
-    div, sqrt_det = crop(ngrid, div, sqrt_det)
-    return div / sqrt_det
+    out = np.empty(df.shape[1:df.ndim - ngrid] + _derivative_window(df, grid))
+    inner_det = crop(ngrid, out, sqrt_det)[1]
+    for k in np.ndindex(out.shape[:out.ndim - ngrid]):
+        dfk = df[(slice(None),) + k]
+        div = sum(_derivative(sqrt_det * sum(ginv[a, b] * dfk[b] for b in range(ngrid)), a, grid)
+                  for a in range(ngrid))
+        np.divide(div, inner_det, out=out[k])
+    return out
 
 
 def derivative_pairs(m: int) -> list:

@@ -49,23 +49,32 @@ stage as well as between stages, so a command peaks at its largest step.
   cached; the frame residuals run before the structure identities, so
   E_i(Y) is formed while their fields are not yet held.
 - Inside the passes each field goes after its last reader
-  (``InvariantField.release``): dY once L, C and B are formed, Delta Y
-  once N is.  The payload's own fields are formed right after the frame
-  pass (``structural_residuals``): the frame goes after the B spectrum,
-  d eta, B before symmetrization and N after the diagnostics, and the
-  patch's chain S -> dxi -> III with them.  The structure identities form
-  and drop nabla L, nabla C, nabla B, the curvature on pairs (after which
-  Gamma goes), Ricci and the scalar curvature in turn.
-  ``minimality.minimality_report`` drops B before symmetrization once B
-  is formed, nabla B after div B, nabla C and Gamma after div C, and L, C
-  and B after <L, B> and the frame components of C.  A field a later
-  stage of the command reads (``keep``) is kept, and div B and div C are
-  formed before their covariant derivatives go.
-- Between stages ``compare`` names the fields its later stage reads
-  (``InvariantField.keep_only``): those are formed then, if not yet, and
-  every other cached field is dropped.  A dropped field read again is
-  formed again, with the same bits, so a missing name costs time, never a
-  wrong value.
+  (``InvariantField.release``), and no operand waits for a late reader:
+  every field formed from the cone lift, dY, d eta or N is formed before
+  the covariant derivatives are.  N drops Delta Y.  After the frame pass
+  (``structural_residuals``), L and C, the components of Delta eta and C
+  in the frame (when a later stage reads them, ``OPERAND_READERS``), d eta
+  and B take the last reads of the lift and dY, which go.  The payload's
+  own fields follow: the frame goes after the B spectrum, and the
+  diagnostics drop d eta, B before symmetrization and N before they form
+  III on g's window; the patch's chain S -> dxi -> III goes with them.
+  The structure identities form and drop nabla L, nabla C, nabla B, the
+  curvature on pairs (after which Gamma goes), Ricci and the scalar
+  curvature in turn.  ``minimality.minimality_report`` forms the same
+  operand readers first (N before d eta), dropping d eta and B before
+  symmetrization once B is formed, and dY, N, the frame and the lift once
+  L, C and C in the frame are; then nabla B goes after div B, nabla C and
+  Gamma after div C, and L, C and B after <L, B>.  A field a later stage
+  of the command reads (``keep``) is kept, and div B and div C are formed
+  before their covariant derivatives go.
+- Between stages ``compare`` reduces each side, as it is analyzed, to the
+  fields its later stage reads (``compared_field``): the patch's I, its
+  minors and its chain go first, and dY, d eta, B before symmetrization
+  and the lift once B is formed, before the B spectrum; then
+  ``InvariantField.keep_only`` forms the named fields, if not yet, and
+  drops every other cached field.  A dropped field read again is formed
+  again, with the same bits, so a missing name costs time, never a wrong
+  value.
 
 Group images and space-form embeddings are read off a pencil
 (``patch_from_pencil``): they hold their first jets and take II from them
@@ -159,10 +168,13 @@ class InvariantField:
 
     @cached_property
     def N(self) -> np.ndarray:
-        """The null vector conjugate to Y: <N, N> = 0, <Y, N> = -1."""
+        """The null vector conjugate to Y: <N, N> = 0, <Y, N> = -1.  Delta Y,
+        which nothing reads after N and <Delta Y, Delta Y>, is then dropped."""
         nm1 = self.patch.n - 1
         lapY, lap_norm, Y = self.crop(self.lapY, self.lap_norm, self.patch.lift.Y)
-        return lapY / nm1 + lap_norm / (2.0 * nm1 * nm1) * Y
+        N = lapY / nm1 + lap_norm / (2.0 * nm1 * nm1) * Y
+        self.release("lapY")
+        return N
 
     @cached_property
     def deta(self) -> np.ndarray:
@@ -175,7 +187,7 @@ class InvariantField:
 
     @cached_property
     def B(self) -> np.ndarray:
-        return 0.5 * (self.B_raw + np.swapaxes(self.B_raw, 0, 1))
+        return _symmetric_part(self.B_raw)
 
     @cached_property
     def _LC(self) -> tuple:
@@ -183,7 +195,7 @@ class InvariantField:
         sig = lorentz.signature(self.patch.n)
         dN, dY, eta = self.crop(fd.gradient(self.N, self.patch.axes), self.dY, self.patch.lift.eta)
         L = fd.gram(dN, dY, sig)
-        return 0.5 * (L + np.swapaxes(L, 0, 1)), -fd.contract_last(dN, eta, sig)
+        return _symmetric_part(L), -fd.contract_last(dN, eta, sig)
 
     @property
     def L(self) -> np.ndarray:
@@ -215,6 +227,32 @@ class InvariantField:
     @cached_property
     def C_frame(self) -> np.ndarray:
         return fd.contract_last(*self.crop(self.vielbein, self.C))
+
+    @cached_property
+    def lap_eta_components(self) -> dict:
+        """The components of Delta eta in the frame {Y, N, E_i(Y), eta, wp},
+        each read off one pairing: the wp component -<Delta eta, eta>, the
+        tangent components <Delta eta, d_a Y> in the frame, the Y component
+        -<Delta eta, N>, and the eta and N components <Delta eta, wp> and
+        <Delta eta, Y>.  The wp, eta and N components, which the expansion
+        fixes at 1, 0 and 0, are reduced to their max-abs defects ("wp",
+        "eta", "N") as they are formed; the tangent and Y components, which
+        it ties to C and to -div C + <L, B>, stay fields ("tangent", "Y").
+        N is read before d eta is formed, so N's Delta Y has gone by then.
+        """
+        lift, n, crop, inner = self.patch.lift, self.patch.n, self.crop, lorentz.inner
+        N = self.N
+        lap_eta = fd.laplace_beltrami(self.deta, self.ginv, self.sqrt_det, self.patch.axes)
+        wp = fd.max_abs(-inner(*crop(lap_eta, lift.eta)) - 1.0)
+        dY, lap_eta_c = crop(self.dY, lap_eta)
+        tangent = fd.contract_last(dY, lap_eta_c, lorentz.signature(n))
+        # Convert <lap eta, d_a Y> to frame components through the vielbein.
+        tangent_frame = fd.contract_last(*crop(self.vielbein, tangent))
+        return {"wp": wp,
+                "tangent": tangent_frame,
+                "Y": -inner(*crop(lap_eta, N)),
+                "eta": fd.max_abs(inner(lap_eta, lorentz.wp(n))),
+                "N": fd.max_abs(inner(*crop(lap_eta, lift.Y)))}
 
     @cached_property
     def B_eigs(self) -> np.ndarray:
@@ -251,20 +289,27 @@ class InvariantField:
 
     @cached_property
     def diagnostics(self) -> dict:
-        """Defects of three identities the construction satisfies exactly; g
-        against rho^2 III is reduced one component at a time, so the exact
-        metric is not formed."""
+        """Defects of three identities the construction satisfies exactly.
+        d eta, B before symmetrization and N, which nothing reads after
+        their two defects, are dropped before g is compared with rho^2 III.
+        That comparison is reduced one component at a time, on g's window
+        (``SurfacePatch.third_form_within``), so neither the exact metric
+        nor III on the whole grid is formed."""
         sig = lorentz.signature(self.patch.n)
         deta, N = self.crop(self.deta, self.N)
         C_dual = fd.contract_last(deta, N, sig)
-        g, III, rho = self.crop(self.g, self.patch.third_form, self.patch.shape.rho)
-        rho2 = rho ** 2
-        return {
+        defects = {
             "raw_B_asymmetry": fd.max_abs(self.B_raw - np.swapaxes(self.B_raw, 0, 1)),
             "C_dual_defect": fd.max_abs(np.subtract(*self.crop(self.C, C_dual))),
-            "g_vs_rho2_III": max(fd.max_abs(g[ab] - rho2 * III[ab])
-                                 for ab in np.ndindex(g.shape[:2])),
         }
+        del deta, N, C_dual
+        self.release("deta", "B_raw", "N")
+        g, III, rho = self.crop(self.g, self.patch.third_form_within(self.g),
+                                self.patch.shape.rho)
+        rho2 = rho ** 2
+        defects["g_vs_rho2_III"] = max(fd.max_abs(g[ab] - rho2 * III[ab])
+                                       for ab in np.ndindex(g.shape[:2]))
+        return defects
 
     @cached_property
     def DB(self) -> np.ndarray:
@@ -290,6 +335,13 @@ class InvariantField:
     def LB(self) -> np.ndarray:
         """<L, B> = g^ac g^bd L_ab B_cd."""
         return fd.metric_pairing(*self.crop(self.L, self.B, self.ginv))
+
+
+def _symmetric_part(T: np.ndarray) -> np.ndarray:
+    """0.5 (T + T^T) of an (m, m, *G) field, halved in place."""
+    sym = T + np.swapaxes(T, 0, 1)
+    sym *= 0.5
+    return sym
 
 
 def analyze(patch: SurfacePatch) -> InvariantField:
@@ -427,11 +479,13 @@ def frame_residuals(fld: InvariantField) -> dict:
     sig = lorentz.signature(fld.patch.n)
     EE = fd.gram(EY, EY, sig)
     EE[np.diag_indices(len(EE))] -= 1.0
+    orthonormal = fd.max_abs(EE)
+    del EE   # reduced before the frame is paired with Y, N and eta
     return {
         "Y_null": fd.max_abs(inner(Y, Y)),
         "N_null": fd.max_abs(inner(N, N)),
         "YN_pairing": fd.max_abs(inner(*crop(Y, N)) + 1.0),
-        "EY_orthonormal": fd.max_abs(EE),
+        "EY_orthonormal": orthonormal,
         "Y_EY": fd.max_abs(fd.contract_last(*crop(EY, Y), sig)),
         "N_EY": fd.max_abs(fd.contract_last(*crop(EY, N), sig)),
         "eta_null": fd.max_abs(inner(eta, eta)),
@@ -444,13 +498,10 @@ def frame_residuals(fld: InvariantField) -> dict:
     }
 
 
-# The fields an analysis reports besides g and the residuals (the S and B
-# spectra and the construction diagnostics), in the order the residual pass
-# forms them right after its frame pass, each with the operands that go
-# once it is formed: the frame after the B spectrum, d eta, B before
-# symmetrization and N after the diagnostics.
-PAYLOAD_FIELDS = (("S_eigs", ()), ("B_eigs", ("vielbein",)),
-                  ("diagnostics", ("deta", "B_raw", "N")))
+# Fields a later stage may read that are formed from the operands the
+# residual pass drops after its frame pass (the minimality stage of
+# ``embed`` reads both): formed between L and B, when the caller keeps them.
+OPERAND_READERS = ("lap_eta_components", "C_frame")
 
 
 def structural_residuals(fld: InvariantField, keep=()) -> dict:
@@ -461,20 +512,31 @@ def structural_residuals(fld: InvariantField, keep=()) -> dict:
     whole-array reduction (one per block of the Gauss residual).
 
     The frame pass runs first, so E_i(Y) is formed while the fields of the
-    structure identities are not yet held.  Then L, C and B take the last
-    reads of dY, and N has taken that of Delta Y.  The payload's fields
-    (``PAYLOAD_FIELDS``) are formed next, from the operands the frame pass
-    leaves, so those operands and the patch's chain (``patches.CHAIN``),
-    which the construction diagnostic reads last, go before the structure
-    identities form their fields.  ``keep`` names the fields, and patch
-    values, a later stage of the caller reads: none of them is dropped.
+    structure identities are not yet held.  Then L and C, the fields of
+    ``OPERAND_READERS`` that ``keep`` names, and d eta take the last reads
+    of the patch's cone lift, which goes before B is formed, and B takes
+    that of dY (N has taken that of Delta Y).  The fields an analysis
+    reports besides g and the residuals, the S and B spectra and the
+    construction diagnostics, are formed next, from the operands the frame
+    pass leaves: the frame goes after the B spectrum, and the diagnostics
+    drop d eta, B before symmetrization and N, so those operands and the
+    patch's chain (``patches.CHAIN``), which the diagnostics read last, go
+    before the structure identities form their fields.  ``keep`` names the
+    fields, and patch values, a later stage of the caller reads: none of
+    them is dropped.
     """
     frame = frame_residuals(fld)
-    fld.L, fld.B
-    fld.release("dY", "lapY", keep=keep)
-    for name, operands in PAYLOAD_FIELDS:
-        getattr(fld, name)
-        fld.release(*operands, keep=keep)
+    fld.L
+    for name in OPERAND_READERS:
+        if name in keep:
+            getattr(fld, name)
+    fld.deta
+    fld.patch.release("lift")
+    fld.B
+    fld.release("dY", keep=keep)
+    fld.S_eigs, fld.B_eigs
+    fld.release("vielbein", keep=keep)
+    fld.diagnostics
     fld.patch.release(*(name for name in patches.CHAIN if name not in keep))
     res = _structure_identities(fld, fd.max_abs, max, keep)
     res.update({f"frame_{k}": v for k, v in frame.items()})
@@ -578,6 +640,22 @@ def _quotient_d(w, dv, b, db):
 
 # The InvariantField fields ``compare_invariants`` reads.
 COMPARED_FIELDS = ("g", "S_eigs", "B_eigs")
+
+
+def compared_field(patch: SurfacePatch) -> InvariantField:
+    """The analysis of ``patch`` reduced to the fields ``compare_invariants``
+    reads.  The patch's I, its minors and its chain, which nothing reads
+    once the patch is built and mapped, go first; B takes the last reads of
+    dY, d eta and the cone lift, which go with B before symmetrization
+    before the B spectrum is formed; then every other field goes
+    (``keep_only``)."""
+    patch.release("I", "minors", *patches.CHAIN)
+    fld = analyze(patch)
+    fld.B
+    fld.release("dY", "deta", "B_raw")
+    patch.release("lift")
+    fld.keep_only(*COMPARED_FIELDS)
+    return fld
 
 
 def compare_invariants(f1: InvariantField, f2: InvariantField) -> dict:

@@ -27,17 +27,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fd, lorentz, patches
+from . import fd, patches
 from .errors import UsageError
 from .hypersurface import InvariantField
 from .patches import SurfacePatch
 
 
 # The InvariantField fields ``minimality_report`` reads, directly or through
-# ``el_residual`` and ``eta_laplacian_diagnostics``, and the patch value its
-# n = 3 criterion reads (``third_form_laplacian_r``).
-REPORT_FIELDS = ("ginv", "sqrt_det", "dY", "deta", "N", "vielbein", "C_frame",
-                 "divB", "divC", "LB")
+# ``el_residual`` and ``eta_laplacian_diagnostics``, that a residual pass
+# run before it would drop, and the patch value its n = 3 criterion reads
+# (``third_form_laplacian_r``).  The components of Delta eta and C in the
+# frame are formed in that pass (``hypersurface.OPERAND_READERS``), so their
+# operands -- dY, d eta, N, the frame and the cone lift -- are not kept.
+REPORT_FIELDS = ("ginv", "sqrt_det", "lap_eta_components", "C_frame", "divB", "divC", "LB")
 REPORT_PATCH_VALUES = ("third_form",)
 
 
@@ -78,8 +80,6 @@ def el_residual(fld: InvariantField):
     to discretization error.
     """
     crop = fld.crop
-    fld.B   # B before symmetrization goes once B is formed
-    fld.release("B_raw")
     div_divB = fd.laplace_beltrami(fld.divB, fld.ginv, fld.sqrt_det, fld.patch.axes)
     fld.release("DB")
     divC = fld.divC
@@ -106,27 +106,19 @@ def eta_laplacian_diagnostics(fld: InvariantField) -> dict:
     The expansion of Delta eta has no N or eta component, a wp component
     equal to 1, tangent components (n - 3) C_i and a Y component equal to
     -div C + <L, B>; each defect is a free end-to-end consistency check.
+    The components are formed with the operands of B, L and C
+    (``InvariantField.lap_eta_components``); they are compared here, with
+    the fields formed last.
     """
-    lift, n, crop = fld.patch.lift, fld.patch.n, fld.crop
-    lap_eta = fd.laplace_beltrami(fld.deta, fld.ginv, fld.sqrt_det, fld.patch.axes)
-    inner = lorentz.inner
-
-    wp_comp = -inner(*crop(lap_eta, lift.eta))
-    dY, lap_eta_c = crop(fld.dY, lap_eta)
-    tangent = fd.contract_last(dY, lap_eta_c, lorentz.signature(n))
-    # Convert <lap eta, d_a Y> to frame components through the vielbein.
-    tangent_frame = fd.contract_last(*crop(fld.vielbein, tangent))
-    tangent_frame, C_frame = crop(tangent_frame, fld.C_frame)
-    y_comp = -inner(*crop(lap_eta, fld.N))
+    n, crop, parts = fld.patch.n, fld.crop, fld.lap_eta_components
+    tangent_frame, C_frame = crop(parts["tangent"], fld.C_frame)
     divC, LB = crop(fld.divC, fld.LB)
-    wp_vec = lorentz.wp(n)
-
     return {
-        "wp_component_minus_1": fd.max_abs(wp_comp - 1.0),
+        "wp_component_minus_1": parts["wp"],
         "tangent_vs_C": fd.max_abs(tangent_frame - (n - 3) * C_frame),
-        "y_component_vs_el": fd.max_abs(np.subtract(*crop(y_comp, -divC + LB))),
-        "eta_component": fd.max_abs(inner(lap_eta, wp_vec)),
-        "n_component": fd.max_abs(inner(*crop(lap_eta, lift.Y))),
+        "y_component_vs_el": fd.max_abs(np.subtract(*crop(parts["Y"], -divC + LB))),
+        "eta_component": parts["eta"],
+        "n_component": parts["N"],
     }
 
 
@@ -147,17 +139,24 @@ def minimality_report(fld: InvariantField,
 
     The last stage of a command: each field it forms goes after its last
     reader here (``InvariantField.release``), and the patch's chain after
-    the n = 3 third-form Laplacian.
+    the n = 3 third-form Laplacian.  The components of Delta eta, B, and C
+    in the frame (with L) are formed first, in that order, unless a
+    residual pass run before has formed them: they take the last reads of
+    dY, d eta, N, the frame and the cone lift, which go before the
+    covariant derivatives are formed.
     """
     if threshold is None:
         threshold = default_threshold(fld)
 
     crop = fld.crop
-    sum_form, div_form = el_residual(fld)
-    # The frame components of C are the last reader of L, C and B left, and
-    # N has had that of Delta Y.
+    fld.lap_eta_components, fld.B
+    fld.release("deta", "B_raw")
     fld.C_frame
-    fld.release("_LC", "B", "lapY")
+    fld.release("dY", "N", "lap_norm", "vielbein")
+    fld.patch.release("lift")
+    sum_form, div_form = el_residual(fld)
+    # <L, B> is the last reader of L, C and B.
+    fld.release("_LC", "B")
     n = fld.patch.n
     max_sum = fd.max_abs(sum_form)
     max_div = fd.max_abs(div_form)

@@ -47,15 +47,19 @@ curvature data, a builtin's dxi, the third fundamental form and the cone
 lift are cached values on the patch, formed on first read however many
 consumers read it; I^{-1}, the inverse Cholesky factor and g_exact, each
 read only to form one value (S, the curvature data and the transfer
-check), are formed on read and not held.
+check), are formed on read and not held.  A patch made with its dxi drops
+I once the screen has run: its one later reader, S, is read only to form
+a builtin's dxi.
 
 The chain S -> dxi -> III (``CHAIN``) is as large as the patch's stored
 fields, and only the pencil jets of a group image or an embedding (dxi),
-the construction diagnostic and the transfer check (III, through g_exact)
-and the n = 3 third-form Laplacian (III) read it.  A command forms it once
-per patch and drops it after its last reader (``SurfacePatch.release``);
-no command reads S once dxi is formed, or dxi once III is, so each of
-those links is dropped when the next is formed.
+the construction diagnostic (III on g's window, formed from dxi cut to
+it when III is not held: ``SurfacePatch.third_form_within``), the
+transfer check (III, through g_exact) and the n = 3 third-form Laplacian
+(III) read it.  A command forms it once per patch and drops it after its
+last reader (``SurfacePatch.release``); no command reads S once dxi is
+formed, or dxi once III is, so each of those links is dropped when the
+next is formed.
 
 Degeneracy policy: every patch -- builtin, sampled, group image or
 space-form embedding -- is made by ``make_patch`` and passes one screen
@@ -211,9 +215,17 @@ class SurfacePatch:
     def third_form(self) -> np.ndarray:
         """Third fundamental form III = <dxi, dxi>; dxi, which no command
         reads after III, is then dropped (a given one stays stored)."""
-        III = fd.gram(self.dxi, self.dxi, self.form)
+        III = third_fundamental(self.dxi, self.form)
         self.release("dxi")
         return III
+
+    def third_form_within(self, field: np.ndarray) -> np.ndarray:
+        """III on the window of ``field``: the cached third form cut to it, or,
+        when III is not formed, formed from dxi cut to it and not cached.
+        Each point's III is the same sum either way, so its bits are."""
+        if "third_form" in vars(self):
+            return fd.crop(self.ngrid, field, self.third_form)[1]
+        return third_fundamental(fd.crop(self.ngrid, field, self.dxi)[1], self.form)
 
     @property
     def g_exact(self) -> np.ndarray:
@@ -268,6 +280,11 @@ class LaguerreLift:
 
 def first_fundamental(patch: SurfacePatch) -> np.ndarray:
     return fd.gram(patch.dx, patch.dx, patch.form)
+
+
+def third_fundamental(dxi: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """III = <dxi, dxi>."""
+    return fd.gram(dxi, dxi, form)
 
 
 def second_fundamental(d2x: np.ndarray, xi: np.ndarray, form: np.ndarray) -> np.ndarray:
@@ -629,9 +646,11 @@ def make_patch(space: str, axes: fd.GridAxes, x: np.ndarray, dx: np.ndarray, xi:
                spec_axes: fd.GridAxes | None = None) -> SurfacePatch:
     """The one constructor of patches: builds the patch, holding ``dxi``
     when one is given (a builtin's is formed on read), and screens it
-    (``_validate_patch``)."""
+    (``_validate_patch``); with a given dxi, I goes after the screen."""
     patch = SurfacePatch(space, axes, x, dx, xi, II, jets, spec_axes, dxi)
     _validate_patch(patch)
+    if dxi is not None:
+        patch.release("I")
     return patch
 
 

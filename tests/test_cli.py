@@ -15,7 +15,7 @@ import pytest
 
 import laguerre
 from conftest import LAPACK, graph4_spec, grid_leading
-from laguerre import cli, fd, group, hypersurface, lorentz, patches
+from laguerre import cli, fd, group, hypersurface, lorentz, minimality, patches
 
 
 def run(args):
@@ -608,12 +608,13 @@ COV_D_ALIASES = ("cov_d_covector", "cov_d_tensor2", "cov_d_tensor3")
 # link drops once the next is formed: at most one of each per patch, so a
 # reader that slips in after a drop shows as a second formation.  A builtin
 # forms S and its dxi; a patch read off a pencil (compare's image, embed's
-# embedding) holds its dxi, whose read forms no S.  analyze and minimality
-# read III for the diagnostic and the third-form Laplacian, embed for the
+# embedding) holds its dxi, whose read forms no S.  analyze reads dxi for
+# the diagnostic, which forms III on g's window only and does not cache it;
+# minimality reads III for the third-form Laplacian, embed for the
 # transfer check on both patches, compare only the source's dxi for the
 # image's pencil jets, and volume none of the chain.
 CHAIN_FORMED = {
-    "analyze": {"S": 1, "dxi": 1, "third_form": 1},
+    "analyze": {"S": 1, "dxi": 1},
     "minimality": {"S": 1, "dxi": 1, "third_form": 1},
     "volume": {},
     "embed": {"S": 1, "dxi": 2, "third_form": 2},
@@ -684,13 +685,16 @@ def test_derived_fields_computed_once(command, shape_calls, cov_d_calls, torus_s
 # command (and the native patch of embed, the first side of compare and a
 # builtin's jets tables through its screen) they read 8.2, 42.0, 6.8 and
 # 16.5; released only between stages, 5.0, 30.8, 5.2, 11.6 and 28.8
-# (minimality); they now read 4.3, 22.2, 4.5, 11.6 and 23.9.
+# (minimality); released inside the stages, 4.3, 22.2, 4.5, 11.6 and 23.9;
+# with the cone lift, dY, d eta and N gone before the covariant
+# derivatives and compare's sides reduced as they are analyzed, they now
+# read 3.4, 20.1, 3.6, 11.6 and 20.6.
 PEAK_CASES = {
-    "embed": ({"space": "r31", "builtin": "maximal_catenoid_r31"}, 5.2),
-    "analyze": ({"builtin": "torus4"}, 26.6),
-    "compare": ({"builtin": "torus"}, 5.4),
+    "embed": ({"space": "r31", "builtin": "maximal_catenoid_r31"}, 4.1),
+    "analyze": ({"builtin": "torus4"}, 24.1),
+    "compare": ({"builtin": "torus"}, 4.3),
     "volume": ({"builtin": "torus4"}, 14.0),
-    "minimality": ({"builtin": "torus4"}, 28.7),
+    "minimality": ({"builtin": "torus4"}, 24.7),
 }
 
 
@@ -734,6 +738,59 @@ def test_the_chain_goes_before_the_structure_identities(command, held, torus_spe
     assert run(["surface", command, "--spec", spec]) == 0
     capsys.readouterr()
     assert seen == [held]
+
+
+# The operands of B, L, C and the components of Delta eta, which go before
+# the covariant derivatives are formed: on the field, and the patch's lift.
+OPERANDS = {"dY", "deta", "N", "lapY"}
+
+
+@pytest.mark.parametrize("command, module, stage", [
+    ("analyze", hypersurface, "_structure_identities"),
+    ("embed", hypersurface, "_structure_identities"),
+    ("minimality", minimality, "el_residual")])
+def test_the_operands_go_before_the_covariant_derivatives(command, module, stage,
+                                                          torus_spec_file, tmp_path,
+                                                          monkeypatch, capsys):
+    # The stage that forms the first covariant derivative (the structure
+    # identities, or the criticality residual of minimality) runs with none
+    # of d eta, dY, N, Delta Y or the cone lift held.
+    seen = []
+    form = getattr(module, stage)
+
+    def spy(fld, *args, **kwargs):
+        seen.append(sorted(OPERANDS & set(vars(fld)) | {"lift"} & set(vars(fld.patch))))
+        return form(fld, *args, **kwargs)
+
+    monkeypatch.setattr(module, stage, spy)
+    spec = torus_spec_file
+    if command == "embed":
+        spec = write(tmp_path, "cat.json", {"space": "r31", "builtin": "maximal_catenoid_r31"})
+    assert run(["surface", command, "--spec", spec]) == 0
+    capsys.readouterr()
+    assert seen == [[]]
+
+
+def test_compare_forms_each_b_spectrum_without_its_operands(torus_spec_file, tmp_path,
+                                                           monkeypatch, capsys):
+    # On both sides B takes the last reads of dY, d eta and the cone lift,
+    # which go with B before symmetrization before the B spectrum is formed.
+    held = []
+    form = vars(hypersurface.InvariantField)["B_eigs"].func
+
+    def spy(fld):
+        held.append(sorted({"dY", "deta", "B_raw"} & set(vars(fld))
+                           | {"lift"} & set(vars(fld.patch))))
+        return form(fld)
+
+    spectrum = functools.cached_property(spy)
+    spectrum.__set_name__(hypersurface.InvariantField, "B_eigs")
+    monkeypatch.setattr(hypersurface.InvariantField, "B_eigs", spectrum)
+    script = transform_file(tmp_path)
+    assert run(["surface", "compare", "--spec", torus_spec_file, "--spec2", torus_spec_file,
+                "--transform", script]) == 0
+    capsys.readouterr()
+    assert held == [[], []]
 
 
 def test_compare_reduces_its_first_side_before_it_analyzes_the_second(

@@ -349,21 +349,29 @@ def symmetric_blocks(rng, m, shape, kind):
 SPECTRA = ("repeated", "split", "graded", "diagonal", "zero pair")
 
 
+def kernel(f, mat, ncomp):
+    """A grid kernel of fd applied to (*G, m, m) blocks; output (*G, *C)."""
+    return grid_leading(f(component_leading(mat, 2)), ncomp)
+
+
+def assert_inverse_within_cond(general):
+    """The grid inverse of (*G, m, m) blocks against LAPACK's.  The error of
+    a closed form or an adjugate grows with the block's condition number
+    (up to ~5e5 in the draws of ``blocks``), so the bound is per block and
+    scaled by it: over 50,000 blocks of m = 4 and 5 it reads at most
+    3.2e-16 cond, and over 2,000 grids of m = 3 at most 3.3e-16 cond."""
+    inv, ref = kernel(fd.grid_inv, general, 2), np.linalg.inv(general)
+    assert inv.shape == ref.shape
+    err = np.abs(inv - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+    assert (err <= 2e-15 * np.linalg.cond(general)).all()
+
+
 @PROPERTY
 @given(blocks())
 def test_closed_forms_match_lapack(case):
     rng, m, shape = case
     general = rng.standard_normal(shape + (m, m)) + 2.0 * np.eye(m)
-    kernel = lambda f, mat, ncomp: grid_leading(f(component_leading(mat, 2)), ncomp)
-    inv, ref = kernel(fd.grid_inv, general, 2), np.linalg.inv(general)
-    if m <= 3:
-        assert_rel(inv, ref)
-    else:
-        # The adjugate's error grows with the block's condition number
-        # (up to ~5e5 here), so the bound is per block and scaled by it:
-        # over 50,000 blocks of m = 4 and 5 it reads at most 3.2e-16 cond.
-        err = np.abs(inv - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
-        assert (err <= 2e-15 * np.linalg.cond(general)).all()
+    assert_inverse_within_cond(general)
     assert_rel(kernel(fd.grid_det, general, 0), np.linalg.det(general))
     spd = spd_blocks(rng, m, shape)
     assert_rel(kernel(fd.grid_cholesky, spd, 2), np.linalg.cholesky(spd))
@@ -375,6 +383,16 @@ def test_closed_forms_match_lapack(case):
             got, ref = kernel(fd.grid_eigvalsh, scale * sym, 1), np.linalg.eigvalsh(scale * sym)
             assert got.shape == ref.shape
             assert (np.abs(got - ref) <= 1e-13 * np.abs(ref).max(axis=-1, keepdims=True)).all()
+
+
+def test_inverse_bound_scales_with_an_ill_conditioned_block():
+    # A draw of the property's kind (seed 1104) whose worst 3 x 3 block has
+    # condition number 1.2e4: each block's inverse is within 2.1e-16 cond of
+    # its largest entry, while the largest error is 1.05e-12 of the grid's
+    # largest |inv|, above a bound of 1e-12 that ignores the conditioning.
+    general = np.random.default_rng(1104).standard_normal((5, 5, 3, 3)) + 2.0 * np.eye(3)
+    assert 1e4 < np.linalg.cond(general).max() < 2e4
+    assert_inverse_within_cond(general)
 
 
 @st.composite

@@ -706,7 +706,10 @@ def test_the_residual_pass_drops_its_own_fields():
     fld = hypersurface.analyze(fld.patch)
     hypersurface.structural_residuals(fld, keep=minimality.REPORT_FIELDS)
     assert not PASS_ONLY & set(vars(fld))
-    assert {"divB", "divC", "dY", "deta", "N", "vielbein"} <= set(vars(fld))
+    assert {"divB", "divC", "lap_eta_components", "C_frame"} <= set(vars(fld))
+    # The operands of those go before the structure identities.
+    assert not {"dY", "deta", "N", "lapY", "vielbein"} & set(vars(fld))
+    assert "lift" not in vars(fld.patch)
 
 
 # The 2- and 3-axis cubic graphs, where every term of the first-order
@@ -835,8 +838,8 @@ SMALL_TORUS4 = {"builtin": "torus4", "grid": {
 PATCH_ON_READ = ("dxi", "third_form", "g_exact", "area_element", "lift")
 FIELD_ON_READ = ("dY", "g", "minors", "ginv", "sqrt_det", "Gamma", "lapY", "lap_norm", "N",
                  "deta", "B_raw", "B", "L", "C", "vielbein", "EY", "B_frame",
-                 "C_frame", "B_eigs", "S_op", "S_eigs", "riemann", "ricci", "scalar",
-                 "diagnostics", "DB", "DC", "divB", "divC", "LB")
+                 "C_frame", "lap_eta_components", "B_eigs", "S_op", "S_eigs", "riemann",
+                 "ricci", "scalar", "diagnostics", "DB", "DC", "divB", "divC", "LB")
 
 
 def read_all(names):

@@ -13,13 +13,15 @@ def test_torus_is_not_minimal(torus_report):
 
 
 def test_minimality_report_releases_its_operands_as_it_goes():
-    # nabla B goes after div B, nabla C and Gamma after div C, L, C and B
-    # after <L, B> and the frame components of C, and the chain S -> dxi ->
-    # III after the third-form Laplacian (n = 3), its last reader.
+    # d eta, dY, N, the frame and the cone lift go once the components of
+    # Delta eta, B, L, C and C in the frame are formed; nabla B after div B,
+    # nabla C and Gamma after div C, L, C and B after <L, B>, and the chain
+    # S -> dxi -> III after the third-form Laplacian (n = 3), its last reader.
     fld = hypersurface.analyze(patches.build_patch({"builtin": "torus"}))
     minimality.minimality_report(fld)
-    assert not {"DB", "DC", "Gamma", "_LC", "B", "B_raw", "lapY"} & set(vars(fld))
-    assert not set(patches.CHAIN) & set(vars(fld.patch))
+    assert not {"DB", "DC", "Gamma", "_LC", "B", "B_raw", "lapY", "deta", "dY", "N",
+                "vielbein"} & set(vars(fld))
+    assert not {"lift", *patches.CHAIN} & set(vars(fld.patch))
 
 
 def test_torus_el_residual_closed_form(torus_field):

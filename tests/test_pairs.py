@@ -1,6 +1,7 @@
 """The statistics of the pair recorder (tools/pairs.py): quartiles, pair
-wins by a metric's direction, the bound check, the claim verdict and the
-per-kind peak summary.  No benchmark is run."""
+wins by a metric's direction, the bound check, the claim verdict, the
+per-kind peak summary and the naming of where a peak is reached.  No
+benchmark is run."""
 
 import importlib.util
 from pathlib import Path
@@ -46,8 +47,49 @@ def test_a_claim_needs_nine_of_ten_wins_and_a_gain_above_the_parent_iqr(tool):
 
 
 def test_kind_peaks_pair_each_request_kind(tool):
-    summary = tool.peak_summary({"analyze": 30.0, "volume": 12.0},
-                                {"analyze": 24.0, "volume": 12.0})
+    at = "hypersurface.InvariantField.B_eigs < cli.main"
+    summary = tool.peak_summary({"analyze": {"mib": 30.0, "at": at},
+                                 "volume": {"mib": 12.0, "at": None}},
+                                {"analyze": {"mib": 24.0, "at": "fd.gradient < cli.main"},
+                                 "volume": {"mib": 12.0, "at": None}})
     assert summary["analyze"] == {"parent_mib": 30.0, "change_mib": 24.0,
-                                  "relative_change": -0.2}
+                                  "relative_change": -0.2, "parent_peak_at": at,
+                                  "change_peak_at": "fd.gradient < cli.main"}
     assert summary["volume"]["relative_change"] == 0.0
+
+
+# Functions of a stand-in ``laguerre`` module: the peak is a temporary of
+# ``inner`` (a C call's) or of a line of ``outer`` itself.
+STAND_IN = """
+import numpy as np
+
+def inner(n):
+    return float(np.ones(n).sum())
+
+def outer(n, own):
+    if own:
+        return float((np.ones(n) + np.ones(n)).sum()) + inner(n // 4)
+    return inner(n) + float(np.ones(n // 4).sum())
+"""
+
+
+@pytest.fixture(scope="module")
+def stand_in():
+    module = {"__name__": "laguerre.stand_in"}
+    exec(compile(STAND_IN, "stand_in.py", "exec"), module)
+    return module
+
+
+@pytest.mark.parametrize("own, at", [(False, "stand_in.inner < stand_in.outer"),
+                                     (True, "stand_in.outer")])
+def test_the_peak_is_named_by_the_laguerre_functions_running_there(tool, stand_in, own, at):
+    # 2^20 doubles are 8 MiB; the hook reads the peak in the function whose
+    # temporaries make it, and names its laguerre callers after it.  The
+    # peak itself is read without the hook.
+    peak = tool.traced_peak(lambda: stand_in["outer"](2 ** 20, own))
+    assert peak["at"] == at
+    assert peak["mib"] == pytest.approx(8.0 * (1 + own), abs=0.01)
+
+
+def test_the_peak_outside_the_package_is_named_none(tool):
+    assert tool.traced_peak(lambda: bytearray(2 ** 20))["at"] is None

@@ -26,10 +26,11 @@ them, per request kind, stands the tracemalloc peak of one warm request on
 each side (``kind_peaks``): a fresh interpreter per tree runs the first
 cycle of each workload's request stream for the seed ``--seed``, each
 request once untraced and once traced, so a change in ``peak_rss_mb`` can
-be traced to the requests whose arrays moved.  A ``--claim W:METRIC`` adds
-a verdict: met when the change is better in at least 9 of 10 pairs (the
-same share of any N) and its median is better by more than the parent's
-interquartile range.
+be traced to the requests whose arrays moved, and once more under a
+profile hook that names the ``laguerre`` functions running at the peak
+(``peak_path``).  A ``--claim W:METRIC`` adds a verdict: met when the
+change is better in at least 9 of 10 pairs (the same share of any N) and
+its median is better by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ def kind_medians(parent_runs: list, change_runs: list) -> dict:
 
 
 def _run_kind_peaks(tree: Path, seed: int) -> dict:
-    """Workload -> request kind -> tracemalloc peak (MiB) of one warm request,
-    run with the package and the workloads of ``tree`` (on sys.path)."""
+    """Workload -> request kind -> ``traced_peak`` of one warm request, run
+    with the package and the workloads of ``tree`` (on sys.path)."""
     import workloads
     from laguerre import cli
 
@@ -144,14 +145,59 @@ def _run_kind_peaks(tree: Path, seed: int) -> dict:
             for _ in work.kinds:
                 request = next(stream)
                 run(request)
-                tracemalloc.start()
-                try:
-                    run(request)
-                    per_kind[request.kind] = tracemalloc.get_traced_memory()[1] / 2 ** 20
-                finally:
-                    tracemalloc.stop()
+                per_kind[request.kind] = traced_peak(lambda: run(request))
             peaks[name] = per_kind
     return peaks
+
+
+def laguerre_path(frame) -> str | None:
+    """The ``laguerre`` functions on the stack of ``frame``, innermost
+    first, as "module.qualname" joined by " < "; None outside the package."""
+    names = []
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("laguerre."):
+            names.append(f"{module.removeprefix('laguerre.')}.{frame.f_code.co_qualname}")
+        frame = frame.f_back
+    return " < ".join(names) or None
+
+
+def traced_peak(call) -> dict:
+    """The tracemalloc peak (MiB) of ``call``, and where it is reached
+    (``peak_path``, from a second traced call)."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"mib": peak / 2 ** 20, "at": peak_path(call)}
+
+
+def peak_path(call) -> str | None:
+    """The ``laguerre`` call path (``laguerre_path``) at the tracemalloc peak
+    of ``call``, read by a ``sys.setprofile`` hook at the event that first
+    reads the peak.  The peak is reached between two events, inside the
+    function running then: the caller of a Python function being called,
+    the returning function, or the Python caller of a C function.  The hook
+    makes the interpreter form a frame object per call (about 0.05 MiB more
+    on a fine-grid request), so the peak itself is read without it."""
+    top, where = 0, None
+
+    def hook(frame, event, arg):
+        nonlocal top, where
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > top:
+            top, where = peak, laguerre_path(frame.f_back if event == "call" else frame)
+
+    tracemalloc.start()
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return where
 
 
 def kind_peaks(tree: Path, seed: int) -> dict:
@@ -169,9 +215,12 @@ def kind_peaks(tree: Path, seed: int) -> dict:
 
 
 def peak_summary(parent: dict, change: dict) -> dict:
-    """Per request kind: both sides' tracemalloc peaks (MiB) and the relative change."""
-    return {kind: {"parent_mib": parent[kind], "change_mib": change[kind],
-                   "relative_change": (change[kind] - parent[kind]) / parent[kind]}
+    """Per request kind: both sides' tracemalloc peaks (MiB), the relative
+    change and each side's laguerre call path at its peak."""
+    return {kind: {"parent_mib": parent[kind]["mib"], "change_mib": change[kind]["mib"],
+                   "relative_change": (change[kind]["mib"] - parent[kind]["mib"])
+                   / parent[kind]["mib"],
+                   "parent_peak_at": parent[kind]["at"], "change_peak_at": change[kind]["at"]}
             for kind in parent}
 
 
